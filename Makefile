@@ -9,7 +9,7 @@ STRICT_TYPED = \
 	src/repro/core/ssdlet.py \
 	src/repro/core/types.py
 
-.PHONY: test test-fast test-faults bench serve lint typecheck trace attribute resilience sim-throughput cluster race
+.PHONY: test test-fast test-faults bench serve lint typecheck trace attribute resilience sim-throughput cluster race e2e-smoke
 
 # The full tier-1 suite (what CI runs on every push).
 test:
@@ -42,6 +42,13 @@ sim-throughput:
 # seeds); CI gates tail-amplification drift against the committed copy.
 cluster:
 	PYTHONPATH=src $(PYTHON) -m repro.bench cluster
+
+# End-to-end benchmark (BENCHMARK.json) at smoke size: all seven workloads
+# once with every output checked, then the benchmark's own tests.  Both
+# clocks; the full run is `python3 benchmarks/e2e/run.py --workload all`.
+e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --workload all --smoke
+	$(PYTHON) -m pytest -q benchmarks/e2e
 
 # Run a serving-layer traffic mix deterministically (override MIX/POLICY,
 # e.g. `make serve MIX=saturation POLICY=wfq`).

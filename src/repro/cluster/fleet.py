@@ -30,7 +30,7 @@ from repro.cluster.catalog import (
 from repro.core.errors import DeviceCrashedError
 from repro.db.catalog import TableSchema
 from repro.db.executor import Engine, EngineConfig, ExecutionMode
-from repro.db.storage import Database
+from repro.db.storage import Database, pack_table
 from repro.net.cluster import ReplicaMap, ScaleOutCluster, StorageNode
 from repro.ssd.config import SSDConfig
 from repro.testing.faults import CrashWindow, FaultStorm, StormInjector
@@ -135,19 +135,21 @@ class ShardedFleet:
         """Partition rows and install every shard copy on its nodes.
 
         Each copy is a full heap table (pages, indexes) under the storage
-        name ``<table>#s<k>``; the logical name is aliased on every node so
-        SQL compiles anywhere, though only shard copies are ever scanned.
+        name ``<table>#s<k>``, packed once and installed on each replica; the
+        logical name is aliased on every node so SQL compiles anywhere,
+        though only shard copies are ever scanned.
         """
         spec = self.catalog.register(PartitionSpec(
             schema.name, key or schema.columns[0].name, kind,
             self.replica_map.num_shards, tuple(bounds)))
         key_position = schema.position(spec.key)
         parts = spec.partition_rows(rows, key_position)
+        page_size = self.databases[0].fs.page_size
         for shard, shard_rows in enumerate(parts):
             name = shard_table_name(schema.name, shard)
+            packed = pack_table(schema, shard_rows, page_size)
             for node_index in self.replica_map.nodes_for(shard):
-                self.databases[node_index].load_table(
-                    schema, shard_rows, name=name)
+                self.databases[node_index].install_table(packed, name)
         # Bind the logical name on every node holding at least one copy so
         # compile_sql resolves columns there (the alias is never scanned).
         for node_index in range(self.num_nodes):

@@ -9,22 +9,32 @@ Indexes are in-memory maps from key value to the list of page numbers
 holding matching rows — modeling a warm B-tree whose leaf lookups are
 RAM-resident while the *data* page fetches pay real I/O (the dominant cost
 in the paper's join analysis).
+
+Loading is two steps: :func:`pack_table` turns rows into a page blob plus
+the declared indexes in one pass (no page is decoded to index it), and
+:meth:`Database.install_table` puts a packed table under a storage name —
+so a shard replicated on several nodes is packed once and installed on each.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.db.catalog import Catalog, TableSchema
 from repro.fs.filesystem import FileSystem, Inode
 
-__all__ = ["encode_row", "decode_rows", "pack_pages", "TableStorage", "Database"]
+__all__ = ["encode_row", "decode_rows", "pack_pages", "pack_table",
+           "PackedTable", "TableStorage", "Database"]
 
 _PAGE_HEADER = struct.Struct("<H")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _LEN = struct.Struct("<H")
+#: What the row codec turns a column's value into, by column type: an index
+#: keyed on these is keyed exactly as one rebuilt from decoded pages.
+_KEY_TYPES = {"int": int, "date": int, "float": float, "str": str}
 
 
 def encode_row(schema: TableSchema, row: Sequence[Any]) -> bytes:
@@ -104,16 +114,55 @@ def pack_pages(
     return b"".join(pages), counts
 
 
+class PackedTable(NamedTuple):
+    """A table's rows as pages plus its indexes, not yet on any device."""
+
+    schema: TableSchema
+    blob: bytes
+    num_rows: int
+    page_size: int
+    #: column name -> {key value: sorted list of page numbers}; read-only, so
+    #: every storage installed from this packing shares the same dicts.
+    indexes: Dict[str, Dict[Any, List[int]]]
+
+
+def _index_rows(schema: TableSchema, rows: Iterable[Sequence[Any]],
+                counts: Sequence[int], column: str) -> Dict[Any, List[int]]:
+    """``column``'s index from the rows and :func:`pack_pages`' rows per page."""
+    position = schema.position(column)
+    as_stored = _KEY_TYPES[schema.columns[position].ctype]
+    index: Dict[Any, List[int]] = {}
+    remaining = iter(rows)
+    for page_no, count in enumerate(counts):
+        for row in islice(remaining, count):
+            pages = index.setdefault(as_stored(row[position]), [])
+            if not pages or pages[-1] != page_no:
+                pages.append(page_no)
+    return index
+
+
+def pack_table(schema: TableSchema, rows: Sequence[Sequence[Any]],
+               page_size: int) -> PackedTable:
+    """Pack rows into pages and build every declared index from the same rows."""
+    blob, counts = pack_pages(schema, rows, page_size)
+    indexes = {
+        column: _index_rows(schema, rows, counts, column)
+        for column in tuple(schema.primary_key) + tuple(schema.indexes)
+    }
+    return PackedTable(schema, blob, len(rows), page_size, indexes)
+
+
 class TableStorage:
     """One table's heap file plus its indexes."""
 
-    def __init__(self, schema: TableSchema, inode: Inode, num_rows: int, page_size: int):
+    def __init__(self, schema: TableSchema, inode: Inode, num_rows: int,
+                 page_size: int, indexes: Dict[str, Dict[Any, List[int]]]):
         self.schema = schema
         self.inode = inode
         self.num_rows = num_rows
         self.page_size = page_size
         # column name -> {key value: sorted list of page numbers}
-        self.indexes: Dict[str, Dict[Any, List[int]]] = {}
+        self.indexes = indexes
 
     @property
     def num_pages(self) -> int:
@@ -122,17 +171,6 @@ class TableStorage:
     @property
     def path(self) -> str:
         return self.inode.path
-
-    def build_index(self, fs: FileSystem, column: str) -> None:
-        position = self.schema.position(column)
-        index: Dict[Any, List[int]] = {}
-        for page_no in range(self.num_pages):
-            data = fs.page_content(self.inode, page_no)
-            for row in decode_rows(self.schema, data):
-                pages = index.setdefault(row[position], [])
-                if not pages or pages[-1] != page_no:
-                    pages.append(page_no)
-        self.indexes[column] = index
 
     def index_pages(self, column: str, key: Any) -> List[int]:
         """Data pages containing rows with ``column == key`` (warm B-tree)."""
@@ -162,26 +200,34 @@ class Database:
         self, schema: TableSchema, rows: Sequence[Sequence[Any]],
         name: Optional[str] = None,
     ) -> TableStorage:
-        """Install a table's rows as a heap file and build declared indexes.
+        """Pack a table's rows and install them (see :meth:`install_table`)."""
+        return self.install_table(
+            pack_table(schema, rows, self.fs.page_size), name)
+
+    def install_table(self, packed: PackedTable,
+                      name: Optional[str] = None) -> TableStorage:
+        """Install a packed table as a heap file with its indexes.
 
         ``name`` overrides the *storage* name — the ``tables`` key and the
         heap-file path — while the schema keeps its logical name.  This is
         how one database holds several shard copies of the same logical
-        table (``lineitem#s3``): each copy gets its own heap file and
-        indexes, and the shared schema stays registered once.
+        table (``lineitem#s3``): each copy gets its own heap file, and the
+        shared schema stays registered once.
         """
+        schema = packed.schema
+        if packed.page_size != self.fs.page_size:
+            raise ValueError("%s packed for %d-byte pages, filesystem has %d"
+                             % (schema.name, packed.page_size, self.fs.page_size))
         if schema.name not in self.catalog:
             self.catalog.add(schema)
         storage_name = name or schema.name
-        blob, _counts = pack_pages(schema, rows, self.fs.page_size)
         path = "%s/%s.tbl" % (self.prefix, storage_name)
         if self.fs.exists(path):
             self.fs.delete(path)
-        inode = self.fs.install(path, blob)
-        storage = TableStorage(schema, inode, len(rows), self.fs.page_size)
+        inode = self.fs.install(path, packed.blob)
+        storage = TableStorage(schema, inode, packed.num_rows,
+                               packed.page_size, packed.indexes)
         self.tables[storage_name] = storage
-        for key in tuple(schema.primary_key) + tuple(schema.indexes):
-            storage.build_index(self.fs, key)
         return storage
 
     def alias_table(self, name: str, storage: TableStorage) -> None:

@@ -17,7 +17,7 @@ least-erased block (wear leveling).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Generator, List, NamedTuple, Optional
+from typing import Dict, Generator, List, NamedTuple, Optional, Sequence
 
 from repro.core.errors import EccError, OutOfSpaceError, UncorrectableReadError
 from repro.sim.engine import Simulator, all_of
@@ -43,19 +43,18 @@ class PhysAddr(NamedTuple):
 class _Block:
     __slots__ = ("index", "valid", "erase_count", "slots")
 
-    def __init__(self, index: int, pages: int, slots_per_page: int):
+    def __init__(self, index: int):
         self.index = index
         self.valid = 0
         self.erase_count = 0
-        # slots[page][slot] = lpn or None
-        self.slots: List[List[Optional[int]]] = [
-            [None] * slots_per_page for _ in range(pages)
-        ]
+        # slots[page][slot] = lpn or None; () while the block is free —
+        # _allocate_block gives it its lists, wipe drops them again.
+        self.slots: Sequence[List[Optional[int]]] = ()
 
-    def wipe(self, pages: int, slots_per_page: int) -> None:
+    def wipe(self) -> None:
         self.valid = 0
         self.erase_count += 1
-        self.slots = [[None] * slots_per_page for _ in range(pages)]
+        self.slots = ()
 
 
 class _Die:
@@ -64,10 +63,7 @@ class _Die:
     def __init__(self, channel: int, die: int, config: SSDConfig):
         self.channel = channel
         self.die = die
-        slots = config.logical_pages_per_physical
-        self.blocks = [
-            _Block(i, config.pages_per_block, slots) for i in range(config.blocks_per_die)
-        ]
+        self.blocks = [_Block(i) for i in range(config.blocks_per_die)]
         self.free: deque = deque(self.blocks)
         self.open_block: Optional[_Block] = None
         self.next_page = 0
@@ -192,6 +188,9 @@ class FTL:
         # Wear leveling: pick the least-erased free block.
         best = min(die.free, key=lambda block: block.erase_count)
         die.free.remove(best)
+        slots_per_page = self.config.logical_pages_per_physical
+        best.slots = [[None] * slots_per_page
+                      for _ in range(self.config.pages_per_block)]
         if self.sim.trace is not None:
             self.sim.trace.instant(
                 "ftl", "alloc-block", self.trace_track, channel=die.channel,
@@ -257,9 +256,10 @@ class FTL:
             yield from self._collect(die, victim)
 
     def _pick_victim(self, die: _Die) -> Optional[_Block]:
+        # A block holds slot lists exactly while it is out of die.free.
         candidates = [
             block for block in die.blocks
-            if block is not die.open_block and block not in die.free
+            if block.slots and block is not die.open_block
         ]
         if not candidates:
             return None
@@ -297,7 +297,7 @@ class FTL:
             if event is not None:
                 yield event
         yield from channel.erase()
-        victim.wipe(self.config.pages_per_block, self.config.logical_pages_per_physical)
+        victim.wipe()
         if self.read_cache is not None:
             # Erased media: every cached line over this block is dead.
             self.read_cache.invalidate_physical_range(
