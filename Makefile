@@ -7,7 +7,8 @@ STRICT_TYPED = \
 	src/repro/core/errors.py \
 	src/repro/core/provenance.py \
 	src/repro/core/ssdlet.py \
-	src/repro/core/types.py
+	src/repro/core/types.py \
+	src/repro/resilience/hedge.py
 
 .PHONY: test test-fast test-faults bench serve lint typecheck trace attribute resilience sim-throughput cluster race e2e-smoke
 
@@ -19,7 +20,8 @@ test:
 test-fast:
 	$(PYTEST) -q --ignore=tests/integration
 
-# Opt-in fault-injection soak: the long differential sweeps marked `faults`.
+# Only the fault-injection soaks (the long differential sweeps marked
+# `faults`).  Nothing deselects the marker, so `make test` runs them too.
 test-faults:
 	$(PYTEST) -q -m faults
 
@@ -28,7 +30,8 @@ bench:
 	$(PYTEST) -q benchmarks/test_ablation_read_cache.py
 
 # The standing recovery benchmark: SQL goodput under a seeded fault storm.
-# Emits BENCH_resilience.json (byte-deterministic across hash seeds).
+# Emits BENCH_resilience.json (byte-deterministic across hash seeds; CI
+# `cmp`s a fresh run against the committed copy).
 resilience:
 	PYTHONPATH=src $(PYTHON) -m repro.bench resilience
 
@@ -39,7 +42,7 @@ sim-throughput:
 
 # Sharded-fleet benchmark: scatter-gather SQL across a 4-node fleet plus a
 # crash storm.  Emits BENCH_cluster.json (byte-deterministic across hash
-# seeds); CI gates tail-amplification drift against the committed copy.
+# seeds); CI `cmp`s a fresh run against the committed copy.
 cluster:
 	PYTHONPATH=src $(PYTHON) -m repro.bench cluster
 

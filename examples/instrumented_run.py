@@ -2,7 +2,7 @@
 """Instrumentation: see *why* NDP wins, not just that it does.
 
 Runs the same scan twice — Conv and Biscuit — with a utilization monitor
-and a span tracer attached, then prints the timelines.  Conv's run shows
+attached, then prints the timelines.  Conv's run shows
 busy host cores and a busy PCIe link; Biscuit's run shows saturated flash
 channels, busy device cores, and a silent PCIe link.
 
@@ -15,7 +15,7 @@ from repro.apps.string_search import (
     conv_string_search,
 )
 from repro.host.platform import System
-from repro.instrument import SpanTracer, UtilizationMonitor
+from repro.instrument import UtilizationMonitor
 from repro.sim.units import MIB
 
 
@@ -23,11 +23,11 @@ def run_with_monitor(label, make_fiber):
     system = System()
     install_weblog_analytic(system, "/logs/web.log", 128 * MIB, "KEY", 0.02)
     monitor = UtilizationMonitor.for_system(system, interval_s=0.002)
-    tracer = SpanTracer(system.sim)
     monitor.start()
-    system.run_fiber(tracer.span("search", label, make_fiber(system)))
+    start_ns = system.sim.now
+    system.run_fiber(make_fiber(system))
+    elapsed_ms = (system.sim.now - start_ns) / 1e6
     monitor.stop()
-    elapsed_ms = tracer.total_ns("search") / 1e6
     print("\n=== %s: %.1f ms over a 128 MiB log ===" % (label, elapsed_ms))
     print(monitor.report(width=48))
     return elapsed_ms

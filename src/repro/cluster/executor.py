@@ -53,7 +53,7 @@ from repro.db.planner import partition_constraints
 from repro.db.sql import SqlError, compile_sql
 from repro.net.cluster import StorageNode
 from repro.resilience import HedgePolicy, RetryPolicy
-from repro.sim.engine import all_of
+from repro.sim.engine import all_of, backoff
 
 __all__ = ["ClusterExecutor", "run_cluster_sql"]
 
@@ -491,12 +491,9 @@ class ClusterExecutor:
                         self.failovers += 1
                         break  # next copy
                     self.retries += 1
-                    start = sim.now
-                    yield sim.timeout(self.retry.backoff_ns(tries))
-                    trace = sim.trace
-                    if trace is not None:
-                        trace.complete("resil", "backoff", "host/cluster",
-                                       start, shard=shard, attempt=tries)
+                    yield from backoff(
+                        sim, self.retry.backoff_ns(tries), "resil", "backoff",
+                        "host/cluster", shard=shard, attempt=tries)
         assert last_error is not None
         raise last_error
 

@@ -25,13 +25,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.errors import DeviceError
 from repro.db.catalog import TableSchema
 from repro.db.expr import Expr, compile_expr, columns_of
 from repro.db.storage import Database, TableStorage, decode_rows
 from repro.host.platform import System
 from repro.sim.engine import all_of
-from repro.sim.units import us_to_ns
 
 __all__ = [
     "Engine", "EngineConfig", "ExecutionMode", "Rel", "TableRef",
@@ -75,12 +73,6 @@ class EngineConfig:
     # Extension (beyond the paper): push GROUP BY/aggregates into the
     # ScanAggregate SSDlet so only aggregate states cross the interface.
     ndp_pushdown_aggregate: bool = True
-    # Resilience (repro.resilience): per-chunk host-scan retries.  0 keeps
-    # the historical fail-fast behavior (and bit-identical timing); under
-    # fault injection a positive limit lets a host scan survive transient
-    # media errors by re-issuing the failed chunk after a backoff.
-    scan_retry_limit: int = 0
-    scan_retry_backoff_us: float = 200.0  # first retry; doubles per attempt
 
 
 class Rel:
@@ -172,7 +164,6 @@ class Engine:
         self.host_pages_read = 0
         self.ndp_result_bytes = 0
         self.ndp_scans = 0
-        self.scan_retries = 0
         self.ndp_rejections: List[str] = []
         # Lazily-initialized NDP machinery (set by repro.db.ndp on first use).
         self.ndp_context = None
@@ -185,7 +176,6 @@ class Engine:
         self.host_pages_read = 0
         self.ndp_result_bytes = 0
         self.ndp_scans = 0
-        self.scan_retries = 0
         self.ndp_rejections = []
         if self.planner is not None:
             self.planner.reset()
@@ -249,7 +239,6 @@ class Engine:
         num_pages = storage.num_pages
         rows_out: List[tuple] = []
         pending = None
-        pending_span = None
         offset_pages = 0
         while offset_pages < num_pages:
             take = min(chunk_pages, num_pages - offset_pages)
@@ -260,8 +249,7 @@ class Engine:
                 # injection) while this fiber is busy elsewhere; defusing lets
                 # the failure wait until the yield below rethrows it here.
                 pending.defused = True
-                pending_span = (offset_pages * page_size, length)
-            yield from self._await_chunk(handle, pending, pending_span)
+            yield pending
             self.host_pages_read += take
             next_offset = offset_pages + take
             if next_offset < num_pages:
@@ -269,7 +257,6 @@ class Engine:
                 nlength = min(ntake * page_size, storage.inode.size - next_offset * page_size)
                 pending = handle.aread_timing_only(next_offset * page_size, nlength)
                 pending.defused = True  # failure surfaces at the next yield
-                pending_span = (next_offset * page_size, nlength)
             else:
                 pending = None
             # CPU: decode + filter + project every row of the chunk.
@@ -283,29 +270,6 @@ class Engine:
             yield from self._charge(chunk_rows * self.config.host_row_us)
             offset_pages = next_offset
         return Rel(out_cols, rows_out)
-
-    def _await_chunk(self, handle, pending, span) -> Generator:
-        """Fiber: wait for one chunk read, re-issuing it on media errors.
-
-        With ``scan_retry_limit == 0`` (the default) this is exactly the old
-        fail-fast ``yield pending`` — same event count, same timing.  Under a
-        positive limit the failed chunk is retried after an exponential
-        backoff, which rides out transient fault-storm windows.
-        """
-        attempts = 0
-        while True:
-            try:
-                yield pending
-                return
-            except DeviceError:
-                attempts += 1
-                if attempts > self.config.scan_retry_limit:
-                    raise
-                self.scan_retries += 1
-                backoff_us = self.config.scan_retry_backoff_us * (2 ** (attempts - 1))
-                yield self.system.sim.timeout(us_to_ns(backoff_us))
-                pending = handle.aread_timing_only(span[0], span[1])
-                pending.defused = True
 
     # ------------------------------------------------------------------ joins
     def join(

@@ -1,4 +1,4 @@
-"""Instrumentation: event tracing, metrics, spans and utilization timelines.
+"""Instrumentation: event tracing, metrics and utilization timelines.
 
 Simulation answers "how long"; these tools answer "why".
 
@@ -13,8 +13,7 @@ Simulation answers "how long"; these tools answer "why".
   here.
 * :func:`read_latency_breakdown` — rebuild the paper's Table III read
   round-trip composition (driver / firmware / NAND / transfer) from events.
-* :class:`SpanTracer` — ad-hoc named begin/end spans with a text Gantt
-  chart; :class:`UtilizationMonitor` — resource utilization sparklines.
+* :class:`UtilizationMonitor` — resource utilization sparklines.
 
 Run ``python -m repro.instrument --workload string_search`` to trace a
 named bench workload end to end.
@@ -39,7 +38,6 @@ from repro.instrument.perfetto import (
     render_chrome_trace,
     write_chrome_trace,
 )
-from repro.instrument.trace import Span, SpanTracer
 from repro.instrument.utilization import UtilizationMonitor
 
 __all__ = [
@@ -48,5 +46,5 @@ __all__ = [
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "Series",
     "read_latency_breakdown", "LatencyBreakdownReport",
     "BreakdownAggregate", "CommandBreakdown",
-    "SpanTracer", "Span", "UtilizationMonitor",
+    "UtilizationMonitor",
 ]

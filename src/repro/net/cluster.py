@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional
 
-from repro.core.errors import DeviceError
 from repro.host.cpu import HostCPU
 from repro.host.platform import System
-from repro.resilience.hedge import HedgePolicy
-from repro.sim.engine import Simulator, all_of, any_of
+from repro.resilience.hedge import HedgePolicy, hedged_race
+from repro.sim.engine import Simulator, all_of
 from repro.sim.resources import Resource
 from repro.sim.units import transfer_ns, us_to_ns
 from repro.ssd.config import SSDConfig
@@ -278,16 +277,6 @@ class ScaleOutCluster:
         values = yield all_of(self.sim, fibers)
         return values
 
-    def _guarded_rpc(self, node: StorageNode, work: Generator,
-                     request_bytes: int, response_bytes: int) -> Generator:
-        """Fiber: one RPC that reports its outcome instead of raising, so
-        hedge legs can race under ``any_of`` without failure propagation."""
-        try:
-            value = yield from node.serve(work, request_bytes, response_bytes)
-            return ("ok", value)
-        except DeviceError as exc:
-            return ("err", exc)
-
     def hedged_call(
         self,
         shard: int,
@@ -306,70 +295,11 @@ class ScaleOutCluster:
         over to the replica immediately — no deadline wait.  Raises the
         replica's error only when every copy failed.
         """
-        start_ns = self.sim.now
-        nodes = replica_map.nodes_for(shard)
-        primary = self.nodes[nodes[0]]
-        primary_leg = self.sim.process(
-            self._guarded_rpc(primary, make_work(primary),
-                              request_bytes, response_bytes),
-            name="hedge-primary-%s" % primary.name)
-        primary_leg.defused = True
-        if len(nodes) < 2:
-            yield primary_leg
-            status, value = primary_leg.value
-            if status != "ok":
-                raise value
-            policy.observe((self.sim.now - start_ns) / 1000.0)
-            policy.primary_wins += 1
-            return value
-        deadline = self.sim.timeout(us_to_ns(policy.deadline_us()))
-        yield any_of(self.sim, [primary_leg, deadline])
-        if primary_leg.triggered:
-            status, value = primary_leg.value
-            if status == "ok":
-                policy.observe((self.sim.now - start_ns) / 1000.0)
-                policy.primary_wins += 1
-                return value
-            # Primary failed before the deadline: straight failover.
-            policy.failovers += 1
-        else:
-            policy.hedges_fired += 1
-        backup = self.nodes[nodes[1]]
-        backup_leg = self.sim.process(
-            self._guarded_rpc(backup, make_work(backup),
-                              request_bytes, response_bytes),
-            name="hedge-backup-%s" % backup.name)
-        backup_leg.defused = True
-        racing = [leg for leg in (primary_leg, backup_leg) if not leg.triggered]
-        yield any_of(self.sim, racing)
-        for leg, mine in ((primary_leg, True), (backup_leg, False)):
-            if not leg.triggered:
-                continue
-            status, value = leg.value
-            if status != "ok":
-                continue
-            other = backup_leg if mine else primary_leg
-            if other.is_alive:
-                other.interrupt("hedge loser")
-            if mine:
-                policy.observe((self.sim.now - start_ns) / 1000.0)
-                policy.primary_wins += 1
-            else:
-                policy.hedge_wins += 1
-            return value
-        # Whichever legs finished have all failed; wait out the rest.
-        for leg, mine in ((primary_leg, True), (backup_leg, False)):
-            if leg.triggered:
-                continue
-            yield leg
-            status, value = leg.value
-            if status == "ok":
-                if not mine:
-                    policy.hedge_wins += 1
-                    policy.failovers += 1
-                else:
-                    policy.observe((self.sim.now - start_ns) / 1000.0)
-                    policy.primary_wins += 1
-                return value
-        # Every copy failed: surface the backup's error (the last to die).
-        raise backup_leg.value[1]
+        def rpc(index: int) -> Generator:
+            node = self.nodes[index]
+            return node.serve(make_work(node), request_bytes, response_bytes)
+
+        value = yield from hedged_race(
+            self.sim, policy, replica_map.nodes_for(shard), rpc, "node",
+            early_failure="failover", both_failed="backup")
+        return value

@@ -35,9 +35,9 @@ from repro.core.module import write_module_image
 from repro.db.ndp import MODULE_IMAGE_PATH, NDP_MODULE
 from repro.instrument.metrics import MetricsRegistry, registry_counter
 from repro.resilience.checkpoint import ScanCheckpoint
-from repro.resilience.hedge import HedgePolicy
+from repro.resilience.hedge import HedgePolicy, hedged_race
 from repro.resilience.recovery import RecoveryTracker
-from repro.sim.engine import any_of
+from repro.sim.engine import backoff
 from repro.sim.units import us_to_ns
 
 __all__ = [
@@ -245,100 +245,38 @@ class ResilientScanDriver:
         finally:
             app.stop()
 
-    def _guarded_attempt(self, spec: ScanSpec, device: int,
-                         trial: ScanCheckpoint) -> Generator:
-        """Fiber: an attempt that returns its outcome instead of raising, so
-        hedge legs can race under ``any_of`` without failure propagation."""
-        try:
-            yield from self._attempt(spec, device, trial)
-            return ("ok", None)
-        except DeviceError as exc:
-            trial.abort()
-            return ("err", exc)
-
-    def _hedged_attempt(self, spec: ScanSpec, device: int,
-                        base: ScanCheckpoint) -> Generator:
-        """Fiber: primary attempt with a deadline-fired backup leg.
-
-        Returns the winning leg's checkpoint clone; raises
-        :class:`_AttemptFailed` when both legs die.  The losing leg is
-        interrupted — mid-I/O if need be.
-        """
-        sim = self.system.sim
-        trace = sim.trace
-        start_ns = sim.now
-        primary_trial = base.clone()
-        if trace is not None:
-            with trace.child_scope("primary-d%d" % device):
-                primary_leg = sim.process(
-                    self._guarded_attempt(spec, device, primary_trial),
-                    name="hedge-primary-d%d" % device)
-        else:
-            primary_leg = sim.process(
-                self._guarded_attempt(spec, device, primary_trial),
-                name="hedge-primary-d%d" % device)
-        primary_leg.defused = True
-        deadline = sim.timeout(us_to_ns(self.hedge.deadline_us()))
-        yield any_of(sim, [primary_leg, deadline])
-        if primary_leg.triggered:
-            status, error = primary_leg.value
-            if status == "ok":
-                self.hedge.observe((sim.now - start_ns) / 1000.0)
-                self.hedge.primary_wins += 1
-                return primary_trial
-            raise _AttemptFailed(error, primary_trial)
-        # The primary outlived its deadline: fire the backup leg.
-        self.hedge.hedges_fired += 1
-        if trace is not None:
-            # The deadline window the scan sat armed but unhedged.
-            trace.complete("resil", "hedge-wait", "host/resil", start_ns,
-                           device=device)
-        hedge_device = self._next_device(device)
-        hedge_trial = base.clone()
-        if trace is not None:
-            with trace.child_scope("hedge-d%d" % hedge_device):
-                hedge_leg = sim.process(
-                    self._guarded_attempt(spec, hedge_device, hedge_trial),
-                    name="hedge-backup-d%d" % hedge_device)
-        else:
-            hedge_leg = sim.process(
-                self._guarded_attempt(spec, hedge_device, hedge_trial),
-                name="hedge-backup-d%d" % hedge_device)
-        hedge_leg.defused = True
-        first = yield any_of(sim, [primary_leg, hedge_leg])
-        del first  # winner identified by inspecting the legs (deterministic)
-        legs = [(primary_leg, primary_trial, device, True),
-                (hedge_leg, hedge_trial, hedge_device, False)]
-        winner = next((leg for leg in legs if leg[0].triggered), None)
-        loser = legs[1] if winner is legs[0] else legs[0]
-        status, error = winner[0].value
-        if status == "ok":
-            if loser[0].is_alive:
-                loser[0].interrupt("hedge loser")
-            if winner[3]:
-                self.hedge.observe((sim.now - start_ns) / 1000.0)
-                self.hedge.primary_wins += 1
-            else:
-                self.hedge.hedge_wins += 1
-            return winner[1]
-        # The first leg to finish *failed* (e.g. a fault on the replica
-        # during the hedge): note it and wait the other leg out.
-        if self.recovery is not None:
-            self.recovery.note_fault(winner[2])
+    def _note_device_error(self, device: int, error: DeviceError) -> None:
         self.stats.device_errors += 1
         if isinstance(error, DeviceCrashedError):
             self.stats.crashes_seen += 1
-        yield loser[0]
-        other_status, other_error = loser[0].value
-        if other_status == "ok":
-            if not loser[3]:
-                self.hedge.hedge_wins += 1
-                self.hedge.failovers += 1
-            else:
-                self.hedge.observe((sim.now - start_ns) / 1000.0)
-                self.hedge.primary_wins += 1
-            return loser[1]
-        raise _AttemptFailed(other_error, primary_trial)
+        if self.recovery is not None:
+            self.recovery.note_fault(device)
+
+    def _hedged_attempt(self, spec: ScanSpec, device: int,
+                        base: ScanCheckpoint) -> Generator:
+        """Fiber: primary attempt with a deadline-fired backup leg, each on
+        its own clone of ``base``.
+
+        Returns the winning leg's clone; raises :class:`_AttemptFailed`
+        (carrying the primary's clone) when the primary dies before the
+        deadline or both legs die.
+        """
+        trials: Dict[int, ScanCheckpoint] = {}
+
+        def leg(dev: int) -> Generator:
+            trial = trials[dev] = base.clone()
+            yield from self._attempt(spec, dev, trial)
+            return trial
+
+        try:
+            winner = yield from hedged_race(
+                self.system.sim, self.hedge,
+                [device, self._next_device(device)], leg, "d",
+                early_failure="raise", both_failed="last",
+                on_leg_failed=self._note_device_error)
+        except DeviceError as exc:
+            raise _AttemptFailed(exc, trials[device]) from exc
+        return winner
 
     # --------------------------------------------------------------------- scan
     def scan(self, spec: ScanSpec,
@@ -365,19 +303,16 @@ class ResilientScanDriver:
                     try:
                         yield from self._attempt(spec, device, trial)
                     except DeviceError as exc:
-                        trial.abort()
                         raise _AttemptFailed(exc, trial) from exc
                     ckpt.adopt(trial)
             except _AttemptFailed as fail:
                 # Keep the commits the dead attempt made before it failed —
-                # that is the resume machinery paying off.
+                # that is the resume machinery paying off — but not the rows
+                # it staged past its last marker.
+                fail.trial.abort()
                 ckpt.adopt(fail.trial)
                 error = fail.error
-                self.stats.device_errors += 1
-                if isinstance(error, DeviceCrashedError):
-                    self.stats.crashes_seen += 1
-                if self.recovery is not None:
-                    self.recovery.note_fault(device)
+                self._note_device_error(device, error)
                 failures += 1
                 if failures > self.policy.retry_limit:
                     self.stats.gave_up += 1
@@ -387,11 +322,9 @@ class ResilientScanDriver:
                 if retry_device != device:
                     self.stats.failovers += 1
                     device = retry_device
-                backoff_start_ns = sim.now if trace is not None else 0
-                yield sim.timeout(self.policy.backoff_ns(failures))
-                if trace is not None:
-                    trace.complete("resil", "backoff", "host/resil",
-                                   backoff_start_ns, attempt=failures)
+                yield from backoff(sim, self.policy.backoff_ns(failures),
+                                   "resil", "backoff", "host/resil",
+                                   attempt=failures)
         if trace is not None:
             trace.complete("resil", "scan", "host/resil", scan_start_ns,
                            pages=spec.num_pages)

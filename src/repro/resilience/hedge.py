@@ -8,15 +8,25 @@ to zero.  Before warmup, a configured default applies.
 
 The policy also carries the hedging scoreboard (fired / wins / losses /
 failovers) so benches and tests read one object.
+
+:func:`hedged_race` is the one deadline race in the tree: the cluster's
+hedged shard RPC and the resilient scan driver's hedged attempt both call
+it (outcome table: DESIGN.md, "Recovery protocol").
 """
 
 from __future__ import annotations
 
-from typing import List
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.instrument.metrics import Counter, registry_counter
+from repro.core.errors import DeviceError
+from repro.instrument.metrics import Counter, MetricsRegistry, registry_counter
+from repro.sim.engine import Event, Process, Simulator, any_of
+from repro.sim.units import us_to_ns
 
-__all__ = ["HedgePolicy"]
+__all__ = ["HedgePolicy", "hedged_race"]
+
+Fiber = Generator[Event, Any, Any]
 
 
 class HedgePolicy:
@@ -56,7 +66,8 @@ class HedgePolicy:
     primary_wins = registry_counter("primary_wins")
     failovers = registry_counter("failovers")
 
-    def bind_registry(self, registry, prefix: str = "resilience.hedge") -> None:
+    def bind_registry(self, registry: MetricsRegistry,
+                      prefix: str = "resilience.hedge") -> None:
         """Re-home the scoreboard into ``registry`` (values carry over)."""
         for field in self._FIELDS:
             counter = registry.counter("%s.%s" % (prefix, field))
@@ -83,5 +94,111 @@ class HedgePolicy:
                           int(self.quantile * len(ordered) + 0.999999) - 1))
         return max(self.floor_us, ordered[rank] * self.multiplier)
 
-    def counters(self) -> dict:
+    def counters(self) -> Dict[str, int]:
         return {field: self._counters[field].value for field in self._FIELDS}
+
+
+def _guarded(work: Fiber) -> Generator[Event, Any, Tuple[str, Any]]:
+    """Fiber: a leg that reports its outcome instead of raising, so legs can
+    race under ``any_of`` without failure propagation."""
+    try:
+        value = yield from work
+    except DeviceError as exc:
+        return ("err", exc)
+    return ("ok", value)
+
+
+def hedged_race(
+    sim: Simulator,
+    policy: HedgePolicy,
+    copies: Sequence[int],
+    start_leg: Callable[[int], Fiber],
+    label: str,
+    *,
+    early_failure: str,
+    both_failed: str,
+    on_leg_failed: Optional[Callable[[int, DeviceError], None]] = None,
+) -> Fiber:
+    """Fiber: run ``start_leg(copies[0])``; hedge onto ``copies[1]`` once
+    ``policy``'s deadline passes; return the first successful leg's value.
+
+    The losing leg is interrupted — mid-I/O if need be — and a same-timestamp
+    tie goes to the primary.  When the first leg to finish failed, the other
+    is waited out.  ``early_failure`` says what a primary failure *before*
+    the deadline does: ``"failover"`` fires the backup at once (callers with
+    no retry loop of their own), ``"raise"`` hands the error to the caller's
+    loop.  When both legs die, ``both_failed`` picks the error raised:
+    ``"backup"`` (the backup's) or ``"last"`` (the last leg's to die).
+    ``on_leg_failed(copy, error)`` sees each failure the race absorbs.  With
+    a single copy no deadline is armed: a plain guarded call.
+    """
+    trace = sim.trace
+    start_ns = sim.now
+    absorbed = on_leg_failed or (lambda copy, error: None)
+
+    def spawn(copy: int, fiber_role: str, scope_role: str) -> Process:
+        name = "%s%d" % (label, copy)
+        scope = (trace.child_scope("%s-%s" % (scope_role, name))
+                 if trace is not None else nullcontext())
+        with scope:
+            leg = sim.process(_guarded(start_leg(copy)),
+                              name="hedge-%s-%s" % (fiber_role, name))
+        leg.defused = True
+        return leg
+
+    def primary_won(value: Any) -> Any:
+        policy.observe((sim.now - start_ns) / 1000.0)
+        policy.primary_wins += 1
+        return value
+
+    primary = spawn(copies[0], "primary", "primary")
+    if len(copies) < 2:
+        yield primary
+    else:
+        yield any_of(sim, [primary, sim.timeout(us_to_ns(policy.deadline_us()))])
+    racing = [primary]
+    if primary.triggered:
+        status, value = primary.value
+        if status == "ok":
+            return primary_won(value)
+        if len(copies) < 2 or early_failure == "raise":
+            raise value
+        policy.failovers += 1
+        absorbed(copies[0], value)
+        racing = []
+    else:
+        policy.hedges_fired += 1
+        if trace is not None:
+            # The deadline window the call sat armed but unhedged.
+            trace.complete("resil", "hedge-wait", "host/resil", start_ns,
+                           device=copies[0])
+    backup = spawn(copies[1], "backup", "hedge")
+    racing.append(backup)
+    yield any_of(sim, racing)
+    # Primary listed first: it wins a same-timestamp tie.
+    first = next(leg for leg in racing if leg.triggered)
+    status, value = first.value
+    if status == "ok":
+        for leg in racing:
+            if leg.is_alive:
+                leg.interrupt("hedge loser")
+        if first is primary:
+            return primary_won(value)
+        policy.hedge_wins += 1
+        return value
+    racing.remove(first)
+    if not racing:  # the failover above already absorbed the primary
+        raise value
+    # The first leg to finish *failed* (e.g. a fault on the replica during
+    # the hedge): note it and wait the other leg out.
+    absorbed(copies[0] if first is primary else copies[1], value)
+    last = racing[0]
+    yield last
+    last_status, last_value = last.value
+    if last_status != "ok":
+        raise last_value if both_failed == "last" or last is backup else value
+    if last is primary:
+        return primary_won(last_value)
+    policy.hedge_wins += 1
+    policy.failovers += 1
+    return last_value

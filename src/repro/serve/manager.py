@@ -35,7 +35,7 @@ from repro.serve.admission import AdmissionDecision, ResilienceConfig, SlotTable
 from repro.serve.jobs import JOB_KINDS, Job, JobSpec, JobState
 from repro.serve.scheduler import make_scheduler
 from repro.serve.slo import SLOTracker
-from repro.sim.engine import Event
+from repro.sim.engine import Event, backoff
 from repro.sim.units import us_to_ns
 
 __all__ = ["DeviceServer", "JobManager", "Tenant"]
@@ -363,14 +363,10 @@ class JobManager:
                         self.tracker.failover(job, target.index)
                     backoff_us = (self.resilience.retry_backoff_us
                                   * (2 ** (attempts - 1)))
-                    trace = self.sim.trace
-                    backoff_start_ns = self.sim.now if trace is not None else 0
-                    yield self.sim.timeout(us_to_ns(backoff_us))
-                    if trace is not None:
-                        trace.complete("serve", "retry-backoff",
-                                       "serve/%s" % job.spec.tenant,
-                                       backoff_start_ns, job=job.job_id,
-                                       attempt=attempts)
+                    yield from backoff(
+                        self.sim, us_to_ns(backoff_us), "serve",
+                        "retry-backoff", "serve/%s" % job.spec.tenant,
+                        job=job.job_id, attempt=attempts)
         finally:
             job.finish_ns = self.sim.now
             self.tracker.finished(job)

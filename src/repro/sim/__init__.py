@@ -17,6 +17,7 @@ from repro.sim.engine import (
     Timeout,
     all_of,
     any_of,
+    backoff,
 )
 from repro.sim.queues import BoundedQueue, QueueClosed
 from repro.sim.resources import Resource, Store
@@ -31,6 +32,7 @@ __all__ = [
     "Timeout",
     "all_of",
     "any_of",
+    "backoff",
     "BoundedQueue",
     "QueueClosed",
     "Resource",

@@ -28,6 +28,7 @@ __all__ = [
     "SimulationError",
     "any_of",
     "all_of",
+    "backoff",
 ]
 
 
@@ -404,6 +405,17 @@ def any_of(sim: "Simulator", events: Iterable[Event]) -> Event:
 def all_of(sim: "Simulator", events: Iterable[Event]) -> Event:
     """Event that triggers when all of ``events`` have succeeded."""
     return AllOf(sim, events)
+
+
+def backoff(sim: "Simulator", delay_ns: int, cat: str, name: str, track: str,
+            **args: Any) -> Generator:
+    """Fiber: sleep ``delay_ns`` before a retry; when tracing, the wait is
+    one ``cat/name`` span on ``track``."""
+    trace = sim.trace
+    start_ns = sim.now
+    yield sim.timeout(delay_ns)
+    if trace is not None:
+        trace.complete(cat, name, track, start_ns, **args)
 
 
 class Simulator:

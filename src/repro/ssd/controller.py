@@ -29,7 +29,7 @@ from typing import Any, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import EccError, UncorrectableReadError
 from repro.instrument.metrics import MetricsRegistry, registry_counter
-from repro.sim.engine import Event, Simulator, all_of
+from repro.sim.engine import Event, Simulator, all_of, backoff
 from repro.sim.resources import Resource
 from repro.sim.units import us_to_ns
 from repro.ssd.cache import DeviceReadCache
@@ -478,13 +478,9 @@ class Controller:
                 # little longer before hitting the die again.
                 backoff_us = self.config.read_retry_backoff_us * attempt
                 if backoff_us > 0:
-                    trace = self.sim.trace
-                    backoff_start_ns = self.sim.now if trace is not None else 0
-                    yield self.sim.timeout(us_to_ns(backoff_us))
-                    if trace is not None:
-                        trace.complete("ctrl", "retry-backoff",
-                                       self.trace_io_track, backoff_start_ns,
-                                       attempt=attempt)
+                    yield from backoff(
+                        self.sim, us_to_ns(backoff_us), "ctrl",
+                        "retry-backoff", self.trace_io_track, attempt=attempt)
             except UncorrectableReadError:
                 self.stats.unrecoverable_reads += 1
                 raise

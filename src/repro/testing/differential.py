@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List
 
 from repro.apps.pointer_chase import biscuit_pointer_chase, build_exact_graph
@@ -247,50 +247,76 @@ class CaseResult:
     fault_counters: Dict[str, int] = field(default_factory=dict)
 
 
-def run_case(seed: int, faults: bool = True) -> CaseResult:
-    """Generate, execute and judge one differential case."""
+@dataclass
+class _Case:
+    """The common prefix every arm draws first from the seed's stream."""
+
+    rng: random.Random  # positioned after the prefix, for arm-specific draws
+    ssd_config: Any
+    schema: TableSchema
+    rows: List[tuple]
+    query: Dict[str, Any]
+    plan: Any
+
+
+def _draw_case(seed: int) -> _Case:
     rng = random.Random(seed)
     ssd_config = strategies.gen_ssd_config(rng)
     schema, rows = strategies.gen_table(rng)
     query = strategies.gen_query(rng, schema, rows)
-    plan = strategies.gen_fault_plan(rng)  # drawn even when unused: keeps the
-    line = strategies.repro_line(seed, faults)  # rng stream seed-stable
+    # The fault plan is drawn even by arms that do not use it: that keeps
+    # the rng stream (and so every later draw) seed-stable across arms.
+    plan = strategies.gen_fault_plan(rng)
+    return _Case(rng, ssd_config, schema, rows, query, plan)
 
-    system = System(ssd_config=ssd_config)
+
+def _single_device(case: _Case, *modes: ExecutionMode):
+    """One System holding the case's table, plus an engine per mode."""
+    system = System(ssd_config=case.ssd_config)
     db = Database(system.fs)
-    db.load_table(schema, rows)
-    host_engine = _make_engine(system, db, ExecutionMode.CONV)
-    ndp_engine = _make_engine(system, db, ExecutionMode.BISCUIT)
+    db.load_table(case.schema, case.rows)
+    return (system,) + tuple(_make_engine(system, db, mode) for mode in modes)
+
+
+def _judge(blank: CaseResult, test, base, expected: List[tuple],
+           tag: str = "", match_detail: str = "") -> CaseResult:
+    """The verdict ladder shared by the two-arm cases: a typed device error
+    on either arm, then test ≠ base, then base ≠ reference, else match.
+
+    ``test`` and ``base`` are ``(name, rows, error)``; ``blank`` carries the
+    fields every verdict shares.
+    """
+    failed = ["%s: %s" % (name, error)
+              for name, _rows, error in (base, test) if error is not None]
+    if failed:
+        return replace(blank, outcome="device-error", detail="; ".join(failed))
+    for (left_name, left, _), (right_name, right, _) in (
+            (test, base), (base, ("reference", expected, None))):
+        if not rows_match(left, right):
+            detail = ("%s%s/%s disagree: %d vs %d rows | %s"
+                      % (tag, left_name, right_name, len(left), len(right),
+                         blank.repro))
+            return replace(blank, outcome="mismatch", detail=detail)
+    return replace(blank, outcome="match", detail=match_detail)
+
+
+def run_case(seed: int, faults: bool = True) -> CaseResult:
+    """Generate, execute and judge one differential case."""
+    case = _draw_case(seed)
+    system, host_engine, ndp_engine = _single_device(
+        case, ExecutionMode.CONV, ExecutionMode.BISCUIT)
     injector = None
     if faults:
-        injector = FaultInjector(plan)
+        injector = FaultInjector(case.plan)
         system.device.attach_fault_injector(injector)
 
-    expected = reference_rows(schema, rows, query)
-    host_rows, host_error = _execute(system, host_engine, schema, query)
-    ndp_rows, ndp_error = _execute(system, ndp_engine, schema, query)
-    offloaded = ndp_engine.ndp_scans > 0
-    counters = injector.counters() if injector else {}
-
-    if host_error is not None or ndp_error is not None:
-        failed = []
-        if host_error is not None:
-            failed.append("host: %s" % host_error)
-        if ndp_error is not None:
-            failed.append("ndp: %s" % ndp_error)
-        return CaseResult(seed, faults, "device-error", "; ".join(failed),
-                          line, offloaded, counters)
-    if not rows_match(ndp_rows, host_rows):
-        detail = ("ndp/host disagree: %d vs %d rows | %s"
-                  % (len(ndp_rows), len(host_rows), line))
-        return CaseResult(seed, faults, "mismatch", detail, line,
-                          offloaded, counters)
-    if not rows_match(host_rows, expected):
-        detail = ("host/reference disagree: %d vs %d rows | %s"
-                  % (len(host_rows), len(expected), line))
-        return CaseResult(seed, faults, "mismatch", detail, line,
-                          offloaded, counters)
-    return CaseResult(seed, faults, "match", "", line, offloaded, counters)
+    expected = reference_rows(case.schema, case.rows, case.query)
+    host = _execute(system, host_engine, case.schema, case.query)
+    ndp = _execute(system, ndp_engine, case.schema, case.query)
+    blank = CaseResult(seed, faults, "", "", strategies.repro_line(seed, faults),
+                       ndp_engine.ndp_scans > 0,
+                       injector.counters() if injector else {})
+    return _judge(blank, ("ndp",) + ndp, ("host",) + host, expected)
 
 
 def _install_companion(system: System, schedule: Dict[str, Any]):
@@ -345,47 +371,22 @@ def run_case_interleaved(seed: int) -> CaseResult:
     both equal the simulator-free reference.  ``detail`` names the companion
     so sweeps can assert both kinds were exercised.
     """
-    rng = random.Random(seed)
-    ssd_config = strategies.gen_ssd_config(rng)
-    schema, rows = strategies.gen_table(rng)
-    query = strategies.gen_query(rng, schema, rows)
-    strategies.gen_fault_plan(rng)  # drawn unused: keeps the prefix aligned
-    schedule = strategies.gen_schedule(rng)
-    line = strategies.repro_line(seed, False)
-
-    system = System(ssd_config=ssd_config)
-    db = Database(system.fs)
-    db.load_table(schema, rows)
-    host_engine = _make_engine(system, db, ExecutionMode.CONV)
-    ndp_engine = _make_engine(system, db, ExecutionMode.BISCUIT)
+    case = _draw_case(seed)
+    schedule = strategies.gen_schedule(case.rng)
+    system, host_engine, ndp_engine = _single_device(
+        case, ExecutionMode.CONV, ExecutionMode.BISCUIT)
     companion_factory = _install_companion(system, schedule)
 
-    expected = reference_rows(schema, rows, query)
-    host_rows, host_error = _execute_interleaved(
-        system, host_engine, schema, query, companion_factory, schedule)
-    ndp_rows, ndp_error = _execute_interleaved(
-        system, ndp_engine, schema, query, companion_factory, schedule)
-    offloaded = ndp_engine.ndp_scans > 0
-
-    if host_error is not None or ndp_error is not None:
-        failed = []
-        if host_error is not None:
-            failed.append("host: %s" % host_error)
-        if ndp_error is not None:
-            failed.append("ndp: %s" % ndp_error)
-        return CaseResult(seed, False, "device-error", "; ".join(failed),
-                          line, offloaded)
-    if not rows_match(ndp_rows, host_rows):
-        detail = ("interleaved ndp/host disagree: %d vs %d rows | %s"
-                  % (len(ndp_rows), len(host_rows), line))
-        return CaseResult(seed, False, "mismatch", detail, line, offloaded)
-    if not rows_match(host_rows, expected):
-        detail = ("interleaved host/reference disagree: %d vs %d rows | %s"
-                  % (len(host_rows), len(expected), line))
-        return CaseResult(seed, False, "mismatch", detail, line, offloaded)
-    return CaseResult(seed, False, "match",
-                      "interleaved with %s" % schedule["companion"],
-                      line, offloaded)
+    expected = reference_rows(case.schema, case.rows, case.query)
+    host = _execute_interleaved(system, host_engine, case.schema, case.query,
+                                companion_factory, schedule)
+    ndp = _execute_interleaved(system, ndp_engine, case.schema, case.query,
+                               companion_factory, schedule)
+    blank = CaseResult(seed, False, "", "", strategies.repro_line(seed, False),
+                       ndp_engine.ndp_scans > 0)
+    return _judge(blank, ("ndp",) + ndp, ("host",) + host, expected,
+                  tag="interleaved ",
+                  match_detail="interleaved with %s" % schedule["companion"])
 
 
 # ------------------------------------------------------------ fast-path arm
@@ -393,23 +394,16 @@ def _run_fastpath_arm(seed: int, faults: bool, fast: bool):
     """One full run_case-shaped execution with the fused fast path forced
     on or off.  Returns everything the two arms must agree on, plus the
     fusion counters (meaningful on the fast arm only)."""
-    rng = random.Random(seed)
-    ssd_config = strategies.gen_ssd_config(rng)
-    ssd_config.sim_fast_path = fast
-    schema, rows = strategies.gen_table(rng)
-    query = strategies.gen_query(rng, schema, rows)
-    plan = strategies.gen_fault_plan(rng)
-
-    system = System(ssd_config=ssd_config)
-    db = Database(system.fs)
-    db.load_table(schema, rows)
-    host_engine = _make_engine(system, db, ExecutionMode.CONV)
-    ndp_engine = _make_engine(system, db, ExecutionMode.BISCUIT)
+    case = _draw_case(seed)
+    case.ssd_config.sim_fast_path = fast
+    system, host_engine, ndp_engine = _single_device(
+        case, ExecutionMode.CONV, ExecutionMode.BISCUIT)
     if faults:
-        system.device.attach_fault_injector(FaultInjector(plan))
+        system.device.attach_fault_injector(FaultInjector(case.plan))
 
-    host_rows, host_error = _execute(system, host_engine, schema, query)
-    ndp_rows, ndp_error = _execute(system, ndp_engine, schema, query)
+    host_rows, host_error = _execute(system, host_engine, case.schema,
+                                     case.query)
+    ndp_rows, ndp_error = _execute(system, ndp_engine, case.schema, case.query)
     fused = sum(ch.fastpath.fused_pages for ch in system.device.nand.channels)
     return {
         "host_rows": host_rows,
@@ -520,17 +514,15 @@ def run_case_resilient(seed: int) -> CaseResult:
     retry/failover always has a copy that can answer, and the only
     acceptable outcome is ``match``.
     """
-    rng = random.Random(seed)
-    ssd_config = strategies.gen_ssd_config(rng)
-    schema, rows = strategies.gen_table(rng)
-    query = strategies.gen_query(rng, schema, rows)
-    strategies.gen_fault_plan(rng)  # drawn unused: keeps the prefix aligned
-    primary_storm = strategies.gen_fault_storm(rng, errors=True)
-    replica_storm = strategies.gen_fault_storm(rng, errors=False)
-    layout = strategies.gen_replica_layout(rng)
+    case = _draw_case(seed)
+    schema, rows, query = case.schema, case.rows, case.query
+    primary_storm = strategies.gen_fault_storm(case.rng, errors=True)
+    replica_storm = strategies.gen_fault_storm(case.rng, errors=False)
+    layout = strategies.gen_replica_layout(case.rng)
     line = strategies.repro_line(seed, True)
 
-    system = System(ssd_config=ssd_config, num_ssds=layout["num_devices"])
+    system = System(ssd_config=case.ssd_config,
+                    num_ssds=layout["num_devices"])
     databases = []
     for fs in system.filesystems:
         db = Database(fs)
@@ -571,23 +563,22 @@ def run_case_resilient(seed: int) -> CaseResult:
         workers=2,
     )
     expected = reference_rows(schema, rows, query)
-    counters = dict(injector.counters())
-    counters.update(("driver_%s" % k, v)
-                    for k, v in sorted(driver.counters().items()))
+
+    def final_counters() -> Dict[str, int]:
+        counters = dict(injector.counters())
+        counters.update(("driver_%s" % k, v)
+                        for k, v in sorted(driver.counters().items()))
+        return counters
+
     try:
         survivors = system.run_fiber(
             driver.scan(spec, primary=layout["primary"]),
             name="resilient-case-%d" % seed)
     except DeviceError as exc:
-        counters = dict(injector.counters())
-        counters.update(("driver_%s" % k, v)
-                        for k, v in sorted(driver.counters().items()))
         return CaseResult(seed, True, "device-error",
                           "resilient scan gave up: %s | %s" % (exc, line),
-                          line, True, counters)
-    counters = dict(injector.counters())
-    counters.update(("driver_%s" % k, v)
-                    for k, v in sorted(driver.counters().items()))
+                          line, True, final_counters())
+    counters = final_counters()
     if query["kind"] == "filter":
         got = survivors
     else:
@@ -649,28 +640,21 @@ def run_case_sharded(seed: int) -> CaseResult:
     """
     from repro.cluster import ClusterExecutor, ShardedFleet
 
-    rng = random.Random(seed)
-    ssd_config = strategies.gen_ssd_config(rng)
-    schema, rows = strategies.gen_table(rng)
-    query = strategies.gen_query(rng, schema, rows)
-    strategies.gen_fault_plan(rng)  # drawn unused: keeps the prefix aligned
-    layout = strategies.gen_cluster_layout(rng, schema, rows)
-    line = strategies.repro_line(seed, layout["crash_primary"])
+    case = _draw_case(seed)
+    schema, rows, query = case.schema, case.rows, case.query
+    layout = strategies.gen_cluster_layout(case.rng, schema, rows)
 
     # Single-device arm: the same fault-free BISCUIT execution run_case uses.
-    system = System(ssd_config=ssd_config)
-    db = Database(system.fs)
-    db.load_table(schema, rows)
-    ndp_engine = _make_engine(system, db, ExecutionMode.BISCUIT)
+    system, ndp_engine = _single_device(case, ExecutionMode.BISCUIT)
     expected = reference_rows(schema, rows, query)
-    ndp_rows, ndp_error = _execute(system, ndp_engine, schema, query)
+    ndp = _execute(system, ndp_engine, schema, query)
 
     # Sharded arm: the same rows spread over the fleet, same offload knobs.
     fleet = ShardedFleet(
         num_nodes=layout["num_nodes"],
         num_shards=layout["num_shards"],
         replication=layout["replication"],
-        ssd_config=ssd_config,
+        ssd_config=case.ssd_config,
         engine_config=force_offload_config(),
     )
     fleet.load_sharded(schema, rows, key=layout["key"],
@@ -684,43 +668,26 @@ def run_case_sharded(seed: int) -> CaseResult:
         hedge=(HedgePolicy(default_us=layout["hedge_default_us"])
                if layout["hedge"] else None),
     )
-    sharded_rows, sharded_error = _execute_sharded(
-        fleet, executor, schema, query)
+    sharded = _execute_sharded(fleet, executor, schema, query)
 
-    offloaded = ndp_engine.ndp_scans > 0 and fleet.ndp_scans() > 0
-    counters = {
-        "shards": fleet.num_shards,
-        "max_fan_out": executor.max_fan_out,
-        "shard_rpcs": executor.shard_rpcs,
-        "retries": executor.retries,
-        "failovers": executor.failovers,
-        "crashed_node": crashed_node,
-    }
-
-    if ndp_error is not None or sharded_error is not None:
-        failed = []
-        if ndp_error is not None:
-            failed.append("ndp: %s" % ndp_error)
-        if sharded_error is not None:
-            failed.append("sharded: %s" % sharded_error)
-        return CaseResult(seed, layout["crash_primary"], "device-error",
-                          "; ".join(failed), line, offloaded, counters)
-    if not rows_match(sharded_rows, ndp_rows):
-        detail = ("sharded/ndp disagree: %d vs %d rows | %s"
-                  % (len(sharded_rows), len(ndp_rows), line))
-        return CaseResult(seed, layout["crash_primary"], "mismatch", detail,
-                          line, offloaded, counters)
-    if not rows_match(ndp_rows, expected):
-        detail = ("ndp/reference disagree: %d vs %d rows | %s"
-                  % (len(ndp_rows), len(expected), line))
-        return CaseResult(seed, layout["crash_primary"], "mismatch", detail,
-                          line, offloaded, counters)
     detail = ""
     if layout["crash_primary"]:
         detail = ("crashed node%d (primary of shard %d)"
                   % (crashed_node, layout["crash_shard"]))
-    return CaseResult(seed, layout["crash_primary"], "match", detail, line,
-                      offloaded, counters)
+    blank = CaseResult(
+        seed, layout["crash_primary"], "", "",
+        strategies.repro_line(seed, layout["crash_primary"]),
+        ndp_engine.ndp_scans > 0 and fleet.ndp_scans() > 0,
+        {
+            "shards": fleet.num_shards,
+            "max_fan_out": executor.max_fan_out,
+            "shard_rpcs": executor.shard_rpcs,
+            "retries": executor.retries,
+            "failovers": executor.failovers,
+            "crashed_node": crashed_node,
+        })
+    return _judge(blank, ("sharded",) + sharded, ("ndp",) + ndp, expected,
+                  match_detail=detail)
 
 
 def run_sharded_sweep(seeds) -> List[CaseResult]:

@@ -1,186 +1,9 @@
-"""Span tracer and utilization monitor."""
+"""Utilization monitor."""
 
 import pytest
 
-from repro.instrument import SpanTracer, UtilizationMonitor
-from repro.sim.engine import Simulator
+from repro.instrument import UtilizationMonitor
 from repro.sim.units import MIB, s_to_ns
-
-
-# ------------------------------------------------------------------- spans
-def test_begin_end_records_duration():
-    sim = Simulator()
-    tracer = SpanTracer(sim)
-
-    def fiber():
-        tracer.begin("io", "read")
-        yield sim.timeout(1000)
-        tracer.end("io", "read")
-
-    sim.run(sim.process(fiber()))
-    (span,) = tracer.closed_spans()
-    assert span.duration_ns == 1000
-    assert tracer.total_ns("io") == 1000
-
-
-def test_concurrent_same_named_spans():
-    """Overlapping commands on one queue are the normal case, not an error."""
-    sim = Simulator()
-    tracer = SpanTracer(sim)
-
-    def fiber():
-        first = tracer.begin("t", "x")
-        yield sim.timeout(10)
-        second = tracer.begin("t", "x")
-        yield sim.timeout(10)
-        # Bare end() pops LIFO: closes `second`, not `first`.
-        assert tracer.end("t", "x") is second
-        yield sim.timeout(10)
-        tracer.end("t", "x")
-        assert first.end_ns == 30
-
-    sim.run(sim.process(fiber()))
-    spans = tracer.closed_spans("t")
-    assert len(spans) == 2
-    assert len({span.span_id for span in spans}) == 2
-    assert sorted(span.duration_ns for span in spans) == [10, 30]
-
-
-def test_end_specific_span():
-    sim = Simulator()
-    tracer = SpanTracer(sim)
-    first = tracer.begin("t", "x")
-    second = tracer.begin("t", "x")
-    assert tracer.end("t", "x", span=first) is first
-    with pytest.raises(ValueError):
-        tracer.end("t", "x", span=first)  # already closed
-    tracer.end("t", "x", span=second)
-
-
-def test_concurrent_span_wrappers_close_their_own():
-    sim = Simulator()
-    tracer = SpanTracer(sim)
-
-    def sleeper(duration_ns):
-        yield sim.timeout(duration_ns)
-
-    fibers = [
-        sim.process(tracer.span("core", "work", sleeper(d)))
-        for d in (300, 100, 200)
-    ]
-    for fiber in fibers:
-        sim.run(fiber)
-    # Each wrapper closed its own span despite the shared (track, name).
-    assert sorted(s.duration_ns for s in tracer.closed_spans("core")) == \
-        [100, 200, 300]
-
-
-def test_end_without_begin_rejected():
-    tracer = SpanTracer(Simulator())
-    with pytest.raises(ValueError):
-        tracer.end("t", "x")
-
-
-def test_open_span_duration_unavailable():
-    tracer = SpanTracer(Simulator())
-    span = tracer.begin("t", "x")
-    with pytest.raises(ValueError):
-        _ = span.duration_ns
-
-
-def test_span_wrapper_closes_on_exception():
-    sim = Simulator()
-    tracer = SpanTracer(sim)
-
-    def failing():
-        yield sim.timeout(5)
-        raise RuntimeError("x")
-
-    def outer():
-        try:
-            yield from tracer.span("t", "wrapped", failing())
-        except RuntimeError:
-            return "caught"
-
-    assert sim.run(sim.process(outer())) == "caught"
-    assert tracer.closed_spans()[0].duration_ns == 5
-
-
-def test_span_wrapper_returns_value():
-    sim = Simulator()
-    tracer = SpanTracer(sim)
-
-    def inner():
-        yield sim.timeout(1)
-        return 42
-
-    def outer():
-        value = yield from tracer.span("t", "v", inner())
-        return value
-
-    assert sim.run(sim.process(outer())) == 42
-
-
-def test_gantt_render():
-    sim = Simulator()
-    tracer = SpanTracer(sim)
-
-    def fiber():
-        tracer.begin("alpha", "one")
-        yield sim.timeout(500)
-        tracer.end("alpha", "one")
-        tracer.begin("beta", "two")
-        yield sim.timeout(500)
-        tracer.end("beta", "two")
-
-    sim.run(sim.process(fiber()))
-    chart = tracer.gantt(width=20)
-    lines = chart.splitlines()
-    assert lines[0].startswith("alpha")
-    assert "#" in lines[0] and "#" in lines[1]
-    # alpha occupies the first half, beta the second.
-    assert lines[0].index("#") < lines[1].index("#")
-
-
-def test_gantt_empty():
-    assert SpanTracer(Simulator()).gantt() == "(no spans)"
-
-
-def test_gantt_zero_duration_marker():
-    sim = Simulator()
-    tracer = SpanTracer(sim)
-
-    def fiber():
-        span = tracer.begin("t", "instant")
-        tracer.end("t", "instant", span=span)  # zero duration at t=0
-        tracer.begin("t", "work")
-        yield sim.timeout(1000)
-        tracer.end("t", "work")
-
-    sim.run(sim.process(fiber()))
-    row = tracer.gantt(width=20).splitlines()[0]
-    # The instant coincides with the start of real work; '#' wins the cell.
-    assert "|##" in row and row.count("|") == 2  # only the frame bars
-
-
-def test_gantt_lone_zero_duration_span():
-    sim = Simulator()
-    tracer = SpanTracer(sim)
-
-    def fiber():
-        yield sim.timeout(500)
-        span = tracer.begin("t", "mark")
-        tracer.end("t", "mark", span=span)
-        yield sim.timeout(500)
-        tracer.begin("t", "tail")
-        yield sim.timeout(100)
-        tracer.end("t", "tail")
-
-    sim.run(sim.process(fiber()))
-    row = tracer.gantt(width=21).splitlines()[0]
-    cells = row[row.index("|") + 1:row.rindex("|")]
-    assert "|" in cells  # the instant renders as a marker, not a crash
-    assert "#" in cells
 
 
 # -------------------------------------------------------------- utilization

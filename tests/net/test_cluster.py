@@ -379,3 +379,47 @@ def test_hedged_call_single_replica_degenerates_to_plain_rpc():
     assert value == cluster.nodes[1].name
     assert policy.hedges_fired == 0
     assert policy.primary_wins == 1
+
+
+def test_traced_hedged_call_tags_its_legs_as_causal_children():
+    from repro.instrument.causal import COMPONENTS, attribute
+    from repro.instrument.events import EventBus
+    from repro.net.cluster import ReplicaMap
+    from repro.resilience import HedgePolicy
+    from repro.sim.engine import Simulator
+    from repro.sim.units import us_to_ns
+
+    sim = Simulator()
+    bus = EventBus(sim)
+    cluster = ScaleOutCluster(num_nodes=2, link_latency_us=10.0, sim=sim)
+    replica_map = ReplicaMap(num_shards=2, num_nodes=2)
+    policy = HedgePolicy(default_us=300.0)
+
+    def make_work(node):
+        # The primary (node 0) wedges; the replica reads a little and answers.
+        if node is cluster.nodes[0]:
+            return _sleep(sim, us_to_ns(50_000.0))
+        handle = node.system.open_host("/traced")
+        return handle.read_timing_only(0, 64 * 1024)
+
+    def call():
+        with bus.scope("q1"):
+            value = yield from cluster.hedged_call(
+                0, replica_map, make_work, policy)
+        return value
+
+    cluster.nodes[1].system.fs.install_synthetic("/traced", 1 << 20)
+    cluster.run_fiber(call())
+    assert policy.counters() == {"hedges_fired": 1, "hedge_wins": 1,
+                                 "primary_wins": 0, "failovers": 0}
+    scopes = {event.args["q"] for event in bus.events
+              if event.args and "q" in event.args}
+    assert scopes == {"q1", "q1+hedge-node1"}  # the wedged primary emits nothing
+    (row,) = attribute(bus.events).queries
+    assert row["qid"] == "q1"
+    assert row["hedge_wait"] == us_to_ns(300.0)
+    assert sum(row[name] for name in COMPONENTS) == row["end_to_end"]
+
+
+def _sleep(sim, delay_ns):
+    yield sim.timeout(delay_ns)
