@@ -130,17 +130,20 @@ class KVStore:
                              (token, list(self.directory), self.buckets))
         request = app.connectFrom(Packet, lookup.in_(0))
         response = app.connectTo(lookup.out(0), Packet)
-        yield from app.start()
         results: Dict[bytes, Optional[bytes]] = {}
-        for start in range(0, len(keys), batch):
-            chunk = list(keys[start:start + batch])
-            yield from request.put(Packet(_pack_keys(chunk)))
-            reply = yield from response.get()
-            for key, value in zip(chunk, _unpack_values(reply.payload)):
-                results[key] = value
-        request.close()
-        yield from app.wait()
-        app.stop()
+        try:
+            yield from app.start()
+            for start in range(0, len(keys), batch):
+                chunk = list(keys[start:start + batch])
+                yield from request.put(Packet(_pack_keys(chunk)))
+                reply = yield from response.get()
+                for key, value in zip(chunk, _unpack_values(reply.payload)):
+                    results[key] = value
+            request.close()
+            yield from app.wait()
+        finally:
+            # Also on Interrupt: a hedge loser must give its channels back.
+            app.stop()
         return results
 
     # ------------------------------------------------------------- plumbing

@@ -97,3 +97,29 @@ def test_every_copy_down_raises_shard_unavailable():
         fleet.crash_node(node)
     with pytest.raises(ShardUnavailableError):
         fleet.run_fiber(executor.scatter_fetch(TableRef("t")), name="dead")
+
+
+def test_hedged_kv_batches_give_their_data_channels_back():
+    # A hedge loser is interrupted inside KVStore.get_biscuit, between the
+    # start and the stop of its kv-lookup application.  Unless the stop runs
+    # on the interrupt too, each such loser keeps two of its store's 16 data
+    # channels, and the ninth batch blocks in acquire_data_channel for good.
+    from repro.cluster import ShardedKVStore
+    from repro.resilience import HedgePolicy
+
+    fleet = ShardedFleet(num_nodes=2, num_shards=2, replication=2,
+                         ssds_per_node=1)
+    items = [(b"key%04d" % i, b"v" * 64) for i in range(400)]
+    kv = ShardedKVStore.build(fleet, items, name="kv")
+    keys = [key for key, _ in items[::7]]
+    losers = 0
+    for _batch in range(10):
+        hedge = HedgePolicy(default_us=1_000.0)
+        executor = ClusterExecutor(fleet, hedge=hedge)
+        found = fleet.run_fiber(executor.kv_lookup(kv, keys), name="kv")
+        assert found == {key: b"v" * 64 for key in keys}
+        losers += hedge.hedges_fired
+        in_use = [store._ssd.channels.data_channels._in_use
+                  for store in kv.stores.values() if store._ssd]
+        assert in_use and not any(in_use)
+    assert losers  # legs really were interrupted mid-application
