@@ -142,7 +142,7 @@ class KVStore:
             request.close()
             yield from app.wait()
         finally:
-            # Also on Interrupt: a hedge loser must give its channels back.
+            # Also on Interrupt: a cancelled hedge leg gives its channels back.
             app.stop()
         return results
 

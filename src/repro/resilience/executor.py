@@ -269,14 +269,13 @@ class ResilientScanDriver:
             return trial
 
         try:
-            winner = yield from hedged_race(
+            return (yield from hedged_race(
                 self.system.sim, self.hedge,
                 [device, self._next_device(device)], leg, "d",
                 early_failure="raise", both_failed="last",
-                on_leg_failed=self._note_device_error)
+                on_leg_failed=self._note_device_error))
         except DeviceError as exc:
             raise _AttemptFailed(exc, trials[device]) from exc
-        return winner
 
     # --------------------------------------------------------------------- scan
     def scan(self, spec: ScanSpec,

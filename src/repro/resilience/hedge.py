@@ -156,7 +156,7 @@ def hedged_race(
         yield primary
     else:
         yield any_of(sim, [primary, sim.timeout(us_to_ns(policy.deadline_us()))])
-    racing = [primary]
+    racing: List[Process] = []  # the legs the backup will race against
     if primary.triggered:
         status, value = primary.value
         if status == "ok":
@@ -165,8 +165,8 @@ def hedged_race(
             raise value
         policy.failovers += 1
         absorbed(copies[0], value)
-        racing = []
     else:
+        racing.append(primary)
         policy.hedges_fired += 1
         if trace is not None:
             # The deadline window the call sat armed but unhedged.
