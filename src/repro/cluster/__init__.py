@@ -24,7 +24,7 @@ from repro.cluster.catalog import (
     shard_table_name,
     stable_shard_hash,
 )
-from repro.cluster.executor import ClusterExecutor, run_cluster_sql
+from repro.cluster.executor import ClusterExecutor
 from repro.cluster.fleet import ShardedFleet, ShardedKVStore
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ShardUnavailableError",
     "ShardedFleet",
     "ShardedKVStore",
-    "run_cluster_sql",
     "shard_table_name",
     "stable_shard_hash",
 ]

@@ -1,11 +1,12 @@
 """Replicated scatter-gather SQL over the sharded fleet.
 
-:class:`ClusterExecutor` is the coordinator: it compiles a single-table
-statement once, prunes the target shard set with
-:func:`repro.db.planner.partition_constraints`, fans the scan out to every
+:class:`ClusterExecutor` is the coordinator: a *site* the one statement
+executor (:func:`repro.db.sql.execute_statement`) runs on.  Its access paths
+prune the target shard set with
+:func:`repro.db.planner.partition_constraints`, fan the scan out to every
 owning shard (the whole single-device NDP datapath — planner, matcher
 prefilter, ScanFilter/ScanAggregate SSDlets — runs device-side on each
-node), and merges the device-reduced partials client-side:
+node), and merge the device-reduced partials client-side:
 
 * **sorted scans** — each shard sorts (and top-k-limits) locally, the
   coordinator does a deterministic k-way ordered merge;
@@ -40,22 +41,21 @@ from repro.core.errors import DeviceCrashedError, DeviceError
 from repro.db.executor import (
     EngineConfig,
     Rel,
+    RelOps,
     TableRef,
-    aggregate_rows,
     finalize_agg_rel,
     merge_agg_states,
+    ndp_aggregate_supported,
     plan_device_aggs,
-    update_agg_states,
 )
-from repro.db.expr import Cmp, Col, Const, Expr, compile_expr
-from repro.db.ndp import ndp_aggregate_supported
+from repro.db.expr import Cmp, Col, Const, Expr
 from repro.db.planner import partition_constraints
-from repro.db.sql import SqlError, compile_sql
+from repro.db.sql import SqlError, compile_sql, execute_statement
 from repro.net.cluster import StorageNode
 from repro.resilience import HedgePolicy, RetryPolicy
 from repro.sim.engine import all_of, backoff
 
-__all__ = ["ClusterExecutor", "run_cluster_sql"]
+__all__ = ["ClusterExecutor"]
 
 
 def _payload_bytes(obj: Any) -> int:
@@ -75,8 +75,13 @@ def _row_less(a: tuple, b: tuple, key_plan: List[Tuple[int, bool]]) -> bool:
     return False
 
 
-class ClusterExecutor:
-    """The scatter-gather coordinator for one :class:`ShardedFleet`."""
+class ClusterExecutor(RelOps):
+    """The scatter-gather coordinator for one :class:`ShardedFleet`.
+
+    A *site* for :func:`repro.db.sql.execute_statement`: it supplies the
+    fleet's access paths (:meth:`scatter_fetch`, :meth:`scatter_aggregate`)
+    and charges everything after them to the client host CPU.
+    """
 
     #: RPC envelope sizes; bulk results are shipped explicitly by the shard
     #: work (sized from the actual pickled partial), so the serve() response
@@ -115,10 +120,14 @@ class ClusterExecutor:
         self.leg_latencies_ns: List[int] = []
 
     # ----------------------------------------------------------- entry point
-    def run_sql(self, text: str, cold: bool = True) -> Tuple[Rel, float]:
-        """Run one statement across the fleet; returns (Rel, elapsed s)."""
+    def begin_query(self, cold: bool = True) -> None:
+        """Reset per-query statistics on every node engine."""
         self.fleet.begin_query(cold=cold)
         self.query_seq += 1
+
+    def run_sql(self, text: str, cold: bool = True) -> Tuple[Rel, float]:
+        """Run one statement across the fleet; returns (Rel, elapsed s)."""
+        self.begin_query(cold=cold)
         sim = self.fleet.sim
         start_s = sim.now_s
         trace = sim.trace
@@ -132,96 +141,29 @@ class ClusterExecutor:
         return rel, sim.now_s - start_s
 
     def sql_fiber(self, text: str) -> Generator:
-        """Fiber: compile, scatter, gather, and post-process one statement."""
+        """Fiber: compile one statement and execute it with the fleet as
+        the site (scatter, gather, post-process at the coordinator)."""
         fleet = self.fleet
         sim = fleet.sim
         q_start = sim.now
-        compile_engine = fleet.engine(fleet.catalog.primary_for(0))
-        compiled = compile_sql(compile_engine, text)
-        query = compiled.query
-        if len(compiled.refs) != 1 or compiled.join_conditions:
-            raise SqlError(
-                "cluster scatter-gather is single-table; got %d tables"
-                % len(compiled.refs))
-        ref = compiled.refs[0]
-        if not fleet.catalog.is_sharded(ref.name):
-            raise SqlError("table %r is not sharded" % ref.name)
-        having = compiled.having
-
-        aggregated = any(item.agg for item in query.items)
-        aggs: List[Tuple[str, str, Optional[Expr]]] = []
-        if aggregated or query.group_by:
-            for item in query.items:
-                if item.agg:
-                    kind = item.agg
-                    if item.distinct:
-                        if kind != "count":
-                            raise SqlError(
-                                "DISTINCT only supported inside COUNT()")
-                        kind = "count_distinct"
-                    aggs.append((item.name, kind, item.agg_arg))
-                elif not (isinstance(item.expr, Col)
-                          and item.expr.name in query.group_by):
-                    raise SqlError(
-                        "non-aggregated select item %r must appear in "
-                        "GROUP BY" % item.name)
-
-        pushdown_order = None
-        if aggregated or query.group_by:
-            rel = yield from self.scatter_aggregate(
-                ref, list(query.group_by), aggs)
-            out_names = [item.name for item in query.items]
-            idx = [rel.position(name) for name in out_names]
-            rel = Rel(out_names,
-                      [tuple(row[i] for i in idx) for row in rel.rows])
-        else:
-            if query.order_by and having is None:
-                pushdown_order = self._order_pushdown(query)
-            rel = yield from self.scatter_fetch(
-                ref, order_by=pushdown_order,
-                limit=query.limit if pushdown_order else None)
-            exprs = [(item.name, item.expr) for item in query.items]
-            rel = yield from self._project(rel, exprs)
-
-        if having is not None:
-            rel = yield from self._filter(rel, having)
-        if query.order_by:
-            for name, _ in query.order_by:
-                if name not in rel.positions:
-                    raise SqlError("ORDER BY %r is not an output column" % name)
-            if pushdown_order is None:
-                rel = yield from self._sort(rel, list(query.order_by),
-                                            limit=query.limit)
-            elif query.limit is not None:
-                # Shards pre-sorted and the merge applied the limit; the
-                # slice is belt-and-braces for the no-merge single-shard path.
-                rel = Rel(rel.columns, rel.rows[:query.limit])
-        elif query.limit is not None:
-            rel = Rel(rel.columns, rel.rows[:query.limit])
-
+        compiled = compile_sql(
+            fleet.engine(fleet.catalog.primary_for(0)), text)
+        for ref in compiled.refs:
+            if not fleet.catalog.is_sharded(ref.name):
+                raise SqlError("table %r is not sharded" % ref.name)
+        rel = yield from execute_statement(self, compiled)
         trace = sim.trace
         if trace is not None and sim.now > q_start:
             trace.complete("cluster", "query", "host/cluster", q_start,
-                           table=ref.name)
+                           table=compiled.refs[0].name)
         return rel
 
-    def _order_pushdown(
-        self, query
-    ) -> Optional[List[Tuple[str, bool]]]:
-        """ORDER BY mapped onto base columns, or None when not pushable.
-
-        Pushable when every sort key names a plain-column select item: each
-        shard then sorts (and top-k-limits) locally and the coordinator's
-        ordered merge preserves the global order.
-        """
-        by_name = {item.name: item for item in query.items}
-        mapped: List[Tuple[str, bool]] = []
-        for name, descending in query.order_by:
-            item = by_name.get(name)
-            if item is None or item.agg or not isinstance(item.expr, Col):
-                return None
-            mapped.append((item.expr.name, descending))
-        return mapped
+    def multi_join(self, refs: List[TableRef], conditions) -> Generator:
+        """The fleet has no distributed join (no Exchange operator yet): the
+        one place a multi-table statement is turned away."""
+        raise SqlError(
+            "cluster scatter-gather is single-table; got %d tables"
+            % len(refs))
 
     # -------------------------------------------------------------- scatter
     def target_shards(self, ref: TableRef) -> List[int]:
@@ -261,7 +203,7 @@ class ClusterExecutor:
         else:
             rows = [row for rows in row_lists for row in rows]
         self.merged_rows += total_rows
-        yield from self._coord_work(
+        yield from self._charge(
             len(partials) * self.GATHER_RPC_US
             + total_rows * self.MERGE_ROW_US)
         return Rel(columns, rows)
@@ -280,9 +222,8 @@ class ClusterExecutor:
         """
         if not ndp_aggregate_supported(aggs):
             rel = yield from self.scatter_fetch(ref)
-            yield from self._coord_work(
-                len(rel) * self.config.host_agg_row_us)
-            return aggregate_rows(rel, group_by, aggs)
+            rel = yield from self.aggregate(rel, group_by, aggs)
+            return rel
 
         schema = self.fleet.engine(
             self.fleet.catalog.primary_for(0)).db.table(ref.name).schema
@@ -302,10 +243,15 @@ class ClusterExecutor:
             merge_agg_states(totals, partial, kinds)
             merged += len(partial)
         self.merged_rows += merged
-        yield from self._coord_work(
+        yield from self._charge(
             len(partials) * self.GATHER_RPC_US
             + merged * self.config.host_agg_row_us)
         return finalize_agg_rel(totals, layout, device_aggs, group_by, aggs)
+
+    # The statement executor's names for the fleet's access paths; shards
+    # sort and top-k locally, so ORDER BY on plain columns is pushed down.
+    fetch = fetch_sorted = scatter_fetch
+    scan_aggregate = scatter_aggregate
 
     def point_lookup(self, table: str, value: Any,
                      cols: Optional[List[str]] = None) -> Generator:
@@ -322,7 +268,7 @@ class ClusterExecutor:
         self.point_lookups += 1
         rel = yield from self._shard_call(
             shard, lambda node: self._scan_work(node, name, ref, None, None))
-        yield from self._coord_work(self.GATHER_RPC_US)
+        yield from self._charge(self.GATHER_RPC_US)
         return rel
 
     def kv_lookup(self, store: ShardedKVStore,
@@ -344,7 +290,7 @@ class ClusterExecutor:
         out: Dict[bytes, Optional[bytes]] = {}
         for partial in partials:
             out.update(partial)
-        yield from self._coord_work(
+        yield from self._charge(
             len(partials) * self.GATHER_RPC_US
             + len(out) * self.MERGE_ROW_US)
         return out
@@ -371,31 +317,18 @@ class ClusterExecutor:
                   group_by: List[str], aggs) -> Generator:
         """Fiber (node-side): one shard's device-format aggregate states.
 
-        The ScanAggregate SSDlet reduces on-device when the planner offloads;
-        the host-scan fallback folds with :func:`update_agg_states`, which
-        mirrors the SSDlet exactly — the coordinator cannot tell the two
-        apart, so crashed-primary failovers never change results.
+        :meth:`Engine.scan_aggregate` reduces on-device when the planner
+        offloads and folds a host scan into the same device-format states
+        otherwise — the coordinator cannot tell the two apart, so
+        crashed-primary failovers never change results.
         """
         fleet = self.fleet
         index = fleet.node_index(node)
         fleet.ensure_alive(index)
         engine = fleet.engine(index)
         sref = TableRef(shard_name, ref.pred, ref.cols)
-        totals = None
-        if (sref.pred is not None and engine.ndp_context is not None
-                and engine.config.ndp_pushdown_aggregate):
-            decision = yield from engine.planner.decide(sref)
-            if decision.offload:
-                totals = yield from engine.ndp_context.ndp_aggregate(
-                    engine, sref, decision, list(group_by), aggs, raw=True)
-        if totals is None:
-            rel = yield from engine.fetch(sref)
-            positions = {c: i for i, c in enumerate(rel.columns)}
-            device_aggs, _layout, _kinds = plan_device_aggs(aggs, positions)
-            group_idx = [rel.position(c) for c in group_by]
-            yield from engine.charge_rows(
-                len(rel), engine.config.host_agg_row_us)
-            totals = update_agg_states({}, rel.rows, group_idx, device_aggs)
+        totals = yield from engine.scan_aggregate(
+            sref, list(group_by), aggs, raw=True)
         payload = _payload_bytes(totals)
         self.result_bytes += payload
         yield from node.link.send(payload)
@@ -498,7 +431,7 @@ class ClusterExecutor:
         raise last_error
 
     # ------------------------------------------------------ coordinator ops
-    def _coord_work(self, duration_us: float) -> Generator:
+    def _charge(self, duration_us: float) -> Generator:
         """Fiber: charge coordinator CPU, traced as a ``cluster/merge`` span
         (covering run *and* core-queueing time; zero-cost spans elided)."""
         if duration_us <= 0:
@@ -510,30 +443,6 @@ class ClusterExecutor:
         trace = sim.trace
         if trace is not None and sim.now > start:
             trace.complete("cluster", "merge", "host/cluster", start)
-
-    def _project(self, rel: Rel, exprs: List[Tuple[str, Expr]]) -> Generator:
-        fns = [(name, compile_expr(expr, rel.positions))
-               for name, expr in exprs]
-        yield from self._coord_work(len(rel) * self.config.host_row_us)
-        return Rel([name for name, _ in fns],
-                   [tuple(fn(row) for _, fn in fns) for row in rel.rows])
-
-    def _filter(self, rel: Rel, pred: Expr) -> Generator:
-        fn = compile_expr(pred, rel.positions)
-        yield from self._coord_work(len(rel) * self.config.host_row_us)
-        return Rel(rel.columns, [row for row in rel.rows if fn(row)])
-
-    def _sort(self, rel: Rel, keys: List[Tuple[str, bool]],
-              limit: Optional[int] = None) -> Generator:
-        rows = list(rel.rows)
-        for column, descending in reversed(keys):
-            position = rel.position(column)
-            rows.sort(key=lambda row: row[position], reverse=descending)
-        yield from self._coord_work(
-            len(rows) * self.config.host_agg_row_us)
-        if limit is not None:
-            rows = rows[:limit]
-        return Rel(rel.columns, rows)
 
     @staticmethod
     def _ordered_merge(row_lists: List[list],
@@ -563,9 +472,3 @@ class ClusterExecutor:
             if limit is not None and len(out) >= limit:
                 break
         return out
-
-
-def run_cluster_sql(executor: ClusterExecutor, text: str,
-                    cold: bool = True) -> Tuple[Rel, float]:
-    """Module-level convenience mirroring :func:`repro.db.sql.run_sql`."""
-    return executor.run_sql(text, cold=cold)

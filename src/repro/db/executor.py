@@ -33,8 +33,8 @@ from repro.sim.engine import all_of
 
 __all__ = [
     "Engine", "EngineConfig", "ExecutionMode", "Rel", "TableRef",
-    "aggregate_rows", "plan_device_aggs", "update_agg_states",
-    "merge_agg_states", "finalize_agg_rel",
+    "aggregate_rows", "ndp_aggregate_supported", "plan_device_aggs",
+    "update_agg_states", "merge_agg_states", "finalize_agg_rel",
 ]
 
 
@@ -136,7 +136,62 @@ class _BufferPool:
         self._entries.clear()
 
 
-class Engine:
+class RelOps:
+    """Row operators over materialized relations, charged to the owner's CPU.
+
+    The bodies exist once; a *site* (:class:`Engine`, the fleet's
+    ``ClusterExecutor``) mixes them in and says which CPU pays by defining
+    ``_charge`` and which per-row costs apply through ``config``.
+    """
+
+    config: EngineConfig
+
+    def _charge(self, duration_us: float) -> Generator:
+        """Fiber: occupy the CPU this site's post-processing runs on."""
+        raise NotImplementedError
+
+    def filter(self, rel: Rel, pred: Expr) -> Generator:
+        """Fiber: filter a materialized relation."""
+        fn = compile_expr(pred, rel.positions)
+        yield from self._charge(len(rel) * self.config.host_row_us)
+        return Rel(rel.columns, [row for row in rel.rows if fn(row)])
+
+    def project(self, rel: Rel, exprs: List[Tuple[str, Expr]]) -> Generator:
+        """Fiber: compute named expressions per row."""
+        fns = [(name, compile_expr(expr, rel.positions)) for name, expr in exprs]
+        yield from self._charge(len(rel) * self.config.host_row_us)
+        return Rel(
+            [name for name, _ in fns],
+            [tuple(fn(row) for _, fn in fns) for row in rel.rows],
+        )
+
+    def aggregate(
+        self,
+        rel: Rel,
+        group_by: List[str],
+        aggs: List[Tuple[str, str, Optional[Expr]]],
+    ) -> Generator:
+        """Fiber: grouped aggregation.
+
+        ``aggs`` entries are (output name, kind, expr) with kind one of
+        sum/count/avg/min/max/count_distinct (expr unused for count).
+        """
+        yield from self._charge(len(rel) * self.config.host_agg_row_us)
+        return aggregate_rows(rel, group_by, aggs)
+
+    def sort(self, rel: Rel, keys: List[Tuple[str, bool]], limit: Optional[int] = None) -> Generator:
+        """Fiber: order by (column, descending?) pairs, optional limit."""
+        rows = list(rel.rows)
+        for column, descending in reversed(keys):
+            position = rel.position(column)
+            rows.sort(key=lambda row: row[position], reverse=descending)
+        yield from self._charge(len(rows) * self.config.host_agg_row_us)
+        if limit is not None:
+            rows = rows[:limit]
+        return Rel(rel.columns, rows)
+
+
+class Engine(RelOps):
     """One query engine bound to a database and a platform."""
 
     def __init__(
@@ -218,12 +273,50 @@ class Engine:
             return ref
         decision = None
         if self.mode is ExecutionMode.BISCUIT and ref.pred is not None:
-            decision = yield from self.planner.decide(ref)
+            decision = yield from self.planner.peek(ref)
         if decision is not None and decision.offload:
             rel = yield from self.ndp_context.ndp_scan(self, ref, decision)
             return rel
         rel = yield from self._host_scan(ref)
         return rel
+
+    #: Statement-executor contract: a site whose access path can return rows
+    #: already ordered (top-k) binds that path here.  One device scans in
+    #: page order, so ORDER BY always sorts after the projection.
+    fetch_sorted = None
+
+    def scan_aggregate(
+        self,
+        ref: TableRef,
+        group_by: List[str],
+        aggs: List[Tuple[str, str, Optional[Expr]]],
+        raw: bool = False,
+    ) -> Generator:
+        """Fiber: grouped aggregate over one table scan — the pushdown gate.
+
+        Offloadable, device-supported aggregates over a filtered table run
+        as ScanAggregate SSDlets so only states cross the interface; every
+        other case fetches the rows and folds them on the host.  With
+        ``raw=True`` the device-format state map comes back instead of a
+        Rel (the fleet folds partials *across shards* before finalizing);
+        the two folds are not interchangeable — :func:`aggregate_rows`
+        starts sums at ``0.0``, device-format states at the first value.
+        """
+        if (ref.pred is not None and self.ndp_context is not None
+                and self.config.ndp_pushdown_aggregate
+                and ndp_aggregate_supported(aggs)):
+            decision = yield from self.planner.peek(ref)
+            if decision.offload:
+                result = yield from self.ndp_context.ndp_aggregate(
+                    self, ref, decision, group_by, aggs, raw)
+                return result
+        rel = yield from self.fetch(ref)
+        yield from self._charge(len(rel) * self.config.host_agg_row_us)
+        if not raw:
+            return aggregate_rows(rel, group_by, aggs)
+        device_aggs, _layout, _kinds = plan_device_aggs(aggs, rel.positions)
+        return update_agg_states(
+            {}, rel.rows, [rel.position(c) for c in group_by], device_aggs)
 
     def _host_scan(self, ref: TableRef) -> Generator:
         """Fiber: full host-side scan with readahead, filter, project."""
@@ -609,46 +702,6 @@ class Engine:
         """Fiber: charge host CPU for query-program-side row processing."""
         yield from self._charge(count * (per_row_us or self.config.host_row_us))
 
-    def filter(self, rel: Rel, pred: Expr) -> Generator:
-        """Fiber: host-side filter of a materialized relation."""
-        fn = compile_expr(pred, rel.positions)
-        yield from self._charge(len(rel) * self.config.host_row_us)
-        return Rel(rel.columns, [row for row in rel.rows if fn(row)])
-
-    def project(self, rel: Rel, exprs: List[Tuple[str, Expr]]) -> Generator:
-        """Fiber: compute named expressions per row."""
-        fns = [(name, compile_expr(expr, rel.positions)) for name, expr in exprs]
-        yield from self._charge(len(rel) * self.config.host_row_us)
-        return Rel(
-            [name for name, _ in fns],
-            [tuple(fn(row) for _, fn in fns) for row in rel.rows],
-        )
-
-    def aggregate(
-        self,
-        rel: Rel,
-        group_by: List[str],
-        aggs: List[Tuple[str, str, Optional[Expr]]],
-    ) -> Generator:
-        """Fiber: grouped aggregation.
-
-        ``aggs`` entries are (output name, kind, expr) with kind one of
-        sum/count/avg/min/max/count_distinct (expr unused for count).
-        """
-        yield from self._charge(len(rel) * self.config.host_agg_row_us)
-        return aggregate_rows(rel, group_by, aggs)
-
-    def sort(self, rel: Rel, keys: List[Tuple[str, bool]], limit: Optional[int] = None) -> Generator:
-        """Fiber: order by (column, descending?) pairs, optional limit."""
-        rows = list(rel.rows)
-        for column, descending in reversed(keys):
-            position = rel.position(column)
-            rows.sort(key=lambda row: row[position], reverse=descending)
-        yield from self._charge(len(rows) * self.config.host_agg_row_us)
-        if limit is not None:
-            rows = rows[:limit]
-        return Rel(rel.columns, rows)
-
     def semi_join(self, rel: Rel, key: str, keys_rel: Rel, keys_col: str,
                   anti: bool = False) -> Generator:
         """Fiber: EXISTS / NOT EXISTS against a key set."""
@@ -755,6 +808,16 @@ def aggregate_rows(
 # the single-device pushdown (repro.db.ndp) and the cluster coordinator
 # (repro.cluster.executor) fold partials with identical semantics — a
 # host-computed partial and a device-reduced one must merge bit-for-bit.
+
+def ndp_aggregate_supported(aggs) -> bool:
+    """Can these (name, kind, expr) aggregates run device-side?
+
+    avg decomposes into sum+count; count_distinct would ship whole value
+    sets, defeating the point, so it falls back to the host path.
+    """
+    return all(kind in ("sum", "count", "avg", "min", "max")
+               for _name, kind, _expr in aggs)
+
 
 def plan_device_aggs(
     aggs: List[Tuple[str, str, Optional[Expr]]],

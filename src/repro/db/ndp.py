@@ -11,7 +11,8 @@ ports.
 from __future__ import annotations
 
 import pickle
-from typing import Generator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.core import (
     SSD,
@@ -29,11 +30,15 @@ from repro.db.executor import (
     TableRef,
     finalize_agg_rel,
     merge_agg_states,
+    ndp_aggregate_supported,
     plan_device_aggs,
+    update_agg_states,
 )
 from repro.db.expr import compile_expr
 
-__all__ = ["NDP_MODULE", "ScanFilter", "NDPContext"]
+__all__ = ["NDP_MODULE", "ScanFilter", "ScanAggregate", "NDPContext",
+           "ScanSpec", "page_ranges", "run_offloaded_scan",
+           "ndp_aggregate_supported"]
 
 NDP_MODULE = SSDletModule("minidb-ndp")
 MODULE_IMAGE_PATH = "/var/isc/slets/minidb_ndp.slet"
@@ -44,48 +49,58 @@ MODULE_IMAGE_PATH = "/var/isc/slets/minidb_ndp.slet"
 CHUNK_PAGES = 1024
 
 
-class ScanFilter(SSDLet):
-    """Device-side scan-filter-project.
+@dataclass
+class ScanSpec:
+    """One offloaded scan's inputs (on a replicated system the table must
+    exist at ``path`` on every device the scan may run on)."""
 
-    Args: (file_token, job) where job is a dict:
-      page_rows(page_no) -> decoded rows   (the on-page data, value level)
-      prefilter(row) -> bool               (the matcher-offloaded conjunct)
-      predicate(row) -> bool               (the full WHERE clause)
-      out_idx: projected column positions
-      first_page, num_pages, page_size, batch_rows
+    path: str
+    page_rows: Callable[[int], List[tuple]]  # on-page data, value level
+    prefilter: Callable[[tuple], bool]  # the matcher-offloaded conjunct
+    predicate: Callable[[tuple], bool]  # the full WHERE clause
+    out_idx: List[int]  # projected column positions
+    page_size: int
+    num_pages: int
+    batch_rows: int = 512  # rows per D2H result packet
+    workers: int = 2
+    use_matcher: bool = True  # False = device software scan (Section VI)
+    #: ``(group_idx, device_aggs)`` — positions of the GROUP BY columns and
+    #: [(name, kind, value_fn)] with kind in sum/count/min/max: fold the
+    #: survivors into device-format states (ScanAggregate) instead of
+    #: shipping them as row batches (ScanFilter).
+    fold: Optional[Tuple[List[int], list]] = None
 
-    With the optional ``checkpoint_pages`` key set (the resilient datapath,
-    :mod:`repro.resilience`), chunks shrink to that many pages and every
-    payload becomes a tagged tuple ``("rows", batch, end_page_or_None)``:
-    a non-None ``end_page`` is a checkpoint marker promising that every
-    surviving row for pages < ``end_page`` has been emitted.  Without the
-    key, payloads are plain pickled row batches (bit-identical to before).
+
+# ------------------------------------------------------------- device side
+class _PageStream(SSDLet):
+    """The device-side scan loop; a subclass is the sink for its survivors.
+
+    Args: (file_token, spec, first_page, num_pages, checkpoint_pages) — one
+    page range of a :class:`ScanSpec`; ``checkpoint_pages`` is None or the
+    resilient datapath's chunk size.  A sink is two pure hooks,
+    ``absorb(rows)`` (one matched page's survivors in, payloads now due to
+    ship out) and ``flush(end_page=None)`` (whatever is pending as a
+    payload, None when it is not worth a packet): the loop owns every
+    simulated event, so both SSDlets pay for a chunk the same way.
     """
 
     OUT_TYPES = (Packet,)
 
-    ROW_EMIT_US = 0.8  # serialize one surviving row on the device core
     ROW_REFINE_US = 1.5  # evaluate the full predicate on one hit region
     PAGE_TOUCH_US = 3.0  # set up refinement for one matched page
+    ROW_SINK_US: float  # what the sink spends on one surviving row
 
     def run(self) -> Generator:
         handle = yield from self.open(self.arg(0))
-        job = self.arg(1)
-        page_rows = job["page_rows"]
-        prefilter = job["prefilter"]
-        predicate = job["predicate"]
-        out_idx = job["out_idx"]
-        page_size = job["page_size"]
-        batch_rows = job["batch_rows"]
-        first = job["first_page"]
-        last = first + job["num_pages"]
-        software_scan = job.get("software_scan", False)
-        checkpoint_pages = job.get("checkpoint_pages")
+        spec, pos, num_pages, checkpoint_pages = self.args[1:]
+        self.spec, self.checkpoint_pages = spec, checkpoint_pages
+        page_rows, prefilter, predicate = (
+            spec.page_rows, spec.prefilter, spec.predicate)
+        page_size = spec.page_size
+        last = pos + num_pages
         chunk_pages = (min(CHUNK_PAGES, max(1, checkpoint_pages))
                        if checkpoint_pages else CHUNK_PAGES)
         scan_rate = self._runtime.config.device_scan_bytes_per_sec_per_core
-        batch: List[tuple] = []
-        pos = first
         while pos < last:
             take = min(chunk_pages, last - pos)
             length = min(take * page_size, handle.size - pos * page_size)
@@ -94,224 +109,223 @@ class ScanFilter(SSDLet):
             yield from handle.read_timing_only(pos * page_size, length)
             matched_pages = 0
             candidates = 0
-            emitted = 0
+            survivors = 0
             for page_no in range(pos, pos + take):
-                rows = page_rows(page_no)
                 # The IP reports hit locations as data streams by; software
                 # only inspects the hit regions (rows the prefilter selects),
                 # never whole pages — that is what keeps device-side
                 # refinement off the critical path.
-                page_candidates = [row for row in rows if prefilter(row)]
+                page_candidates = [row for row in page_rows(page_no)
+                                   if prefilter(row)]
                 if not page_candidates:
                     continue  # page discarded at wire speed
                 matched_pages += 1
                 candidates += len(page_candidates)
-                for row in page_candidates:
-                    if predicate(row):
-                        batch.append(tuple(row[i] for i in out_idx))
-                        emitted += 1
-                        if len(batch) >= batch_rows:
-                            # Mid-chunk overflow flush: carries no marker —
-                            # the host must stage these rows until the
-                            # chunk-boundary marker commits them.
-                            yield from self._emit(batch, checkpoint_pages)
-                            batch = []
-            if software_scan:
+                hits = [row for row in page_candidates if predicate(row)]
+                survivors += len(hits)
+                for payload in self.absorb(hits):
+                    yield from self._put(payload)
+            if not spec.use_matcher:
                 # No matcher IP: the device cores scan every byte themselves
                 # — the configuration Section VI says "can't simply keep up".
                 yield from self.compute(
-                    length / scan_rate * 1e6 + emitted * self.ROW_EMIT_US
+                    length / scan_rate * 1e6 + survivors * self.ROW_SINK_US
                 )
             elif matched_pages:
                 yield from self.compute(
                     matched_pages * self.PAGE_TOUCH_US
                     + candidates * self.ROW_REFINE_US
-                    + emitted * self.ROW_EMIT_US
+                    + survivors * self.ROW_SINK_US
                 )
             pos += take
             if checkpoint_pages:
                 # Chunk boundary: flush (even an empty batch) with the
                 # marker — all rows for pages < pos are now emitted.
-                yield from self._emit(batch, checkpoint_pages, end_page=pos)
-                batch = []
-        if batch:
-            yield from self._emit(batch, checkpoint_pages)
+                yield from self._put(self.flush(end_page=pos))
+        rest = self.flush()
+        if rest is not None:
+            yield from self._put(rest)
 
-    def _emit(self, batch: List[tuple], tagged: bool = False,
-              end_page: Optional[int] = None) -> Generator:
-        payload = ("rows", batch, end_page) if tagged else batch
+    def _put(self, payload: Any) -> Generator:
         yield from self.out(0).put(Packet(pickle.dumps(payload, protocol=4)))
+
+
+class ScanFilter(_PageStream):
+    """Device-side scan-filter-project: survivors leave as row batches.
+
+    With ``checkpoint_pages`` set (the resilient datapath,
+    :mod:`repro.resilience`), chunks shrink to that many pages and every
+    payload becomes a tagged tuple ``("rows", batch, end_page_or_None)``:
+    a non-None ``end_page`` is a checkpoint marker promising that every
+    surviving row for pages < ``end_page`` has been emitted.  Without it,
+    payloads are plain pickled row batches.
+    """
+
+    ROW_SINK_US = ROW_EMIT_US = 0.8  # serialize one surviving row
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.batch: List[tuple] = []
+
+    def absorb(self, rows: List[tuple]) -> List[Any]:
+        out_idx, batch_rows = self.spec.out_idx, self.spec.batch_rows
+        full = []
+        for row in rows:
+            self.batch.append(tuple(row[i] for i in out_idx))
+            if len(self.batch) >= batch_rows:
+                # Mid-chunk overflow flush: carries no marker — the host
+                # must stage these rows until the chunk-boundary marker
+                # commits them.
+                full.append(self.flush())
+        return full
+
+    def flush(self, end_page: Optional[int] = None) -> Any:
+        if not self.batch and end_page is None:
+            return None
+        batch, self.batch = self.batch, []
+        if self.checkpoint_pages:
+            return ("rows", batch, end_page)
+        return batch
 
 
 NDP_MODULE.register("idScanFilter", ScanFilter)
 
 
-class NDPContext:
-    """Host-side NDP machinery shared by one engine (module loaded once)."""
-
-    def __init__(self, system):
-        self.system = system
-        self.ssd = SSD(system)
-        self._mid: Optional[int] = None
-        if not system.fs.exists(MODULE_IMAGE_PATH):
-            write_module_image(system.fs, MODULE_IMAGE_PATH, NDP_MODULE)
-
-    def _ensure_module(self) -> Generator:
-        if self._mid is None:
-            self._mid = yield from self.ssd.loadModule(MODULE_IMAGE_PATH)
-        return self._mid
-
-    def ndp_scan(self, engine: Engine, ref: TableRef, decision) -> Generator:
-        """Fiber: run the offloaded scan; returns the filtered relation."""
-        mid = yield from self._ensure_module()
-        storage = engine.db.table(ref.name)
-        schema = storage.schema
-        positions = {name: i for i, name in enumerate(schema.column_names())}
-        predicate = compile_expr(ref.pred, positions)
-        prefilter = compile_expr(decision.mfilter.conjunct, positions)
-        out_cols = ref.cols or schema.column_names()
-        out_idx = [positions[c] for c in out_cols]
-
-        app = Application(self.ssd, "ndp-%s" % ref.name)
-        use_matcher = engine.config.ndp_use_matcher
-        # A full-table scan is the canonical streaming read: it must not
-        # evict the device cache's hot working set (index pages, chased
-        # pointers), so the token streams past the cache even when the
-        # matcher is off (software_scan mode).
-        token = DeviceFile(self.ssd, storage.path, use_matcher=use_matcher,
-                           cache_bypass=True)
-        num_pages = storage.num_pages
-        workers = min(engine.config.ndp_parallel_ssdlets, max(1, num_pages))
-        share = (num_pages + workers - 1) // workers
-        ports = []
-        for i in range(workers):
-            first = i * share
-            if first >= num_pages:
-                break
-            job = {
-                "page_rows": lambda page_no, name=ref.name: engine.table_page_rows(name, page_no),
-                "prefilter": prefilter,
-                "predicate": predicate,
-                "out_idx": out_idx,
-                "page_size": storage.page_size,
-                "batch_rows": engine.config.ndp_batch_rows,
-                "first_page": first,
-                "num_pages": min(share, num_pages - first),
-                "software_scan": not use_matcher,
-            }
-            proxy = SSDLetProxy(app, mid, "idScanFilter", (token, job))
-            ports.append(app.connectTo(proxy.out(0), Packet))
-        yield from app.start()
-        try:
-            rows: List[tuple] = []
-            for port in ports:
-                while True:
-                    packet = yield from port.get_opt()
-                    if packet is None:
-                        break
-                    engine.ndp_result_bytes += len(packet)
-                    rows.extend(pickle.loads(packet.payload))
-            # Re-raises any SSDlet failure (e.g. an UncorrectableReadError
-            # from the device) into this host fiber.
-            yield from app.wait()
-        finally:
-            app.stop()  # release the data channels back to the pool
-        engine.ndp_scans += 1
-        return Rel(out_cols, rows)
-
-
-class ScanAggregate(SSDLet):
+class ScanAggregate(_PageStream):
     """Device-side scan-filter-aggregate (extension beyond the paper).
 
-    Args: (file_token, job) — job adds to the ScanFilter job:
-      group_idx: positions of the GROUP BY columns
-      aggs: [(name, kind, value_fn)] with kind in sum/count/min/max
     Output: one Packet carrying {group key: [state per agg]}.
     """
 
-    OUT_TYPES = (Packet,)
+    ROW_SINK_US = ROW_AGG_US = 0.6  # update the running states for one row
 
-    ROW_AGG_US = 0.6  # update the running states for one surviving row
+    def __init__(self) -> None:
+        super().__init__()
+        self.states: dict = {}
 
-    def run(self) -> Generator:
-        handle = yield from self.open(self.arg(0))
-        job = self.arg(1)
-        page_rows = job["page_rows"]
-        prefilter = job["prefilter"]
-        predicate = job["predicate"]
-        group_idx = job["group_idx"]
-        aggs = job["aggs"]
-        page_size = job["page_size"]
-        first = job["first_page"]
-        last = first + job["num_pages"]
-        states: dict = {}
-        pos = first
-        while pos < last:
-            take = min(CHUNK_PAGES, last - pos)
-            length = min(take * page_size, handle.size - pos * page_size)
-            yield from handle.read_timing_only(pos * page_size, length)
-            matched_pages = 0
-            candidates = 0
-            touched = 0
-            for page_no in range(pos, pos + take):
-                rows = page_rows(page_no)
-                page_candidates = [row for row in rows if prefilter(row)]
-                if not page_candidates:
-                    continue
-                matched_pages += 1
-                candidates += len(page_candidates)
-                for row in page_candidates:
-                    if not predicate(row):
-                        continue
-                    touched += 1
-                    key = tuple(row[i] for i in group_idx)
-                    state = states.get(key)
-                    if state is None:
-                        state = [None] * len(aggs)
-                        states[key] = state
-                    for slot, (_name, kind, value_fn) in enumerate(aggs):
-                        if kind == "count":
-                            state[slot] = (state[slot] or 0) + 1
-                            continue
-                        value = value_fn(row)
-                        if state[slot] is None:
-                            state[slot] = value
-                        elif kind == "sum":
-                            state[slot] += value
-                        elif kind == "min":
-                            state[slot] = min(state[slot], value)
-                        elif kind == "max":
-                            state[slot] = max(state[slot], value)
-            if matched_pages:
-                yield from self.compute(
-                    matched_pages * ScanFilter.PAGE_TOUCH_US
-                    + candidates * ScanFilter.ROW_REFINE_US
-                    + touched * self.ROW_AGG_US
-                )
-            pos += take
-        yield from self.out(0).put(Packet(pickle.dumps(states, protocol=4)))
+    def absorb(self, rows: List[tuple]) -> List[Any]:
+        update_agg_states(self.states, rows, *self.spec.fold)
+        return []
+
+    def flush(self, end_page: Optional[int] = None) -> Any:
+        return self.states
 
 
 NDP_MODULE.register("idScanAggregate", ScanAggregate)
 
 
-# Device-format state merging now lives in repro.db.executor so the cluster
-# coordinator shares it; the old private name stays importable.
-_merge_states = merge_agg_states
+# --------------------------------------------------------------- host side
+def page_ranges(num_pages: int, workers: int) -> List[Tuple[int, int]]:
+    """``(first_page, num_pages)`` shares, one per parallel SSDlet."""
+    share = max(1, -(-num_pages // max(1, workers)))
+    return [(first, min(share, num_pages - first))
+            for first in range(0, num_pages, share)]
 
 
-def ndp_aggregate_supported(aggs) -> bool:
-    """Can these (name, kind, expr) aggregates run device-side?
+def run_offloaded_scan(
+    ssd: SSD,
+    mid: int,
+    app_name: str,
+    spec: ScanSpec,
+    ranges: List[Tuple[int, int]],
+    on_payload: Callable[[int, Any, int], None],
+    checkpoint_pages: Optional[int] = None,
+) -> Generator:
+    """Fiber: the one life-cycle of an offloaded scan.
 
-    avg decomposes into sum+count; count_distinct would ship whole value
-    sets, defeating the point, so it falls back to the host path.
+    Application → :class:`DeviceFile` → one SSDlet proxy and device-to-host
+    port per page range → ``start`` → drain the ports in range order →
+    ``wait`` (re-raises any SSDlet failure, e.g. an UncorrectableReadError
+    from the device, into this host fiber) → ``stop`` on every exit path,
+    so a failed scan hands its data channels back to the pool.
+
+    ``on_payload(range_index, payload, packet_bytes)`` sees every packet.
+    A folding scan ships exactly one packet per range, so its drain moves
+    on after that packet instead of waiting for the port to close.
     """
-    return all(kind in ("sum", "count", "avg", "min", "max")
-               for _name, kind, _expr in aggs)
+    class_id = "idScanFilter" if spec.fold is None else "idScanAggregate"
+    app = Application(ssd, app_name)
+    try:
+        # A full-table scan is the canonical streaming read: it must not
+        # evict the device cache's hot working set (index pages, chased
+        # pointers, another tenant's data), so the token streams past the
+        # cache even when the matcher is off (software scan).
+        token = DeviceFile(ssd, spec.path, use_matcher=spec.use_matcher,
+                           cache_bypass=True)
+        ports = []
+        for first_page, num_pages in ranges:
+            proxy = SSDLetProxy(app, mid, class_id, (
+                token, spec, first_page, num_pages, checkpoint_pages))
+            ports.append(app.connectTo(proxy.out(0), Packet))
+        yield from app.start()
+        for index, port in enumerate(ports):
+            while True:
+                packet = yield from port.get_opt()
+                if packet is None:
+                    break
+                on_payload(index, pickle.loads(packet.payload), len(packet))
+                if spec.fold is not None:
+                    break
+        yield from app.wait()
+    finally:
+        app.stop()
 
 
-class NDPContextAggregateMixin:
-    """Aggregation-pushdown driver (kept separate for readability)."""
+class NDPContext:
+    """Host-side NDP machinery for one device (module image installed at
+    construction, loaded once on first use)."""
+
+    def __init__(self, system, device: int = 0):
+        self.system = system
+        self.ssd = SSD(system, device_index=device)
+        self._mid: Optional[int] = None
+        fs = system.filesystems[device]
+        if not fs.exists(MODULE_IMAGE_PATH):
+            write_module_image(fs, MODULE_IMAGE_PATH, NDP_MODULE)
+
+    def _ensure_module(self) -> Generator:
+        """Fiber: the NDP module's id on this device (one timed load)."""
+        if self._mid is None:
+            self._mid = yield from self.ssd.loadModule(MODULE_IMAGE_PATH)
+        return self._mid
+
+    def _scan(self, engine: Engine, ref: TableRef, decision, app_name: str,
+              positions, on_payload, out_idx=(), fold=None) -> Generator:
+        """Fiber: one offloaded pass over ``ref``'s table on this device."""
+        mid = yield from self._ensure_module()
+        storage = engine.db.table(ref.name)
+        config = engine.config
+        spec = ScanSpec(
+            path=storage.path,
+            page_rows=lambda page_no: engine.table_page_rows(ref.name, page_no),
+            prefilter=compile_expr(decision.mfilter.conjunct, positions),
+            predicate=compile_expr(ref.pred, positions),
+            out_idx=[positions[c] for c in out_idx],
+            page_size=storage.page_size,
+            num_pages=storage.num_pages,
+            batch_rows=config.ndp_batch_rows,
+            workers=config.ndp_parallel_ssdlets,
+            use_matcher=config.ndp_use_matcher,
+            fold=fold,
+        )
+
+        def counted(_index: int, payload: Any, nbytes: int) -> None:
+            engine.ndp_result_bytes += nbytes
+            on_payload(payload)
+
+        yield from run_offloaded_scan(
+            self.ssd, mid, app_name, spec,
+            page_ranges(spec.num_pages, spec.workers), counted)
+        engine.ndp_scans += 1
+
+    def ndp_scan(self, engine: Engine, ref: TableRef, decision) -> Generator:
+        """Fiber: run the offloaded scan; returns the filtered relation."""
+        positions = _positions(engine, ref)
+        out_cols = ref.cols or list(positions)
+        rows: List[tuple] = []
+        yield from self._scan(engine, ref, decision, "ndp-%s" % ref.name,
+                              positions, rows.extend, out_idx=out_cols)
+        return Rel(out_cols, rows)
 
     def ndp_aggregate(self, engine: Engine, ref: TableRef, decision,
                       group_by: List[str], aggs,
@@ -323,57 +337,20 @@ class NDPContextAggregateMixin:
         instead of a Rel — the cluster coordinator asks for raw states so
         it can fold partials *across shards* before finalizing.
         """
-        mid = yield from self._ensure_module()
-        storage = engine.db.table(ref.name)
-        schema = storage.schema
-        positions = {name: i for i, name in enumerate(schema.column_names())}
-        predicate = compile_expr(ref.pred, positions)
-        prefilter = compile_expr(decision.mfilter.conjunct, positions)
-        group_idx = [positions[c] for c in group_by]
+        positions = _positions(engine, ref)
         # Decompose avg into sum+count slots.
         device_aggs, layout, kinds = plan_device_aggs(aggs, positions)
-
-        app = Application(self.ssd, "ndp-agg-%s" % ref.name)
-        token = DeviceFile(self.ssd, storage.path,
-                           use_matcher=engine.config.ndp_use_matcher,
-                           cache_bypass=True)
-        num_pages = storage.num_pages
-        workers = min(engine.config.ndp_parallel_ssdlets, max(1, num_pages))
-        share = (num_pages + workers - 1) // workers
-        ports = []
-        for i in range(workers):
-            first = i * share
-            if first >= num_pages:
-                break
-            job = {
-                "page_rows": lambda page_no, name=ref.name: engine.table_page_rows(name, page_no),
-                "prefilter": prefilter,
-                "predicate": predicate,
-                "group_idx": group_idx,
-                "aggs": device_aggs,
-                "page_size": storage.page_size,
-                "first_page": first,
-                "num_pages": min(share, num_pages - first),
-            }
-            proxy = SSDLetProxy(app, mid, "idScanAggregate", (token, job))
-            ports.append(app.connectTo(proxy.out(0), Packet))
-        yield from app.start()
-        try:
-            totals: dict = {}
-            for port in ports:
-                packet = yield from port.get_opt()
-                if packet is None:
-                    continue
-                engine.ndp_result_bytes += len(packet)
-                merge_agg_states(totals, pickle.loads(packet.payload), kinds)
-            yield from app.wait()
-        finally:
-            app.stop()
-        engine.ndp_scans += 1
+        totals: dict = {}
+        yield from self._scan(
+            engine, ref, decision, "ndp-agg-%s" % ref.name, positions,
+            lambda states: merge_agg_states(totals, states, kinds),
+            fold=([positions[c] for c in group_by], device_aggs))
         if raw:
             return totals
         return finalize_agg_rel(totals, layout, device_aggs, group_by, aggs)
 
 
-# Mix the aggregate driver into NDPContext.
-NDPContext.ndp_aggregate = NDPContextAggregateMixin.ndp_aggregate
+def _positions(engine: Engine, ref: TableRef) -> dict:
+    """Column name -> position in ``ref``'s stored row tuples."""
+    schema = engine.db.table(ref.name).schema
+    return {name: i for i, name in enumerate(schema.column_names())}

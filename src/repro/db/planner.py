@@ -127,10 +127,6 @@ class NDPPlanner:
             self._cache[key] = decision
         return decision
 
-    # ``decide`` is the fetch-time entry; identical to peek but kept separate
-    # so instrumentation can distinguish "considered" from "executed".
-    decide = peek
-
     def _evaluate(self, ref: TableRef) -> Generator:
         engine = self.engine
         config = engine.config

@@ -49,7 +49,8 @@ from repro.db.expr import (
 )
 
 __all__ = ["SqlError", "parse", "compile_sql", "CompiledQuery",
-           "run_sql", "sql_query", "explain_sql", "run_explain", "to_sql"]
+           "execute_statement", "run_sql", "sql_query", "explain_sql",
+           "run_explain", "to_sql"]
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
@@ -194,7 +195,10 @@ class _Parser:
                 order_by.append(self.parse_order_item())
         limit = None
         if self.accept("keyword", "LIMIT"):
-            limit = int(self.expect("number").text)
+            text = self.expect("number").text
+            if not text.isdigit():
+                raise SqlError("LIMIT takes a whole number, got %r" % text)
+            limit = int(text)
         self.expect("end")
         return Query(items, tables, join_conditions, where, group_by,
                      having, order_by, limit)
@@ -480,76 +484,110 @@ def compile_sql(engine: Engine, text: str) -> CompiledQuery:
     return CompiledQuery(query, refs, join_conditions, leftovers, having)
 
 
-def sql_query(engine: Engine, text: str) -> Generator:
-    """Fiber: compile and execute a SQL statement on ``engine``."""
-    compiled = compile_sql(engine, text)
+def _aggregate_plan(query: Query) -> List[Tuple[str, str, Optional[Expr]]]:
+    """The (name, kind, expr) aggregates of a grouped statement, validated."""
+    aggs = []
+    for item in query.items:
+        if item.agg:
+            kind = item.agg
+            if item.distinct:
+                if kind != "count":
+                    raise SqlError("DISTINCT only supported inside COUNT()")
+                kind = "count_distinct"
+            aggs.append((item.name, kind, item.agg_arg))
+        elif not (isinstance(item.expr, Col) and item.expr.name in query.group_by):
+            raise SqlError(
+                "non-aggregated select item %r must appear in GROUP BY" % item.name
+            )
+    return aggs
+
+
+def _source_order(query: Query) -> Optional[List[Tuple[str, bool]]]:
+    """ORDER BY mapped onto base columns, or None when not pushable.
+
+    Pushable when every sort key names a plain-column select item: an
+    access path that sorts (and top-k-limits) at the source then hands back
+    rows whose order the projection preserves.
+    """
+    by_name = {item.name: item for item in query.items}
+    mapped: List[Tuple[str, bool]] = []
+    for name, descending in query.order_by:
+        item = by_name.get(name)
+        if item is None or item.agg or not isinstance(item.expr, Col):
+            return None
+        mapped.append((item.expr.name, descending))
+    return mapped
+
+
+def execute_statement(site, compiled: CompiledQuery) -> Generator:
+    """Fiber: run a compiled statement on ``site`` — the one interpreter.
+
+    This fiber owns aggregate validation, the SELECT-list reorder,
+    projection, HAVING, the ORDER BY check, sort and LIMIT.  A *site*
+    supplies where the rows come from and which CPU pays for the rest
+    (DESIGN.md, "Query pipeline"):
+
+    * ``fetch(ref)`` / ``multi_join(refs, conditions)`` — the access paths;
+    * ``scan_aggregate(ref, group_by, aggs)`` — a grouped single-table scan
+      (the site decides whether it is pushed down);
+    * ``fetch_sorted`` — None, or ``fetch_sorted(ref, order_by, limit)``
+      when the access path can return rows already ordered and top-k cut;
+    * ``filter`` / ``project`` / ``aggregate`` / ``sort`` —
+      :class:`repro.db.executor.RelOps`, charged to the site's CPU.
+
+    :class:`Engine` is a site; so is the fleet's ``ClusterExecutor``.
+    """
     query = compiled.query
     refs = compiled.refs
-    join_conditions = compiled.join_conditions
-    leftovers = compiled.leftovers
     having = compiled.having
+    group_by = list(query.group_by)
+    grouped = bool(group_by) or any(item.agg for item in query.items)
+    aggs = _aggregate_plan(query) if grouped else []
+    one_scan = len(refs) == 1 and not compiled.leftovers
+    source_order = None
+    if (one_scan and not grouped and query.order_by and having is None
+            and site.fetch_sorted is not None):
+        source_order = _source_order(query)
 
-    aggregated = any(item.agg for item in query.items)
-    aggs = []
-    if aggregated or query.group_by:
-        for item in query.items:
-            if item.agg:
-                kind = item.agg
-                if item.distinct:
-                    if kind != "count":
-                        raise SqlError("DISTINCT only supported inside COUNT()")
-                    kind = "count_distinct"
-                aggs.append((item.name, kind, item.agg_arg))
-            elif not (isinstance(item.expr, Col) and item.expr.name in query.group_by):
-                raise SqlError(
-                    "non-aggregated select item %r must appear in GROUP BY" % item.name
-                )
-
-    # Extension: push the whole scan+filter+aggregate into the SSD when the
-    # statement is a single-table aggregation over an offloadable filter.
-    rel = None
-    if (aggregated and len(refs) == 1 and not leftovers
-            and refs[0].pred is not None
-            and engine.ndp_context is not None
-            and engine.config.ndp_pushdown_aggregate):
-        from repro.db.ndp import ndp_aggregate_supported
-
-        if ndp_aggregate_supported(aggs):
-            decision = yield from engine.planner.decide(refs[0])
-            if decision.offload:
-                rel = yield from engine.ndp_context.ndp_aggregate(
-                    engine, refs[0], decision, list(query.group_by), aggs
-                )
-
-    if rel is None:
-        # Access path: single table scan or a multi-join.
-        if len(refs) == 1:
-            rel = yield from engine.fetch(refs[0])
+    if grouped and one_scan:
+        rel = yield from site.scan_aggregate(refs[0], group_by, aggs)
+    else:
+        if source_order is not None:
+            rel = yield from site.fetch_sorted(
+                refs[0], source_order, query.limit)
+        elif len(refs) == 1:
+            rel = yield from site.fetch(refs[0])
         else:
-            rel = yield from engine.multi_join(refs, join_conditions)
-        for conjunct in leftovers:
-            rel = yield from engine.filter(rel, conjunct)
-        if aggregated or query.group_by:
-            rel = yield from engine.aggregate(rel, list(query.group_by), aggs)
-
-    if aggregated or query.group_by:
+            rel = yield from site.multi_join(refs, compiled.join_conditions)
+        for conjunct in compiled.leftovers:
+            rel = yield from site.filter(rel, conjunct)
+        if grouped:
+            rel = yield from site.aggregate(rel, group_by, aggs)
+    if grouped:
         # Reorder to the SELECT list (grouped columns keep their names).
         out_names = [item.name for item in query.items]
         idx = [rel.position(name) for name in out_names]
         rel = Rel(out_names, [tuple(row[i] for i in idx) for row in rel.rows])
     else:
         exprs = [(item.name, item.expr) for item in query.items]
-        rel = yield from engine.project(rel, exprs)
+        rel = yield from site.project(rel, exprs)
 
     if having is not None:
-        rel = yield from engine.filter(rel, having)
-    if query.order_by:
-        for name, _ in query.order_by:
-            if name not in rel.positions:
-                raise SqlError("ORDER BY %r is not an output column" % name)
-        rel = yield from engine.sort(rel, list(query.order_by), limit=query.limit)
+        rel = yield from site.filter(rel, having)
+    for name, _ in query.order_by:
+        if name not in rel.positions:
+            raise SqlError("ORDER BY %r is not an output column" % name)
+    if query.order_by and source_order is None:
+        rel = yield from site.sort(rel, list(query.order_by), limit=query.limit)
     elif query.limit is not None:
+        # Also cuts behind a source-ordered fetch (already top-k: a no-op).
         rel = Rel(rel.columns, rel.rows[:query.limit])
+    return rel
+
+
+def sql_query(engine: Engine, text: str) -> Generator:
+    """Fiber: compile and execute a SQL statement on ``engine``."""
+    rel = yield from execute_statement(engine, compile_sql(engine, text))
     return rel
 
 

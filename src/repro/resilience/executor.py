@@ -25,14 +25,11 @@ differential suite asserts byte-for-byte.
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Generator, List, Optional
 
-from repro.core import Application, DeviceFile, Packet, SSD, SSDLetProxy
 from repro.core.errors import DeviceCrashedError, DeviceError
-from repro.core.module import write_module_image
-from repro.db.ndp import MODULE_IMAGE_PATH, NDP_MODULE
+from repro.db.ndp import NDPContext, ScanSpec, run_offloaded_scan
 from repro.instrument.metrics import MetricsRegistry, registry_counter
 from repro.resilience.checkpoint import ScanCheckpoint
 from repro.resilience.hedge import HedgePolicy, hedged_race
@@ -62,22 +59,6 @@ class RetryPolicy:
     def backoff_ns(self, attempt: int) -> int:
         delay_us = self.backoff_us * (self.retry_growth ** (attempt - 1))
         return us_to_ns(min(delay_us, self.max_backoff_us))
-
-
-@dataclass
-class ScanSpec:
-    """One scan's inputs; the table must exist at ``path`` on every device."""
-
-    path: str
-    page_rows: Callable[[int], List[tuple]]
-    prefilter: Callable[[tuple], bool]
-    predicate: Callable[[tuple], bool]
-    out_idx: List[int]
-    page_size: int
-    num_pages: int
-    batch_rows: int = 512
-    workers: int = 2
-    use_matcher: bool = True
 
 
 class ResilienceStats:
@@ -154,28 +135,16 @@ class ResilientScanDriver:
             hedge.bind_registry(registry)
         if recovery is not None:
             recovery.bind_registry(registry)
-        self._ssds: Dict[int, SSD] = {}
-        self._mids: Dict[int, int] = {}
+        self._contexts: Dict[int, NDPContext] = {}
 
     # ------------------------------------------------------------ device state
-    def _ssd(self, device: int) -> SSD:
-        facade = self._ssds.get(device)
-        if facade is None:
-            facade = SSD(self.system, device_index=device)
-            self._ssds[device] = facade
-        return facade
-
-    def _ensure_module(self, device: int) -> Generator:
-        """Fiber: the ScanFilter module's mid on ``device`` (load on first
-        use — a failover's re-load goes through this same timed path)."""
-        mid = self._mids.get(device)
-        if mid is None:
-            fs = self.system.filesystems[device]
-            if not fs.exists(MODULE_IMAGE_PATH):
-                write_module_image(fs, MODULE_IMAGE_PATH, NDP_MODULE)
-            mid = yield from self._ssd(device).loadModule(MODULE_IMAGE_PATH)
-            self._mids[device] = mid
-        return mid
+    def _context(self, device: int) -> NDPContext:
+        """``device``'s NDP machinery; its module loads on first use, so a
+        failover's re-load goes through the same timed path."""
+        context = self._contexts.get(device)
+        if context is None:
+            context = self._contexts[device] = NDPContext(self.system, device)
+        return context
 
     def _next_device(self, device: int) -> int:
         position = self.devices.index(device)
@@ -206,44 +175,22 @@ class ResilientScanDriver:
         if any(ckpt.ranges[i].committed_page > ckpt.ranges[i].first_page
                for i in pending):
             self.stats.resumes += 1
-        mid = yield from self._ensure_module(device)
-        ssd = self._ssd(device)
-        app = Application(ssd, "resilient-scan-d%d" % device)
-        try:
-            token = DeviceFile(ssd, spec.path, use_matcher=spec.use_matcher,
-                               cache_bypass=True)
-            ports = []
-            for index in pending:
-                r = ckpt.ranges[index]
-                job = {
-                    "page_rows": spec.page_rows,
-                    "prefilter": spec.prefilter,
-                    "predicate": spec.predicate,
-                    "out_idx": spec.out_idx,
-                    "page_size": spec.page_size,
-                    "batch_rows": spec.batch_rows,
-                    "first_page": r.committed_page,
-                    "num_pages": r.end_page - r.committed_page,
-                    "software_scan": not spec.use_matcher,
-                    "checkpoint_pages": self.policy.checkpoint_pages,
-                }
-                proxy = SSDLetProxy(app, mid, "idScanFilter", (token, job))
-                ports.append((index, app.connectTo(proxy.out(0), Packet)))
-            yield from app.start()
-            for index, port in ports:
-                while True:
-                    packet = yield from port.get_opt()
-                    if packet is None:
-                        break
-                    tag, batch, end_page = pickle.loads(packet.payload)
-                    assert tag == "rows"
-                    ckpt.stage(index, batch)
-                    if end_page is not None:
-                        ckpt.commit(index, end_page)
-            # Re-raises the first SSDlet failure into this fiber.
-            yield from app.wait()
-        finally:
-            app.stop()
+        context = self._context(device)
+        mid = yield from context._ensure_module()
+
+        def stage(slot: int, payload, _nbytes: int) -> None:
+            tag, batch, end_page = payload
+            assert tag == "rows"
+            ckpt.stage(pending[slot], batch)
+            if end_page is not None:
+                ckpt.commit(pending[slot], end_page)
+
+        ranges = [(ckpt.ranges[i].committed_page,
+                   ckpt.ranges[i].end_page - ckpt.ranges[i].committed_page)
+                  for i in pending]
+        yield from run_offloaded_scan(
+            context.ssd, mid, "resilient-scan-d%d" % device, spec,
+            ranges, stage, checkpoint_pages=self.policy.checkpoint_pages)
 
     def _note_device_error(self, device: int, error: DeviceError) -> None:
         self.stats.device_errors += 1

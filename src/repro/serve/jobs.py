@@ -35,8 +35,13 @@ from repro.apps.string_search import (
     MODULE_IMAGE_PATH as SEARCH_IMAGE_PATH,
     STRING_SEARCH_MODULE,
 )
-from repro.core import Application, DeviceFile, Packet, SSDLetProxy
-from repro.db.ndp import MODULE_IMAGE_PATH as NDP_IMAGE_PATH, NDP_MODULE
+from repro.core import Application, DeviceFile, SSDLetProxy
+from repro.db.ndp import (
+    MODULE_IMAGE_PATH as NDP_IMAGE_PATH,
+    NDP_MODULE,
+    ScanSpec,
+    run_offloaded_scan,
+)
 from repro.sim.engine import Event
 from repro.sim.units import KIB, MIB
 
@@ -258,6 +263,12 @@ def _table_predicate(row) -> bool:
     return row[1] < 13 and row[0] % 2 == 0
 
 
+TABLE_SCAN = ScanSpec(
+    path=TABLE_PATH, page_rows=_table_page_rows, prefilter=_table_prefilter,
+    predicate=_table_predicate, out_idx=[0], page_size=TABLE_PAGE_BYTES,
+    num_pages=TABLE_PAGES, batch_rows=128)
+
+
 class DbScanKind(JobKindBase):
     name = "db_scan"
     module = NDP_MODULE
@@ -278,40 +289,14 @@ class DbScanKind(JobKindBase):
         return params
 
     def run(self, server, mid: int, job: Job) -> Generator:
-        import pickle
-
         params = self.params_of(job)
-        app = Application(server.ssd, "serve-scan-%d" % job.job_id)
-        try:
-            # A serving scan is a streaming read: bypass the device cache so
-            # it cannot evict another tenant's hot working set.
-            token = DeviceFile(server.ssd, TABLE_PATH, use_matcher=True,
-                               cache_bypass=True)
-            scan_job = {
-                "page_rows": _table_page_rows,
-                "prefilter": _table_prefilter,
-                "predicate": _table_predicate,
-                "out_idx": [0],
-                "page_size": TABLE_PAGE_BYTES,
-                "batch_rows": 128,
-                "first_page": params["first_page"],
-                "num_pages": min(params["num_pages"],
-                                 TABLE_PAGES - params["first_page"]),
-            }
-            proxy = SSDLetProxy(app, mid, "idScanFilter", (token, scan_job))
-            port = app.connectTo(proxy.out(0), Packet)
-            yield from app.start()
-            rows = 0
-            while True:
-                packet = yield from port.get_opt()
-                if packet is None:
-                    break
-                rows += len(pickle.loads(packet.payload))
-            yield from app.wait()
-        except BaseException:
-            app.stop()
-            raise
-        return rows
+        batch_sizes = []
+        first_page = params["first_page"]
+        yield from run_offloaded_scan(
+            server.ssd, mid, "serve-scan-%d" % job.job_id, TABLE_SCAN,
+            [(first_page, min(params["num_pages"], TABLE_PAGES - first_page))],
+            lambda _index, batch, _nbytes: batch_sizes.append(len(batch)))
+        return sum(batch_sizes)
 
 
 #: The job-kind registry, keyed by kind name.  Iterate via

@@ -30,19 +30,18 @@ from repro.apps.pointer_chase import biscuit_pointer_chase, build_exact_graph
 from repro.apps.string_search import biscuit_string_search, install_weblog
 from repro.core.errors import DeviceError
 from repro.db.catalog import TableSchema
-from repro.db.executor import Engine, EngineConfig, ExecutionMode
+from repro.db.executor import Engine, EngineConfig, ExecutionMode, TableRef
 from repro.db.expr import (
     Arith, Between, Case, Cmp, Col, Const, Func, InList, Like, Logic, Not,
 )
 from repro.db.expr import compile_expr
-from repro.db.ndp import NDPContext, ndp_aggregate_supported
+from repro.db.ndp import NDPContext
 from repro.db.planner import NDPPlanner
 from repro.db.storage import Database
 from repro.host.platform import System
 from repro.resilience import (
-    HedgePolicy, RecoveryTracker, ResilientScanDriver, RetryPolicy,
+    HedgePolicy, RecoveryTracker, ResilientScanDriver, RetryPolicy, ScanSpec,
 )
-from repro.resilience.executor import ScanSpec
 from repro.sim.engine import all_of
 from repro.testing import strategies
 from repro.testing.faults import FaultInjector, StormInjector
@@ -203,34 +202,25 @@ def _make_engine(system: System, db: Database, mode: ExecutionMode) -> Engine:
     return engine
 
 
-def _query_fiber(engine: Engine, schema: TableSchema, query: Dict[str, Any]):
-    ref = engine.t(schema.name, query["pred"],
+def _query_fiber(site, schema: TableSchema, query: Dict[str, Any]):
+    """The case's query on a site's access paths (an Engine, or the fleet's
+    ClusterExecutor — same query shape either way)."""
+    ref = TableRef(schema.name, query["pred"],
                    list(query["cols"]) if query.get("cols") else None)
     if query["kind"] == "filter":
-        rel = yield from engine.fetch(ref)
+        rel = yield from site.fetch(ref)
         return rel.rows
-    aggs = query["aggs"]
-    group_by = list(query["group_by"])
-    if (engine.mode is ExecutionMode.BISCUIT
-            and engine.config.ndp_pushdown_aggregate
-            and ndp_aggregate_supported(aggs)):
-        decision = yield from engine.planner.decide(ref)
-        if decision.offload:
-            rel = yield from engine.ndp_context.ndp_aggregate(
-                engine, ref, decision, group_by, aggs)
-            return rel.rows
-    rel = yield from engine.fetch(ref)
-    rel = yield from engine.aggregate(rel, group_by, aggs)
+    rel = yield from site.scan_aggregate(
+        ref, list(query["group_by"]), query["aggs"])
     return rel.rows
 
 
-def _execute(system: System, engine: Engine, schema: TableSchema,
-             query: Dict[str, Any]):
-    """(rows, None) on success, (None, error) on a typed device failure."""
-    engine.begin_query()
+def _execute(host, site, schema: TableSchema, query: Dict[str, Any]):
+    """(rows, None) on success, (None, error) on a typed device failure;
+    ``host`` (a System or a ShardedFleet) runs the site's fiber."""
+    site.begin_query()
     try:
-        rows = system.run_fiber(_query_fiber(engine, schema, query))
-        return rows, None
+        return host.run_fiber(_query_fiber(site, schema, query)), None
     except DeviceError as exc:
         return None, exc
 
@@ -598,32 +588,6 @@ def run_resilient_sweep(seeds) -> List[CaseResult]:
 
 
 # -------------------------------------------------------------- sharded arm
-def _sharded_query_fiber(executor, schema: TableSchema, query: Dict[str, Any]):
-    """The scatter-gather twin of :func:`_query_fiber` (same query shape)."""
-    from repro.db.executor import TableRef
-
-    ref = TableRef(schema.name, query["pred"],
-                   list(query["cols"]) if query.get("cols") else None)
-    if query["kind"] == "filter":
-        rel = yield from executor.scatter_fetch(ref)
-        return rel.rows
-    rel = yield from executor.scatter_aggregate(
-        ref, list(query["group_by"]), query["aggs"])
-    return rel.rows
-
-
-def _execute_sharded(fleet, executor, schema: TableSchema,
-                     query: Dict[str, Any]):
-    """(rows, None) on success, (None, error) on a typed device failure."""
-    fleet.begin_query()
-    try:
-        rows = fleet.run_fiber(_sharded_query_fiber(executor, schema, query),
-                               name="sharded-case")
-        return rows, None
-    except DeviceError as exc:
-        return None, exc
-
-
 def run_case_sharded(seed: int) -> CaseResult:
     """One seeded case run across the sharded fleet, judged row-identical
     (after canonical ordering) against the single-device BISCUIT arm and
@@ -668,7 +632,7 @@ def run_case_sharded(seed: int) -> CaseResult:
         hedge=(HedgePolicy(default_us=layout["hedge_default_us"])
                if layout["hedge"] else None),
     )
-    sharded = _execute_sharded(fleet, executor, schema, query)
+    sharded = _execute(fleet, executor, schema, query)
 
     detail = ""
     if layout["crash_primary"]:

@@ -84,6 +84,26 @@ def test_pushdown_not_slower(tpch_engines):
     assert with_push_s <= without_push_s * 1.2
 
 
+def test_software_scan_slower_than_matcher(tpch_engines):
+    """ScanAggregate pays the same device software-scan charge ScanFilter
+    does (tests/db/test_planner_ndp.py has the filter twin)."""
+    _, biscuit = tpch_engines
+    statement = """
+        SELECT COUNT(*) AS n, SUM(l_quantity) AS qty FROM lineitem
+        WHERE l_shipdate = '1995-01-17'
+    """
+    rel, with_matcher_s = run_sql(biscuit, statement)
+    assert biscuit.ndp_scans == 1
+    biscuit.config.ndp_use_matcher = False
+    try:
+        software_rel, without_matcher_s = run_sql(biscuit, statement)
+    finally:
+        biscuit.config.ndp_use_matcher = True
+    assert biscuit.ndp_scans == 1  # still pushed down, just without the IP
+    assert software_rel.rows == rel.rows
+    assert without_matcher_s > 2 * with_matcher_s
+
+
 def test_count_distinct_falls_back(tpch_engines):
     conv, biscuit = tpch_engines
     statement = """

@@ -178,3 +178,47 @@ def test_ndp_scan_empty_result(tpch_engines):
     host_rel = fetch_rows(conv, pred, ["l_orderkey"])
     ndp_rel = fetch_rows(biscuit, pred, ["l_orderkey"])
     assert len(host_rel) == len(ndp_rel) == 0
+
+
+@pytest.mark.parametrize("path", ["ndp_scan", "ndp_aggregate"])
+def test_device_error_mid_scan_gives_the_data_channels_back(path):
+    # Same probe as test_hedged_kv_batches_give_their_data_channels_back:
+    # both drivers go through run_offloaded_scan, whose stop() must run when
+    # an SSDlet dies under it, or each failed scan keeps its ports' channels.
+    from repro.core.errors import DeviceError
+    from repro.db.catalog import Column, TableSchema
+    from repro.db.storage import Database
+    from repro.host.platform import System
+    from repro.testing.faults import Fault, ScriptedInjector
+
+    system = System()
+    db = Database(system.fs)
+    db.load_table(
+        TableSchema("t", [Column("id", "int"), Column("pad", "str")]),
+        [(i, "x" * 100) for i in range(20000)])
+    engine = create_engine(system, db, ExecutionMode.BISCUIT)
+    engine.config.ndp_selectivity_threshold = 1.1  # always worth offloading
+
+    def run():
+        engine.begin_query()
+        ref = engine.t("t", lt(col("id"), 500), ["id"])
+        if path == "ndp_scan":
+            return system.run_fiber(engine.fetch(ref))
+        return system.run_fiber(
+            engine.scan_aggregate(ref, [], [("n", "count", None)]))
+
+    probe = ScriptedInjector({})
+    system.device.attach_fault_injector(probe)
+    clean = run()
+    assert engine.ndp_scans == 1 and len(clean) in (1, 500)
+    # Every read from the middle of the next run on is uncorrectable.
+    middle = probe.reads_seen // 2
+    dying = ScriptedInjector({ordinal: Fault("uncorrectable")
+                              for ordinal in range(middle, middle + 4000)})
+    system.device.attach_fault_injector(dying)
+    with pytest.raises(DeviceError):
+        run()
+    assert dying.faults_injected and engine.ndp_scans == 0
+    assert engine.ndp_context.ssd.channels.data_channels._in_use == 0
+    system.device.attach_fault_injector(None)
+    assert run().rows == clean.rows  # and the pool still serves a scan

@@ -56,6 +56,10 @@ def test_parse_errors():
         parse("SELECT a FROM t WHERE")
     with pytest.raises(SqlError):
         parse("SELECT a FROM t extra")
+    with pytest.raises(SqlError):
+        parse("SELECT a FROM t LIMIT 2.5")  # not a bare ValueError
+    with pytest.raises(SqlError):
+        parse("SELECT a FROM t LIMIT 1e3")
 
 
 # ---------------------------------------------------------------- execution

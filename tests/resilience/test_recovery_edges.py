@@ -159,3 +159,23 @@ def test_stalled_primary_loses_hedge_and_is_interrupted_mid_io():
     assert hedge.hedge_wins >= 1
     assert driver.stats.gave_up == 0
     assert injectors[0].faults_injected >= 1  # the primary really stalled
+
+
+def test_attempts_that_die_mid_scan_give_their_data_channels_back():
+    # Every attempt is one repro.db.ndp.run_offloaded_scan; the ones killed
+    # mid-stream must stop their application, or each keeps a data channel
+    # per range (same probe as
+    # test_hedged_kv_batches_give_their_data_channels_back).
+    expected, total_reads = _clean_reference()
+    middle = total_reads // 2
+    rows, driver, injectors = _run_scan(
+        script0={ordinal: Fault("uncorrectable")
+                 for ordinal in range(middle, middle + 3)},
+        policy=RetryPolicy(checkpoint_pages=1, failover=False),
+    )
+    assert rows == expected
+    assert injectors[0].faults_injected and driver.stats.device_errors >= 1
+    assert driver.stats.resumes >= 1  # the error landed mid-scan
+    assert driver._contexts and not any(
+        context.ssd.channels.data_channels._in_use
+        for context in driver._contexts.values())

@@ -146,3 +146,32 @@ def test_without_resilience_device_errors_fail_fast():
     run_to_drain(system, manager)
     assert job.state == JobState.FAILED
     assert system.metrics.counter("serve.tenant.a.retries").value == 0
+
+
+def test_failed_db_scan_gives_its_data_channel_back():
+    # The db_scan kind runs on repro.db.ndp.run_offloaded_scan; a device
+    # error under it must not strand the scan's data channel (same probe as
+    # test_hedged_kv_batches_give_their_data_channels_back).
+    from repro.core.errors import DeviceError
+
+    system, manager = make_manager(num_ssds=1)
+
+    def run_one():
+        job = manager.submit(JobSpec(tenant="a", kind="db_scan"))[1]
+        run_to_drain(system, manager)
+        return job
+
+    probe = ScriptedInjector({})
+    system.devices[0].attach_fault_injector(probe)
+    assert run_one().state == JobState.DONE
+    # Every read from the middle of the next job on is uncorrectable.
+    middle = probe.reads_seen // 2
+    dying = ScriptedInjector({ordinal: Fault("uncorrectable")
+                              for ordinal in range(middle, middle + 4000)})
+    system.devices[0].attach_fault_injector(dying)
+    failed = run_one()
+    assert failed.state == JobState.FAILED
+    assert isinstance(failed.error, DeviceError) and dying.faults_injected
+    assert manager.servers[0].ssd.channels.data_channels._in_use == 0
+    system.devices[0].attach_fault_injector(None)
+    assert run_one().state == JobState.DONE
