@@ -35,8 +35,9 @@ bench:
 resilience:
 	PYTHONPATH=src $(PYTHON) -m repro.bench resilience
 
-# Simulator throughput: fused fast path on vs off across three workload
-# shapes.  Emits BENCH_sim_throughput.json (deterministic except "wall").
+# Simulator event counts: fused fast path on vs off across three workload
+# shapes.  Emits BENCH_sim_throughput.json (every number simulated; CI
+# `cmp`s a fresh run against the committed copy).
 sim-throughput:
 	PYTHONPATH=src $(PYTHON) -m repro.bench sim_throughput
 

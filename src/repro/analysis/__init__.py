@@ -12,9 +12,10 @@ runtime (or never):
   ``verify="strict"`` refuses to start a broken graph).
 
 * **Determinism lint suite** (``python -m repro.analysis``, rules
-  RPR001-RPR006) — walks source ASTs and flags wall-clock reads, unseeded
+  RPR001-RPR007) — walks source ASTs and flags wall-clock reads, unseeded
   randomness, hash-ordered iteration, unit-suffix violations, blocking I/O
-  in fibers and discarded simulator events.  ``# repro: noqa RPRxxx``
+  in fibers, discarded simulator events and ``eval``/``exec`` outside the
+  kernel generator.  ``# repro: noqa RPRxxx``
   waives a finding on its line.
 
 * **Interleaving sanitizer** (:mod:`repro.analysis.races`) — two-sided.

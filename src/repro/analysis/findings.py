@@ -111,6 +111,15 @@ LINT_RULES: List[Rule] = [
         "continues at the wrong simulated time and failures go unobserved. "
         "Yield it, assign it, or waive explicitly.",
     ),
+    Rule(
+        "RPR007",
+        "generated code runs only through the kernel generator",
+        "eval, exec and compile turn strings into behaviour no other rule, "
+        "type check or grep can see. repro.db.kernels is the one module that "
+        "may call them: it binds every constant by name (so no value is ever "
+        "spliced into source text, and the text is hash-seed independent) and "
+        "keeps each kernel's source on the function for --explain.",
+    ),
 ]
 
 #: SSDlet cooperative-scheduling lint rules (also checked by the AST pass).

@@ -1,4 +1,4 @@
-"""AST lint rules RPR001-RPR006 and RPR2xx: simulator invariants.
+"""AST lint rules RPR001-RPR007 and RPR2xx: simulator invariants.
 
 One pass over a module's AST checks every rule; each checker is a method of
 :class:`_LintVisitor`.  The rules exist because the simulator's contract is
@@ -14,6 +14,7 @@ Rules (catalogue and rationale in :mod:`repro.analysis.findings`):
 * RPR004 — time-unit discipline (unit suffixes, mixed-unit arithmetic).
 * RPR005 — blocking I/O inside generator fibers.
 * RPR006 — simulator events created and discarded without being awaited.
+* RPR007 — ``eval``/``exec``/``compile`` outside the kernel generator.
 * RPR201 — SSDlet ``run()`` bodies that never yield (core monopolization).
 """
 
@@ -30,6 +31,8 @@ __all__ = ["check_module", "RULE_SCOPES"]
 RULE_SCOPES: Dict[str, Tuple[str, ...]] = {
     # instrument/ measures the simulator itself (wall-clock is its job).
     "RPR001": ("instrument",),
+    # The one module that executes generated source (batch kernels, codecs).
+    "RPR007": ("db/kernels.py",),
 }
 
 _WALL_CLOCK_CALLS = frozenset({
@@ -176,7 +179,7 @@ class _LintVisitor(ast.NodeVisitor):
         normalized = path.replace("\\", "/")
         self._skip_rules: Set[str] = {
             rule_id for rule_id, fragments in RULE_SCOPES.items()
-            if any("/%s/" % frag in "/" + normalized for frag in fragments)
+            if any("/%s/" % frag in "/%s/" % normalized for frag in fragments)
         }
 
     # ------------------------------------------------------------- plumbing
@@ -282,6 +285,7 @@ class _LintVisitor(ast.NodeVisitor):
         if dotted is not None:
             self._check_wall_clock(dotted, node)
             self._check_randomness(dotted, node)
+            self._check_dynamic_code(dotted, node)
             if self._generator_depth > 0:
                 self._check_blocking(dotted, node)
         self.generic_visit(node)
@@ -320,6 +324,15 @@ class _LintVisitor(ast.NodeVisitor):
                 "RPR002",
                 "numpy.random.%s() uses the global (or unseeded) NumPy "
                 "stream; use numpy.random.default_rng(seed)" % fn,
+                node,
+            )
+
+    def _check_dynamic_code(self, dotted: str, node: ast.Call) -> None:
+        if dotted in ("eval", "exec", "compile"):
+            self._emit(
+                "RPR007",
+                "%s() outside repro.db.kernels; emit source through "
+                "kernels.build so generated code has one audited entry" % dotted,
                 node,
             )
 

@@ -33,7 +33,7 @@ EXPERIMENTS = {
     "serve": ("Serving — saturation sweep + fairness", experiments.exp_serve_saturation, False),
     "resilience": ("Resilience — SQL under a seeded fault storm", exp_resilience, False),
     "cluster": ("Cluster — sharded scatter-gather SQL + crash storm", exp_cluster, True),
-    "sim_throughput": ("Simulator — events/sec with the fused fast path", exp_sim_throughput, False),
+    "sim_throughput": ("Simulator — events processed with the fused fast path on vs off", exp_sim_throughput, False),
 }
 
 

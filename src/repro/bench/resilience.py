@@ -148,8 +148,8 @@ def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
         queries.append((column, modulus, residue))
 
     def make_predicate(column: int, modulus: int, residue: int):
-        def predicate(row):
-            return row[column] % modulus == residue
+        def predicate(rows):
+            return [row for row in rows if row[column] % modulus == residue]
         return predicate
 
     latencies_us: List[float] = []
@@ -166,7 +166,7 @@ def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
                     storage, page_no),
                 prefilter=predicate,
                 predicate=predicate,
-                out_idx=[0, 1, 2],
+                project=list,
                 page_size=storage.page_size,
                 num_pages=storage.num_pages,
                 workers=2,
@@ -184,7 +184,7 @@ def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
                             + replica_injector.faults_injected)
             if faults_after > faults_before:
                 faulted_queries += 1
-            expected = [row for row in rows if predicate(row)]
+            expected = predicate(rows)
             if got != expected:
                 wrong_results += 1
 

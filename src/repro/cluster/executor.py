@@ -225,10 +225,7 @@ class ClusterExecutor(RelOps):
             rel = yield from self.aggregate(rel, group_by, aggs)
             return rel
 
-        schema = self.fleet.engine(
-            self.fleet.catalog.primary_for(0)).db.table(ref.name).schema
-        positions = {name: i for i, name in enumerate(schema.column_names())}
-        device_aggs, layout, kinds = plan_device_aggs(aggs, positions)
+        device_aggs, layout, kinds = plan_device_aggs(aggs)
         shards = self.target_shards(ref)
 
         def work_factory(shard: int) -> Callable[[StorageNode], Generator]:

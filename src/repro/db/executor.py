@@ -23,10 +23,12 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
+from repro.db import kernels
 from repro.db.catalog import TableSchema
-from repro.db.expr import Expr, compile_expr, columns_of
+from repro.db.expr import Col, Expr
 from repro.db.storage import Database, TableStorage, decode_rows
 from repro.host.platform import System
 from repro.sim.engine import all_of
@@ -34,7 +36,7 @@ from repro.sim.engine import all_of
 __all__ = [
     "Engine", "EngineConfig", "ExecutionMode", "Rel", "TableRef",
     "aggregate_rows", "ndp_aggregate_supported", "plan_device_aggs",
-    "update_agg_states", "merge_agg_states", "finalize_agg_rel",
+    "merge_agg_states", "finalize_agg_rel",
 ]
 
 
@@ -152,18 +154,15 @@ class RelOps:
 
     def filter(self, rel: Rel, pred: Expr) -> Generator:
         """Fiber: filter a materialized relation."""
-        fn = compile_expr(pred, rel.positions)
+        keep = kernels.select(rel.positions, pred)
         yield from self._charge(len(rel) * self.config.host_row_us)
-        return Rel(rel.columns, [row for row in rel.rows if fn(row)])
+        return Rel(rel.columns, keep(rel.rows))
 
     def project(self, rel: Rel, exprs: List[Tuple[str, Expr]]) -> Generator:
         """Fiber: compute named expressions per row."""
-        fns = [(name, compile_expr(expr, rel.positions)) for name, expr in exprs]
+        compute = kernels.select(rel.positions, None, [expr for _, expr in exprs])
         yield from self._charge(len(rel) * self.config.host_row_us)
-        return Rel(
-            [name for name, _ in fns],
-            [tuple(fn(row) for _, fn in fns) for row in rel.rows],
-        )
+        return Rel([name for name, _ in exprs], compute(rel.rows))
 
     def aggregate(
         self,
@@ -183,8 +182,7 @@ class RelOps:
         """Fiber: order by (column, descending?) pairs, optional limit."""
         rows = list(rel.rows)
         for column, descending in reversed(keys):
-            position = rel.position(column)
-            rows.sort(key=lambda row: row[position], reverse=descending)
+            rows.sort(key=itemgetter(rel.position(column)), reverse=descending)
         yield from self._charge(len(rows) * self.config.host_agg_row_us)
         if limit is not None:
             rows = rows[:limit]
@@ -302,30 +300,44 @@ class Engine(RelOps):
         the two folds are not interchangeable — :func:`aggregate_rows`
         starts sums at ``0.0``, device-format states at the first value.
         """
+        decision = yield from self.aggregate_offload(ref, aggs)
+        if decision is not None:
+            result = yield from self.ndp_context.ndp_aggregate(
+                self, ref, decision, group_by, aggs, raw)
+            return result
+        rel = yield from self.fetch(ref)
+        yield from self._charge(len(rel) * self.config.host_agg_row_us)
+        if not raw:
+            return aggregate_rows(rel, group_by, aggs)
+        device_aggs, _layout, _kinds = plan_device_aggs(aggs)
+        fold = kernels.fold(rel.positions, [rel.position(c) for c in group_by],
+                            device_aggs, seeded=False)
+        return fold({}, rel.rows)
+
+    def aggregate_offload(self, ref: TableRef, aggs) -> Generator:
+        """Fiber: the planner's decision when :meth:`scan_aggregate` pushes
+        this aggregate down to the device, None when it folds on the host."""
         if (ref.pred is not None and self.ndp_context is not None
                 and self.config.ndp_pushdown_aggregate
                 and ndp_aggregate_supported(aggs)):
             decision = yield from self.planner.peek(ref)
             if decision.offload:
-                result = yield from self.ndp_context.ndp_aggregate(
-                    self, ref, decision, group_by, aggs, raw)
-                return result
-        rel = yield from self.fetch(ref)
-        yield from self._charge(len(rel) * self.config.host_agg_row_us)
-        if not raw:
-            return aggregate_rows(rel, group_by, aggs)
-        device_aggs, _layout, _kinds = plan_device_aggs(aggs, rel.positions)
-        return update_agg_states(
-            {}, rel.rows, [rel.position(c) for c in group_by], device_aggs)
+                return decision
+        return None
+
+    def scan_kernel(self, ref: TableRef):
+        """``(output columns, kernel)``: ``ref``'s filter and projection
+        fused into one pass over a page of the table's stored rows."""
+        schema = self.db.table(ref.name).schema
+        positions = {name: i for i, name in enumerate(schema.column_names())}
+        out_cols = ref.cols or schema.column_names()
+        return out_cols, kernels.select(
+            positions, ref.pred, [Col(c) for c in out_cols])
 
     def _host_scan(self, ref: TableRef) -> Generator:
         """Fiber: full host-side scan with readahead, filter, project."""
         storage = self.db.table(ref.name)
-        schema = storage.schema
-        positions = {name: i for i, name in enumerate(schema.column_names())}
-        pred_fn = compile_expr(ref.pred, positions) if ref.pred is not None else None
-        out_cols = ref.cols or schema.column_names()
-        out_idx = [positions[c] for c in out_cols]
+        out_cols, scan = self.scan_kernel(ref)
         handle = self.system.open_host(storage.path)
         page_size = storage.page_size
         chunk_pages = self.config.scan_chunk_pages
@@ -357,9 +369,7 @@ class Engine(RelOps):
             for page_no in range(offset_pages, offset_pages + take):
                 page_rows = self.table_page_rows(ref.name, page_no)
                 chunk_rows += len(page_rows)
-                for row in page_rows:
-                    if pred_fn is None or pred_fn(row):
-                        rows_out.append(tuple(row[i] for i in out_idx))
+                rows_out += scan(page_rows)
             yield from self._charge(chunk_rows * self.config.host_row_us)
             offset_pages = next_offset
         return Rel(out_cols, rows_out)
@@ -450,17 +460,10 @@ class Engine(RelOps):
         """Fiber: index-nested-loop join; inner data pages fetched per key
         through the buffer pool (host preads on miss)."""
         inner = self.db.table(inner_ref.name)
-        schema = inner.schema
-        inner_positions = {name: i for i, name in enumerate(schema.column_names())}
-        inner_pred_fn = (
-            compile_expr(inner_ref.pred, inner_positions)
-            if inner_ref.pred is not None else None
-        )
-        key_pos = inner_positions[inner_key]
+        probe = kernels.probe(inner.schema.position(inner_key))
         driving_key_pos = driving.position(driving_key)
-        inner_cols = inner_ref.cols or schema.column_names()
-        inner_idx = [inner_positions[c] for c in inner_cols]
-        out_columns, merge = self._merge_plan(driving.columns, inner_cols, cols)
+        inner_cols, scan = self.scan_kernel(inner_ref)
+        out_columns, merge = kernels.merge(driving.columns, inner_cols, cols)
         handle = self.system.open_host(inner.path)
         page_size = inner.page_size
         out_rows: List[tuple] = []
@@ -482,13 +485,9 @@ class Engine(RelOps):
                     self.host_pages_read += 1
                     cached = self.table_page_rows(inner_ref.name, page_no)
                     self.pool.put(pool_key, cached)
-                for inner_row in cached:
-                    if inner_row[key_pos] != key:
-                        continue
-                    probed_cpu_rows += 1
-                    if inner_pred_fn is not None and not inner_pred_fn(inner_row):
-                        continue
-                    out_rows.append(merge(row, tuple(inner_row[i] for i in inner_idx)))
+                matched = probe(cached, key)
+                probed_cpu_rows += len(matched)
+                out_rows += merge((row,), scan(matched))
             if probes % 1024 == 0:
                 yield from self._charge(
                     1024 * self.config.probe_overhead_us
@@ -512,70 +511,26 @@ class Engine(RelOps):
         """Fiber: in-memory hash join (build on the smaller side)."""
         if len(right) < len(left):
             # Build on right, probe with left (output order: left ++ right).
-            build, probe = right, left
-            build_key, probe_key = right_key, left_key
-            probe_is_left = True
+            build, build_key, probe = right, right_key, left
+            probing = ("l", left.position(left_key))
         else:
-            build, probe = left, right
-            build_key, probe_key = left_key, right_key
-            probe_is_left = False
+            build, build_key, probe = left, left_key, right
+            probing = ("r", right.position(right_key))
         build_pos = build.position(build_key)
-        probe_pos = probe.position(probe_key)
         table: Dict[Any, List[tuple]] = {}
         for row in build.rows:
             table.setdefault(row[build_pos], []).append(row)
-        out_columns, merge = self._merge_plan(left.columns, right.columns, cols)
-        out_rows: List[tuple] = []
-        matched = 0
-        for row in probe.rows:
-            for other in table.get(row[probe_pos], ()):
-                matched += 1
-                if probe_is_left:
-                    out_rows.append(merge(row, other))
-                else:
-                    out_rows.append(merge(other, row))
+        out_columns, merge = kernels.merge(
+            left.columns, right.columns, cols, probing=probing)
+        if probing[0] == "l":
+            out_rows = merge(left.rows, table)
+        else:
+            out_rows = merge(table, right.rows)
         yield from self._charge(
-            (len(build) + len(probe) + matched) * self.config.host_join_row_us
+            (len(build) + len(probe) + len(out_rows))
+            * self.config.host_join_row_us
         )
         return Rel(out_columns, out_rows)
-
-    def _merge_plan(
-        self,
-        left_cols: Sequence[str],
-        right_cols: Sequence[str],
-        want: Optional[List[str]],
-    ) -> Tuple[List[str], Callable[[tuple, tuple], tuple]]:
-        """Column layout + row-merge function for join outputs.
-
-        Duplicate column names keep the left side's copy (TPC-H column names
-        are globally unique, so this only matters for self-joins, which
-        rename first).
-        """
-        merged: List[str] = list(left_cols)
-        right_keep = [c for c in right_cols if c not in merged]
-        merged.extend(right_keep)
-        if want is None:
-            right_take = [right_cols.index(c) for c in right_keep]
-
-            def merge_all(lrow: tuple, rrow: tuple) -> tuple:
-                return lrow + tuple(rrow[i] for i in right_take)
-
-            return merged, merge_all
-        left_map = {c: i for i, c in enumerate(left_cols)}
-        right_map = {c: i for i, c in enumerate(right_cols)}
-        plan: List[Tuple[bool, int]] = []
-        for column in want:
-            if column in left_map:
-                plan.append((True, left_map[column]))
-            elif column in right_map:
-                plan.append((False, right_map[column]))
-            else:
-                raise KeyError("join output column %r not available" % column)
-
-        def merge_some(lrow: tuple, rrow: tuple) -> tuple:
-            return tuple(lrow[i] if from_left else rrow[i] for from_left, i in plan)
-
-        return list(want), merge_some
 
     # -------------------------------------------------------------- multi-join
     def multi_join(
@@ -634,9 +589,9 @@ class Engine(RelOps):
         if pending:
             raise ValueError("unsatisfiable join conditions: %r" % pending)
         if cols is not None:
-            idx = [current.position(c) for c in cols]
+            take = kernels.select(current.positions, None, [Col(c) for c in cols])
             yield from self._charge(len(current) * 0.05)
-            current = Rel(cols, [tuple(row[i] for i in idx) for row in current.rows])
+            current = Rel(cols, take(current.rows))
         return current
 
     def _join_order(self, refs: List[Union[TableRef, Rel]]) -> Generator:
@@ -686,12 +641,11 @@ class Engine(RelOps):
         return current, still
 
     def _cartesian(self, left: Rel, right: Rel) -> Generator:
-        out_columns, merge = self._merge_plan(left.columns, right.columns, None)
+        out_columns, merge = kernels.merge(left.columns, right.columns)
         yield from self._charge(
             len(left) * len(right) * self.config.host_join_row_us
         )
-        rows = [merge(l, r) for l in left.rows for r in right.rows]
-        return Rel(out_columns, rows)
+        return Rel(out_columns, merge(left.rows, right.rows))
 
     # -------------------------------------------------------------- operators
     def rename(self, rel: Rel, mapping: Dict[str, str]) -> Rel:
@@ -705,7 +659,8 @@ class Engine(RelOps):
     def semi_join(self, rel: Rel, key: str, keys_rel: Rel, keys_col: str,
                   anti: bool = False) -> Generator:
         """Fiber: EXISTS / NOT EXISTS against a key set."""
-        key_set = {row[keys_rel.position(keys_col)] for row in keys_rel.rows}
+        keys_position = keys_rel.position(keys_col)
+        key_set = {row[keys_position] for row in keys_rel.rows}
         position = rel.position(key)
         yield from self._charge(
             (len(rel) + len(keys_rel)) * self.config.host_join_row_us
@@ -720,22 +675,12 @@ class Engine(RelOps):
         """Fiber: distinct rows (optionally on a column subset)."""
         yield from self._charge(len(rel) * self.config.host_agg_row_us)
         if cols is None:
-            seen = set()
-            rows = []
-            for row in rel.rows:
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
-            return Rel(rel.columns, rows)
-        idx = [rel.position(c) for c in cols]
-        seen = set()
-        rows = []
-        for row in rel.rows:
-            key = tuple(row[i] for i in idx)
-            if key not in seen:
-                seen.add(key)
-                rows.append(key)
-        return Rel(cols, rows)
+            columns, rows = rel.columns, rel.rows
+        else:
+            take = kernels.select(rel.positions, None, [Col(c) for c in cols])
+            columns, rows = cols, take(rel.rows)
+        # dict.fromkeys keeps the first occurrence of each row, in order.
+        return Rel(columns, list(dict.fromkeys(rows)))
 
 
 def aggregate_rows(
@@ -748,49 +693,13 @@ def aggregate_rows(
     The computation behind :meth:`Engine.aggregate`, shared with the
     cluster coordinator, which charges its own CPU for the fold.
     """
-    group_idx = [rel.position(c) for c in group_by]
-    agg_fns = []
-    for name, kind, expr in aggs:
-        fn = compile_expr(expr, rel.positions) if expr is not None else None
-        agg_fns.append((name, kind, fn))
-    groups: Dict[tuple, list] = {}
-    for row in rel.rows:
-        key = tuple(row[i] for i in group_idx)
-        state = groups.get(key)
-        if state is None:
-            state = []
-            for _, kind, _fn in agg_fns:
-                if kind == "count":
-                    state.append(0)
-                elif kind == "avg":
-                    state.append([0.0, 0])
-                elif kind == "count_distinct":
-                    state.append(set())
-                elif kind in ("min", "max"):
-                    state.append(None)
-                else:
-                    state.append(0.0)
-            groups[key] = state
-        for slot, (_, kind, fn) in enumerate(agg_fns):
-            if kind == "count":
-                state[slot] += 1
-                continue
-            value = fn(row)
-            if kind == "sum":
-                state[slot] += value
-            elif kind == "avg":
-                state[slot][0] += value
-                state[slot][1] += 1
-            elif kind == "min":
-                state[slot] = value if state[slot] is None else min(state[slot], value)
-            elif kind == "max":
-                state[slot] = value if state[slot] is None else max(state[slot], value)
-            elif kind == "count_distinct":
-                state[slot].add(value)
+    fold = kernels.fold(rel.positions, [rel.position(c) for c in group_by],
+                        aggs, seeded=True)
+    groups: Dict[tuple, list] = fold({}, rel.rows)
     out_rows = []
     for key, state in groups.items():
         values = []
-        for slot, (_, kind, _fn) in enumerate(agg_fns):
+        for slot, (_, kind, _expr) in enumerate(aggs):
             if kind == "avg":
                 total, count = state[slot]
                 values.append(total / count if count else 0.0)
@@ -821,13 +730,15 @@ def ndp_aggregate_supported(aggs) -> bool:
 
 def plan_device_aggs(
     aggs: List[Tuple[str, str, Optional[Expr]]],
-    positions: Dict[str, int],
 ) -> Tuple[list, list, list]:
     """Decompose (name, kind, expr) aggregates into device state slots.
 
     Returns ``(device_aggs, layout, kinds)``: ``device_aggs`` are the
-    per-slot specs the SSDlet executes (``avg`` decomposed into sum+count
-    slots), ``layout`` maps each output aggregate back onto its slot(s) —
+    per-slot (name, kind, expr) specs (``avg`` decomposed into sum+count
+    slots) that ``kernels.fold(..., seeded=False)`` compiles into the state
+    update — the same kernel on the ScanAggregate SSDlet and on a shard that
+    falls back to a host-side scan, so the coordinator merges either;
+    ``layout`` maps each output aggregate back onto its slot(s) —
     ``("direct", slot)`` or ``("avg", sum_slot, count_slot)`` — and
     ``kinds`` drive :func:`merge_agg_states`.
     """
@@ -835,47 +746,16 @@ def plan_device_aggs(
     layout: list = []
     kinds: list = []
     for name, kind, expr in aggs:
-        value_fn = compile_expr(expr, positions) if expr is not None else None
         if kind == "avg":
             layout.append(("avg", len(device_aggs), len(device_aggs) + 1))
-            device_aggs.append((name + "_sum", "sum", value_fn))
+            device_aggs.append((name + "_sum", "sum", expr))
             device_aggs.append((name + "_count", "count", None))
             kinds.extend(["sum", "count"])
         else:
             layout.append(("direct", len(device_aggs)))
-            device_aggs.append((name, kind, value_fn))
+            device_aggs.append((name, kind, expr))
             kinds.append(kind)
     return device_aggs, layout, kinds
-
-
-def update_agg_states(states: dict, rows, group_idx: List[int],
-                      device_aggs: list) -> dict:
-    """Fold rows into per-group device-format states (pure, no timing).
-
-    Mirrors the ScanAggregate SSDlet's state update exactly, so a shard
-    that falls back to a host-side scan still produces partials the
-    coordinator can merge with device-reduced ones.
-    """
-    for row in rows:
-        key = tuple(row[i] for i in group_idx)
-        state = states.get(key)
-        if state is None:
-            state = [None] * len(device_aggs)
-            states[key] = state
-        for slot, (_name, kind, value_fn) in enumerate(device_aggs):
-            if kind == "count":
-                state[slot] = (state[slot] or 0) + 1
-                continue
-            value = value_fn(row)
-            if state[slot] is None:
-                state[slot] = value
-            elif kind == "sum":
-                state[slot] += value
-            elif kind == "min":
-                state[slot] = min(state[slot], value)
-            elif kind == "max":
-                state[slot] = max(state[slot], value)
-    return states
 
 
 def merge_agg_states(total: dict, partial: dict, kinds) -> None:

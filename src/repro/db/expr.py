@@ -1,8 +1,8 @@
-"""Predicate/expression AST, compilation, and matcher-offload analysis.
+"""Predicate/expression AST and matcher-offload analysis.
 
-Expressions compile to plain Python closures over row tuples (positions
-resolved once), which keeps the value-level executor fast enough to run
-TPC-H at test scale.
+Expressions are plain frozen dataclasses; :mod:`repro.db.kernels` turns one
+into generated Python — :func:`compile_expr` (re-exported here) for a single
+row, batch kernels for a page of them.
 
 Offload analysis mirrors Section V-C: the planner needs to know whether a
 table filter is "amenable for offloading" given the hardware pattern
@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+from repro.db.kernels import compile_expr
 
 __all__ = [
     "Expr", "Col", "Const", "Cmp", "Logic", "Not", "Between", "InList",
@@ -28,9 +30,6 @@ __all__ = [
     "compile_expr", "columns_of", "MatcherFilter", "matcher_filter",
     "matcher_candidates",
 ]
-
-RowFn = Callable[[Tuple[Any, ...]], Any]
-
 
 class Expr:
     """Base expression node."""
@@ -221,111 +220,6 @@ def year_of(arg) -> Func:
 def substring(arg, start: int, length: int) -> Func:
     """SUBSTRING(str, start, length) — 1-based start, as in SQL."""
     return Func("substring", (_wrap(arg), Const(start), Const(length)))
-
-
-# -------------------------------------------------------------- compilation
-def _like_regex(pattern: str) -> "re.Pattern":
-    out = "^"
-    for char in pattern:
-        if char == "%":
-            out += ".*"
-        elif char == "_":
-            out += "."
-        else:
-            out += re.escape(char)
-    return re.compile(out + "$", re.DOTALL)
-
-
-_CMP_FNS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-_ARITH_FNS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-}
-
-
-def compile_expr(expr: Expr, positions: Dict[str, int]) -> RowFn:
-    """Compile an expression into ``fn(row_tuple) -> value``."""
-    if isinstance(expr, Col):
-        try:
-            index = positions[expr.name]
-        except KeyError:
-            raise KeyError(
-                "column %r not in relation %s" % (expr.name, sorted(positions))
-            ) from None
-        return lambda row: row[index]
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, Cmp):
-        fn = _CMP_FNS[expr.op]
-        left = compile_expr(expr.left, positions)
-        right = compile_expr(expr.right, positions)
-        return lambda row: fn(left(row), right(row))
-    if isinstance(expr, Logic):
-        parts = [compile_expr(arg, positions) for arg in expr.args]
-        if expr.op == "and":
-            return lambda row: all(part(row) for part in parts)
-        return lambda row: any(part(row) for part in parts)
-    if isinstance(expr, Not):
-        inner = compile_expr(expr.arg, positions)
-        return lambda row: not inner(row)
-    if isinstance(expr, Between):
-        column = compile_expr(expr.column, positions)
-        low = compile_expr(expr.low, positions)
-        high = compile_expr(expr.high, positions)
-        return lambda row: low(row) <= column(row) < high(row)
-    if isinstance(expr, InList):
-        column = compile_expr(expr.column, positions)
-        values = frozenset(expr.values)
-        return lambda row: column(row) in values
-    if isinstance(expr, Like):
-        column = compile_expr(expr.column, positions)
-        regex = _like_regex(expr.pattern)
-        if expr.negated:
-            return lambda row: regex.match(column(row)) is None
-        return lambda row: regex.match(column(row)) is not None
-    if isinstance(expr, Arith):
-        fn = _ARITH_FNS[expr.op]
-        left = compile_expr(expr.left, positions)
-        right = compile_expr(expr.right, positions)
-        return lambda row: fn(left(row), right(row))
-    if isinstance(expr, Case):
-        whens = [
-            (compile_expr(cond, positions), compile_expr(value, positions))
-            for cond, value in expr.whens
-        ]
-        default = compile_expr(expr.default, positions)
-
-        def run_case(row):
-            for cond, value in whens:
-                if cond(row):
-                    return value(row)
-            return default(row)
-
-        return run_case
-    if isinstance(expr, Func):
-        args = [compile_expr(arg, positions) for arg in expr.args]
-        if expr.fname == "year":
-            import datetime
-            epoch = datetime.date(1970, 1, 1)
-            day = datetime.timedelta(days=1)
-            arg0 = args[0]
-            return lambda row: (epoch + day * arg0(row)).year
-        if expr.fname == "substring":
-            arg0, start, length = args
-            return lambda row: arg0(row)[start(row) - 1:start(row) - 1 + length(row)]
-        raise TypeError("unknown function %r" % expr.fname)
-    raise TypeError("cannot compile %r" % (expr,))
 
 
 def columns_of(expr: Expr) -> List[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core import (
     SSD,
@@ -24,6 +24,7 @@ from repro.core import (
     SSDletModule,
     write_module_image,
 )
+from repro.db import kernels
 from repro.db.executor import (
     Engine,
     Rel,
@@ -32,12 +33,11 @@ from repro.db.executor import (
     merge_agg_states,
     ndp_aggregate_supported,
     plan_device_aggs,
-    update_agg_states,
 )
-from repro.db.expr import compile_expr
+from repro.db.expr import Col
 
 __all__ = ["NDP_MODULE", "ScanFilter", "ScanAggregate", "NDPContext",
-           "ScanSpec", "page_ranges", "run_offloaded_scan",
+           "ScanSpec", "page_ranges", "run_offloaded_scan", "scan_kernels",
            "ndp_aggregate_supported"]
 
 NDP_MODULE = SSDletModule("minidb-ndp")
@@ -48,27 +48,33 @@ MODULE_IMAGE_PATH = "/var/isc/slets/minidb_ndp.slet"
 #: data retrieved from the storage medium").
 CHUNK_PAGES = 1024
 
+RowsKernel = Callable[[List[tuple]], List[tuple]]
+
 
 @dataclass
 class ScanSpec:
     """One offloaded scan's inputs (on a replicated system the table must
-    exist at ``path`` on every device the scan may run on)."""
+    exist at ``path`` on every device the scan may run on).
+
+    The three row functions are *batch kernels*: one page's ``List[tuple]``
+    in, a list out, called once per page (:mod:`repro.db.kernels` generates
+    them from an ``Expr``; a hand-written comprehension serves as well).
+    """
 
     path: str
     page_rows: Callable[[int], List[tuple]]  # on-page data, value level
-    prefilter: Callable[[tuple], bool]  # the matcher-offloaded conjunct
-    predicate: Callable[[tuple], bool]  # the full WHERE clause
-    out_idx: List[int]  # projected column positions
+    prefilter: RowsKernel  # keeps the rows the matcher-offloaded conjunct hits
+    predicate: RowsKernel  # keeps the rows passing the full WHERE clause
+    project: RowsKernel  # survivors -> the projected tuples ScanFilter ships
     page_size: int
     num_pages: int
     batch_rows: int = 512  # rows per D2H result packet
     workers: int = 2
     use_matcher: bool = True  # False = device software scan (Section VI)
-    #: ``(group_idx, device_aggs)`` — positions of the GROUP BY columns and
-    #: [(name, kind, value_fn)] with kind in sum/count/min/max: fold the
-    #: survivors into device-format states (ScanAggregate) instead of
-    #: shipping them as row batches (ScanFilter).
-    fold: Optional[Tuple[List[int], list]] = None
+    #: ``fold(states, rows)`` — a ``kernels.fold(..., seeded=False)`` kernel:
+    #: fold the survivors into device-format states (ScanAggregate) instead
+    #: of shipping them as row batches (ScanFilter).
+    fold: Optional[Callable[[dict, List[tuple]], dict]] = None
 
 
 # ------------------------------------------------------------- device side
@@ -115,13 +121,12 @@ class _PageStream(SSDLet):
                 # only inspects the hit regions (rows the prefilter selects),
                 # never whole pages — that is what keeps device-side
                 # refinement off the critical path.
-                page_candidates = [row for row in page_rows(page_no)
-                                   if prefilter(row)]
+                page_candidates = prefilter(page_rows(page_no))
                 if not page_candidates:
                     continue  # page discarded at wire speed
                 matched_pages += 1
                 candidates += len(page_candidates)
-                hits = [row for row in page_candidates if predicate(row)]
+                hits = predicate(page_candidates)
                 survivors += len(hits)
                 for payload in self.absorb(hits):
                     yield from self._put(payload)
@@ -168,15 +173,15 @@ class ScanFilter(_PageStream):
         self.batch: List[tuple] = []
 
     def absorb(self, rows: List[tuple]) -> List[Any]:
-        out_idx, batch_rows = self.spec.out_idx, self.spec.batch_rows
+        batch_rows = self.spec.batch_rows
+        pending = self.batch + self.spec.project(rows)
         full = []
-        for row in rows:
-            self.batch.append(tuple(row[i] for i in out_idx))
-            if len(self.batch) >= batch_rows:
-                # Mid-chunk overflow flush: carries no marker — the host
-                # must stage these rows until the chunk-boundary marker
-                # commits them.
-                full.append(self.flush())
+        for start in range(0, len(pending) - batch_rows + 1, batch_rows):
+            # Mid-chunk overflow flush: carries no marker — the host must
+            # stage these rows until the chunk-boundary marker commits them.
+            self.batch = pending[start:start + batch_rows]
+            full.append(self.flush())
+        self.batch = pending[len(full) * batch_rows:]
         return full
 
     def flush(self, end_page: Optional[int] = None) -> Any:
@@ -204,7 +209,7 @@ class ScanAggregate(_PageStream):
         self.states: dict = {}
 
     def absorb(self, rows: List[tuple]) -> List[Any]:
-        update_agg_states(self.states, rows, *self.spec.fold)
+        self.spec.fold(self.states, rows)
         return []
 
     def flush(self, end_page: Optional[int] = None) -> Any:
@@ -215,6 +220,17 @@ NDP_MODULE.register("idScanAggregate", ScanAggregate)
 
 
 # --------------------------------------------------------------- host side
+def scan_kernels(positions: dict, ref: TableRef, mfilter,
+                 out_cols: Sequence[str] = ()) -> Dict[str, RowsKernel]:
+    """The three row kernels of an offloaded scan of ``ref`` (keyed by
+    their :class:`ScanSpec` field), the matcher keyed with ``mfilter``."""
+    return {
+        "prefilter": kernels.select(positions, mfilter.conjunct),
+        "predicate": kernels.select(positions, ref.pred),
+        "project": kernels.select(positions, None, [Col(c) for c in out_cols]),
+    }
+
+
 def page_ranges(num_pages: int, workers: int) -> List[Tuple[int, int]]:
     """``(first_page, num_pages)`` shares, one per parallel SSDlet."""
     share = max(1, -(-num_pages // max(1, workers)))
@@ -290,7 +306,7 @@ class NDPContext:
         return self._mid
 
     def _scan(self, engine: Engine, ref: TableRef, decision, app_name: str,
-              positions, on_payload, out_idx=(), fold=None) -> Generator:
+              positions, on_payload, out_cols=(), fold=None) -> Generator:
         """Fiber: one offloaded pass over ``ref``'s table on this device."""
         mid = yield from self._ensure_module()
         storage = engine.db.table(ref.name)
@@ -298,9 +314,7 @@ class NDPContext:
         spec = ScanSpec(
             path=storage.path,
             page_rows=lambda page_no: engine.table_page_rows(ref.name, page_no),
-            prefilter=compile_expr(decision.mfilter.conjunct, positions),
-            predicate=compile_expr(ref.pred, positions),
-            out_idx=[positions[c] for c in out_idx],
+            **scan_kernels(positions, ref, decision.mfilter, out_cols),
             page_size=storage.page_size,
             num_pages=storage.num_pages,
             batch_rows=config.ndp_batch_rows,
@@ -324,7 +338,7 @@ class NDPContext:
         out_cols = ref.cols or list(positions)
         rows: List[tuple] = []
         yield from self._scan(engine, ref, decision, "ndp-%s" % ref.name,
-                              positions, rows.extend, out_idx=out_cols)
+                              positions, rows.extend, out_cols=out_cols)
         return Rel(out_cols, rows)
 
     def ndp_aggregate(self, engine: Engine, ref: TableRef, decision,
@@ -339,12 +353,13 @@ class NDPContext:
         """
         positions = _positions(engine, ref)
         # Decompose avg into sum+count slots.
-        device_aggs, layout, kinds = plan_device_aggs(aggs, positions)
+        device_aggs, layout, kinds = plan_device_aggs(aggs)
         totals: dict = {}
         yield from self._scan(
             engine, ref, decision, "ndp-agg-%s" % ref.name, positions,
             lambda states: merge_agg_states(totals, states, kinds),
-            fold=([positions[c] for c in group_by], device_aggs))
+            fold=kernels.fold(positions, [positions[c] for c in group_by],
+                              device_aggs, seeded=False))
         if raw:
             return totals
         return finalize_agg_rel(totals, layout, device_aggs, group_by, aggs)

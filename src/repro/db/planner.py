@@ -17,6 +17,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
+from repro.db import kernels
 from repro.db.executor import Engine, ExecutionMode, TableRef
 from repro.db.expr import (
     Between,
@@ -27,7 +28,6 @@ from repro.db.expr import (
     InList,
     Logic,
     MatcherFilter,
-    compile_expr,
     matcher_candidates,
 )
 
@@ -169,11 +169,11 @@ class NDPPlanner:
         storage = engine.db.table(ref.name)
         schema = storage.schema
         positions = {name: i for i, name in enumerate(schema.column_names())}
-        pred_fn = compile_expr(ref.pred, positions)
-        candidate_fns = [
-            (mf, compile_expr(mf.conjunct, positions)) for mf in candidates
+        passing = kernels.select(positions, ref.pred)
+        candidate_hitting = [
+            kernels.select(positions, mf.conjunct) for mf in candidates
         ]
-        candidate_hits = [0] * len(candidate_fns)
+        candidate_hits = [0] * len(candidates)
         sample_size = min(engine.config.ndp_sample_pages, storage.num_pages)
         seed = zlib.crc32(("%s|%r" % (ref.name, ref.pred)).encode("utf-8"))
         rng = random.Random(seed)
@@ -198,15 +198,15 @@ class NDPPlanner:
         matched = 0
         for page_no in pages:
             rows = engine.table_page_rows(ref.name, page_no)
-            if any(pred_fn(row) for row in rows):
+            if passing(rows):
                 matched += 1
-            for slot, (_mf, fn) in enumerate(candidate_fns):
-                if any(fn(row) for row in rows):
+            for slot, hitting in enumerate(candidate_hitting):
+                if hitting(rows):
                     candidate_hits[slot] += 1
         yield from engine._charge(len(pages) * 40.0)  # evaluate sampled pages
-        best_slot = min(range(len(candidate_fns)), key=lambda i: candidate_hits[i])
+        best_slot = min(range(len(candidates)), key=lambda i: candidate_hits[i])
         selectivity = matched / sample_size if sample_size else 1.0
-        return selectivity, candidate_fns[best_slot][0]
+        return selectivity, candidates[best_slot]
 
 
 def create_engine(system, db, mode: ExecutionMode) -> Engine:

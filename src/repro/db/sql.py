@@ -31,8 +31,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.db import kernels
 from repro.db.catalog import date_to_int
-from repro.db.executor import Engine, Rel, TableRef
+from repro.db.executor import Engine, Rel, TableRef, plan_device_aggs
 from repro.db.expr import (
     Arith,
     Between,
@@ -611,13 +612,21 @@ def explain_sql(engine: Engine, text: str) -> Generator:
     query).
 
     Shows the access path per table (including the Biscuit planner's offload
-    decision with its sampled selectivity and reason), the join order the
-    engine would use, and the post-join steps.
+    decision with its sampled selectivity and reason) with the generated
+    kernels that scan would run, the join order the engine would use, and
+    the post-join steps.
     """
     from repro.db.executor import ExecutionMode
+    from repro.db.ndp import scan_kernels
 
     compiled = compile_sql(engine, text)
     query = compiled.query
+    grouped = bool(query.group_by) or any(item.agg for item in query.items)
+    scan_folds = grouped and len(compiled.refs) == 1 and not compiled.leftovers
+    pushdown = None  # the decision, when the aggregate folds on the device
+    if scan_folds:
+        pushdown = yield from engine.aggregate_offload(
+            compiled.refs[0], _aggregate_plan(query))
     lines: List[str] = ["%s plan (%s engine)" % (
         "SELECT", engine.mode.value,
     )]
@@ -635,6 +644,14 @@ def explain_sql(engine: Engine, text: str) -> Generator:
                 else:
                     detail = " [pushed filter; no offload: %s]" % decision.reason
         storage = engine.db.table(ref.name)
+        if access == "NDPScan":
+            columns = storage.schema.column_names()
+            shown = scan_kernels({name: i for i, name in enumerate(columns)},
+                                 ref, decision.mfilter, ref.cols or columns)
+            if pushdown:
+                del shown["project"]  # survivors fold on the device instead
+        else:
+            shown = {"select": engine.scan_kernel(ref)[1]}
         role = "drive" if position == 0 and len(order) > 1 else "join"
         if position > 0:
             key = engine._find_key(
@@ -646,13 +663,25 @@ def explain_sql(engine: Engine, text: str) -> Generator:
             elif position > 0 and access == "SeqScan":
                 access = "SeqScan+HashJoin"
         lines.append("  %-5s %-22s %s%s" % (role, ref.name, access, detail))
+        lines.extend(_kernel_lines(shown))
     for conjunct in compiled.leftovers:
         lines.append("  filter (post-join) %s" % to_sql(conjunct))
-    if query.group_by or any(item.agg for item in query.items):
+    if grouped:
         aggregates = ", ".join(
             "%s(%s)" % (item.agg, item.name) for item in query.items if item.agg
         )
         lines.append("  aggregate by [%s]: %s" % (", ".join(query.group_by), aggregates))
+        if scan_folds:
+            ref, aggs = compiled.refs[0], _aggregate_plan(query)
+            columns = engine.db.table(ref.name).schema.column_names()
+            if pushdown:
+                aggs = plan_device_aggs(aggs)[0]
+            elif ref.cols:
+                columns = ref.cols
+            positions = {name: i for i, name in enumerate(columns)}
+            lines.extend(_kernel_lines({"fold": kernels.fold(
+                positions, [positions[c] for c in query.group_by], aggs,
+                seeded=not pushdown)}))
     if compiled.having is not None:
         lines.append("  having %s" % to_sql(compiled.having))
     if query.order_by:
@@ -664,6 +693,13 @@ def explain_sql(engine: Engine, text: str) -> Generator:
     elif query.limit is not None:
         lines.append("  limit %d" % query.limit)
     return "\n".join(lines)
+
+
+def _kernel_lines(shown: Dict[str, Any]) -> List[str]:
+    """``label  source`` per kernel, continuation lines aligned under it."""
+    return ["        %-10s %s" % (label if number == 0 else "", line)
+            for label, kernel in shown.items()
+            for number, line in enumerate(kernel.source.splitlines())]
 
 
 def _columns_up_to(engine: Engine, order, position: int) -> List[str]:

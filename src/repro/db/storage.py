@@ -5,6 +5,11 @@ Row format (little-endian): per column by type —
 2-byte length + UTF-8 bytes.  Page format: 2-byte row count, then rows
 back-to-back.  Rows never span pages (XtraDB-style slotted simplicity).
 
+The codec is generated per :class:`TableSchema` (compile per schema, run per
+page, like the operators' kernels in :mod:`repro.db.kernels`): each run of
+adjacent fixed-width columns, together with the length prefix of the string
+that follows it, is read or written by one ``struct`` call.
+
 Indexes are in-memory maps from key value to the list of page numbers
 holding matching rows — modeling a warm B-tree whose leaf lookups are
 RAM-resident while the *data* page fetches pay real I/O (the dominant cost
@@ -20,8 +25,9 @@ from __future__ import annotations
 
 import struct
 from itertools import islice
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.db import kernels
 from repro.db.catalog import Catalog, TableSchema
 from repro.fs.filesystem import FileSystem, Inode
 
@@ -29,58 +35,98 @@ __all__ = ["encode_row", "decode_rows", "pack_pages", "pack_table",
            "PackedTable", "TableStorage", "Database"]
 
 _PAGE_HEADER = struct.Struct("<H")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-_LEN = struct.Struct("<H")
 #: What the row codec turns a column's value into, by column type: an index
 #: keyed on these is keyed exactly as one rebuilt from decoded pages.
 _KEY_TYPES = {"int": int, "date": int, "float": float, "str": str}
 
 
-def encode_row(schema: TableSchema, row: Sequence[Any]) -> bytes:
-    """Serialize one row tuple per the schema."""
-    if len(row) != schema.width:
-        raise ValueError(
-            "%s row has %d values, schema has %d" % (schema.name, len(row), schema.width)
-        )
-    parts: List[bytes] = []
-    for column, value in zip(schema.columns, row):
-        if column.ctype in ("int", "date"):
-            parts.append(_I64.pack(int(value)))
-        elif column.ctype == "float":
-            parts.append(_F64.pack(float(value)))
+def _segments(schema: TableSchema) -> List[Tuple[List[int], Optional[int], struct.Struct]]:
+    """The row as ``(fixed-width column positions, the string column closing
+    the run or None, their struct)`` — the string's length prefix rides in
+    the struct of the run before it."""
+    segments = []
+    run: List[int] = []
+    for position, column in enumerate(schema.columns):
+        if column.ctype != "str":
+            run.append(position)
+            if position + 1 < schema.width:
+                continue
+        layout = "<" + "".join(
+            "d" if schema.columns[i].ctype == "float" else "q" for i in run)
+        if column.ctype == "str":
+            segments.append((run, position, struct.Struct(layout + "H")))
         else:
-            blob = str(value).encode("utf-8")
-            if len(blob) > 0xFFFF:
-                raise ValueError("string too long for row format")
-            parts.append(_LEN.pack(len(blob)) + blob)
-    return b"".join(parts)
+            segments.append((run, None, struct.Struct(layout)))
+        run = []
+    return segments
+
+
+def _encoder(schema: TableSchema) -> Callable[[Sequence[Any]], bytes]:
+    """Generate ``encode(row) -> bytes`` for one schema."""
+    env: Dict[str, Any] = {"name": schema.name}
+    lines = [
+        "def kernel(row):",
+        "    if len(row) != %d:" % schema.width,
+        "        raise ValueError('%%s row has %%d values, schema has %d'"
+        " %% (name, len(row)))" % schema.width,
+    ]
+    parts = []
+    for number, (run, text, layout) in enumerate(_segments(schema)):
+        env["p%d" % number] = layout.pack
+        args = ["%s(row[%d])" % (_KEY_TYPES[schema.columns[i].ctype].__name__, i)
+                for i in run]
+        if text is not None:
+            lines += [
+                "    b%d = str(row[%d]).encode('utf-8')" % (text, text),
+                "    if len(b%d) > 0xFFFF:" % text,
+                "        raise ValueError('string too long for row format')",
+            ]
+            args.append("len(b%d)" % text)
+        parts.append("p%d(%s)" % (number, ", ".join(args)))
+        if text is not None:
+            parts.append("b%d" % text)
+    lines.append("    return b''.join((%s))" % "".join(part + ", " for part in parts))
+    return kernels.build("\n".join(lines), env)
+
+
+def _decoder(schema: TableSchema) -> Callable[[bytes], List[Tuple[Any, ...]]]:
+    """Generate ``decode(page) -> rows`` for one schema."""
+    env: Dict[str, Any] = {"head": _PAGE_HEADER.unpack_from}
+    lines = [
+        "def kernel(page):",
+        "    if len(page) < %d:" % _PAGE_HEADER.size,
+        "        return []",
+        "    count, = head(page, 0)",
+        "    o = %d" % _PAGE_HEADER.size,
+        "    rows = []",
+        "    add = rows.append",
+        "    for _ in range(count):",
+    ]
+    for number, (run, text, layout) in enumerate(_segments(schema)):
+        env["u%d" % number] = layout.unpack_from
+        names = ["c%d" % i for i in run] + ["n"] * (text is not None)
+        lines.append("        %s, = u%d(page, o); o += %d"
+                     % (", ".join(names), number, layout.size))
+        if text is not None:
+            lines.append("        e = o + n; c%d = page[o:e].decode('utf-8'); o = e"
+                         % text)
+    lines += [
+        "        add((%s))" % "".join("c%d, " % i for i in range(schema.width)),
+        "    return rows",
+    ]
+    return kernels.build("\n".join(lines), env)
+
+
+def encode_row(schema: TableSchema, row: Sequence[Any]) -> bytes:
+    """Serialize one row tuple per the schema (generates the encoder per
+    call; :func:`pack_pages` generates it once per table)."""
+    return _encoder(schema)(row)
 
 
 def decode_rows(schema: TableSchema, page: bytes) -> List[Tuple[Any, ...]]:
-    """Deserialize every row in a page."""
-    if len(page) < _PAGE_HEADER.size:
-        return []
-    (count,) = _PAGE_HEADER.unpack_from(page, 0)
-    offset = _PAGE_HEADER.size
-    rows: List[Tuple[Any, ...]] = []
-    for _ in range(count):
-        values: List[Any] = []
-        for column in schema.columns:
-            if column.ctype in ("int", "date"):
-                (value,) = _I64.unpack_from(page, offset)
-                offset += _I64.size
-            elif column.ctype == "float":
-                (value,) = _F64.unpack_from(page, offset)
-                offset += _F64.size
-            else:
-                (length,) = _LEN.unpack_from(page, offset)
-                offset += _LEN.size
-                value = page[offset:offset + length].decode("utf-8")
-                offset += length
-            values.append(value)
-        rows.append(tuple(values))
-    return rows
+    """Deserialize every row in a page (generates the decoder per call; a
+    :class:`TableStorage` holds its own as ``decode``)."""
+    return _decoder(schema)(page)
 
 
 def pack_pages(
@@ -91,6 +137,7 @@ def pack_pages(
     current: List[bytes] = []
     used = _PAGE_HEADER.size
     counts: List[int] = []
+    encode = _encoder(schema)
 
     def flush():
         if not current:
@@ -101,7 +148,7 @@ def pack_pages(
         counts.append(len(current))
 
     for row in rows:
-        encoded = encode_row(schema, row)
+        encoded = encode(row)
         if len(encoded) + _PAGE_HEADER.size > page_size:
             raise ValueError("row larger than a page")
         if used + len(encoded) > page_size:
@@ -158,6 +205,7 @@ class TableStorage:
     def __init__(self, schema: TableSchema, inode: Inode, num_rows: int,
                  page_size: int, indexes: Dict[str, Dict[Any, List[int]]]):
         self.schema = schema
+        self.decode = _decoder(schema)  # page bytes -> row tuples
         self.inode = inode
         self.num_rows = num_rows
         self.page_size = page_size
@@ -247,4 +295,4 @@ class Database:
     def read_page_rows(self, storage: TableStorage, page_no: int) -> List[Tuple[Any, ...]]:
         """Decode a page's rows from the content store (no timing)."""
         data = self.fs.page_content(storage.inode, page_no)
-        return decode_rows(storage.schema, data)
+        return storage.decode(data)

@@ -255,18 +255,22 @@ def _table_page_rows(page_no: int):
     return [(base + i, (base + i) % 97) for i in range(TABLE_ROWS_PER_PAGE)]
 
 
-def _table_prefilter(row) -> bool:
-    return row[1] < 13
+def _table_prefilter(rows):
+    return [row for row in rows if row[1] < 13]
 
 
-def _table_predicate(row) -> bool:
-    return row[1] < 13 and row[0] % 2 == 0
+def _table_predicate(rows):
+    return [row for row in rows if row[1] < 13 and row[0] % 2 == 0]
+
+
+def _table_project(rows):
+    return [(row[0],) for row in rows]
 
 
 TABLE_SCAN = ScanSpec(
     path=TABLE_PATH, page_rows=_table_page_rows, prefilter=_table_prefilter,
-    predicate=_table_predicate, out_idx=[0], page_size=TABLE_PAGE_BYTES,
-    num_pages=TABLE_PAGES, batch_rows=128)
+    predicate=_table_predicate, project=_table_project,
+    page_size=TABLE_PAGE_BYTES, num_pages=TABLE_PAGES, batch_rows=128)
 
 
 class DbScanKind(JobKindBase):

@@ -29,12 +29,12 @@ from typing import Any, Dict, List
 from repro.apps.pointer_chase import biscuit_pointer_chase, build_exact_graph
 from repro.apps.string_search import biscuit_string_search, install_weblog
 from repro.core.errors import DeviceError
+from repro.db import kernels
 from repro.db.catalog import TableSchema
 from repro.db.executor import Engine, EngineConfig, ExecutionMode, TableRef
 from repro.db.expr import (
     Arith, Between, Case, Cmp, Col, Const, Func, InList, Like, Logic, Not,
 )
-from repro.db.expr import compile_expr
 from repro.db.ndp import NDPContext
 from repro.db.planner import NDPPlanner
 from repro.db.storage import Database
@@ -537,7 +537,7 @@ def run_case_resilient(seed: int) -> CaseResult:
     )
 
     positions = {name: i for i, name in enumerate(schema.column_names())}
-    predicate = compile_expr(query["pred"], positions)
+    predicate = kernels.select(positions, query["pred"])
     if query["kind"] == "filter":
         out_cols = query["cols"] or schema.column_names()
     else:
@@ -547,7 +547,7 @@ def run_case_resilient(seed: int) -> CaseResult:
         page_rows=lambda page_no: databases[0].read_page_rows(storage, page_no),
         prefilter=predicate,
         predicate=predicate,
-        out_idx=[positions[c] for c in out_cols],
+        project=kernels.select(positions, None, [Col(c) for c in out_cols]),
         page_size=storage.page_size,
         num_pages=storage.num_pages,
         workers=2,

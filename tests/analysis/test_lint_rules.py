@@ -1,4 +1,4 @@
-"""Lint suite (RPR001-RPR006, RPR201): per-rule fixtures, noqa waivers, scoping."""
+"""Lint suite (RPR001-RPR007, RPR201): per-rule fixtures, noqa waivers, scoping."""
 
 import textwrap
 
@@ -254,6 +254,29 @@ def test_discarded_combinator_detected(tmp_path):
             yield
     """)
     assert rules_of(findings) == ["RPR006"]
+
+
+# ----------------------------------------------------- RPR007 (dynamic code)
+@pytest.mark.parametrize("call", ["eval('1 + 1')", "exec('x = 1')",
+                                  "compile('1', '<s>', 'eval')"])
+def test_dynamic_code_detected(tmp_path, call):
+    findings = lint_source(tmp_path, "value = %s\n" % call, name="db/sql.py")
+    assert rules_of(findings) == ["RPR007"]
+    assert "kernels.build" in findings[0].message
+
+
+def test_dynamic_code_allowed_only_in_the_kernel_generator(tmp_path):
+    source = """\
+        import re
+
+        def build(source, env):
+            exec(compile(source, "<kernel>", "exec"), env)
+
+        pattern = re.compile("a+")
+    """
+    assert lint_source(tmp_path, source, name="db/kernels.py") == []
+    assert rules_of(lint_source(tmp_path, source, name="db/kernels_extra.py")) == [
+        "RPR007", "RPR007"]
 
 
 # ------------------------------------------------- RPR201 (non-yielding run)

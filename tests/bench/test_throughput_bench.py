@@ -30,9 +30,10 @@ def test_arms_are_bit_identical_and_fusion_engages():
 def test_deterministic_section_reproduces_exactly():
     first = run_throughput_bench(SMALL_SHAPES)
     second = run_throughput_bench(SMALL_SHAPES)
-    assert first["shapes"] == second["shapes"]
-    # Only the wall section may differ between runs.
-    assert set(first) == {"shapes", "wall"}
+    # Every number is simulated: nothing in the report may differ between
+    # runs (CI cmp's the regenerated file against the committed one).
+    assert first == second
+    assert set(first) == {"shapes"}
 
 
 def test_bench_json_round_trips_sorted(tmp_path):

@@ -1,13 +1,13 @@
 """Coordinator merge operators: ordered k-way merge + aggregate-state fold."""
 
 from repro.cluster.executor import ClusterExecutor, _row_less
+from repro.db import kernels
 from repro.db.executor import (
     Rel,
     aggregate_rows,
     finalize_agg_rel,
     merge_agg_states,
     plan_device_aggs,
-    update_agg_states,
 )
 from repro.db.expr import col
 from repro.testing.differential import rows_match
@@ -74,14 +74,15 @@ def test_sharded_fold_equals_single_pass():
     columns = ["g", "v"]
     rows = _rows()
     positions = {name: i for i, name in enumerate(columns)}
-    device_aggs, layout, kinds = plan_device_aggs(AGGS, positions)
+    device_aggs, layout, kinds = plan_device_aggs(AGGS)
+    fold = kernels.fold(positions, [0], device_aggs, seeded=False)
 
     # Partition the rows three ways (one part empty), fold each part into
     # device-format states, merge, finalize...
     parts = [rows[0:2], rows[2:5], []]
     totals: dict = {}
     for part in parts:
-        partial = update_agg_states({}, part, [0], device_aggs)
+        partial = fold({}, part)
         merge_agg_states(totals, partial, kinds)
     merged = finalize_agg_rel(totals, layout, device_aggs, ["g"], AGGS)
 
@@ -99,8 +100,9 @@ def test_merge_is_order_insensitive():
     columns = ["g", "v"]
     rows = _rows()
     positions = {name: i for i, name in enumerate(columns)}
-    device_aggs, layout, kinds = plan_device_aggs(AGGS, positions)
-    partials = [update_agg_states({}, part, [0], device_aggs)
+    device_aggs, layout, kinds = plan_device_aggs(AGGS)
+    fold = kernels.fold(positions, [0], device_aggs, seeded=False)
+    partials = [fold({}, part)
                 for part in (rows[0:1], rows[1:4], rows[4:5])]
 
     forward: dict = {}
@@ -115,8 +117,7 @@ def test_merge_is_order_insensitive():
 
 
 def test_empty_group_count_finalizes_to_zero():
-    device_aggs, layout, kinds = plan_device_aggs(
-        [("c", "count", None)], {"v": 0})
+    device_aggs, layout, kinds = plan_device_aggs([("c", "count", None)])
     totals = {("k",): [None]}  # a group seen by zero matching rows
     rel = finalize_agg_rel(totals, layout, device_aggs, ["g"],
                            [("c", "count", None)])

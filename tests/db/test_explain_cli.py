@@ -29,8 +29,11 @@ def test_explain_biscuit_shows_offload(tpch_engines):
 
 def test_explain_join_orders_differ(tpch_engines):
     conv, biscuit = tpch_engines
-    conv_plan = run_explain(conv, Q14ISH).splitlines()
-    biscuit_plan = run_explain(biscuit, Q14ISH).splitlines()
+    def steps(engine):  # the plan without the kernel source under each step
+        return [line for line in run_explain(engine, Q14ISH).splitlines()
+                if not line.startswith(" " * 8)]
+
+    conv_plan, biscuit_plan = steps(conv), steps(biscuit)
     assert "part" in conv_plan[1]  # smallest table drives Conv
     assert "lineitem" in biscuit_plan[1]  # the NDP scan drives Biscuit
     assert "IndexProbe" in conv_plan[2]

@@ -37,8 +37,8 @@ SCHEMA = TableSchema("edge", [Column("k", "int"), Column("v", "int")])
 ROWS = [(i, (i * 7) % 31) for i in range(8000)]
 
 
-def _predicate(row):
-    return row[1] % 3 == 0
+def _predicate(rows):
+    return [row for row in rows if row[1] % 3 == 0]
 
 
 def _run_scan(script0=None, script1=None, policy=None, hedge=None):
@@ -69,7 +69,7 @@ def _run_scan(script0=None, script1=None, policy=None, hedge=None):
         page_rows=lambda page_no: databases[0].read_page_rows(storage, page_no),
         prefilter=_predicate,
         predicate=_predicate,
-        out_idx=[0, 1],
+        project=list,
         page_size=storage.page_size,
         num_pages=storage.num_pages,
         workers=2,

@@ -4,6 +4,7 @@ device-side matcher bug.
 """
 
 import itertools
+import types
 
 import pytest
 
@@ -102,31 +103,25 @@ def test_perturbed_tie_breaking_does_not_change_results():
 
 # ------------------------------------------------------------- planted bug
 def test_planted_matcher_bug_is_caught(monkeypatch):
-    """Corrupt the device-side predicate compiler; the sweep must notice.
+    """Corrupt the device-side filter kernels; the sweep must notice.
 
     The wrapper drops every 7th matching row, which only affects the NDP
-    path (the host executor and the planner import compile_expr
-    themselves), so any detected mismatch is the differential check — not
-    the reference — doing the work.
+    path (the host executor and the planner reach repro.db.kernels through
+    their own module attribute), so any detected mismatch is the
+    differential check — not the reference — doing the work.
     """
-    real = repro.db.ndp.compile_expr
+    real = repro.db.ndp.kernels
     counter = itertools.count(1)
 
-    def buggy_compile(expr, positions):
-        fn = real(expr, positions)
+    def buggy_select(positions, pred=None, exprs=None):
+        kernel = real.select(positions, pred, exprs)
+        if pred is None:
+            return kernel
+        return lambda rows: [row for row in kernel(rows) if next(counter) % 7]
 
-        def wrapped(row):
-            value = fn(row)
-            if value and next(counter) % 7 == 0:
-                return False
-            return value
-
-        return wrapped
-
-    monkeypatch.setattr(repro.db.ndp, "compile_expr", buggy_compile)
-    # Seed window re-picked for the v3 generator stream: these cases keep the
-    # wrapper on the *predicate* path (a min/max value expression corrupted to
-    # bool would crash instead of mismatching).
+    monkeypatch.setattr(repro.db.ndp, "kernels", types.SimpleNamespace(
+        select=buggy_select, fold=real.fold))
+    # Seed window picked for the v3 generator stream.
     results = run_sweep(range(15, 30), faults=False)
     mismatches = [r for r in results if r.outcome == "mismatch"]
     assert mismatches, "harness failed to catch the planted device-side bug"
