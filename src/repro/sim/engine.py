@@ -15,8 +15,9 @@ locks.
 
 from __future__ import annotations
 
-import heapq
 import os
+from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -55,16 +56,16 @@ class Event:
     them to *trigger* (run callbacks) at the current simulation time.
     """
 
-    __slots__ = ("sim", "_callbacks", "_value", "_exception", "_scheduled", "_processed", "defused",
-                 "abandoned")
+    __slots__ = ("sim", "_callbacks", "_value", "_exception", "_scheduled",
+                 "defused", "abandoned")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
+        # None once dispatched: "processed" is exactly "callbacks consumed".
         self._callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = None
         self._exception: Optional[BaseException] = None
         self._scheduled = False
-        self._processed = False
         self.defused = False
         # Set when the sole waiter was interrupted away from this event;
         # grant queues (Resource, Store) drop abandoned requests instead of
@@ -79,7 +80,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once the event's callbacks have run."""
-        return self._processed
+        return self._callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -104,9 +105,12 @@ class Event:
             raise SimulationError("event already triggered")
         self._value = value
         self._scheduled = True
-        if self.sim.race is not None:
-            self.sim.race.on_write(self, "state")
-        self.sim._schedule(self, 0)
+        sim = self.sim
+        if sim.race is not None:
+            sim.race.on_write(self, "state")
+            sim.race.on_schedule(sim._now)
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (sim._now, sequence, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -117,9 +121,12 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._exception = exception
         self._scheduled = True
-        if self.sim.race is not None:
-            self.sim.race.on_write(self, "state")
-        self.sim._schedule(self, 0)
+        sim = self.sim
+        if sim.race is not None:
+            sim.race.on_write(self, "state")
+            sim.race.on_schedule(sim._now)
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (sim._now, sequence, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -140,9 +147,10 @@ class Event:
             self._callbacks.append(callback)
 
     def _run_callbacks(self) -> None:
+        """Dispatch, as :meth:`Simulator.step` and the monitored drain do it;
+        :meth:`Simulator.run` inlines exactly this."""
         callbacks, self._callbacks = self._callbacks, None
-        self._processed = True
-        for callback in callbacks or ():
+        for callback in callbacks:
             callback(self)
         if self._exception is not None and not self.defused and not callbacks:
             raise SimulationError(
@@ -162,11 +170,20 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay_ns: int, value: Any = None):
         if delay_ns < 0:
             raise ValueError("negative timeout delay: %r" % (delay_ns,))
-        super().__init__(sim)
+        # Born triggered: the slots are written and the heap entry pushed
+        # here, flat — a timeout is every other event the loop processes.
+        self.sim = sim
+        self._callbacks = []
         self._value = value
+        self._exception = None
         self._scheduled = True
         self.defused = True  # a timeout cannot fail; nothing to defuse
-        sim._schedule(self, delay_ns)
+        self.abandoned = False
+        when = sim._now + delay_ns
+        if sim.race is not None:
+            sim.race.on_schedule(when)
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (when, sequence, self))
 
 
 class Process(Event):
@@ -177,7 +194,7 @@ class Process(Event):
     """
 
     __slots__ = ("_generator", "_waiting_on", "_pending_interrupt", "name",
-                 "ctx")
+                 "ctx", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -191,11 +208,20 @@ class Process(Event):
         # context at creation time (see repro.instrument.events.EventBus).
         trace = sim.trace
         self.ctx = trace.ctx if trace is not None else None
+        # The one callback this fiber ever registers: bound once here and
+        # dropped when the fiber finishes (it is a cycle through ``self``).
+        self._wake = wake = self._resume
         # Kick off at the current time.
         bootstrap = Event(sim)
         bootstrap.defused = True
-        bootstrap.add_callback(self._resume)
-        bootstrap.succeed()
+        bootstrap._scheduled = True
+        bootstrap._callbacks.append(wake)
+        if sim.race is not None:
+            sim.race.on_ordered(bootstrap, "callbacks")
+            sim.race.on_write(bootstrap, "state")
+            sim.race.on_schedule(sim._now)
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (sim._now, sequence, bootstrap))
 
     @property
     def is_alive(self) -> bool:
@@ -242,24 +268,30 @@ class Process(Event):
             # normally in this very timestep, and the interrupt event below
             # would then be dropped as a stale wakeup — losing the interrupt.
             try:
-                target._callbacks.remove(self._resume)
+                target._callbacks.remove(self._wake)
             except ValueError:
                 pass
         self._waiting_on = None
-        interrupt_event = Event(self.sim)
+        sim = self.sim
+        interrupt_event = Event(sim)
         interrupt_event.defused = True
         interrupt_event._exception = Interrupt(cause)
         interrupt_event._scheduled = True
-        interrupt_event._callbacks = [self._resume]
-        self.sim._schedule(interrupt_event, 0)
+        interrupt_event._callbacks = [self._wake]
+        if sim.race is not None:
+            sim.race.on_schedule(sim._now)
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (sim._now, sequence, interrupt_event))
 
     def _resume(self, event: Event) -> None:
         if self._scheduled:
             return  # process already finished (e.g. raced with interrupt)
-        if self._waiting_on is not None and event is not self._waiting_on:
+        waiting_on = self._waiting_on
+        if waiting_on is not None and event is not waiting_on:
             return  # stale wakeup from an event we abandoned via interrupt
         self._waiting_on = None
-        trace = self.sim.trace
+        sim = self.sim
+        trace = sim.trace
         if trace is not None:
             # Every emission between here and the next yield belongs to this
             # fiber's causal context (pure observation; no time advances).
@@ -279,31 +311,31 @@ class Process(Event):
                 target = self._generator.send(event._value)
         except StopIteration as stop:
             self._value = stop.value
-            self._scheduled = True
-            if self.sim.race is not None:
-                self.sim.race.on_write(self, "state")
-            self.sim._schedule(self, 0)
-            return
         except BaseException as exc:
             self._exception = exc
-            self._scheduled = True
-            if self.sim.race is not None:
-                self.sim.race.on_write(self, "state")
-            self.sim._schedule(self, 0)
-            return
-        if not isinstance(target, Event):
-            error = SimulationError(
+        else:
+            if isinstance(target, Event):
+                self._waiting_on = target
+                callbacks = target._callbacks
+                if callbacks is None:
+                    target.add_callback(self._wake)  # processed: runs at once
+                else:  # Event.add_callback, inlined
+                    if sim.race is not None:
+                        sim.race.on_ordered(target, "callbacks")
+                    callbacks.append(self._wake)
+                return
+            self._exception = SimulationError(
                 "process %s yielded %r; fibers must yield Event objects"
                 % (self.name, target)
             )
-            self._exception = error
-            self._scheduled = True
-            if self.sim.race is not None:
-                self.sim.race.on_write(self, "state")
-            self.sim._schedule(self, 0)
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
+        # The fiber is finished: trigger its completion event now.
+        self._scheduled = True
+        self._wake = None
+        if sim.race is not None:
+            sim.race.on_write(self, "state")
+            sim.race.on_schedule(sim._now)
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (sim._now, sequence, self))
 
 
 class AllOf(Event):
@@ -320,7 +352,7 @@ class AllOf(Event):
         self._pending = 0
         failed: Optional[Event] = None
         for event in self._events:
-            if event.processed:
+            if event._callbacks is None:
                 if event._exception is not None and failed is None:
                     failed = event
             else:
@@ -335,7 +367,7 @@ class AllOf(Event):
         # failed fast, or the waiter moved on) must be absorbed by
         # _child_done, not crash the run as an unhandled failure.
         for event in self._events:
-            if not event.processed:
+            if event._callbacks is not None:
                 event.add_callback(self._child_done)
 
     def _child_done(self, event: Event) -> None:
@@ -363,12 +395,15 @@ class AnyOf(Event):
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self._events = list(events)
+        if not self._events:
+            # Nothing could ever trigger it: a fiber yielding it would hang.
+            raise ValueError("any_of() needs at least one event")
         for event in self._events:
             if event.sim is not sim:
                 raise SimulationError("cannot mix events from different simulators")
         finished: Optional[Event] = None
         for event in self._events:
-            if event.processed:
+            if event._callbacks is None:
                 finished = event
                 break
         if finished is not None:
@@ -377,7 +412,7 @@ class AnyOf(Event):
         # failure is defused instead of escaping as unhandled (see
         # AllOf._child_done).
         for event in self._events:
-            if not event.processed:
+            if event._callbacks is not None:
                 event.add_callback(self._child_done)
 
     def _finish(self, event: Event) -> None:
@@ -423,8 +458,21 @@ class Simulator:
 
     def __init__(self, race_check: Any = None):
         self._now = 0
+        # ``(time, sequence, event)`` entries.  Tie-breaking is the monotonic
+        # sequence number: events scheduled for the same instant run in
+        # schedule order, never in heap/hash order — this is what makes the
+        # event trace bit-reproducible.  Every trigger site (succeed/fail,
+        # Timeout, Process start/finish/interrupt, Resource.request's in-line
+        # grant) bumps ``_sequence`` and pushes its own entry.  The race
+        # monitor's perturbation mode (repro.analysis.races) checks the
+        # claim: it reverses pop order inside provably order-free batches
+        # and requires a bit-identical trace.
         self._heap: List[Any] = []
         self._sequence = 0
+        #: ``timeout(delay_ns, value=None)``: event that triggers ``delay_ns``
+        #: nanoseconds from now.  Bound here, not a method, so that the most
+        #: frequent call in the tree is one Python frame (Timeout.__init__).
+        self.timeout: Callable[..., Timeout] = partial(Timeout, self)
         # Heap entries processed since construction.  Deterministic for a
         # given workload (it counts scheduled events, not wall time), so the
         # throughput bench and the fast-path tests can assert on it.
@@ -472,25 +520,9 @@ class Simulator:
         """Current simulation time in microseconds."""
         return self._now / 1_000
 
-    def _schedule(self, event: Event, delay_ns: int) -> None:
-        # Tie-breaking is the monotonic sequence number: events scheduled for
-        # the same instant run in schedule order, never in heap/hash order —
-        # this is what makes the event trace bit-reproducible.  The race
-        # monitor's perturbation mode (repro.analysis.races) checks that
-        # claim: it reverses pop order inside provably order-free batches
-        # and requires a bit-identical trace.
-        self._sequence += 1
-        if self.race is not None:
-            self.race.on_schedule(self._now + delay_ns)
-        heapq.heappush(self._heap, (self._now + delay_ns, self._sequence, event))
-
     def event(self) -> Event:
         """Create a pending event to be succeeded/failed manually."""
         return Event(self)
-
-    def timeout(self, delay_ns: int, value: Any = None) -> Timeout:
-        """Event that triggers ``delay_ns`` nanoseconds from now."""
-        return Timeout(self, delay_ns, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a fiber running ``generator``; returns its completion event."""
@@ -498,7 +530,7 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next event."""
-        when, __, event = heapq.heappop(self._heap)
+        when, __, event = heappop(self._heap)
         self._now = when
         self.events_processed += 1
         event._run_callbacks()
@@ -507,56 +539,25 @@ class Simulator:
         """Time of the next scheduled event, or None if the heap is empty."""
         return self._heap[0][0] if self._heap else None
 
-    def _run_batched(self, heap: List[Any]) -> None:
-        """Drain the heap, popping all entries of each timestamp together.
+    def _run_monitored(self, heap: List[Any], sentinel: Optional[Event],
+                       deadline: Optional[int]) -> None:
+        """The drain of :meth:`run` with explicit race-monitor batch boundaries.
 
-        Dispatching a whole timestamp as one batch amortizes the heap
-        traffic: events scheduled *during* the batch carry larger sequence
-        numbers than everything popped, so running the popped entries in
-        their (already sorted) pop order and only then returning to the heap
-        preserves the exact sequence-order semantics of one-at-a-time
-        :meth:`step`.  An exception pushes the unprocessed remainder back so
-        the heap is left exactly as repeated ``step()`` calls would leave it.
-        """
-        pop = heapq.heappop
-        batch: List[Any] = []
-        while heap:
-            entry = pop(heap)
-            when = entry[0]
-            self._now = when
-            batch.append(entry)
-            while heap and heap[0][0] == when:
-                batch.append(pop(heap))
-            index = 0
-            try:
-                while index < len(batch):
-                    event = batch[index][2]
-                    index += 1
-                    self.events_processed += 1
-                    event._run_callbacks()
-            except BaseException:
-                for entry in batch[index:]:
-                    heapq.heappush(heap, entry)
-                raise
-            batch.clear()
-
-    def _run_monitored(self, heap: List[Any],
-                       sentinel: Optional[Event] = None,
-                       deadline: Optional[int] = None) -> None:
-        """Batched drain with explicit race-monitor batch boundaries.
-
-        Mirrors :meth:`_run_batched` (and the sentinel/deadline loops of
-        :meth:`run`), but tells the monitor where each same-timestamp batch
-        starts and which entry is dispatching, and — in perturbation mode —
-        reverses the pop order of batches the monitor's recorded plan marked
-        as provably order-free.  A batch the sentinel truncates is pinned:
-        its dispatched set depends on pop order, so reversing it could
-        change *which* events ran, not just their order.
+        Pops all entries of a timestamp together (events scheduled *during*
+        the batch carry larger sequence numbers than everything popped, so
+        running the popped entries in pop order is exactly one-at-a-time
+        :meth:`step`), tells the monitor where each batch starts and which
+        entry is dispatching, and — in perturbation mode — reverses the pop
+        order of batches the monitor's recorded plan marked as provably
+        order-free.  A batch the sentinel truncates is pinned: its
+        dispatched set depends on pop order, so reversing it could change
+        *which* events ran, not just their order.  An exception (or a
+        truncation) pushes the unprocessed remainder back, leaving the heap
+        as repeated ``step()`` calls would.
         """
         race = self.race
-        pop = heapq.heappop
         while heap:
-            if sentinel is not None and sentinel._processed:
+            if sentinel is not None and sentinel._callbacks is None:
                 return
             when = heap[0][0]
             if deadline is not None and when > deadline:
@@ -564,7 +565,7 @@ class Simulator:
             self._now = when
             batch: List[Any] = []
             while heap and heap[0][0] == when:
-                batch.append(pop(heap))
+                batch.append(heappop(heap))
             reverse = len(batch) > 1 and race.should_reverse()
             if reverse:
                 batch.reverse()
@@ -573,7 +574,7 @@ class Simulator:
             truncated = False
             try:
                 while index < len(batch):
-                    if sentinel is not None and sentinel._processed:
+                    if sentinel is not None and sentinel._callbacks is None:
                         truncated = True
                         break
                     event = batch[index][2]
@@ -583,15 +584,15 @@ class Simulator:
                     event._run_callbacks()
             except BaseException:
                 for entry in batch[index:]:
-                    heapq.heappush(heap, entry)
+                    heappush(heap, entry)
                 # No end_batch: the partial batch's analysis would be
                 # misleading, and a strict-mode raise would mask the error.
                 raise
-            fired = sentinel is not None and sentinel._processed
+            fired = sentinel is not None and sentinel._callbacks is None
             race.end_batch(pinned=fired)
             if truncated:
                 for entry in batch[index:]:
-                    heapq.heappush(heap, entry)
+                    heappush(heap, entry)
             if fired:
                 return
 
@@ -602,23 +603,42 @@ class Simulator:
         nanoseconds (run until the clock would pass it), or an
         :class:`Event` (run until it is processed; returns its value).
         """
-        if self.race is not None:
-            return self._run_with_monitor(until)
-        if until is None:
-            self._run_batched(self._heap)
-            return None
+        sentinel: Optional[Event] = None
+        deadline: Optional[int] = None
         if isinstance(until, Event):
             sentinel = until
             saved_defused = sentinel.defused
             sentinel.defused = True  # run() surfaces the failure itself
-            heap = self._heap
-            pop = heapq.heappop
-            while heap and not sentinel._processed:
+        elif until is not None:
+            deadline = int(until)
+            if deadline < self._now:
+                raise ValueError("cannot run until the past")
+        heap = self._heap
+        if self.race is not None:
+            self._run_monitored(heap, sentinel, deadline)
+        else:
+            # The drain: one entry at a time, exactly repeated step() with
+            # Event._run_callbacks inlined — an exception mid-timestamp
+            # leaves the rest of the timestamp on the heap.
+            pop = heappop
+            while heap:
+                if sentinel is not None and sentinel._callbacks is None:
+                    break
+                if deadline is not None and heap[0][0] > deadline:
+                    break
                 when, __, event = pop(heap)
                 self._now = when
                 self.events_processed += 1
-                event._run_callbacks()
-            if not sentinel._processed:
+                callbacks, event._callbacks = event._callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if (event._exception is not None and not callbacks
+                        and not event.defused):
+                    raise SimulationError(
+                        "unhandled failure of %r" % event
+                    ) from event._exception
+        if sentinel is not None:
+            if sentinel._callbacks is not None:
                 # The flag only exists to mark run() as the failure's
                 # consumer; when the sentinel never fired, put it back so a
                 # later failure still surfaces as unhandled.
@@ -627,38 +647,6 @@ class Simulator:
                     "run() ran out of events before %r triggered" % sentinel
                 )
             return sentinel.value  # raises the original exception on failure
-        deadline = int(until)
-        if deadline < self._now:
-            raise ValueError("cannot run until the past")
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and heap[0][0] <= deadline:
-            when, __, event = pop(heap)
-            self._now = when
-            self.events_processed += 1
-            event._run_callbacks()
-        self._now = deadline
-        return None
-
-    def _run_with_monitor(self, until: Any) -> Any:
-        """The three :meth:`run` modes, routed through the monitored drain."""
-        if until is None:
-            self._run_monitored(self._heap)
-            return None
-        if isinstance(until, Event):
-            sentinel = until
-            saved_defused = sentinel.defused
-            sentinel.defused = True  # run() surfaces the failure itself
-            self._run_monitored(self._heap, sentinel=sentinel)
-            if not sentinel._processed:
-                sentinel.defused = saved_defused
-                raise SimulationError(
-                    "run() ran out of events before %r triggered" % sentinel
-                )
-            return sentinel.value  # raises the original exception on failure
-        deadline = int(until)
-        if deadline < self._now:
-            raise ValueError("cannot run until the past")
-        self._run_monitored(self._heap, deadline=deadline)
-        self._now = deadline
+        if deadline is not None:
+            self._now = deadline
         return None

@@ -99,7 +99,12 @@ class FusedTimingCalculator:
         dies_area, bus_area)`` where ``rel_times`` is relative to ``now``
         and the areas are the batch's exact busy integrals.
         """
-        rel_die = tuple(t - now if t > now else 0 for t in die_free)
+        if die_free[-1] <= now:
+            # Idle channel (every one-page command on a quiet device): the
+            # deque is sorted, so all dies are free — no per-die generator.
+            rel_die: Tuple[int, ...] = (0,) * len(die_free)
+        else:
+            rel_die = tuple(t - now if t > now else 0 for t in die_free)
         rel_bus = bus_free - now if bus_free > now else 0
         key = (rel_die, rel_bus, sense_ns, rate, sizes)
         entry = self._cache.get(key)
@@ -129,7 +134,7 @@ class FusedTimingCalculator:
             self.cache_hits += 1
         rel_times_out, die_after, bus_after, dies_area, bus_area = entry
         die_free.clear()
-        die_free.extend(now + t for t in die_after)
+        die_free.extend([now + t for t in die_after])
         return rel_times_out, now + bus_after, dies_area, bus_area
 
 

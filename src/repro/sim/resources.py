@@ -8,6 +8,7 @@ unbounded produce/consume buffer used where backpressure is not modeled.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, Generator, Tuple
 
 from repro.sim.engine import Event, Simulator
@@ -30,10 +31,13 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Tuple[Event, int]] = deque()
+        #: Queued requests: (event, units, reclaim callback).
+        self._waiters: Deque[Tuple[Event, int, Any]] = deque()
         # Utilization accounting: busy integral in unit·ns.
         self._busy_area = 0
         self._last_change = sim.now
+        # The reclaim callback of every 1-unit grant, bound once.
+        self._reclaim_unit = self._reclaim
 
     @property
     def in_use(self) -> int:
@@ -48,24 +52,55 @@ class Resource:
             raise ValueError(
                 "cannot request %d units of %d-capacity resource" % (units, self.capacity)
             )
-        if self.sim.race is not None:
+        sim = self.sim
+        race = sim.race
+        if race is not None:
             # FIFO traffic: grant order among tied requesters is pinned by
             # the engine's sequence numbers by design — ordered, not a
             # hazard, but it pins the batch against perturbation.
-            self.sim.race.on_ordered(self, "queue")
-        event = Event(self.sim)
-        self._waiters.append((event, units))
-        self._grant()
+            race.on_ordered(self, "queue")
+        event = Event(sim)
+        # The waiter can still be interrupted between the grant and the
+        # event processing (same timestep); the reclaim callback checks the
+        # abandoned flag at processing time and returns the units — without
+        # it an interrupted hedged/coalesced read would hold the grant
+        # forever (a doubly-granted leak).
+        reclaim = (self._reclaim_unit if units == 1
+                   else lambda ev, n=units: self._reclaim(ev, n))
+        in_use = self._in_use
+        if self._waiters or in_use + units > self.capacity:
+            self._waiters.append((event, units, reclaim))
+            self._grant()
+            return event
+        # Uncontended (nine requests in ten): grant in line — _grant's
+        # accounting, add_callback and Event.succeed, same heap entry.
+        now = sim._now
+        self._busy_area += in_use * (now - self._last_change)
+        self._last_change = now
+        self._in_use = in_use + units
+        event._callbacks.append(reclaim)
+        event._scheduled = True
+        if race is not None:
+            race.on_ordered(event, "callbacks")
+            race.on_write(event, "state")
+            race.on_schedule(now)
+        sim._sequence = sequence = sim._sequence + 1
+        heappush(sim._heap, (now, sequence, event))
         return event
 
     def release(self, units: int = 1) -> None:
-        if units < 1 or units > self._in_use:
-            raise ValueError("release of %d units but only %d in use" % (units, self._in_use))
-        if self.sim.race is not None:
-            self.sim.race.on_ordered(self, "queue")
-        self._account()
-        self._in_use -= units
-        self._grant()
+        in_use = self._in_use
+        if units < 1 or units > in_use:
+            raise ValueError("release of %d units but only %d in use" % (units, in_use))
+        sim = self.sim
+        if sim.race is not None:
+            sim.race.on_ordered(self, "queue")
+        now = sim._now
+        self._busy_area += in_use * (now - self._last_change)
+        self._last_change = now
+        self._in_use = in_use - units
+        if self._waiters:
+            self._grant()
 
     def acquire(self, units: int = 1) -> Generator:
         """Fiber helper: ``yield from resource.acquire()`` blocks until held."""
@@ -77,8 +112,10 @@ class Resource:
         self._last_change = now
 
     def _grant(self) -> None:
+        """Serve the queue head-first: what a release (or a request that
+        found waiters) does; an uncontended request never gets here."""
         while self._waiters:
-            event, units = self._waiters[0]
+            event, units, reclaim = self._waiters[0]
             if event.abandoned:  # requester was interrupted while queued
                 self._waiters.popleft()
                 continue
@@ -87,15 +124,10 @@ class Resource:
             self._waiters.popleft()
             self._account()
             self._in_use += units
-            # The waiter can still be interrupted between this grant and the
-            # event processing (same timestep); the reclaim callback checks
-            # the abandoned flag at processing time and returns the units —
-            # without it an interrupted hedged/coalesced read would hold the
-            # grant forever (a doubly-granted leak).
-            event.add_callback(lambda ev, n=units: self._reclaim(ev, n))
+            event.add_callback(reclaim)
             event.succeed()
 
-    def _reclaim(self, event: Event, units: int) -> None:
+    def _reclaim(self, event: Event, units: int = 1) -> None:
         if event.abandoned:
             self.release(units)
 

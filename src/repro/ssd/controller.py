@@ -200,6 +200,12 @@ class Controller:
         sensed and transferred once, so a request that repeats a page must
         not inflate the NAND transfer size.
         """
+        if len(lpns) == 1:
+            # One-page command (point read, index probe): its one stripe,
+            # without the dict / set / sort below.
+            channel, physical = self.placement(lpns[0])
+            return [Stripe(channel, physical,
+                           lpns if isinstance(lpns, range) else tuple(lpns))]
         slots = self.config.logical_pages_per_physical
         groups: dict = {}
         if self.ftl.mapped_pages == 0:
@@ -293,14 +299,17 @@ class Controller:
         cmd_start_ns = self.sim.now if trace is not None else 0
         stripes = self._group_stripes(lpns)
         # Command/page accounting happens before dispatch so reads that die
-        # with UncorrectableReadError are still visible in the stats.
-        self.stats.read_commands += 1
+        # with UncorrectableReadError are still visible in the stats.  The
+        # bumps go to the registry counters themselves: through the
+        # ``stats.x += 1`` shim each costs a getter and a setter call.
+        counters = self.stats._counters
+        counters["read_commands"].value += 1
         self.inflight_commands += 1
-        self.stats.logical_pages_read += (
+        counters["logical_pages_read"].value += (
             len(lpns) if isinstance(lpns, range)  # ranges hold no duplicates
-            else sum(len(s.lpns) for s in stripes))
+            else sum([len(s.lpns) for s in stripes]))
         if use_matcher:
-            self.stats.matcher_commands += 1
+            counters["matcher_commands"].value += 1
             # A matcher-engaged read is a streaming scan by construction:
             # never let it thrash the hot working set.
             cache_bypass = True
@@ -314,8 +323,8 @@ class Controller:
             batches = self._coalesce(stripes, use_matcher)
             for batch in batches:
                 if len(batch) > 1:
-                    self.stats.coalesced_commands += 1
-                    self.stats.coalesced_stripes += len(batch) - 1
+                    counters["coalesced_commands"].value += 1
+                    counters["coalesced_stripes"].value += len(batch) - 1
             if len(batches) == 1:
                 # Fast path: single-channel commands (point reads, index
                 # probes) run inline — no fan-out fibers to spawn or join.
@@ -369,8 +378,9 @@ class Controller:
                 if fused is not None:
                     if cache is not None and cache.enabled:
                         cache.note_bypass()
-                    self.stats.fused_commands += 1
-                    self.stats.fused_stripes += 1
+                    counters = self.stats._counters
+                    counters["fused_commands"].value += 1
+                    counters["fused_stripes"].value += 1
                     yield fused
                     return
             else:
@@ -423,8 +433,9 @@ class Controller:
             if cache is not None and cache.enabled:
                 for _stripe in batch:
                     cache.note_bypass()
-            self.stats.fused_commands += 1
-            self.stats.fused_stripes += len(batch)
+            counters = self.stats._counters
+            counters["fused_commands"].value += 1
+            counters["fused_stripes"].value += len(batch)
             yield fused
             return
         if channel.fastpath.active:

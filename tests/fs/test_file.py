@@ -4,6 +4,7 @@ import pytest
 
 from repro.fs.file import FileHandle
 from repro.fs.filesystem import FsError
+from repro.host.platform import System
 from repro.sim.engine import all_of
 
 
@@ -125,3 +126,75 @@ def test_page_lpns_helper(system):
     handle = system.open_internal("/pl")
     assert len(handle.page_lpns()) == 3
     assert len(handle.page_lpns(0, 4096)) == 1
+
+
+# ------------------------------------------- staged pages, aligned or not
+def _rmw_reference(fs, inode, offset, data):
+    """{lpn: bytes} as the always-read-modify-write staging produced it
+    (the implementation before page-aligned writes skipped the re-read)."""
+    page = fs.page_size
+    end = offset + len(data)
+    if end > inode.size:
+        fs.grow(inode, end)
+    first = offset // page
+    current = fs.read_range(
+        inode, first * page,
+        min(inode.size, ((end + page - 1) // page) * page) - first * page)
+    buf = bytearray(current)
+    buf[offset - first * page:offset - first * page + len(data)] = data
+    return {lpn: bytes(buf[i * page:(i + 1) * page])
+            for i, lpn in enumerate(inode.lpns(first * page, len(buf)))}
+
+
+WRITE_SHAPES = {
+    # name: (initial size, offset, length)
+    "aligned-one-page": (5 * 4096, 2 * 4096, 4096),
+    "aligned-three-pages": (5 * 4096, 4096, 3 * 4096),
+    "aligned-tail-to-eof": (10_000, 8192, 10_000 - 8192),
+    "aligned-head-short-tail": (5 * 4096, 4096, 5000),
+    "unaligned-head": (5 * 4096, 4096 + 17, 2 * 4096 - 17),
+    "unaligned-tail": (5 * 4096, 4096, 4096 + 100),
+    "unaligned-both": (5 * 4096, 4090, 10),
+    "append-with-partial-tail": (2 * 4096, 2 * 4096, 4096 + 123),
+    "append-from-mid-page": (10_000, 10_000, 3000),
+    "growing-past-a-hole": (4096, 3 * 4096, 2 * 4096 + 5),
+    "growing-unaligned": (100, 50, 3 * 4096),
+    "empty-aligned": (2 * 4096, 4096, 0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WRITE_SHAPES))
+def test_write_stages_the_same_pages_as_read_modify_write(shape):
+    size, offset, length = WRITE_SHAPES[shape]
+    initial = bytes((i * 7 + 3) % 251 for i in range(size))
+    data = bytes((i * 13 + 1) % 241 + 1 for i in range(length))
+    expected_system, system = System(), System()
+    for s in (expected_system, system):
+        s.fs.install("/w", initial)
+    inode = expected_system.fs.lookup("/w")
+    staged = _rmw_reference(expected_system.fs, inode, offset, data)
+    for lpn, content in staged.items():
+        expected_system.device.store_page(lpn, content)
+
+    handle = system.open_internal("/w")
+    system.run_fiber(handle.write(offset, data))
+    assert system.device._store == expected_system.device._store
+    assert handle.size == inode.size
+    assert handle.inode.extents == inode.extents
+    assert system.run_fiber(handle.read(0, handle.size)) == \
+        expected_system.fs.read_range(inode, 0, inode.size)
+
+
+def test_page_aligned_write_does_not_reread_the_range(system, monkeypatch):
+    page = system.fs.page_size
+    system.fs.install("/w", b"\x01" * (4 * page))
+    handle = system.open_internal("/w")
+
+    def no_reread(*_args):
+        raise AssertionError("aligned write re-read its target range")
+
+    monkeypatch.setattr(system.fs, "read_range", no_reread)
+    system.run_fiber(handle.write(page, b"\x02" * (2 * page)))
+    system.run_fiber(handle.write(4 * page, b"\x03" * 10))  # append to EOF
+    with pytest.raises(AssertionError):
+        system.run_fiber(handle.write(5, b"\x04"))

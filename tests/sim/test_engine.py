@@ -277,6 +277,23 @@ def test_all_of_empty():
     assert sim.run(all_of(sim, [])) == []
 
 
+def test_empty_composites_cannot_hang_a_fiber():
+    """``all_of([])`` is vacuously done; ``any_of([])`` could never trigger,
+    so it is refused at construction instead of hanging whoever yields it."""
+    sim = Simulator()
+
+    def waiter():
+        values = yield all_of(sim, iter(()))
+        return values, sim.now
+
+    assert sim.run(sim.process(waiter())) == ([], 0)
+    for empty in ([], (), iter(())):
+        with pytest.raises(ValueError, match="at least one event"):
+            any_of(sim, empty)
+    sim.run()  # the refused composites left nothing behind
+    assert sim.peek() is None
+
+
 def test_all_of_fails_fast():
     sim = Simulator()
     bad = sim.event()
