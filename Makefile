@@ -10,7 +10,7 @@ STRICT_TYPED = \
 	src/repro/core/types.py \
 	src/repro/resilience/hedge.py
 
-.PHONY: test test-fast test-faults bench serve lint typecheck trace attribute resilience sim-throughput cluster race e2e-smoke
+.PHONY: test test-fast test-faults bench serve lint typecheck trace attribute resilience sim-throughput cluster race e2e-smoke results-check
 
 # The full tier-1 suite (what CI runs on every push).
 test:
@@ -53,6 +53,19 @@ cluster:
 e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --workload all --smoke
 	$(PYTHON) -m pytest -q benchmarks/e2e
+
+# The paper-facing result files are compared, not just written: re-run the
+# 20 experiments (~95 s; needs pytest-benchmark), which rewrite
+# benchmarks/results/, then fail if a tracked file there moved or a new one
+# appeared.  Every number in them is simulated, so any diff is a change to a
+# Table/Figure and must be a deliberate, committed refresh.
+results-check:
+	$(PYTEST) -q benchmarks --ignore=benchmarks/e2e
+	git diff --exit-code benchmarks/results
+	@untracked=$$(git ls-files --others --exclude-standard benchmarks/results); \
+	if [ -n "$$untracked" ]; then \
+		echo "untracked files under benchmarks/results:"; echo "$$untracked"; exit 1; \
+	fi
 
 # Run a serving-layer traffic mix deterministically (override MIX/POLICY,
 # e.g. `make serve MIX=saturation POLICY=wfq`).
