@@ -6,7 +6,7 @@ network-bound; node-level compute is bound by the wimpy server CPUs;
 in-SSD NDP runs at aggregate flash speed.
 """
 
-from repro.apps.scaleout_search import install_cluster_weblog, run_strategy
+from repro.apps.sharded_search import install_cluster_weblog, run_strategy
 from repro.bench.harness import ExperimentResult, save_result
 from repro.net.cluster import ScaleOutCluster
 from repro.sim.units import GIB

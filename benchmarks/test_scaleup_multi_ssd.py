@@ -7,7 +7,7 @@ shared PCIe fabric / host scan rate — "the gap can grow if there are many
 SSDs on a switched PCIe fabric".
 """
 
-from repro.apps.distributed_search import (
+from repro.apps.sharded_search import (
     install_sharded_weblog,
     run_biscuit_sharded,
     run_conv_sharded,

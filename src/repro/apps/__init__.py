@@ -8,10 +8,9 @@
   (Table V).
 * :mod:`repro.apps.streambench` — the background memory-load generator used
   to stress the host in Tables IV and V.
-* :mod:`repro.apps.distributed_search` — sharded search across multiple
-  SSDs (Scale-up, Fig. 1(b)).
-* :mod:`repro.apps.scaleout_search` — the same search across a networked
-  cluster at three near-data tiers (Fig. 1(c)/(d)).
+* :mod:`repro.apps.sharded_search` — the same search fanned out over
+  shards: across multiple SSDs (Scale-up, Fig. 1(b)) and across a networked
+  cluster at three near-data tiers (Scale-out, Fig. 1(c)/(d)).
 * :mod:`repro.apps.kvstore` — SkimpyStash-style store with device-side
   chain traversal (Section VI).
 * :mod:`repro.apps.log_analytics` — hybrid SSDlet+HostTask pipeline and

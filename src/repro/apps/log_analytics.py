@@ -227,8 +227,11 @@ def biscuit_top_clients(
         )
         parsers.append(parser)
         app.connect(parser.out(0), merger.in_(index))
-    yield from app.start()
-    yield from app.wait()
+    try:
+        yield from app.start()
+        yield from app.wait()
+    finally:
+        app.stop()  # a failed run must not strand the device- and host-side fibers
     yield from ssd.unloadModule(mid)
     return merger.instance.result
 

@@ -208,14 +208,17 @@ def biscuit_pointer_chase(
     starts = _start_nodes(graph, num_walks)
     chaser = SSDLetProxy(app, mid, "idChaser", (token, graph, starts, hops_per_walk))
     port = app.connectTo(chaser.out(0), int)
-    yield from app.start()
     finals: List[int] = []
-    while True:
-        value = yield from port.get_opt()
-        if value is None:
-            break
-        finals.append(value)
-    yield from app.wait()
+    try:
+        yield from app.start()
+        while True:
+            value = yield from port.get_opt()
+            if value is None:
+                break
+            finals.append(value)
+        yield from app.wait()
+    finally:
+        app.stop()  # a failed walk must not strand the device-side fibers
     yield from ssd.unloadModule(mid)
     return finals
 

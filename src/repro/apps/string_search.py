@@ -16,26 +16,32 @@ keyword-match probability.
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.core import SSD, Application, DeviceFile, SSDLet, SSDLetProxy, SSDletModule, write_module_image
 from repro.fs.filesystem import Inode
 from repro.host.platform import System
-from repro.sim.engine import all_of
-from repro.sim.units import KIB, MIB
+from repro.sim.units import MIB
 
 __all__ = [
     "install_weblog",
     "install_weblog_analytic",
     "boyer_moore_count",
     "conv_string_search",
+    "searcher_shares",
+    "load_searcher",
+    "launch_searchers",
     "biscuit_string_search",
     "run_conv_search",
     "run_biscuit_search",
     "PAPER_LOG_BYTES",
+    "READ_UNIT",
 ]
 
 PAPER_LOG_BYTES = int(7.8 * 1024 ** 3)
+
+#: The host arm's read (and count) unit; also what a pulled shard ships.
+READ_UNIT = 1 * MIB
 
 STRING_SEARCH_MODULE = SSDletModule("string-search")
 MODULE_IMAGE_PATH = "/var/isc/slets/string_search.slet"
@@ -103,35 +109,28 @@ def boyer_moore_count(data: bytes, keyword: bytes) -> int:
 
 # ---------------------------------------------------------------------- Conv
 def conv_string_search(
-    system: System, path: str, keyword: str, chunk_bytes: int = 1 * MIB
+    system: System, path: str, keyword: str, ssd: int = 0,
+    begin: int = 0, end: Optional[int] = None,
 ) -> Generator:
-    """Fiber: readahead + Boyer-Moore scan on the host; returns match count."""
-    handle = system.open_host(path)
-    inode = handle.inode
-    size = inode.size
-    matches = 0
-    offset = 0
+    """Fiber: readahead + Boyer-Moore scan on the host; returns match count.
+
+    Scans bytes ``[begin, end)`` (default: the whole file) of ``path`` on
+    SSD ``ssd``, counting inside each :data:`READ_UNIT` it reads.
+    """
+    handle = system.open_host(path, ssd=ssd)
+    exact = not handle.inode.synthetic
     needle = keyword.encode()
-    pending = None  # outstanding readahead
-    exact = not inode.synthetic
-    while offset < size:
-        take = min(chunk_bytes, size - offset)
-        if pending is None:
-            pending = handle.aread(offset, take) if exact else \
-                handle.aread_timing_only(offset, take)
-        current = yield pending
-        next_offset = offset + take
-        if next_offset < size:
-            nxt = min(chunk_bytes, size - next_offset)
-            pending = handle.aread(next_offset, nxt) if exact else \
-                handle.aread_timing_only(next_offset, nxt)
-        else:
-            pending = None
+    matches = 0
+
+    def scan(_offset: int, take: int, data) -> Generator:
+        nonlocal matches
         # Scan the chunk on a host core (memory-bound; degrades under load).
         yield from system.cpu.scan(take)
         if exact:
-            matches += boyer_moore_count(current, needle)
-        offset = next_offset
+            matches += boyer_moore_count(data, needle)
+
+    yield from handle.stream(
+        begin, handle.size if end is None else end, READ_UNIT, scan, exact)
     return matches
 
 
@@ -198,6 +197,51 @@ class Searcher(SSDLet):
 STRING_SEARCH_MODULE.register("idSearcher", Searcher)
 
 
+def searcher_shares(size: int, page: int, num_searchers: int) -> List[Tuple[int, int]]:
+    """Page-aligned ``(offset, length)`` shares of a ``size``-byte file."""
+    share_pages = ((size + page - 1) // page + num_searchers - 1) // num_searchers
+    share = share_pages * page
+    return [(index * share, min(share, size - index * share))
+            for index in range(num_searchers) if index * share < size]
+
+
+def load_searcher(system: System, device_index: int = 0) -> Generator:
+    """Fiber: load the search module on one SSD; returns ``(ssd, module id)``."""
+    ssd = SSD(system, device_index=device_index)
+    fs = system.filesystems[device_index]
+    if not fs.exists(MODULE_IMAGE_PATH):
+        write_module_image(fs, MODULE_IMAGE_PATH, STRING_SEARCH_MODULE)
+    mid = yield from ssd.loadModule(MODULE_IMAGE_PATH)
+    return ssd, mid
+
+
+def launch_searchers(
+    ssd: SSD, mid: int, app_name: str, path: str, keyword: str,
+    ranges: Sequence[Tuple[int, int]],
+) -> Generator:
+    """Fiber: one Searcher SSDlet per ``(offset, length)`` range of ``path``;
+    returns the total match count.  The application is stopped on every
+    path out, so a failed search strands no data channel."""
+    app = Application(ssd, app_name)
+    try:
+        token = DeviceFile(ssd, path, use_matcher=True)
+        ports = [
+            app.connectTo(SSDLetProxy(
+                app, mid, "idSearcher", (token, keyword, begin, length)).out(0), int)
+            for begin, length in ranges
+        ]
+        yield from app.start()
+        total = 0
+        for port in ports:
+            count = yield from port.get_opt()
+            if count is not None:
+                total += count
+        yield from app.wait()
+    finally:
+        app.stop()
+    return total
+
+
 def biscuit_string_search(
     system: System, path: str, keyword: str, num_searchers: int = 4
 ) -> Generator:
@@ -206,34 +250,11 @@ def biscuit_string_search(
     Several Searcher SSDlets share the file so matcher commands overlap and
     the internal bandwidth is saturated.
     """
-    ssd = SSD(system)
-    if not system.fs.exists(MODULE_IMAGE_PATH):
-        write_module_image(system.fs, MODULE_IMAGE_PATH, STRING_SEARCH_MODULE)
-    mid = yield from ssd.loadModule(MODULE_IMAGE_PATH)
-    app = Application(ssd, "string-search")
-    token = DeviceFile(ssd, path, use_matcher=True)
-    size = system.fs.lookup(path).size
-    page = system.fs.page_size
-    share_pages = ((size + page - 1) // page + num_searchers - 1) // num_searchers
-    share = share_pages * page
-    searchers = []
-    ports = []
-    for i in range(num_searchers):
-        begin = i * share
-        if begin >= size:
-            break
-        proxy = SSDLetProxy(
-            app, mid, "idSearcher", (token, keyword, begin, min(share, size - begin))
-        )
-        searchers.append(proxy)
-        ports.append(app.connectTo(proxy.out(0), int))
-    yield from app.start()
-    total = 0
-    for port in ports:
-        count = yield from port.get_opt()
-        if count is not None:
-            total += count
-    yield from app.wait()
+    ssd, mid = yield from load_searcher(system)
+    total = yield from launch_searchers(
+        ssd, mid, "string-search", path, keyword,
+        searcher_shares(system.fs.lookup(path).size, system.fs.page_size,
+                        num_searchers))
     yield from ssd.unloadModule(mid)
     return total
 

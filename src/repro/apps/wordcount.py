@@ -218,17 +218,18 @@ def wordcount_host_program(
         app.connect(shuffler.out(lane), reducer.in_(0))
     ports = [app.connectTo(reducer.out(0), WordCount) for reducer in reducers]
 
-    yield from app.start()
-
     counts: Dict[str, int] = {}
-    for port in ports:
-        while True:
-            pair = yield from port.get_opt()
-            if pair is None:
-                break
-            counts[pair[0]] = counts.get(pair[0], 0) + pair[1]
-
-    yield from app.wait()
+    try:
+        yield from app.start()
+        for port in ports:
+            while True:
+                pair = yield from port.get_opt()
+                if pair is None:
+                    break
+                counts[pair[0]] = counts.get(pair[0], 0) + pair[1]
+        yield from app.wait()
+    finally:
+        app.stop()  # a failed run must not strand the device-side fibers
     yield from ssd.unloadModule(mid)
     return counts
 

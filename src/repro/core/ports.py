@@ -147,12 +147,20 @@ class Connection:
 
 
 class _PortBase:
-    """Shared endpoint state."""
+    """Shared endpoint state.
 
-    def __init__(self, sim: Simulator, owner_name: str, index: int):
+    ``compute`` occupies the owner's side: the application's device core
+    for an SSDlet's port, a host core for a host-side one.
+    """
+
+    def __init__(self, sim: Simulator, owner_name: str, index: int, dtype: Any,
+                 compute: ComputeFn, config):
         self.sim = sim
         self.owner_name = owner_name
         self.index = index
+        self.dtype = dtype
+        self._compute = compute
+        self._config = config
         # Trace track: host-side owners are named "host:<app>..."; fold the
         # colon into the path so their events group under a "host" process.
         self.trace_track = owner_name.replace(":", "/", 1)
@@ -186,47 +194,14 @@ class _PortBase:
         return self.connection
 
 
-class DeviceOutputPort(_PortBase):
-    """An SSDlet's output port."""
+class _OutputPort(_PortBase):
+    """Producer endpoint: ``put`` is the subclass's; closing is shared."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        owner_name: str,
-        index: int,
-        dtype: Any,
-        device_compute: ComputeFn,
-        interface: InterfaceFn,
-        config,
-    ):
-        super().__init__(sim, owner_name, index)
-        self.dtype = dtype
-        self._device_compute = device_compute
+    def __init__(self, sim: Simulator, owner_name: str, index: int, dtype: Any,
+                 compute: ComputeFn, interface: InterfaceFn, config):
+        super().__init__(sim, owner_name, index, dtype, compute, config)
         self._interface = interface
-        self._config = config
         self._closed = False
-
-    def put(self, value: Any) -> Generator:
-        """Fiber: send one value downstream (blocks on a full queue)."""
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        connection = yield from self._ensure_connection()
-        if self._closed:
-            raise PortClosed("put on closed output port of %s" % self.owner_name)
-        item = connection.encode(value)
-        if connection.kind is PortKind.INTER_SSDLET:
-            yield from self._device_compute(self._config.port_type_abstraction_us)
-        elif connection.kind is PortKind.HOST_DEVICE:
-            # Device → host: device-side channel-manager sender work, then
-            # the interface crossing.
-            yield from self._device_compute(self._config.d2h_device_sender_us)
-            yield from self._interface(len(item))
-        # INTER_APP: bare serialization, fiber handoff only.
-        yield connection.queue.put(item)
-        connection.items_transferred += 1
-        if trace is not None:
-            trace.complete("port", "put", self.trace_track, start_ns,
-                           port=self.index, kind=connection.kind.value)
 
     def close(self) -> None:
         """Signal end-of-stream to the consumer side."""
@@ -237,44 +212,9 @@ class DeviceOutputPort(_PortBase):
             self.connection.producer_closed()
 
 
-class DeviceInputPort(_PortBase):
-    """An SSDlet's input port."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        owner_name: str,
-        index: int,
-        dtype: Any,
-        device_compute: ComputeFn,
-        config,
-    ):
-        super().__init__(sim, owner_name, index)
-        self.dtype = dtype
-        self._device_compute = device_compute
-        self._config = config
-
-    def get(self) -> Generator:
-        """Fiber: receive one value; raises :class:`PortClosed` at stream end."""
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        connection = yield from self._ensure_connection()
-        try:
-            item = yield connection.queue.get()
-        except QueueClosed:
-            raise PortClosed(
-                "input port %d of %s: all producers finished"
-                % (self.index, self.owner_name)
-            ) from None
-        if connection.kind is PortKind.HOST_DEVICE:
-            # Host → device: the device-side channel manager does the heavy
-            # receive work on the slow device CPU.
-            yield from self._device_compute(self._config.h2d_device_receiver_us)
-        yield connection.sim.timeout(us_to_ns(self._config.fiber_schedule_us))
-        if trace is not None:
-            trace.complete("port", "get", self.trace_track, start_ns,
-                           port=self.index, kind=connection.kind.value)
-        return connection.decode(item)
+class _InputPort(_PortBase):
+    """Consumer endpoint: ``get`` is the subclass's; the loops over it are
+    shared."""
 
     def get_opt(self) -> Generator:
         """Fiber: like :meth:`get` but returns None at end-of-stream."""
@@ -294,25 +234,60 @@ class DeviceInputPort(_PortBase):
                 return values
 
 
-class HostOutputPort(_PortBase):
-    """Host-side producer endpoint of a host-to-device connection."""
+class DeviceOutputPort(_OutputPort):
+    """An SSDlet's output port."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        owner_name: str,
-        index: int,
-        dtype: Any,
-        host_compute: ComputeFn,
-        interface: InterfaceFn,
-        config,
-    ):
-        super().__init__(sim, owner_name, index)
-        self.dtype = dtype
-        self._host_compute = host_compute
-        self._interface = interface
-        self._config = config
-        self._closed = False
+    def put(self, value: Any) -> Generator:
+        """Fiber: send one value downstream (blocks on a full queue)."""
+        trace = self.sim.trace
+        start_ns = self.sim.now if trace is not None else 0
+        connection = yield from self._ensure_connection()
+        if self._closed:
+            raise PortClosed("put on closed output port of %s" % self.owner_name)
+        item = connection.encode(value)
+        if connection.kind is PortKind.INTER_SSDLET:
+            yield from self._compute(self._config.port_type_abstraction_us)
+        elif connection.kind is PortKind.HOST_DEVICE:
+            # Device → host: device-side channel-manager sender work, then
+            # the interface crossing.
+            yield from self._compute(self._config.d2h_device_sender_us)
+            yield from self._interface(len(item))
+        # INTER_APP: bare serialization, fiber handoff only.
+        yield connection.queue.put(item)
+        connection.items_transferred += 1
+        if trace is not None:
+            trace.complete("port", "put", self.trace_track, start_ns,
+                           port=self.index, kind=connection.kind.value)
+
+
+class DeviceInputPort(_InputPort):
+    """An SSDlet's input port."""
+
+    def get(self) -> Generator:
+        """Fiber: receive one value; raises :class:`PortClosed` at stream end."""
+        trace = self.sim.trace
+        start_ns = self.sim.now if trace is not None else 0
+        connection = yield from self._ensure_connection()
+        try:
+            item = yield connection.queue.get()
+        except QueueClosed:
+            raise PortClosed(
+                "input port %d of %s: all producers finished"
+                % (self.index, self.owner_name)
+            ) from None
+        if connection.kind is PortKind.HOST_DEVICE:
+            # Host → device: the device-side channel manager does the heavy
+            # receive work on the slow device CPU.
+            yield from self._compute(self._config.h2d_device_receiver_us)
+        yield connection.sim.timeout(us_to_ns(self._config.fiber_schedule_us))
+        if trace is not None:
+            trace.complete("port", "get", self.trace_track, start_ns,
+                           port=self.index, kind=connection.kind.value)
+        return connection.decode(item)
+
+
+class HostOutputPort(_OutputPort):
+    """Host-side producer endpoint of a host-to-device connection."""
 
     def put(self, value: Any) -> Generator:
         trace = self.sim.trace
@@ -323,9 +298,9 @@ class HostOutputPort(_PortBase):
         item = connection.encode(value)
         if connection.kind is PortKind.HOST_LOCAL:
             # Same address space: a user-level queue handoff.
-            yield from self._host_compute(HOST_LOCAL_PUT_US)
+            yield from self._compute(HOST_LOCAL_PUT_US)
         else:
-            yield from self._host_compute(self._config.h2d_host_sender_us)
+            yield from self._compute(self._config.h2d_host_sender_us)
             yield from self._interface(len(item))
         yield connection.queue.put(item)
         connection.items_transferred += 1
@@ -333,30 +308,9 @@ class HostOutputPort(_PortBase):
             trace.complete("port", "put", self.trace_track, start_ns,
                            port=self.index, kind=connection.kind.value)
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self.connection is not None:
-            self.connection.producer_closed()
 
-
-class HostInputPort(_PortBase):
+class HostInputPort(_InputPort):
     """Host-side consumer endpoint of a host-to-device connection."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        owner_name: str,
-        index: int,
-        dtype: Any,
-        host_compute: ComputeFn,
-        config,
-    ):
-        super().__init__(sim, owner_name, index)
-        self.dtype = dtype
-        self._host_compute = host_compute
-        self._config = config
 
     def get(self) -> Generator:
         trace = self.sim.trace
@@ -369,27 +323,12 @@ class HostInputPort(_PortBase):
         if connection.kind is PortKind.HOST_LOCAL:
             yield connection.sim.timeout(us_to_ns(HOST_LOCAL_SCHEDULE_US))
         else:
-            yield from self._host_compute(self._config.d2h_host_receiver_us)
+            yield from self._compute(self._config.d2h_host_receiver_us)
             yield connection.sim.timeout(us_to_ns(self._config.fiber_schedule_us))
         if trace is not None:
             trace.complete("port", "get", self.trace_track, start_ns,
                            port=self.index, kind=connection.kind.value)
         return connection.decode(item)
-
-    def get_opt(self) -> Generator:
-        try:
-            value = yield from self.get()
-        except PortClosed:
-            return None
-        return value
-
-    def drain(self) -> Generator:
-        values = []
-        while True:
-            try:
-                values.append((yield from self.get()))
-            except PortClosed:
-                return values
 
 
 def connect_ports(out_port, in_port, connection: Connection) -> None:

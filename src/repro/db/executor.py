@@ -338,40 +338,23 @@ class Engine(RelOps):
         """Fiber: full host-side scan with readahead, filter, project."""
         storage = self.db.table(ref.name)
         out_cols, scan = self.scan_kernel(ref)
-        handle = self.system.open_host(storage.path)
         page_size = storage.page_size
-        chunk_pages = self.config.scan_chunk_pages
-        num_pages = storage.num_pages
         rows_out: List[tuple] = []
-        pending = None
-        offset_pages = 0
-        while offset_pages < num_pages:
-            take = min(chunk_pages, num_pages - offset_pages)
-            length = min(take * page_size, storage.inode.size - offset_pages * page_size)
-            if pending is None:
-                pending = handle.aread_timing_only(offset_pages * page_size, length)
-                # The read may fail (e.g. UncorrectableReadError under fault
-                # injection) while this fiber is busy elsewhere; defusing lets
-                # the failure wait until the yield below rethrows it here.
-                pending.defused = True
-            yield pending
-            self.host_pages_read += take
-            next_offset = offset_pages + take
-            if next_offset < num_pages:
-                ntake = min(chunk_pages, num_pages - next_offset)
-                nlength = min(ntake * page_size, storage.inode.size - next_offset * page_size)
-                pending = handle.aread_timing_only(next_offset * page_size, nlength)
-                pending.defused = True  # failure surfaces at the next yield
-            else:
-                pending = None
+
+        def decode(offset: int, _take: int, pages: int) -> Generator:
+            self.host_pages_read += pages
             # CPU: decode + filter + project every row of the chunk.
             chunk_rows = 0
-            for page_no in range(offset_pages, offset_pages + take):
+            first = offset // page_size
+            for page_no in range(first, first + pages):
                 page_rows = self.table_page_rows(ref.name, page_no)
                 chunk_rows += len(page_rows)
-                rows_out += scan(page_rows)
+                rows_out.extend(scan(page_rows))
             yield from self._charge(chunk_rows * self.config.host_row_us)
-            offset_pages = next_offset
+
+        yield from self.system.open_host(storage.path).stream(
+            0, storage.inode.size, self.config.scan_chunk_pages * page_size,
+            decode)
         return Rel(out_cols, rows_out)
 
     # ------------------------------------------------------------------ joins

@@ -40,12 +40,12 @@ class HostIO:
         if trace is not None:
             trace.complete("driver", label, self.trace_track, start_ns)
 
-    # ------------------------------------------------------------------- read
-    def pread_pages(self, lpns: Sequence[int]) -> Generator:
-        """Fiber: synchronous host read of logical pages.
+    # ----------------------------------------------------------- read / write
+    def _command(self, lpns: Sequence[int], name: str) -> Generator:
+        """Fiber: one synchronous NVMe command (``name``: "read" | "write").
 
         With tracing on, the NVMe command lifecycle is emitted as instants
-        (submit → fetch → execute → complete) plus one ``nvme/read`` span
+        (submit → fetch → execute → complete) plus one ``nvme/<name>`` span
         enveloping the whole round trip — the unit the latency-breakdown
         report decomposes into driver / firmware / NAND / transfer time.
         """
@@ -69,50 +69,34 @@ class HostIO:
                                    slot_wait_ns, cmd=cmd_id)
                 trace.instant("nvme", "fetch", self.trace_track, cmd=cmd_id)
                 trace.instant("nvme", "execute", self.trace_track, cmd=cmd_id)
-            yield from self.device.host_read(list(lpns))
+            if name == "read":
+                yield from self.device.host_read(list(lpns))
+            else:
+                yield from self.device.host_write(list(lpns))
         finally:
             self.device.interface.release_slot()
         yield from self._driver_work(complete_us, "complete")
-        self.reads += 1
-        self.pages_read += len(lpns)
+        if name == "read":
+            self.reads += 1
+            self.pages_read += len(lpns)
+        else:
+            self.writes += 1
+            self.pages_written += len(lpns)
         if trace is not None:
             trace.instant("nvme", "complete", self.trace_track, cmd=cmd_id)
-            trace.complete("nvme", "read", self.trace_track, start_ns,
+            trace.complete("nvme", name, self.trace_track, start_ns,
                            cmd=cmd_id, pages=len(lpns))
+
+    # The public names return the command's generator itself, so a resume
+    # walks no extra frame on the one-page read path.
+    def pread_pages(self, lpns: Sequence[int]) -> Generator:
+        """Fiber: synchronous host read of logical pages."""
+        return self._command(lpns, "read")
+
+    def pwrite_pages(self, lpns: Sequence[int]) -> Generator:
+        """Fiber: synchronous host write of logical pages."""
+        return self._command(lpns, "write")
 
     def apread_pages(self, lpns: Sequence[int]) -> Event:
         """Asynchronous host read; returns the completion event."""
         return self.sim.process(self.pread_pages(lpns), name="apread")
-
-    # ------------------------------------------------------------------ write
-    def pwrite_pages(self, lpns: Sequence[int]) -> Generator:
-        """Fiber: synchronous host write of logical pages."""
-        config = self.device.config
-        submit_us = config.nvme_command_overhead_us / 2
-        complete_us = config.nvme_command_overhead_us - submit_us
-        trace = self.sim.trace
-        cmd_id = trace.next_id() if trace is not None else 0
-        start_ns = self.sim.now if trace is not None else 0
-        if trace is not None:
-            trace.instant("nvme", "submit", self.trace_track,
-                          cmd=cmd_id, pages=len(lpns))
-        yield from self._driver_work(submit_us, "submit")
-        slot_wait_ns = self.sim.now if trace is not None else 0
-        yield from self.device.interface.acquire_slot()
-        try:
-            if trace is not None:
-                if self.sim.now > slot_wait_ns:
-                    trace.complete("nvme", "slot-wait", self.trace_track,
-                                   slot_wait_ns, cmd=cmd_id)
-                trace.instant("nvme", "fetch", self.trace_track, cmd=cmd_id)
-                trace.instant("nvme", "execute", self.trace_track, cmd=cmd_id)
-            yield from self.device.host_write(list(lpns))
-        finally:
-            self.device.interface.release_slot()
-        yield from self._driver_work(complete_us, "complete")
-        self.writes += 1
-        self.pages_written += len(lpns)
-        if trace is not None:
-            trace.instant("nvme", "complete", self.trace_track, cmd=cmd_id)
-            trace.complete("nvme", "write", self.trace_track, start_ns,
-                           cmd=cmd_id, pages=len(lpns))

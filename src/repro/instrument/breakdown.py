@@ -5,32 +5,29 @@ firmware, NAND and transfer time.  This module rebuilds that composition
 *from the event stream alone*: command envelopes come from the NVMe
 lifecycle (``nvme/read`` complete spans for host commands) and from
 controller command spans (``ctrl/read`` spans that sit inside no host
-envelope are device-internal Biscuit reads); component time is the clipped
-overlap of each subsystem's spans with the envelope.
+envelope are device-internal Biscuit reads); an envelope's components are
+the attribution sweep (:func:`repro.instrument.causal.attribute_query`) run
+over the spans that overlap it, folded to Table 3's columns:
 
-Components:
+* **driver** / **firmware** / **transfer** — the sweep's components of the
+  same names (host submit/complete work; device-core command handling;
+  host-interface crossing, fabric hops excluded).
+* **nand** — the sweep's ``nand_busy``: sense + channel-bus transfer.
+* **other** — every other component (queueing inside the SSD, ECC retries,
+  port waits) plus the time no span claims.
 
-* **driver** — host CPU submit/complete work (``driver`` spans from HostIO).
-* **firmware** — device-core command handling (``fw`` spans named
-  ``read-overhead`` / ``dispatch`` / ``write-overhead``).
-* **nand** — channel media time: sense + channel-bus transfer (``nand``
-  read spans).
-* **transfer** — host-interface crossing (``xfer`` spans: PCIe link and
-  fabric hops).
-* **other** — the residual of the envelope (queueing gaps, cache-hit DRAM
-  time, scheduling).
-
-Component times are *busy sums*: a wide command striped over 16 channels
-counts every channel's media time, so components can legitimately exceed
-the envelope wall time for parallel commands.  For the serial 4 KiB reads
-of Table 3 the spans are disjoint and the sum is exact — which is what the
-golden-trace cross-check in ``tests/instrument`` holds it to (within 1%).
+The sweep charges each instant of the envelope to exactly one component, so
+the columns tile it — they sum to the command's duration and ``other`` is
+never negative, however many commands run concurrently (DESIGN.md
+"Latency-breakdown semantics").
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, NamedTuple, Sequence
 
+from repro.instrument import causal
 from repro.instrument.events import TraceEvent
 
 __all__ = ["CommandBreakdown", "BreakdownAggregate", "LatencyBreakdownReport",
@@ -39,28 +36,18 @@ __all__ = ["CommandBreakdown", "BreakdownAggregate", "LatencyBreakdownReport",
 #: Component order used by every report row.
 COMPONENTS = ("driver", "firmware", "nand", "transfer", "other")
 
-_FW_READ_NAMES = frozenset({"read-overhead", "dispatch", "write-overhead"})
+#: Attribution component -> report column; every other one folds to "other".
+_COLUMN = {"driver": "driver", "firmware": "firmware", "nand_busy": "nand",
+           "transfer": "transfer"}
 
 
-class CommandBreakdown:
-    """One command envelope split into component busy times (ns)."""
+class CommandBreakdown(NamedTuple):
+    """One command envelope tiled into component times (ns)."""
 
-    __slots__ = ("kind", "start_ns", "dur_ns", "components")
-
-    def __init__(self, kind: str, start_ns: int, dur_ns: int):
-        self.kind = kind  # "host" | "internal"
-        self.start_ns = start_ns
-        self.dur_ns = dur_ns
-        self.components: Dict[str, int] = {name: 0 for name in COMPONENTS}
-
-    @property
-    def end_ns(self) -> int:
-        return self.start_ns + self.dur_ns
-
-    def finalize(self) -> None:
-        accounted = sum(self.components[name] for name in COMPONENTS
-                        if name != "other")
-        self.components["other"] = self.dur_ns - accounted
+    kind: str                    #: "host" | "internal"
+    start_ns: int
+    dur_ns: int
+    components: Dict[str, int]   #: ns per column of :data:`COMPONENTS`
 
 
 class BreakdownAggregate:
@@ -116,68 +103,58 @@ class LatencyBreakdownReport:
         lines = ["  ".join(cell.rjust(width) for cell, width in
                            zip(row, widths)) for row in cells]
         lines.insert(1, "  ".join("-" * width for width in widths))
-        lines.append("(mean us per command; components are busy sums)")
+        lines.append("(mean us per command; components tile the envelope)")
         return "\n".join(lines)
 
 
-def _clip_into(envelopes: List[CommandBreakdown], event: TraceEvent,
-               component: str) -> None:
-    event_end = event.end_ns
-    for envelope in envelopes:
-        overlap = min(envelope.end_ns, event_end) - max(envelope.start_ns,
-                                                        event.ts_ns)
-        if overlap > 0:
-            envelope.components[component] += overlap
+class _SpanIndex:
+    """Spans sorted by start time: the ones near an interval by bisection,
+    so decomposing a long trace is not one full scan per command."""
+
+    def __init__(self, spans: Iterable[TraceEvent]):
+        self.spans = sorted(spans, key=lambda span: span.ts_ns)
+        self.starts = [span.ts_ns for span in self.spans]
+        self.longest_ns = max((span.dur_ns for span in self.spans), default=0)
+
+    def overlapping(self, start_ns: int, end_ns: int) -> List[TraceEvent]:
+        """Spans sharing time with ``[start_ns, end_ns)``."""
+        low = bisect_left(self.starts, start_ns - self.longest_ns)
+        high = bisect_left(self.starts, end_ns)
+        return [span for span in self.spans[low:high] if span.end_ns > start_ns]
+
+    def covers(self, event: TraceEvent) -> bool:
+        """True when some span contains ``event``'s whole interval."""
+        low = bisect_left(self.starts, event.ts_ns - self.longest_ns)
+        high = bisect_right(self.starts, event.ts_ns)
+        return any(span.end_ns >= event.end_ns for span in self.spans[low:high])
 
 
-def _component_of(event: TraceEvent) -> Optional[str]:
-    if event.dur_ns is None:
-        return None
-    if event.cat == "driver":
-        return "driver"
-    if event.cat == "fw" and event.name in _FW_READ_NAMES:
-        return "firmware"
-    if event.cat == "nand" and event.name == "read":
-        return "nand"
-    if event.cat == "xfer" and event.name != "fabric":
-        # Fabric hops run cut-through, concurrent with the device link hop:
-        # counting both would double-charge the same bytes.
-        return "transfer"
-    return None
+def _decompose(kind: str, envelope: TraceEvent,
+               work: _SpanIndex) -> CommandBreakdown:
+    start_ns, end_ns = envelope.ts_ns, envelope.end_ns
+    totals = causal.attribute_query(causal.QueryTrace(
+        "", "", work.overlapping(start_ns, end_ns), start_ns, end_ns))
+    components = dict.fromkeys(COMPONENTS, 0)
+    for name in causal.COMPONENTS:
+        components[_COLUMN.get(name, "other")] += totals[name]
+    return CommandBreakdown(kind, start_ns, end_ns - start_ns, components)
 
 
 def read_latency_breakdown(events: Iterable[TraceEvent]) -> LatencyBreakdownReport:
     """Reconstruct the Table 3 read round-trip composition from events."""
-    stream = list(events)
-    host_envelopes = [
-        CommandBreakdown("host", event.ts_ns, event.dur_ns)
-        for event in stream
-        if event.cat == "nvme" and event.name == "read"
-        and event.dur_ns is not None
-    ]
-    internal_envelopes = []
-    for event in stream:
-        if event.cat != "ctrl" or event.name != "read" or event.dur_ns is None:
-            continue
-        inside_host = any(
-            envelope.start_ns <= event.ts_ns
-            and event.end_ns <= envelope.end_ns
-            for envelope in host_envelopes
-        )
-        if not inside_host:
-            internal_envelopes.append(
-                CommandBreakdown("internal", event.ts_ns, event.dur_ns))
-    for event in stream:
-        component = _component_of(event)
-        if component is None:
-            continue
-        _clip_into(host_envelopes, event, component)
-        _clip_into(internal_envelopes, event, component)
-    for envelope in host_envelopes:
-        envelope.finalize()
-    for envelope in internal_envelopes:
-        envelope.finalize()
+    spans = [event for event in events if event.dur_ns is not None]
+    host = [event for event in spans
+            if event.cat == "nvme" and event.name == "read"]
+    host_index = _SpanIndex(host)
+    internal = [event for event in spans
+                if event.cat == "ctrl" and event.name == "read"
+                and not host_index.covers(event)]
+    work = _SpanIndex(span for span in spans
+                      if span.dur_ns > 0
+                      and causal.component_of(span) is not None)
     return LatencyBreakdownReport(
-        BreakdownAggregate("host", host_envelopes),
-        BreakdownAggregate("internal", internal_envelopes),
+        BreakdownAggregate("host", [
+            _decompose("host", envelope, work) for envelope in host]),
+        BreakdownAggregate("internal", [
+            _decompose("internal", envelope, work) for envelope in internal]),
     )

@@ -46,6 +46,7 @@ __all__ = [
     "group_queries",
     "assemble_dag",
     "critical_path",
+    "component_of",
     "attribute_query",
     "attribute",
     "AttributionReport",
@@ -73,7 +74,7 @@ COMPONENTS: Tuple[str, ...] = (
 )
 
 #: (cat, name) -> component for exact matches; categories with a uniform
-#: mapping are handled in _component_of below.
+#: mapping are handled in component_of below.
 _SPAN_COMPONENT: Dict[Tuple[str, str], str] = {
     ("nand", "read-failed"): "ecc_retry",
     ("ctrl", "retry-backoff"): "ecc_retry",
@@ -103,7 +104,7 @@ _ENVELOPE_SPANS = frozenset([
 ])
 
 
-def _component_of(event: TraceEvent) -> Optional[str]:
+def component_of(event: TraceEvent) -> Optional[str]:
     """The attribution component a span argues for, or None (envelope)."""
     key = (event.cat, event.name)
     if key in _ENVELOPE_SPANS:
@@ -112,8 +113,8 @@ def _component_of(event: TraceEvent) -> Optional[str]:
     if exact is not None:
         return exact
     if event.cat == "xfer":
-        # Fabric hops re-time bytes already charged to a device-local xfer
-        # span (see breakdown.py: the same exclusion keeps Table III honest).
+        # Fabric hops run cut-through, concurrent with the device link hop:
+        # they re-time bytes already charged to a device-local xfer span.
         return None if event.name == "fabric" else "transfer"
     if event.cat == "fw":
         return "firmware"
@@ -241,7 +242,7 @@ def critical_path(trace: QueryTrace) -> List[TraceEvent]:
     """
     spans = [e for e in trace.events
              if e.dur_ns is not None and e.dur_ns > 0
-             and _component_of(e) is not None]
+             and component_of(e) is not None]
     path: List[TraceEvent] = []
     cursor = trace.end_ns
     while cursor > trace.start_ns and spans:
@@ -276,7 +277,7 @@ def attribute_query(trace: QueryTrace) -> Dict[str, int]:
     for event in trace.events:
         if event.dur_ns is None or event.dur_ns <= 0:
             continue
-        component = _component_of(event)
+        component = component_of(event)
         if component is None:
             continue
         intervals.append((priority_of[component],

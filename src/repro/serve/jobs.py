@@ -34,6 +34,7 @@ from repro.apps.pointer_chase import (
 from repro.apps.string_search import (
     MODULE_IMAGE_PATH as SEARCH_IMAGE_PATH,
     STRING_SEARCH_MODULE,
+    launch_searchers,
 )
 from repro.core import Application, DeviceFile, SSDLetProxy
 from repro.db.ndp import (
@@ -191,24 +192,11 @@ class StringSearchKind(JobKindBase):
 
     def run(self, server, mid: int, job: Job) -> Generator:
         params = self.params_of(job)
-        app = Application(server.ssd, "serve-search-%d" % job.job_id)
-        try:
-            token = DeviceFile(server.ssd, WEBLOG_PATH, use_matcher=True)
-            length = min(params["scan_bytes"],
-                         WEBLOG_BYTES - params["offset"])
-            proxy = SSDLetProxy(
-                app, mid, "idSearcher",
-                (token, WEBLOG_KEYWORD, params["offset"], length),
-            )
-            port = app.connectTo(proxy.out(0), int)
-            yield from app.start()
-            count = yield from port.get_opt()
-            yield from app.wait()
-        except BaseException:
-            # Failed jobs must not strand the device-side application.
-            app.stop()
-            raise
-        return count if count is not None else 0
+        length = min(params["scan_bytes"], WEBLOG_BYTES - params["offset"])
+        count = yield from launch_searchers(
+            server.ssd, mid, "serve-search-%d" % job.job_id, WEBLOG_PATH,
+            WEBLOG_KEYWORD, [(params["offset"], length)])
+        return count
 
 
 class PointerChaseKind(JobKindBase):

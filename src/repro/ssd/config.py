@@ -9,7 +9,7 @@ rather than from per-experiment tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.units import KIB, MIB
 
@@ -19,6 +19,10 @@ __all__ = ["SSDConfig"]
 @dataclass
 class SSDConfig:
     """Geometry and timing of the simulated SSD.
+
+    Table I's device: 1 TB NVMe, two ARM Cortex-R7 cores at 750 MHz for
+    Biscuit, 1 GiB DRAM, 2 MiB SRAM.  Only what the model computes with is
+    a field (capacity follows from the geometry).
 
     Calibration (paper Table II/III, Fig. 7):
 
@@ -33,7 +37,6 @@ class SSDConfig:
     """
 
     # ------------------------------------------------------------------ geometry
-    capacity_bytes: int = 1024 ** 4  # 1 TB device (Table I)
     channels: int = 16
     dies_per_channel: int = 4
     logical_page_bytes: int = 4 * KIB  # FTL mapping unit
@@ -85,7 +88,6 @@ class SSDConfig:
     # traced runs), so leave this off for timing benchmarks.
     race_check: bool = False
     device_cores: int = 2  # ARM Cortex R7 cores available to Biscuit (Table I)
-    device_core_mhz: float = 750.0
     # Effective software data-processing rate of the device cores.  Two
     # Cortex-R7 @750 MHz scanning bytes in software: ~120 MB/s per core
     # (Section VI: software-only in-SSD scan cannot keep up, the HW IP can).
@@ -124,7 +126,6 @@ class SSDConfig:
 
     # ----------------------------------------------------------------- memory
     dram_bytes: int = 1024 * MIB
-    sram_bytes: int = 2 * MIB
     system_heap_bytes: int = 64 * MIB  # Biscuit system allocator arena
     user_heap_bytes: int = 256 * MIB  # user allocator arena (SSDlet-visible)
 
@@ -141,10 +142,6 @@ class SSDConfig:
     # arena reserved across admitted jobs.
     serve_app_slots: int = 4
     serve_dram_budget_bytes: int = 128 * MIB
-
-    # misc bookkeeping
-    name: str = "biscuit-nvme-1tb"
-    extra: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------- derived
     @property

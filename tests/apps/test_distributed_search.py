@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.distributed_search import (
+from repro.apps.sharded_search import (
     install_sharded_weblog,
     run_biscuit_sharded,
     run_conv_sharded,

@@ -6,11 +6,9 @@ import os
 import pytest
 
 from repro.host.platform import System
-from repro.instrument.breakdown import (
-    COMPONENTS, CommandBreakdown, read_latency_breakdown,
-)
+from repro.instrument.breakdown import COMPONENTS, read_latency_breakdown
 from repro.instrument.events import EventBus, TraceEvent
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, all_of
 from repro.sim.units import MIB
 
 GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
@@ -128,6 +126,19 @@ def test_clipping_charges_only_the_overlap():
     assert command.components["nand"] == 60
 
 
+def test_long_span_that_started_far_before_the_envelope_is_found():
+    """The span lookup is by bisection over start times; a span that began
+    long before the command (behind many short ones) must still clip in."""
+    events = [TraceEvent(0, 1050, "fw", "dispatch", "ssd0/core0", None)]
+    events += [TraceEvent(ts, 5, "nand", "read", "ssd0/ch0", None)
+               for ts in range(10, 900, 10)]
+    events.append(TraceEvent(1000, 100, "nvme", "read", "host/io0", None))
+    (command,) = read_latency_breakdown(events).host.commands
+    assert command.components["firmware"] == 50
+    assert command.components["nand"] == 0
+    assert command.components["other"] == 50
+
+
 def test_fabric_hops_not_double_counted_as_transfer():
     events = [
         TraceEvent(0, 100, "nvme", "read", "host/io0", None),
@@ -138,10 +149,32 @@ def test_fabric_hops_not_double_counted_as_transfer():
     assert command.components["transfer"] == 20
 
 
-def test_command_breakdown_residual():
-    command = CommandBreakdown("host", 0, 100)
-    command.components["nand"] = 70
-    command.components["driver"] = 10
-    command.finalize()
-    assert command.components["other"] == 20
-    assert tuple(command.components) == COMPONENTS
+def test_components_tile_the_envelope_when_commands_overlap():
+    """Concurrent commands: every envelope's columns still sum to its
+    duration and ``other`` is never negative (busy sums charged each
+    envelope with every concurrent command's spans)."""
+    sim = Simulator()
+    bus = EventBus(sim)
+    system = System(sim=sim)
+    system.fs.install_synthetic("/bench/overlap.dat", 8 * MIB)
+    host = system.open_host("/bench/overlap.dat")
+    internal = system.open_internal("/bench/overlap.dat")
+
+    def program():
+        # One path at a time: an internal read that runs inside a host
+        # command's time span is taken for that command's own ctrl/read.
+        for handle in (host, internal):
+            yield all_of(sim, [handle.aread_timing_only(index * MIB, 256 * 1024)
+                               for index in range(3)])
+
+    system.run_fiber(program())
+    report = read_latency_breakdown(bus.events)
+    assert report.host.count == 3 and report.internal.count == 3
+    for command in report.host.commands + report.internal.commands:
+        assert tuple(command.components) == COMPONENTS
+        assert sum(command.components.values()) == command.dur_ns
+        assert min(command.components.values()) >= 0
+    # Striped over 16 channels, NAND time is busy somewhere for most of
+    # every command, yet never for longer than the command itself.
+    assert all(0 < command.components["nand"] <= command.dur_ns
+               for command in report.internal.commands)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.scaleout_search import install_cluster_weblog, run_strategy
+from repro.apps.sharded_search import install_cluster_weblog, run_strategy
 from repro.net.cluster import NetworkLink, ScaleOutCluster
 from repro.sim.engine import Simulator, all_of
 from repro.sim.units import MIB
