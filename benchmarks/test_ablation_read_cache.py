@@ -58,7 +58,6 @@ def run_ablation():
     chase_on_s, chase_device = _run_chase(CACHE_BYTES)
     scan_off_s, _ = _run_scan(0)
     scan_on_s, scan_device = _run_scan(CACHE_BYTES)
-    stats = chase_device.controller.stats
     return ExperimentResult(
         "Ablation",
         "Device-DRAM read cache (%d KiB): pointer chase vs streaming scan"
@@ -76,10 +75,10 @@ def run_ablation():
             "chase_off_s": chase_off_s,
             "chase_on_s": chase_on_s,
             "chase_speedup": chase_off_s / chase_on_s,
-            "chase_hit_rate": stats.cache_hit_rate,
+            "chase_hit_rate": chase_device.cache.stats.hit_rate,
             "scan_off_s": scan_off_s,
             "scan_on_s": scan_on_s,
-            "scan_bypasses": float(scan_device.controller.stats.cache_bypasses),
+            "scan_bypasses": float(scan_device.cache.stats.bypasses),
         },
     )
 

@@ -516,28 +516,12 @@ class RaceMonitor:
         self._objects: List[Any] = []  # keep ids stable for the batch
         self._sched_targets: Dict[int, int] = {}  # future ts -> first entry
         self._sched_collision = False
-        self._registry_counters: Optional[Dict[str, Any]] = None
         _register_monitor(self)
 
-    def bind_registry(self, registry: Any, prefix: str = "race") -> None:
-        """Mirror the monitor's conflict counts into a MetricsRegistry.
-
-        The counters (``race.batches`` / ``.entries`` / ``.reversed_batches``
-        / ``.hazards``) are synced once per batch (end_batch), so metrics
-        sidecars carry the sanitizer scoreboard without per-access overhead.
-        """
-        self._registry_counters = {
-            name: registry.counter("%s.%s" % (prefix, name))
-            for name in ("batches", "entries", "reversed_batches", "hazards")
-        }
-        self._sync_registry()
-
-    def _sync_registry(self) -> None:
-        counters = self._registry_counters
-        counters["batches"].value = self.batches
-        counters["entries"].value = self.entries
-        counters["reversed_batches"].value = self.reversed_batches
-        counters["hazards"].value = len(self.hazards)
+    @property
+    def hazard_count(self) -> int:
+        """``len(hazards)`` as an attribute a metrics registry can read."""
+        return len(self.hazards)
 
     # -------------------------------------------------------- batch control
     def should_reverse(self) -> bool:
@@ -603,8 +587,6 @@ class RaceMonitor:
         self._entry_index = -1
         self._cells = {}
         self._objects = []
-        if self._registry_counters is not None:
-            self._sync_registry()
         if new_hazards and self.strict:
             raise OrderingHazardError(
                 "; ".join(h.render() for h in new_hazards))

@@ -22,12 +22,10 @@ byte-identical across hosts and ``PYTHONHASHSEED`` values.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from typing import Any, Dict, List
 
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import ExperimentResult, write_bench_json
 from repro.bench.resilience import _quantile_us
 from repro.cluster import ClusterExecutor, ShardedFleet, ShardedKVStore
 from repro.cluster.serve import ClusterServeDriver
@@ -240,18 +238,10 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002,
     return report
 
 
-def write_bench_json(report: Dict[str, Any], path: str = BENCH_JSON) -> str:
-    """Byte-deterministic drop: sorted keys, fixed float rounding, no
-    timestamps or environment detail."""
-    with open(path, "w") as handle:
-        handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return os.path.abspath(path)
-
-
 def exp_cluster(sf: float = None) -> ExperimentResult:
     """The ``python -m repro.bench cluster`` entry point."""
     report = run_cluster_bench(sf=sf if sf is not None else 0.002)
-    path = write_bench_json(report)
+    path = write_bench_json(report, BENCH_JSON)
     shown = [
         "num_nodes", "num_shards", "lineitem_rows",
         "shard_skew", "mean_fan_out", "max_fan_out",

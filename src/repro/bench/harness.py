@@ -7,7 +7,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["ExperimentResult", "format_table", "results_dir", "save_result"]
+__all__ = ["ExperimentResult", "format_table", "results_dir", "save_result",
+           "write_bench_json"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -77,3 +78,11 @@ def save_result(result: ExperimentResult, name: str) -> str:
     with open(os.path.join(results_dir(), "%s.metrics.json" % name), "w") as handle:
         handle.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return path
+
+
+def write_bench_json(report: Dict[str, Any], path: str) -> str:
+    """Byte-deterministic drop of a ``BENCH_*.json`` report: sorted keys,
+    fixed float rounding, no timestamps or environment detail."""
+    with open(path, "w") as handle:
+        handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return os.path.abspath(path)

@@ -16,15 +16,14 @@ is byte-identical across hosts and ``PYTHONHASHSEED`` values.
 
 from __future__ import annotations
 
-import json
-import os
 import random
 from typing import Any, Dict, List
 
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import ExperimentResult, write_bench_json
 from repro.db.catalog import Column, TableSchema
 from repro.db.storage import Database
 from repro.host.platform import System
+from repro.instrument.events import traced_simulator
 from repro.resilience import (
     HedgePolicy,
     RecoveryTracker,
@@ -108,15 +107,8 @@ def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
     is unchanged by it.
     """
     rng = random.Random(seed)
-    bus = None
-    if trace:
-        from repro.instrument.events import EventBus
-        from repro.sim.engine import Simulator
-        sim = Simulator()
-        bus = EventBus(sim)
-        system = System(num_ssds=2, sim=sim)
-    else:
-        system = System(num_ssds=2)
+    sim, bus = traced_simulator(trace)
+    system = System(num_ssds=2, sim=sim)
     databases = []
     rows = _table_rows(num_rows, seed)
     for fs in system.filesystems:
@@ -174,10 +166,7 @@ def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
             faults_before = (injector.faults_injected
                              + replica_injector.faults_injected)
             start_ns = system.sim.now
-            if bus is not None:
-                with bus.scope("storm/q%d" % index):
-                    got = yield from driver.scan(spec, primary=0)
-            else:
+            with system.sim.scope("storm/q%d" % index):
                 got = yield from driver.scan(spec, primary=0)
             latencies_us.append((system.sim.now - start_ns) / 1000.0)
             faults_after = (injector.faults_injected
@@ -220,18 +209,10 @@ def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
     return report
 
 
-def write_bench_json(report: Dict[str, Any], path: str = BENCH_JSON) -> str:
-    """Byte-deterministic drop: sorted keys, fixed float rounding, no
-    timestamps or environment detail."""
-    with open(path, "w") as handle:
-        handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return os.path.abspath(path)
-
-
 def exp_resilience() -> ExperimentResult:
     """The ``python -m repro.bench resilience`` entry point."""
     report = run_resilience_bench(trace=True)
-    path = write_bench_json(report)
+    path = write_bench_json(report, BENCH_JSON)
     headers = ["metric", "value"]
     shown = [
         "queries", "faulted_queries", "faulted_fraction", "wrong_results",

@@ -22,11 +22,9 @@ wall-clock time is measured by ``benchmarks/e2e`` (``dev_scan`` and
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, NamedTuple
 
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import ExperimentResult, write_bench_json
 from repro.sim.engine import Simulator
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSDDevice
@@ -129,17 +127,10 @@ def run_throughput_bench(
     return report
 
 
-def write_bench_json(report: Dict[str, Any], path: str = BENCH_JSON) -> str:
-    """Sorted keys, fixed rounding: the same report is the same bytes."""
-    with open(path, "w") as handle:
-        handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return os.path.abspath(path)
-
-
 def exp_sim_throughput() -> ExperimentResult:
     """The ``python -m repro.bench sim_throughput`` entry point."""
     report = run_throughput_bench()
-    path = write_bench_json(report)
+    path = write_bench_json(report, BENCH_JSON)
     headers = ["shape", "events off", "events on", "reduction", "fused pages"]
     rows = []
     for name in sorted(report["shapes"]):

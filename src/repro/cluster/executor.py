@@ -130,12 +130,7 @@ class ClusterExecutor(RelOps):
         self.begin_query(cold=cold)
         sim = self.fleet.sim
         start_s = sim.now_s
-        trace = sim.trace
-        if trace is not None:
-            with trace.scope("cluster/q%d" % self.query_seq):
-                rel = self.fleet.run_fiber(self.sql_fiber(text),
-                                           name="cluster-sql")
-        else:
+        with sim.scope("cluster/q%d" % self.query_seq):
             rel = self.fleet.run_fiber(self.sql_fiber(text),
                                        name="cluster-sql")
         return rel, sim.now_s - start_s

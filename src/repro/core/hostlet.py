@@ -26,7 +26,7 @@ Example::
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, ClassVar, Generator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple
 
 if TYPE_CHECKING:
     from repro.core.application import Application, Endpoint
@@ -34,60 +34,18 @@ if TYPE_CHECKING:
 from repro.core.errors import BiscuitError, TypeMismatchError
 from repro.core.ports import HostInputPort, HostOutputPort
 from repro.core.provenance import caller_site
-from repro.core.types import check_value
+from repro.core.task import TaskBase
 
 __all__ = ["HostTask", "HostTaskProxy"]
 
 
-class HostTask:
+class HostTask(TaskBase[HostInputPort, HostOutputPort]):
     """Base class for host-resident tasks of an Application."""
 
-    IN_TYPES: ClassVar[Sequence[Any]] = ()
-    OUT_TYPES: ClassVar[Sequence[Any]] = ()
-    ARG_TYPES: ClassVar[Optional[Sequence[Any]]] = None
-
     def __init__(self) -> None:
+        super().__init__()
         self._system: Optional[Any] = None
         self._app: Optional["Application"] = None
-        self._instance_id = ""
-        self._in_ports: Tuple[HostInputPort, ...] = ()
-        self._out_ports: Tuple[HostOutputPort, ...] = ()
-        self._args: Tuple[Any, ...] = ()
-
-    @classmethod
-    def validate_args(cls, args: Tuple[Any, ...]) -> None:
-        if cls.ARG_TYPES is None:
-            return
-        if len(args) != len(cls.ARG_TYPES):
-            raise TypeMismatchError(
-                "%s expects %d args, got %d"
-                % (cls.__name__, len(cls.ARG_TYPES), len(args))
-            )
-        for value, spec in zip(args, cls.ARG_TYPES):
-            check_value(value, spec)
-
-    # ------------------------------------------------------------ subclass API
-    def run(self) -> Generator[Any, Any, None]:
-        """The task body; override as a generator (fiber)."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def in_(self, index: int) -> HostInputPort:
-        return self._in_ports[index]
-
-    def out(self, index: int) -> HostOutputPort:
-        return self._out_ports[index]
-
-    def arg(self, index: int) -> Any:
-        return self._args[index]
-
-    @property
-    def args(self) -> Tuple[Any, ...]:
-        return self._args
-
-    @property
-    def name(self) -> str:
-        return self._instance_id
 
     def compute(self, duration_us: float, memory_bound: bool = True) -> Generator[Any, Any, None]:
         """Fiber: spend host-CPU time (subject to memory contention)."""
@@ -100,10 +58,6 @@ class HostTask:
         if self._system is None:
             raise BiscuitError("%s is not attached to an application" % type(self).__name__)
         return self._system.open_host(path)
-
-    def close_outputs(self) -> None:
-        for port in self._out_ports:
-            port.close()
 
 
 class HostTaskProxy:

@@ -201,17 +201,11 @@ class BiscuitRuntime:
                 "core", "app-start", "%s/runtime" % app.name,
                 app=app.name, core=app.core, instances=len(app.instances))
         for instance in app.instances:
-            if self.sim.trace is not None:
-                # Each SSDlet fiber is a causal child of the launching
-                # request: its emissions carry "<qid>+<instance_id>".
-                with self.sim.trace.child_scope(instance._instance_id):
-                    fiber = self.sim.process(
-                        self._instance_body(instance),
-                        name=instance._instance_id)
-            else:
+            # Each SSDlet fiber is a causal child of the launching request:
+            # traced, its emissions carry "<qid>+<instance_id>".
+            with self.sim.child_scope(instance._instance_id):
                 fiber = self.sim.process(
-                    self._instance_body(instance), name=instance._instance_id
-                )
+                    self._instance_body(instance), name=instance._instance_id)
             fiber.defused = True  # failures are surfaced via wait_application
             app.fibers.append(fiber)
         yield self.sim.timeout(us_to_ns(self.config.fiber_schedule_us))

@@ -20,11 +20,11 @@ The runtime injects ports, arguments and resource hooks at instantiation;
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, ClassVar, Generator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.core.errors import BiscuitError, SafetyViolation, TypeMismatchError
+from repro.core.errors import BiscuitError, SafetyViolation
 from repro.core.ports import DeviceInputPort, DeviceOutputPort
-from repro.core.types import check_value
+from repro.core.task import TaskBase
 
 if TYPE_CHECKING:
     from repro.core.runtime import BiscuitRuntime, DeviceApplication
@@ -33,52 +33,14 @@ if TYPE_CHECKING:
 __all__ = ["SSDLet"]
 
 
-class SSDLet:
+class SSDLet(TaskBase[DeviceInputPort, DeviceOutputPort]):
     """Base class for device-resident tasks."""
 
-    #: Type specs of input ports, one entry per port.
-    IN_TYPES: ClassVar[Sequence[Any]] = ()
-    #: Type specs of output ports, one entry per port.
-    OUT_TYPES: ClassVar[Sequence[Any]] = ()
-    #: Type specs of constructor arguments (None disables checking).
-    ARG_TYPES: ClassVar[Optional[Sequence[Any]]] = None
-
     def __init__(self) -> None:
-        # Filled in by the runtime (BiscuitRuntime._instantiate); user
-        # subclasses must not override __init__ with required parameters.
+        # Filled in by the runtime (BiscuitRuntime.instantiate).
+        super().__init__()
         self._runtime: Optional["BiscuitRuntime"] = None
         self._app: Optional["DeviceApplication"] = None
-        self._instance_id = ""
-        self._in_ports: Tuple[DeviceInputPort, ...] = ()
-        self._out_ports: Tuple[DeviceOutputPort, ...] = ()
-        self._args: Tuple[Any, ...] = ()
-
-    # ----------------------------------------------------------------- wiring
-    @classmethod
-    def validate_args(cls, args: Tuple[Any, ...]) -> None:
-        if cls.ARG_TYPES is None:
-            return
-        if len(args) != len(cls.ARG_TYPES):
-            raise TypeMismatchError(
-                "%s expects %d args, got %d"
-                % (cls.__name__, len(cls.ARG_TYPES), len(args))
-            )
-        for value, spec in zip(args, cls.ARG_TYPES):
-            check_value(value, spec)
-
-    # ------------------------------------------------------------ subclass API
-    def run(self) -> Generator[Any, Any, None]:
-        """The SSDlet body; override as a generator (fiber)."""
-        raise NotImplementedError
-        yield  # pragma: no cover - marks run() as a generator template
-
-    def in_(self, index: int) -> DeviceInputPort:
-        """Input port ``index`` (paper: ``in(i)``)."""
-        return self._in_ports[index]
-
-    def out(self, index: int) -> DeviceOutputPort:
-        """Output port ``index``."""
-        return self._out_ports[index]
 
     @property
     def num_in(self) -> int:
@@ -87,18 +49,6 @@ class SSDLet:
     @property
     def num_out(self) -> int:
         return len(self._out_ports)
-
-    def arg(self, index: int) -> Any:
-        """Initial argument ``index`` passed from the host program."""
-        return self._args[index]
-
-    @property
-    def args(self) -> Tuple[Any, ...]:
-        return self._args
-
-    @property
-    def name(self) -> str:
-        return self._instance_id
 
     # ------------------------------------------------------------- resources
     def _require_runtime(self) -> "BiscuitRuntime":
@@ -155,7 +105,3 @@ class SSDLet:
         raise SafetyViolation(
             "%s attempted to access system memory at %d" % (self._instance_id, address)
         )
-
-    def close_outputs(self) -> None:
-        for port in self._out_ports:
-            port.close()

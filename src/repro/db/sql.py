@@ -597,11 +597,7 @@ def run_sql(engine: Engine, text: str, cold: bool = True):
     engine.begin_query(cold=cold)
     system = engine.system
     start = system.sim.now_s
-    trace = system.sim.trace
-    if trace is not None:
-        with trace.scope("db/q%d" % engine.query_seq):
-            rel = system.run_fiber(sql_query(engine, text), name="sql")
-    else:
+    with system.sim.scope("db/q%d" % engine.query_seq):
         rel = system.run_fiber(sql_query(engine, text), name="sql")
     return rel, system.sim.now_s - start
 

@@ -71,9 +71,12 @@ class System:
         self.config = self.device.config
         self.filesystems = [FileSystem(device) for device in self.devices]
         self.fs = self.filesystems[0]
-        if self.sim.race is not None:
+        race = self.sim.race
+        if race is not None:
             # Sanitizer scoreboard lands in the same sidecar snapshot.
-            self.sim.race.bind_registry(self.metrics)
+            self.metrics.attach(
+                "race", race, ("batches", "entries", "reversed_batches"))
+            self.metrics.counter("race.hazards").attach(race, "hazard_count")
         self.cpu = HostCPU(self.sim, cores=host_cores)
         self.ios = [HostIO(self.sim, self.cpu, device) for device in self.devices]
         for index, io in enumerate(self.ios):

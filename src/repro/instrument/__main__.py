@@ -24,20 +24,12 @@ from typing import Callable, Dict, Generator, Tuple
 
 from repro.host.platform import System
 from repro.instrument.breakdown import read_latency_breakdown
-from repro.instrument.events import EventBus
+from repro.instrument.events import traced_simulator
 from repro.instrument.perfetto import write_chrome_trace
 from repro.instrument.utilization import UtilizationMonitor
-from repro.sim.engine import Simulator
 from repro.sim.units import MIB
 
 __all__ = ["main", "WORKLOADS"]
-
-
-def _scope(system: System, qid: str):
-    """The bus's causal scope when tracing is on; a no-op otherwise."""
-    from contextlib import nullcontext
-    trace = system.sim.trace
-    return trace.scope(qid) if trace is not None else nullcontext()
 
 
 def _run_string_search(system: System) -> Dict[str, float]:
@@ -48,9 +40,9 @@ def _run_string_search(system: System) -> Dict[str, float]:
     path = "/data/weblog.log"
     keyword = "Googlebot"
     install_weblog_analytic(system, path, 8 * MIB, keyword)
-    with _scope(system, "search/conv"):
+    with system.sim.scope("search/conv"):
         _conv_count, conv_s = run_conv_search(system, path, keyword)
-    with _scope(system, "search/biscuit"):
+    with system.sim.scope("search/biscuit"):
         _biscuit_count, biscuit_s = run_biscuit_search(system, path, keyword)
     return {"conv_s": conv_s, "biscuit_s": biscuit_s}
 
@@ -62,17 +54,13 @@ def _run_read_latency(system: System, samples: int = 32) -> Dict[str, float]:
     ...), so the attribution report can decompose each one exactly.
     """
     system.fs.install_synthetic("/bench/latency.dat", 64 * MIB)
-    trace = system.sim.trace
 
     def measure(handle, side: str) -> float:
         def program() -> Generator:
             total_ns = 0
             for index in range(samples):
                 start_ns = system.sim.now
-                if trace is not None:
-                    with trace.scope("table3/%s-q%d" % (side, index)):
-                        yield from handle.read_timing_only(index * 4096, 4096)
-                else:
+                with system.sim.scope("table3/%s-q%d" % (side, index)):
                     yield from handle.read_timing_only(index * 4096, 4096)
                 total_ns += system.sim.now - start_ns
             return total_ns / samples / 1e3
@@ -90,9 +78,9 @@ def _run_pointer_chase(system: System) -> Dict[str, float]:
         build_exact_graph, run_biscuit, run_conv,
     )
     graph = build_exact_graph(system, "/data/graph.bin", num_nodes=256)
-    with _scope(system, "chase/conv"):
+    with system.sim.scope("chase/conv"):
         _finals, conv_s = run_conv(system, graph, num_walks=8, hops=4)
-    with _scope(system, "chase/biscuit"):
+    with system.sim.scope("chase/biscuit"):
         _finals, biscuit_s = run_biscuit(system, graph, num_walks=8, hops=4)
     return {"conv_s": conv_s, "biscuit_s": biscuit_s}
 
@@ -130,8 +118,7 @@ def attribute_main(argv) -> int:
         result = run_mix("smoke", trace=True)
         bus = result.bus
     else:
-        sim = Simulator()
-        bus = EventBus(sim)
+        sim, bus = traced_simulator()
         system = System(sim=sim)
         runner, _description = WORKLOADS[args.workload]
         runner(system)
@@ -183,10 +170,7 @@ def main(argv=None) -> int:
     if args.workload is None:
         parser.error("--workload is required (or use --list)")
 
-    # The bus must attach before the System wires its devices so each SSD
-    # registers its trace scope ("ssd0", ...).
-    sim = Simulator()
-    bus = EventBus(sim)
+    sim, bus = traced_simulator()
     system = System(sim=sim)
     monitor = UtilizationMonitor.for_system(system, interval_s=0.001)
     monitor.start()

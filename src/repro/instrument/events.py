@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.sim.engine import Simulator
 
-__all__ = ["TraceEvent", "TraceContext", "EventBus"]
+__all__ = ["TraceEvent", "TraceContext", "EventBus", "traced_simulator"]
 
 
 class TraceContext(NamedTuple):
@@ -222,3 +222,14 @@ class EventBus:
             and (name is None or event.name == name)
             and (track is None or event.track == track)
         ]
+
+
+def traced_simulator(trace: bool = True) -> Tuple[Simulator, Optional[EventBus]]:
+    """A fresh simulator and, when ``trace``, the bus attached to it.
+
+    For entry points that build their own world: the bus must attach before
+    a ``System`` wires its devices, so each SSD registers its trace scope
+    ("ssd0", ...).
+    """
+    sim = Simulator()
+    return sim, EventBus(sim) if trace else None

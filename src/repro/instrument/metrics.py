@@ -7,10 +7,17 @@ counters, :class:`~repro.ssd.cache.CacheStats` counters and the
 registered metrics, so one ``snapshot()`` (or ``to_json()``) captures the
 whole device state machine-readably and deterministically.
 
+Two ways to publish a count, one reason each (DESIGN.md "Metrics registry"):
+an owner with a *fixed* set of counters keeps them as plain ``int``
+attributes (``stats.read_commands += 1`` costs no call) and
+:meth:`MetricsRegistry.attach` tells the registry where to read them; a
+name known only at run time (``serve.tenant.<t>.completed``) is a
+``registry.counter(name).inc()``.
+
 Metric kinds:
 
-* :class:`Counter` — monotonically increasing int (settable for migration
-  shims that still assign through legacy attributes).
+* :class:`Counter` — monotonically increasing int: its own ``inc()`` calls
+  plus every attribute attached under its name, read when asked.
 * :class:`Gauge` — last-write-wins scalar.
 * :class:`Histogram` — raw samples with exact quantiles (simulation-scale
   sample counts are small; exactness beats bucketing for calibration work).
@@ -26,43 +33,43 @@ simulated run, never on ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "Series", "MetricsRegistry",
-           "registry_counter"]
-
-
-def registry_counter(field: str) -> property:
-    """Attribute access delegating to a registry counter.
-
-    Migration shim for legacy stats classes: the class keeps a
-    ``self._counters[field]`` map of :class:`Counter` objects, and each
-    named attribute (``stats.hits`` etc.) becomes a property over it, so
-    ``stats.hits += 1`` call sites keep working while the values live in
-    the registry.
-    """
-
-    def getter(self):
-        return self._counters[field].value
-
-    def setter(self, value):
-        self._counters[field].value = value
-
-    return property(getter, setter,
-                    doc="Registry-backed counter %r." % field)
+__all__ = ["Counter", "Counters", "Gauge", "Histogram", "Series",
+           "MetricsRegistry"]
 
 
 class Counter:
-    """A monotonically increasing count (settable only for legacy shims)."""
+    """A monotonically increasing count, read when asked.
 
-    __slots__ = ("name", "value")
+    The value is the counter's own :meth:`inc` calls plus the current value of
+    every ``owner.attribute`` attached under its name, so several owners
+    publishing one name add up while each reads only its own attribute.
+    Sources are held strongly: a count is history, and must not drop when
+    its owner does.
+    """
+
+    __slots__ = ("name", "_own", "_sources")
 
     def __init__(self, name: str):
         self.name = name
-        self.value = 0
+        self._own = 0
+        self._sources: List[Tuple[Any, str]] = []
 
     def inc(self, amount: int = 1) -> None:
-        self.value += amount
+        self._own += amount
+
+    def attach(self, owner: Any, attribute: str) -> None:
+        """Count ``owner.attribute`` in; a no-op the second time."""
+        for known, name in self._sources:
+            if known is owner and name == attribute:
+                return
+        self._sources.append((owner, attribute))
+
+    @property
+    def value(self) -> int:
+        return self._own + sum(getattr(owner, attribute)
+                               for owner, attribute in self._sources)
 
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self.value}
@@ -216,6 +223,12 @@ class MetricsRegistry:
     def series(self, name: str) -> Series:
         return self._get_or_create("series", name)  # type: ignore[return-value]
 
+    def attach(self, prefix: str, owner: Any, fields: Iterable[str]) -> None:
+        """Publish ``owner``'s int attributes ``fields`` as the counters
+        ``<prefix>.<field>`` (see :meth:`Counter.attach`)."""
+        for field in fields:
+            self.counter("%s.%s" % (prefix, field)).attach(owner, field)
+
     # ----------------------------------------------------------------- query
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
@@ -245,3 +258,23 @@ class MetricsRegistry:
         if extra:
             payload.update(extra)
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class Counters:
+    """A fixed set of counters kept as plain ``int`` attributes.
+
+    Subclasses name them in ``FIELDS``; given a registry, the instance is
+    attached under ``prefix`` so snapshots read the attributes in place.
+    """
+
+    FIELDS: Tuple[str, ...] = ()
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None,
+                 prefix: str = "") -> None:
+        for field in self.FIELDS:
+            setattr(self, field, 0)
+        if registry is not None:
+            registry.attach(prefix, self, self.FIELDS)
+
+    def as_dict(self) -> Dict[str, int]:
+        return {field: getattr(self, field) for field in self.FIELDS}

@@ -30,7 +30,7 @@ from typing import Dict, Generator, List, Optional
 
 from repro.core.errors import DeviceCrashedError, DeviceError
 from repro.db.ndp import NDPContext, ScanSpec, run_offloaded_scan
-from repro.instrument.metrics import MetricsRegistry, registry_counter
+from repro.instrument.metrics import Counters, MetricsRegistry
 from repro.resilience.checkpoint import ScanCheckpoint
 from repro.resilience.hedge import HedgePolicy, hedged_race
 from repro.resilience.recovery import RecoveryTracker
@@ -61,39 +61,20 @@ class RetryPolicy:
         return us_to_ns(min(delay_us, self.max_backoff_us))
 
 
-class ResilienceStats:
+class ResilienceStats(Counters):
     """The recovery scoreboard one driver accumulates across scans.
 
-    The counters live in a :class:`~repro.instrument.metrics.MetricsRegistry`
-    under ``resilience.*`` (the system-wide one when the driver passes it),
-    so metrics sidecars carry the recovery picture; the named attributes
-    stay as delegating properties so call sites keep ``stats.retries += 1``.
+    Plain ``int`` attributes; the driver publishes them under
+    ``resilience.*`` (the system-wide registry by default), so metrics
+    sidecars carry the recovery picture.
     """
 
-    _FIELDS = ("scans", "retries", "resumes", "failovers", "device_errors",
-               "crashes_seen", "gave_up")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "resilience") -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
-        self._counters = {
-            field: self.registry.counter("%s.%s" % (prefix, field))
-            for field in self._FIELDS
-        }
-
-    scans = registry_counter("scans")
-    retries = registry_counter("retries")
-    #: Attempts that started past a range's first page.
-    resumes = registry_counter("resumes")
-    #: Retries moved to a different device.
-    failovers = registry_counter("failovers")
-    device_errors = registry_counter("device_errors")
-    crashes_seen = registry_counter("crashes_seen")
-    gave_up = registry_counter("gave_up")
-
-    def as_dict(self) -> Dict[str, int]:
-        return {field: self._counters[field].value for field in self._FIELDS}
+    FIELDS = (
+        "scans", "retries",
+        "resumes",  # attempts that started past a range's first page
+        "failovers",  # retries moved to a different device
+        "device_errors", "crashes_seen", "gave_up",
+    )
 
 
 class _AttemptFailed(Exception):
@@ -130,11 +111,11 @@ class ResilientScanDriver:
         # separate.
         if registry is None:
             registry = system.metrics
-        self.stats = ResilienceStats(registry)
+        self.stats = ResilienceStats(registry, "resilience")
         if hedge is not None:
-            hedge.bind_registry(registry)
+            registry.attach("resilience.hedge", hedge, hedge.FIELDS)
         if recovery is not None:
-            recovery.bind_registry(registry)
+            registry.attach("resilience.recovery", recovery, recovery.FIELDS)
         self._contexts: Dict[int, NDPContext] = {}
 
     # ------------------------------------------------------------ device state
@@ -277,7 +258,7 @@ class ResilientScanDriver:
         return ckpt.collect()
 
     def counters(self) -> Dict[str, int]:
-        merged = dict(self.stats.as_dict())
+        merged = self.stats.as_dict()
         if self.hedge is not None:
             hedge = self.hedge.counters()
             # Both scoreboards track failovers (device-switch retries here,

@@ -16,11 +16,9 @@ it (outcome table: DESIGN.md, "Recovery protocol").
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import DeviceError
-from repro.instrument.metrics import Counter, MetricsRegistry, registry_counter
 from repro.sim.engine import Event, Process, Simulator, any_of
 from repro.sim.units import us_to_ns
 
@@ -31,6 +29,9 @@ Fiber = Generator[Event, Any, Any]
 
 class HedgePolicy:
     """p99-derived hedge deadline plus win/loss bookkeeping."""
+
+    #: The scoreboard attributes a driver publishes with ``registry.attach``.
+    FIELDS = ("hedges_fired", "hedge_wins", "primary_wins", "failovers")
 
     def __init__(
         self,
@@ -54,25 +55,10 @@ class HedgePolicy:
         self.warmup = warmup
         self.window = window
         self._samples: List[float] = []
-        # Scoreboard: free-standing counters until bind_registry moves them
-        # into a system MetricsRegistry (metrics sidecars).
-        self._counters = {field: Counter("hedge.%s" % field)
-                          for field in self._FIELDS}
-
-    _FIELDS = ("hedges_fired", "hedge_wins", "primary_wins", "failovers")
-
-    hedges_fired = registry_counter("hedges_fired")
-    hedge_wins = registry_counter("hedge_wins")
-    primary_wins = registry_counter("primary_wins")
-    failovers = registry_counter("failovers")
-
-    def bind_registry(self, registry: MetricsRegistry,
-                      prefix: str = "resilience.hedge") -> None:
-        """Re-home the scoreboard into ``registry`` (values carry over)."""
-        for field in self._FIELDS:
-            counter = registry.counter("%s.%s" % (prefix, field))
-            counter.value = self._counters[field].value
-            self._counters[field] = counter
+        self.hedges_fired = 0
+        self.hedge_wins = 0
+        self.primary_wins = 0
+        self.failovers = 0
 
     def observe(self, latency_us: float) -> None:
         """Record one completed primary-side latency."""
@@ -95,7 +81,7 @@ class HedgePolicy:
         return max(self.floor_us, ordered[rank] * self.multiplier)
 
     def counters(self) -> Dict[str, int]:
-        return {field: self._counters[field].value for field in self._FIELDS}
+        return {field: getattr(self, field) for field in self.FIELDS}
 
 
 def _guarded(work: Fiber) -> Generator[Event, Any, Tuple[str, Any]]:
@@ -138,9 +124,7 @@ def hedged_race(
 
     def spawn(copy: int, fiber_role: str, scope_role: str) -> Process:
         name = "%s%d" % (label, copy)
-        scope = (trace.child_scope("%s-%s" % (scope_role, name))
-                 if trace is not None else nullcontext())
-        with scope:
+        with sim.child_scope("%s-%s" % (scope_role, name)):
             leg = sim.process(_guarded(start_leg(copy)),
                               name="hedge-%s-%s" % (fiber_role, name))
         leg.defused = True

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.instrument.metrics import Counter, registry_counter
 from repro.sim.units import us_to_ns
 
 __all__ = ["RecoveryTracker"]
@@ -22,22 +21,16 @@ __all__ = ["RecoveryTracker"]
 class RecoveryTracker:
     """Per-device fault recency, driven by the simulation clock."""
 
+    #: The counter attributes a driver publishes with ``registry.attach``.
+    FIELDS = ("faults_noted",)
+
     def __init__(self, sim, window_us: float = 5000.0):
         if window_us < 0:
             raise ValueError("recovery window cannot be negative")
         self.sim = sim
         self.window_ns = us_to_ns(window_us)
         self._last_fault_ns: Dict[int, int] = {}
-        self._counters = {"faults_noted": Counter("recovery.faults_noted")}
-
-    faults_noted = registry_counter("faults_noted")
-
-    def bind_registry(self, registry,
-                      prefix: str = "resilience.recovery") -> None:
-        """Re-home the fault counter into ``registry`` (value carries over)."""
-        counter = registry.counter("%s.faults_noted" % prefix)
-        counter.value = self._counters["faults_noted"].value
-        self._counters["faults_noted"] = counter
+        self.faults_noted = 0
 
     def note_fault(self, device_index: int) -> None:
         """A device-level fault was observed on ``device_index`` just now."""

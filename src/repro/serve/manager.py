@@ -23,7 +23,6 @@ never occupying a device slot.
 from __future__ import annotations
 
 import itertools
-from contextlib import nullcontext
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.errors import DeviceError
@@ -141,7 +140,8 @@ class JobManager:
         self.recovery = (RecoveryTracker(self.sim, resilience.recovery_window_us)
                          if resilience is not None else None)
         if self.recovery is not None:
-            self.recovery.bind_registry(system.metrics)
+            system.metrics.attach("resilience.recovery", self.recovery,
+                                  self.recovery.FIELDS)
         self.tenants: Dict[str, Tenant] = {}
         for tenant in tenants:
             if tenant.name in self.tenants:
@@ -164,11 +164,8 @@ class JobManager:
     # ------------------------------------------------------------ submission
     def _job_scope(self, job: Job):
         """The job's causal context ("serve/<tenant>/j<id>"); no-op untraced."""
-        trace = self.sim.trace
-        if trace is None:
-            return nullcontext()
-        return trace.scope("serve/%s/j%d" % (job.spec.tenant, job.job_id),
-                           job.spec.tenant)
+        return self.sim.scope(
+            "serve/%s/j%d" % (job.spec.tenant, job.job_id), job.spec.tenant)
 
     def submit(self, spec: JobSpec) -> Tuple[AdmissionDecision, Job]:
         """Accept or reject one request; never blocks.

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.host.platform import System
+from repro.instrument.events import traced_simulator
 from repro.serve.jobs import install_serve_datasets
 from repro.serve.loadgen import LoadGenerator, TenantProfile
 from repro.serve.manager import JobManager
@@ -139,15 +140,8 @@ def run_mix(mix: str, policy: str = "fifo", placement: str = "round_robin",
     for profile in profiles:
         if profile.mode == "open":
             profile.rate_jobs_per_s *= load_scale
-    bus = None
-    if trace:
-        from repro.instrument.events import EventBus
-        from repro.sim.engine import Simulator
-        sim = Simulator()
-        bus = EventBus(sim)
-        system = System(num_ssds=num_ssds, sim=sim)
-    else:
-        system = System(num_ssds=num_ssds)
+    sim, bus = traced_simulator(trace)
+    system = System(num_ssds=num_ssds, sim=sim)
     install_serve_datasets(system)
     manager = JobManager(
         system, [profile.tenant() for profile in profiles],

@@ -16,9 +16,12 @@ locks.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import (
+    Any, Callable, ContextManager, Generator, Iterable, List, Optional,
+)
 
 __all__ = [
     "Simulator",
@@ -453,6 +456,11 @@ def backoff(sim: "Simulator", delay_ns: int, cat: str, name: str, track: str,
         trace.complete(cat, name, track, start_ns, **args)
 
 
+#: What ``Simulator.scope`` / ``child_scope`` hand out with tracing off
+#: (a ``nullcontext`` holds no state, so one serves every caller).
+_NO_SCOPE: ContextManager[Any] = nullcontext()
+
+
 class Simulator:
     """The event loop: an integer-nanosecond clock over a binary heap."""
 
@@ -519,6 +527,18 @@ class Simulator:
     def now_us(self) -> float:
         """Current simulation time in microseconds."""
         return self._now / 1_000
+
+    def scope(self, qid: str, tenant: str = "") -> ContextManager[Any]:
+        """The attached bus's causal scope for ``qid`` (see
+        :meth:`repro.instrument.events.EventBus.scope`); untraced, one
+        shared no-op, so callers write the ``with`` once."""
+        trace = self.trace
+        return trace.scope(qid, tenant) if trace is not None else _NO_SCOPE
+
+    def child_scope(self, label: str) -> ContextManager[Any]:
+        """Likewise for a causal child of the active context."""
+        trace = self.trace
+        return trace.child_scope(label) if trace is not None else _NO_SCOPE
 
     def event(self) -> Event:
         """Create a pending event to be succeeded/failed manually."""

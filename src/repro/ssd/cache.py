@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-from repro.instrument.metrics import MetricsRegistry, registry_counter
+from repro.instrument.metrics import Counters, MetricsRegistry
 from repro.ssd.config import SSDConfig
 
 __all__ = ["DeviceReadCache", "CacheStats"]
@@ -42,34 +42,15 @@ __all__ = ["DeviceReadCache", "CacheStats"]
 LineKey = Tuple[int, int]  # (channel, physical_page_id)
 
 
-class CacheStats:
-    """Running counters of cache activity (mirrored into ReadStats).
+class CacheStats(Counters):
+    """Running counters of cache activity.
 
-    Counters live in a :class:`~repro.instrument.metrics.MetricsRegistry`
-    (the system-wide one when provided, a private one otherwise); the named
-    attributes (``stats.hits`` etc.) are thin delegating properties so every
-    existing call site keeps working unchanged.
+    Plain ``int`` attributes; given a registry they are published under
+    ``<prefix>.<field>`` (the system-wide one reads them at snapshot time).
     """
 
-    _FIELDS = ("hits", "misses", "insertions", "evictions",
-               "invalidations", "bypasses")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 prefix: str = "cache") -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
-        self._counters = {
-            field: self.registry.counter("%s.%s" % (prefix, field))
-            for field in self._FIELDS
-        }
-
-    hits = registry_counter("hits")
-    misses = registry_counter("misses")
-    insertions = registry_counter("insertions")
-    evictions = registry_counter("evictions")
-    invalidations = registry_counter("invalidations")
-    #: Stripes that skipped the cache (streaming scans).
-    bypasses = registry_counter("bypasses")
+    FIELDS = ("hits", "misses", "insertions", "evictions", "invalidations",
+              "bypasses")  # bypasses: stripes that skipped the cache (scans)
 
     @property
     def lookups(self) -> int:
@@ -79,13 +60,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits, "misses": self.misses,
-            "insertions": self.insertions, "evictions": self.evictions,
-            "invalidations": self.invalidations, "bypasses": self.bypasses,
-        }
 
 
 class DeviceReadCache:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import EccError, UncorrectableReadError
-from repro.instrument.metrics import MetricsRegistry, registry_counter
+from repro.instrument.metrics import Counters, MetricsRegistry
 from repro.sim.engine import Event, Simulator, all_of, backoff
 from repro.sim.resources import Resource
 from repro.sim.units import us_to_ns
@@ -51,57 +51,32 @@ class Stripe(NamedTuple):
     lpns: Sequence[int]
 
 
-class ReadStats:
+class ReadStats(Counters):
     """Running counters of controller activity (used by the benches).
 
     Command and page counters are charged *before* dispatch, so commands
     that die with :class:`UncorrectableReadError` still show up here (the
     retry/recovery counters record how they died).
 
-    The counters live in a :class:`~repro.instrument.metrics.MetricsRegistry`
-    (the system-wide one when provided, a private one otherwise); the named
-    attributes stay as delegating properties so ``stats.read_commands += 1``
-    call sites and bench readers keep working unchanged.
+    Plain ``int`` attributes; given a registry they are published under
+    ``<prefix>.<field>`` (the system-wide one reads them at snapshot time).
     """
 
-    _FIELDS = ("read_commands", "write_commands", "logical_pages_read",
-               "logical_pages_written", "matcher_commands",
-               "coalesced_commands", "coalesced_stripes", "read_retries",
-               "recovered_reads", "unrecoverable_reads", "fused_commands",
-               "fused_stripes")
+    FIELDS = (
+        "read_commands", "write_commands", "logical_pages_read",
+        "logical_pages_written", "matcher_commands",
+        "coalesced_commands",  # multi-stripe channel commands issued
+        "coalesced_stripes",  # stripes that rode in one (saved dispatch)
+        "read_retries", "recovered_reads", "unrecoverable_reads",
+        "fused_commands",  # channel commands retired through the fused path
+        "fused_stripes",  # stripes those commands covered
+    )
 
     def __init__(self, logical_page_bytes: int = 4096,
-                 cache: Optional[DeviceReadCache] = None,
                  registry: Optional[MetricsRegistry] = None,
                  prefix: str = "ssd.io") -> None:
+        super().__init__(registry, prefix)
         self.logical_page_bytes = logical_page_bytes
-        self.cache = cache
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
-        self._counters = {
-            field: self.registry.counter("%s.%s" % (prefix, field))
-            for field in self._FIELDS
-        }
-
-    read_commands = registry_counter("read_commands")
-    write_commands = registry_counter("write_commands")
-    logical_pages_read = registry_counter("logical_pages_read")
-    logical_pages_written = registry_counter("logical_pages_written")
-    matcher_commands = registry_counter("matcher_commands")
-    #: Multi-stripe channel commands issued.
-    coalesced_commands = registry_counter("coalesced_commands")
-    #: Stripes that rode in one (saved dispatch).
-    coalesced_stripes = registry_counter("coalesced_stripes")
-    read_retries = registry_counter("read_retries")
-    recovered_reads = registry_counter("recovered_reads")
-    unrecoverable_reads = registry_counter("unrecoverable_reads")
-    #: Channel commands retired through the fused fast path.
-    fused_commands = registry_counter("fused_commands")
-    #: Stripes those commands covered.
-    fused_stripes = registry_counter("fused_stripes")
-
-    def snapshot(self) -> dict:
-        return {field: self._counters[field].value for field in self._FIELDS}
 
     @property
     def bytes_read(self) -> int:
@@ -110,31 +85,6 @@ class ReadStats:
     @property
     def bytes_written(self) -> int:
         return self.logical_pages_written * self.logical_page_bytes
-
-    # ------------------------------------------------- device-DRAM read cache
-    @property
-    def cache_hits(self) -> int:
-        return self.cache.stats.hits if self.cache is not None else 0
-
-    @property
-    def cache_misses(self) -> int:
-        return self.cache.stats.misses if self.cache is not None else 0
-
-    @property
-    def cache_evictions(self) -> int:
-        return self.cache.stats.evictions if self.cache is not None else 0
-
-    @property
-    def cache_invalidations(self) -> int:
-        return self.cache.stats.invalidations if self.cache is not None else 0
-
-    @property
-    def cache_bypasses(self) -> int:
-        return self.cache.stats.bypasses if self.cache is not None else 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache.stats.hit_rate if self.cache is not None else 0.0
 
 
 class Controller:
@@ -164,8 +114,8 @@ class Controller:
         self.ftl = ftl
         self.cores = cores
         self.cache = cache
-        self.stats = ReadStats(config.logical_page_bytes, cache=cache,
-                               registry=registry, prefix=prefix + ".io")
+        self.stats = ReadStats(config.logical_page_bytes, registry=registry,
+                               prefix=prefix + ".io")
         # Read/write commands currently in flight (issued, not yet completed
         # or failed).  The serving layer's least-loaded placement reads this
         # as the device's instantaneous I/O pressure.
@@ -299,17 +249,15 @@ class Controller:
         cmd_start_ns = self.sim.now if trace is not None else 0
         stripes = self._group_stripes(lpns)
         # Command/page accounting happens before dispatch so reads that die
-        # with UncorrectableReadError are still visible in the stats.  The
-        # bumps go to the registry counters themselves: through the
-        # ``stats.x += 1`` shim each costs a getter and a setter call.
-        counters = self.stats._counters
-        counters["read_commands"].value += 1
+        # with UncorrectableReadError are still visible in the stats.
+        stats = self.stats
+        stats.read_commands += 1
         self.inflight_commands += 1
-        counters["logical_pages_read"].value += (
+        stats.logical_pages_read += (
             len(lpns) if isinstance(lpns, range)  # ranges hold no duplicates
             else sum([len(s.lpns) for s in stripes]))
         if use_matcher:
-            counters["matcher_commands"].value += 1
+            stats.matcher_commands += 1
             # A matcher-engaged read is a streaming scan by construction:
             # never let it thrash the hot working set.
             cache_bypass = True
@@ -323,8 +271,8 @@ class Controller:
             batches = self._coalesce(stripes, use_matcher)
             for batch in batches:
                 if len(batch) > 1:
-                    counters["coalesced_commands"].value += 1
-                    counters["coalesced_stripes"].value += len(batch) - 1
+                    stats.coalesced_commands += 1
+                    stats.coalesced_stripes += len(batch) - 1
             if len(batches) == 1:
                 # Fast path: single-channel commands (point reads, index
                 # probes) run inline — no fan-out fibers to spawn or join.
@@ -378,9 +326,8 @@ class Controller:
                 if fused is not None:
                     if cache is not None and cache.enabled:
                         cache.note_bypass()
-                    counters = self.stats._counters
-                    counters["fused_commands"].value += 1
-                    counters["fused_stripes"].value += 1
+                    self.stats.fused_commands += 1
+                    self.stats.fused_stripes += 1
                     yield fused
                     return
             else:
@@ -433,9 +380,8 @@ class Controller:
             if cache is not None and cache.enabled:
                 for _stripe in batch:
                     cache.note_bypass()
-            counters = self.stats._counters
-            counters["fused_commands"].value += 1
-            counters["fused_stripes"].value += len(batch)
+            self.stats.fused_commands += 1
+            self.stats.fused_stripes += len(batch)
             yield fused
             return
         if channel.fastpath.active:

@@ -129,11 +129,6 @@ class SSDDevice:
     def internal_bytes_read(self) -> int:
         return self.nand.bytes_read
 
-    @property
-    def cache_stats(self):
-        """Counters of the device-DRAM read cache (hits, misses, ...)."""
-        return self.cache.stats
-
     def channel_utilization(self) -> float:
         channels = self.nand.channels
         return sum(c.bus.utilization() for c in channels) / len(channels)

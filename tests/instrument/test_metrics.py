@@ -1,13 +1,15 @@
-"""MetricsRegistry, metric kinds, and the legacy-stats registry migration."""
+"""MetricsRegistry, metric kinds, and stats owners attached to a registry."""
 
 import pytest
 
 from repro.host.platform import System
-from repro.instrument.metrics import (
-    Counter, Histogram, MetricsRegistry, registry_counter,
+from repro.instrument.metrics import Counters, Histogram, MetricsRegistry
+from repro.resilience import (
+    HedgePolicy, RecoveryTracker, ResilientScanDriver,
 )
 from repro.sim.units import MIB
 from repro.ssd.cache import CacheStats
+from repro.ssd.config import SSDConfig
 from repro.ssd.controller import ReadStats
 
 
@@ -67,22 +69,42 @@ def test_histogram_empty_and_bad_quantile():
         hist.quantile(1.5)
 
 
-# -------------------------------------------------------- legacy stats shims
-def test_registry_counter_property_shim():
-    class Legacy:
-        _FIELDS = ("hits",)
-        hits = registry_counter("hits")
+# ----------------------------------------------------- attached stats owners
+class _Hits(Counters):
+    FIELDS = ("hits",)
 
-        def __init__(self, registry):
-            self._counters = {f: registry.counter("t.%s" % f)
-                              for f in self._FIELDS}
 
+def test_attach_contract():
     registry = MetricsRegistry()
-    legacy = Legacy(registry)
-    legacy.hits += 1
-    legacy.hits += 1
-    assert legacy.hits == 2
-    assert registry.counter("t.hits").value == 2
+    stats = _Hits(registry, "t")
+    stats.hits += 1
+    stats.hits += 1
+    counter = registry.counter("t.hits")
+    # Read through the registry when asked, never copied into it.
+    assert stats.hits == 2 and counter.value == 2
+    assert registry.snapshot()["t.hits"] == {"type": "counter", "value": 2}
+    assert stats.as_dict() == {"hits": 2}
+    # The counter's own inc()s and its attached sources add.
+    counter.inc(5)
+    assert counter.value == 7 and stats.hits == 2
+    # Attaching the same (owner, field) again does not double it.
+    registry.attach("t", stats, _Hits.FIELDS)
+    assert counter.value == 7
+    # Two owners under one name add up; each reads only its own.
+    other = _Hits(registry, "t")
+    other.hits += 1
+    assert (stats.hits, other.hits) == (2, 1) and counter.value == 8
+    # A counter is read, not assigned.
+    with pytest.raises(AttributeError):
+        counter.value = 0
+
+
+@pytest.mark.parametrize("kind", ["gauge", "histogram", "series"])
+def test_attach_refuses_a_name_of_another_kind(kind):
+    registry = MetricsRegistry()
+    getattr(registry, kind)("t.hits")
+    with pytest.raises(ValueError):
+        _Hits(registry, "t")
 
 
 def test_cache_stats_register_under_prefix():
@@ -105,7 +127,7 @@ def test_read_stats_register_under_prefix():
 
 
 def test_stats_standalone_without_registry():
-    """No registry ⇒ private counters; the legacy API is unchanged."""
+    """No registry ⇒ the counters are just attributes."""
     stats = CacheStats()
     stats.hits += 1
     assert stats.lookups == 1
@@ -126,6 +148,60 @@ def test_system_wires_device_stats_into_registry():
     # Controller stats and the registry view agree.
     assert (system.devices[0].controller.stats.read_commands
             == snap["ssd0.io.read_commands"]["value"])
+
+
+# The full set of registry names, taken at the commit before attach() replaced
+# the property shims: publishing must not rename, add or drop one.
+_IO = ("coalesced_commands", "coalesced_stripes", "fused_commands",
+       "fused_stripes", "logical_pages_read", "logical_pages_written",
+       "matcher_commands", "read_commands", "read_retries", "recovered_reads",
+       "unrecoverable_reads", "write_commands")
+_CACHE = ("bypasses", "evictions", "hits", "insertions", "invalidations",
+          "misses")
+_RACE = ("race.batches", "race.entries", "race.hazards",
+         "race.reversed_batches")
+_RESILIENCE = (
+    "resilience.crashes_seen", "resilience.device_errors",
+    "resilience.failovers", "resilience.gave_up",
+    "resilience.hedge.failovers", "resilience.hedge.hedge_wins",
+    "resilience.hedge.hedges_fired", "resilience.hedge.primary_wins",
+    "resilience.recovery.faults_noted", "resilience.resumes",
+    "resilience.retries", "resilience.scans")
+
+
+def _device_names(index):
+    return (["ssd%d.cache.%s" % (index, field) for field in _CACHE]
+            + ["ssd%d.io.%s" % (index, field) for field in _IO])
+
+
+def _default_system():
+    return System(), _device_names(0)
+
+
+def _cached_system():
+    return (System(ssd_config=SSDConfig(read_cache_bytes=1 * MIB)),
+            _device_names(0))
+
+
+def _race_checked_system():
+    return (System(ssd_config=SSDConfig(race_check=True)),
+            list(_RACE) + _device_names(0))
+
+
+def _system_with_resilient_driver():
+    system = System(num_ssds=2)
+    ResilientScanDriver(system, hedge=HedgePolicy(),
+                        recovery=RecoveryTracker(system.sim))
+    return system, list(_RESILIENCE) + _device_names(0) + _device_names(1)
+
+
+@pytest.mark.parametrize("build", [
+    _default_system, _cached_system, _race_checked_system,
+    _system_with_resilient_driver])
+def test_registry_names_are_pinned(build, monkeypatch):
+    monkeypatch.delenv("REPRO_RACE_CHECK", raising=False)
+    system, expected = build()
+    assert system.metrics.names() == sorted(expected)
 
 
 def test_utilization_monitor_registers_series(system):

@@ -145,8 +145,8 @@ def test_second_read_served_from_dram():
     hot = run(sim, device.internal_read([0]))
     assert cold > 70.0  # Table III calibration unchanged by the cache
     assert hot < cold / 4
-    assert device.controller.stats.cache_hits == 1
-    assert device.controller.stats.cache_hit_rate == 0.5
+    assert device.cache.stats.hits == 1
+    assert device.cache.stats.hit_rate == 0.5
 
 
 def test_write_invalidates_cached_line():
@@ -154,7 +154,7 @@ def test_write_invalidates_cached_line():
     run(sim, device.internal_read([5]))
     nand_reads = sum(ch.reads for ch in device.nand.channels)
     run(sim, device.internal_write([5]))
-    assert device.controller.stats.cache_invalidations >= 1
+    assert device.cache.stats.invalidations >= 1
     relearn = run(sim, device.internal_read([5]))
     assert sum(ch.reads for ch in device.nand.channels) == nand_reads + 1
     assert relearn > 70.0  # the stale line did not serve the remapped page
@@ -165,11 +165,11 @@ def test_matcher_scan_bypasses_and_preserves_hot_set():
     run(sim, device.internal_read([0]))
     run(sim, device.internal_read([0]))  # line is now hot
     run(sim, device.internal_read(list(range(256)), use_matcher=True))
-    assert device.controller.stats.cache_bypasses > 0
+    assert device.cache.stats.bypasses > 0
     assert len(device.cache) == 1  # the scan cached nothing
-    hits = device.controller.stats.cache_hits
+    hits = device.cache.stats.hits
     run(sim, device.internal_read([0]))
-    assert device.controller.stats.cache_hits == hits + 1
+    assert device.cache.stats.hits == hits + 1
 
 
 def test_cache_bypass_flag_streams_past_cache():
@@ -177,8 +177,8 @@ def test_cache_bypass_flag_streams_past_cache():
     run(sim, device.internal_read([0], cache_bypass=True))
     run(sim, device.internal_read([0], cache_bypass=True))
     assert len(device.cache) == 0
-    assert device.controller.stats.cache_bypasses == 2
-    assert device.controller.stats.cache_hits == 0
+    assert device.cache.stats.bypasses == 2
+    assert device.cache.stats.hits == 0
 
 
 def test_utilization_monitor_reports_cache():
@@ -221,13 +221,13 @@ def test_gc_relocation_invalidates_and_stays_coherent():
 
     run(sim, churn())
     assert device.ftl.gc_runs > 0, "workload failed to trigger GC"
-    assert device.controller.stats.cache_invalidations > 0
+    assert device.cache.stats.invalidations > 0
     assert cache_is_coherent(device)
     # Re-reads of relocated pages must sense NAND again, not hit stale lines.
     nand_reads = sum(ch.reads for ch in device.nand.channels)
-    hits = device.controller.stats.cache_hits
+    hits = device.cache.stats.hits
     run(sim, device.internal_read(lpns))
-    assert device.controller.stats.cache_hits == hits
+    assert device.cache.stats.hits == hits
     assert sum(ch.reads for ch in device.nand.channels) > nand_reads
 
 
@@ -271,7 +271,7 @@ def test_cached_and_uncached_reads_agree_under_faults():
         assert device.controller.stats.read_retries > 0
         loaded[cache_bytes] = [device.load_page(lpn) for lpn in pages]
         if cache_bytes:
-            assert device.controller.stats.cache_hits > 0
+            assert device.cache.stats.hits > 0
             assert cache_is_coherent(device)
     assert loaded[0] == loaded[64 * PHYS]
 
