@@ -37,6 +37,13 @@ EXPERIMENTS = {
 }
 
 
+def save_name(name: str) -> str:
+    """The one basename experiment ``name``'s result files carry under
+    benchmarks/results/ — its function's name, which its pytest twin in
+    benchmarks/ shares: ``exp_fig10_tpch`` -> ``fig10_tpch``."""
+    return EXPERIMENTS[name][1].__name__[len("exp_"):]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -70,7 +77,7 @@ def main(argv=None) -> int:
         print(result.format())
         print("[%.1fs wall]" % (time.time() - started))  # repro: noqa RPR001 -- CLI wall-clock progress
         if not args.no_save:
-            path = save_result(result, name)
+            path = save_result(result, save_name(name))
             print("saved: %s" % path)
     return 0
 

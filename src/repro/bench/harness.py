@@ -82,7 +82,8 @@ def save_result(result: ExperimentResult, name: str) -> str:
 
 def write_bench_json(report: Dict[str, Any], path: str) -> str:
     """Byte-deterministic drop of a ``BENCH_*.json`` report: sorted keys,
-    fixed float rounding, no timestamps or environment detail."""
+    fixed float rounding, no timestamps or environment detail.  Returns
+    ``path`` as given, so a report that cites it is checkout-independent."""
     with open(path, "w") as handle:
         handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return os.path.abspath(path)
+    return path

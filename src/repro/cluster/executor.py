@@ -9,10 +9,11 @@ prefilter, ScanFilter/ScanAggregate SSDlets — runs device-side on each
 node), and merge the device-reduced partials client-side:
 
 * **sorted scans** — each shard sorts (and top-k-limits) locally, the
-  coordinator does a deterministic k-way ordered merge;
-* **aggregates** — shards ship device-format aggregate states, merged with
-  :func:`repro.db.executor.merge_agg_states` (a host-computed partial and a
-  device-reduced one combine bit-for-bit);
+  coordinator stable-sorts the runs in shard order
+  (:func:`repro.db.executor.sort_rows`: their deterministic k-way merge);
+* **aggregates** — shards ship :class:`repro.db.executor.AggPlan` states,
+  merged with the plan (a host-computed partial and a device-reduced one
+  combine bit-for-bit);
 * **point lookups** — pruned to the one owning shard; the first successful
   replica response wins.
 
@@ -39,14 +40,12 @@ from repro.cluster.catalog import shard_table_name
 from repro.cluster.fleet import ShardedFleet, ShardedKVStore
 from repro.core.errors import DeviceCrashedError, DeviceError
 from repro.db.executor import (
+    AggPlan,
     EngineConfig,
     Rel,
     RelOps,
     TableRef,
-    finalize_agg_rel,
-    merge_agg_states,
-    ndp_aggregate_supported,
-    plan_device_aggs,
+    sort_rows,
 )
 from repro.db.expr import Cmp, Col, Const, Expr
 from repro.db.planner import partition_constraints
@@ -63,16 +62,13 @@ def _payload_bytes(obj: Any) -> int:
     return len(pickle.dumps(obj, protocol=4))
 
 
-def _row_less(a: tuple, b: tuple, key_plan: List[Tuple[int, bool]]) -> bool:
-    """Strict ordering of two rows under (position, descending) sort keys."""
-    for position, descending in key_plan:
-        av, bv = a[position], b[position]
-        if av == bv:
-            continue
-        if descending:
-            return av > bv
-        return av < bv
-    return False
+def _rows_bytes(rel: Rel) -> int:
+    return _payload_bytes(rel.rows)
+
+
+def _kv_bytes(results: Dict[bytes, Optional[bytes]]) -> int:
+    return sum(16 + len(key) + (len(value) if value is not None else 0)
+               for key, value in results.items())
 
 
 class ClusterExecutor(RelOps):
@@ -90,7 +86,7 @@ class ClusterExecutor(RelOps):
     RESPONSE_BYTES = 128
     #: Coordinator CPU cost per shard response unpacked.
     GATHER_RPC_US = 5.0
-    #: Coordinator CPU cost per row concatenated / k-way-merged.
+    #: Coordinator CPU cost per row gathered (concatenated, merge-sorted).
     MERGE_ROW_US = 0.1
 
     def __init__(
@@ -175,32 +171,26 @@ class ClusterExecutor(RelOps):
     ) -> Generator:
         """Fiber: fan a scan out to every owning shard and gather rows.
 
-        With ``order_by`` each shard returns its rows pre-sorted (top-k
-        when ``limit`` is set) and the coordinator k-way-merges; otherwise
-        partials are concatenated in shard order.
+        Partials are concatenated in shard order; with ``order_by`` each
+        shard returns its rows pre-sorted (top-k when ``limit`` is set), so
+        the stable sort of the concatenation is the runs' k-way merge with
+        ties to the lowest shard index — reproducible whatever the arrival
+        timing.
         """
-        shards = self.target_shards(ref)
-
-        def work_factory(shard: int) -> Callable[[StorageNode], Generator]:
-            name = shard_table_name(ref.name, shard)
-            return lambda node: self._scan_work(node, name, ref,
-                                                order_by, limit)
-
-        partials = yield from self._scatter(ref.name, shards, work_factory)
+        partials = yield from self._scatter(
+            ref.name, self.target_shards(ref),
+            self._scan_work(ref, order_by, limit), _rows_bytes)
         columns = (partials[0].columns if partials
                    else list(ref.cols or ()))
-        row_lists = [rel.rows for rel in partials]
-        total_rows = sum(len(rows) for rows in row_lists)
-        if order_by:
-            key_plan = [(partials[0].position(c), d)
-                        for c, d in order_by] if partials else []
-            rows = self._ordered_merge(row_lists, key_plan, limit)
-        else:
-            rows = [row for rows in row_lists for row in rows]
-        self.merged_rows += total_rows
+        rows = [row for rel in partials for row in rel.rows]
+        self.merged_rows += len(rows)
         yield from self._charge(
             len(partials) * self.GATHER_RPC_US
-            + total_rows * self.MERGE_ROW_US)
+            + len(rows) * self.MERGE_ROW_US)
+        if order_by and partials:
+            rows = sort_rows(
+                rows, [(partials[0].position(c), d) for c, d in order_by],
+                limit)
         return Rel(columns, rows)
 
     def scatter_aggregate(
@@ -213,32 +203,34 @@ class ClusterExecutor(RelOps):
 
         Device-supported aggregate sets ship per-shard *states* (tiny) and
         the coordinator folds them; anything else (count_distinct) falls
-        back to shipping matching rows and aggregating client-side.
+        back to shipping matching rows and aggregating client-side.  Each
+        shard runs :meth:`Engine.scan_states` — reduced on-device when the
+        planner offloads, folded from a host scan into the same states
+        otherwise — so a crashed-primary failover never changes results.
         """
-        if not ndp_aggregate_supported(aggs):
+        plan = AggPlan(group_by, aggs)
+        if not plan.device_ok:
             rel = yield from self.scatter_fetch(ref)
             rel = yield from self.aggregate(rel, group_by, aggs)
             return rel
 
-        device_aggs, layout, kinds = plan_device_aggs(aggs)
-        shards = self.target_shards(ref)
+        def work(shard: int, node_index: int) -> Generator:
+            states = yield from self.fleet.engine(node_index).scan_states(
+                TableRef(shard_table_name(ref.name, shard), ref.pred,
+                         ref.cols), plan)
+            return states
 
-        def work_factory(shard: int) -> Callable[[StorageNode], Generator]:
-            name = shard_table_name(ref.name, shard)
-            return lambda node: self._agg_work(node, name, ref,
-                                               group_by, aggs)
-
-        partials = yield from self._scatter(ref.name, shards, work_factory)
+        partials = yield from self._scatter(
+            ref.name, self.target_shards(ref), work, _payload_bytes)
         totals: Dict[tuple, list] = {}
-        merged = 0
         for partial in partials:
-            merge_agg_states(totals, partial, kinds)
-            merged += len(partial)
+            plan.merge(totals, partial)
+        merged = sum(len(partial) for partial in partials)
         self.merged_rows += merged
         yield from self._charge(
             len(partials) * self.GATHER_RPC_US
             + merged * self.config.host_agg_row_us)
-        return finalize_agg_rel(totals, layout, device_aggs, group_by, aggs)
+        return plan.finalize(totals)
 
     # The statement executor's names for the fleet's access paths; shards
     # sort and top-k locally, so ORDER BY on plain columns is pushed down.
@@ -255,11 +247,9 @@ class ClusterExecutor(RelOps):
         spec = fleet.catalog.spec(table)
         shard = spec.shard_of(value)
         pred = Cmp("==", Col(spec.key), Const(value))
-        ref = TableRef(table, pred, cols)
-        name = shard_table_name(table, shard)
         self.point_lookups += 1
         rel = yield from self._shard_call(
-            shard, lambda node: self._scan_work(node, name, ref, None, None))
+            shard, self._scan_work(TableRef(table, pred, cols)), _rows_bytes)
         yield from self._charge(self.GATHER_RPC_US)
         return rel
 
@@ -272,13 +262,15 @@ class ClusterExecutor(RelOps):
         construction so the merge is a plain union.
         """
         groups = store.group_keys(keys)
-        shards = list(groups)
 
-        def work_factory(shard: int) -> Callable[[StorageNode], Generator]:
-            return lambda node: self._kv_work(node, store, shard,
-                                              groups[shard])
+        def work(shard: int, node_index: int) -> Generator:
+            """Batched Lookup SSDlet over one KV shard copy."""
+            results = yield from store.store_on(
+                shard, node_index).get_biscuit(groups[shard])
+            return results
 
-        partials = yield from self._scatter(store.name, shards, work_factory)
+        partials = yield from self._scatter(
+            store.name, list(groups), work, _kv_bytes)
         out: Dict[bytes, Optional[bytes]] = {}
         for partial in partials:
             out.update(partial)
@@ -287,63 +279,36 @@ class ClusterExecutor(RelOps):
             + len(out) * self.MERGE_ROW_US)
         return out
 
-    # ---------------------------------------------------------- shard legs
-    def _scan_work(self, node: StorageNode, shard_name: str, ref: TableRef,
-                   order_by: Optional[List[Tuple[str, bool]]],
-                   limit: Optional[int]) -> Generator:
-        """Fiber (node-side): scan one shard copy through the NDP datapath."""
-        fleet = self.fleet
-        index = fleet.node_index(node)
-        fleet.ensure_alive(index)
-        engine = fleet.engine(index)
-        sref = TableRef(shard_name, ref.pred, ref.cols)
-        rel = yield from engine.fetch(sref)
-        if order_by:
-            rel = yield from engine.sort(rel, list(order_by), limit=limit)
-        payload = _payload_bytes(rel.rows)
+    # ----------------------------------------------------------- shard leg
+    def _scan_work(self, ref: TableRef,
+                   order_by: Optional[List[Tuple[str, bool]]] = None,
+                   limit: Optional[int] = None):
+        """``work(shard, node_index)``: scan one copy of ``ref``'s shard
+        through the node's NDP datapath, sorted (top-k) there if asked."""
+        def work(shard: int, node_index: int) -> Generator:
+            engine = self.fleet.engine(node_index)
+            rel = yield from engine.fetch(TableRef(
+                shard_table_name(ref.name, shard), ref.pred, ref.cols))
+            if order_by:
+                rel = yield from engine.sort(rel, list(order_by), limit=limit)
+            return rel
+        return work
+
+    def _leg(self, node: StorageNode, shard: int, work, size) -> Generator:
+        """Fiber (node-side): the one shard leg.  Refuse a node known to be
+        down, run ``work(shard, node_index)`` there, and ship its result
+        over the node's link at ``size(result)`` bytes."""
+        index = self.fleet.node_index(node)
+        self.fleet.ensure_alive(index)
+        result = yield from work(shard, index)
+        payload = size(result)
         self.result_bytes += payload
         yield from node.link.send(payload)
-        return rel
-
-    def _agg_work(self, node: StorageNode, shard_name: str, ref: TableRef,
-                  group_by: List[str], aggs) -> Generator:
-        """Fiber (node-side): one shard's device-format aggregate states.
-
-        :meth:`Engine.scan_aggregate` reduces on-device when the planner
-        offloads and folds a host scan into the same device-format states
-        otherwise — the coordinator cannot tell the two apart, so
-        crashed-primary failovers never change results.
-        """
-        fleet = self.fleet
-        index = fleet.node_index(node)
-        fleet.ensure_alive(index)
-        engine = fleet.engine(index)
-        sref = TableRef(shard_name, ref.pred, ref.cols)
-        totals = yield from engine.scan_aggregate(
-            sref, list(group_by), aggs, raw=True)
-        payload = _payload_bytes(totals)
-        self.result_bytes += payload
-        yield from node.link.send(payload)
-        return totals
-
-    def _kv_work(self, node: StorageNode, store: ShardedKVStore, shard: int,
-                 keys: List[bytes]) -> Generator:
-        """Fiber (node-side): batched Lookup SSDlet over one KV shard copy."""
-        fleet = self.fleet
-        index = fleet.node_index(node)
-        fleet.ensure_alive(index)
-        kv = store.store_on(shard, index)
-        results = yield from kv.get_biscuit(keys)
-        payload = sum(
-            16 + len(key) + (len(value) if value is not None else 0)
-            for key, value in results.items())
-        self.result_bytes += payload
-        yield from node.link.send(payload)
-        return results
+        return result
 
     # ------------------------------------------------------- fan-out + RPC
-    def _scatter(self, label: str, shards: List[int],
-                 work_factory: Callable[[int], Callable]) -> Generator:
+    def _scatter(self, label: str, shards: List[int], work,
+                 size: Callable[[Any], int]) -> Generator:
         """Fiber: launch one resilient leg per shard, barrier on all.
 
         ``all_of`` fails fast: a leg whose every copy is gone aborts the
@@ -357,7 +322,7 @@ class ClusterExecutor(RelOps):
         self.max_fan_out = max(self.max_fan_out, len(shards))
         legs = [
             sim.process(
-                self._shard_call(shard, work_factory(shard)),
+                self._shard_call(shard, work, size),
                 name="scatter-%s-s%d" % (label, shard),
             )
             for shard in shards
@@ -370,7 +335,7 @@ class ClusterExecutor(RelOps):
                            fan_out=len(shards))
         return values
 
-    def _shard_call(self, shard: int, make_work) -> Generator:
+    def _shard_call(self, shard: int, work, size) -> Generator:
         """Fiber: one shard RPC with hedging or retry+replica failover.
 
         With a hedge policy the call races primary against replica past the
@@ -384,6 +349,10 @@ class ClusterExecutor(RelOps):
         sim = fleet.sim
         self.shard_rpcs += 1
         rpc_start = sim.now
+
+        def make_work(node: StorageNode) -> Generator:
+            return self._leg(node, shard, work, size)
+
         if self.hedge is not None:
             before = self.hedge.failovers
             value = yield from fleet.cluster.hedged_call(
@@ -435,32 +404,3 @@ class ClusterExecutor(RelOps):
         trace = sim.trace
         if trace is not None and sim.now > start:
             trace.complete("cluster", "merge", "host/cluster", start)
-
-    @staticmethod
-    def _ordered_merge(row_lists: List[list],
-                       key_plan: List[Tuple[int, bool]],
-                       limit: Optional[int]) -> list:
-        """Deterministic k-way merge of per-shard pre-sorted runs.
-
-        Ties break toward the lowest shard index (strict-less comparison
-        never replaces the incumbent on equality), so the output is fully
-        reproducible regardless of arrival timing.
-        """
-        cursors = [0] * len(row_lists)
-        out: list = []
-        while True:
-            best = -1
-            for i, rows in enumerate(row_lists):
-                if cursors[i] >= len(rows):
-                    continue
-                if best < 0 or _row_less(
-                        rows[cursors[i]],
-                        row_lists[best][cursors[best]], key_plan):
-                    best = i
-            if best < 0:
-                break
-            out.append(row_lists[best][cursors[best]])
-            cursors[best] += 1
-            if limit is not None and len(out) >= limit:
-                break
-        return out

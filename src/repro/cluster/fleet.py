@@ -30,6 +30,7 @@ from repro.cluster.catalog import (
 from repro.core.errors import DeviceCrashedError
 from repro.db.catalog import TableSchema
 from repro.db.executor import Engine, EngineConfig, ExecutionMode
+from repro.db.planner import create_engine
 from repro.db.storage import Database, pack_table
 from repro.net.cluster import ReplicaMap, ScaleOutCluster, StorageNode
 from repro.ssd.config import SSDConfig
@@ -84,7 +85,6 @@ class ShardedFleet:
         self._node_index: Dict[str, int] = {
             node.name: i for i, node in enumerate(self.cluster.nodes)
         }
-        self.down: set = set()
         self._crash_injectors: Dict[int, list] = {}
         self.crashes = 0
         self.recoveries = 0
@@ -98,6 +98,11 @@ class ShardedFleet:
     def num_shards(self) -> int:
         return self.replica_map.num_shards
 
+    @property
+    def down(self) -> Tuple[int, ...]:
+        """The nodes currently dark — the catalog's liveness, read-only."""
+        return self.catalog.down_nodes
+
     def node(self, index: int) -> StorageNode:
         return self.cluster.nodes[index]
 
@@ -108,16 +113,9 @@ class ShardedFleet:
         """The node's query engine (built lazily, after tables loaded)."""
         engine = self._engines[index]
         if engine is None:
-            from repro.db.ndp import NDPContext
-            from repro.db.planner import NDPPlanner
-
-            node = self.cluster.nodes[index]
-            engine = Engine(node.system, self.databases[index], self.mode,
-                            self.engine_config)
-            engine.planner = NDPPlanner(engine)
-            if self.mode is ExecutionMode.BISCUIT:
-                engine.ndp_context = NDPContext(node.system)
-            self._engines[index] = engine
+            engine = self._engines[index] = create_engine(
+                self.cluster.nodes[index].system, self.databases[index],
+                self.mode, self.engine_config)
         return engine
 
     def run_fiber(self, generator, name: str = "") -> Any:
@@ -179,7 +177,7 @@ class ShardedFleet:
     # ------------------------------------------------------------ node loss
     def ensure_alive(self, node_index: int) -> None:
         """Fail fast when work is routed at a node known to be down."""
-        if node_index in self.down:
+        if self.catalog.is_down(node_index):
             raise DeviceCrashedError("node%d is down" % node_index)
 
     def crash_node(self, node_index: int) -> None:
@@ -190,9 +188,8 @@ class ShardedFleet:
         their next NAND access — exercising the executor's failover path
         mid-scatter, not just at dispatch time.
         """
-        if node_index in self.down:
+        if self.catalog.is_down(node_index):
             return
-        self.down.add(node_index)
         self.catalog.mark_down(node_index)
         self.crashes += 1
         now_us = self.sim.now / 1000.0
@@ -207,9 +204,8 @@ class ShardedFleet:
 
     def recover_node(self, node_index: int) -> None:
         """Bring a crashed node back: routing resumes, devices serve again."""
-        if node_index not in self.down:
+        if not self.catalog.is_down(node_index):
             return
-        self.down.discard(node_index)
         self.catalog.mark_up(node_index)
         self.recoveries += 1
         self._crash_injectors.pop(node_index, None)
@@ -220,9 +216,6 @@ class ShardedFleet:
     def network_bytes(self) -> int:
         """Bytes moved over every node link (both directions)."""
         return sum(node.link.bytes_moved for node in self.cluster.nodes)
-
-    def network_messages(self) -> int:
-        return sum(node.link.messages for node in self.cluster.nodes)
 
     def nand_bytes_read(self) -> int:
         """Logical bytes the fleet's devices read off NAND."""

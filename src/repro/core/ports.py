@@ -185,14 +185,6 @@ class _PortBase:
         for event in waiters:
             event.succeed()
 
-    def _require_connection(self) -> Connection:
-        if self.connection is None:
-            raise PortConnectionError(
-                "%s port %d of %s is not connected"
-                % (type(self).__name__, self.index, self.owner_name)
-            )
-        return self.connection
-
 
 class _OutputPort(_PortBase):
     """Producer endpoint: ``put`` is the subclass's; closing is shared."""

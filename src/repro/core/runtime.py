@@ -28,7 +28,7 @@ from repro.core.ports import DeviceInputPort, DeviceOutputPort
 from repro.core.ssdlet import SSDLet
 from repro.fs.file import FileHandle
 from repro.fs.filesystem import FileSystem, Inode
-from repro.sim.engine import Event, Process, Simulator, all_of
+from repro.sim.engine import Process, Simulator, all_of
 from repro.sim.resources import Resource
 from repro.sim.units import KIB, us_to_ns
 from repro.ssd.device import SSDDevice
@@ -234,9 +234,6 @@ class BiscuitRuntime:
         """Fiber: block until every instance fiber finished; re-raise errors."""
         if app.fibers:
             yield all_of(self.sim, app.fibers)
-
-    def application_done(self, app: DeviceApplication) -> Event:
-        return all_of(self.sim, app.fibers)
 
     def retire_application(self, app: DeviceApplication) -> None:
         """Drop a finished application's runtime bookkeeping.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add, itemgetter, or_
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.db import kernels
@@ -33,11 +33,8 @@ from repro.db.storage import Database, TableStorage, decode_rows
 from repro.host.platform import System
 from repro.sim.engine import all_of
 
-__all__ = [
-    "Engine", "EngineConfig", "ExecutionMode", "Rel", "TableRef",
-    "aggregate_rows", "ndp_aggregate_supported", "plan_device_aggs",
-    "merge_agg_states", "finalize_agg_rel",
-]
+__all__ = ["AggPlan", "Engine", "EngineConfig", "ExecutionMode", "Rel",
+           "TableRef", "sort_rows"]
 
 
 class ExecutionMode(enum.Enum):
@@ -99,6 +96,99 @@ class Rel:
 
     def __repr__(self) -> str:
         return "Rel(%s, %d rows)" % (",".join(self.columns), len(self.rows))
+
+
+class AggPlan:
+    """One grouped aggregate, planned once: the state layout, the fold that
+    fills it, how partials merge and how merged states become rows.
+
+    ``aggs`` entries are (output name, kind, expr) with kind one of
+    sum/count/avg/min/max/count_distinct (expr unused for count).  States
+    are ``{group key: [state per slot]}`` in the format the ScanAggregate
+    SSDlet ships (:func:`repro.db.kernels.fold`), so a partial means the
+    same wherever it was reduced — on a device, on a shard's host after a
+    fallback scan, or over an already materialized relation.
+    """
+
+    #: How two non-empty states of one slot combine.
+    _COMBINE = {"sum": add, "count": add, "min": min, "max": max,
+                "count_distinct": or_}
+
+    def __init__(self, group_by: Sequence[str],
+                 aggs: Sequence[Tuple[str, str, Optional[Expr]]]):
+        self.group_by = list(group_by)
+        self.aggs = list(aggs)
+        #: (name, kind, expr) per state slot: avg is a sum and a count slot.
+        self.slots: List[Tuple[str, str, Optional[Expr]]] = []
+        #: per output aggregate, the index of its first slot.
+        self._first_slot: List[int] = []
+        for name, kind, expr in self.aggs:
+            self._first_slot.append(len(self.slots))
+            if kind == "avg":
+                self.slots += [(name + "_sum", "sum", expr),
+                               (name + "_count", "count", None)]
+            else:
+                self.slots.append((name, kind, expr))
+        #: False when a state is a value set (count_distinct): shipping it
+        #: would defeat the pushdown, so such a plan folds host-side only.
+        self.device_ok = all(kind != "count_distinct"
+                             for _name, kind, _expr in self.slots)
+
+    def fold(self, positions: Dict[str, int]):
+        """``kernel(states, rows) -> states`` over rows laid out as
+        ``positions`` — the same kernel on the device and on the host."""
+        return kernels.fold(
+            positions, [positions[c] for c in self.group_by], self.slots)
+
+    def merge(self, total: dict, partial: dict) -> None:
+        """Combine ``partial`` into ``total`` in place (None = no row yet)."""
+        for key, state in partial.items():
+            existing = total.get(key)
+            if existing is None:
+                total[key] = list(state)
+                continue
+            for slot, (_name, kind, _expr) in enumerate(self.slots):
+                if state[slot] is None:
+                    continue
+                if existing[slot] is None:
+                    existing[slot] = state[slot]
+                else:
+                    existing[slot] = self._COMBINE[kind](
+                        existing[slot], state[slot])
+
+    def finalize(self, states: dict) -> Rel:
+        """Merged states as the output relation: averages recomposed, empty
+        counts 0; group order is state-insertion order."""
+        out_rows = []
+        for key, state in states.items():
+            values = []
+            for (_name, kind, _expr), slot in zip(self.aggs, self._first_slot):
+                value = state[slot]
+                if kind == "avg":
+                    count = state[slot + 1]
+                    value = value / count if count else 0.0
+                elif kind == "count":
+                    value = value or 0
+                elif kind == "count_distinct":
+                    value = len(value)
+                values.append(value)
+            out_rows.append(tuple(key) + tuple(values))
+        return Rel(self.group_by + [name for name, _, _ in self.aggs], out_rows)
+
+    def run(self, rel: Rel) -> Rel:
+        """Pure grouped aggregation of a materialized relation (no timing)."""
+        return self.finalize(self.fold(rel.positions)({}, rel.rows))
+
+
+def sort_rows(rows: List[tuple], key_plan: Sequence[Tuple[int, bool]],
+              limit: Optional[int] = None) -> List[tuple]:
+    """Stable sort by (position, descending?) keys, first key most
+    significant, then the optional cut.  Over sorted runs laid end to end
+    this *is* their k-way merge, ties going to the earlier run."""
+    rows = list(rows)
+    for position, descending in reversed(key_plan):
+        rows.sort(key=itemgetter(position), reverse=descending)
+    return rows if limit is None else rows[:limit]
 
 
 @dataclass
@@ -170,23 +260,15 @@ class RelOps:
         group_by: List[str],
         aggs: List[Tuple[str, str, Optional[Expr]]],
     ) -> Generator:
-        """Fiber: grouped aggregation.
-
-        ``aggs`` entries are (output name, kind, expr) with kind one of
-        sum/count/avg/min/max/count_distinct (expr unused for count).
-        """
+        """Fiber: grouped aggregation (``aggs`` as for :class:`AggPlan`)."""
         yield from self._charge(len(rel) * self.config.host_agg_row_us)
-        return aggregate_rows(rel, group_by, aggs)
+        return AggPlan(group_by, aggs).run(rel)
 
     def sort(self, rel: Rel, keys: List[Tuple[str, bool]], limit: Optional[int] = None) -> Generator:
         """Fiber: order by (column, descending?) pairs, optional limit."""
-        rows = list(rel.rows)
-        for column, descending in reversed(keys):
-            rows.sort(key=itemgetter(rel.position(column)), reverse=descending)
-        yield from self._charge(len(rows) * self.config.host_agg_row_us)
-        if limit is not None:
-            rows = rows[:limit]
-        return Rel(rel.columns, rows)
+        yield from self._charge(len(rel) * self.config.host_agg_row_us)
+        return Rel(rel.columns, sort_rows(
+            rel.rows, [(rel.position(c), d) for c, d in keys], limit))
 
 
 class Engine(RelOps):
@@ -283,43 +365,40 @@ class Engine(RelOps):
     #: page order, so ORDER BY always sorts after the projection.
     fetch_sorted = None
 
+    def scan_states(self, ref: TableRef, plan: AggPlan) -> Generator:
+        """Fiber: ``plan``'s states over one table scan — the pushdown gate.
+
+        Offloadable, device-supported aggregates over a filtered table run
+        as ScanAggregate SSDlets so only states cross the interface; every
+        other case fetches the rows and folds them on the host with the
+        same kernel, so the caller (and the fleet's coordinator) cannot
+        tell where a partial was reduced.
+        """
+        decision = yield from self.aggregate_offload(ref, plan)
+        if decision is not None:
+            states = yield from self.ndp_context.ndp_aggregate(
+                self, ref, decision, plan)
+            return states
+        rel = yield from self.fetch(ref)
+        yield from self._charge(len(rel) * self.config.host_agg_row_us)
+        return plan.fold(rel.positions)({}, rel.rows)
+
     def scan_aggregate(
         self,
         ref: TableRef,
         group_by: List[str],
         aggs: List[Tuple[str, str, Optional[Expr]]],
-        raw: bool = False,
     ) -> Generator:
-        """Fiber: grouped aggregate over one table scan — the pushdown gate.
+        """Fiber: grouped aggregate over one table scan, as a Rel."""
+        plan = AggPlan(group_by, aggs)
+        states = yield from self.scan_states(ref, plan)
+        return plan.finalize(states)
 
-        Offloadable, device-supported aggregates over a filtered table run
-        as ScanAggregate SSDlets so only states cross the interface; every
-        other case fetches the rows and folds them on the host.  With
-        ``raw=True`` the device-format state map comes back instead of a
-        Rel (the fleet folds partials *across shards* before finalizing);
-        the two folds are not interchangeable — :func:`aggregate_rows`
-        starts sums at ``0.0``, device-format states at the first value.
-        """
-        decision = yield from self.aggregate_offload(ref, aggs)
-        if decision is not None:
-            result = yield from self.ndp_context.ndp_aggregate(
-                self, ref, decision, group_by, aggs, raw)
-            return result
-        rel = yield from self.fetch(ref)
-        yield from self._charge(len(rel) * self.config.host_agg_row_us)
-        if not raw:
-            return aggregate_rows(rel, group_by, aggs)
-        device_aggs, _layout, _kinds = plan_device_aggs(aggs)
-        fold = kernels.fold(rel.positions, [rel.position(c) for c in group_by],
-                            device_aggs, seeded=False)
-        return fold({}, rel.rows)
-
-    def aggregate_offload(self, ref: TableRef, aggs) -> Generator:
-        """Fiber: the planner's decision when :meth:`scan_aggregate` pushes
+    def aggregate_offload(self, ref: TableRef, plan: AggPlan) -> Generator:
+        """Fiber: the planner's decision when :meth:`scan_states` pushes
         this aggregate down to the device, None when it folds on the host."""
         if (ref.pred is not None and self.ndp_context is not None
-                and self.config.ndp_pushdown_aggregate
-                and ndp_aggregate_supported(aggs)):
+                and self.config.ndp_pushdown_aggregate and plan.device_ok):
             decision = yield from self.planner.peek(ref)
             if decision.offload:
                 return decision
@@ -664,124 +743,3 @@ class Engine(RelOps):
             columns, rows = cols, take(rel.rows)
         # dict.fromkeys keeps the first occurrence of each row, in order.
         return Rel(columns, list(dict.fromkeys(rows)))
-
-
-def aggregate_rows(
-    rel: Rel,
-    group_by: List[str],
-    aggs: List[Tuple[str, str, Optional[Expr]]],
-) -> Rel:
-    """Pure grouped aggregation (no timing).
-
-    The computation behind :meth:`Engine.aggregate`, shared with the
-    cluster coordinator, which charges its own CPU for the fold.
-    """
-    fold = kernels.fold(rel.positions, [rel.position(c) for c in group_by],
-                        aggs, seeded=True)
-    groups: Dict[tuple, list] = fold({}, rel.rows)
-    out_rows = []
-    for key, state in groups.items():
-        values = []
-        for slot, (_, kind, _expr) in enumerate(aggs):
-            if kind == "avg":
-                total, count = state[slot]
-                values.append(total / count if count else 0.0)
-            elif kind == "count_distinct":
-                values.append(len(state[slot]))
-            else:
-                values.append(state[slot])
-        out_rows.append(key + tuple(values))
-    return Rel(group_by + [name for name, _, _ in aggs], out_rows)
-
-
-# ------------------------------------------------- distributed aggregation
-# Device-format aggregate states: the representation the ScanAggregate
-# SSDlet ships host-ward ({group key: [state per slot]}), factored out so
-# the single-device pushdown (repro.db.ndp) and the cluster coordinator
-# (repro.cluster.executor) fold partials with identical semantics — a
-# host-computed partial and a device-reduced one must merge bit-for-bit.
-
-def ndp_aggregate_supported(aggs) -> bool:
-    """Can these (name, kind, expr) aggregates run device-side?
-
-    avg decomposes into sum+count; count_distinct would ship whole value
-    sets, defeating the point, so it falls back to the host path.
-    """
-    return all(kind in ("sum", "count", "avg", "min", "max")
-               for _name, kind, _expr in aggs)
-
-
-def plan_device_aggs(
-    aggs: List[Tuple[str, str, Optional[Expr]]],
-) -> Tuple[list, list, list]:
-    """Decompose (name, kind, expr) aggregates into device state slots.
-
-    Returns ``(device_aggs, layout, kinds)``: ``device_aggs`` are the
-    per-slot (name, kind, expr) specs (``avg`` decomposed into sum+count
-    slots) that ``kernels.fold(..., seeded=False)`` compiles into the state
-    update — the same kernel on the ScanAggregate SSDlet and on a shard that
-    falls back to a host-side scan, so the coordinator merges either;
-    ``layout`` maps each output aggregate back onto its slot(s) —
-    ``("direct", slot)`` or ``("avg", sum_slot, count_slot)`` — and
-    ``kinds`` drive :func:`merge_agg_states`.
-    """
-    device_aggs: list = []
-    layout: list = []
-    kinds: list = []
-    for name, kind, expr in aggs:
-        if kind == "avg":
-            layout.append(("avg", len(device_aggs), len(device_aggs) + 1))
-            device_aggs.append((name + "_sum", "sum", expr))
-            device_aggs.append((name + "_count", "count", None))
-            kinds.extend(["sum", "count"])
-        else:
-            layout.append(("direct", len(device_aggs)))
-            device_aggs.append((name, kind, expr))
-            kinds.append(kind)
-    return device_aggs, layout, kinds
-
-
-def merge_agg_states(total: dict, partial: dict, kinds) -> None:
-    """Combine per-group state maps in place (sum/count add, min/max keep)."""
-    for key, state in partial.items():
-        existing = total.get(key)
-        if existing is None:
-            total[key] = list(state)
-            continue
-        for slot, kind in enumerate(kinds):
-            if state[slot] is None:
-                continue
-            if existing[slot] is None:
-                existing[slot] = state[slot]
-            elif kind in ("sum", "count"):
-                existing[slot] += state[slot]
-            elif kind == "min":
-                existing[slot] = min(existing[slot], state[slot])
-            elif kind == "max":
-                existing[slot] = max(existing[slot], state[slot])
-
-
-def finalize_agg_rel(totals: dict, layout: list, device_aggs: list,
-                     group_by: List[str], aggs) -> Rel:
-    """Render merged device-format states into the output relation.
-
-    Recomposes decomposed averages (sum/count) and maps empty counts to 0;
-    group order is state-insertion order, which the deterministic merge
-    makes reproducible.
-    """
-    out_rows = []
-    for key, state in totals.items():
-        values = []
-        for plan in layout:
-            if plan[0] == "direct":
-                value = state[plan[1]]
-                if value is None and device_aggs[plan[1]][1] == "count":
-                    value = 0
-                values.append(value)
-            else:
-                total_sum, total_count = state[plan[1]], state[plan[2]]
-                values.append(
-                    (total_sum / total_count) if total_count else 0.0
-                )
-        out_rows.append(tuple(key) + tuple(values))
-    return Rel(list(group_by) + [name for name, _, _ in aggs], out_rows)

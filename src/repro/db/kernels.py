@@ -195,37 +195,30 @@ def merge(left_cols: Sequence[str], right_cols: Sequence[str],
 
 
 #: kind -> (initial state, update statement) over a slot ``{s}`` and the
-#: row's value ``{v}``.  Two folds on purpose: :func:`aggregate_rows` seeds
-#: sums with 0.0 (so an integer sum comes out a float); device-format states
-#: start at the first value (None = "no row yet", which merges associatively).
+#: row's value ``{v}``.  The one state format — what ScanAggregate ships: a
+#: slot starts at None ("no row yet") and takes the first value as it is, so
+#: partials merge associatively and an integer sum stays an integer.
+#: ``count_distinct`` is a value set: host-side only, it never ships.
 _MINMAX = "v = {v}; {s} = v if {s} is None else %s({s}, v)"
-_SEEDED = {
-    "count": ("0", "{s} += 1"),
-    "sum": ("0.0", "{s} += {v}"),
-    "avg": ("[0.0, 0]", "{s}[0] += {v}; {s}[1] += 1"),
+_UPDATES = {
+    "count": ("None", "{s} = ({s} or 0) + 1"),
+    "sum": ("None", "v = {v}; {s} = v if {s} is None else {s} + v"),
     "min": ("None", _MINMAX % "min"),
     "max": ("None", _MINMAX % "max"),
     "count_distinct": ("set()", "{s}.add({v})"),
 }
-_FIRST_VALUE = {
-    "count": ("None", "{s} = ({s} or 0) + 1"),
-    "sum": ("None", "v = {v}; {s} = v if {s} is None else {s} + v"),
-    "min": _SEEDED["min"],
-    "max": _SEEDED["max"],
-}
 
 
 def fold(positions: Dict[str, int], group_idx: Sequence[int],
-         aggs: Sequence[Tuple[str, str, Any]], seeded: bool) -> Callable[[dict, List[tuple]], dict]:
+         aggs: Sequence[Tuple[str, str, Any]]) -> Callable[[dict, List[tuple]], dict]:
     """Grouped aggregation: ``kernel(states, rows)`` folds rows into
-    ``{group key: [state per (name, kind, expr) aggregate]}`` and returns it."""
+    ``{group key: [state per (name, kind, expr) slot]}`` and returns it."""
     emitter = _Emitter(positions)
-    templates = _SEEDED if seeded else _FIRST_VALUE
     inits, updates = [], []
     for slot, (_name, kind, expr) in enumerate(aggs):
-        if kind not in templates:
+        if kind not in _UPDATES:
             raise ValueError("unsupported aggregate kind %r" % kind)
-        init, update = templates[kind]
+        init, update = _UPDATES[kind]
         inits.append(init)
         updates.append("        " + update.format(
             s="s[%d]" % slot, v=None if expr is None else emitter.emit(expr)))

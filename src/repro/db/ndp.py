@@ -25,20 +25,11 @@ from repro.core import (
     write_module_image,
 )
 from repro.db import kernels
-from repro.db.executor import (
-    Engine,
-    Rel,
-    TableRef,
-    finalize_agg_rel,
-    merge_agg_states,
-    ndp_aggregate_supported,
-    plan_device_aggs,
-)
+from repro.db.executor import AggPlan, Engine, Rel, TableRef
 from repro.db.expr import Col
 
 __all__ = ["NDP_MODULE", "ScanFilter", "ScanAggregate", "NDPContext",
-           "ScanSpec", "page_ranges", "run_offloaded_scan", "scan_kernels",
-           "ndp_aggregate_supported"]
+           "ScanSpec", "page_ranges", "run_offloaded_scan", "scan_kernels"]
 
 NDP_MODULE = SSDletModule("minidb-ndp")
 MODULE_IMAGE_PATH = "/var/isc/slets/minidb_ndp.slet"
@@ -71,9 +62,9 @@ class ScanSpec:
     batch_rows: int = 512  # rows per D2H result packet
     workers: int = 2
     use_matcher: bool = True  # False = device software scan (Section VI)
-    #: ``fold(states, rows)`` — a ``kernels.fold(..., seeded=False)`` kernel:
-    #: fold the survivors into device-format states (ScanAggregate) instead
-    #: of shipping them as row batches (ScanFilter).
+    #: ``fold(states, rows)`` — an :meth:`AggPlan.fold` kernel: fold the
+    #: survivors into aggregate states (ScanAggregate) instead of shipping
+    #: them as row batches (ScanFilter).
     fold: Optional[Callable[[dict, List[tuple]], dict]] = None
 
 
@@ -342,27 +333,16 @@ class NDPContext:
         return Rel(out_cols, rows)
 
     def ndp_aggregate(self, engine: Engine, ref: TableRef, decision,
-                      group_by: List[str], aggs,
-                      raw: bool = False) -> Generator:
-        """Fiber: run the offloaded scan+aggregate; returns the grouped Rel.
-
-        ``aggs`` entries are (name, kind, expr) as for Engine.aggregate.
-        With ``raw=True`` the merged device-format state map is returned
-        instead of a Rel — the cluster coordinator asks for raw states so
-        it can fold partials *across shards* before finalizing.
-        """
+                      plan: AggPlan) -> Generator:
+        """Fiber: run the offloaded scan+aggregate; returns ``plan``'s
+        states, the per-SSDlet partials merged."""
         positions = _positions(engine, ref)
-        # Decompose avg into sum+count slots.
-        device_aggs, layout, kinds = plan_device_aggs(aggs)
         totals: dict = {}
         yield from self._scan(
             engine, ref, decision, "ndp-agg-%s" % ref.name, positions,
-            lambda states: merge_agg_states(totals, states, kinds),
-            fold=kernels.fold(positions, [positions[c] for c in group_by],
-                              device_aggs, seeded=False))
-        if raw:
-            return totals
-        return finalize_agg_rel(totals, layout, device_aggs, group_by, aggs)
+            lambda states: plan.merge(totals, states),
+            fold=plan.fold(positions))
+        return totals
 
 
 def _positions(engine: Engine, ref: TableRef) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.db import kernels
-from repro.db.executor import Engine, ExecutionMode, TableRef
+from repro.db.executor import Engine, EngineConfig, ExecutionMode, TableRef
 from repro.db.expr import (
     Between,
     Cmp,
@@ -209,11 +209,13 @@ class NDPPlanner:
         return selectivity, candidates[best_slot]
 
 
-def create_engine(system, db, mode: ExecutionMode) -> Engine:
-    """Factory: an Engine with planner and NDP machinery attached."""
+def create_engine(system, db, mode: ExecutionMode,
+                  config: Optional[EngineConfig] = None) -> Engine:
+    """Factory: an Engine with planner and NDP machinery attached — the
+    only place one is wired."""
     from repro.db.ndp import NDPContext  # deferred: ndp imports executor
 
-    engine = Engine(system, db, mode)
+    engine = Engine(system, db, mode, config)
     engine.planner = NDPPlanner(engine)
     if mode is ExecutionMode.BISCUIT:
         engine.ndp_context = NDPContext(system)

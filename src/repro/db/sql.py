@@ -31,9 +31,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.db import kernels
 from repro.db.catalog import date_to_int
-from repro.db.executor import Engine, Rel, TableRef, plan_device_aggs
+from repro.db.executor import AggPlan, Engine, Rel, TableRef
 from repro.db.expr import (
     Arith,
     Between,
@@ -621,8 +620,8 @@ def explain_sql(engine: Engine, text: str) -> Generator:
     scan_folds = grouped and len(compiled.refs) == 1 and not compiled.leftovers
     pushdown = None  # the decision, when the aggregate folds on the device
     if scan_folds:
-        pushdown = yield from engine.aggregate_offload(
-            compiled.refs[0], _aggregate_plan(query))
+        plan = AggPlan(query.group_by, _aggregate_plan(query))
+        pushdown = yield from engine.aggregate_offload(compiled.refs[0], plan)
     lines: List[str] = ["%s plan (%s engine)" % (
         "SELECT", engine.mode.value,
     )]
@@ -668,16 +667,13 @@ def explain_sql(engine: Engine, text: str) -> Generator:
         )
         lines.append("  aggregate by [%s]: %s" % (", ".join(query.group_by), aggregates))
         if scan_folds:
-            ref, aggs = compiled.refs[0], _aggregate_plan(query)
+            # The device folds stored rows, the host the projected ones.
+            ref = compiled.refs[0]
             columns = engine.db.table(ref.name).schema.column_names()
-            if pushdown:
-                aggs = plan_device_aggs(aggs)[0]
-            elif ref.cols:
+            if not pushdown and ref.cols:
                 columns = ref.cols
-            positions = {name: i for i, name in enumerate(columns)}
-            lines.extend(_kernel_lines({"fold": kernels.fold(
-                positions, [positions[c] for c in query.group_by], aggs,
-                seeded=not pushdown)}))
+            lines.extend(_kernel_lines({"fold": plan.fold(
+                {name: i for i, name in enumerate(columns)})}))
     if compiled.having is not None:
         lines.append("  having %s" % to_sql(compiled.having))
     if query.order_by:

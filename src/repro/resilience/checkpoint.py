@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.db.ndp import page_ranges
+
 __all__ = ["RangeCheckpoint", "ScanCheckpoint"]
 
 
@@ -80,16 +82,9 @@ class ScanCheckpoint:
 
     @classmethod
     def for_pages(cls, num_pages: int, workers: int) -> "ScanCheckpoint":
-        """Even page shares, mirroring the NDP scan's worker split."""
-        workers = min(max(1, workers), max(1, num_pages))
-        share = (num_pages + workers - 1) // workers
-        ranges = []
-        for index in range(workers):
-            first = index * share
-            if first >= num_pages:
-                break
-            ranges.append((first, min(first + share, num_pages)))
-        return cls(ranges)
+        """One ledger range per SSDlet of the NDP scan's worker split."""
+        return cls([(first, first + count)
+                    for first, count in page_ranges(num_pages, workers)])
 
     @property
     def done(self) -> bool:

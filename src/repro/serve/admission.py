@@ -106,7 +106,3 @@ class SlotTable:
         self.dram_reserved_bytes -= job.spec.dram_bytes
         if self.slots_in_use < 0 or self.dram_reserved_bytes < 0:
             raise RuntimeError("slot table released more than it admitted")
-
-    @property
-    def free_slots(self) -> int:
-        return self.app_slots - self.slots_in_use

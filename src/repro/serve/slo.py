@@ -20,7 +20,7 @@ emitted as ``serve``-category instant events on a per-tenant track.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.instrument.metrics import MetricsRegistry
 from repro.serve.jobs import Job, JobState
@@ -146,12 +146,3 @@ class SLOTracker:
             good = completed - misses
             rate = (good / elapsed_s) if elapsed_s > 0 else 0.0
             self.registry.gauge("%s.goodput_jps" % prefix).set(rate)
-
-    def tenant_quantile_us(self, tenant: str, which: str,
-                           quantile: float) -> Optional[float]:
-        """Convenience reader for benches: p-quantile of a tenant histogram."""
-        hist = self.registry.histogram(
-            "serve.tenant.%s.%s" % (tenant, which))
-        if hist.count == 0:
-            return None
-        return hist.quantile(quantile)

@@ -169,11 +169,6 @@ class SSDConfig:
         """Unit in which large requests are striped across channels."""
         return self.physical_page_bytes
 
-    @property
-    def read_cache_lines(self) -> int:
-        """Device-DRAM read-cache capacity in physical-page lines."""
-        return self.read_cache_bytes // self.physical_page_bytes
-
     def validate(self) -> None:
         if self.physical_page_bytes % self.logical_page_bytes:
             raise ValueError("physical page must be a multiple of the logical page")

@@ -125,13 +125,5 @@ class SSDDevice:
         return self.matchers[channel]
 
     # ------------------------------------------------------------------ stats
-    @property
-    def internal_bytes_read(self) -> int:
-        return self.nand.bytes_read
-
-    def channel_utilization(self) -> float:
-        channels = self.nand.channels
-        return sum(c.bus.utilization() for c in channels) / len(channels)
-
     def core_utilization(self) -> float:
         return self.cores.utilization()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.ssd.config import SSDConfig
 
@@ -126,12 +126,3 @@ class PatternMatcher:
             b"%d:%d:" % (seed, page_index) + key, digest_size=8
         ).digest()
         return int.from_bytes(digest, "big") / float(1 << 64)
-
-
-def filter_pages_exact(
-    matcher: PatternMatcher,
-    pages: List[Tuple[int, bytes]],
-    keys: Sequence[bytes],
-) -> List[MatchResult]:
-    """Convenience: run exact matching over (index, data) pairs."""
-    return [matcher.match_bytes(index, data, keys) for index, data in pages]

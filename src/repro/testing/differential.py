@@ -35,8 +35,7 @@ from repro.db.executor import Engine, EngineConfig, ExecutionMode, TableRef
 from repro.db.expr import (
     Arith, Between, Case, Cmp, Col, Const, Func, InList, Like, Logic, Not,
 )
-from repro.db.ndp import NDPContext
-from repro.db.planner import NDPPlanner
+from repro.db.planner import create_engine
 from repro.db.storage import Database
 from repro.host.platform import System
 from repro.resilience import (
@@ -194,14 +193,6 @@ def force_offload_config() -> EngineConfig:
     )
 
 
-def _make_engine(system: System, db: Database, mode: ExecutionMode) -> Engine:
-    engine = Engine(system, db, mode, config=force_offload_config())
-    engine.planner = NDPPlanner(engine)
-    if mode is ExecutionMode.BISCUIT:
-        engine.ndp_context = NDPContext(system)
-    return engine
-
-
 def _query_fiber(site, schema: TableSchema, query: Dict[str, Any]):
     """The case's query on a site's access paths (an Engine, or the fleet's
     ClusterExecutor — same query shape either way)."""
@@ -265,7 +256,8 @@ def _single_device(case: _Case, *modes: ExecutionMode):
     system = System(ssd_config=case.ssd_config)
     db = Database(system.fs)
     db.load_table(case.schema, case.rows)
-    return (system,) + tuple(_make_engine(system, db, mode) for mode in modes)
+    return (system,) + tuple(create_engine(system, db, mode, force_offload_config())
+                             for mode in modes)
 
 
 def _judge(blank: CaseResult, test, base, expected: List[tuple],

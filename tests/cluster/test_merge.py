@@ -1,18 +1,57 @@
-"""Coordinator merge operators: ordered k-way merge + aggregate-state fold."""
+"""Coordinator merge operators: ordered gather (``sort_rows``) + aggregate-
+state fold (``AggPlan``)."""
 
-from repro.cluster.executor import ClusterExecutor, _row_less
-from repro.db import kernels
-from repro.db.executor import (
-    Rel,
-    aggregate_rows,
-    finalize_agg_rel,
-    merge_agg_states,
-    plan_device_aggs,
-)
+import random
+from typing import List, Optional, Tuple
+
+from repro.db.executor import AggPlan, Rel, sort_rows
 from repro.db.expr import col
 from repro.testing.differential import rows_match
 
-_merge = ClusterExecutor._ordered_merge
+
+def _merge(row_lists, key_plan, limit):
+    """The coordinator's ordered gather: runs end to end in shard order,
+    stable-sorted."""
+    return sort_rows([row for rows in row_lists for row in rows],
+                     key_plan, limit)
+
+
+# The hand-written k-way merge ``sort_rows`` replaced, kept verbatim as the
+# reference the sweep below compares against.
+def _row_less(a: tuple, b: tuple, key_plan: List[Tuple[int, bool]]) -> bool:
+    """Strict ordering of two rows under (position, descending) sort keys."""
+    for position, descending in key_plan:
+        av, bv = a[position], b[position]
+        if av == bv:
+            continue
+        if descending:
+            return av > bv
+        return av < bv
+    return False
+
+
+def _ordered_merge(row_lists: List[list], key_plan: List[Tuple[int, bool]],
+                   limit: Optional[int]) -> list:
+    """Deterministic k-way merge of per-shard pre-sorted runs; ties break
+    toward the lowest shard index."""
+    cursors = [0] * len(row_lists)
+    out: list = []
+    while True:
+        best = -1
+        for i, rows in enumerate(row_lists):
+            if cursors[i] >= len(rows):
+                continue
+            if best < 0 or _row_less(
+                    rows[cursors[i]],
+                    row_lists[best][cursors[best]], key_plan):
+                best = i
+        if best < 0:
+            break
+        out.append(row_lists[best][cursors[best]])
+        cursors[best] += 1
+        if limit is not None and len(out) >= limit:
+            break
+    return out
 
 
 # --------------------------------------------------------------- k-way merge
@@ -44,10 +83,22 @@ def test_ordered_merge_secondary_key():
         (1, 9), (1, 3), (2, 5), (2, 1)]
 
 
-def test_row_less_is_strict():
-    assert not _row_less((1, 2), (1, 2), [(0, False), (1, False)])
-    assert _row_less((1, 1), (1, 2), [(0, False), (1, False)])
-    assert _row_less((1, 2), (1, 1), [(0, False), (1, True)])
+def test_sort_rows_equals_the_kway_merge_over_a_seeded_sweep():
+    rng = random.Random(2016)
+    for _ in range(2000):
+        key_plan = [(position, rng.random() < 0.5)
+                    for position in rng.sample(range(3), rng.randint(1, 3))]
+        runs = []
+        for shard in range(rng.randint(0, 5)):
+            # Few distinct key values, so ties are the common case; the
+            # last column tags the row with where it came from.
+            run = [(rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 1),
+                    (shard, i)) for i in range(rng.randint(0, 6))]
+            runs.append(sort_rows(run, key_plan))
+        for limit in (None, 1, 3, 7):
+            runs_cut = [run[:limit] for run in runs]  # shards top-k locally
+            assert _merge(runs_cut, key_plan, limit) == _ordered_merge(
+                runs_cut, key_plan, limit)
 
 
 def test_ordered_merge_empty_runs():
@@ -73,21 +124,19 @@ AGGS = [
 def test_sharded_fold_equals_single_pass():
     columns = ["g", "v"]
     rows = _rows()
-    positions = {name: i for i, name in enumerate(columns)}
-    device_aggs, layout, kinds = plan_device_aggs(AGGS)
-    fold = kernels.fold(positions, [0], device_aggs, seeded=False)
+    plan = AggPlan(["g"], AGGS)
+    fold = plan.fold({name: i for i, name in enumerate(columns)})
 
     # Partition the rows three ways (one part empty), fold each part into
-    # device-format states, merge, finalize...
+    # states, merge, finalize...
     parts = [rows[0:2], rows[2:5], []]
     totals: dict = {}
     for part in parts:
-        partial = fold({}, part)
-        merge_agg_states(totals, partial, kinds)
-    merged = finalize_agg_rel(totals, layout, device_aggs, ["g"], AGGS)
+        plan.merge(totals, fold({}, part))
+    merged = plan.finalize(totals)
 
     # ...and the result must match the pure single-pass aggregation.
-    single = aggregate_rows(Rel(columns, rows), ["g"], AGGS)
+    single = plan.run(Rel(columns, rows))
     assert merged.columns == single.columns
     assert rows_match(merged.rows, single.rows)
     assert rows_match(merged.rows, [
@@ -97,28 +146,23 @@ def test_sharded_fold_equals_single_pass():
 
 
 def test_merge_is_order_insensitive():
-    columns = ["g", "v"]
     rows = _rows()
-    positions = {name: i for i, name in enumerate(columns)}
-    device_aggs, layout, kinds = plan_device_aggs(AGGS)
-    fold = kernels.fold(positions, [0], device_aggs, seeded=False)
+    plan = AggPlan(["g"], AGGS)
+    fold = plan.fold({"g": 0, "v": 1})
     partials = [fold({}, part)
                 for part in (rows[0:1], rows[1:4], rows[4:5])]
 
     forward: dict = {}
     for partial in partials:
-        merge_agg_states(forward, partial, kinds)
+        plan.merge(forward, partial)
     backward: dict = {}
     for partial in reversed(partials):
-        merge_agg_states(backward, partial, kinds)
-    a = finalize_agg_rel(forward, layout, device_aggs, ["g"], AGGS)
-    b = finalize_agg_rel(backward, layout, device_aggs, ["g"], AGGS)
-    assert rows_match(a.rows, b.rows)
+        plan.merge(backward, partial)
+    assert rows_match(plan.finalize(forward).rows,
+                      plan.finalize(backward).rows)
 
 
 def test_empty_group_count_finalizes_to_zero():
-    device_aggs, layout, kinds = plan_device_aggs([("c", "count", None)])
+    plan = AggPlan(["g"], [("c", "count", None)])
     totals = {("k",): [None]}  # a group seen by zero matching rows
-    rel = finalize_agg_rel(totals, layout, device_aggs, ["g"],
-                           [("c", "count", None)])
-    assert rel.rows == [("k", 0)]
+    assert plan.finalize(totals).rows == [("k", 0)]

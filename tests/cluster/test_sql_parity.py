@@ -6,13 +6,14 @@ differ only in where rows come from and which CPU pays.  So the answers —
 and the text of every binding error — must be the same.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import ClusterExecutor, ShardedFleet
 from repro.db.catalog import Column, TableSchema
-from repro.db.executor import Engine, ExecutionMode
-from repro.db.ndp import NDPContext
-from repro.db.planner import NDPPlanner
+from repro.db.executor import ExecutionMode
+from repro.db.planner import create_engine
 from repro.db.sql import SqlError, run_sql
 from repro.db.storage import Database
 from repro.host.platform import System
@@ -33,10 +34,8 @@ def sites():
     db = Database(system.fs)
     db.load_table(T, T_ROWS)
     db.load_table(U, U_ROWS)
-    engine = Engine(system, db, ExecutionMode.BISCUIT,
-                    config=force_offload_config())
-    engine.planner = NDPPlanner(engine)
-    engine.ndp_context = NDPContext(system)
+    engine = create_engine(system, db, ExecutionMode.BISCUIT,
+                           force_offload_config())
 
     fleet = ShardedFleet(num_nodes=3, num_shards=3, replication=2,
                          engine_config=force_offload_config())
@@ -85,6 +84,40 @@ def test_same_answer_on_both_sites(sites, statement, agree):
         assert set(single.rows) | set(fleet.rows) <= set(everything.rows)
     assert single.rows  # no parity by both being empty
     assert engine.ndp_scans and executor.fleet.ndp_scans()  # really offloaded
+
+
+def test_result_types_do_not_depend_on_where_the_aggregate_folded():
+    """Offload is invisible in the answer, down to ``type()``: the same rows
+    from a host fold, a device fold, a device scan folded on the host, and
+    shard partials merged at a coordinator.  (Every float here is a multiple
+    of 0.25, so sums are exact in any association order.)"""
+    statement = ("SELECT v, SUM(id) AS s, COUNT(*) AS n, AVG(id) AS mid, "
+                 "MIN(id) AS lo, MAX(price) AS hi, SUM(price) AS total "
+                 "FROM t WHERE v < 50 GROUP BY v")
+    config = force_offload_config()
+    system = System()
+    db = Database(system.fs)
+    db.load_table(T, T_ROWS)
+    conv = create_engine(system, db, ExecutionMode.CONV, config)
+    pushed = create_engine(system, db, ExecutionMode.BISCUIT, config)
+    scan_only = create_engine(system, db, ExecutionMode.BISCUIT,
+                              replace(config, ndp_pushdown_aggregate=False))
+    fleet = ShardedFleet(num_nodes=4, engine_config=config)
+    fleet.load_sharded(T, T_ROWS, key="id", kind="hash")
+
+    def typed(rel):
+        return sorted([(type(value).__name__, value) for value in row]
+                      for row in rel.rows)
+
+    want = typed(run_sql(conv, statement)[0])
+    assert want[0][:2] == [("int", 0), ("int", 178770)]  # an int SUM is an int
+    for engine in (pushed, scan_only):
+        assert typed(run_sql(engine, statement)[0]) == want
+        assert engine.ndp_scans == 1
+    # The device fold ships states, the scan-only engine every survivor.
+    assert pushed.ndp_result_bytes * 10 < scan_only.ndp_result_bytes
+    assert typed(ClusterExecutor(fleet).run_sql(statement)[0]) == want
+    assert fleet.ndp_scans()
 
 
 def test_order_by_is_pushed_to_the_shards_only_for_plain_columns(sites):

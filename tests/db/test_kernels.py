@@ -3,11 +3,12 @@ property sweep against the independent interpreter, and --explain showing
 the kernels that really run."""
 
 import random
+import re
 
 import pytest
 
 from repro.db import kernels
-from repro.db.executor import ExecutionMode, Rel, aggregate_rows, plan_device_aggs
+from repro.db.executor import AggPlan, ExecutionMode, Rel
 from repro.db.expr import (
     Arith, Between, Case, Cmp, Col, Const, Func, InList, Like, Logic, Not,
     and_, between, case, col, compile_expr, div, eq, gt, lit, or_, substring,
@@ -102,24 +103,47 @@ def test_constants_are_bound_by_name_never_spliced_into_source():
     assert kernel([(1, values[1], needle, 0)]) == []  # frozenset([1]) is not 1
 
 
-# ------------------------------------------------------------ the two folds
-def test_the_two_folds_differ_exactly_where_documented():
+# ---------------------------------------------------------- one aggregate
+def test_aggplan_contract():
     rows = [("a", 1), ("a", 2), ("b", 5)]
     positions = {"g": 0, "v": 1}
     aggs = [("s", "sum", col("v")), ("n", "count", None), ("m", "avg", col("v")),
             ("lo", "min", col("v")), ("hi", "max", col("v"))]
-    seeded = aggregate_rows(Rel(["g", "v"], rows), ["g"], aggs)
-    assert seeded.rows == [("a", 3.0, 2, 1.5, 1, 2), ("b", 5.0, 1, 5.0, 5, 5)]
-    assert isinstance(seeded.rows[0][1], float)  # 0.0-seeded: int sums leave as floats
-    device_aggs, _layout, _kinds = plan_device_aggs(aggs)
-    first_value = kernels.fold(positions, [0], device_aggs, seeded=False)({}, rows)
-    assert first_value == {("a",): [3, 2, 3, 2, 1, 2], ("b",): [5, 1, 5, 1, 5, 5]}
-    assert isinstance(first_value[("a",)][0], int)  # first-value: the sum stays an int
-    with pytest.raises(ValueError, match="count_distinct"):
-        kernels.fold(positions, [0], [("d", "count_distinct", col("v"))], seeded=False)
-    distinct = aggregate_rows(Rel(["g", "v"], rows + [("a", 2)]), [],
-                              [("d", "count_distinct", col("v"))])
-    assert distinct.rows == [(3,)]
+    plan = AggPlan(["g"], aggs)
+    assert plan.device_ok
+    assert [(name, kind) for name, kind, _expr in plan.slots] == [
+        ("s", "sum"), ("n", "count"), ("m_sum", "sum"), ("m_count", "count"),
+        ("lo", "min"), ("hi", "max")]
+    states = plan.fold(positions)({}, rows)
+    assert states == {("a",): [3, 2, 3, 2, 1, 2], ("b",): [5, 1, 5, 1, 5, 5]}
+    assert isinstance(states[("a",)][0], int)  # first value: an int sum stays an int
+    one_pass = plan.finalize(states)
+    assert one_pass.columns == ["g", "s", "n", "m", "lo", "hi"]
+    assert one_pass.rows == [("a", 3, 2, 1.5, 1, 2), ("b", 5, 1, 5.0, 5, 5)]
+    assert plan.run(Rel(["g", "v"], rows)).rows == one_pass.rows
+    # Any partition of the rows, merged in any order, is the one pass.
+    rng = random.Random(7)
+    for _ in range(50):
+        shuffled = rng.sample(rows, len(rows))
+        cuts = sorted(rng.randint(0, len(rows)) for _ in range(2))
+        totals: dict = {}
+        for part in (shuffled[:cuts[0]], shuffled[cuts[0]:cuts[1]], shuffled[cuts[1]:]):
+            plan.merge(totals, plan.fold(positions)({}, part))
+        merged = plan.finalize(totals)
+        assert sorted(merged.rows) == one_pass.rows
+        assert [type(v) for row in sorted(merged.rows) for v in row] == [
+            type(v) for row in one_pass.rows for v in row]
+    assert AggPlan(["g"], [("c", "count", None)]).finalize({("k",): [None]}).rows == [("k", 0)]
+    # count_distinct: a value set, folded (and merged) host-side, never shipped.
+    distinct = AggPlan([], [("d", "count_distinct", col("v"))])
+    assert not distinct.device_ok
+    assert distinct.run(Rel(["g", "v"], rows + [("a", 2)])).rows == [(3,)]
+    totals = {}
+    for part in (rows[:2], rows[1:]):
+        distinct.merge(totals, distinct.fold(positions)({}, part))
+    assert distinct.finalize(totals).rows == [(3,)]
+    with pytest.raises(ValueError, match="median"):
+        kernels.fold(positions, [0], [("x", "median", col("v"))])
 
 
 # ------------------------------------------------------------ property sweep
@@ -209,23 +233,20 @@ def test_generated_kernels_agree_with_the_independent_interpreter(seed):
         value for value, keep in zip(values, truth) if keep]
     key = rng.choice(rows)[3]
     assert kernels.probe(3)(rows, key) == [row for row in rows if row[3] == key]
-    # Both folds against a per-row fold over the interpreter's values.
+    # The fold against a per-row fold over the interpreter's values.
     sums: dict = {}
     for row, value in zip(rows, want[1]):
         sums.setdefault((row[3],), []).append(value)
     aggs = [("total", "sum", exprs[0]), ("n", "count", None),
             ("low", "min", exprs[0]), ("high", "max", exprs[0])]
-    seeded = kernels.fold(_POSITIONS, [3], aggs, seeded=True)({}, rows)
-    first = kernels.fold(_POSITIONS, [3], aggs, seeded=False)({}, rows)
-    assert list(seeded) == list(first) == list(sums)
+    states = kernels.fold(_POSITIONS, [3], aggs)({}, rows)
+    assert list(states) == list(sums)
     for group, group_values in sums.items():
-        total = 0.0
-        for value in group_values:
+        total = group_values[0]
+        for value in group_values[1:]:
             total += value
-        assert seeded[group] == [total, len(group_values),
+        assert states[group] == [total, len(group_values),
                                  min(group_values), max(group_values)]
-        assert first[group][1:] == seeded[group][1:]
-        assert first[group][0] == pytest.approx(total)
 
 
 def test_merge_is_the_join_output_in_every_shape():
@@ -267,3 +288,20 @@ def test_explain_prints_the_kernels_the_statement_runs(monkeypatch, statement, m
     run_sql(engine, statement)
     ran = {line for source in built for line in source.splitlines()}
     assert set(shown) <= ran
+
+
+def test_explain_prints_one_fold_whichever_engine_runs_it():
+    statement = ("SELECT l_shipmode, SUM(l_partkey) AS parts, AVG(l_quantity) AS q "
+                 "FROM lineitem WHERE l_shipdate BETWEEN '1994-01-01' AND '1994-12-31' "
+                 "GROUP BY l_shipmode")
+    system = System()
+    db = load_tpch(system.fs, 0.002)
+    folds = {}
+    for mode in (ExecutionMode.CONV, ExecutionMode.BISCUIT):
+        lines = run_explain(create_engine(system, db, mode), statement).splitlines()
+        start = next(i for i, line in enumerate(lines) if "def kernel(states, rows):" in line)
+        folds[mode] = "\n".join(re.sub(r"r\[\d+\]", "r[_]", line) for line in lines[start:]
+                                if line.startswith(" " * 8))
+    # The device folds stored rows, the host projected ones: only positions differ.
+    assert folds[ExecutionMode.CONV] == folds[ExecutionMode.BISCUIT]
+    assert "s[0] = v if s[0] is None else s[0] + v" in folds[ExecutionMode.CONV]

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.db.executor import ExecutionMode
-from repro.db.ndp import ndp_aggregate_supported
+from repro.db.executor import AggPlan, ExecutionMode
 from repro.db.planner import create_engine
 from repro.db.sql import run_sql
 
@@ -37,10 +36,10 @@ def rows_close(a, b):
 
 
 def test_supported_kinds():
-    assert ndp_aggregate_supported([("a", "sum", None), ("b", "avg", None),
-                                    ("c", "min", None), ("d", "max", None),
-                                    ("e", "count", None)])
-    assert not ndp_aggregate_supported([("u", "count_distinct", None)])
+    assert AggPlan([], [("a", "sum", None), ("b", "avg", None),
+                        ("c", "min", None), ("d", "max", None),
+                        ("e", "count", None)]).device_ok
+    assert not AggPlan([], [("u", "count_distinct", None)]).device_ok
 
 
 def test_global_aggregates_match_host(tpch_engines):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.db.ndp import page_ranges
 from repro.resilience.checkpoint import RangeCheckpoint, ScanCheckpoint
 
 
@@ -66,6 +67,14 @@ def test_for_pages_covers_every_page_exactly_once():
             for r in ckpt.ranges:
                 covered.extend(range(r.first_page, r.end_page))
             assert covered == list(range(num_pages)), (num_pages, workers)
+
+
+def test_for_pages_is_the_ndp_scans_worker_split():
+    for num_pages in range(0, 200):
+        for workers in range(-1, 40):
+            ledger = ScanCheckpoint.for_pages(num_pages, workers)
+            assert [(r.first_page, r.end_page - r.first_page)
+                    for r in ledger.ranges] == page_ranges(num_pages, workers)
 
 
 def test_for_pages_never_exceeds_pages_or_drops_workers_to_zero():
