@@ -85,7 +85,8 @@ trace:
 
 # Per-query tail-latency attribution (exact ns-integer decomposition) with
 # the slowest query's critical path.  Override with
-# `make attribute ATTR_WORKLOAD=serve_mix`.
+# `make attribute ATTR_WORKLOAD=serve_mix` (or `tpch`: Q6 and Q14 at Fig. 10
+# size, a 90 k-event query attributed in a couple of seconds).
 ATTR_WORKLOAD ?= read_latency
 attribute:
 	PYTHONPATH=src $(PYTHON) -m repro.instrument attribute \

@@ -85,6 +85,27 @@ def _run_pointer_chase(system: System) -> Dict[str, float]:
     return {"conv_s": conv_s, "biscuit_s": biscuit_s}
 
 
+def _run_tpch(system: System) -> Dict[str, float]:
+    """Fig. 10 shape: TPC-H Q6 and Q14, Conv vs Biscuit, one scope each.
+
+    Q14 CONV alone is ~90 k events under one qid — the size at which a
+    quadratic attribution pass stops finishing.
+    """
+    from repro.db.planner import ExecutionMode, create_engine
+    from repro.db.tpch.datagen import load_tpch
+    from repro.db.tpch.queries import run_query
+    db = load_tpch(system.fs, 0.0015)   # the scale benchmarks/e2e runs Fig. 10 at
+    summary = {}
+    for number in (6, 14):
+        for mode in (ExecutionMode.CONV, ExecutionMode.BISCUIT):
+            label = "q%d-%s" % (number, mode.value)
+            engine = create_engine(system, db, mode)
+            with system.sim.scope("tpch/" + label):
+                _rel, summary[label.replace("-", "_") + "_s"] = run_query(
+                    engine, number)
+    return summary
+
+
 WORKLOADS: Dict[str, Tuple[Callable[[System], Dict[str, float]], str]] = {
     "string_search": (_run_string_search,
                       "web-log keyword search, Conv grep vs matcher SSDlets"),
@@ -92,12 +113,20 @@ WORKLOADS: Dict[str, Tuple[Callable[[System], Dict[str, float]], str]] = {
                      "serial 4 KiB reads, host vs device-internal (Table III)"),
     "pointer_chase": (_run_pointer_chase,
                       "graph random walks, host vs Chaser SSDlet (Table IV)"),
+    "tpch": (_run_tpch,
+             "TPC-H Q6 and Q14, Conv vs Biscuit at SF 0.0015 (Fig. 10)"),
 }
+
+
+#: A critical path longer than twice this prints its first and last steps.
+_PATH_EDGE_STEPS = 20
 
 
 def attribute_main(argv) -> int:
     """The ``attribute`` subcommand: per-query tail-latency decomposition."""
-    from repro.instrument.causal import attribute, critical_path, group_queries
+    from repro.instrument.causal import (
+        attribute_traces, critical_path, group_queries,
+    )
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.instrument attribute",
@@ -123,18 +152,21 @@ def attribute_main(argv) -> int:
         runner, _description = WORKLOADS[args.workload]
         runner(system)
 
-    report = attribute(bus.events)
+    traces = group_queries(bus.events)
+    report = attribute_traces(traces)
     sys.stdout.write(report.render())
-    if args.critical_path and report.queries:
-        slowest = max(report.queries,
-                      key=lambda row: (row["end_to_end"], row["qid"]))
-        trace = next(t for t in group_queries(bus.events)
-                     if t.qid == slowest["qid"])
-        print("\ncritical path of %s (%.1f us):"
-              % (trace.qid, trace.latency_ns / 1000.0))
-        for step in critical_path(trace):
-            print("  %10d +%-8d %s/%s on %s"
-                  % (step.ts_ns, step.dur_ns, step.cat, step.name, step.track))
+    if args.critical_path and traces:
+        trace = max(traces, key=lambda t: (t.latency_ns, t.qid))
+        path = critical_path(trace)
+        print("\ncritical path of %s (%.1f us, %d steps):"
+              % (trace.qid, trace.latency_ns / 1000.0, len(path)))
+        lines = ["  %10d +%-8d %s/%s on %s"
+                 % (step.ts_ns, step.dur_ns, step.cat, step.name, step.track)
+                 for step in path]
+        if len(lines) > 2 * _PATH_EDGE_STEPS:
+            lines[_PATH_EDGE_STEPS:-_PATH_EDGE_STEPS] = [
+                "  ... %d steps ..." % (len(lines) - 2 * _PATH_EDGE_STEPS)]
+        print("\n".join(lines))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())

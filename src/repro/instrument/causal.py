@@ -34,10 +34,11 @@ tracing is off because it never runs.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.instrument.events import TraceEvent
+from repro.instrument.events import TraceEvent, qid_root
 
 __all__ = [
     "COMPONENTS",
@@ -49,6 +50,7 @@ __all__ = [
     "component_of",
     "attribute_query",
     "attribute",
+    "attribute_traces",
     "AttributionReport",
 ]
 
@@ -104,35 +106,44 @@ _ENVELOPE_SPANS = frozenset([
 ])
 
 
-def component_of(event: TraceEvent) -> Optional[str]:
-    """The attribution component a span argues for, or None (envelope)."""
-    key = (event.cat, event.name)
+def _component(cat: str, name: str) -> Optional[str]:
+    key = (cat, name)
     if key in _ENVELOPE_SPANS:
         return None
     exact = _SPAN_COMPONENT.get(key)
     if exact is not None:
         return exact
-    if event.cat == "xfer":
+    if cat == "xfer":
         # Fabric hops run cut-through, concurrent with the device link hop:
         # they re-time bytes already charged to a device-local xfer span.
-        return None if event.name == "fabric" else "transfer"
-    if event.cat == "fw":
+        return None if name == "fabric" else "transfer"
+    if cat == "fw":
         return "firmware"
-    if event.cat == "driver":
+    if cat == "driver":
         return "driver"
-    if event.cat == "port":
+    if cat == "port":
         return "port_wait"
     return None
 
 
-def _qid_root(event: TraceEvent) -> Optional[str]:
-    args = event.args
-    if not args:
-        return None
-    qid = args.get("q")
-    if qid is None:
-        return None
-    return qid.split("+", 1)[0]
+def component_of(event: TraceEvent) -> Optional[str]:
+    """The attribution component a span argues for, or None (envelope)."""
+    return _component(event.cat, event.name)
+
+
+#: Rank of the residual: what the sweep charges when no span is active.
+_OTHER = len(COMPONENTS) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _rank(cat: str, name: str) -> int:
+    """A span kind's rank in :data:`COMPONENTS` (-1: not attributable).
+
+    Memoised — the taxonomy is a few dozen kinds — so the per-event passes
+    pay one probe instead of :func:`component_of`'s chain of tests.
+    """
+    component = _component(cat, name)
+    return -1 if component is None else COMPONENTS.index(component)
 
 
 class QueryTrace(NamedTuple):
@@ -150,31 +161,37 @@ class QueryTrace(NamedTuple):
 
 
 def group_queries(events: Sequence[TraceEvent]) -> List[QueryTrace]:
-    """Split a tagged stream into per-query traces, first-appearance order."""
-    order: List[str] = []
-    buckets: Dict[str, List[TraceEvent]] = {}
+    """Split a tagged stream into per-query traces, first-appearance order.
+
+    One dict probe per event, keyed by the full qid path (a path is split to
+    its root the first time it is seen); a query's bounds and tenant (the
+    first non-empty one) are tracked in the same pass.
+    """
+    by_root: Dict[str, List[Any]] = {}   # root -> QueryTrace fields, mutable
+    by_path: Dict[str, List[Any]] = {}   # every qid path -> its root's record
     for event in events:
-        root = _qid_root(event)
-        if root is None:
+        ts, dur, _cat, _name, _track, args = event
+        if not args:
             continue
-        if root not in buckets:
-            order.append(root)
-            buckets[root] = []
-        buckets[root].append(event)
-    traces = []
-    for root in order:
-        bucket = buckets[root]
-        tenant = ""
-        for event in bucket:
-            tenant = (event.args or {}).get("tn", "")
-            if tenant:
-                break
-        traces.append(QueryTrace(
-            root, tenant, bucket,
-            min(event.ts_ns for event in bucket),
-            max(event.end_ns for event in bucket),
-        ))
-    return traces
+        qid = args.get("q")
+        if qid is None:
+            continue
+        end = ts + dur if dur else ts
+        record = by_path.get(qid)
+        if record is None:
+            root = qid_root(qid)
+            record = by_root.get(root)
+            if record is None:
+                record = by_root[root] = [root, "", [], ts, end]
+            by_path[qid] = record
+        record[2].append(event)
+        if not record[1]:
+            record[1] = args.get("tn", "")
+        if ts < record[3]:
+            record[3] = ts
+        if end > record[4]:
+            record[4] = end
+    return [QueryTrace(*record) for record in by_root.values()]
 
 
 # ------------------------------------------------------------------ DAG
@@ -190,42 +207,54 @@ class SpanNode(NamedTuple):
 def assemble_dag(trace: QueryTrace) -> List[SpanNode]:
     """The query's causal DAG as a parent-linked forest.
 
-    Two edge kinds: **containment** (smallest enclosing span on the same
-    track — a ``nand/die-wait`` inside its channel's ``nand/read``) and
-    **spawn** (a child scope's first span hangs off the last span of its
-    parent scope that started at or before it — a ``+hedge0`` leg off the
-    hedged scan).  Spans with neither are roots.  Instant events attach by
-    containment only.
+    Two edge kinds: **containment** (the latest-emitted *earlier* span on
+    the same track whose interval covers this event's) and **spawn** (a
+    child scope's span hangs off the last span emitted so far under its
+    parent scope — a ``+hedge0`` leg off the hedged scan).  Events with
+    neither are roots.  Instant events attach the same way.
+
+    The bus emits a span when it *ends*, so a container is emitted after
+    the spans inside it and is therefore never their "earlier" coverer: on
+    a real trace containment links only spans that end at the same instant
+    (ROADMAP item 5 has the counts; ``tests/instrument/test_dag_finding.py``
+    pins them).
+
+    Per track, the spans seen so far sit in emission order beside the
+    running maximum of their ends; the backward search for the coverer
+    stops as soon as that maximum falls below the event's end, because
+    nothing earlier can reach it.
     """
-    spans = [(i, e) for i, e in enumerate(trace.events) if e.dur_ns is not None]
     nodes: List[SpanNode] = []
     # Last span seen per exact qid path, for spawn edges.
     last_for_qid: Dict[str, int] = {}
-    # Open spans per track for containment: (end_ns, index) stacks.
+    # track -> ([(ts, end, index) of each span seen], [max end so far]).
+    tracks: Dict[str, Tuple[List[Tuple[int, int, int]], List[int]]] = {}
     for i, event in enumerate(trace.events):
-        qid = (event.args or {}).get("q", trace.qid)
+        ts, dur, _cat, _name, track, args = event
+        end = ts + dur if dur else ts
+        qid = (args or {}).get("q", trace.qid)
         parent: Optional[int] = None
         kind = "root"
-        # Containment: latest-emitted span on the same track that strictly
-        # covers this event's interval.
-        best: Optional[int] = None
-        for j, other in spans:
-            if j >= i:
+        seen = tracks.get(track)
+        if seen is None:
+            seen = tracks[track] = ([], [])
+        spans, reach = seen
+        k = len(spans) - 1
+        while k >= 0 and reach[k] >= end:
+            other_ts, other_end, j = spans[k]
+            if other_ts <= ts and end <= other_end:
+                parent, kind = j, "contain"
                 break
-            if other.track != event.track:
-                continue
-            if other.ts_ns <= event.ts_ns and event.end_ns <= other.end_ns:
-                best = j
-        if best is not None:
-            parent, kind = best, "contain"
-        elif "+" in qid:
-            parent_qid = qid.rsplit("+", 1)[0]
-            spawn = last_for_qid.get(parent_qid)
-            if spawn is not None:
-                parent, kind = spawn, "spawn"
-        nodes.append(SpanNode(i, event, parent, kind if parent is not None else "root"))
-        if event.dur_ns is not None:
+            k -= 1
+        if parent is None and "+" in qid:
+            parent = last_for_qid.get(qid.rsplit("+", 1)[0])
+            if parent is not None:
+                kind = "spawn"
+        nodes.append(SpanNode(i, event, parent, kind))
+        if dur is not None:
             last_for_qid[qid] = i
+            spans.append((ts, end, i))
+            reach.append(end if not reach or end > reach[-1] else reach[-1])
     return nodes
 
 
@@ -239,25 +268,37 @@ def critical_path(trace: QueryTrace) -> List[TraceEvent]:
     the latest span end at or before it (a scheduling gap).  Envelope spans
     are skipped — their interiors, not their outlines, explain the latency.
     Returned in forward (start-to-end) order.
+
+    One sort, one walk: the cursor only moves back, so in (end, start,
+    emission) order, latest first, every span is looked at once — it is
+    the step, or it starts at or after the cursor and can never be active
+    again, or it ends before the cursor and is the gap's far side.
     """
-    spans = [e for e in trace.events
-             if e.dur_ns is not None and e.dur_ns > 0
-             and component_of(e) is not None]
-    path: List[TraceEvent] = []
-    cursor = trace.end_ns
-    while cursor > trace.start_ns and spans:
-        active = [(i, e) for i, e in enumerate(spans)
-                  if e.ts_ns < cursor and e.end_ns >= cursor]
-        if active:
-            _, step = max(active, key=lambda pair: (
-                pair[1].end_ns, pair[1].ts_ns, pair[0]))
-            path.append(step)
-            cursor = step.ts_ns
+    spans: List[TraceEvent] = []
+    order: List[Tuple[int, int, int]] = []   # (end, start, index in spans)
+    for event in trace.events:
+        ts, dur, cat, name, _track, _args = event
+        if dur is None or dur <= 0:
             continue
-        ends = [e.end_ns for e in spans if e.end_ns <= cursor]
-        if not ends:
+        rank = _rank(cat, name)
+        if rank < 0:
+            continue
+        order.append((ts + dur, ts, len(spans)))
+        spans.append(event)
+    order.sort(reverse=True)
+    path: List[TraceEvent] = []
+    cursor, start = trace.end_ns, trace.start_ns
+    for end, ts, index in order:
+        if cursor <= start:
             break
-        cursor = max(ends)
+        if end < cursor:
+            # Nothing is active at the cursor: a scheduling gap.
+            cursor = end
+            if cursor <= start:
+                break
+        if ts < cursor:
+            path.append(spans[index])
+            cursor = ts
     path.reverse()
     return path
 
@@ -270,34 +311,56 @@ def attribute_query(trace: QueryTrace) -> Dict[str, int]:
     ``end_to_end`` — and ``sum(components) == end_to_end`` always, because
     the sweep charges every elementary segment of the envelope to exactly
     one component.
+
+    Each attributable span, clipped to the envelope, becomes an *open* and
+    a *close* edge packed into one int — ``(t << 5) | (rank << 1) | open``
+    — so a plain sort orders them by time.  The sweep keeps a count of
+    active spans per rank and the best (lowest) active rank, and charges
+    ``t - cursor`` to it whenever time advances; edges at one instant
+    charge nothing between them, so their order there cannot matter.
     """
     start, end = trace.start_ns, trace.end_ns
-    intervals: List[Tuple[int, int, int]] = []  # (priority, ts, end)
-    priority_of = {name: rank for rank, name in enumerate(COMPONENTS)}
-    for event in trace.events:
-        if event.dur_ns is None or event.dur_ns <= 0:
+    edges: List[int] = []
+    for ts, dur, cat, name, _track, _args in trace.events:
+        if dur is None or dur <= 0:
             continue
-        component = component_of(event)
-        if component is None:
+        rank = _rank(cat, name)
+        if rank < 0:
             continue
-        intervals.append((priority_of[component],
-                          max(event.ts_ns, start), min(event.end_ns, end)))
-    totals = {name: 0 for name in COMPONENTS}
-    boundaries = sorted({start, end}
-                        | {ts for _, ts, _ in intervals}
-                        | {e for _, _, e in intervals})
-    for left, right in zip(boundaries, boundaries[1:]):
-        if right <= start or left >= end:
-            continue
-        best: Optional[int] = None
-        for priority, ts, iv_end in intervals:
-            if ts <= left and iv_end >= right:
-                if best is None or priority < best:
-                    best = priority
-        name = COMPONENTS[best] if best is not None else "other"
-        totals[name] += right - left
+        close = ts + dur
+        if ts < start:
+            ts = start
+        if close > end:
+            close = end
+        if ts >= close:
+            continue    # nothing of it lies inside the envelope
+        edges.append((ts << 5) | (rank << 1) | 1)
+        edges.append((close << 5) | (rank << 1))
+    edges.sort()
+    charged = [0] * len(COMPONENTS)
+    active = [0] * len(COMPONENTS)
+    best = _OTHER       # nothing active: the time is nobody's
+    cursor = start
+    for edge in edges:
+        t = edge >> 5
+        if t > cursor:
+            charged[best] += t - cursor
+            cursor = t
+        rank = (edge >> 1) & 15
+        if edge & 1:
+            active[rank] += 1
+            if rank < best:
+                best = rank
+        else:
+            active[rank] -= 1
+            if rank == best and not active[rank]:
+                # The best rank closed: the next active one takes over.
+                while best < _OTHER and not active[best]:
+                    best += 1
+    charged[_OTHER] += end - cursor
+    totals = dict(zip(COMPONENTS, charged))
     totals["end_to_end"] = end - start
-    assert sum(totals[name] for name in COMPONENTS) == totals["end_to_end"], \
+    assert sum(charged) == totals["end_to_end"], \
         "attribution conservation violated for %s" % trace.qid
     return totals
 
@@ -343,9 +406,8 @@ class AttributionReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _percentile_query(rows: List[Dict[str, Any]], quantile: float) -> Dict[str, Any]:
+def _order_statistic(ordered: List[Dict[str, Any]], quantile: float) -> Dict[str, Any]:
     """The row at the exact order statistic (same rank rule as the benches)."""
-    ordered = sorted(rows, key=lambda row: (row["end_to_end"], row["qid"]))
     rank = max(0, min(len(ordered) - 1,
                       int(quantile * len(ordered) + 0.999999) - 1))
     return ordered[rank]
@@ -354,7 +416,12 @@ def _percentile_query(rows: List[Dict[str, Any]], quantile: float) -> Dict[str, 
 def attribute(events: Sequence[TraceEvent],
               quantiles: Sequence[float] = (0.50, 0.95, 0.99)) -> AttributionReport:
     """Decompose every tagged query in ``events``; see module docstring."""
-    traces = group_queries(events)
+    return attribute_traces(group_queries(events), quantiles)
+
+
+def attribute_traces(traces: Sequence[QueryTrace],
+                     quantiles: Sequence[float] = (0.50, 0.95, 0.99)) -> AttributionReport:
+    """:func:`attribute` for a stream :func:`group_queries` already split."""
     queries: List[Dict[str, Any]] = []
     for trace in traces:
         row: Dict[str, Any] = {"qid": trace.qid, "tenant": trace.tenant}
@@ -377,8 +444,9 @@ def attribute(events: Sequence[TraceEvent],
         tenants.append(aggregate)
     percentiles: Dict[str, Dict[str, int]] = {}
     if queries:
+        ordered = sorted(queries, key=lambda row: (row["end_to_end"], row["qid"]))
         for quantile in quantiles:
-            row = _percentile_query(queries, quantile)
+            row = _order_statistic(ordered, quantile)
             label = ("p%g" % (quantile * 100)).replace(".", "_")
             percentiles[label] = {name: row[name]
                                   for name in COMPONENTS + ("end_to_end",)}

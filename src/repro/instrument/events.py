@@ -41,7 +41,17 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.sim.engine import Simulator
 
-__all__ = ["TraceEvent", "TraceContext", "EventBus", "traced_simulator"]
+__all__ = ["TraceEvent", "TraceContext", "EventBus", "traced_simulator",
+           "qid_root"]
+
+
+def qid_root(qid: str) -> str:
+    """The originating query id of a qid path (child-scope suffixes stripped).
+
+    The one place a qid is split on its first ``+``: :attr:`TraceContext.root`,
+    ``causal.group_queries`` and the Perfetto exporter's flows all call it.
+    """
+    return qid.split("+", 1)[0]
 
 
 class TraceContext(NamedTuple):
@@ -50,7 +60,7 @@ class TraceContext(NamedTuple):
     ``qid`` is a slash-separated query/job path ("serve/tenantA/j3",
     "table3/q7"); causal children (hedge legs, retries) extend it with a
     ``+`` segment ("storm/q3+hedge0"), so the originating request is always
-    ``qid.split("+", 1)[0]``.  ``tenant`` is the owning tenant ("" when the
+    :func:`qid_root` of it.  ``tenant`` is the owning tenant ("" when the
     workload is single-tenant).
     """
 
@@ -60,7 +70,7 @@ class TraceContext(NamedTuple):
     @property
     def root(self) -> str:
         """The originating query id (child-scope suffixes stripped)."""
-        return self.qid.split("+", 1)[0]
+        return qid_root(self.qid)
 
     def child(self, label: str) -> "TraceContext":
         """A causal child of this context (hedge leg, retry attempt...)."""

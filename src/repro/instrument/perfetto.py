@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.instrument.events import TraceEvent
+from repro.instrument.events import TraceEvent, qid_root
 
 __all__ = ["chrome_trace", "render_chrome_trace", "write_chrome_trace"]
 
@@ -37,6 +37,7 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
     # pid/tid assignment in first-appearance order.
     pids: Dict[str, int] = {}
     tids: Dict[Tuple[str, str], int] = {}
+    threads_in: Dict[str, int] = {}    # process -> tids handed out so far
     records: List[Dict[str, Any]] = []
     for event in events:
         process, thread = _split_track(event.track)
@@ -47,7 +48,7 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
         tid_key = (process, thread)
         tid = tids.get(tid_key)
         if tid is None:
-            tid = sum(1 for key in tids if key[0] == process) + 1
+            tid = threads_in[process] = threads_in.get(process, 0) + 1
             tids[tid_key] = tid
         record: Dict[str, Any] = {
             "name": event.name,
@@ -70,23 +71,22 @@ def chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
         records.append(record)
     # Flow events bind every span of one query root ("q" arg, child-scope
     # suffix stripped) into a followable arrow chain in the Perfetto UI:
-    # one flow id per root, assigned in first-appearance order.
-    flow_members: Dict[str, List[Dict[str, Any]]] = {}
-    flow_order: List[str] = []
+    # one flow id per root, assigned in first-appearance order.  One probe
+    # per event, keyed by the full qid path (causal.group_queries' idiom).
+    by_root: Dict[str, List[Dict[str, Any]]] = {}
+    by_path: Dict[str, List[Dict[str, Any]]] = {}
     for record, event in zip(records, events):
         if event.dur_ns is None or not event.args:
             continue
         qid = event.args.get("q")
         if qid is None:
             continue
-        root = qid.split("+", 1)[0]
-        if root not in flow_members:
-            flow_order.append(root)
-            flow_members[root] = []
-        flow_members[root].append(record)
+        members = by_path.get(qid)
+        if members is None:
+            members = by_path[qid] = by_root.setdefault(qid_root(qid), [])
+        members.append(record)
     flows: List[Dict[str, Any]] = []
-    for flow_id, root in enumerate(flow_order, start=1):
-        members = flow_members[root]
+    for flow_id, (root, members) in enumerate(by_root.items(), start=1):
         if len(members) < 2:
             continue
         for position, record in enumerate(members):

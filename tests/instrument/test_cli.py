@@ -73,3 +73,30 @@ def test_read_latency_artifacts_and_determinism(tmp_path):
     )
     assert abs(float(values["conv_read_us"]) - 90.0) < 0.9  # Table III, 1%
     assert abs(float(values["biscuit_read_us"]) - 75.9) < 0.76
+
+
+def test_attribute_tpch_prints_a_long_path_by_its_ends(tmp_path):
+    """Fig. 10 size: four queries, the slowest one's 45 k-step critical path
+    shown as its first and last 20 steps; bytes equal across hash seeds."""
+    outputs = {}
+    for seed in ("0", "999"):
+        report = tmp_path / ("attribution-%s.json" % seed)
+        proc = _run(["attribute", "--workload", "tpch", "--critical-path",
+                     "--json", str(report)], hashseed=seed)
+        assert proc.returncode == 0, proc.stderr
+        outputs[seed] = (report.read_bytes(), [
+            line for line in proc.stdout.splitlines()
+            if " written to " not in line])
+    assert outputs["0"] == outputs["999"]
+
+    report_bytes, lines = outputs["0"]
+    rows = json.loads(report_bytes)["queries"]
+    assert [row["qid"] for row in rows] == [
+        "tpch/q6-conv", "tpch/q6-biscuit", "tpch/q14-conv", "tpch/q14-biscuit"]
+    header = next(i for i, line in enumerate(lines)
+                  if line.startswith("critical path of tpch/q14-conv"))
+    steps = int(lines[header].split(",")[1].split()[0])
+    assert steps > 40000
+    path = lines[header + 1:]
+    assert len(path) == 41
+    assert path[20].strip() == "... %d steps ..." % (steps - 40)
