@@ -49,9 +49,10 @@ cluster:
 
 # End-to-end benchmark (BENCHMARK.json) at smoke size: all seven workloads
 # once with every output checked, then the benchmark's own tests.  Both
-# clocks; the full run is `python3 benchmarks/e2e/run.py --workload all`.
+# clocks; the full run is `python -m repro.bench e2e --workload all` (the
+# benchmark driver calls `python3 benchmarks/e2e/run.py` itself).
 e2e-smoke:
-	$(PYTHON) benchmarks/e2e/run.py --workload all --smoke
+	PYTHONPATH=src $(PYTHON) -m repro.bench e2e --workload all --smoke
 	$(PYTHON) -m pytest -q benchmarks/e2e
 
 # The paper-facing result files are compared, not just written: re-run the

@@ -16,19 +16,17 @@ across applications).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
+from repro.core.links import Link, link_kind
 from repro.core.errors import BiscuitError, PortConnectionError
-from repro.core.ports import PortKind
 from repro.core.types import is_serializable, spec_name
 
 __all__ = ["verify_graph", "verify_links", "GraphVerificationError"]
 
 _GRAPH = "<graph>"  # provenance placeholder when no call site was recorded
-
-#: Connection kinds whose queues are strictly single-producer/single-consumer.
-_SPSC_KINDS = (PortKind.HOST_DEVICE, PortKind.INTER_APP)
 
 
 class GraphVerificationError(BiscuitError):
@@ -44,53 +42,33 @@ class GraphVerificationError(BiscuitError):
 
 
 def _site_of(obj: Any) -> Tuple[str, int]:
-    site = getattr(obj, "site", None)
+    site = obj.site
     if site is None:
         return _GRAPH, 0
     return site.path, site.line
-
-
-def _endpoint_dtype(endpoint: Any) -> Optional[Any]:
-    try:
-        return endpoint.dtype
-    except PortConnectionError:
-        return None
-
-
-def _link_kind(out_ep: Any, in_ep: Any) -> PortKind:
-    out_host = getattr(out_ep.proxy, "is_host", False)
-    in_host = getattr(in_ep.proxy, "is_host", False)
-    if out_host and in_host:
-        return PortKind.HOST_LOCAL
-    if out_host or in_host:
-        return PortKind.HOST_DEVICE
-    same_app = out_ep.proxy.app.device_app is in_ep.proxy.app.device_app
-    return PortKind.INTER_SSDLET if same_app else PortKind.INTER_APP
 
 
 def _task_label(proxy: Any) -> str:
     return getattr(proxy, "class_id", None) or type(proxy).__name__
 
 
-def verify_links(
-    links: Sequence[Tuple[Any, Any]],
-    sites: Optional[Sequence[Any]] = None,
-) -> List[Finding]:
-    """Check a bare list of ``(out_endpoint, in_endpoint)`` pairs.
+def verify_links(links: Sequence[Link]) -> List[Finding]:
+    """Check a bare list of :class:`~repro.core.links.Link` records
+    (``Link(out_endpoint, in_endpoint)``; the site is optional).
 
     This is the "declared pipeline" entry point: it needs no Application,
     only endpoints, so loaders and tests can verify wiring they have not
     applied yet.
     """
     findings: List[Finding] = []
-    for index, (out_ep, in_ep) in enumerate(links):
-        site = sites[index] if sites is not None and index < len(sites) else None
-        path, line = (_GRAPH, 0) if site is None else (site.path, site.line)
-        findings.extend(_check_link(out_ep, in_ep, path, line))
+    for link in links:
+        findings.extend(_check_link(link))
     return findings
 
 
-def _check_link(out_ep: Any, in_ep: Any, path: str, line: int) -> List[Finding]:
+def _check_link(link: Link) -> List[Finding]:
+    out_ep, in_ep, _site = link
+    path, line = _site_of(link)
     findings: List[Finding] = []
     if out_ep.direction != "out" or in_ep.direction != "in":
         findings.append(Finding(
@@ -100,22 +78,20 @@ def _check_link(out_ep: Any, in_ep: Any, path: str, line: int) -> List[Finding]:
             path, line,
         ))
         return findings
-    out_dtype = _endpoint_dtype(out_ep)
-    in_dtype = _endpoint_dtype(in_ep)
-    if out_dtype is None:
-        findings.append(Finding(
-            "RPR101",
-            "%s has no output port %d" % (_task_label(out_ep.proxy), out_ep.index),
-            path, line,
-        ))
-    if in_dtype is None:
-        findings.append(Finding(
-            "RPR101",
-            "%s has no input port %d" % (_task_label(in_ep.proxy), in_ep.index),
-            path, line,
-        ))
-    if out_dtype is None or in_dtype is None:
+    dtypes = []
+    for endpoint, direction in ((out_ep, "output"), (in_ep, "input")):
+        try:
+            dtypes.append(endpoint.dtype)
+        except PortConnectionError:
+            findings.append(Finding(
+                "RPR101",
+                "%s has no %s port %d"
+                % (_task_label(endpoint.proxy), direction, endpoint.index),
+                path, line,
+            ))
+    if findings:
         return findings
+    out_dtype, in_dtype = dtypes
     if out_dtype != in_dtype:
         findings.append(Finding(
             "RPR101",
@@ -125,14 +101,20 @@ def _check_link(out_ep: Any, in_ep: Any, path: str, line: int) -> List[Finding]:
             path, line,
         ))
         return findings
-    kind = _link_kind(out_ep, in_ep)
-    if kind in _SPSC_KINDS and not is_serializable(out_dtype):
+    kind = link_kind(out_ep, in_ep)
+    if kind.packet_transport and not is_serializable(out_dtype):
+        if link.to_host_program:  # only the task's end has a name
+            task_ep = in_ep if out_ep.proxy is None else out_ep
+            ends = "to %s.%s(%d)" % (
+                _task_label(task_ep.proxy), task_ep.direction, task_ep.index)
+        else:
+            ends = "%s.out(%d) -> %s.in(%d)" % (
+                _task_label(out_ep.proxy), out_ep.index,
+                _task_label(in_ep.proxy), in_ep.index)
         findings.append(Finding(
             "RPR107",
-            "%s connection %s.out(%d) -> %s.in(%d) carries %s, which has no "
-            "registered serializer"
-            % (kind.value, _task_label(out_ep.proxy), out_ep.index,
-               _task_label(in_ep.proxy), in_ep.index, spec_name(out_dtype)),
+            "%s connection %s carries %s, which has no registered serializer"
+            % (kind.value, ends, spec_name(out_dtype)),
             path, line,
         ))
     return findings
@@ -147,150 +129,75 @@ def verify_graph(app: Any) -> List[Finding]:
     """
     tasks: List[Any] = list(app._proxies) + list(app._host_tasks)
     task_index: Dict[int, int] = {id(proxy): i for i, proxy in enumerate(tasks)}
-    links: List[Tuple[Any, Any]] = list(app._links)
-    sites: List[Any] = list(getattr(app, "_link_sites", ()))
-    host_links: List[Tuple] = list(app._host_links)
-
-    findings: List[Finding] = []
 
     # --- per-link checks (types, direction, serializability) -------------
     # Run only on this application's own links: a cross-application link is
     # reported by the application whose connect() declared it.
-    findings.extend(verify_links(links, sites))
+    findings = verify_links(app._links)
 
     # Inter-application links are recorded on whichever Application's
     # connect() was called; fold in links from the runtime-wide registry
     # that touch this application's tasks so its ports are not reported
     # dangling (connectivity only — their per-link findings belong to the
     # declaring application).
-    runtime = getattr(getattr(app, "ssd", None), "runtime", None)
-    own_pairs = {(id(out_ep), id(in_ep)) for out_ep, in_ep in links}
-    for entry in getattr(runtime, "declared_links", ()):
-        out_ep, in_ep, site = entry
-        if (id(out_ep), id(in_ep)) in own_pairs:
-            continue
-        if id(out_ep.proxy) in task_index or id(in_ep.proxy) in task_index:
-            links.append((out_ep, in_ep))
-            sites.append(site)
-    for entry in host_links:
-        role, port, endpoint = entry[0], entry[1], entry[2]
-        site = entry[3] if len(entry) > 3 else None
-        path, line = (_GRAPH, 0) if site is None else (site.path, site.line)
-        dtype = _endpoint_dtype(endpoint)
-        if dtype is None:
-            findings.append(Finding(
-                "RPR101",
-                "%s has no %sput port %d"
-                % (_task_label(endpoint.proxy), endpoint.direction, endpoint.index),
-                path, line,
-            ))
-            continue
-        if dtype != port.dtype:
-            findings.append(Finding(
-                "RPR101",
-                "host port declared %s but %s port %d of %s is %s"
-                % (spec_name(port.dtype), endpoint.direction, endpoint.index,
-                   _task_label(endpoint.proxy), spec_name(dtype)),
-                path, line,
-            ))
-        if not is_serializable(dtype):
-            findings.append(Finding(
-                "RPR107",
-                "host-to-device connection to %s.%s(%d) carries %s, which has "
-                "no registered serializer"
-                % (_task_label(endpoint.proxy), endpoint.direction,
-                   endpoint.index, spec_name(dtype)),
-                path, line,
-            ))
+    links: List[Link] = app._links + app._peer_links()
 
     # --- connectivity maps ----------------------------------------------
-    # (task_pos, port_index) -> list of (peer or None-for-host, site)
-    in_bindings: Dict[Tuple[int, int], List[Tuple[Optional[int], Any]]] = {}
-    out_bindings: Dict[Tuple[int, int], List[Tuple[Optional[int], Any]]] = {}
-    spsc_in: Set[Tuple[int, int]] = set()
-    spsc_out: Set[Tuple[int, int]] = set()
+    # (direction, task_pos, port_index) -> how many links bind that port
+    bound: Counter = Counter()
+    spsc: Set[Tuple[str, int, int]] = set()  # ports on a strictly SPSC kind
     edges: Dict[int, Set[int]] = {i: set() for i in range(len(tasks))}
-    host_fed: Set[int] = set()
-    external_fed: Set[int] = set()
+    fed: Set[int] = set()  # by the host program or a peer application
 
-    def _pos(proxy: Any) -> Optional[int]:
-        return task_index.get(id(proxy))
-
-    for index, (out_ep, in_ep) in enumerate(links):
+    for out_ep, in_ep, _site in links:
         if out_ep.direction != "out" or in_ep.direction != "in":
             continue  # already reported
-        site = sites[index] if index < len(sites) else None
-        out_pos, in_pos = _pos(out_ep.proxy), _pos(in_ep.proxy)
-        kind = _link_kind(out_ep, in_ep)
-        if out_pos is not None:
-            out_bindings.setdefault((out_pos, out_ep.index), []).append((in_pos, site))
-            if kind in _SPSC_KINDS:
-                spsc_out.add((out_pos, out_ep.index))
-        if in_pos is not None:
-            in_bindings.setdefault((in_pos, in_ep.index), []).append((out_pos, site))
-            if kind in _SPSC_KINDS:
-                spsc_in.add((in_pos, in_ep.index))
-            if out_pos is None:
-                external_fed.add(in_pos)  # fed by a foreign application
+        # None: the host program's own port, or a peer application's task.
+        out_pos = task_index.get(id(out_ep.proxy))
+        in_pos = task_index.get(id(in_ep.proxy))
+        packets = link_kind(out_ep, in_ep).packet_transport
+        for pos, endpoint in ((out_pos, out_ep), (in_pos, in_ep)):
+            if pos is not None:
+                bound[endpoint.direction, pos, endpoint.index] += 1
+                if packets:
+                    spsc.add((endpoint.direction, pos, endpoint.index))
+        if out_pos is None and in_pos is not None:
+            fed.add(in_pos)
         if out_pos is not None and in_pos is not None:
             edges[out_pos].add(in_pos)
-    for entry in host_links:
-        role, endpoint = entry[0], entry[2]
-        site = entry[3] if len(entry) > 3 else None
-        pos = _pos(endpoint.proxy)
-        if pos is None:
-            continue
-        if role == "from-host" and endpoint.direction == "in":
-            in_bindings.setdefault((pos, endpoint.index), []).append((None, site))
-            spsc_in.add((pos, endpoint.index))
-            host_fed.add(pos)
-        elif role == "to-host" and endpoint.direction == "out":
-            out_bindings.setdefault((pos, endpoint.index), []).append((None, site))
-            spsc_out.add((pos, endpoint.index))
 
     # --- dangling ports (RPR102/RPR103) and SPSC overbinding (RPR104) ----
     for pos, proxy in enumerate(tasks):
-        cls = proxy.ssdlet_class
+        cls = proxy.task_class
         label = _task_label(proxy)
         path, line = _site_of(proxy)
-        for i in range(len(cls.IN_TYPES)):
-            bound = in_bindings.get((pos, i), [])
-            if not bound:
-                findings.append(Finding(
-                    "RPR102",
-                    "%s.in(%d) [%s] has no producer; its first get() blocks "
-                    "forever" % (label, i, spec_name(cls.IN_TYPES[i])),
-                    path, line,
-                ))
-            elif len(bound) > 1 and (pos, i) in spsc_in:
-                findings.append(Finding(
-                    "RPR104",
-                    "%s.in(%d) is bound %d times but its connection kind is "
-                    "SPSC" % (label, i, len(bound)),
-                    path, line,
-                ))
-        for i in range(len(cls.OUT_TYPES)):
-            bound = out_bindings.get((pos, i), [])
-            if not bound:
-                findings.append(Finding(
-                    "RPR103",
-                    "%s.out(%d) [%s] has no consumer; its first put() can "
-                    "never drain" % (label, i, spec_name(cls.OUT_TYPES[i])),
-                    path, line,
-                ))
-            elif len(bound) > 1 and (pos, i) in spsc_out:
-                findings.append(Finding(
-                    "RPR104",
-                    "%s.out(%d) is bound %d times but its connection kind is "
-                    "SPSC" % (label, i, len(bound)),
-                    path, line,
-                ))
+        for direction, types, rule, dangling in (
+            ("in", cls.IN_TYPES, "RPR102",
+             "has no producer; its first get() blocks forever"),
+            ("out", cls.OUT_TYPES, "RPR103",
+             "has no consumer; its first put() can never drain"),
+        ):
+            for i, dtype in enumerate(types):
+                times = bound[direction, pos, i]
+                if not times:
+                    findings.append(Finding(
+                        rule,
+                        "%s.%s(%d) [%s] %s"
+                        % (label, direction, i, spec_name(dtype), dangling),
+                        path, line,
+                    ))
+                elif times > 1 and (direction, pos, i) in spsc:
+                    findings.append(Finding(
+                        "RPR104",
+                        "%s.%s(%d) is bound %d times but its connection kind "
+                        "is SPSC" % (label, direction, i, times),
+                        path, line,
+                    ))
 
     # --- reachability (RPR105) -------------------------------------------
     roots = [
         pos for pos, proxy in enumerate(tasks)
-        if not proxy.ssdlet_class.IN_TYPES
-        or pos in host_fed or pos in external_fed
+        if not proxy.task_class.IN_TYPES or pos in fed
     ]
     reached: Set[int] = set()
     frontier = list(roots)
@@ -303,11 +210,8 @@ def verify_graph(app: Any) -> List[Finding]:
     for pos, proxy in enumerate(tasks):
         if pos in reached:
             continue
-        cls = proxy.ssdlet_class
-        inputs_all_bound = all(
-            in_bindings.get((pos, i)) for i in range(len(cls.IN_TYPES))
-        )
-        if not inputs_all_bound:
+        if not all(bound["in", pos, i]
+                   for i in range(len(proxy.task_class.IN_TYPES))):
             continue  # RPR102 already explains why nothing arrives
         path, line = _site_of(proxy)
         findings.append(Finding(

@@ -6,17 +6,20 @@ Run every paper experiment (or a chosen subset) and print the reports::
     python -m repro.bench table2 fig10    # selected experiments
     python -m repro.bench --list          # show what exists
     python -m repro.bench fig10 --sf 0.02 # override the TPC-H scale factor
+    python -m repro.bench e2e --workload all --smoke   # BENCHMARK.json's runner
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
 import sys
 import time
 
 from repro.bench import experiments
 from repro.bench.cluster import exp_cluster
-from repro.bench.harness import save_result
+from repro.bench.harness import repo_root, save_result
 from repro.bench.resilience import exp_resilience
 from repro.bench.throughput import exp_sim_throughput
 
@@ -44,7 +47,17 @@ def save_name(name: str) -> str:
     return EXPERIMENTS[name][1].__name__[len("exp_"):]
 
 
+def run_e2e(argv) -> int:
+    """The end-to-end benchmark (``BENCHMARK.json``): its own script under
+    benchmarks/e2e/, run as a child with ``argv`` passed through."""
+    script = os.path.join(repo_root(), "benchmarks", "e2e", "run.py")
+    return subprocess.call([sys.executable, script] + list(argv))
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["e2e"]:
+        return run_e2e(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Reproduce the Biscuit paper's tables and figures.",
@@ -62,6 +75,8 @@ def main(argv=None) -> int:
         for name, (title, _, takes_sf) in EXPERIMENTS.items():
             extra = "  (honors --sf)" if takes_sf else ""
             print("%-8s %s%s" % (name, title, extra))
+        print("%-8s %s" % ("e2e", "End-to-end — both clocks, seven workloads "
+                           "(first argument; the rest go to benchmarks/e2e/run.py)"))
         return 0
 
     chosen = args.experiments or list(EXPERIMENTS)

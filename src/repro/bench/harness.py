@@ -49,13 +49,16 @@ class ExperimentResult:
         return self.format()
 
 
+def repo_root() -> str:
+    """The checkout this package runs from (``src/repro/bench`` -> root)."""
+    return os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__)))))
+
+
 def results_dir() -> str:
     """Directory where benchmark runs drop their formatted reports."""
     path = os.environ.get(
-        "REPRO_RESULTS_DIR",
-        os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))))), "benchmarks", "results"),
-    )
+        "REPRO_RESULTS_DIR", os.path.join(repo_root(), "benchmarks", "results"))
     os.makedirs(path, exist_ok=True)
     return path
 

@@ -24,6 +24,7 @@ from repro.db.catalog import Column, TableSchema
 from repro.db.storage import Database
 from repro.host.platform import System
 from repro.instrument.events import traced_simulator
+from repro.instrument.metrics import order_statistic
 from repro.resilience import (
     HedgePolicy,
     RecoveryTracker,
@@ -86,13 +87,10 @@ def _replica_storm(seed: int) -> FaultStorm:
 
 
 def _quantile_us(latencies_us: List[float], quantile: float) -> float:
-    """Exact order statistic (same rule the hedge policy uses)."""
+    """Exact order statistic of unsorted latencies; 0.0 when there are none."""
     if not latencies_us:
         return 0.0
-    ordered = sorted(latencies_us)
-    rank = max(0, min(len(ordered) - 1,
-                      int(quantile * len(ordered) + 0.999999) - 1))
-    return ordered[rank]
+    return order_statistic(sorted(latencies_us), quantile)
 
 
 def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,

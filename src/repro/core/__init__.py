@@ -2,16 +2,17 @@
 
 Host side (libsisc analogue): :class:`~repro.core.ssd_api.SSD`,
 :class:`~repro.core.application.Application`,
-:class:`~repro.core.application.SSDLetProxy`, host port classes.
+:class:`~repro.core.application.SSDLetProxy`.
 
 Device side (libslet analogue): :class:`~repro.core.ssdlet.SSDLet`,
 :class:`~repro.core.module.SSDletModule`, the
 :class:`~repro.core.runtime.BiscuitRuntime` with cooperative fibers,
 dynamic module loading and system/user memory allocators.
 
-Both sides share the typed port model of Section III-C: inter-SSDlet ports
-(general types, SPSC/SPMC/MPSC), host-to-device ports and inter-application
-ports (Packet only, SPSC only), all implemented as bounded queues.
+Both sides share the typed port model of Section III-C — one port pair
+(:mod:`repro.core.ports`) whose cost follows the connection's kind:
+inter-SSDlet (general types, SPSC/SPMC/MPSC), host-to-device and
+inter-application (Packet only, SPSC only), all bounded queues.
 
 The heavyweight names are loaded lazily (PEP 562) so that low-level modules
 (``repro.ssd.nand``, ``repro.ssd.ftl``) can import the leaf

@@ -11,80 +11,61 @@ channels are completely set up" (Section III-E).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import warnings
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import GraphWarning, PortConnectionError, TypeMismatchError
+from repro.core.links import Endpoint, Link, link_kind
 from repro.core.ports import (
     Connection,
-    HostInputPort,
-    HostOutputPort,
+    InputPort,
+    OutputPort,
     PortKind,
+    Side,
     connect_ports,
+    make_ports,
 )
 from repro.core.provenance import caller_site
 from repro.core.types import spec_name
 
-__all__ = ["Application", "SSDLetProxy", "Endpoint"]
+__all__ = ["Application", "TaskProxy", "SSDLetProxy"]
 
 #: Graph-verifier modes accepted by ``Application(..., verify=...)``.
 VERIFY_MODES = ("off", "warn", "strict")
 
 
-class Endpoint:
-    """A (proxy, direction, index) port reference used before start()."""
+class TaskProxy:
+    """Host-side handle to one task of an Application.  Where the task runs
+    is the value ``is_host``; everything else is the same on both sides."""
 
-    __slots__ = ("proxy", "direction", "index")
-
-    def __init__(self, proxy: "SSDLetProxy", direction: str, index: int):
-        self.proxy = proxy
-        self.direction = direction
-        self.index = index
-
-    @property
-    def dtype(self) -> Any:
-        cls = self.proxy.ssdlet_class
-        types = cls.OUT_TYPES if self.direction == "out" else cls.IN_TYPES
-        try:
-            return types[self.index]
-        except IndexError:
-            raise PortConnectionError(
-                "%s has no %sput port %d"
-                % (cls.__name__, self.direction, self.index)
-            ) from None
-
-    def resolve(self):
-        """The live device port (valid after Application.start)."""
-        instance = self.proxy.instance
-        if instance is None:
-            raise PortConnectionError("application not started yet")
-        ports = instance._out_ports if self.direction == "out" else instance._in_ports
-        return ports[self.index]
-
-    def __repr__(self) -> str:
-        return "<%s.%s(%d)>" % (self.proxy.class_id, self.direction, self.index)
-
-
-class SSDLetProxy:
-    """Host-side proxy for one device SSDlet instance (libsisc's SSDLet)."""
-
-    def __init__(self, app: "Application", mid: int, class_id: str, args: Tuple = ()):
+    def __init__(self, app: "Application", task_class: type, class_id: str,
+                 args: Tuple, is_host: bool):
         self.app = app
-        self.mid = mid
+        self.task_class = task_class
         self.class_id = class_id
         self.args = tuple(args)
-        self.instance = None  # device-side SSDLet, set by Application.start
-        self.ssdlet_class = app.ssd.runtime._get_module(mid).module.lookup(class_id)
-        self.site = caller_site()  # where the user declared this instance
-        app._register_proxy(self)
+        self.is_host = is_host
+        self.instance = None  # the live task, set by Application.start
+        self.site = caller_site()  # where the user declared this task
+        app._register(self)
 
     def out(self, index: int) -> Endpoint:
         return Endpoint(self, "out", index)
 
     def in_(self, index: int) -> Endpoint:
         return Endpoint(self, "in", index)
+
+
+class SSDLetProxy(TaskProxy):
+    """Host-side proxy for one device SSDlet instance (libsisc's SSDLet)."""
+
+    def __init__(self, app: "Application", mid: int, class_id: str, args: Tuple = ()):
+        self.mid = mid
+        task_class = app.ssd.runtime._get_module(mid).module.lookup(class_id)
+        super().__init__(app, task_class, class_id, args, is_host=False)
 
 
 class Application:
@@ -97,12 +78,10 @@ class Application:
         self.name = name or "app%d" % next(Application._names)
         self.device_app = ssd.runtime.register_application(self.name)
         self._proxies: List[SSDLetProxy] = []
-        self._host_tasks: List[Any] = []  # HostTaskProxy list
+        self._host_tasks: List[TaskProxy] = []
         self._host_fibers: List[Any] = []
-        self._links: List[Tuple[Endpoint, Endpoint]] = []
-        self._link_sites: List[Any] = []  # caller sites parallel to _links
-        # (role, host_port, endpoint, site): role is "to-host" or "from-host"
-        self._host_links: List[Tuple[str, Any, Endpoint, Any]] = []
+        self._links: List[Link] = []  # every link this application declared
+        self._host_ports = itertools.count()  # connectTo/connectFrom numbering
         self._data_channels_held = 0
         self.started = False
         self._conn_seq = itertools.count(1)
@@ -113,20 +92,25 @@ class Application:
                 "verify must be one of %r, got %r" % (VERIFY_MODES, verify)
             )
         self.verify_mode = verify
+        # The two sides a port of this application can be on.
+        host, device = ssd.system.config, ssd.runtime.config
+        crossing = ssd.channels.interface_crossing
+        self._host_side = Side(
+            ssd.system.cpu.occupy, functools.partial(crossing, to_host=False),
+            host.h2d_host_sender_us, host.d2h_host_receiver_us)
+        self._device_side = Side(
+            functools.partial(ssd.runtime.compute, self.device_app),
+            functools.partial(crossing, to_host=True),
+            device.d2h_device_sender_us, device.h2d_device_receiver_us)
 
-    def _register_proxy(self, proxy: SSDLetProxy) -> None:
+    def _register(self, proxy: TaskProxy) -> None:
         if self.started:
-            raise PortConnectionError("cannot add SSDlets after start()")
-        self._proxies.append(proxy)
-
-    def _register_host_task(self, proxy) -> None:
-        if self.started:
-            raise PortConnectionError("cannot add host tasks after start()")
-        self._host_tasks.append(proxy)
+            raise PortConnectionError("cannot add tasks after start()")
+        (self._host_tasks if proxy.is_host else self._proxies).append(proxy)
 
     # ----------------------------------------------------------------- wiring
     def connect(self, out_ep: Endpoint, in_ep: Endpoint) -> None:
-        """Link an SSDlet output to an SSDlet input (types must be identical)."""
+        """Link a task's output to a task's input (types must be identical)."""
         if out_ep.direction != "out" or in_ep.direction != "in":
             raise PortConnectionError("connect(output_endpoint, input_endpoint)")
         if out_ep.dtype != in_ep.dtype:
@@ -134,50 +118,56 @@ class Application:
                 "cannot connect %s output to %s input"
                 % (spec_name(out_ep.dtype), spec_name(in_ep.dtype))
             )
-        site = caller_site()
-        self._links.append((out_ep, in_ep))
-        self._link_sites.append(site)
-        self._declare_link(out_ep, in_ep, site)
+        self._declare(Link(out_ep, in_ep, caller_site()))
 
-    def connectTo(self, out_ep: Endpoint, dtype: Any) -> HostInputPort:
+    def connectTo(self, out_ep: Endpoint, dtype: Any) -> InputPort:
         """Route an SSDlet output back to the host; returns the host port."""
-        if dtype != out_ep.dtype:
-            raise TypeMismatchError(
-                "connectTo declared %s but port is %s"
-                % (spec_name(dtype), spec_name(out_ep.dtype))
-            )
-        port = HostInputPort(
-            self.ssd.system.sim, "host:%s" % self.name, len(self._host_links),
-            dtype, self._host_compute, self.ssd.system.config,
-        )
-        self._host_links.append(("to-host", port, out_ep, caller_site()))
-        return port
+        if out_ep.direction != "out":
+            raise PortConnectionError("connectTo(output_endpoint, dtype)")
+        host_ep = self._host_end("connectTo", out_ep, dtype)
+        self._declare(Link(out_ep, host_ep, caller_site()))
+        return host_ep.port
 
-    def connectFrom(self, dtype: Any, in_ep: Endpoint) -> HostOutputPort:
+    def connectFrom(self, dtype: Any, in_ep: Endpoint) -> OutputPort:
         """Feed an SSDlet input from the host; returns the host port."""
-        if dtype != in_ep.dtype:
+        if in_ep.direction != "in":
+            raise PortConnectionError("connectFrom(dtype, input_endpoint)")
+        host_ep = self._host_end("connectFrom", in_ep, dtype)
+        self._declare(Link(host_ep, in_ep, caller_site()))
+        return host_ep.port
+
+    def _host_end(self, what: str, task_ep: Endpoint, dtype: Any) -> Endpoint:
+        """The far end of a connectTo / connectFrom link: a port the host
+        program itself holds, opposite ``task_ep``; numbered in declaration
+        order, both directions together."""
+        if dtype != task_ep.dtype:
             raise TypeMismatchError(
-                "connectFrom declared %s but port is %s"
-                % (spec_name(dtype), spec_name(in_ep.dtype))
+                "%s declared %s but port is %s"
+                % (what, spec_name(dtype), spec_name(task_ep.dtype))
             )
-        port = HostOutputPort(
-            self.ssd.system.sim, "host:%s" % self.name, len(self._host_links),
-            dtype, self._host_compute, self._interface_to_device,
-            self.ssd.system.config,
-        )
-        self._host_links.append(("from-host", port, in_ep, caller_site()))
-        return port
+        direction = "in" if task_ep.direction == "out" else "out"
+        ins, outs = make_ports(
+            self.ssd.system.sim, "host:%s" % self.name, self._host_side,
+            self.ssd.system.config, first_index=next(self._host_ports),
+            **{direction + "_types": (dtype,)})
+        (port,) = ins + outs
+        return Endpoint(None, direction, port.index, self, port)
 
-    def _declare_link(self, out_ep: Endpoint, in_ep: Endpoint, site) -> None:
-        """Record the link in the runtime-wide registry the verifier reads.
+    def _declare(self, link: Link) -> None:
+        """Record a link here and in the runtime-wide registry, which gives
+        the verifier and the wiring pass of a peer application the
+        inter-application links declared by whichever side called
+        connect()."""
+        self._links.append(link)
+        self.ssd.runtime.links.append(link)
 
-        Inter-application links live in whichever Application's connect()
-        was called; the registry gives verify_graph() the full picture so a
-        peer application's ports are not reported dangling.
-        """
-        registry = getattr(self.ssd.runtime, "declared_links", None)
-        if registry is not None:
-            registry.append((out_ep, in_ep, site))
+    def _peer_links(self) -> List[Link]:
+        """The links another application declared onto this one's tasks."""
+        own = set(map(id, self._links))
+        return [
+            link for link in self.ssd.runtime.links
+            if id(link) not in own and self in (link.out_ep.app, link.in_ep.app)
+        ]
 
     # ------------------------------------------------------------ verification
     def verify(self) -> List[Any]:
@@ -220,24 +210,21 @@ class Application:
         #    task instances (local work, no control traffic).
         for proxy in self._proxies:
             proxy.instance = yield from manager.control_call(
-                runtime.instantiate(self.device_app, proxy.mid, proxy.class_id, proxy.args)
+                runtime.instantiate(self.device_app, proxy.mid, proxy.class_id,
+                                    proxy.args, self._device_side)
             )
         for proxy in self._host_tasks:
-            proxy.instance = self._instantiate_host_task(proxy)
-        # 2. Wire device-side links (batched into one control call).
-        yield from manager.control_call(self._wire_device_links())
-        # 3. Wire host-device links; each takes a data channel from the pool.
-        for role, port, endpoint, _site in self._host_links:
-            yield from manager.acquire_data_channel()
-            self._data_channels_held += 1
-            connection = Connection(
-                self.ssd.system.sim, PortKind.HOST_DEVICE, port.dtype,
-                name="conn%d" % next(self._conn_seq),
-            )
-            if role == "to-host":
-                connect_ports(endpoint.resolve(), port, connection)
-            else:
-                connect_ports(port, endpoint.resolve(), connection)
+            proxy.instance = self._instantiate_host(proxy)
+        # 2. Wire the links between tasks, batched into one control call:
+        #    this application's, then those a peer application declared
+        #    onto these tasks before they existed.
+        links = self._links + self._peer_links()
+        yield from manager.control_call(self._wire_in_control_call(
+            [link for link in links if not link.to_host_program]))
+        # 3. Wire the host program's own ports after it; each takes a data
+        #    channel from the pool (and may wait for one, which must not
+        #    happen inside the control call).
+        yield from self._wire([link for link in links if link.to_host_program])
         # 4. Start all fibers (device first, then the host tasks).
         yield from manager.control_call(runtime.start_application(self.device_app))
         for proxy in self._host_tasks:
@@ -249,28 +236,15 @@ class Application:
             self._host_fibers.append(fiber)
         self.started = True
 
-    def _instantiate_host_task(self, proxy):
-        from repro.core.ports import HostInputPort, HostOutputPort
-
+    def _instantiate_host(self, proxy: TaskProxy):
         cls = proxy.task_class
         cls.validate_args(proxy.args)
         instance = cls()
         instance._system = self.ssd.system
         instance._app = self
-        instance._args = proxy.args
-        instance._instance_id = "host:%s/%s" % (self.name, cls.__name__)
-        sim = self.ssd.system.sim
-        config = self.ssd.system.config
-        instance._in_ports = tuple(
-            HostInputPort(sim, instance._instance_id, i, dtype,
-                          self._host_compute, config)
-            for i, dtype in enumerate(cls.IN_TYPES)
-        )
-        instance._out_ports = tuple(
-            HostOutputPort(sim, instance._instance_id, i, dtype,
-                           self._host_compute, self._interface_to_device, config)
-            for i, dtype in enumerate(cls.OUT_TYPES)
-        )
+        instance._bind(
+            self.ssd.system.sim, "host:%s/%s" % (self.name, cls.__name__),
+            proxy.args, self._host_side, self.ssd.system.config)
         return instance
 
     def _host_task_body(self, instance) -> Generator:
@@ -279,46 +253,41 @@ class Application:
         finally:
             instance.close_outputs()
 
-    def _link_kind(self, out_ep: Endpoint, in_ep: Endpoint) -> PortKind:
-        out_host = getattr(out_ep.proxy, "is_host", False)
-        in_host = getattr(in_ep.proxy, "is_host", False)
-        if out_host and in_host:
-            return PortKind.HOST_LOCAL
-        if out_host or in_host:
-            return PortKind.HOST_DEVICE
-        same_app = out_ep.proxy.app.device_app is in_ep.proxy.app.device_app
-        return PortKind.INTER_SSDLET if same_app else PortKind.INTER_APP
-
-    def _wire_device_links(self) -> Generator:
-        sim = self.ssd.system.sim
-        runtime = self.ssd.runtime
-        manager = self.ssd.channels
-        todo = self._links + runtime.pending_links
-        runtime.pending_links = []
+    def _wire(self, links: Sequence[Link]) -> Generator:
+        """Fiber: resolve ``links`` to connections — the only place a
+        connection is made or a data channel taken; returns how many links
+        it wired."""
         wired = 0
-        for out_ep, in_ep in todo:
-            if out_ep.proxy.instance is None or in_ep.proxy.instance is None:
-                # The peer application has not created its instances yet
-                # (inter-application link); defer to its start().
-                runtime.pending_links.append((out_ep, in_ep))
-                continue
+        for out_ep, in_ep, _site in links:
             out_port = out_ep.resolve()
             in_port = in_ep.resolve()
+            if out_port is None or in_port is None:
+                # The peer application has not created its instances yet
+                # (inter-application link); its start() wires this link.
+                continue
+            kind = link_kind(out_ep, in_ep)
             connection = out_port.connection or in_port.connection
             if connection is None:
-                kind = self._link_kind(out_ep, in_ep)
                 if kind is PortKind.HOST_DEVICE:
-                    # Host-device links consume a data channel like
-                    # connectTo/connectFrom ports do.
-                    yield from manager.acquire_data_channel()
+                    yield from self.ssd.channels.acquire_data_channel()
                     self._data_channels_held += 1
                 connection = Connection(
-                    sim, kind, out_ep.dtype, name="conn%d" % next(self._conn_seq)
+                    self.ssd.system.sim, kind, out_ep.dtype,
+                    name="conn%d" % next(self._conn_seq),
                 )
+            elif connection.kind is not kind:
+                raise PortConnectionError(
+                    "%r -> %r is %s but a port is already on a %s connection"
+                    % (out_ep, in_ep, kind.value, connection.kind.value))
             connect_ports(out_port, in_port, connection)
             wired += 1
+        return wired
+
+    def _wire_in_control_call(self, links: Sequence[Link]) -> Generator:
+        wired = yield from self._wire(links)
         # Port wiring is device-side bookkeeping; charge a small constant.
-        yield from runtime.device.controller.device_compute(2.0 * max(1, wired))
+        yield from self.ssd.runtime.device.controller.device_compute(
+            2.0 * max(1, wired))
 
     # ------------------------------------------------------------- lifecycle
     def wait(self) -> Generator:
@@ -330,9 +299,8 @@ class Application:
             yield all_of(self.ssd.system.sim, self._host_fibers)
         yield from self.ssd.runtime.wait_application(self.device_app)
         # Completion notification crosses the device-to-host path once.
-        config = self.ssd.system.config
-        yield from self.ssd.channels.interface_crossing(64, to_host=True)
-        yield from self._host_compute(config.d2h_host_receiver_us)
+        yield from self._device_side.interface(64)
+        yield from self._host_side.compute(self._host_side.receiver_us)
         # Every fiber has finished: return the data channels to the pool and
         # drop the runtime bookkeeping, so load/run/unload cycles are
         # steady-state (a serving workload would otherwise exhaust the
@@ -347,18 +315,8 @@ class Application:
         self._teardown()
 
     def _teardown(self) -> None:
-        self._release_channels()
-        self._host_fibers = []
-        self.ssd.runtime.retire_application(self.device_app)
-
-    def _release_channels(self) -> None:
         while self._data_channels_held:
             self.ssd.channels.release_data_channel()
             self._data_channels_held -= 1
-
-    # ---------------------------------------------------------------- hooks
-    def _host_compute(self, duration_us: float) -> Generator:
-        yield from self.ssd.system.cpu.occupy(duration_us)
-
-    def _interface_to_device(self, nbytes: int) -> Generator:
-        yield from self.ssd.channels.interface_crossing(nbytes, to_host=False)
+        self._host_fibers = []
+        self.ssd.runtime.retire_application(self.device_app)

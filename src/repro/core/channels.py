@@ -51,14 +51,14 @@ class ChannelManager:
         self.control_calls += 1
         # Request: host channel-manager send, interface crossing, device recv.
         yield from self.cpu.occupy(config.h2d_host_sender_us)
-        yield from self._interface_to_device(self.CONTROL_REQUEST_BYTES)
+        yield from self.interface_crossing(self.CONTROL_REQUEST_BYTES, to_host=False)
         yield from self.device.controller.device_compute(config.h2d_device_receiver_us)
         value = None
         if device_work is not None:
             value = yield from device_work
         # Response: device send, interface crossing, host receive + wakeup.
         yield from self.device.controller.device_compute(config.d2h_device_sender_us)
-        yield from self._interface_to_host(self.CONTROL_RESPONSE_BYTES)
+        yield from self.interface_crossing(self.CONTROL_RESPONSE_BYTES, to_host=True)
         yield from self.cpu.occupy(config.d2h_host_receiver_us)
         yield self.sim.timeout(us_to_ns(config.fiber_schedule_us))
         return value
@@ -76,17 +76,12 @@ class ChannelManager:
         self.data_channels.release()
 
     # ------------------------------------------------------------- interface
-    def _interface_to_device(self, nbytes: int) -> Generator:
-        yield self.sim.timeout(us_to_ns(self.config.h2d_interface_us))
-        yield from self.device.interface.transfer_to_device(nbytes)
-
-    def _interface_to_host(self, nbytes: int) -> Generator:
-        yield self.sim.timeout(us_to_ns(self.config.d2h_interface_us))
-        yield from self.device.interface.transfer_to_host(nbytes)
-
     def interface_crossing(self, nbytes: int, to_host: bool) -> Generator:
-        """Fiber used by host-device port endpoints for their payload leg."""
+        """Fiber: one crossing of the host interface — the payload leg of a
+        host-to-device port transfer and of each half of a control call."""
         if to_host:
-            yield from self._interface_to_host(nbytes)
+            yield self.sim.timeout(us_to_ns(self.config.d2h_interface_us))
+            yield from self.device.interface.transfer_to_host(nbytes)
         else:
-            yield from self._interface_to_device(nbytes)
+            yield self.sim.timeout(us_to_ns(self.config.h2d_interface_us))
+            yield from self.device.interface.transfer_to_device(nbytes)

@@ -25,21 +25,19 @@ Example::
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple
 
-if TYPE_CHECKING:
-    from repro.core.application import Application, Endpoint
-
+from repro.core.application import TaskProxy
 from repro.core.errors import BiscuitError, TypeMismatchError
-from repro.core.ports import HostInputPort, HostOutputPort
-from repro.core.provenance import caller_site
 from repro.core.task import TaskBase
+
+if TYPE_CHECKING:
+    from repro.core.application import Application
 
 __all__ = ["HostTask", "HostTaskProxy"]
 
 
-class HostTask(TaskBase[HostInputPort, HostOutputPort]):
+class HostTask(TaskBase):
     """Base class for host-resident tasks of an Application."""
 
     def __init__(self) -> None:
@@ -60,30 +58,10 @@ class HostTask(TaskBase[HostInputPort, HostOutputPort]):
         return self._system.open_host(path)
 
 
-class HostTaskProxy:
+class HostTaskProxy(TaskProxy):
     """Registers a HostTask with an Application (mirrors SSDLetProxy)."""
-
-    _ids = itertools.count(1)
 
     def __init__(self, app: "Application", task_class: type, args: Tuple[Any, ...] = ()):
         if not issubclass(task_class, HostTask):
             raise TypeMismatchError("%s is not a HostTask" % task_class.__name__)
-        self.app = app
-        self.task_class = task_class
-        self.ssdlet_class = task_class  # Endpoint duck-typing
-        self.class_id = task_class.__name__
-        self.args = tuple(args)
-        self.instance: Optional[HostTask] = None
-        self.is_host = True
-        self.site = caller_site()  # where the user declared this task
-        app._register_host_task(self)
-
-    def out(self, index: int) -> "Endpoint":
-        from repro.core.application import Endpoint
-
-        return Endpoint(self, "out", index)
-
-    def in_(self, index: int) -> "Endpoint":
-        from repro.core.application import Endpoint
-
-        return Endpoint(self, "in", index)
+        super().__init__(app, task_class, task_class.__name__, args, is_host=True)

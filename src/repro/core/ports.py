@@ -1,20 +1,13 @@
 """Typed I/O ports over bounded queues (Section III-C and IV-B).
 
-The paper's three port kinds, plus a host-local kind for host tasks:
-
-* **inter-SSDlet** — between SSDlets of one Application.  General types,
-  SPSC/SPMC/MPSC (a shared queue; safe without locks because all fibers of
-  an application run on the same core).  Round trip = type (de)abstraction
-  (20.3 µs of device CPU) + fiber schedule (10.7 µs) = 31.0 µs (Table II).
-* **inter-application** — between SSDlets of different Applications.  Packet
-  (or explicitly serializable) data, SPSC only.  Round trip = fiber schedule
-  = 10.7 µs.
-* **host-to-device** — between a host program and an SSDlet.  Packet-only,
-  SPSC only.  Asymmetric: D2H = 130.1 µs, H2D = 301.6 µs — the receiving
-  channel manager does about twice the sender's work, and the device CPU is
-  much slower, so host→device is the expensive direction (Table II).
-* **host-local** — between two host tasks: a user-level queue handoff in
-  shared memory (general types, SPMC/MPSC allowed).
+A port is one of two classes, :class:`OutputPort` and :class:`InputPort`,
+whoever holds it.  What a transfer costs is a property of the *connection*
+— its :class:`PortKind`, which follows from where its two ends run — and of
+the :class:`Side` (host or device) that does the endpoint's share of the
+work.  The kinds (the paper's three plus host-local), their wiring rules
+and the kind -> charge table are in DESIGN.md, "Tasks, ports and links";
+the round trips are Table II's: inter-SSDlet 31.0 µs, inter-application
+10.7 µs, D2H 130.1 µs, H2D 301.6 µs.
 
 Every connection is one bounded queue; producers that finish close their
 side, and a drained, fully-closed queue raises :class:`PortClosed` to
@@ -24,7 +17,7 @@ consumers — that is how SSDlet pipelines terminate.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.errors import (
     NotSerializableError,
@@ -33,7 +26,6 @@ from repro.core.errors import (
     TypeMismatchError,
 )
 from repro.core.types import (
-    Packet,
     check_value,
     deserialize,
     is_serializable,
@@ -46,11 +38,12 @@ from repro.sim.units import us_to_ns
 
 __all__ = [
     "PortKind",
+    "Side",
     "Connection",
-    "DeviceOutputPort",
-    "DeviceInputPort",
-    "HostOutputPort",
-    "HostInputPort",
+    "OutputPort",
+    "InputPort",
+    "make_ports",
+    "connect_ports",
 ]
 
 
@@ -60,20 +53,34 @@ class PortKind(enum.Enum):
     HOST_DEVICE = "host-to-device"
     HOST_LOCAL = "host-local"
 
+    @property
+    def packet_transport(self) -> bool:
+        """The connection leaves an address space: Packet (serializable)
+        data only and strictly SPSC.  The other two kinds pass values
+        through unserialized and may share one queue (SPMC/MPSC; safe
+        without locks because an application's fibers share a core)."""
+        return self in (PortKind.HOST_DEVICE, PortKind.INTER_APP)
+
 
 #: Host-local queue costs: a user-level handoff between host fibers.
-#: (HOST_LOCAL and INTER_SSDLET are the same-address-space kinds: values
-#: pass through unserialized and shared queues allow SPMC/MPSC.)
 HOST_LOCAL_PUT_US = 0.5
 HOST_LOCAL_SCHEDULE_US = 2.0
 
 
-#: Fiber factory signatures used by ports:
-#:   device_compute(us)  -> fiber occupying the owning app's device core
-#:   host_compute(us)    -> fiber occupying a host core (memory-bound)
-#:   interface(nbytes)   -> fiber crossing the host interface
-ComputeFn = Callable[[float], Generator]
-InterfaceFn = Callable[[int], Generator]
+class Side(NamedTuple):
+    """Where an endpoint's share of a transfer runs — the host's or the
+    device's.  A task's side is this value, not its port classes."""
+
+    #: compute(us) -> fiber occupying this side's CPU: a host core
+    #: (memory-bound), or the owning application's device core.
+    compute: Callable[[float], Generator]
+    #: interface(nbytes) -> fiber crossing the host interface away from
+    #: this side (H2D from the host, D2H from the device).
+    interface: Callable[[int], Generator]
+    #: This side's channel-manager work to send / receive one item over a
+    #: host-to-device connection (µs).
+    sender_us: float
+    receiver_us: float
 
 
 class Connection:
@@ -87,8 +94,8 @@ class Connection:
         capacity: int = 16,
         name: str = "",
     ):
-        if (kind not in (PortKind.INTER_SSDLET, PortKind.HOST_LOCAL)
-                and not is_serializable(dtype)):
+        self.packet_transport = kind.packet_transport  # read per item
+        if self.packet_transport and not is_serializable(dtype):
             raise NotSerializableError(
                 "%s ports carry Packet data; %s is not serializable"
                 % (kind.value, spec_name(dtype))
@@ -106,8 +113,7 @@ class Connection:
 
     # ---------------------------------------------------------------- wiring
     def attach_producer(self) -> None:
-        if (self.kind not in (PortKind.INTER_SSDLET, PortKind.HOST_LOCAL)
-                and self.producers >= 1):
+        if self.packet_transport and self.producers >= 1:
             raise PortConnectionError(
                 "%s ports allow a single producer (SPSC)" % self.kind.value
             )
@@ -115,8 +121,7 @@ class Connection:
         self._open_producers += 1
 
     def attach_consumer(self) -> None:
-        if (self.kind not in (PortKind.INTER_SSDLET, PortKind.HOST_LOCAL)
-                and self.consumers >= 1):
+        if self.packet_transport and self.consumers >= 1:
             raise PortConnectionError(
                 "%s ports allow a single consumer (SPSC)" % self.kind.value
             )
@@ -134,32 +139,28 @@ class Connection:
     def encode(self, value: Any) -> Any:
         """Type-check and (for Packet-transport kinds) serialize a value."""
         check_value(value, self.dtype)
-        if self.kind in (PortKind.INTER_SSDLET, PortKind.HOST_LOCAL):
+        if not self.packet_transport:
             return value
         packet = serialize(value, self.dtype)
         self.bytes_transferred += len(packet)
         return packet
 
     def decode(self, item: Any) -> Any:
-        if self.kind in (PortKind.INTER_SSDLET, PortKind.HOST_LOCAL):
+        if not self.packet_transport:
             return item
         return deserialize(item, self.dtype)
 
 
-class _PortBase:
-    """Shared endpoint state.
-
-    ``compute`` occupies the owner's side: the application's device core
-    for an SSDlet's port, a host core for a host-side one.
-    """
+class _Port:
+    """Shared endpoint state; ``side`` does this end's share of the work."""
 
     def __init__(self, sim: Simulator, owner_name: str, index: int, dtype: Any,
-                 compute: ComputeFn, config):
+                 side: Side, config: Any):
         self.sim = sim
         self.owner_name = owner_name
         self.index = index
         self.dtype = dtype
-        self._compute = compute
+        self._side = side
         self._config = config
         # Trace track: host-side owners are named "host:<app>..."; fold the
         # colon into the path so their events group under a "host" process.
@@ -167,13 +168,9 @@ class _PortBase:
         self.connection: Optional[Connection] = None
         self._connect_waiters: list = []
 
-    @property
-    def connected(self) -> bool:
-        return self.connection is not None
-
     def _ensure_connection(self) -> Generator:
         """Fiber: block until the port is wired (an inter-application peer
-        may connect it after this SSDlet already started)."""
+        may connect it after this task already started)."""
         while self.connection is None:
             event = self.sim.event()
             self._connect_waiters.append(event)
@@ -186,14 +183,40 @@ class _PortBase:
             event.succeed()
 
 
-class _OutputPort(_PortBase):
-    """Producer endpoint: ``put`` is the subclass's; closing is shared."""
+class OutputPort(_Port):
+    """Producer endpoint of a connection."""
 
     def __init__(self, sim: Simulator, owner_name: str, index: int, dtype: Any,
-                 compute: ComputeFn, interface: InterfaceFn, config):
-        super().__init__(sim, owner_name, index, dtype, compute, config)
-        self._interface = interface
+                 side: Side, config: Any):
+        super().__init__(sim, owner_name, index, dtype, side, config)
         self._closed = False
+
+    def put(self, value: Any) -> Generator:
+        """Fiber: send one value downstream (blocks on a full queue)."""
+        trace = self.sim.trace
+        start_ns = self.sim.now if trace is not None else 0
+        connection = yield from self._ensure_connection()
+        if self._closed:
+            raise PortClosed("put on closed output port of %s" % self.owner_name)
+        item = connection.encode(value)
+        kind = connection.kind
+        side = self._side
+        if kind is PortKind.HOST_DEVICE:
+            # This side's channel-manager sender work, then the interface
+            # crossing towards the other side.
+            yield from side.compute(side.sender_us)
+            yield from side.interface(len(item))
+        elif kind is PortKind.INTER_SSDLET:
+            yield from side.compute(self._config.port_type_abstraction_us)
+        elif kind is PortKind.HOST_LOCAL:
+            # Same address space: a user-level queue handoff.
+            yield from side.compute(HOST_LOCAL_PUT_US)
+        # INTER_APP: bare serialization, fiber handoff only.
+        yield connection.queue.put(item)
+        connection.items_transferred += 1
+        if trace is not None:
+            trace.complete("port", "put", self.trace_track, start_ns,
+                           port=self.index, kind=kind.value)
 
     def close(self) -> None:
         """Signal end-of-stream to the consumer side."""
@@ -204,9 +227,34 @@ class _OutputPort(_PortBase):
             self.connection.producer_closed()
 
 
-class _InputPort(_PortBase):
-    """Consumer endpoint: ``get`` is the subclass's; the loops over it are
-    shared."""
+class InputPort(_Port):
+    """Consumer endpoint of a connection."""
+
+    def get(self) -> Generator:
+        """Fiber: receive one value; raises :class:`PortClosed` at stream end."""
+        trace = self.sim.trace
+        start_ns = self.sim.now if trace is not None else 0
+        connection = yield from self._ensure_connection()
+        try:
+            item = yield connection.queue.get()
+        except QueueClosed:
+            raise PortClosed(
+                "input port %d of %s: all producers finished"
+                % (self.index, self.owner_name)
+            ) from None
+        kind = connection.kind
+        if kind is PortKind.HOST_DEVICE:
+            # The receiving channel manager does about twice the sender's
+            # work — on the slow device CPU when this side is the device,
+            # which is what makes H2D the expensive direction.
+            yield from self._side.compute(self._side.receiver_us)
+        yield connection.sim.timeout(us_to_ns(
+            HOST_LOCAL_SCHEDULE_US if kind is PortKind.HOST_LOCAL
+            else self._config.fiber_schedule_us))
+        if trace is not None:
+            trace.complete("port", "get", self.trace_track, start_ns,
+                           port=self.index, kind=kind.value)
+        return connection.decode(item)
 
     def get_opt(self) -> Generator:
         """Fiber: like :meth:`get` but returns None at end-of-stream."""
@@ -226,111 +274,35 @@ class _InputPort(_PortBase):
                 return values
 
 
-class DeviceOutputPort(_OutputPort):
-    """An SSDlet's output port."""
-
-    def put(self, value: Any) -> Generator:
-        """Fiber: send one value downstream (blocks on a full queue)."""
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        connection = yield from self._ensure_connection()
-        if self._closed:
-            raise PortClosed("put on closed output port of %s" % self.owner_name)
-        item = connection.encode(value)
-        if connection.kind is PortKind.INTER_SSDLET:
-            yield from self._compute(self._config.port_type_abstraction_us)
-        elif connection.kind is PortKind.HOST_DEVICE:
-            # Device → host: device-side channel-manager sender work, then
-            # the interface crossing.
-            yield from self._compute(self._config.d2h_device_sender_us)
-            yield from self._interface(len(item))
-        # INTER_APP: bare serialization, fiber handoff only.
-        yield connection.queue.put(item)
-        connection.items_transferred += 1
-        if trace is not None:
-            trace.complete("port", "put", self.trace_track, start_ns,
-                           port=self.index, kind=connection.kind.value)
+def make_ports(
+    sim: Simulator,
+    owner_name: str,
+    side: Side,
+    config: Any,
+    in_types: Sequence[Any] = (),
+    out_types: Sequence[Any] = (),
+    first_index: int = 0,
+) -> Tuple[Tuple[InputPort, ...], Tuple[OutputPort, ...]]:
+    """Build ``owner_name``'s endpoints — the only place ports are made:
+    ``(input ports, output ports)``, one per declared type, numbered from
+    ``first_index``."""
+    return (
+        tuple(InputPort(sim, owner_name, first_index + i, dtype, side, config)
+              for i, dtype in enumerate(in_types)),
+        tuple(OutputPort(sim, owner_name, first_index + i, dtype, side, config)
+              for i, dtype in enumerate(out_types)),
+    )
 
 
-class DeviceInputPort(_InputPort):
-    """An SSDlet's input port."""
-
-    def get(self) -> Generator:
-        """Fiber: receive one value; raises :class:`PortClosed` at stream end."""
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        connection = yield from self._ensure_connection()
-        try:
-            item = yield connection.queue.get()
-        except QueueClosed:
-            raise PortClosed(
-                "input port %d of %s: all producers finished"
-                % (self.index, self.owner_name)
-            ) from None
-        if connection.kind is PortKind.HOST_DEVICE:
-            # Host → device: the device-side channel manager does the heavy
-            # receive work on the slow device CPU.
-            yield from self._compute(self._config.h2d_device_receiver_us)
-        yield connection.sim.timeout(us_to_ns(self._config.fiber_schedule_us))
-        if trace is not None:
-            trace.complete("port", "get", self.trace_track, start_ns,
-                           port=self.index, kind=connection.kind.value)
-        return connection.decode(item)
-
-
-class HostOutputPort(_OutputPort):
-    """Host-side producer endpoint of a host-to-device connection."""
-
-    def put(self, value: Any) -> Generator:
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        connection = yield from self._ensure_connection()
-        if self._closed:
-            raise PortClosed("put on closed host output port")
-        item = connection.encode(value)
-        if connection.kind is PortKind.HOST_LOCAL:
-            # Same address space: a user-level queue handoff.
-            yield from self._compute(HOST_LOCAL_PUT_US)
-        else:
-            yield from self._compute(self._config.h2d_host_sender_us)
-            yield from self._interface(len(item))
-        yield connection.queue.put(item)
-        connection.items_transferred += 1
-        if trace is not None:
-            trace.complete("port", "put", self.trace_track, start_ns,
-                           port=self.index, kind=connection.kind.value)
-
-
-class HostInputPort(_InputPort):
-    """Host-side consumer endpoint of a host-to-device connection."""
-
-    def get(self) -> Generator:
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        connection = yield from self._ensure_connection()
-        try:
-            item = yield connection.queue.get()
-        except QueueClosed:
-            raise PortClosed("host port: stream ended") from None
-        if connection.kind is PortKind.HOST_LOCAL:
-            yield connection.sim.timeout(us_to_ns(HOST_LOCAL_SCHEDULE_US))
-        else:
-            yield from self._compute(self._config.d2h_host_receiver_us)
-            yield connection.sim.timeout(us_to_ns(self._config.fiber_schedule_us))
-        if trace is not None:
-            trace.complete("port", "get", self.trace_track, start_ns,
-                           port=self.index, kind=connection.kind.value)
-        return connection.decode(item)
-
-
-def connect_ports(out_port, in_port, connection: Connection) -> None:
+def connect_ports(out_port: OutputPort, in_port: InputPort,
+                  connection: Connection) -> None:
     """Wire two endpoints to a connection after validating types."""
-    if not _types_equal(out_port.dtype, in_port.dtype):
+    if out_port.dtype != in_port.dtype:
         raise TypeMismatchError(
             "cannot connect %s output to %s input"
             % (spec_name(out_port.dtype), spec_name(in_port.dtype))
         )
-    if not _types_equal(out_port.dtype, connection.dtype):
+    if out_port.dtype != connection.dtype:
         raise TypeMismatchError("connection type differs from port types")
     # An endpoint joins exactly one connection; SPMC/MPSC reuse the same
     # connection (one shared queue) across several endpoints.
@@ -338,7 +310,7 @@ def connect_ports(out_port, in_port, connection: Connection) -> None:
         connection.attach_producer()
         out_port.connection = connection
         out_port._notify_connected()
-        if getattr(out_port, "_closed", False):
+        if out_port._closed:
             # The producer finished before the peer application wired the
             # link; propagate its end-of-stream now.
             connection.producer_closed()
@@ -350,7 +322,3 @@ def connect_ports(out_port, in_port, connection: Connection) -> None:
         in_port._notify_connected()
     elif in_port.connection is not connection:
         raise PortConnectionError("input port already connected elsewhere")
-
-
-def _types_equal(a: Any, b: Any) -> bool:
-    return a == b

@@ -19,12 +19,12 @@ Responsibilities, mirroring the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.errors import ModuleError, SafetyViolation
 from repro.core.memory import AllocatorSet
 from repro.core.module import SSDletModule, module_repository, read_module_header
-from repro.core.ports import DeviceInputPort, DeviceOutputPort
+from repro.core.ports import Side
 from repro.core.ssdlet import SSDLet
 from repro.fs.file import FileHandle
 from repro.fs.filesystem import FileSystem, Inode
@@ -32,6 +32,9 @@ from repro.sim.engine import Process, Simulator, all_of
 from repro.sim.resources import Resource
 from repro.sim.units import KIB, us_to_ns
 from repro.ssd.device import SSDDevice
+
+if TYPE_CHECKING:
+    from repro.core.links import Link
 
 __all__ = ["BiscuitRuntime", "DeviceApplication", "LoadedModule"]
 
@@ -89,13 +92,11 @@ class BiscuitRuntime:
         self._sessions: Dict[str, Any] = {}  # user -> UserSession
         self._instance_ids = itertools.count(1)
         self.applications: List[DeviceApplication] = []
-        # Inter-application links recorded before the peer application has
-        # created its instances; wired by whichever start() completes last.
-        self.pending_links: List[Tuple[Any, Any]] = []
-        # Every link ever declared via Application.connect() on this runtime,
-        # as (out_ep, in_ep, site) — read by repro.analysis.verify_graph so
-        # inter-application wiring is visible from both sides.
-        self.declared_links: List[Tuple[Any, Any, Any]] = []
+        # Every link declared by a live Application on this runtime (``Link``
+        # records), so inter-application wiring is visible from both sides:
+        # verify_graph reads it, and a start() wires the links a peer
+        # declared onto its tasks before those tasks existed.
+        self.links: List["Link"] = []
 
     # ---------------------------------------------------------------- modules
     def load_module(self, inode: Inode) -> Generator:
@@ -152,9 +153,11 @@ class BiscuitRuntime:
         app: DeviceApplication,
         mid: int,
         class_id: str,
-        args: Tuple[Any, ...] = (),
+        args: Tuple[Any, ...],
+        side: Side,
     ) -> Generator:
-        """Fiber: create an SSDlet instance inside ``app``; returns it."""
+        """Fiber: create an SSDlet instance inside ``app``; returns it.
+        ``side`` is the device's share of ``app``'s port transfers."""
         if app.started:
             raise ModuleError("cannot add instances to a started application")
         loaded = self._get_module(mid)
@@ -172,20 +175,7 @@ class BiscuitRuntime:
         instance = cls()
         instance._runtime = self
         instance._app = app
-        instance._instance_id = instance_id
-        instance._args = tuple(args)
-        device_compute = self._compute_hook(app)
-        interface = self._interface_hook()
-        instance._in_ports = tuple(
-            DeviceInputPort(self.sim, instance_id, i, dtype, device_compute, self.config)
-            for i, dtype in enumerate(cls.IN_TYPES)
-        )
-        instance._out_ports = tuple(
-            DeviceOutputPort(
-                self.sim, instance_id, i, dtype, device_compute, interface, self.config
-            )
-            for i, dtype in enumerate(cls.OUT_TYPES)
-        )
+        instance._bind(self.sim, instance_id, tuple(args), side, self.config)
         app.instances.append(instance)
         loaded.live_instances += 1
         instance._loaded_module = loaded
@@ -249,13 +239,11 @@ class BiscuitRuntime:
             app.fibers = []
             app.instances = []
 
-        def _other_app(link: Tuple[Any, ...]) -> bool:
-            out_ep, in_ep = link[0], link[1]
-            return (out_ep.proxy.app.device_app is not app
-                    and in_ep.proxy.app.device_app is not app)
-
-        self.pending_links = [l for l in self.pending_links if _other_app(l)]
-        self.declared_links = [l for l in self.declared_links if _other_app(l)]
+        self.links = [
+            link for link in self.links
+            if link.out_ep.app.device_app is not app
+            and link.in_ep.app.device_app is not app
+        ]
         try:
             self.applications.remove(app)
         except ValueError:
@@ -343,19 +331,6 @@ class BiscuitRuntime:
             yield self.sim.timeout(us_to_ns(duration_us))
         finally:
             lock.release()
-
-    def _compute_hook(self, app: DeviceApplication):
-        def hook(duration_us: float) -> Generator:
-            yield from self.compute(app, duration_us)
-
-        return hook
-
-    def _interface_hook(self):
-        def hook(nbytes: int) -> Generator:
-            yield self.sim.timeout(us_to_ns(self.config.d2h_interface_us))
-            yield from self.device.interface.transfer_to_host(nbytes)
-
-        return hook
 
     # ------------------------------------------------------------- statistics
     def core_utilization(self) -> float:

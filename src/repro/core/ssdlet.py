@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.errors import BiscuitError, SafetyViolation
-from repro.core.ports import DeviceInputPort, DeviceOutputPort
 from repro.core.task import TaskBase
 
 if TYPE_CHECKING:
@@ -33,7 +32,7 @@ if TYPE_CHECKING:
 __all__ = ["SSDLet"]
 
 
-class SSDLet(TaskBase[DeviceInputPort, DeviceOutputPort]):
+class SSDLet(TaskBase):
     """Base class for device-resident tasks."""
 
     def __init__(self) -> None:

@@ -3,28 +3,25 @@
 Section I: "Biscuit does not distinguish tasks that run on the host system
 and the storage system."  Both declare their port and argument types as
 class attributes and override ``run()`` as a fiber; the framework injects
-ports and arguments at instantiation.  :class:`~repro.core.ssdlet.SSDLet`
-and :class:`~repro.core.hostlet.HostTask` add what differs: where the task
+ports and arguments at instantiation (:meth:`TaskBase._bind`, the same step
+on either side).  :class:`~repro.core.ssdlet.SSDLet` and
+:class:`~repro.core.hostlet.HostTask` add what differs: where the task
 computes, and what it may open and allocate.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any, ClassVar, Generator, Generic, Optional, Sequence, Tuple, TypeVar,
-)
+from typing import Any, ClassVar, Generator, Optional, Sequence, Tuple
 
 from repro.core.errors import TypeMismatchError
-from repro.core.ports import _OutputPort
+from repro.core.ports import InputPort, OutputPort, Side, make_ports
 from repro.core.types import check_value
+from repro.sim.engine import Simulator
 
 __all__ = ["TaskBase"]
 
-InPort = TypeVar("InPort")
-OutPort = TypeVar("OutPort", bound=_OutputPort)  # close_outputs() closes them
 
-
-class TaskBase(Generic[InPort, OutPort]):
+class TaskBase:
     """Declared types, injected ports and arguments, and their accessors."""
 
     #: Type specs of input ports, one entry per port.
@@ -38,9 +35,18 @@ class TaskBase(Generic[InPort, OutPort]):
         # Filled in by the framework at instantiation; user subclasses must
         # not override __init__ with required parameters.
         self._instance_id = ""
-        self._in_ports: Tuple[InPort, ...] = ()
-        self._out_ports: Tuple[OutPort, ...] = ()
+        self._in_ports: Tuple[InputPort, ...] = ()
+        self._out_ports: Tuple[OutputPort, ...] = ()
         self._args: Tuple[Any, ...] = ()
+
+    def _bind(self, sim: Simulator, instance_id: str, args: Tuple[Any, ...],
+              side: Side, config: Any) -> None:
+        """Inject identity, arguments and ports; ``side`` is where this
+        task's ends of its connections do their work."""
+        self._instance_id = instance_id
+        self._args = args
+        self._in_ports, self._out_ports = make_ports(
+            sim, instance_id, side, config, self.IN_TYPES, self.OUT_TYPES)
 
     @classmethod
     def validate_args(cls, args: Tuple[Any, ...]) -> None:
@@ -60,11 +66,11 @@ class TaskBase(Generic[InPort, OutPort]):
         raise NotImplementedError
         yield  # pragma: no cover - marks run() as a generator template
 
-    def in_(self, index: int) -> InPort:
+    def in_(self, index: int) -> InputPort:
         """Input port ``index`` (paper: ``in(i)``)."""
         return self._in_ports[index]
 
-    def out(self, index: int) -> OutPort:
+    def out(self, index: int) -> OutputPort:
         """Output port ``index``."""
         return self._out_ports[index]
 

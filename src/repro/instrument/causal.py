@@ -39,6 +39,7 @@ import json
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.instrument.events import TraceEvent, qid_root
+from repro.instrument.metrics import order_statistic
 
 __all__ = [
     "COMPONENTS",
@@ -406,13 +407,6 @@ class AttributionReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _order_statistic(ordered: List[Dict[str, Any]], quantile: float) -> Dict[str, Any]:
-    """The row at the exact order statistic (same rank rule as the benches)."""
-    rank = max(0, min(len(ordered) - 1,
-                      int(quantile * len(ordered) + 0.999999) - 1))
-    return ordered[rank]
-
-
 def attribute(events: Sequence[TraceEvent],
               quantiles: Sequence[float] = (0.50, 0.95, 0.99)) -> AttributionReport:
     """Decompose every tagged query in ``events``; see module docstring."""
@@ -446,7 +440,7 @@ def attribute_traces(traces: Sequence[QueryTrace],
     if queries:
         ordered = sorted(queries, key=lambda row: (row["end_to_end"], row["qid"]))
         for quantile in quantiles:
-            row = _order_statistic(ordered, quantile)
+            row = order_statistic(ordered, quantile)
             label = ("p%g" % (quantile * 100)).replace(".", "_")
             percentiles[label] = {name: row[name]
                                   for name in COMPONENTS + ("end_to_end",)}

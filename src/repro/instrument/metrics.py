@@ -33,10 +33,24 @@ simulated run, never on ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 __all__ = ["Counter", "Counters", "Gauge", "Histogram", "Series",
-           "MetricsRegistry"]
+           "MetricsRegistry", "order_statistic"]
+
+T = TypeVar("T")
+
+
+def order_statistic(ordered: Sequence[T], quantile: float) -> T:
+    """The exact order statistic of a sorted, non-empty sequence: its
+    smallest element with rank >= quantile * n.  No interpolation, so a
+    reported p99 is a sample that occurred — the one rank rule of the hedge
+    deadline, the attribution percentiles and the bench latencies."""
+    rank = max(0, min(len(ordered) - 1,
+                      int(quantile * len(ordered) + 0.999999) - 1))
+    return ordered[rank]
 
 
 class Counter:

@@ -45,20 +45,24 @@ __all__ = [
 ]
 
 
+RETRY_GROWTH = 2.0  # exponential backoff multiplier per retry
+MAX_BACKOFF_US = 25000.0  # cap on any one retry delay
+
+
 @dataclass
 class RetryPolicy:
-    """How hard to fight for a scan before giving up."""
+    """How hard to fight for an operation before giving up — and the one
+    place ``base * growth^(n-1)`` is computed (the scan driver, the
+    cluster's shard RPC and the serving layer's job retry ask it)."""
 
     retry_limit: int = 8  # failed attempts before the error propagates
     backoff_us: float = 500.0  # first retry delay
-    retry_growth: float = 2.0  # exponential backoff multiplier per retry
-    max_backoff_us: float = 25000.0
     checkpoint_pages: int = 4  # commit granularity (pages per marker)
     failover: bool = True  # alternate devices across retries
 
     def backoff_ns(self, attempt: int) -> int:
-        delay_us = self.backoff_us * (self.retry_growth ** (attempt - 1))
-        return us_to_ns(min(delay_us, self.max_backoff_us))
+        delay_us = self.backoff_us * (RETRY_GROWTH ** (attempt - 1))
+        return us_to_ns(min(delay_us, MAX_BACKOFF_US))
 
 
 class ResilienceStats(Counters):

@@ -1,10 +1,11 @@
 """Hedge policy: when to fire the backup request against a replica.
 
-The hedge deadline is derived from observed primary latencies: once enough
-samples exist, the deadline is the p99 (exact order statistic over a
-bounded sliding window — deterministic, no interpolation) times a safety
-multiplier, floored so a burst of fast requests cannot drive the deadline
-to zero.  Before warmup, a configured default applies.
+The hedge deadline is derived from observed primary latencies: once
+``WARMUP`` samples exist, the deadline is their ``QUANTILE`` (exact order
+statistic over a sliding window of ``WINDOW`` — deterministic, no
+interpolation) times ``MULTIPLIER``, floored so a burst of fast requests
+cannot drive the deadline to zero.  Before warmup, a configured default
+applies.
 
 The policy also carries the hedging scoreboard (fired / wins / losses /
 failovers) so benches and tests read one object.
@@ -19,12 +20,18 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import DeviceError
+from repro.instrument.metrics import order_statistic
 from repro.sim.engine import Event, Process, Simulator, any_of
 from repro.sim.units import us_to_ns
 
 __all__ = ["HedgePolicy", "hedged_race"]
 
 Fiber = Generator[Event, Any, Any]
+
+QUANTILE = 0.99  # of the window's primary latencies
+MULTIPLIER = 1.0  # safety factor on that order statistic
+WARMUP = 8  # samples before the derived deadline replaces the default
+WINDOW = 256  # sliding-window length
 
 
 class HedgePolicy:
@@ -33,27 +40,9 @@ class HedgePolicy:
     #: The scoreboard attributes a driver publishes with ``registry.attach``.
     FIELDS = ("hedges_fired", "hedge_wins", "primary_wins", "failovers")
 
-    def __init__(
-        self,
-        quantile: float = 0.99,
-        multiplier: float = 1.0,
-        floor_us: float = 200.0,
-        default_us: float = 5000.0,
-        warmup: int = 8,
-        window: int = 256,
-    ):
-        if not 0.0 < quantile <= 1.0:
-            raise ValueError("quantile must be in (0, 1]")
-        if multiplier <= 0:
-            raise ValueError("multiplier must be positive")
-        if warmup < 1:
-            raise ValueError("warmup must be at least 1")
-        self.quantile = quantile
-        self.multiplier = multiplier
+    def __init__(self, floor_us: float = 200.0, default_us: float = 5000.0):
         self.floor_us = floor_us
         self.default_us = default_us
-        self.warmup = warmup
-        self.window = window
         self._samples: List[float] = []
         self.hedges_fired = 0
         self.hedge_wins = 0
@@ -63,7 +52,7 @@ class HedgePolicy:
     def observe(self, latency_us: float) -> None:
         """Record one completed primary-side latency."""
         self._samples.append(latency_us)
-        if len(self._samples) > self.window:
+        if len(self._samples) > WINDOW:
             del self._samples[0]
 
     @property
@@ -72,13 +61,10 @@ class HedgePolicy:
 
     def deadline_us(self) -> float:
         """Wait this long before firing the hedge leg."""
-        if len(self._samples) < self.warmup:
+        if len(self._samples) < WARMUP:
             return max(self.floor_us, self.default_us)
-        ordered = sorted(self._samples)
-        # Exact order statistic: smallest sample with rank >= q * n.
-        rank = max(0, min(len(ordered) - 1,
-                          int(self.quantile * len(ordered) + 0.999999) - 1))
-        return max(self.floor_us, ordered[rank] * self.multiplier)
+        return max(self.floor_us,
+                   order_statistic(sorted(self._samples), QUANTILE) * MULTIPLIER)
 
     def counters(self) -> Dict[str, int]:
         return {field: getattr(self, field) for field in self.FIELDS}

@@ -29,6 +29,7 @@ from repro.core.errors import DeviceError
 from repro.core.module import write_module_image
 from repro.core.ssd_api import SSD
 from repro.net.cluster import make_placement
+from repro.resilience.executor import RetryPolicy
 from repro.resilience.recovery import RecoveryTracker
 from repro.serve.admission import AdmissionDecision, ResilienceConfig, SlotTable
 from repro.serve.jobs import JOB_KINDS, Job, JobSpec, JobState
@@ -139,6 +140,8 @@ class JobManager:
         self.resilience = resilience
         self.recovery = (RecoveryTracker(self.sim, resilience.recovery_window_us)
                          if resilience is not None else None)
+        self.retry = (RetryPolicy(backoff_us=resilience.retry_backoff_us)
+                      if resilience is not None else None)
         if self.recovery is not None:
             system.metrics.attach("resilience.recovery", self.recovery,
                                   self.recovery.FIELDS)
@@ -358,10 +361,8 @@ class JobManager:
                         server = target
                         job.device_index = target.index
                         self.tracker.failover(job, target.index)
-                    backoff_us = (self.resilience.retry_backoff_us
-                                  * (2 ** (attempts - 1)))
                     yield from backoff(
-                        self.sim, us_to_ns(backoff_us), "serve",
+                        self.sim, self.retry.backoff_ns(attempts), "serve",
                         "retry-backoff", "serve/%s" % job.spec.tenant,
                         job=job.job_id, attempt=attempts)
         finally:

@@ -12,6 +12,13 @@ def test_list(capsys):
     out = capsys.readouterr().out
     for name in EXPERIMENTS:
         assert name in out
+    assert "\ne2e " in out
+
+
+def test_e2e_hands_its_arguments_to_the_benchmark_runner(capfd):
+    # benchmarks/e2e/run.py's own parser answers: exit status 2, its usage.
+    assert main(["e2e", "--workload", "no-such-workload"]) == 2
+    assert "invalid choice: 'no-such-workload'" in capfd.readouterr().err
 
 
 def test_every_experiment_saves_under_a_tracked_name():

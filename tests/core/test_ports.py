@@ -9,10 +9,10 @@ from repro.core.errors import (
 )
 from repro.core.ports import (
     Connection,
-    DeviceInputPort,
-    DeviceOutputPort,
     PortKind,
+    Side,
     connect_ports,
+    make_ports as build_ports,
 )
 from repro.sim.engine import Simulator
 from repro.ssd.config import SSDConfig
@@ -28,8 +28,9 @@ def make_ports(sim=None, dtype=int, kind=PortKind.INTER_SSDLET):
     def interface(nbytes):
         yield sim.timeout(0)
 
-    out_port = DeviceOutputPort(sim, "src", 0, dtype, compute, interface, config)
-    in_port = DeviceInputPort(sim, "dst", 0, dtype, compute, config)
+    side = Side(compute, interface, 0.0, 0.0)
+    _, (out_port,) = build_ports(sim, "src", side, config, out_types=(dtype,))
+    (in_port,), _ = build_ports(sim, "dst", side, config, in_types=(dtype,))
     connection = Connection(sim, kind, dtype)
     return sim, out_port, in_port, connection
 
@@ -165,11 +166,12 @@ def test_queue_closes_only_when_all_producers_done():
         yield sim.timeout(0)
 
     connection = Connection(sim, PortKind.INTER_SSDLET, int)
+    side = Side(compute, interface, 0.0, 0.0)
     producers = [
-        DeviceOutputPort(sim, "p%d" % i, 0, int, compute, interface, config)
+        build_ports(sim, "p%d" % i, side, config, out_types=(int,))[1][0]
         for i in range(2)
     ]
-    consumer = DeviceInputPort(sim, "c", 0, int, compute, config)
+    (consumer,), _ = build_ports(sim, "c", side, config, in_types=(int,))
     connect_ports(producers[0], consumer, connection)
     connect_ports(producers[1], consumer, connection)
     producers[0].close()
@@ -209,3 +211,48 @@ def test_get_opt_and_drain():
     values, empty = sim.run(sim.process(program()))
     assert values == [0, 1, 2]
     assert empty is None
+
+
+# Table II, decomposed: one put + get over every connection that can exist
+# (kind x producer side x consumer side), with the real host and device
+# sides of an Application.  (elapsed ns, simulator events) as the four port
+# classes this replaced measured them.
+ROUND_TRIPS = [
+    ("inter-ssdlet", PortKind.INTER_SSDLET, False, False, 31_000, 5),
+    ("inter-application", PortKind.INTER_APP, False, False, 10_700, 3),
+    ("d2h", PortKind.HOST_DEVICE, False, True, 130_102, 10),
+    ("h2d", PortKind.HOST_DEVICE, True, False, 301_602, 10),
+    ("host-local", PortKind.HOST_LOCAL, True, True, 2_500, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,out_host,in_host,elapsed_ns,events",
+    [row[1:] for row in ROUND_TRIPS], ids=[row[0] for row in ROUND_TRIPS])
+def test_round_trip_cost_follows_the_connection_kind(
+        kind, out_host, in_host, elapsed_ns, events):
+    from repro.core import SSD, Application, Packet
+    from repro.host.platform import System
+
+    system = System()
+    app = Application(SSD(system), "t")
+    sim, config = system.sim, system.config
+    dtype, value = ((Packet, Packet(b"\xA5" * 8)) if kind.packet_transport
+                    else (int, 7))
+
+    def side(is_host):
+        return app._host_side if is_host else app._device_side
+
+    _, (out_port,) = build_ports(sim, "src", side(out_host), config,
+                                 out_types=(dtype,))
+    (in_port,), _ = build_ports(sim, "dst", side(in_host), config,
+                                in_types=(dtype,))
+    connect_ports(out_port, in_port, Connection(sim, kind, dtype))
+
+    def program():
+        start, before = sim.now, sim.events_processed
+        yield from out_port.put(value)
+        assert (yield from in_port.get()) == value
+        return sim.now - start, sim.events_processed - before
+
+    assert system.run_fiber(program()) == (elapsed_ns, events)

@@ -69,6 +69,18 @@ def test_histogram_empty_and_bad_quantile():
         hist.quantile(1.5)
 
 
+def test_order_statistic_is_a_sample_never_an_interpolation():
+    from repro.instrument.metrics import order_statistic
+
+    ordered = list(range(1, 101))
+    assert order_statistic(ordered, 0.50) == 50
+    assert order_statistic(ordered, 0.99) == 99
+    assert order_statistic(ordered, 1.0) == 100
+    assert order_statistic([1, 2, 3, 4], 0.5) == 2  # Histogram says 2.5
+    assert order_statistic([7], 0.99) == 7
+    assert order_statistic([1, 2, 3], 0.0) == 1  # rank clamped into range
+
+
 # ----------------------------------------------------- attached stats owners
 class _Hits(Counters):
     FIELDS = ("hits",)

@@ -203,3 +203,16 @@ def test_traced_legs_are_causal_children_and_the_armed_window_is_a_span():
         (0, DEADLINE_NS, "host/resil", {"device": 0, "q": "q1"})]
     # Each leg runs as a causal child of the call that raced it.
     assert race.scopes == {0: "q1+primary-x0", 1: "q1+hedge-x1"}
+
+
+def test_deadline_is_the_windows_p99_once_warm():
+    policy = HedgePolicy(default_us=5_000.0, floor_us=1.0)
+    for latency_us in range(1, 8):
+        policy.observe(float(latency_us))
+    assert policy.deadline_us() == 5_000.0  # seven samples: still the default
+    policy.observe(8.0)
+    assert policy.deadline_us() == 8.0  # p99 of eight samples is the largest
+    for _ in range(300):
+        policy.observe(2.0)
+    assert policy.samples == 256 and policy.deadline_us() == 2.0  # 8.0 slid out
+    assert HedgePolicy(floor_us=200.0).deadline_us() == 5_000.0

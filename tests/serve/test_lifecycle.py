@@ -22,8 +22,7 @@ def resource_counts(ssd):
     runtime = ssd.runtime
     return {
         "applications": len(runtime.applications),
-        "pending_links": len(runtime.pending_links),
-        "declared_links": len(runtime.declared_links),
+        "links": len(runtime.links),
         "user_arena_used": runtime.allocators.user.used,
         "loaded_modules": len(runtime.loaded_modules),
         "data_channels_free": ssd.channels.data_channels.available,
