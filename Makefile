@@ -25,9 +25,10 @@ test-fast:
 test-faults:
 	$(PYTEST) -q -m faults
 
+# Every table, figure, extension and ablation (python -m repro.bench --list):
+# the one writer of benchmarks/results/ and the three BENCH_*.json.
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro.bench
-	$(PYTEST) -q benchmarks/test_ablation_read_cache.py
 
 # The standing recovery benchmark: SQL goodput under a seeded fault storm.
 # Emits BENCH_resilience.json (byte-deterministic across hash seeds; CI
@@ -55,14 +56,16 @@ e2e-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.bench e2e --workload all --smoke
 	$(PYTHON) -m pytest -q benchmarks/e2e
 
-# The paper-facing result files are compared, not just written: re-run the
-# 20 experiments (~95 s; needs pytest-benchmark), which rewrite
-# benchmarks/results/, then fail if a tracked file there moved or a new one
-# appeared.  Every number in them is simulated, so any diff is a change to a
-# Table/Figure and must be a deliberate, committed refresh.
+# The paper-facing result files are compared, not just written: re-run all
+# 23 experiments (~100 s), which rewrite benchmarks/results/ and the three
+# BENCH_*.json, check the paper's claims against the fresh metrics, then fail
+# if a tracked file moved or a new one appeared there.  Every number in them
+# is simulated, so any diff is a change to a Table/Figure and must be a
+# deliberate, committed refresh.
 results-check:
-	$(PYTEST) -q benchmarks --ignore=benchmarks/e2e
-	git diff --exit-code benchmarks/results
+	PYTHONPATH=src $(PYTHON) -m repro.bench
+	$(PYTEST) -q -p no:benchmark tests/bench/test_paper_claims.py
+	git diff --exit-code benchmarks/results BENCH_*.json
 	@untracked=$$(git ls-files --others --exclude-standard benchmarks/results); \
 	if [ -n "$$untracked" ]; then \
 		echo "untracked files under benchmarks/results:"; echo "$$untracked"; exit 1; \

@@ -65,6 +65,9 @@ from typing import (
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import _dotted_name, _walk_same_scope
+# The one parser of REPRO_RACE_CHECK lives with the engine, which must not
+# import this module unless the check is on.
+from repro.sim.engine import race_check_from_env
 
 __all__ = [
     "check_races",
@@ -460,16 +463,6 @@ def _describe(obj: Any) -> str:
     if isinstance(name, str) and name:
         return "%s(%s)" % (type(obj).__name__, name)
     return type(obj).__name__
-
-
-def race_check_from_env() -> Optional[str]:
-    """The REPRO_RACE_CHECK setting: None (off), "on", or "strict"."""
-    raw = os.environ.get("REPRO_RACE_CHECK", "").strip().lower()
-    if raw in ("", "0", "false", "off", "no"):
-        return None
-    if raw in ("strict", "raise"):
-        return "strict"
-    return "on"
 
 
 class _Cell:

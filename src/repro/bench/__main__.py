@@ -17,7 +17,7 @@ import subprocess
 import sys
 import time
 
-from repro.bench import experiments
+from repro.bench import ablations, experiments
 from repro.bench.cluster import exp_cluster
 from repro.bench.harness import repo_root, save_result
 from repro.bench.resilience import exp_resilience
@@ -34,6 +34,16 @@ EXPERIMENTS = {
     "table6": ("Table VI — energy", experiments.exp_table6_energy, True),
     "fig10": ("Fig. 10 — full TPC-H", experiments.exp_fig10_tpch, True),
     "serve": ("Serving — saturation sweep + fairness", experiments.exp_serve_saturation, False),
+    "kvstore": ("Extension — KV-store metadata traversal (§VI)", ablations.exp_kvstore_metadata, False),
+    "scaleup": ("Extension — scale-up across 1-8 SSDs (Fig. 1(b))", ablations.exp_scaleup_multi_ssd, False),
+    "scaleout": ("Extension — scale-out cluster search (Fig. 1(c)/(d))", ablations.exp_scaleout_cluster, False),
+    "ablation_gc_overprovisioning": ("Ablation — FTL write amplification vs over-provisioning", ablations.exp_ablation_gc_overprovisioning, False),
+    "ablation_selectivity_threshold": ("Ablation — offload selectivity threshold", ablations.exp_ablation_selectivity_threshold, False),
+    "ablation_channel_scaling": ("Ablation — internal bandwidth vs channel count", ablations.exp_ablation_channel_scaling, False),
+    "ablation_matcher_vs_software": ("Ablation — matcher IP vs device software scan", ablations.exp_ablation_matcher_vs_software, False),
+    "ablation_join_order": ("Ablation — NDP-first join order on Q14", ablations.exp_ablation_join_order, False),
+    "ablation_aggregate_pushdown": ("Ablation — aggregate pushdown vs row shipping", ablations.exp_ablation_aggregate_pushdown, False),
+    "ablation_read_cache": ("Ablation — device-DRAM read cache", ablations.exp_ablation_read_cache, False),
     "resilience": ("Resilience — SQL under a seeded fault storm", exp_resilience, False),
     "cluster": ("Cluster — sharded scatter-gather SQL + crash storm", exp_cluster, True),
     "sim_throughput": ("Simulator — events processed with the fused fast path on vs off", exp_sim_throughput, False),
@@ -42,8 +52,8 @@ EXPERIMENTS = {
 
 def save_name(name: str) -> str:
     """The one basename experiment ``name``'s result files carry under
-    benchmarks/results/ — its function's name, which its pytest twin in
-    benchmarks/ shares: ``exp_fig10_tpch`` -> ``fig10_tpch``."""
+    benchmarks/results/ — its function's name: ``exp_fig10_tpch`` ->
+    ``fig10_tpch``."""
     return EXPERIMENTS[name][1].__name__[len("exp_"):]
 
 
@@ -72,10 +82,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
+        width = max(map(len, EXPERIMENTS))
         for name, (title, _, takes_sf) in EXPERIMENTS.items():
             extra = "  (honors --sf)" if takes_sf else ""
-            print("%-8s %s%s" % (name, title, extra))
-        print("%-8s %s" % ("e2e", "End-to-end — both clocks, seven workloads "
+            print("%-*s %s%s" % (width, name, title, extra))
+        print("%-*s %s" % (width, "e2e", "End-to-end — both clocks, seven workloads "
                            "(first argument; the rest go to benchmarks/e2e/run.py)"))
         return 0
 

@@ -10,6 +10,7 @@ workload is documented to scale linearly (noted per experiment).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.apps.pointer_chase import (
@@ -447,7 +448,7 @@ def exp_fig9_power(scale_factor: float = 0.05) -> ExperimentResult:
         ["Conv", PAPER["conv_kj"], round(conv_kj * scale, 1)],
         ["Biscuit", PAPER["biscuit_kj"], round(bisc_kj * scale, 1)],
     ]
-    result = ExperimentResult(
+    return ExperimentResult(
         "Fig. 9 / Table VI", "Power during Query 1 (W) and total energy (kJ)",
         ["quantity", "paper", "measured"],
         rows + [["-- energy (kJ, scaled to SF100) --", "", ""]] + energy_rows,
@@ -461,18 +462,16 @@ def exp_fig9_power(scale_factor: float = 0.05) -> ExperimentResult:
             "power series sampled every 2 ms of simulated time",
             "energy includes the post-query buffer-sync tail (paper footnote 2)",
         ],
+        power_series={"conv": conv_meter.series, "biscuit": bisc_meter.series},
     )
-    result.conv_series = conv_meter.series  # type: ignore[attr-defined]
-    result.biscuit_series = bisc_meter.series  # type: ignore[attr-defined]
-    return result
 
 
 def exp_table6_energy(scale_factor: float = 0.05) -> ExperimentResult:
-    """Table VI is the energy integral of the Fig. 9 runs."""
-    result = exp_fig9_power(scale_factor)
-    result.experiment = "Table VI"
-    result.title = "Overall energy consumption for Query 1"
-    return result
+    """Table VI is the energy integral of the Fig. 9 runs (the curves are
+    Fig. 9's to save)."""
+    return replace(exp_fig9_power(scale_factor), experiment="Table VI",
+                   title="Overall energy consumption for Query 1",
+                   power_series={})
 
 
 # ------------------------------------------------------------------ Fig. 10

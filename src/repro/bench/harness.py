@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = ["ExperimentResult", "format_table", "results_dir", "save_result",
            "write_bench_json"]
@@ -36,6 +36,9 @@ class ExperimentResult:
     rows: List[List[Any]]
     metrics: Dict[str, float] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+    #: label -> (time_s, watts) samples; saved as ``<name>_<label>_series.csv``
+    #: (the Fig. 9 curves).
+    power_series: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
 
     def format(self) -> str:
         parts = ["== %s: %s ==" % (self.experiment, self.title),
@@ -64,8 +67,9 @@ def results_dir() -> str:
 
 
 def save_result(result: ExperimentResult, name: str) -> str:
-    """Write a result's report (.txt), raw rows (.csv) and a machine-readable
-    metrics sidecar (.metrics.json) to benchmarks/results/."""
+    """Write a result's report (.txt), raw rows (.csv), a machine-readable
+    metrics sidecar (.metrics.json) and one CSV per power series to
+    benchmarks/results/."""
     path = os.path.join(results_dir(), "%s.txt" % name)
     with open(path, "w") as handle:
         handle.write(result.format() + "\n")
@@ -80,6 +84,12 @@ def save_result(result: ExperimentResult, name: str) -> str:
     }
     with open(os.path.join(results_dir(), "%s.metrics.json" % name), "w") as handle:
         handle.write(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    for label, series in result.power_series.items():
+        series_path = os.path.join(results_dir(), "%s_%s_series.csv" % (name, label))
+        with open(series_path, "w") as handle:
+            handle.write("time_s,watts\n")
+            for when, watts in series:
+                handle.write("%.6f,%.2f\n" % (when, watts))
     return path
 
 

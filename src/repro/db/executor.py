@@ -447,16 +447,17 @@ class Engine(RelOps):
     ) -> Generator:
         """Fiber: equi-join with the mode's join-order policy.
 
-        Conv: when both sides are base tables, the *smaller table* drives
-        (MariaDB's policy); the other side is index-probed when indexed.
-        Biscuit: an NDP-offloaded side always drives (the paper's planner
-        heuristic), collapsing the probe volume.
+        When both sides are base tables the driver is the first of
+        :meth:`_join_order` — the rule :meth:`multi_join` uses.  Conv: the
+        table with fewer rows drives (MariaDB's policy); the other side is
+        index-probed when indexed.  Biscuit: an NDP-offloaded side always
+        drives (the paper's planner heuristic), collapsing the probe volume.
         """
         left_is_table = isinstance(left, TableRef)
         right_is_table = isinstance(right, TableRef)
         if left_is_table and right_is_table:
-            drive_left = yield from self._pick_driver(left, right)
-            if not drive_left:
+            order = yield from self._join_order([left, right])
+            if order[0] is not left:
                 left, right = right, left
                 left_key, right_key = right_key, left_key
             driving = yield from self.fetch(left)
@@ -472,23 +473,6 @@ class Engine(RelOps):
             return rel
         rel = yield from self._hash_join(left, right, left_key, right_key, cols)
         return rel
-
-    def _pick_driver(self, left: TableRef, right: TableRef) -> Generator:
-        """Fiber: True to drive with ``left``."""
-        left_pages = self.db.table(left.name).num_pages
-        right_pages = self.db.table(right.name).num_pages
-        if self.mode is ExecutionMode.BISCUIT and self.config.ndp_join_order:
-            left_offload = False
-            right_offload = False
-            if left.pred is not None:
-                decision = yield from self.planner.peek(left)
-                left_offload = decision.offload
-            if right.pred is not None:
-                decision = yield from self.planner.peek(right)
-                right_offload = decision.offload
-            if left_offload != right_offload:
-                return left_offload
-        return left_pages <= right_pages
 
     def _join_rel_table(
         self,

@@ -33,6 +33,7 @@ __all__ = [
     "any_of",
     "all_of",
     "backoff",
+    "race_check_from_env",
 ]
 
 
@@ -461,6 +462,16 @@ def backoff(sim: "Simulator", delay_ns: int, cat: str, name: str, track: str,
 _NO_SCOPE: ContextManager[Any] = nullcontext()
 
 
+def race_check_from_env() -> Optional[str]:
+    """The REPRO_RACE_CHECK setting: None (off), "on", or "strict"."""
+    raw = os.environ.get("REPRO_RACE_CHECK", "").strip().lower()
+    if raw in ("", "0", "false", "off", "no"):
+        return None
+    if raw in ("strict", "raise"):
+        return "strict"
+    return "on"
+
+
 class Simulator:
     """The event loop: an integer-nanosecond clock over a binary heap."""
 
@@ -497,15 +508,7 @@ class Simulator:
         # False (off regardless), True ("on"), or "strict" (raise
         # OrderingHazardError on the first conflicting batch).
         self.race: Optional[Any] = None
-        mode = race_check
-        if mode is None:
-            raw = os.environ.get("REPRO_RACE_CHECK", "").strip().lower()
-            if raw in ("", "0", "false", "off", "no"):
-                mode = None
-            elif raw in ("strict", "raise"):
-                mode = "strict"
-            else:
-                mode = "on"
+        mode = race_check_from_env() if race_check is None else race_check
         if mode:
             # Imported lazily: repro.analysis pulls in the graph verifier,
             # which imports this module — fine at runtime (we are fully

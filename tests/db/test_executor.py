@@ -129,6 +129,29 @@ def test_conv_two_table_join_drives_smaller(engine):
     assert len(joined) == 600
 
 
+def test_join_and_multi_join_pick_the_same_driver():
+    # Narrow-and-long against wide-and-short: fewer pages says "narrow",
+    # fewer rows says "wide".  Both entry points follow one rule (rows).
+    narrow = TableSchema("narrow", [Column("n_id", "int"), Column("n_key", "int")],
+                         primary_key=("n_id",))
+    wide = TableSchema("wide", [Column("w_key", "int"), Column("w_pad", "str")],
+                       primary_key=("w_key",))
+    system = System()
+    db = Database(system.fs)
+    db.load_table(narrow, [(i, i % 40) for i in range(3000)])
+    db.load_table(wide, [(k, "x" * 3000) for k in range(40)])
+    assert db.table("narrow").num_pages < db.table("wide").num_pages
+    assert db.table("wide").num_rows < db.table("narrow").num_rows
+    engine = create_engine(system, db, ExecutionMode.CONV)
+    joined = run(engine, engine.join(
+        engine.t("narrow"), engine.t("wide"), "n_key", "w_key"))
+    multi = run(engine, engine.multi_join(
+        [engine.t("narrow"), engine.t("wide")], [("n_key", "w_key")]))
+    # The driving table's columns come first in the output.
+    assert joined.columns == multi.columns == ["w_key", "w_pad", "n_id", "n_key"]
+    assert len(joined) == len(multi) == 3000
+
+
 def test_multi_join_three_tables(engine):
     joined = run(engine, engine.multi_join(
         [

@@ -89,7 +89,7 @@ def test_offload_classification(tpch_engines):
 
     The fixed page-count cutoffs bite harder at tiny scale factors, so the
     offloaded set here must be a subset of the Fig. 10 set; the full set is
-    asserted at benchmark scale in benchmarks/test_fig10_tpch.py.
+    asserted at benchmark scale in tests/bench/test_paper_claims.py.
     """
     _, biscuit = tpch_engines
     used = []

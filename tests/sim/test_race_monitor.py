@@ -9,6 +9,8 @@ event that a tied entry dispatches) and a same-timestamp write/write on
 shared fiber state.
 """
 
+import os
+
 import pytest
 
 from repro.analysis.races import (
@@ -16,7 +18,7 @@ from repro.analysis.races import (
     check_workload,
     note_write,
 )
-from repro.sim.engine import Interrupt, Simulator
+from repro.sim.engine import Interrupt, Simulator, race_check_from_env
 from repro.sim.resources import Resource, Store
 
 
@@ -182,6 +184,25 @@ def test_env_var_enables_the_monitor(monkeypatch):
     monkeypatch.delenv("REPRO_RACE_CHECK")
     assert Simulator().race is None
     assert Simulator(race_check=False).race is None
+
+
+@pytest.mark.parametrize("raw, mode", [
+    ("", None), ("0", None), ("off", None), ("no", None),
+    ("1", "on"), ("yes", "on"), ("strict", "strict"), ("raise", "strict"),
+])
+def test_engine_and_perturbation_harness_read_the_env_var_alike(
+        monkeypatch, raw, mode):
+    monkeypatch.setenv("REPRO_RACE_CHECK", raw)
+    assert race_check_from_env() == mode
+    sim = Simulator()
+    assert (sim.race is None) == (mode is None)
+    if mode is not None:
+        assert sim.race.strict == (mode == "strict")
+    # The harness turns the monitor on when the variable says off and keeps
+    # a strict setting strict.
+    report = check_workload(lambda: Simulator().race.strict)
+    assert report.result == (mode == "strict")
+    assert os.environ["REPRO_RACE_CHECK"] == raw
 
 
 def test_monitor_off_by_default_and_free_of_cost_hooks():
