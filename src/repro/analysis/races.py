@@ -765,14 +765,23 @@ def check_workload(workload, require_reversals: bool = False
 
 def _golden_workloads() -> Dict[str, Any]:
     """Reduced golden-trace slices (same shapes the golden CSVs pin)."""
+    from repro.bench.ablations import _gc_workload
     from repro.bench.experiments import (
         exp_fig7_read_bandwidth, exp_table3_read_latency,
     )
     from repro.sim.units import KIB, MIB
+
+    def gc():
+        # The write path: one writer overwriting 85 % of a 16-block die,
+        # so GC relocates through the FTL between host appends.
+        ftl = _gc_workload(blocks_per_die=16, live_fraction=0.85)
+        return (ftl.write_amplification, ftl.gc_runs, ftl.relocated_pages)
+
     return {
         "table3": lambda: exp_table3_read_latency(samples=8),
         "fig7": lambda: exp_fig7_read_bandwidth(
             sizes=[64 * KIB, 1 * MIB], sweep_bytes=32 * MIB),
+        "gc": gc,
     }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ssd.device import SSDDevice
@@ -36,6 +37,9 @@ class Inode:
         self.page_size = page_size
         self.size = 0
         self.extents: List[Tuple[int, int]] = []  # (start_lpn, page_count)
+        # Running page count at each extent's end: _ends[i] is the first
+        # file page past extents[i].  Kept in step by add_extents alone.
+        self._ends: List[int] = []
         self.content_fn = content_fn
         self.analytic_profile = analytic_profile or {}
         self._synthetic = synthetic
@@ -49,14 +53,26 @@ class Inode:
     def num_pages(self) -> int:
         return (self.size + self.page_size - 1) // self.page_size
 
+    def add_extents(self, extents: List[Tuple[int, int]]) -> None:
+        """Append allocated extents, as given: adjacent ones stay separate,
+        because ``FileSystem.delete`` hands them back to the LIFO free list
+        one by one and later placement depends on that order."""
+        ends = self._ends
+        total = ends[-1] if ends else 0
+        for extent in extents:
+            total += extent[1]
+            ends.append(total)
+        self.extents.extend(extents)
+
     def lpn_of(self, file_page: int) -> int:
         """Logical page number backing file-relative page ``file_page``."""
-        remaining = file_page
-        for start, count in self.extents:
-            if remaining < count:
-                return start + remaining
-            remaining -= count
-        raise FsError("%s: page %d beyond EOF" % (self.path, file_page))
+        ends = self._ends
+        if file_page < 0 or not ends or file_page >= ends[-1]:
+            raise FsError("%s: page %d outside the file's %d allocated pages"
+                          % (self.path, file_page, ends[-1] if ends else 0))
+        index = bisect_right(ends, file_page)
+        start, count = self.extents[index]
+        return start + file_page - (ends[index] - count)
 
     def lpns(self, offset: int, length: int) -> List[int]:
         """Logical pages covering the byte range [offset, offset+length)."""
@@ -69,9 +85,21 @@ class Inode:
                 "%s: range [%d, %d) beyond size %d"
                 % (self.path, offset, offset + length, self.size)
             )
-        first = offset // self.page_size
-        last = (offset + length - 1) // self.page_size
-        return [self.lpn_of(i) for i in range(first, last + 1)]
+        page = offset // self.page_size
+        stop = (offset + length - 1) // self.page_size + 1
+        ends = self._ends
+        extents = self.extents
+        index = bisect_right(ends, page)
+        out: List[int] = []
+        while page < stop:
+            start, count = extents[index]
+            end = ends[index]
+            base = start - (end - count)  # LPN of file page p is base + p
+            upto = end if end < stop else stop
+            out.extend(range(base + page, base + upto))
+            page = upto
+            index += 1
+        return out
 
     def all_lpns(self) -> List[int]:
         return [start + i for start, count in self.extents for i in range(count)]
@@ -136,7 +164,7 @@ class FileSystem:
         inode = Inode(path, self.page_size)
         inode.size = len(data)
         pages = inode.num_pages
-        inode.extents = self._allocate(pages)
+        inode.add_extents(self._allocate(pages))
         lpns = inode.all_lpns()
         for i, lpn in enumerate(lpns):
             chunk = data[i * self.page_size:(i + 1) * self.page_size]
@@ -172,7 +200,7 @@ class FileSystem:
         inode = Inode(path, self.page_size, content_fn=content_fn,
                       analytic_profile=analytic_profile, synthetic=True)
         inode.size = size
-        inode.extents = self._allocate(inode.num_pages)
+        inode.add_extents(self._allocate(inode.num_pages))
         self._files[path] = inode
         return inode
 
@@ -182,7 +210,7 @@ class FileSystem:
             raise FsError("grow cannot shrink %s" % inode.path)
         needed = (new_size + self.page_size - 1) // self.page_size - inode.num_pages
         if needed > 0:
-            inode.extents.extend(self._allocate(needed))
+            inode.add_extents(self._allocate(needed))
         inode.size = new_size
 
     # ----------------------------------------------------------------- content

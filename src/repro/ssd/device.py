@@ -88,12 +88,12 @@ class SSDDevice:
         NDP taps.  ``cache_bypass`` streams past the device-DRAM read cache
         (streaming scans must not evict the hot working set).
         """
-        yield from self.controller.read_pages(lpns, use_matcher=use_matcher,
-                                              cache_bypass=cache_bypass)
+        return self.controller.read_pages(lpns, use_matcher=use_matcher,
+                                          cache_bypass=cache_bypass)
 
     def internal_write(self, lpns: Sequence[int]) -> Generator:
         """Fiber: device-internal write through the FTL."""
-        yield from self.controller.write_pages(lpns)
+        return self.controller.write_pages(lpns)
 
     def host_read(self, lpns: Sequence[int]) -> Generator:
         """Fiber: device-side portion of a host read (media + PCIe transfer).

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Dict, Generator, List, NamedTuple, Optional, Sequence
 
 from repro.core.errors import EccError, OutOfSpaceError, UncorrectableReadError
-from repro.sim.engine import Simulator, all_of
+from repro.sim.engine import Event, Simulator, all_of
 from repro.sim.units import us_to_ns
 from repro.ssd.config import SSDConfig
 from repro.ssd.nand import NandArray
@@ -132,7 +132,9 @@ class FTL:
             self._invalidate(lpn)
             die = self._dies[self._cursor]
             self._cursor = (self._cursor + 1) % len(self._dies)
-            event = yield from self._append(die, lpn, relocation=False)
+            if len(die.free) < self.GC_FREE_THRESHOLD:
+                yield from self._maybe_gc(die)
+            event = self._append(die, lpn, relocation=False)
             if event is not None:
                 programs.append(event)
         if programs:
@@ -197,12 +199,11 @@ class FTL:
                 die=die.die, block=best.index, erase_count=best.erase_count)
         return best
 
-    def _append(self, die: _Die, lpn: int, relocation: bool) -> Generator:
+    def _append(self, die: _Die, lpn: int, relocation: bool) -> Optional[Event]:
         """Place ``lpn`` into the die's open page; returns a program event
-        once the page fills, else None.  May run GC first."""
-        if not relocation:
-            yield from self._maybe_gc(die)
-        elif self.read_cache is not None:
+        once the page fills, else None.  Host writes run GC first
+        (:meth:`write`); this never waits."""
+        if relocation and self.read_cache is not None:
             # GC relocation remaps the LPN without passing through
             # _invalidate: drop it from its old cached line here.
             self.read_cache.invalidate_lpn(lpn)
@@ -293,7 +294,7 @@ class FTL:
             addr = self._map[lpn]
             victim.slots[addr.page][addr.slot] = None
             victim.valid -= 1
-            event = yield from self._append(die, lpn, relocation=True)
+            event = self._append(die, lpn, relocation=True)
             if event is not None:
                 yield event
         yield from channel.erase()

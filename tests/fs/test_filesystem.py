@@ -1,5 +1,7 @@
 """Filesystem: namespace, extents, synthetic files, content assembly."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,18 @@ def test_lpns_beyond_eof_rejected(system):
         inode.lpns(0, 101)
     with pytest.raises(FsError):
         inode.lpns(-1, 10)
+
+
+def test_lpn_of_rejects_pages_outside_the_file(system):
+    inode = system.fs.install("/one", b"x" * 8192)  # one extent, 2 pages
+    assert len(inode.extents) == 1
+    with pytest.raises(FsError):
+        inode.lpn_of(-1)
+    with pytest.raises(FsError):
+        inode.lpn_of(2)
+    with pytest.raises(FsError):
+        system.fs.page_content(inode, -1)
+    assert inode.lpn_of(1) == inode.extents[0][0] + 1
 
 
 def test_delete_frees_and_reuses_extents(system):
@@ -138,3 +152,112 @@ def test_property_read_range_matches_python_slicing(payload, offset_frac, length
     offset = int(offset_frac * (len(payload) - 1))
     length = int(length_frac * (len(payload) - offset))
     assert system.fs.read_range(inode, offset, length) == payload[offset:offset + length]
+
+
+# ------------------------------------------------ extent index vs. linear walk
+def _walk_lpn(extents, file_page):
+    """The linear extent walk the bisected index replaced."""
+    remaining = file_page
+    for start, count in extents:
+        if remaining < count:
+            return start + remaining
+        remaining -= count
+    raise FsError("page %d beyond EOF" % file_page)
+
+
+class _ReferenceAllocator:
+    """The allocator's extent bookkeeping, restated: LIFO free list, no
+    coalescing, fresh LPNs past the high-water mark."""
+
+    def __init__(self):
+        self.next_lpn = 0
+        self.free = []
+        self.files = {}
+
+    def allocate(self, pages):
+        extents = []
+        while pages > 0 and self.free:
+            start, count = self.free.pop()
+            take = min(count, pages)
+            extents.append((start, take))
+            if take < count:
+                self.free.append((start + take, count - take))
+            pages -= take
+        if pages > 0:
+            extents.append((self.next_lpn, pages))
+            self.next_lpn += pages
+        return extents
+
+
+def _random_layout(seed):
+    """Drive one FileSystem and the reference through the same seeded mix of
+    install, install_synthetic, grow in random chunks and delete."""
+    rng = random.Random(seed)
+    system = System()
+    fs, ref = system.fs, _ReferenceAllocator()
+    page = fs.page_size
+    for step in range(40):
+        live = sorted(ref.files)
+        action = rng.random()
+        if live and action < 0.25:
+            path = rng.choice(live)
+            fs.delete(path)
+            ref.free.extend(ref.files.pop(path))
+            continue
+        path = "/f%d" % step
+        if action < 0.45:
+            pages = rng.randint(1, 6)
+            fs.install(path, b"d" * (pages * page - rng.randrange(page)))
+            ref.files[path] = ref.allocate(pages)
+        elif action < 0.65:
+            pages = rng.randint(1, 40)
+            fs.install_synthetic(path, pages * page)
+            ref.files[path] = ref.allocate(pages)
+        else:
+            inode = fs.create_empty(path)
+            ref.files[path] = []
+            for _ in range(rng.randint(1, 8)):
+                before = inode.num_pages
+                fs.grow(inode, inode.size + rng.randint(1, 9 * page))
+                ref.files[path] += ref.allocate(inode.num_pages - before)
+    return fs, ref
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_extent_index_matches_the_linear_walk(seed):
+    fs, ref = _random_layout(seed)
+    assert ref.files and fs.listdir() == sorted(ref.files)
+    page = fs.page_size
+    fragmented = 0
+    for path, extents in sorted(ref.files.items()):
+        inode = fs.lookup(path)
+        # Never coalesced: the extents are exactly what the allocator handed out.
+        assert inode.extents == extents
+        running, ends = 0, []
+        for _start, count in extents:
+            running += count
+            ends.append(running)
+        assert inode._ends == ends
+        fragmented += len(extents) > 1
+        pages = inode.num_pages
+        assert pages == running
+        for file_page in range(pages):
+            assert inode.lpn_of(file_page) == _walk_lpn(extents, file_page)
+        for bad in (-1, pages):
+            with pytest.raises(FsError):
+                inode.lpn_of(bad)
+        boundaries = [0] + ends
+        for i, first in enumerate(boundaries):
+            for last in boundaries[i + 1:]:
+                for offset, length in (
+                        (first * page, (last - first) * page),
+                        (first * page + 1, (last - first) * page - 1),
+                        (first * page, (last - first) * page + 1)):
+                    length = min(length, inode.size - offset)
+                    if length <= 0:
+                        continue
+                    expected = [
+                        _walk_lpn(extents, p) for p in range(
+                            offset // page, (offset + length - 1) // page + 1)]
+                    assert inode.lpns(offset, length) == expected
+    assert fragmented, "layout never reused a freed extent"

@@ -9,7 +9,9 @@ with the fused fast path configured on and off.
 
 import pytest
 
-from repro.analysis.races import check_workload, main as races_main
+from repro.analysis.races import (
+    _golden_workloads, check_workload, main as races_main,
+)
 from repro.bench.experiments import (
     exp_fig7_read_bandwidth,
     exp_table3_read_latency,
@@ -34,6 +36,17 @@ def test_fig7_conflict_free_and_bit_identical_under_reversal():
     # The fan-out workload must give the perturbation real bite: hundreds
     # of multi-entry batches are provably order-free and get reversed.
     assert report.reversed_batches > 100
+
+
+def test_gc_write_path_conflict_free_and_bit_identical_under_reversal():
+    """The write path under the sanitizer: host appends and GC relocations
+    through the FTL, one writer at the GC ablation's 0.85 live fraction."""
+    report = check_workload(_golden_workloads()["gc"])
+    assert report.hazards == []
+    assert report.digests_match and report.results_match
+    _waf, gc_runs, relocated = report.result
+    assert gc_runs > 0 and relocated > 0
+    assert report.reversed_batches > 0
 
 
 @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "slow"])

@@ -6,10 +6,12 @@ repeat exactly, so a re-grown hot path fails CI without reading a clock.
 The ceilings sit a few calls above today's counts (DESIGN.md "Event
 engine"): bare loop 3.50 calls in ``repro/sim/`` per event; a QD-1 one-page
 host read 151 calls under ``repro/`` (60 in ``repro/sim/``) for 13 events;
-an internal one 74 for 6 events.
+an internal one 68 for 6 events; a one-page internal overwrite of a
+64-extent file 37.7 for 3.69 events.
 """
 
 import os
+import random
 import sys
 
 import repro
@@ -65,6 +67,35 @@ def _one_page_reads(kind, fast_path, reads=50):
     return (events - 2) / reads, calls / reads, sim_calls / reads
 
 
+def _one_page_overwrites(writes=400, extents=64):
+    """(events, calls under repro/ per write) of one-page internal
+    overwrites of a file grown 64 pages at a time, on dev_write's device."""
+    system = System(ssd_config=SSDConfig(
+        channels=4, dies_per_channel=2, blocks_per_die=16, pages_per_block=64))
+    page = system.fs.page_size
+    system.fs.create_empty("/write.dat")
+    handle = system.open_internal("/write.dat")
+    chunk = bytes(64 * page)
+
+    def fill():
+        for index in range(extents):
+            yield from handle.write(index * 64 * page, chunk)
+        yield from handle.flush()
+
+    system.run_fiber(fill())
+    assert len(handle.inode.extents) == extents
+    rng = random.Random(7)
+    targets = [rng.randrange(extents * 64) for _ in range(writes)]
+    payload = b"\x01" * page
+
+    def program():
+        for file_page in targets:
+            yield from handle.write(file_page * page, payload)
+
+    events, calls, _sim_calls = _python_calls(system.sim, program())
+    return events, calls / writes
+
+
 def test_request_timeout_release_costs_at_most_four_sim_calls_per_event():
     sim = Simulator(race_check=False)
     core = Resource(sim, capacity=1)
@@ -90,7 +121,15 @@ def test_one_page_host_read_call_budget():
 def test_one_page_internal_read_call_budget():
     events, calls, _sim_calls = _one_page_reads("internal", True)
     assert events == 6
-    assert calls <= 80
+    assert calls <= 73
+
+
+def test_one_page_internal_overwrite_call_budget():
+    # Page lookup is one bisect, not a walk of the file's extents, and the
+    # FTL places each page without a generator frame of its own.
+    events, calls = _one_page_overwrites()
+    assert events == 1474
+    assert calls <= 41
 
 
 def test_fast_path_makes_fewer_calls_than_per_event_for_one_page():
