@@ -10,29 +10,15 @@ times differ the way Fig. 10 says they should.
 Run:  python examples/tpch_ndp_demo.py
 """
 
-import math
-
 from repro.db.executor import ExecutionMode
 from repro.db.planner import create_engine
 from repro.db.tpch.datagen import load_tpch
 from repro.db.tpch.queries import ALL_QUERIES, run_query
 from repro.host.platform import System
+from repro.testing.differential import rows_match
 
 SF = 0.005
 QUERIES = (1, 6, 12, 14)
-
-
-def rows_match(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(sorted(a, key=repr), sorted(b, key=repr)):
-        for va, vb in zip(ra, rb):
-            if isinstance(va, float):
-                if not math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-6):
-                    return False
-            elif va != vb:
-                return False
-    return True
 
 
 def main():

@@ -6,8 +6,8 @@ two phases:
 
 * **healthy** — a stream of scans, grouped aggregates, point lookups and
   KV batches scatter-gathers across the fleet; every SQL answer is
-  differential-verified against a plain-Python reference over the raw
-  rows (the benchmark *fails* on a wrong answer).
+  differential-verified against SQLite's answer to the same statement
+  over the raw rows (the benchmark *fails* on a wrong answer).
 * **crash storm** — tenant jobs flow through the placement-aware
   :class:`repro.cluster.serve.ClusterServeDriver` while nodes crash and
   recover under load; queries keep running mid-storm and must stay
@@ -30,11 +30,13 @@ from repro.bench.resilience import _quantile_us
 from repro.cluster import ClusterExecutor, ShardedFleet, ShardedKVStore
 from repro.cluster.serve import ClusterServeDriver
 from repro.db.executor import EngineConfig
+from repro.db.reference import query
 from repro.db.tpch.datagen import generate_tables
 from repro.db.tpch.schema import TPCH_SCHEMAS
 from repro.resilience import HedgePolicy
 from repro.serve.jobs import JobSpec
 from repro.serve.manager import Tenant
+from repro.testing.differential import rows_match
 
 __all__ = ["exp_cluster", "run_cluster_bench"]
 
@@ -46,46 +48,17 @@ NUM_SHARDS = 8
 REPLICATION = 2
 
 
-def _queries(rows: List[tuple]) -> List[tuple]:
-    """(sql, reference_fn) pairs; references are plain Python over rows.
-
-    Column positions: 0 l_orderkey, 4 l_quantity, 8 l_returnflag.
-    """
-
-    def filter_ref(threshold):
-        def ref(rs):
-            return sorted((r[0], r[4]) for r in rs if r[4] >= threshold)
-        return ref
-
-    def agg_ref(threshold):
-        def ref(rs):
-            groups: Dict[str, List[float]] = {}
-            for r in rs:
-                if r[4] >= threshold:
-                    entry = groups.setdefault(r[8], [0.0, 0])
-                    entry[0] += r[4]
-                    entry[1] += 1
-            return sorted((flag, round(total, 6), count)
-                          for flag, (total, count) in groups.items())
-        return ref
-
-    queries = []
-    for threshold in (20, 30, 40, 45):
-        queries.append((
-            "SELECT l_orderkey, l_quantity FROM lineitem "
-            "WHERE l_quantity >= %d" % threshold,
-            filter_ref(float(threshold)),
-            lambda rel: sorted(rel.rows),
-        ))
-        queries.append((
-            "SELECT l_returnflag, sum(l_quantity) AS s, count(*) AS n "
-            "FROM lineitem WHERE l_quantity >= %d "
-            "GROUP BY l_returnflag" % threshold,
-            agg_ref(float(threshold)),
-            lambda rel: sorted((flag, round(total, 6), count)
-                               for flag, total, count in rel.rows),
-        ))
-    return queries
+#: The healthy phase's statements.  Each is its own reference: SQLite
+#: answers the same text over the raw rows (:mod:`repro.db.reference`).
+QUERIES = [sql for threshold in (20, 30, 40, 45) for sql in (
+    "SELECT l_orderkey, l_quantity FROM lineitem "
+    "WHERE l_quantity >= %d" % threshold,
+    "SELECT l_returnflag, sum(l_quantity) AS s, count(*) AS n "
+    "FROM lineitem WHERE l_quantity >= %d "
+    "GROUP BY l_returnflag" % threshold,
+)]
+STORM_QUERY = ("SELECT l_returnflag, count(*) AS n FROM lineitem "
+               "GROUP BY l_returnflag")
 
 
 def run_cluster_bench(seed: int = 2016, sf: float = 0.002,
@@ -115,13 +88,13 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002,
     skew = max(counts) / ideal
 
     # ------------------------------------------------------- healthy phase
-    queries = _queries(rows)
+    tables = {"lineitem": (schema, rows)}
     latencies_us: List[float] = []
     wrong_results = 0
-    for sql, reference_fn, canon in queries:
+    for sql in QUERIES:
         rel, elapsed_s = executor.run_sql(sql)
         latencies_us.append(elapsed_s * 1e6)
-        if canon(rel) != reference_fn(rows):
+        if not rows_match(rel.rows, query(tables, sql)):
             wrong_results += 1
     # Snapshot the per-shard RPC latencies of exactly this query stream, so
     # the tail-amplification ratio compares like with like (point lookups,
@@ -169,14 +142,9 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002,
         fleet.crash_node(1)           # in-flight jobs on node1 die
         submit_wave(1)                # routed around the dead node
         start = sim.now
-        rel = yield from executor.sql_fiber(
-            "SELECT l_returnflag, count(*) AS n FROM lineitem "
-            "GROUP BY l_returnflag")
+        rel = yield from executor.sql_fiber(STORM_QUERY)
         storm_latencies_us.append((sim.now - start) / 1000.0)
-        expected = [
-            (flag, sum(1 for r in rows if r[8] == flag))
-            for flag in sorted({r[8] for r in rows})]
-        if sorted(rel.rows) != expected:
+        if not rows_match(rel.rows, query(tables, STORM_QUERY)):
             return 1
         yield sim.timeout(2_000_000)
         fleet.recover_node(1)
@@ -200,7 +168,7 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002,
         "shard_rows_min": min(counts),
         "shard_rows_max": max(counts),
         "shard_skew": round(skew, 4),
-        "queries": len(queries),
+        "queries": len(QUERIES),
         "wrong_results": wrong_results + storm_wrong,
         "scatter_calls": executor.scatter_calls,
         "shard_rpcs": executor.shard_rpcs,
@@ -254,8 +222,8 @@ def exp_cluster(sf: float = None) -> ExperimentResult:
     metrics = {key: float(value) for key, value in report.items()
                if isinstance(value, (int, float))}
     notes = [
-        "every SQL answer differential-verified against the plain-Python "
-        "reference; wrong_results must be 0",
+        "every SQL answer differential-verified against SQLite's answer "
+        "to the same statement; wrong_results must be 0",
         "tail_amplification = cluster query p99 / single-shard RPC p99",
         "storm_goodput counts jobs finished despite two mid-run node "
         "crashes (in-flight work on the victims dies, routing fails over)",

@@ -1,264 +1,156 @@
-"""Independent in-memory reference implementations of selected TPC-H queries.
+"""Reference answers from an engine we did not write: stdlib ``sqlite3``.
 
-These are deliberately written *without* the MiniDB engine — plain Python
-over the raw generated rows — so that engine results can be checked against
-an implementation that shares no code with the executor, planner or NDP
-path.  Queries covered: the pure-scan shapes (Q1, Q6), an EXISTS shape (Q4),
-a join+aggregate shape (Q3, Q12) and the paper's headline Q14.
+The raw generated rows are loaded into an in-memory SQLite database and the
+statement runs there, so a reference answer shares no code with the
+executor, the planner, the NDP path or the SQL parser.  Four conventions
+keep SQLite's reading of a statement equal to the engine's:
+
+* a date is an integer day count since 1970-01-01 (``catalog.d``); a
+  literal date is written ``CAST(julianday('1998-09-02') - 2440587.5 AS
+  INTEGER)``, which any SQLite Python links can evaluate;
+* LIKE is case-sensitive (``PRAGMA case_sensitive_like``), as the engine's
+  is;
+* the engine folds an aggregate over zero rows into no row, where SQL
+  yields one row of NULLs: a caller that needs the engine's answer adds
+  ``HAVING COUNT(*) > 0`` to a scalar aggregate;
+* ``repro.db.sql.to_sql`` renders the engine's half-open ``Between`` as two
+  comparisons, so a predicate printed by it means the same in both.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.db.catalog import d
+from repro.db.catalog import TableSchema
 from repro.db.tpch.schema import TPCH_SCHEMAS
 
-__all__ = ["REFERENCE_QUERIES", "reference_result"]
+__all__ = ["REFERENCE_QUERIES", "load", "query", "reference_result"]
 
 Rows = List[Tuple[Any, ...]]
+Tables = Mapping[str, Tuple[TableSchema, Sequence[tuple]]]
+
+_SQL_TYPES = {"int": "INTEGER", "date": "INTEGER", "float": "REAL", "str": "TEXT"}
 
 
-def _positions(table: str) -> Dict[str, int]:
-    schema = TPCH_SCHEMAS[table]
-    return {name: i for i, name in enumerate(schema.column_names())}
+def load(tables: Tables):
+    """An in-memory ``sqlite3`` connection holding one table per schema."""
+    # Imported here, not at module top: every e2e workload process imports
+    # this module, and the import alone costs about 0.85 MiB of RSS that
+    # only a run asking for a reference answer should pay.
+    import sqlite3
+
+    conn = sqlite3.connect(":memory:")
+    conn.execute("PRAGMA case_sensitive_like = ON")
+    for name, (schema, rows) in tables.items():
+        conn.execute("CREATE TABLE %s (%s)" % (name, ", ".join(
+            "%s %s" % (column.name, _SQL_TYPES[column.ctype])
+            for column in schema.columns)))
+        conn.executemany("INSERT INTO %s VALUES (%s)" % (
+            name, ", ".join("?" * len(schema.columns))), rows)
+    return conn
 
 
-def ref_q1(data: Dict[str, Rows]) -> Rows:
-    li = _positions("lineitem")
-    cutoff = d("1998-09-02")
-    groups: Dict[Tuple[str, str], List[float]] = {}
-    for row in data["lineitem"]:
-        if row[li["l_shipdate"]] > cutoff:
-            continue
-        key = (row[li["l_returnflag"]], row[li["l_linestatus"]])
-        qty = row[li["l_quantity"]]
-        price = row[li["l_extendedprice"]]
-        disc = row[li["l_discount"]]
-        tax = row[li["l_tax"]]
-        state = groups.setdefault(key, [0.0] * 7)
-        state[0] += qty
-        state[1] += price
-        state[2] += price * (1 - disc)
-        state[3] += price * (1 - disc) * (1 + tax)
-        state[4] += disc
-        state[5] += 0  # placeholder to keep slots aligned
-        state[6] += 1
-    out = []
-    for (rf, ls), s in sorted(groups.items()):
-        count = s[6]
-        out.append((
-            rf, ls, s[0], s[1], s[2], s[3],
-            s[0] / count, s[1] / count, s[4] / count, int(count),
-        ))
-    return out
+def query(tables: Tables, sql: str) -> Rows:
+    """The rows SQLite returns for ``sql`` over the given tables."""
+    conn = load(tables)
+    try:
+        return conn.execute(sql).fetchall()
+    finally:
+        conn.close()
 
 
-def ref_q3(data: Dict[str, Rows]) -> Rows:
-    c = _positions("customer")
-    o = _positions("orders")
-    li = _positions("lineitem")
-    cutoff = d("1995-03-15")
-    building = {
-        row[c["c_custkey"]] for row in data["customer"]
-        if row[c["c_mktsegment"]] == "BUILDING"
-    }
-    orders = {
-        row[o["o_orderkey"]]: (row[o["o_orderdate"]], row[o["o_shippriority"]])
-        for row in data["orders"]
-        if row[o["o_custkey"]] in building and row[o["o_orderdate"]] < cutoff
-    }
-    revenue: Dict[int, float] = defaultdict(float)
-    for row in data["lineitem"]:
-        okey = row[li["l_orderkey"]]
-        if okey in orders and row[li["l_shipdate"]] > cutoff:
-            revenue[okey] += row[li["l_extendedprice"]] * (1 - row[li["l_discount"]])
-    rows = [
-        (okey, orders[okey][0], orders[okey][1], rev)
-        for okey, rev in revenue.items()
-    ]
-    rows.sort(key=lambda r: (-r[3], r[1]))
-    return [(r[0], r[1], r[2], r[3]) for r in rows[:10]]
-
-
-def ref_q4(data: Dict[str, Rows]) -> Rows:
-    o = _positions("orders")
-    li = _positions("lineitem")
-    lo, hi = d("1993-07-01"), d("1993-10-01")
-    late_orders = {
-        row[li["l_orderkey"]] for row in data["lineitem"]
-        if row[li["l_commitdate"]] < row[li["l_receiptdate"]]
-    }
-    counts: Dict[str, int] = defaultdict(int)
-    for row in data["orders"]:
-        if lo <= row[o["o_orderdate"]] < hi and row[o["o_orderkey"]] in late_orders:
-            counts[row[o["o_orderpriority"]]] += 1
-    return sorted(counts.items())
-
-
-def ref_q6(data: Dict[str, Rows]) -> Rows:
-    li = _positions("lineitem")
-    lo, hi = d("1994-01-01"), d("1995-01-01")
-    total = 0.0
-    for row in data["lineitem"]:
-        if not lo <= row[li["l_shipdate"]] < hi:
-            continue
-        disc = row[li["l_discount"]]
-        if not 0.05 <= disc <= 0.07:
-            continue
-        if row[li["l_quantity"]] >= 24.0:
-            continue
-        total += row[li["l_extendedprice"]] * disc
-    return [(total,)]
-
-
-def ref_q12(data: Dict[str, Rows]) -> Rows:
-    o = _positions("orders")
-    li = _positions("lineitem")
-    lo, hi = d("1994-01-01"), d("1995-01-01")
-    priorities = {
-        row[o["o_orderkey"]]: row[o["o_orderpriority"]] for row in data["orders"]
-    }
-    counts: Dict[str, List[int]] = defaultdict(lambda: [0, 0])
-    for row in data["lineitem"]:
-        if row[li["l_shipmode"]] not in ("MAIL", "SHIP"):
-            continue
-        if not row[li["l_commitdate"]] < row[li["l_receiptdate"]]:
-            continue
-        if not row[li["l_shipdate"]] < row[li["l_commitdate"]]:
-            continue
-        if not lo <= row[li["l_receiptdate"]] < hi:
-            continue
-        priority = priorities[row[li["l_orderkey"]]]
-        slot = 0 if priority in ("1-URGENT", "2-HIGH") else 1
-        counts[row[li["l_shipmode"]]][slot] += 1
-    return [(mode, hi_lo[0], hi_lo[1]) for mode, hi_lo in sorted(counts.items())]
-
-
-def ref_q14(data: Dict[str, Rows]) -> Rows:
-    p = _positions("part")
-    li = _positions("lineitem")
-    lo, hi = d("1995-09-01"), d("1995-10-01")
-    types = {row[p["p_partkey"]]: row[p["p_type"]] for row in data["part"]}
-    promo = total = 0.0
-    for row in data["lineitem"]:
-        if not lo <= row[li["l_shipdate"]] < hi:
-            continue
-        volume = row[li["l_extendedprice"]] * (1 - row[li["l_discount"]])
-        total += volume
-        if types[row[li["l_partkey"]]].startswith("PROMO"):
-            promo += volume
-    if total == 0:
-        return [(0.0,)]
-    return [(100.0 * promo / total,)]
-
-
-def ref_q10(data: Dict[str, Rows]) -> Rows:
-    c = _positions("customer")
-    o = _positions("orders")
-    li = _positions("lineitem")
-    n = _positions("nation")
-    lo, hi = d("1993-10-01"), d("1994-01-01")
-    orders = {
-        row[o["o_orderkey"]]: row[o["o_custkey"]]
-        for row in data["orders"] if lo <= row[o["o_orderdate"]] < hi
-    }
-    revenue: Dict[int, float] = defaultdict(float)
-    for row in data["lineitem"]:
-        if row[li["l_returnflag"]] != "R":
-            continue
-        custkey = orders.get(row[li["l_orderkey"]])
-        if custkey is None:
-            continue
-        revenue[custkey] += row[li["l_extendedprice"]] * (1 - row[li["l_discount"]])
-    nations = {row[n["n_nationkey"]]: row[n["n_name"]] for row in data["nation"]}
-    rows = []
-    for row in data["customer"]:
-        custkey = row[c["c_custkey"]]
-        if custkey not in revenue:
-            continue
-        rows.append((
-            custkey, row[c["c_name"]], row[c["c_acctbal"]], row[c["c_phone"]],
-            nations[row[c["c_nationkey"]]], row[c["c_address"]],
-            row[c["c_comment"]], revenue[custkey],
-        ))
-    rows.sort(key=lambda r: -r[7])
-    return rows[:20]
-
-
-def ref_q15(data: Dict[str, Rows]) -> Rows:
-    s = _positions("supplier")
-    li = _positions("lineitem")
-    lo, hi = d("1996-01-01"), d("1996-04-01")
-    revenue: Dict[int, float] = defaultdict(float)
-    for row in data["lineitem"]:
-        if lo <= row[li["l_shipdate"]] < hi:
-            revenue[row[li["l_suppkey"]]] += (
-                row[li["l_extendedprice"]] * (1 - row[li["l_discount"]])
-            )
-    if not revenue:
-        return []
-    top = max(revenue.values())
-    best = {key for key, value in revenue.items() if value == top}
-    rows = [
-        (row[s["s_suppkey"]], revenue[row[s["s_suppkey"]]], row[s["s_suppkey"]],
-         row[s["s_name"]], row[s["s_address"]], row[s["s_phone"]])
-        for row in data["supplier"] if row[s["s_suppkey"]] in best
-    ]
-    rows.sort(key=lambda r: r[0])
-    return rows
-
-
-def ref_q18(data: Dict[str, Rows]) -> Rows:
-    o = _positions("orders")
-    li = _positions("lineitem")
-    c = _positions("customer")
-    qty: Dict[int, float] = defaultdict(float)
-    for row in data["lineitem"]:
-        qty[row[li["l_orderkey"]]] += row[li["l_quantity"]]
-    big = {key: value for key, value in qty.items() if value > 300.0}
-    names = {row[c["c_custkey"]]: row[c["c_name"]] for row in data["customer"]}
-    rows = []
-    for row in data["orders"]:
-        okey = row[o["o_orderkey"]]
-        if okey not in big:
-            continue
-        rows.append((
-            okey, big[okey], row[o["o_custkey"]], row[o["o_orderdate"]],
-            row[o["o_totalprice"]], names[row[o["o_custkey"]]],
-        ))
-    rows.sort(key=lambda r: (-r[4], r[3]))
-    return rows[:100]
-
-
-def ref_q22(data: Dict[str, Rows]) -> Rows:
-    c = _positions("customer")
-    o = _positions("orders")
-    codes = ("13", "31", "23", "29", "30", "18", "17")
-    in_code = [row for row in data["customer"] if row[c["c_phone"]][:2] in codes]
-    positive = [row for row in in_code if row[c["c_acctbal"]] > 0.0]
-    avg_bal = (sum(row[c["c_acctbal"]] for row in positive) / len(positive)
-               if positive else 0.0)
-    with_orders = {row[o["o_custkey"]] for row in data["orders"]}
-    groups: Dict[str, List[float]] = defaultdict(list)
-    for row in in_code:
-        if row[c["c_acctbal"]] <= avg_bal:
-            continue
-        if row[c["c_custkey"]] in with_orders:
-            continue
-        groups[row[c["c_phone"]][:2]].append(row[c["c_acctbal"]])
-    return sorted(
-        (code, len(balances), sum(balances)) for code, balances in groups.items()
-    )
-
-
+#: The covered TPC-H queries, each emitting the columns of the engine's
+#: program (Q18: the six that ``benchmarks/e2e`` compares on).
 REFERENCE_QUERIES = {
-    1: ref_q1, 3: ref_q3, 4: ref_q4, 6: ref_q6, 10: ref_q10, 12: ref_q12,
-    14: ref_q14, 15: ref_q15, 18: ref_q18, 22: ref_q22,
+    1: """
+        SELECT l_returnflag, l_linestatus, SUM(l_quantity), SUM(l_extendedprice),
+               SUM(l_extendedprice * (1 - l_discount)),
+               SUM(l_extendedprice * (1 - l_discount) * (1 + l_tax)),
+               AVG(l_quantity), AVG(l_extendedprice), AVG(l_discount), COUNT(*)
+        FROM lineitem
+        WHERE l_shipdate <= CAST(julianday('1998-09-02') - 2440587.5 AS INTEGER)
+        GROUP BY l_returnflag, l_linestatus""",
+    3: """
+        SELECT l_orderkey, o_orderdate, o_shippriority,
+               SUM(l_extendedprice * (1 - l_discount)) AS revenue
+        FROM customer JOIN orders ON o_custkey = c_custkey
+                      JOIN lineitem ON l_orderkey = o_orderkey
+        WHERE c_mktsegment = 'BUILDING'
+          AND o_orderdate < CAST(julianday('1995-03-15') - 2440587.5 AS INTEGER)
+          AND l_shipdate > CAST(julianday('1995-03-15') - 2440587.5 AS INTEGER)
+        GROUP BY l_orderkey, o_orderdate, o_shippriority
+        ORDER BY revenue DESC, o_orderdate LIMIT 10""",
+    4: """
+        SELECT o_orderpriority, COUNT(*) FROM orders
+        WHERE o_orderdate >= CAST(julianday('1993-07-01') - 2440587.5 AS INTEGER)
+          AND o_orderdate < CAST(julianday('1993-10-01') - 2440587.5 AS INTEGER)
+          AND o_orderkey IN (SELECT l_orderkey FROM lineitem
+                             WHERE l_commitdate < l_receiptdate)
+        GROUP BY o_orderpriority""",
+    6: """
+        SELECT TOTAL(l_extendedprice * l_discount) FROM lineitem
+        WHERE l_shipdate >= CAST(julianday('1994-01-01') - 2440587.5 AS INTEGER)
+          AND l_shipdate < CAST(julianday('1995-01-01') - 2440587.5 AS INTEGER)
+          AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24.0""",
+    10: """
+        SELECT c_custkey, c_name, c_acctbal, c_phone, n_name, c_address, c_comment,
+               SUM(l_extendedprice * (1 - l_discount)) AS revenue
+        FROM customer JOIN orders ON o_custkey = c_custkey
+                      JOIN lineitem ON l_orderkey = o_orderkey
+                      JOIN nation ON n_nationkey = c_nationkey
+        WHERE o_orderdate >= CAST(julianday('1993-10-01') - 2440587.5 AS INTEGER)
+          AND o_orderdate < CAST(julianday('1994-01-01') - 2440587.5 AS INTEGER)
+          AND l_returnflag = 'R'
+        GROUP BY c_custkey, c_name, c_acctbal, c_phone, n_name, c_address, c_comment
+        ORDER BY revenue DESC LIMIT 20""",
+    12: """
+        SELECT l_shipmode,
+               SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 1 ELSE 0 END),
+               SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 0 ELSE 1 END)
+        FROM orders JOIN lineitem ON l_orderkey = o_orderkey
+        WHERE l_shipmode IN ('MAIL', 'SHIP')
+          AND l_commitdate < l_receiptdate AND l_shipdate < l_commitdate
+          AND l_receiptdate >= CAST(julianday('1994-01-01') - 2440587.5 AS INTEGER)
+          AND l_receiptdate < CAST(julianday('1995-01-01') - 2440587.5 AS INTEGER)
+        GROUP BY l_shipmode""",
+    14: """
+        SELECT COALESCE(100.0 * SUM(CASE WHEN p_type LIKE 'PROMO%'
+                                         THEN l_extendedprice * (1 - l_discount)
+                                         ELSE 0.0 END)
+                        / SUM(l_extendedprice * (1 - l_discount)), 0.0)
+        FROM lineitem JOIN part ON p_partkey = l_partkey
+        WHERE l_shipdate >= CAST(julianday('1995-09-01') - 2440587.5 AS INTEGER)
+          AND l_shipdate < CAST(julianday('1995-10-01') - 2440587.5 AS INTEGER)""",
+    15: """
+        WITH revenue AS (
+            SELECT l_suppkey AS supplier_no,
+                   SUM(l_extendedprice * (1 - l_discount)) AS total
+            FROM lineitem
+            WHERE l_shipdate >= CAST(julianday('1996-01-01') - 2440587.5 AS INTEGER)
+              AND l_shipdate < CAST(julianday('1996-04-01') - 2440587.5 AS INTEGER)
+            GROUP BY l_suppkey)
+        SELECT s_suppkey, total, s_suppkey, s_name, s_address, s_phone
+        FROM supplier JOIN revenue ON supplier_no = s_suppkey
+        WHERE total = (SELECT MAX(total) FROM revenue)""",
+    18: """
+        SELECT o_orderkey, qty, o_custkey, o_orderdate, o_totalprice, c_name
+        FROM (SELECT l_orderkey, SUM(l_quantity) AS qty FROM lineitem
+              GROUP BY l_orderkey HAVING SUM(l_quantity) > 300.0)
+             JOIN orders ON o_orderkey = l_orderkey
+             JOIN customer ON c_custkey = o_custkey
+        ORDER BY o_totalprice DESC, o_orderdate LIMIT 100""",
+    22: """
+        WITH coded AS (
+            SELECT substr(c_phone, 1, 2) AS code, c_custkey, c_acctbal FROM customer
+            WHERE substr(c_phone, 1, 2) IN ('13', '31', '23', '29', '30', '18', '17'))
+        SELECT code, COUNT(*), SUM(c_acctbal) FROM coded
+        WHERE c_acctbal > (SELECT AVG(c_acctbal) FROM coded WHERE c_acctbal > 0.0)
+          AND c_custkey NOT IN (SELECT o_custkey FROM orders)
+        GROUP BY code""",
 }
 
 
 def reference_result(number: int, data: Dict[str, Rows]) -> Rows:
-    """Run the reference implementation of a covered query."""
-    return REFERENCE_QUERIES[number](data)
+    """SQLite's answer to covered TPC-H query ``number`` over the raw rows."""
+    return query({name: (TPCH_SCHEMAS[name], rows) for name, rows in data.items()},
+                 REFERENCE_QUERIES[number])

@@ -290,10 +290,10 @@ class _Parser:
                 values.append(self.parse_literal())
             self.expect("op", ")")
             return InList(left, tuple(value.value for value in values))
-        if token.kind == "keyword" and token.text == "LIKE":
-            self.next()
-            pattern = self.expect("string").text
-            return Like(left, pattern)
+        if token.kind == "keyword" and token.text in ("LIKE", "NOT"):
+            negated = self.accept("keyword", "NOT") is not None
+            self.expect("keyword", "LIKE")
+            return Like(left, self.expect("string").text, negated=negated)
         raise SqlError("expected a predicate near %r" % token.text)
 
     # ------------------------------------------------------ value expression

@@ -4,7 +4,7 @@ The paper ships Biscuit on firmware we cannot run; this package is how the
 software model earns the same trust — deterministic seeded fault injection
 at the NAND/controller layer, property-style workload generators, and a
 differential harness asserting that the NDP pushdown path, the host-only
-path and a plain-Python reference always agree, with and without faults.
+path and a SQLite reference always agree, with and without faults.
 
 Every harness failure prints a one-line ``REPRO: seed=... config=...`` that
 replays the exact case (see :func:`repro.testing.differential.replay`).

@@ -1,10 +1,11 @@
-"""Differential harness: NDP pushdown vs host-only vs plain-Python reference.
+"""Differential harness: NDP pushdown vs host-only vs a SQLite reference.
 
 One seeded case = one randomized SSD geometry + table + query + fault plan
 (all derived from a single integer; see :mod:`repro.testing.strategies`).
 The case runs through three executions:
 
-* **reference** — a plain-Python AST interpreter over the raw rows, with no
+* **reference** — the case printed as SQL (``to_sql``) and answered by
+  stdlib ``sqlite3`` over the raw rows (:mod:`repro.db.reference`), with no
   simulator involved (so faults cannot touch it),
 * **host** — the CONV engine (everything crosses the host interface),
 * **ndp** — the BISCUIT engine with offload thresholds forced open, so a
@@ -36,6 +37,8 @@ from repro.db.expr import (
     Arith, Between, Case, Cmp, Col, Const, Func, InList, Like, Logic, Not,
 )
 from repro.db.planner import create_engine
+from repro.db.reference import query as oracle
+from repro.db.sql import to_sql
 from repro.db.storage import Database
 from repro.host.platform import System
 from repro.resilience import (
@@ -52,14 +55,18 @@ __all__ = [
     "run_fastpath_sweep", "run_perturbed_sweep", "run_resilient_sweep",
     "run_sharded_sweep",
     "replay", "replay_resilient", "replay_sharded",
-    "summarize", "rows_match", "eval_expr", "reference_rows",
-    "force_offload_config",
+    "summarize", "rows_match", "eval_expr", "force_offload_config",
 ]
 
 
-# ------------------------------------------------------- reference evaluator
+# ----------------------------------------------------------------- reference
 def eval_expr(expr, row: tuple, positions: Dict[str, int]) -> Any:
-    """Interpret an expression AST directly (independent of compile_expr)."""
+    """Interpret an expression AST directly (independent of compile_expr).
+
+    This is the reference for the kernel compiler's *Python* semantics —
+    exact result types, true division, CASE, ``year`` and ``substring`` —
+    which SQLite's answers cannot check; the case verdicts ask SQLite.
+    """
     if isinstance(expr, Col):
         return row[positions[expr.name]]
     if isinstance(expr, Const):
@@ -112,51 +119,23 @@ def eval_expr(expr, row: tuple, positions: Dict[str, int]) -> Any:
     raise TypeError("cannot evaluate %r" % (expr,))
 
 
-def reference_rows(schema: TableSchema, rows: List[tuple],
-                   query: Dict[str, Any]) -> List[tuple]:
-    """The expected result, computed without any engine or simulator."""
-    positions = {name: i for i, name in enumerate(schema.column_names())}
-    survivors = [row for row in rows if eval_expr(query["pred"], row, positions)]
+def _reference(schema: TableSchema, rows: List[tuple],
+               query: Dict[str, Any]) -> List[tuple]:
+    """The expected result: the case as one SQL statement, answered by SQLite."""
+    where = " FROM %s WHERE %s" % (schema.name, to_sql(query["pred"]))
     if query["kind"] == "filter":
-        out_cols = query["cols"] or schema.column_names()
-        idx = [positions[c] for c in out_cols]
-        return [tuple(row[i] for i in idx) for row in survivors]
-    group_idx = [positions[c] for c in query["group_by"]]
-    aggs = query["aggs"]
-    groups: Dict[tuple, list] = {}
-    for row in survivors:
-        key = tuple(row[i] for i in group_idx)
-        states = groups.get(key)
-        if states is None:
-            states = groups[key] = [None] * len(aggs)
-        for slot, (_name, kind, expr) in enumerate(aggs):
-            if kind == "count":
-                states[slot] = (states[slot] or 0) + 1
-                continue
-            value = eval_expr(expr, row, positions)
-            if kind == "avg":
-                if states[slot] is None:
-                    states[slot] = [0.0, 0]
-                states[slot][0] += value
-                states[slot][1] += 1
-            elif states[slot] is None:
-                states[slot] = value
-            elif kind == "sum":
-                states[slot] += value
-            elif kind == "min":
-                states[slot] = min(states[slot], value)
-            elif kind == "max":
-                states[slot] = max(states[slot], value)
-    out: List[tuple] = []
-    for key, states in groups.items():
-        values = []
-        for (_name, kind, _expr), state in zip(aggs, states):
-            if kind == "avg":
-                values.append(state[0] / state[1] if state and state[1] else 0.0)
-            else:
-                values.append(state)
-        out.append(key + tuple(values))
-    return out
+        sql = "SELECT " + ", ".join(query["cols"] or schema.column_names()) + where
+    else:
+        items = list(query["group_by"]) + [
+            "COUNT(*)" if kind == "count" else "%s(%s)" % (kind.upper(), to_sql(expr))
+            for _name, kind, expr in query["aggs"]]
+        sql = "SELECT " + ", ".join(items) + where
+        if query["group_by"]:
+            sql += " GROUP BY " + ", ".join(query["group_by"])
+        else:
+            # The engine folds zero rows into no row; SQL into one NULL row.
+            sql += " HAVING COUNT(*) > 0"
+    return oracle({schema.name: (schema, rows)}, sql)
 
 
 # ------------------------------------------------------------- row comparison
@@ -292,7 +271,7 @@ def run_case(seed: int, faults: bool = True) -> CaseResult:
         injector = FaultInjector(case.plan)
         system.device.attach_fault_injector(injector)
 
-    expected = reference_rows(case.schema, case.rows, case.query)
+    expected = _reference(case.schema, case.rows, case.query)
     host = _execute(system, host_engine, case.schema, case.query)
     ndp = _execute(system, ndp_engine, case.schema, case.query)
     blank = CaseResult(seed, faults, "", "", strategies.repro_line(seed, faults),
@@ -359,7 +338,7 @@ def run_case_interleaved(seed: int) -> CaseResult:
         case, ExecutionMode.CONV, ExecutionMode.BISCUIT)
     companion_factory = _install_companion(system, schedule)
 
-    expected = reference_rows(case.schema, case.rows, case.query)
+    expected = _reference(case.schema, case.rows, case.query)
     host = _execute_interleaved(system, host_engine, case.schema, case.query,
                                 companion_factory, schedule)
     ndp = _execute_interleaved(system, ndp_engine, case.schema, case.query,
@@ -486,7 +465,7 @@ def run_perturbed_sweep(seeds, faults: bool = False) -> List[CaseResult]:
 def run_case_resilient(seed: int) -> CaseResult:
     """One seeded case executed through the resilient scan driver under an
     active fault storm, judged byte-for-byte against the fault-free
-    plain-Python reference.
+    SQLite reference.
 
     The seed derives the *same* geometry/table/query as ``run_case(seed)``
     (storms and the replica layout are drawn after the common prefix).  The
@@ -544,7 +523,7 @@ def run_case_resilient(seed: int) -> CaseResult:
         num_pages=storage.num_pages,
         workers=2,
     )
-    expected = reference_rows(schema, rows, query)
+    expected = _reference(schema, rows, query)
 
     def final_counters() -> Dict[str, int]:
         counters = dict(injector.counters())
@@ -564,9 +543,9 @@ def run_case_resilient(seed: int) -> CaseResult:
     if query["kind"] == "filter":
         got = survivors
     else:
-        # Surviving full rows already satisfy the predicate; re-running the
-        # reference aggregation over them is the aggregate's answer.
-        got = reference_rows(schema, survivors, query)
+        # Surviving full rows already satisfy the predicate; the reference's
+        # aggregate over them is the aggregate's answer.
+        got = _reference(schema, survivors, query)
     if not rows_match(got, expected):
         detail = ("resilient/reference disagree: %d vs %d rows | %s"
                   % (len(got), len(expected), line))
@@ -583,7 +562,7 @@ def run_resilient_sweep(seeds) -> List[CaseResult]:
 def run_case_sharded(seed: int) -> CaseResult:
     """One seeded case run across the sharded fleet, judged row-identical
     (after canonical ordering) against the single-device BISCUIT arm and
-    the plain-Python reference.
+    the SQLite reference.
 
     The seed derives the *same* geometry/table/query as ``run_case(seed)``
     (the cluster layout is drawn after the common prefix).  The layout
@@ -602,7 +581,7 @@ def run_case_sharded(seed: int) -> CaseResult:
 
     # Single-device arm: the same fault-free BISCUIT execution run_case uses.
     system, ndp_engine = _single_device(case, ExecutionMode.BISCUIT)
-    expected = reference_rows(schema, rows, query)
+    expected = _reference(schema, rows, query)
     ndp = _execute(system, ndp_engine, schema, query)
 
     # Sharded arm: the same rows spread over the fleet, same offload knobs.

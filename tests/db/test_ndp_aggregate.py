@@ -1,12 +1,11 @@
 """Aggregation pushdown: the ScanAggregate SSDlet (extension feature)."""
 
-import math
-
 import pytest
 
 from repro.db.executor import AggPlan, ExecutionMode
 from repro.db.planner import create_engine
 from repro.db.sql import run_sql
+from repro.testing.differential import rows_match
 
 Q6_SQL = """
     SELECT SUM(l_extendedprice * l_discount) AS revenue, COUNT(*) AS n,
@@ -24,17 +23,6 @@ GROUPED_SQL = """
 """
 
 
-def rows_close(a, b):
-    for ra, rb in zip(sorted(a, key=repr), sorted(b, key=repr)):
-        for va, vb in zip(ra, rb):
-            if isinstance(va, float):
-                if not math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-6):
-                    return False
-            elif va != vb:
-                return False
-    return len(a) == len(b)
-
-
 def test_supported_kinds():
     assert AggPlan([], [("a", "sum", None), ("b", "avg", None),
                         ("c", "min", None), ("d", "max", None),
@@ -47,7 +35,7 @@ def test_global_aggregates_match_host(tpch_engines):
     conv_rel, _ = run_sql(conv, Q6_SQL)
     biscuit_rel, _ = run_sql(biscuit, Q6_SQL)
     assert biscuit.ndp_scans == 1
-    assert rows_close(conv_rel.rows, biscuit_rel.rows)
+    assert rows_match(conv_rel.rows, biscuit_rel.rows)
 
 
 def test_grouped_aggregates_match_host(tpch_engines):
@@ -125,7 +113,7 @@ def test_join_queries_not_pushed_down(tpch_engines):
     """
     conv_rel, _ = run_sql(conv, statement)
     biscuit_rel, _ = run_sql(biscuit, statement)
-    assert rows_close(conv_rel.rows, biscuit_rel.rows)
+    assert rows_match(conv_rel.rows, biscuit_rel.rows)
 
 
 def test_empty_result_group(tpch_engines):

@@ -1,13 +1,18 @@
 """to_sql: rendering expressions back to parseable, equivalent SQL."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.db import kernels
+from repro.db.catalog import Column, TableSchema
 from repro.db.expr import (
-    and_, between, col, compile_expr, eq, ge, gt, in_, le, like, lt, ne,
-    not_, or_,
+    Like, and_, between, col, compile_expr, eq, ge, gt, in_, le, like, lt, ne,
+    not_, not_like, or_,
 )
 from repro.db.sql import parse, to_sql
+from repro.testing import strategies
 
 POSITIONS = {"a": 0, "b": 1, "s": 2}
 
@@ -60,6 +65,38 @@ def test_in_and_like_roundtrip():
 def test_string_quote_escaping():
     expr = eq(col("s"), "a'b")
     assert equivalent(expr, roundtrip_where(expr), ROWS)
+
+
+def test_not_like_parses_back_to_a_negated_like():
+    expr = not_like(col("s"), "a%")
+    assert to_sql(expr) == "s NOT LIKE 'a%'"
+    assert roundtrip_where(expr) == Like(col("s"), "a%", negated=True)
+
+
+def _generated_cases(seeds):
+    """(schema, rows, pred) as the differential harness draws them."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        strategies.gen_ssd_config(rng)
+        schema, rows = strategies.gen_table(rng)
+        yield schema, rows, strategies.gen_query(rng, schema, rows)["pred"]
+
+
+def test_generated_predicates_keep_their_rows_through_to_sql():
+    """The SQLite reference reads to_sql's text, the engine the AST: a
+    predicate parsed back from to_sql must keep exactly the same rows."""
+    quoted = TableSchema("t", [Column("c0", "int"), Column("s", "str")])
+    quoted_rows = [(i, word) for i, word in enumerate(
+        ("alpha", "a'b", "O'Brien", "bravo", "", "a%b"))]
+    cases = list(_generated_cases(range(300))) + [
+        (quoted, quoted_rows, not_like(col("s"), "a%")),
+        (quoted, quoted_rows, in_(col("s"), ("a'b", "O'Brien", "zulu"))),
+    ]
+    for schema, rows, pred in cases:
+        positions = {name: i for i, name in enumerate(schema.column_names())}
+        reparsed = parse("SELECT c0 FROM t WHERE " + to_sql(pred)).where
+        assert (kernels.select(positions, reparsed)(rows)
+                == kernels.select(positions, pred)(rows)), to_sql(pred)
 
 
 @st.composite

@@ -1,6 +1,4 @@
-"""All 22 TPC-H queries: Conv/Biscuit equivalence + independent references."""
-
-import math
+"""All 22 TPC-H queries: Conv/Biscuit equivalence + SQLite's answers."""
 
 import pytest
 
@@ -10,21 +8,7 @@ from repro.db.reference import REFERENCE_QUERIES, reference_result
 from repro.db.tpch.datagen import generate_tables, load_tpch
 from repro.db.tpch.queries import ALL_QUERIES, OFFLOADED_QUERIES, run_query
 from repro.host.platform import System
-
-
-def rows_close(a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(sorted(a, key=repr), sorted(b, key=repr)):
-        if len(ra) != len(rb):
-            return False
-        for va, vb in zip(ra, rb):
-            if isinstance(va, float) and isinstance(vb, float):
-                if not math.isclose(va, vb, rel_tol=1e-9, abs_tol=1e-6):
-                    return False
-            elif va != vb:
-                return False
-    return True
+from repro.testing.differential import rows_match
 
 
 def test_registry_covers_all_22():
@@ -39,17 +23,17 @@ def test_conv_and_biscuit_agree(number, tpch_engines):
     rel_conv, conv_s = run_query(conv, number)
     rel_biscuit, biscuit_s = run_query(biscuit, number)
     assert rel_conv.columns == rel_biscuit.columns
-    assert rows_close(rel_conv.rows, rel_biscuit.rows), "Q%d differs" % number
+    assert rows_match(rel_conv.rows, rel_biscuit.rows), "Q%d differs" % number
     assert conv_s > 0 and biscuit_s > 0
 
 
 @pytest.mark.parametrize("number", sorted(REFERENCE_QUERIES))
 def test_engine_matches_independent_reference(number, tpch_engines, tpch_data):
-    """Engine output equals a from-scratch in-memory implementation."""
+    """Engine output equals SQLite's answer to the same query."""
     conv, _ = tpch_engines
     rel, _ = run_query(conv, number)
     expected = reference_result(number, tpch_data)
-    assert rows_close(rel.rows, expected), "Q%d reference mismatch" % number
+    assert rows_match(rel.rows, expected), "Q%d reference mismatch" % number
 
 
 #: Scale factor and data seeds at which Q18 (sum(l_quantity) > 300) has a
@@ -57,8 +41,9 @@ def test_engine_matches_independent_reference(number, tpch_engines, tpch_data):
 #: an empty result agrees with any reference.
 Q18_SCALE_FACTOR = 0.0015
 Q18_NON_EMPTY_SEEDS = [104, 105]
-#: ref_q18 leaves out the two join-key columns (o_orderkey, c_custkey) that
-#: q18's joins carry; the comparison is on the columns both emit.
+#: The Q18 reference leaves out the two join-key columns (o_orderkey,
+#: c_custkey) that q18's joins carry; the comparison is on the columns both
+#: emit.
 Q18_REFERENCE_COLUMNS = ("l_orderkey", "sum_qty", "o_custkey", "o_orderdate",
                          "o_totalprice", "c_name")
 
@@ -78,7 +63,7 @@ def test_q18_matches_reference_where_it_is_non_empty(seed):
             "o_totalprice", "c_custkey", "c_name"]
         keep = [rel.columns.index(name) for name in Q18_REFERENCE_COLUMNS]
         rows = [tuple(row[i] for i in keep) for row in rel.rows]
-        assert rows_close(rows, expected), "Q18 reference mismatch (%s)" % mode
+        assert rows_match(rows, expected), "Q18 reference mismatch (%s)" % mode
         # The dropped columns are the join keys: equal to their partners.
         for row in rel.rows:
             assert row[0] == row[2] and row[3] == row[6]

@@ -1,6 +1,6 @@
 """The sharded acceptance sweep: ≥60 seeded cases, scatter-gather results
 row-identical (after canonical ordering) to the single-device NDP arm and
-the plain-Python reference — including cases where one shard's primary node
+the SQLite reference — including cases where one shard's primary node
 is crashed before the query runs (replica failover must be answer-invisible).
 """
 

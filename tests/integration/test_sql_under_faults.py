@@ -5,7 +5,7 @@ error-capable fault storm on the primary (uncorrectable bursts, stalls,
 possibly a whole-device crash window) and only latency faults on the
 replica, then runs the query through the resilient scan driver
 (checkpointed retry/resume, hedged reads, replica failover).  The result
-must be **byte-identical** to the fault-free plain-Python reference —
+must be **byte-identical** to the fault-free SQLite reference —
 ``device-error`` is not an acceptable outcome here, unlike the fail-fast
 sweep: with a clean replica and a finite storm, recovery must converge.
 
