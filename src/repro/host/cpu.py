@@ -63,7 +63,7 @@ class HostCPU:
         """
         if duration_us <= 0:
             return
-        if memory_bound:
+        if memory_bound and self.background_threads:  # else it is exactly 1.0
             duration_us *= self.contention_factor()
         yield self.cores.request()
         try:

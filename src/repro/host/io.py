@@ -9,7 +9,7 @@ degradation in Table IV.
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence
+from typing import Generator, Sequence
 
 from repro.host.cpu import HostCPU
 from repro.sim.engine import Event, Simulator
@@ -31,36 +31,31 @@ class HostIO:
         self.writes = 0
         self.pages_read = 0
         self.pages_written = 0
-
-    def _driver_work(self, duration_us: float, label: str) -> Generator:
-        """Fiber: host driver CPU time, emitted as a ``driver`` span."""
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        yield from self.cpu.occupy(duration_us)
-        if trace is not None:
-            trace.complete("driver", label, self.trace_track, start_ns)
+        self._submit_us = device.config.nvme_command_overhead_us / 2
+        self._complete_us = device.config.nvme_command_overhead_us - self._submit_us
 
     # ----------------------------------------------------------- read / write
     def _command(self, lpns: Sequence[int], name: str) -> Generator:
         """Fiber: one synchronous NVMe command (``name``: "read" | "write").
 
-        With tracing on, the NVMe command lifecycle is emitted as instants
-        (submit → fetch → execute → complete) plus one ``nvme/<name>`` span
-        enveloping the whole round trip — the unit the latency-breakdown
-        report decomposes into driver / firmware / NAND / transfer time.
+        With tracing on, the driver work is two ``driver`` spans and the NVMe
+        command lifecycle is instants (submit → fetch → execute → complete)
+        plus one ``nvme/<name>`` span enveloping the whole round trip — the
+        unit the latency-breakdown report decomposes into driver / firmware
+        / NAND / transfer time.  Returns the page count.
         """
-        config = self.device.config
-        submit_us = config.nvme_command_overhead_us / 2
-        complete_us = config.nvme_command_overhead_us - submit_us
         trace = self.sim.trace
         cmd_id = trace.next_id() if trace is not None else 0
         start_ns = self.sim.now if trace is not None else 0
         if trace is not None:
             trace.instant("nvme", "submit", self.trace_track,
                           cmd=cmd_id, pages=len(lpns))
-        yield from self._driver_work(submit_us, "submit")
+        yield from self.cpu.occupy(self._submit_us)
+        if trace is not None:
+            trace.complete("driver", "submit", self.trace_track, start_ns)
+        interface = self.device.interface
         slot_wait_ns = self.sim.now if trace is not None else 0
-        yield from self.device.interface.acquire_slot()
+        yield interface.acquire_slot()
         try:
             if trace is not None:
                 if self.sim.now > slot_wait_ns:
@@ -69,13 +64,17 @@ class HostIO:
                                    slot_wait_ns, cmd=cmd_id)
                 trace.instant("nvme", "fetch", self.trace_track, cmd=cmd_id)
                 trace.instant("nvme", "execute", self.trace_track, cmd=cmd_id)
+            num_bytes = len(lpns) * self.device.config.logical_page_bytes
             if name == "read":
-                yield from self.device.host_read(list(lpns))
+                yield from self.device.controller.read_pages(list(lpns))
+                yield from interface.transfer_to_host(num_bytes)
             else:
-                yield from self.device.host_write(list(lpns))
+                yield from interface.transfer_to_device(num_bytes)
+                yield from self.device.controller.write_pages(list(lpns))
         finally:
-            self.device.interface.release_slot()
-        yield from self._driver_work(complete_us, "complete")
+            interface.release_slot()
+        complete_ns = self.sim.now if trace is not None else 0
+        yield from self.cpu.occupy(self._complete_us)
         if name == "read":
             self.reads += 1
             self.pages_read += len(lpns)
@@ -83,9 +82,11 @@ class HostIO:
             self.writes += 1
             self.pages_written += len(lpns)
         if trace is not None:
+            trace.complete("driver", "complete", self.trace_track, complete_ns)
             trace.instant("nvme", "complete", self.trace_track, cmd=cmd_id)
             trace.complete("nvme", name, self.trace_track, start_ns,
                            cmd=cmd_id, pages=len(lpns))
+        return len(lpns)
 
     # The public names return the command's generator itself, so a resume
     # walks no extra frame on the one-page read path.

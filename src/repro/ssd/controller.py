@@ -113,7 +113,11 @@ class Controller:
         self.nand = nand
         self.ftl = ftl
         self.cores = cores
-        self.cache = cache
+        # A disabled cache is no cache: the read path tests for None only.
+        self.cache = cache if cache is not None and cache.enabled else None
+        # Firmware costs that depend only on the config, in ns.
+        self._read_overhead_ns = us_to_ns(config.firmware_read_overhead_us)
+        self._dispatch_ns = us_to_ns(self.STRIPE_DISPATCH_US)
         self.stats = ReadStats(config.logical_page_bytes, registry=registry,
                                prefix=prefix + ".io")
         # Read/write commands currently in flight (issued, not yet completed
@@ -243,7 +247,7 @@ class Controller:
         ``cache_bypass``) stream past the device-DRAM read cache.
         """
         if not lpns:
-            return
+            return 0
         trace = self.sim.trace
         cmd_id = trace.next_id() if trace is not None else 0
         cmd_start_ns = self.sim.now if trace is not None else 0
@@ -266,8 +270,14 @@ class Controller:
                               cmd=cmd_id, stripes=len(stripes))
         try:
             # Per-command firmware cost on a device core.
-            yield from self._occupy_core(self.config.firmware_read_overhead_us,
-                                         label="read-overhead")
+            if self.config.firmware_read_overhead_us > 0:  # else no hold at all
+                yield self.cores.request()
+                try:
+                    yield self.sim.timeout(self._read_overhead_ns)
+                finally:
+                    self.cores.release()
+                if trace is not None:
+                    trace.complete("fw", "read-overhead", self.trace_fw_track, cmd_start_ns)
             batches = self._coalesce(stripes, use_matcher)
             for batch in batches:
                 if len(batch) > 1:
@@ -293,17 +303,26 @@ class Controller:
             trace.complete("ctrl", "read", self.trace_io_track, cmd_start_ns,
                            cmd=cmd_id, pages=len(lpns), stripes=len(stripes),
                            matcher=use_matcher)
+        return len(lpns)
 
     def _read_batch(self, batch: List[Stripe], use_matcher: bool,
                     cache_bypass: bool) -> Generator:
         """Fiber: one channel command covering a run of adjacent stripes."""
+        trace = self.sim.trace
+        start_ns = self.sim.now if trace is not None else 0
         dispatch_us = self.STRIPE_DISPATCH_US
         if use_matcher:
             dispatch_us += self.config.matcher_control_us_per_stripe * len(batch)
-        yield from self._occupy_core(dispatch_us, label="dispatch")
+        yield self.cores.request()
+        try:
+            yield self.sim.timeout(us_to_ns(dispatch_us) if use_matcher else self._dispatch_ns)
+        finally:
+            self.cores.release()
+        if trace is not None:
+            trace.complete("fw", "dispatch", self.trace_fw_track, start_ns)
         channel = self.nand[batch[0].channel]
         cache = self.cache
-        caching = cache is not None and cache.enabled and not cache_bypass
+        caching = cache is not None and not cache_bypass
         # Fault outcomes for the whole channel command are drawn here, at
         # dispatch, in stripe order — whether or not the fused fast path
         # engages — so the injector's seeded stream is consumed identically
@@ -324,7 +343,7 @@ class Controller:
                 fused = channel.try_fuse_reads(
                     (len(batch[0].lpns) * self.config.logical_page_bytes,))
                 if fused is not None:
-                    if cache is not None and cache.enabled:
+                    if cache is not None:
                         cache.note_bypass()
                     self.stats.fused_commands += 1
                     self.stats.fused_stripes += 1
@@ -377,7 +396,7 @@ class Controller:
                   for s in batch))
         if fused is not None:
             cache = self.cache
-            if cache is not None and cache.enabled:
+            if cache is not None:
                 for _stripe in batch:
                     cache.note_bypass()
             self.stats.fused_commands += 1
@@ -400,7 +419,7 @@ class Controller:
                      fault: Any = FAULT_NOT_DRAWN,
                      die_request: Optional[Event] = None) -> Generator:
         cache = self.cache
-        if cache is not None and cache.enabled:
+        if cache is not None:
             if cache_bypass:
                 cache.note_bypass()
             elif cache.lookup(stripe.channel, stripe.physical):
@@ -444,7 +463,7 @@ class Controller:
             else:
                 if attempt:
                     self.stats.recovered_reads += 1
-                if cache is not None and cache.enabled and not cache_bypass:
+                if cache is not None and not cache_bypass:
                     cache.insert(stripe.channel, stripe.physical, stripe.lpns)
                 return
 

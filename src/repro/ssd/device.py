@@ -95,22 +95,6 @@ class SSDDevice:
         """Fiber: device-internal write through the FTL."""
         return self.controller.write_pages(lpns)
 
-    def host_read(self, lpns: Sequence[int]) -> Generator:
-        """Fiber: device-side portion of a host read (media + PCIe transfer).
-
-        Host-CPU costs (driver submit/complete) are charged by
-        :mod:`repro.host.io`, which wraps this.
-        """
-        yield from self.controller.read_pages(lpns)
-        total = len(lpns) * self.config.logical_page_bytes
-        yield from self.interface.transfer_to_host(total)
-
-    def host_write(self, lpns: Sequence[int]) -> Generator:
-        """Fiber: device-side portion of a host write (PCIe in + program)."""
-        total = len(lpns) * self.config.logical_page_bytes
-        yield from self.interface.transfer_to_device(total)
-        yield from self.controller.write_pages(lpns)
-
     # --------------------------------------------------------------- faults
     def attach_fault_injector(self, injector) -> None:
         """Install (or clear, with ``None``) a fault injector on all channels.

@@ -42,6 +42,7 @@ class Channel:
         self.dies = Resource(sim, capacity=config.dies_per_channel, name="ch%d.dies" % index)
         self.bus = Resource(sim, capacity=1, name="ch%d.bus" % index)
         self.injector = None
+        self._sense_ns = us_to_ns(config.nand_read_us)  # tR
         # Analytic event-fusion state (repro.sim.fastpath).  Engaged by the
         # controller via try_fuse_reads when SSDConfig.sim_fast_path is on;
         # any per-event traffic arriving below de-fuses it first.
@@ -80,7 +81,7 @@ class Channel:
             if not 0 < transfer_bytes <= page_bytes:
                 raise ValueError("transfer of %d bytes from a %d-byte page"
                                  % (transfer_bytes, page_bytes))
-        return self.fastpath.try_fuse(sizes, us_to_ns(config.nand_read_us),
+        return self.fastpath.try_fuse(sizes, self._sense_ns,
                                       config.channel_bytes_per_sec)
 
     def read(self, transfer_bytes: int,
@@ -126,7 +127,7 @@ class Channel:
                 # Queueing ahead of the media: the op waited for a free die.
                 trace.complete("nand", "die-wait", self.trace_track, start_ns)
             sense_start_ns = self.sim.now if trace is not None else 0
-            sense_ns = us_to_ns(config.nand_read_us)
+            sense_ns = self._sense_ns
             if fault is not None and fault.kind == "spike":
                 sense_ns += fault.extra_ns
             yield self.sim.timeout(sense_ns)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.sim.engine import Simulator, all_of
+from repro.sim.engine import Event, Simulator, all_of
 from repro.sim.resources import Resource
 from repro.sim.units import transfer_ns
 from repro.ssd.config import SSDConfig
@@ -71,50 +71,51 @@ class HostInterface:
         self.bytes_to_device = 0
         self.commands = 0
 
-    def acquire_slot(self) -> Generator:
-        """Fiber: take an NVMe queue slot (released with :meth:`release_slot`)."""
-        yield self.queue_slots.request()
+    def acquire_slot(self) -> Event:
+        """The event granting an NVMe queue slot (see :meth:`release_slot`)."""
+        return self.queue_slots.request()
 
     def release_slot(self) -> None:
         self.queue_slots.release()
 
     def transfer_to_host(self, num_bytes: int) -> Generator:
         """Fiber: move ``num_bytes`` device→host over the shared link."""
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        yield from self._transfer(num_bytes)
-        self.bytes_to_host += num_bytes
-        if trace is not None and num_bytes > 0:
-            trace.complete("xfer", "d2h", self.trace_track, start_ns,
-                           bytes=num_bytes)
+        return self._transfer(num_bytes, "d2h")
 
     def transfer_to_device(self, num_bytes: int) -> Generator:
         """Fiber: move ``num_bytes`` host→device over the shared link."""
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        yield from self._transfer(num_bytes)
-        self.bytes_to_device += num_bytes
-        if trace is not None and num_bytes > 0:
-            trace.complete("xfer", "h2d", self.trace_track, start_ns,
-                           bytes=num_bytes)
+        return self._transfer(num_bytes, "h2d")
 
-    def _transfer(self, num_bytes: int) -> Generator:
+    def _transfer(self, num_bytes: int, direction: str) -> Generator:
         if num_bytes <= 0:
             return
+        trace = self.sim.trace
+        start_ns = self.sim.now if trace is not None else 0
         self.commands += 1
         if self.fabric is None:
-            yield from self._link_hop(num_bytes)
-            return
-        # A switched PCIe fabric is cut-through, not store-and-forward: the
-        # payload streams over the device link and the shared upstream switch
-        # concurrently, so one transfer costs the slower of the two hops —
-        # and the switch still serializes competing devices (the Section V-B
-        # fabric-bottleneck interference).
-        hops = [
-            self.sim.process(self._link_hop(num_bytes), name="pcie-hop"),
-            self.sim.process(self.fabric.transfer(num_bytes), name="fabric-hop"),
-        ]
-        yield all_of(self.sim, hops)
+            yield self.link.request()
+            try:
+                yield self.sim.timeout(transfer_ns(num_bytes, self.config.pcie_bytes_per_sec))
+            finally:
+                self.link.release()
+        else:
+            # A switched PCIe fabric is cut-through, not store-and-forward: the
+            # payload streams over the device link and the shared upstream
+            # switch concurrently, so one transfer costs the slower of the two
+            # hops — and the switch still serializes competing devices (the
+            # Section V-B fabric-bottleneck interference).
+            hops = [
+                self.sim.process(self._link_hop(num_bytes), name="pcie-hop"),
+                self.sim.process(self.fabric.transfer(num_bytes), name="fabric-hop"),
+            ]
+            yield all_of(self.sim, hops)
+        if direction == "d2h":
+            self.bytes_to_host += num_bytes
+        else:
+            self.bytes_to_device += num_bytes
+        if trace is not None:
+            trace.complete("xfer", direction, self.trace_track, start_ns,
+                           bytes=num_bytes)
 
     def _link_hop(self, num_bytes: int) -> Generator:
         yield self.link.request()

@@ -116,6 +116,18 @@ def test_write_to_synthetic_rejected(system):
         system.run_fiber(handle.write(0, b"nope"))
 
 
+@pytest.mark.parametrize("internal", [False, True])
+def test_aread_timing_only_past_eof_fails_the_event_not_the_spawner(
+        system, internal):
+    system.fs.install_synthetic("/eof", 4096)
+    handle = (system.open_internal("/eof") if internal
+              else system.open_host("/eof"))
+    event = handle.aread_timing_only(4096, 4096)  # must not raise here
+    with pytest.raises(FsError):
+        system.sim.run(event)
+    assert system.run_fiber(handle.read_timing_only(4096, 0)) == 0
+
+
 def test_flush_runs(system):
     system.fs.install("/fl", b"\x00" * 4096)
     handle = system.open_internal("/fl")

@@ -88,6 +88,25 @@ def test_pread_latency_inflates_under_load():
     assert 1.05 < inflation < 1.2
 
 
+def test_pread_behind_a_fabric_counts_once_and_costs_one_hop():
+    def read_one_page(**fabric):
+        system = System(**fabric)
+        system.fs.install_synthetic("/d", 1 << 20)
+        pages = system.run_fiber(system.open_host("/d").read_timing_only(0, 4096))
+        return system, pages
+
+    direct, _ = read_one_page()
+    switched, pages = read_one_page(
+        fabric_bytes_per_sec=direct.config.pcie_bytes_per_sec)
+    interface = switched.device.interface
+    assert pages == 1
+    assert interface.commands == 1
+    assert interface.bytes_to_host == 4096
+    assert switched.fabric.bytes_moved == 4096
+    # Cut-through: an equal-rate switch hop overlaps the device link's.
+    assert switched.sim.now == direct.sim.now
+
+
 def test_internal_read_immune_to_load():
     system = System(background_threads=24)
     system.fs.install_synthetic("/d", 1 << 20)

@@ -29,7 +29,14 @@ def test_internal_4k_read_is_paper_latency():
 def test_host_4k_read_adds_interface_crossing():
     sim, device = make_device()
     internal = run(sim, device.internal_read([0]))
-    host = run(sim, device.host_read([1]))
+
+    def device_side_of_host_read():
+        # What HostIO sequences between driver submit and complete.
+        yield from device.controller.read_pages([1])
+        yield from device.interface.transfer_to_host(
+            device.config.logical_page_bytes)
+
+    host = run(sim, device_side_of_host_read())
     assert host > internal
     # PCIe payload + protocol, but no host driver cost at this layer.
     assert 1.0 < host - internal < 5.0
@@ -65,6 +72,19 @@ def test_large_read_bandwidth_beats_host_interface():
     sim.run(all_of(sim, fibers))
     bandwidth = total / sim.now_s / 1e9
     assert bandwidth > 1.3 * device.config.pcie_bytes_per_sec / 1e9
+
+
+def test_zero_read_overhead_takes_no_core_hold():
+    # Skipped, not held for 0 ns: a one-page read is the dispatch hold
+    # (grant + timeout) and the fused NAND op, plus its fiber's two events.
+    sim, device = make_device(firmware_read_overhead_us=0.0)
+    requests = []
+    request = device.cores.request
+    device.cores.request = lambda *args: requests.append(args) or request(*args)
+    before = sim.events_processed
+    run(sim, device.internal_read([0]))
+    assert sim.events_processed - before - 2 == 4
+    assert len(requests) == 1  # the channel dispatch only
 
 
 def test_empty_read_is_free():

@@ -49,7 +49,7 @@ def test_queue_depth_limits_outstanding_commands():
     held = []
 
     def holder():
-        yield from interface.acquire_slot()
+        yield interface.acquire_slot()
         held.append(sim.now)
         yield sim.timeout(100)
         interface.release_slot()
