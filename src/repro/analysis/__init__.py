@@ -23,7 +23,7 @@ runtime (or never):
   races in fiber code: stale read-modify-write across a yield, mutation
   after a port/Store handoff, acquires without exception-safe release, and
   ``if``-guarded condition waits.  The runtime :class:`RaceMonitor`
-  (``REPRO_RACE_CHECK=1`` / ``SSDConfig.race_check``) footprints tied
+  (``REPRO_RACE_CHECK=1`` / ``Simulator(race_check=True)``) footprints tied
   same-timestamp events in the engine's dispatch batches, reports
   conflicting footprints as ordering hazards, and — via
   :func:`check_workload` — replays a workload with reversed tie-breaking

@@ -25,7 +25,7 @@ both sides of that boundary:
   wait: after wakeup the condition may no longer hold.
 
 **Runtime side — :class:`RaceMonitor`**, an opt-in engine sanitizer
-(``REPRO_RACE_CHECK=1`` or ``SSDConfig.race_check``).  The event loop
+(``REPRO_RACE_CHECK=1`` or ``Simulator(race_check=True)``).  The event loop
 dispatches same-timestamp heap entries as explicit batches; the monitor
 records a per-entry access footprint over the kernel's shared structures
 (event state/callback lists via succeed/fail/interrupt/dispatch,

@@ -45,15 +45,9 @@ class System:
         if num_ssds < 1:
             raise ValueError("need at least one SSD")
         # A shared simulator lets several Systems form one simulated world
-        # (the storage nodes of a Scale-out cluster, Fig. 1(d)).
-        if sim is not None:
-            self.sim = sim
-        else:
-            # race_check=True opts this world into the interleaving
-            # sanitizer; None defers to the REPRO_RACE_CHECK env var.
-            self.sim = Simulator(
-                race_check=True if ssd_config is not None
-                and ssd_config.race_check else None)
+        # (the storage nodes of a Scale-out cluster, Fig. 1(d)); pass
+        # Simulator(race_check=True) to sanitize it (see repro.analysis.races).
+        self.sim = sim if sim is not None else Simulator()
         self.fabric = None
         if fabric_bytes_per_sec is not None:
             from repro.ssd.nvme import Fabric

@@ -79,14 +79,6 @@ class SSDConfig:
     # bit-identical either way — gated by the golden-trace and fast-path
     # differential suites; False restores event-per-op stepping.
     sim_fast_path: bool = True
-    # Interleaving sanitizer (repro.analysis.races.RaceMonitor): record
-    # read/write footprints per event callback within each same-timestamp
-    # batch and report conflicting footprints between tied events as ordering
-    # hazards.  Applied when this config's System constructs the simulator;
-    # the REPRO_RACE_CHECK env var ("1" or "strict") enables it regardless.
-    # Sanitized runs step per-event (the fused fast path is de-gated, like
-    # traced runs), so leave this off for timing benchmarks.
-    race_check: bool = False
     device_cores: int = 2  # ARM Cortex R7 cores available to Biscuit (Table I)
     # Effective software data-processing rate of the device cores.  Two
     # Cortex-R7 @750 MHz scanning bytes in software: ~120 MB/s per core

@@ -25,11 +25,7 @@ from repro.sim.units import us_to_ns
 from repro.ssd.config import SSDConfig
 from repro.ssd.nand import NandArray
 
-__all__ = ["FTL", "PhysAddr", "OutOfSpace"]
-
-#: Backward-compatible name: allocation failures now raise the typed
-#: :class:`repro.core.errors.OutOfSpaceError` (with device context).
-OutOfSpace = OutOfSpaceError
+__all__ = ["FTL", "PhysAddr"]
 
 
 class PhysAddr(NamedTuple):

@@ -4,10 +4,12 @@ The paper ships Biscuit on firmware we cannot run; this package is how the
 software model earns the same trust — deterministic seeded fault injection
 at the NAND/controller layer, property-style workload generators, and a
 differential harness asserting that the NDP pushdown path, the host-only
-path and a SQLite reference always agree, with and without faults.
+path and a SQLite reference always agree, with and without faults, on
+each arm of :data:`repro.testing.differential.ARMS` (``ndp``,
+``interleaved``, ``fastpath``, ``perturbed``, ``resilient``, ``sharded``).
 
-Every harness failure prints a one-line ``REPRO: seed=... config=...`` that
-replays the exact case (see :func:`repro.testing.differential.replay`).
+Every harness failure prints a one-line ``REPRO: seed=... config=...:arm=...``
+that replays the exact case on its arm (see :func:`~.differential.replay`).
 """
 
 from repro.testing.faults import Fault, FaultInjector, FaultPlan
@@ -21,12 +23,10 @@ from repro.testing.strategies import (
     repro_line,
 )
 from repro.testing.differential import (
+    ARMS,
     CaseResult,
     replay,
-    replay_sharded,
     run_case,
-    run_case_sharded,
-    run_sharded_sweep,
     run_sweep,
     summarize,
 )
@@ -42,12 +42,10 @@ __all__ = [
     "gen_table",
     "parse_repro",
     "repro_line",
+    "ARMS",
     "CaseResult",
     "replay",
-    "replay_sharded",
     "run_case",
-    "run_case_sharded",
-    "run_sharded_sweep",
     "run_sweep",
     "summarize",
 ]

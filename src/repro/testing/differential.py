@@ -2,7 +2,7 @@
 
 One seeded case = one randomized SSD geometry + table + query + fault plan
 (all derived from a single integer; see :mod:`repro.testing.strategies`).
-The case runs through three executions:
+The ``ndp`` arm runs the case through three executions:
 
 * **reference** — the case printed as SQL (``to_sql``) and answered by
   stdlib ``sqlite3`` over the raw rows (:mod:`repro.db.reference`), with no
@@ -12,11 +12,16 @@ The case runs through three executions:
   matcher-amenable predicate really runs as ScanFilter/ScanAggregate
   SSDlets on the device.
 
-Outcomes: ``match`` (all three agree), ``mismatch`` (a correctness bug —
-the repro line replays it), or ``device-error`` (injected unrecoverable
-faults killed a path with a *typed* :class:`repro.core.errors.DeviceError`,
-which is the propagation contract under test; an untyped exception
-escapes the harness and fails the suite).
+The other rows of :data:`ARMS` run the same case another way
+(``interleaved``, ``fastpath``, ``perturbed``, ``resilient``, ``sharded``);
+:func:`run_case`, :func:`run_sweep` and :func:`replay` take the arm by name.
+
+Outcomes: ``match`` (all executions agree), ``mismatch`` (a correctness
+bug — the repro line, which names the arm, replays it), or
+``device-error`` (injected unrecoverable faults killed a path with a
+*typed* :class:`repro.core.errors.DeviceError`, which is the propagation
+contract under test; an untyped exception escapes the harness and fails
+the suite).
 """
 
 from __future__ import annotations
@@ -25,14 +30,15 @@ import math
 import random
 import re
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List
+from functools import partial
+from typing import Any, Callable, Dict, List
 
 from repro.apps.pointer_chase import biscuit_pointer_chase, build_exact_graph
 from repro.apps.string_search import biscuit_string_search, install_weblog
 from repro.core.errors import DeviceError
 from repro.db import kernels
 from repro.db.catalog import TableSchema
-from repro.db.executor import Engine, EngineConfig, ExecutionMode, TableRef
+from repro.db.executor import EngineConfig, ExecutionMode, TableRef
 from repro.db.expr import (
     Arith, Between, Case, Cmp, Col, Const, Func, InList, Like, Logic, Not,
 )
@@ -49,12 +55,7 @@ from repro.testing import strategies
 from repro.testing.faults import FaultInjector, StormInjector
 
 __all__ = [
-    "CaseResult", "run_case", "run_case_fastpath", "run_case_interleaved",
-    "run_case_perturbed", "run_case_resilient", "run_case_sharded",
-    "run_sweep",
-    "run_fastpath_sweep", "run_perturbed_sweep", "run_resilient_sweep",
-    "run_sharded_sweep",
-    "replay", "replay_resilient", "replay_sharded",
+    "ARMS", "CaseResult", "run_case", "run_sweep", "replay",
     "summarize", "rows_match", "eval_expr", "force_offload_config",
 ]
 
@@ -185,12 +186,32 @@ def _query_fiber(site, schema: TableSchema, query: Dict[str, Any]):
     return rel.rows
 
 
-def _execute(host, site, schema: TableSchema, query: Dict[str, Any]):
+def _staggered(sim, fiber, delay_us: float):
+    if delay_us:
+        yield sim.timeout(int(delay_us * 1000))
+    return (yield from fiber)
+
+
+def _execute(host, site, schema: TableSchema, query: Dict[str, Any],
+             companion=None, schedule=None):
     """(rows, None) on success, (None, error) on a typed device failure;
-    ``host`` (a System or a ShardedFleet) runs the site's fiber."""
+    ``host`` (a System or a ShardedFleet) runs the site's fiber — alongside
+    a fresh ``companion()`` fiber, launched as ``schedule`` staggers the two,
+    when a companion is given."""
     site.begin_query()
+    fiber = _query_fiber(site, schema, query)
     try:
-        return host.run_fiber(_query_fiber(site, schema, query)), None
+        if companion is None:
+            return host.run_fiber(fiber), None
+        sim, stagger_us = host.sim, schedule["stagger_us"]
+        query_us, companion_us = ((0.0, stagger_us) if schedule["query_first"]
+                                  else (stagger_us, 0.0))
+        query_proc = sim.process(_staggered(sim, fiber, query_us),
+                                 name="interleaved-query")
+        companion_proc = sim.process(_staggered(sim, companion(), companion_us),
+                                     name="interleaved-companion")
+        sim.run(all_of(sim, [query_proc, companion_proc]))
+        return query_proc.value, None
     except DeviceError as exc:
         return None, exc
 
@@ -239,45 +260,27 @@ def _single_device(case: _Case, *modes: ExecutionMode):
                              for mode in modes)
 
 
-def _judge(blank: CaseResult, test, base, expected: List[tuple],
-           tag: str = "", match_detail: str = "") -> CaseResult:
-    """The verdict ladder shared by the two-arm cases: a typed device error
-    on either arm, then test ≠ base, then base ≠ reference, else match.
+def _judge(blank: CaseResult, expected: List[tuple], *executions,
+           match_detail: str = "") -> CaseResult:
+    """The verdict ladder: a typed device error on any execution, then each
+    execution against the next and the last against the reference, else
+    match.
 
-    ``test`` and ``base`` are ``(name, rows, error)``; ``blank`` carries the
-    fields every verdict shares.
+    ``executions`` are ``(name, rows, error)``, the one under test first;
+    ``blank`` carries the fields every verdict shares.
     """
     failed = ["%s: %s" % (name, error)
-              for name, _rows, error in (base, test) if error is not None]
+              for name, _rows, error in reversed(executions) if error is not None]
     if failed:
         return replace(blank, outcome="device-error", detail="; ".join(failed))
-    for (left_name, left, _), (right_name, right, _) in (
-            (test, base), (base, ("reference", expected, None))):
+    chain = executions + (("reference", expected, None),)
+    for (left_name, left, _), (right_name, right, _) in zip(chain, chain[1:]):
         if not rows_match(left, right):
-            detail = ("%s%s/%s disagree: %d vs %d rows | %s"
-                      % (tag, left_name, right_name, len(left), len(right),
+            detail = ("%s/%s disagree: %d vs %d rows | %s"
+                      % (left_name, right_name, len(left), len(right),
                          blank.repro))
             return replace(blank, outcome="mismatch", detail=detail)
     return replace(blank, outcome="match", detail=match_detail)
-
-
-def run_case(seed: int, faults: bool = True) -> CaseResult:
-    """Generate, execute and judge one differential case."""
-    case = _draw_case(seed)
-    system, host_engine, ndp_engine = _single_device(
-        case, ExecutionMode.CONV, ExecutionMode.BISCUIT)
-    injector = None
-    if faults:
-        injector = FaultInjector(case.plan)
-        system.device.attach_fault_injector(injector)
-
-    expected = _reference(case.schema, case.rows, case.query)
-    host = _execute(system, host_engine, case.schema, case.query)
-    ndp = _execute(system, ndp_engine, case.schema, case.query)
-    blank = CaseResult(seed, faults, "", "", strategies.repro_line(seed, faults),
-                       ndp_engine.ndp_scans > 0,
-                       injector.counters() if injector else {})
-    return _judge(blank, ("ndp",) + ndp, ("host",) + host, expected)
 
 
 def _install_companion(system: System, schedule: Dict[str, Any]):
@@ -294,201 +297,146 @@ def _install_companion(system: System, schedule: Dict[str, Any]):
         system, graph, schedule["walks"], schedule["hops"])
 
 
-def _execute_interleaved(system: System, engine: Engine, schema: TableSchema,
-                         query: Dict[str, Any], companion_factory,
-                         schedule: Dict[str, Any]):
-    """Run the query fiber concurrently with the companion application."""
-    engine.begin_query()
-    sim = system.sim
-
-    def staggered(fiber, delay_us: float):
-        if delay_us:
-            yield sim.timeout(int(delay_us * 1000))
-        value = yield from fiber
-        return value
-
-    stagger_us = schedule["stagger_us"]
-    query_delay_us = 0.0 if schedule["query_first"] else stagger_us
-    companion_delay_us = stagger_us if schedule["query_first"] else 0.0
-    try:
-        query_proc = sim.process(
-            staggered(_query_fiber(engine, schema, query), query_delay_us),
-            name="interleaved-query")
-        companion_proc = sim.process(
-            staggered(companion_factory(), companion_delay_us),
-            name="interleaved-companion")
-        sim.run(all_of(sim, [query_proc, companion_proc]))
-        return query_proc.value, None
-    except DeviceError as exc:
-        return None, exc
-
-
-def run_case_interleaved(seed: int) -> CaseResult:
-    """One fault-free case, with a companion SSDlet app sharing the device.
-
-    The seed derives the *same* geometry/table/query as ``run_case(seed)``
-    (the schedule is drawn after the common prefix), so a ``match`` outcome
-    here proves the interleaved run returns exactly what the solo run does:
-    both equal the simulator-free reference.  ``detail`` names the companion
-    so sweeps can assert both kinds were exercised.
-    """
-    case = _draw_case(seed)
-    schedule = strategies.gen_schedule(case.rng)
+def _ndp_run(case: _Case, faults: bool, schedule=None):
+    """The ndp arm's execution: CONV, then BISCUIT, on one device holding
+    the case's table (under its fault plan if ``faults``, next to a
+    companion app if given a ``schedule``).  Returns ``(system, ndp_engine,
+    injector, host, ndp)``, the last two as ``(rows, error)``."""
     system, host_engine, ndp_engine = _single_device(
         case, ExecutionMode.CONV, ExecutionMode.BISCUIT)
-    companion_factory = _install_companion(system, schedule)
-
-    expected = _reference(case.schema, case.rows, case.query)
-    host = _execute_interleaved(system, host_engine, case.schema, case.query,
-                                companion_factory, schedule)
-    ndp = _execute_interleaved(system, ndp_engine, case.schema, case.query,
-                               companion_factory, schedule)
-    blank = CaseResult(seed, False, "", "", strategies.repro_line(seed, False),
-                       ndp_engine.ndp_scans > 0)
-    return _judge(blank, ("ndp",) + ndp, ("host",) + host, expected,
-                  tag="interleaved ",
-                  match_detail="interleaved with %s" % schedule["companion"])
-
-
-# ------------------------------------------------------------ fast-path arm
-def _run_fastpath_arm(seed: int, faults: bool, fast: bool):
-    """One full run_case-shaped execution with the fused fast path forced
-    on or off.  Returns everything the two arms must agree on, plus the
-    fusion counters (meaningful on the fast arm only)."""
-    case = _draw_case(seed)
-    case.ssd_config.sim_fast_path = fast
-    system, host_engine, ndp_engine = _single_device(
-        case, ExecutionMode.CONV, ExecutionMode.BISCUIT)
+    companion = _install_companion(system, schedule) if schedule else None
+    injector = None
     if faults:
-        system.device.attach_fault_injector(FaultInjector(case.plan))
-
-    host_rows, host_error = _execute(system, host_engine, case.schema,
-                                     case.query)
-    ndp_rows, ndp_error = _execute(system, ndp_engine, case.schema, case.query)
-    fused = sum(ch.fastpath.fused_pages for ch in system.device.nand.channels)
-    return {
-        "host_rows": host_rows,
-        "host_error": (type(host_error).__name__, str(host_error))
-                      if host_error is not None else None,
-        "ndp_rows": ndp_rows,
-        "ndp_error": (type(ndp_error).__name__, str(ndp_error))
-                     if ndp_error is not None else None,
-        "now": system.sim.now,
-        "events": system.sim.events_processed,
-        "fused_pages": fused,
-        "offloaded": ndp_engine.ndp_scans > 0,
-    }
+        injector = FaultInjector(case.plan)
+        system.device.attach_fault_injector(injector)
+    host, ndp = [_execute(system, engine, case.schema, case.query,
+                          companion, schedule)
+                 for engine in (host_engine, ndp_engine)]
+    return system, ndp_engine, injector, host, ndp
 
 
-def run_case_fastpath(seed: int, faults: bool = True) -> CaseResult:
-    """One case run twice — fused fast path on vs off — judged for exact
-    equivalence: identical rows (order-sensitive), identical typed errors,
-    and the same final ``sim.now`` in both arms.
+# ---------------------------------------------------------------------- arms
+def _ndp_arm(seed: int, faults: bool, interleaved: bool = False) -> CaseResult:
+    """NDP vs host vs reference on one device.  With ``interleaved``, each
+    query runs next to a companion SSDlet app (drawn by ``gen_schedule``):
+    a ``match`` proves concurrency moved time, never bytes, and ``detail``
+    names the companion so sweeps can assert both kinds ran."""
+    case = _draw_case(seed)
+    schedule = strategies.gen_schedule(case.rng) if interleaved else None
+    _system, ndp_engine, injector, host, ndp = _ndp_run(case, faults, schedule)
+    arm = "interleaved" if interleaved else "ndp"
+    blank = CaseResult(seed, faults, "", "",
+                       strategies.repro_line(seed, faults, arm),
+                       ndp_engine.ndp_scans > 0,
+                       injector.counters() if injector else {})
+    return _judge(blank, _reference(case.schema, case.rows, case.query),
+                  ("ndp",) + ndp, ("host",) + host,
+                  match_detail=("interleaved with %s" % schedule["companion"]
+                                if interleaved else ""))
+
+
+def _error_key(error):
+    return None if error is None else (type(error).__name__, str(error))
+
+
+def _fastpath_arm(seed: int, faults: bool) -> CaseResult:
+    """The ndp arm's execution run twice — fused fast path on, then off —
+    judged for exact equivalence: identical rows (order-sensitive),
+    identical typed errors, and the same final ``sim.now``.
 
     This is the determinism gate for :mod:`repro.sim.fastpath`: the fast
     path claims bit-identical timing, so anything short of exact equality
-    is a ``mismatch``.  ``fault_counters`` reports both arms' processed
-    event counts and the fast arm's fused-page total, letting sweeps assert
+    is a ``mismatch``.  ``fault_counters`` reports both runs' processed
+    event counts and the fast run's fused-page total, letting sweeps assert
     that fusion actually engaged (an always-materializing fast path would
     pass the equality check without testing anything).
     """
-    line = strategies.repro_line(seed, faults)
-    fast_arm = _run_fastpath_arm(seed, faults, fast=True)
-    slow_arm = _run_fastpath_arm(seed, faults, fast=False)
-    counters = {
-        "fast_events": fast_arm["events"],
-        "slow_events": slow_arm["events"],
-        "fused_pages": fast_arm["fused_pages"],
-    }
-    offloaded = fast_arm["offloaded"] and slow_arm["offloaded"]
-    for field_name in ("host_rows", "ndp_rows", "host_error", "ndp_error",
-                      "now"):
-        if fast_arm[field_name] != slow_arm[field_name]:
-            detail = ("fast/slow arms disagree on %s: %r vs %r | %s"
-                      % (field_name, fast_arm[field_name],
-                         slow_arm[field_name], line))
-            return CaseResult(seed, faults, "mismatch", detail, line,
-                              offloaded, counters)
-    return CaseResult(seed, faults, "match", "", line, offloaded, counters)
+    runs = []
+    for fast in (True, False):
+        case = _draw_case(seed)
+        case.ssd_config.sim_fast_path = fast
+        system, ndp_engine, _injector, host, ndp = _ndp_run(case, faults)
+        runs.append({
+            "host_rows": host[0], "ndp_rows": ndp[0],
+            "host_error": _error_key(host[1]), "ndp_error": _error_key(ndp[1]),
+            "now": system.sim.now,
+            "events": system.sim.events_processed,
+            "fused_pages": sum(channel.fastpath.fused_pages
+                               for channel in system.device.nand.channels),
+            "offloaded": ndp_engine.ndp_scans > 0,
+        })
+    fast_run, slow_run = runs
+    line = strategies.repro_line(seed, faults, "fastpath")
+    blank = CaseResult(
+        seed, faults, "match", "", line,
+        fast_run["offloaded"] and slow_run["offloaded"],
+        {"fast_events": fast_run["events"], "slow_events": slow_run["events"],
+         "fused_pages": fast_run["fused_pages"]})
+    for name in ("host_rows", "ndp_rows", "host_error", "ndp_error", "now"):
+        if fast_run[name] != slow_run[name]:
+            return replace(blank, outcome="mismatch", detail=(
+                "fast/slow arms disagree on %s: %r vs %r | %s"
+                % (name, fast_run[name], slow_run[name], line)))
+    return blank
 
 
-def run_fastpath_sweep(seeds, faults: bool = True) -> List[CaseResult]:
-    """One fast-vs-slow case per seed (failures carry their repro line)."""
-    return [run_case_fastpath(seed, faults=faults) for seed in seeds]
+def _perturbed_arm(seed: int, faults: bool) -> CaseResult:
+    """The ndp arm run under the interleaving sanitizer's perturbation mode.
 
-
-# ------------------------------------------------------------ perturbed arm
-def run_case_perturbed(seed: int, faults: bool = False) -> CaseResult:
-    """One case run under the interleaving sanitizer's perturbation mode.
-
-    The whole ``run_case(seed)`` workload executes twice — once recording
-    same-timestamp access footprints, once with pop order *reversed* inside
-    every provably order-free batch (:func:`repro.analysis.races.
-    check_workload`).  Any footprint conflict between tied events, or any
-    divergence of the trace digest or the case verdict under reversal, is a
-    ``mismatch``: the engine's "ties run in schedule order" contract held
-    only by accident.  ``fault_counters`` reports how hard the perturbation
-    actually bit (batches reversed) so sweeps can assert it engaged.
+    The whole ndp case executes twice — once recording same-timestamp
+    access footprints, once with pop order *reversed* inside every provably
+    order-free batch (:func:`repro.analysis.races.check_workload`).  Any
+    footprint conflict between tied events, or any divergence of the trace
+    digest or the case verdict under reversal, is a ``mismatch``: the
+    engine's "ties run in schedule order" contract held only by accident.
+    ``fault_counters`` reports how hard the perturbation actually bit
+    (batches reversed) so sweeps can assert it engaged.
     """
     from repro.analysis.races import check_workload
 
-    line = strategies.repro_line(seed, faults)
-    report = check_workload(lambda: run_case(seed, faults=faults))
+    line = strategies.repro_line(seed, faults, "perturbed")
+    report = check_workload(lambda: _ndp_arm(seed, faults))
     inner: CaseResult = report.result
-    counters = {
-        "batches": report.batches,
-        "reversible": report.reversible,
-        "reversed": report.reversed_batches,
-        "hazards": len(report.hazards),
-    }
+    blank = CaseResult(seed, faults, "match", "", line, inner.offloaded, {
+                           "batches": report.batches,
+                           "reversible": report.reversible,
+                           "reversed": report.reversed_batches,
+                           "hazards": len(report.hazards),
+                       })
     if not report.clean:
-        detail = ("perturbed tie-breaking diverged: %s | %s"
-                  % ("; ".join(report.render().splitlines()), line))
-        return CaseResult(seed, faults, "mismatch", detail, line,
-                          inner.offloaded if inner else False, counters)
+        return replace(blank, outcome="mismatch", detail=(
+            "perturbed tie-breaking diverged: %s | %s"
+            % ("; ".join(report.render().splitlines()), line)))
     if inner.outcome != "match":
-        return CaseResult(seed, faults, inner.outcome,
-                          "under perturbation: %s" % inner.detail, line,
-                          inner.offloaded, counters)
-    return CaseResult(seed, faults, "match",
-                      "perturbed %d/%d order-free batches"
-                      % (report.reversed_batches, report.batches),
-                      line, inner.offloaded, counters)
+        return replace(blank, outcome=inner.outcome, detail=(
+            "under perturbation: %s" % inner.detail.replace(inner.repro, line)))
+    return replace(blank, detail="perturbed %d/%d order-free batches"
+                   % (report.reversed_batches, report.batches))
 
 
-def run_perturbed_sweep(seeds, faults: bool = False) -> List[CaseResult]:
-    """One perturbed case per seed (failures carry their repro line)."""
-    return [run_case_perturbed(seed, faults=faults) for seed in seeds]
-
-
-# ------------------------------------------------------------ resilient arm
-def run_case_resilient(seed: int) -> CaseResult:
+def _resilient_arm(seed: int, faults: bool) -> CaseResult:
     """One seeded case executed through the resilient scan driver under an
     active fault storm, judged byte-for-byte against the fault-free
     SQLite reference.
 
-    The seed derives the *same* geometry/table/query as ``run_case(seed)``
-    (storms and the replica layout are drawn after the common prefix).  The
-    table is replicated on a second device; the primary gets an
+    The table is replicated on a second device; the primary gets an
     error-capable storm (uncorrectable bursts, stalls, possibly a whole-
     device crash window), the replica only latency faults — so checkpointed
     retry/failover always has a copy that can answer, and the only
-    acceptable outcome is ``match``.
+    acceptable outcome is ``match``.  The storms are the arm's fault model,
+    so it runs them whatever ``faults`` says and reports ``faults=True``.
     """
     case = _draw_case(seed)
     schema, rows, query = case.schema, case.rows, case.query
     primary_storm = strategies.gen_fault_storm(case.rng, errors=True)
     replica_storm = strategies.gen_fault_storm(case.rng, errors=False)
     layout = strategies.gen_replica_layout(case.rng)
-    line = strategies.repro_line(seed, True)
 
     system = System(ssd_config=case.ssd_config,
                     num_ssds=layout["num_devices"])
-    databases = []
-    for fs in system.filesystems:
-        db = Database(fs)
+    databases = [Database(fs) for fs in system.filesystems]
+    for db in databases:
         db.load_table(schema, rows)
-        databases.append(db)
     storage = databases[0].table(schema.name)
     injector = StormInjector(system.sim, primary_storm)
     system.devices[layout["primary"]].attach_fault_injector(injector)
@@ -509,10 +457,9 @@ def run_case_resilient(seed: int) -> CaseResult:
 
     positions = {name: i for i, name in enumerate(schema.column_names())}
     predicate = kernels.select(positions, query["pred"])
+    out_cols = schema.column_names()  # aggregates fold host-side, post-scan
     if query["kind"] == "filter":
-        out_cols = query["cols"] or schema.column_names()
-    else:
-        out_cols = schema.column_names()  # aggregate host-side, post-scan
+        out_cols = query["cols"] or out_cols
     spec = ScanSpec(
         path=storage.path,
         page_rows=lambda page_no: databases[0].read_page_rows(storage, page_no),
@@ -523,55 +470,41 @@ def run_case_resilient(seed: int) -> CaseResult:
         num_pages=storage.num_pages,
         workers=2,
     )
-    expected = _reference(schema, rows, query)
-
-    def final_counters() -> Dict[str, int]:
-        counters = dict(injector.counters())
-        counters.update(("driver_%s" % k, v)
-                        for k, v in sorted(driver.counters().items()))
-        return counters
 
     try:
-        survivors = system.run_fiber(
-            driver.scan(spec, primary=layout["primary"]),
-            name="resilient-case-%d" % seed)
+        got = system.run_fiber(driver.scan(spec, primary=layout["primary"]),
+                               name="resilient-case-%d" % seed)
+        error = None
     except DeviceError as exc:
-        return CaseResult(seed, True, "device-error",
-                          "resilient scan gave up: %s | %s" % (exc, line),
-                          line, True, final_counters())
-    counters = final_counters()
-    if query["kind"] == "filter":
-        got = survivors
-    else:
+        got, error = None, exc
+    if got is not None and query["kind"] != "filter":
         # Surviving full rows already satisfy the predicate; the reference's
         # aggregate over them is the aggregate's answer.
-        got = _reference(schema, survivors, query)
-    if not rows_match(got, expected):
-        detail = ("resilient/reference disagree: %d vs %d rows | %s"
-                  % (len(got), len(expected), line))
-        return CaseResult(seed, True, "mismatch", detail, line, True, counters)
-    return CaseResult(seed, True, "match", "", line, True, counters)
+        got = _reference(schema, got, query)
+    counters = dict(injector.counters())
+    counters.update(("driver_%s" % k, v)
+                    for k, v in sorted(driver.counters().items()))
+    blank = CaseResult(seed, True, "", "",
+                       strategies.repro_line(seed, True, "resilient"),
+                       True, counters)
+    return _judge(blank, _reference(schema, rows, query),
+                  ("resilient", got, error))
 
 
-def run_resilient_sweep(seeds) -> List[CaseResult]:
-    """One resilient case per seed (failures carry their repro line)."""
-    return [run_case_resilient(seed) for seed in seeds]
-
-
-# -------------------------------------------------------------- sharded arm
-def run_case_sharded(seed: int) -> CaseResult:
+def _sharded_arm(seed: int, faults: bool) -> CaseResult:
     """One seeded case run across the sharded fleet, judged row-identical
-    (after canonical ordering) against the single-device BISCUIT arm and
-    the SQLite reference.
+    (after canonical ordering) against the single-device BISCUIT execution
+    and the SQLite reference.
 
-    The seed derives the *same* geometry/table/query as ``run_case(seed)``
-    (the cluster layout is drawn after the common prefix).  The layout
-    picks the fleet shape, the partition key and kind (hash or quantile
-    range), whether the scatter executor hedges, and — about a third of
-    the time — crashes one shard's primary node before the query runs.
-    Replication is 2 and only one node ever goes down, so every shard
-    keeps an alive copy and the only acceptable outcome, crash or not, is
-    ``match``: replica failover must be answer-invisible.
+    The cluster layout is drawn after the common prefix: the fleet shape,
+    the partition key and kind (hash or quantile range), whether the
+    scatter executor hedges, and — about a third of the time — a crash of
+    one shard's primary node before the query runs.  Replication is 2 and
+    only one node ever goes down, so every shard keeps an alive copy and
+    the only acceptable outcome, crash or not, is ``match``: replica
+    failover must be answer-invisible.  The drawn crash is the arm's fault
+    model, so ``faults`` is ignored and the result reports whether the
+    crash fired.
     """
     from repro.cluster import ClusterExecutor, ShardedFleet
 
@@ -579,12 +512,11 @@ def run_case_sharded(seed: int) -> CaseResult:
     schema, rows, query = case.schema, case.rows, case.query
     layout = strategies.gen_cluster_layout(case.rng, schema, rows)
 
-    # Single-device arm: the same fault-free BISCUIT execution run_case uses.
+    # Single-device execution: the same fault-free BISCUIT run the ndp arm uses.
     system, ndp_engine = _single_device(case, ExecutionMode.BISCUIT)
-    expected = _reference(schema, rows, query)
     ndp = _execute(system, ndp_engine, schema, query)
 
-    # Sharded arm: the same rows spread over the fleet, same offload knobs.
+    # Sharded execution: the same rows spread over the fleet, same offload knobs.
     fleet = ShardedFleet(
         num_nodes=layout["num_nodes"],
         num_shards=layout["num_shards"],
@@ -594,24 +526,21 @@ def run_case_sharded(seed: int) -> CaseResult:
     )
     fleet.load_sharded(schema, rows, key=layout["key"],
                        kind=layout["kind"], bounds=layout["bounds"])
-    crashed_node = -1
+    crashed_node, detail = -1, ""
     if layout["crash_primary"]:
         crashed_node = fleet.replica_map.nodes_for(layout["crash_shard"])[0]
         fleet.crash_node(crashed_node)
+        detail = ("crashed node%d (primary of shard %d)"
+                  % (crashed_node, layout["crash_shard"]))
     executor = ClusterExecutor(
         fleet,
         hedge=(HedgePolicy(default_us=layout["hedge_default_us"])
                if layout["hedge"] else None),
     )
     sharded = _execute(fleet, executor, schema, query)
-
-    detail = ""
-    if layout["crash_primary"]:
-        detail = ("crashed node%d (primary of shard %d)"
-                  % (crashed_node, layout["crash_shard"]))
     blank = CaseResult(
         seed, layout["crash_primary"], "", "",
-        strategies.repro_line(seed, layout["crash_primary"]),
+        strategies.repro_line(seed, layout["crash_primary"], "sharded"),
         ndp_engine.ndp_scans > 0 and fleet.ndp_scans() > 0,
         {
             "shards": fleet.num_shards,
@@ -621,36 +550,38 @@ def run_case_sharded(seed: int) -> CaseResult:
             "failovers": executor.failovers,
             "crashed_node": crashed_node,
         })
-    return _judge(blank, ("sharded",) + sharded, ("ndp",) + ndp, expected,
-                  match_detail=detail)
+    return _judge(blank, _reference(schema, rows, query),
+                  ("sharded",) + sharded, ("ndp",) + ndp, match_detail=detail)
 
 
-def run_sharded_sweep(seeds) -> List[CaseResult]:
-    """One sharded case per seed (failures carry their repro line)."""
-    return [run_case_sharded(seed) for seed in seeds]
+#: The differential arms by name: each draws the seed's case (one common
+#: prefix, so every arm queries the same geometry/table/query) and runs and
+#: judges it its own way.  ``faults`` turns the case's fault plan on;
+#: ``resilient`` and ``sharded`` bring their own fault model instead.
+ARMS: Dict[str, Callable[[int, bool], CaseResult]] = {
+    "ndp": _ndp_arm,
+    "interleaved": partial(_ndp_arm, interleaved=True),
+    "fastpath": _fastpath_arm,
+    "perturbed": _perturbed_arm,
+    "resilient": _resilient_arm,
+    "sharded": _sharded_arm,
+}
 
 
-def replay_sharded(line: str) -> CaseResult:
-    """Re-run the exact sharded case a ``REPRO:`` line came from."""
-    seed, _faults = strategies.parse_repro(line)
-    return run_case_sharded(seed)
+def run_case(seed: int, faults: bool = True, arm: str = "ndp") -> CaseResult:
+    """Generate, execute and judge one differential case on one arm."""
+    return ARMS[arm](seed, faults)
 
 
-def replay_resilient(line: str) -> CaseResult:
-    """Re-run the exact resilient case a ``REPRO:`` line came from."""
-    seed, _faults = strategies.parse_repro(line)
-    return run_case_resilient(seed)
+def run_sweep(seeds, faults: bool = True, arm: str = "ndp") -> List[CaseResult]:
+    """Run one case per seed; failures carry their repro line in ``detail``."""
+    return [run_case(seed, faults, arm) for seed in seeds]
 
 
 def replay(line: str) -> CaseResult:
-    """Re-run the exact case a ``REPRO:`` line came from."""
-    seed, faults = strategies.parse_repro(line)
-    return run_case(seed, faults=faults)
-
-
-def run_sweep(seeds, faults: bool = True) -> List[CaseResult]:
-    """Run one case per seed; failures carry their repro line in ``detail``."""
-    return [run_case(seed, faults=faults) for seed in seeds]
+    """Re-run the exact case (and arm) a ``REPRO:`` line came from."""
+    seed, faults, arm = strategies.parse_repro(line)
+    return run_case(seed, faults, arm)
 
 
 def summarize(results: List[CaseResult]) -> Dict[str, Any]:
@@ -663,7 +594,9 @@ def summarize(results: List[CaseResult]) -> Dict[str, Any]:
         "outcomes": outcomes,
         "offloaded": sum(1 for r in results if r.offloaded),
         "mismatches": [r.detail for r in results if r.outcome == "mismatch"],
+        # Only the injectors' *_injected counts are faults; the other arms'
+        # counters (events, fused pages, fleet and driver totals) are not.
         "faults_injected": sum(
-            sum(r.fault_counters.values()) - r.fault_counters.get("reads_seen", 0)
-            for r in results if r.fault_counters),
+            value for r in results for key, value in r.fault_counters.items()
+            if key.endswith("_injected")),
     }

@@ -3,8 +3,9 @@
 Every generator takes an explicit ``random.Random`` so that one integer seed
 derives the whole case — SSD geometry, table contents, query, fault plan.
 That is what makes the shrinking-free ``REPRO:`` format work: a failure line
-carries only the seed (plus the generator version and the faults flag), and
-:func:`repro.testing.differential.replay` regenerates the exact case.
+carries only the seed plus the generator version, the faults flag and the
+arm (``REPRO: seed=7 config=v4:faults=on:arm=sharded``), and
+:func:`repro.testing.differential.replay` regenerates the case on that arm.
 """
 
 from __future__ import annotations
@@ -359,17 +360,18 @@ def gen_schedule(rng: random.Random) -> Dict[str, Any]:
 
 # -------------------------------------------------------------- REPRO format
 _REPRO_RE = re.compile(
-    r"REPRO:\s+seed=(\d+)\s+config=([A-Za-z0-9_.-]+):faults=(on|off)")
+    r"REPRO:\s+seed=(\d+)\s+config=([A-Za-z0-9_.-]+):faults=(on|off)"
+    r":arm=([a-z]+)")
 
 
-def repro_line(seed: int, faults: bool) -> str:
+def repro_line(seed: int, faults: bool, arm: str) -> str:
     """The one-line replay token printed with every harness failure."""
-    return "REPRO: seed=%d config=%s:faults=%s" % (
-        seed, GENERATOR_VERSION, "on" if faults else "off")
+    return "REPRO: seed=%d config=%s:faults=%s:arm=%s" % (
+        seed, GENERATOR_VERSION, "on" if faults else "off", arm)
 
 
-def parse_repro(line: str) -> Tuple[int, bool]:
-    """Parse a ``REPRO:`` line back into (seed, faults)."""
+def parse_repro(line: str) -> Tuple[int, bool, str]:
+    """Parse a ``REPRO:`` line back into (seed, faults, arm)."""
     match = _REPRO_RE.search(line)
     if match is None:
         raise ValueError("not a REPRO line: %r" % line)
@@ -378,4 +380,4 @@ def parse_repro(line: str) -> Tuple[int, bool]:
         raise ValueError(
             "REPRO line is from generator %s, this is %s"
             % (version, GENERATOR_VERSION))
-    return int(match.group(1)), match.group(3) == "on"
+    return int(match.group(1)), match.group(3) == "on", match.group(4)

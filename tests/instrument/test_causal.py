@@ -15,7 +15,6 @@ from repro.instrument.causal import (
 from repro.instrument.events import EventBus, TraceContext, TraceEvent
 from repro.sim.engine import Simulator
 from repro.sim.units import MIB
-from repro.ssd.config import SSDConfig
 
 
 def make_bus():
@@ -354,7 +353,7 @@ class TestRegistryCounters:
         assert registry.counter("resilience.recovery.faults_noted").value == 1
 
     def test_race_counters_live_in_system_registry(self):
-        system = System(ssd_config=SSDConfig(race_check=True))
+        system = System(sim=Simulator(race_check=True))
         assert system.sim.race is not None
         system.fs.install_synthetic("/t.dat", 1 * MIB)
         handle = system.open_host("/t.dat")

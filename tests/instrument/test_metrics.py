@@ -7,6 +7,7 @@ from repro.instrument.metrics import Counters, Histogram, MetricsRegistry
 from repro.resilience import (
     HedgePolicy, RecoveryTracker, ResilientScanDriver,
 )
+from repro.sim.engine import Simulator
 from repro.sim.units import MIB
 from repro.ssd.cache import CacheStats
 from repro.ssd.config import SSDConfig
@@ -196,7 +197,7 @@ def _cached_system():
 
 
 def _race_checked_system():
-    return (System(ssd_config=SSDConfig(race_check=True)),
+    return (System(sim=Simulator(race_check=True)),
             list(_RACE) + _device_names(0))
 
 

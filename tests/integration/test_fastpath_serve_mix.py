@@ -1,6 +1,6 @@
 """Fast path on vs off under a concurrent multi-tenant arrival schedule.
 
-``test_fastpath_differential.py`` sweeps one query at a time; nothing else
+The differential ``fastpath`` arm sweeps one query at a time; nothing else
 runs the serving layer both ways.  This pins ``benchmarks/e2e`` finding 4:
 at ``LoadGenerator(seed=106, horizon_s=1.5)`` the fused path and the
 per-event path end at *different* simulated times — the fused path's

@@ -17,6 +17,7 @@ from repro.bench.experiments import (
     exp_table3_read_latency,
 )
 from repro.host.platform import System
+from repro.sim.engine import Simulator
 from repro.sim.units import KIB, MIB
 from repro.ssd.config import SSDConfig
 
@@ -79,8 +80,9 @@ def test_internal_read_sweep_clean_with_fastpath_on_and_off(fast_path):
 
 
 def test_race_check_config_knob_builds_a_monitored_world():
-    system = System(ssd_config=SSDConfig(race_check=True))
+    system = System(sim=Simulator(race_check=True))
     assert system.sim.race is not None
+    assert "race.hazards" in system.metrics.names()
     assert System(ssd_config=SSDConfig()).sim.race is None
 
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import OutOfSpaceError
 from repro.sim.engine import Simulator
 from repro.ssd.config import SSDConfig
-from repro.ssd.ftl import FTL, OutOfSpace, PhysAddr
+from repro.ssd.ftl import FTL, PhysAddr
 from repro.ssd.nand import NandArray
 
 
@@ -115,21 +116,21 @@ def test_write_amplification_grows_under_overwrites():
 def test_out_of_space_when_full_of_live_data():
     sim, config, ftl = make_ftl(channels=1, blocks=3, pages=2)
     capacity = 3 * 2 * config.logical_pages_per_physical  # 24 slots
-    with pytest.raises(OutOfSpace):
+    with pytest.raises(OutOfSpaceError):
         for start in range(0, capacity * 2, 4):
             write(sim, ftl, range(start, start + 4))
 
 
 def test_awaited_process_failure_surfaces_original_exception():
-    """Regression: run(process) must raise OutOfSpace, not a masked
+    """Regression: run(process) must raise OutOfSpaceError, not a masked
     SimulationError."""
     sim, config, ftl = make_ftl(channels=1, blocks=2, pages=1)
     try:
         for start in range(0, 64, 4):
             write(sim, ftl, range(start, start + 4))
-    except OutOfSpace:
+    except OutOfSpaceError:
         return
-    pytest.fail("expected OutOfSpace")
+    pytest.fail("expected OutOfSpaceError")
 
 
 def test_wear_leveling_spreads_erases():

@@ -10,11 +10,10 @@ import pytest
 
 import repro.db.ndp
 from repro.testing.differential import (
+    ARMS,
     replay,
     rows_match,
     run_case,
-    run_case_interleaved,
-    run_case_perturbed,
     run_sweep,
     summarize,
 )
@@ -73,6 +72,28 @@ def test_every_result_carries_a_repro_line():
         assert result.repro.startswith("REPRO: seed=")
 
 
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_replay_reproduces_every_arm(arm):
+    """The REPRO line names its arm, so replaying a sharded, fast-path,
+    perturbed or interleaved case reruns that arm, not the ndp one.
+    Seed 0 crashes a shard primary on the sharded arm."""
+    original = run_case(0, True, arm)
+    assert original.repro.endswith(":arm=%s" % arm)
+    replayed = replay(original.repro)
+    assert replayed.repro == original.repro
+    assert replayed.outcome == original.outcome
+    assert replayed.detail == original.detail
+    assert replayed.fault_counters == original.fault_counters
+
+
+def test_faults_injected_counts_only_injector_faults():
+    """Event totals, fused pages and fleet counters are not faults: a
+    fault-free fast-path sweep (and a sharded one) reports none."""
+    assert summarize(run_sweep(range(3), faults=False, arm="fastpath"))[
+        "faults_injected"] == 0
+    assert summarize(run_sweep(range(3), arm="sharded"))["faults_injected"] == 0
+
+
 # ------------------------------------------------------ concurrent schedules
 def test_interleaving_does_not_change_results():
     """NDP vs host vs reference, with a second app sharing the device.
@@ -82,7 +103,7 @@ def test_interleaving_does_not_change_results():
     same device.  Concurrency may reorder device work arbitrarily; the row
     sets must not change.
     """
-    results = [run_case_interleaved(seed) for seed in range(40, 52)]
+    results = run_sweep(range(40, 52), faults=False, arm="interleaved")
     assert [r.outcome for r in results] == ["match"] * len(results)
     companions = {r.detail.split()[-1] for r in results}
     assert companions == {"string_search", "pointer_chase"}
@@ -95,7 +116,7 @@ def test_perturbed_tie_breaking_does_not_change_results():
     batch.  Every case must stay hazard-free and bit-identical, and the
     perturbation must actually engage (batches reversed) somewhere in the
     window — an arm that never reverses anything gates nothing."""
-    results = [run_case_perturbed(seed) for seed in range(4)]
+    results = run_sweep(range(4), faults=False, arm="perturbed")
     assert [r.outcome for r in results] == ["match"] * len(results)
     assert sum(r.fault_counters["reversed"] for r in results) > 0
     assert all("REPRO:" in r.repro for r in results)

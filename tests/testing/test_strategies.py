@@ -90,22 +90,26 @@ def test_gen_schedule_covers_both_companions():
 
 
 def test_repro_line_roundtrip():
-    for seed, faults in ((0, True), (12345, False), (1 << 29, True)):
-        assert parse_repro(repro_line(seed, faults)) == (seed, faults)
+    for seed, faults, arm in ((0, True, "ndp"), (12345, False, "fastpath"),
+                              (1 << 29, True, "sharded")):
+        assert parse_repro(repro_line(seed, faults, arm)) == (seed, faults, arm)
 
 
 def test_repro_line_parses_inside_noise():
-    line = "FAILED ...  %s  (rerun me)" % repro_line(77, True)
-    assert parse_repro(line) == (77, True)
+    line = "FAILED ...  %s  (rerun me)" % repro_line(77, True, "resilient")
+    assert parse_repro(line) == (77, True, "resilient")
 
 
 def test_parse_repro_rejects_garbage():
     with pytest.raises(ValueError):
         parse_repro("not a repro line at all")
+    # A line that does not name its arm would silently replay the ndp arm.
+    with pytest.raises(ValueError):
+        parse_repro("REPRO: seed=5 config=%s:faults=on" % GENERATOR_VERSION)
 
 
 def test_parse_repro_rejects_version_mismatch():
-    stale = repro_line(5, True).replace(GENERATOR_VERSION, "v0")
-    assert GENERATOR_VERSION in repro_line(5, True)
+    stale = repro_line(5, True, "ndp").replace(GENERATOR_VERSION, "v0")
+    assert GENERATOR_VERSION in repro_line(5, True, "ndp")
     with pytest.raises(ValueError):
         parse_repro(stale)
