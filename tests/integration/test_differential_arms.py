@@ -24,6 +24,8 @@ A failure's ``REPRO:`` line replays it on its arm
 (:func:`repro.testing.differential.replay`).
 """
 
+import functools
+
 import pytest
 
 from repro.testing.differential import run_sweep, summarize
@@ -95,11 +97,23 @@ ROWS = {
 }
 
 
-def _check(arm, windows):
+def _run(arm, windows):
+    return [r for seeds, faults in windows
+            for r in run_sweep(seeds, faults, arm)]
+
+
+@functools.lru_cache(maxsize=None)
+def sweep(arm):
+    """The arm's every-push sweep, run once and shared with named tests."""
+    return tuple(_run(arm, ROWS[arm][0]))
+
+
+def check_sweep(arm):
+    _check(arm, list(sweep(arm)), ROWS[arm][0])
+
+
+def _check(arm, results, windows):
     _sweep, _soak, tolerated, engaged = ROWS[arm]
-    results = []
-    for seeds, faults in windows:
-        results += run_sweep(seeds, faults, arm)
     assert summarize(results)["cases"] == sum(len(s) for s, _ in windows)
     bad = [r for r in results if r.outcome != "match"
            and not (r.faults and r.outcome in tolerated)]
@@ -110,10 +124,11 @@ def _check(arm, windows):
 
 @pytest.mark.parametrize("arm", sorted(ROWS))
 def test_arm_sweep(arm):
-    _check(arm, ROWS[arm][0])
+    check_sweep(arm)
 
 
 @pytest.mark.faults
 @pytest.mark.parametrize("arm", sorted(ROWS))
 def test_arm_soak(arm):
-    _check(arm, ROWS[arm][1])
+    windows = ROWS[arm][1]
+    _check(arm, _run(arm, windows), windows)

@@ -1,49 +1,17 @@
-"""The fast-path acceptance sweep: fused-on vs fused-off, bit-identical.
+"""The fast-path arm: fused-on vs fused-off must be bit-identical.  The
+sweep is the ``fastpath`` row of ``test_differential_arms``."""
 
-``run_case_fastpath`` executes the same seeded query/config/fault combo
-twice — ``sim_fast_path`` on and off — and demands exactly equal result
-rows, exactly equal typed errors, and the same final ``sim.now``.  Unlike
-the NDP-vs-host sweep (which tolerates typed device errors as an outcome
-class), here *any* asymmetry between the arms is a bug: the fault streams
-are pre-drawn per channel command, so even error cases must fail on the
-same page at the same instant.
-"""
+from repro.testing.differential import run_case
 
-import pytest
-
-from repro.testing.differential import run_case_fastpath, run_fastpath_sweep
-
-
-def _assert_all_match(results):
-    mismatches = [r.detail for r in results if r.outcome != "match"]
-    assert not mismatches, "\n".join(mismatches)
+from tests.integration.test_differential_arms import check_sweep
 
 
 def test_fastpath_sweep_60_cases():
-    faulted = run_fastpath_sweep(range(40), faults=True)
-    clean = run_fastpath_sweep(range(40, 60), faults=False)
-    results = faulted + clean
-    _assert_all_match(results)
-    # The sweep must actually exercise fusion — an always-materializing (or
-    # never-engaging) fast path would pass the equality check vacuously.
-    fused_pages = sum(r.fault_counters["fused_pages"] for r in results)
-    assert fused_pages > 100
-    # And fusing must really shrink the event stream somewhere.
-    assert any(r.fault_counters["fast_events"]
-               < r.fault_counters["slow_events"] for r in results)
-    # Query work must have offloaded in the bulk of the cases in both arms.
-    assert sum(1 for r in results if r.offloaded) >= 30
-
-
-@pytest.mark.faults
-def test_fastpath_soak_200_cases():
-    results = (run_fastpath_sweep(range(2000, 2150), faults=True)
-               + run_fastpath_sweep(range(2150, 2200), faults=False))
-    _assert_all_match(results)
+    check_sweep("fastpath")
 
 
 def test_fastpath_case_reports_counters():
-    result = run_case_fastpath(3, faults=False)
+    result = run_case(3, faults=False, arm="fastpath")
     assert result.outcome == "match"
     assert set(result.fault_counters) == {
         "fast_events", "slow_events", "fused_pages"}

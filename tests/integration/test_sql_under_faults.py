@@ -1,21 +1,31 @@
-"""SQL under fault storms: single cases of the resilient differential arm.
+"""SQL under fault storms: the resilient differential arm.
 
-Every seeded case replicates its table on a second device, puts an
-error-capable fault storm on the primary (uncorrectable bursts, stalls,
-possibly a whole-device crash window) and only latency faults on the
-replica, then runs the query through the resilient scan driver
-(checkpointed retry/resume, hedged reads, replica failover).  The result
-must be **byte-identical** to the fault-free SQLite reference —
-``device-error`` is not an acceptable outcome here, unlike the fail-fast
-``ndp`` arm: with a clean replica and a finite storm, recovery must
-converge.  The arm's sweep and soak are rows of
-``tests/integration/test_differential_arms.py``.
-
-Failures print a one-line ``REPRO:`` token naming the arm; replay with
+A replicated scan through the resilient driver, its primary under an
+error-capable storm, must equal the fault-free SQLite reference (no
+``device-error``).  The sweep and soak are the ``resilient`` row of
+``tests/integration/test_differential_arms.py``; the sweep tests below read
+that row's cached results.  Replay a failure's ``REPRO:`` line with
 ``repro.testing.differential.replay``.
 """
 
-from repro.testing.differential import replay, run_case
+from repro.testing.differential import replay, run_case, summarize
+
+from tests.integration.test_differential_arms import check_sweep, sweep
+
+
+def test_resilient_sweep_50_cases_all_match():
+    results = sweep("resilient")[:50]  # seeds 0-49
+    assert all(r.outcome == "match" for r in results)
+    # The storm must actually bite, and the recovery machinery must be used.
+    assert sum(summarize([r])["faults_injected"] > 0 for r in results) >= 10
+    for key in ("driver_retries", "driver_failovers"):
+        assert sum(r.fault_counters.get(key, 0) for r in results) > 0, key
+
+
+def test_resilient_sweep_exercises_every_mechanism():
+    """Over seeds 0-79 all match and every recovery mechanism fires: retry,
+    device failover, hedging, crash handling."""
+    check_sweep("resilient")
 
 
 def test_resilient_case_carries_repro_line():
