@@ -65,9 +65,12 @@ class HostCPU:
             return
         if memory_bound and self.background_threads:  # else it is exactly 1.0
             duration_us *= self.contention_factor()
-        yield self.cores.request()
+        if not self.cores.take():
+            yield self.cores.request()
         try:
-            yield self.sim.timeout(us_to_ns(duration_us))
+            hold_ns = us_to_ns(duration_us)
+            if not self.sim.advance(hold_ns):
+                yield self.sim.timeout(hold_ns)
         finally:
             self.cores.release()
         self.busy_us += duration_us

@@ -55,7 +55,8 @@ class HostIO:
             trace.complete("driver", "submit", self.trace_track, start_ns)
         interface = self.device.interface
         slot_wait_ns = self.sim.now if trace is not None else 0
-        yield interface.acquire_slot()
+        if not interface.queue_slots.take():
+            yield interface.acquire_slot()
         try:
             if trace is not None:
                 if self.sim.now > slot_wait_ns:

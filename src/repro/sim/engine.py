@@ -247,6 +247,11 @@ class Process(Event):
         target = self._waiting_on
         if target is None:
             self._pending_interrupt = Interrupt(cause)
+            # The running fiber interrupted itself (one not yet started has
+            # its bootstrap queued, which refuses in-line continuation
+            # anyway): its next wait must go through the heap, where
+            # _resume delivers the interrupt.
+            self.sim._inline = False
             return
         # Request events (Resource/Store) are single-waiter: flag the
         # abandonment so pending grants are not burned on this fiber.  The
@@ -496,6 +501,11 @@ class Simulator:
         # given workload (it counts scheduled events, not wall time), so the
         # throughput bench and the fast-path tests can assert on it.
         self.events_processed = 0
+        # In-line continuation (:meth:`advance`, ``Resource.take``): True
+        # only while run()'s drain dispatches the last callback of an entry
+        # that is not its sentinel; ``_deadline`` is that drain's ``until``.
+        self._inline = False
+        self._deadline: Optional[int] = None
         # Structured-event tracing hook (repro.instrument.events.EventBus).
         # None means tracing is off; instrumented layers guard every emission
         # with a single ``sim.trace is not None`` check, so the disabled path
@@ -561,6 +571,35 @@ class Simulator:
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the heap is empty."""
         return self._heap[0][0] if self._heap else None
+
+    def advance(self, delay_ns: int) -> bool:
+        """Move the clock ``delay_ns`` forward at once, when that is exactly
+        what ``yield sim.timeout(delay_ns)`` would do; else return False.
+
+        The idiom is ``if not sim.advance(ns): yield sim.timeout(ns)``.  It
+        advances only while :meth:`run` dispatches the last callback of an
+        entry that is not its sentinel (never under :meth:`step` or the
+        race monitor's drain), no queued entry is due at or before
+        ``now + delay_ns`` and that time is within ``run(until=ns)``'s
+        deadline.  The timeout's entry would then be the very next one
+        popped, resuming only the running fiber, so skipping it moves no
+        timestamp and no tie: it draws no sequence number, and every later
+        number shifts down alike.  ``Resource.take`` is the same rule for
+        a grant.
+        """
+        if delay_ns < 0:
+            raise ValueError("negative advance: %r" % (delay_ns,))
+        if not self._inline:
+            return False
+        when = self._now + delay_ns
+        heap = self._heap
+        if heap and heap[0][0] <= when:
+            return False
+        deadline = self._deadline
+        if deadline is not None and when > deadline:
+            return False
+        self._now = when
+        return True
 
     def _run_monitored(self, heap: List[Any], sentinel: Optional[Event],
                        deadline: Optional[int]) -> None:
@@ -642,24 +681,38 @@ class Simulator:
         else:
             # The drain: one entry at a time, exactly repeated step() with
             # Event._run_callbacks inlined — an exception mid-timestamp
-            # leaves the rest of the timestamp on the heap.
+            # leaves the rest of the timestamp on the heap.  An entry's last
+            # callback runs with ``_inline`` set (unless the entry is the
+            # sentinel, after which the loop stops): nothing else runs
+            # before the next pop, so the fiber it resumes may continue in
+            # line (advance, Resource.take) while nothing else is due.
+            self._deadline = deadline
             pop = heappop
-            while heap:
-                if sentinel is not None and sentinel._callbacks is None:
-                    break
-                if deadline is not None and heap[0][0] > deadline:
-                    break
-                when, __, event = pop(heap)
-                self._now = when
-                self.events_processed += 1
-                callbacks, event._callbacks = event._callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if (event._exception is not None and not callbacks
-                        and not event.defused):
-                    raise SimulationError(
-                        "unhandled failure of %r" % event
-                    ) from event._exception
+            try:
+                while heap:
+                    if sentinel is not None and sentinel._callbacks is None:
+                        break
+                    if deadline is not None and heap[0][0] > deadline:
+                        break
+                    when, __, event = pop(heap)
+                    self._now = when
+                    self.events_processed += 1
+                    callbacks, event._callbacks = event._callbacks, None
+                    if callbacks:
+                        last = callbacks.pop()
+                        if callbacks:
+                            self._inline = False
+                            for callback in callbacks:
+                                callback(event)
+                        self._inline = event is not sentinel
+                        last(event)
+                    elif (event._exception is not None
+                            and not event.defused):
+                        raise SimulationError(
+                            "unhandled failure of %r" % event
+                        ) from event._exception
+            finally:
+                self._inline = False
         if sentinel is not None:
             if sentinel._callbacks is not None:
                 # The flag only exists to mark run() as the failure's

@@ -88,6 +88,36 @@ class Resource:
         heappush(sim._heap, (now, sequence, event))
         return event
 
+    def take(self, units: int = 1) -> bool:
+        """Hold ``units`` at once, when that is exactly what ``yield
+        request(units)`` would do; else return False.
+
+        The idiom is ``if not res.take(): yield res.request()``.  It grants
+        only when :meth:`request` would grant uncontended, no queued entry
+        is due now, and the simulator allows in-line continuation (see
+        :meth:`Simulator.advance`): the grant's entry would be the very
+        next one popped and would resume only the running fiber.  The busy
+        accounting is :meth:`request`'s.
+        """
+        if units < 1 or units > self.capacity:
+            raise ValueError(
+                "cannot take %d units of %d-capacity resource" % (units, self.capacity)
+            )
+        sim = self.sim
+        if not sim._inline:
+            return False
+        in_use = self._in_use
+        if self._waiters or in_use + units > self.capacity:
+            return False
+        heap = sim._heap
+        now = sim._now
+        if heap and heap[0][0] <= now:
+            return False
+        self._busy_area += in_use * (now - self._last_change)
+        self._last_change = now
+        self._in_use = in_use + units
+        return True
+
     def release(self, units: int = 1) -> None:
         in_use = self._in_use
         if units < 1 or units > in_use:

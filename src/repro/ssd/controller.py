@@ -271,9 +271,11 @@ class Controller:
         try:
             # Per-command firmware cost on a device core.
             if self.config.firmware_read_overhead_us > 0:  # else no hold at all
-                yield self.cores.request()
+                if not self.cores.take():
+                    yield self.cores.request()
                 try:
-                    yield self.sim.timeout(self._read_overhead_ns)
+                    if not self.sim.advance(self._read_overhead_ns):
+                        yield self.sim.timeout(self._read_overhead_ns)
                 finally:
                     self.cores.release()
                 if trace is not None:
@@ -313,9 +315,12 @@ class Controller:
         dispatch_us = self.STRIPE_DISPATCH_US
         if use_matcher:
             dispatch_us += self.config.matcher_control_us_per_stripe * len(batch)
-        yield self.cores.request()
+        if not self.cores.take():
+            yield self.cores.request()
         try:
-            yield self.sim.timeout(us_to_ns(dispatch_us) if use_matcher else self._dispatch_ns)
+            hold_ns = us_to_ns(dispatch_us) if use_matcher else self._dispatch_ns
+            if not self.sim.advance(hold_ns):
+                yield self.sim.timeout(hold_ns)
         finally:
             self.cores.release()
         if trace is not None:
@@ -507,9 +512,12 @@ class Controller:
             return
         trace = self.sim.trace
         start_ns = self.sim.now if trace is not None else 0
-        yield self.cores.request()
+        if not self.cores.take():
+            yield self.cores.request()
         try:
-            yield self.sim.timeout(us_to_ns(duration_us))
+            hold_ns = us_to_ns(duration_us)
+            if not self.sim.advance(hold_ns):
+                yield self.sim.timeout(hold_ns)
         finally:
             self.cores.release()
         if trace is not None and label is not None:

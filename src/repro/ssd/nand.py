@@ -119,9 +119,13 @@ class Channel:
             # Per-event traffic interferes with the in-flight fused plans:
             # fall back to per-event stepping before touching the channel.
             self.fastpath.materialize()
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        yield self.dies.request() if die_request is None else die_request
+        sim = self.sim
+        trace = sim.trace
+        start_ns = sim.now if trace is not None else 0
+        if die_request is not None:
+            yield die_request
+        elif not self.dies.take():
+            yield self.dies.request()
         try:
             if trace is not None and self.sim.now > start_ns:
                 # Queueing ahead of the media: the op waited for a free die.
@@ -130,7 +134,8 @@ class Channel:
             sense_ns = self._sense_ns
             if fault is not None and fault.kind == "spike":
                 sense_ns += fault.extra_ns
-            yield self.sim.timeout(sense_ns)
+            if not sim.advance(sense_ns):
+                yield sim.timeout(sense_ns)
             if fault is not None and fault.kind in ("ecc", "uncorrectable"):
                 if trace is not None:
                     # The sense time was consumed but nothing transferred;
@@ -144,7 +149,8 @@ class Channel:
                 raise UncorrectableReadError("media read failed",
                                              channel=self.index, page=physical_page)
             bus_wait_ns = self.sim.now if trace is not None else 0
-            yield self.bus.request()
+            if not self.bus.take():
+                yield self.bus.request()
             try:
                 if trace is not None and self.sim.now > bus_wait_ns:
                     trace.complete("nand", "bus-wait", self.trace_track,
@@ -152,8 +158,10 @@ class Channel:
                 if fault is not None and fault.kind == "stall":
                     # The channel wedges with the bus held: every other die's
                     # transfer on this channel waits it out too.
-                    yield self.sim.timeout(fault.extra_ns)
-                yield self.sim.timeout(transfer_ns(transfer_bytes, config.channel_bytes_per_sec))
+                    yield sim.timeout(fault.extra_ns)
+                hold_ns = transfer_ns(transfer_bytes, config.channel_bytes_per_sec)
+                if not sim.advance(hold_ns):
+                    yield sim.timeout(hold_ns)
             finally:
                 self.bus.release()
         finally:
@@ -172,16 +180,23 @@ class Channel:
                              % (transfer_bytes, config.physical_page_bytes))
         if self.fastpath.active:
             self.fastpath.materialize()
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        yield self.dies.request()
+        sim = self.sim
+        trace = sim.trace
+        start_ns = sim.now if trace is not None else 0
+        if not self.dies.take():
+            yield self.dies.request()
         try:
-            yield self.bus.request()
+            if not self.bus.take():
+                yield self.bus.request()
             try:
-                yield self.sim.timeout(transfer_ns(transfer_bytes, config.channel_bytes_per_sec))
+                hold_ns = transfer_ns(transfer_bytes, config.channel_bytes_per_sec)
+                if not sim.advance(hold_ns):
+                    yield sim.timeout(hold_ns)
             finally:
                 self.bus.release()
-            yield self.sim.timeout(us_to_ns(config.nand_program_us))
+            program_ns = us_to_ns(config.nand_program_us)
+            if not sim.advance(program_ns):
+                yield sim.timeout(program_ns)
         finally:
             self.dies.release()
         self.bytes_written += transfer_bytes
@@ -194,11 +209,15 @@ class Channel:
         """Erase one block (die busy for tBERS; no bus traffic)."""
         if self.fastpath.active:
             self.fastpath.materialize()
-        trace = self.sim.trace
-        start_ns = self.sim.now if trace is not None else 0
-        yield self.dies.request()
+        sim = self.sim
+        trace = sim.trace
+        start_ns = sim.now if trace is not None else 0
+        if not self.dies.take():
+            yield self.dies.request()
         try:
-            yield self.sim.timeout(us_to_ns(self.config.nand_erase_us))
+            erase_ns = us_to_ns(self.config.nand_erase_us)
+            if not sim.advance(erase_ns):
+                yield sim.timeout(erase_ns)
         finally:
             self.dies.release()
         self.erases += 1

@@ -93,9 +93,12 @@ class HostInterface:
         start_ns = self.sim.now if trace is not None else 0
         self.commands += 1
         if self.fabric is None:
-            yield self.link.request()
+            if not self.link.take():
+                yield self.link.request()
             try:
-                yield self.sim.timeout(transfer_ns(num_bytes, self.config.pcie_bytes_per_sec))
+                hold_ns = transfer_ns(num_bytes, self.config.pcie_bytes_per_sec)
+                if not self.sim.advance(hold_ns):
+                    yield self.sim.timeout(hold_ns)
             finally:
                 self.link.release()
         else:

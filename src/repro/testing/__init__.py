@@ -6,7 +6,8 @@ at the NAND/controller layer, property-style workload generators, and a
 differential harness asserting that the NDP pushdown path, the host-only
 path and a SQLite reference always agree, with and without faults, on
 each arm of :data:`repro.testing.differential.ARMS` (``ndp``,
-``interleaved``, ``fastpath``, ``perturbed``, ``resilient``, ``sharded``).
+``interleaved``, ``fastpath``, ``inline``, ``perturbed``, ``resilient``,
+``sharded``).
 
 Every harness failure prints a one-line ``REPRO: seed=... config=...:arm=...``
 that replays the exact case on its arm (see :func:`~.differential.replay`).

@@ -13,7 +13,8 @@ The ``ndp`` arm runs the case through three executions:
   SSDlets on the device.
 
 The other rows of :data:`ARMS` run the same case another way
-(``interleaved``, ``fastpath``, ``perturbed``, ``resilient``, ``sharded``);
+(``interleaved``, ``fastpath``, ``inline``, ``perturbed``, ``resilient``,
+``sharded``);
 :func:`run_case`, :func:`run_sweep` and :func:`replay` take the arm by name.
 
 Outcomes: ``match`` (all executions agree), ``mismatch`` (a correctness
@@ -50,7 +51,7 @@ from repro.host.platform import System
 from repro.resilience import (
     HedgePolicy, RecoveryTracker, ResilientScanDriver, RetryPolicy, ScanSpec,
 )
-from repro.sim.engine import all_of
+from repro.sim.engine import Simulator, all_of
 from repro.testing import strategies
 from repro.testing.faults import FaultInjector, StormInjector
 
@@ -251,9 +252,10 @@ def _draw_case(seed: int) -> _Case:
     return _Case(rng, ssd_config, schema, rows, query, plan)
 
 
-def _single_device(case: _Case, *modes: ExecutionMode):
-    """One System holding the case's table, plus an engine per mode."""
-    system = System(ssd_config=case.ssd_config)
+def _single_device(case: _Case, *modes: ExecutionMode, sim=None):
+    """One System (on ``sim``, if given) holding the case's table, plus an
+    engine per mode."""
+    system = System(ssd_config=case.ssd_config, sim=sim)
     db = Database(system.fs)
     db.load_table(case.schema, case.rows)
     return (system,) + tuple(create_engine(system, db, mode, force_offload_config())
@@ -297,13 +299,14 @@ def _install_companion(system: System, schedule: Dict[str, Any]):
         system, graph, schedule["walks"], schedule["hops"])
 
 
-def _ndp_run(case: _Case, faults: bool, schedule=None):
+def _ndp_run(case: _Case, faults: bool, schedule=None, sim=None):
     """The ndp arm's execution: CONV, then BISCUIT, on one device holding
     the case's table (under its fault plan if ``faults``, next to a
-    companion app if given a ``schedule``).  Returns ``(system, ndp_engine,
-    injector, host, ndp)``, the last two as ``(rows, error)``."""
+    companion app if given a ``schedule``, on ``sim`` if given).  Returns
+    ``(system, ndp_engine, injector, host, ndp)``, the last two as
+    ``(rows, error)``."""
     system, host_engine, ndp_engine = _single_device(
-        case, ExecutionMode.CONV, ExecutionMode.BISCUIT)
+        case, ExecutionMode.CONV, ExecutionMode.BISCUIT, sim=sim)
     companion = _install_companion(system, schedule) if schedule else None
     injector = None
     if faults:
@@ -339,6 +342,39 @@ def _error_key(error):
     return None if error is None else (type(error).__name__, str(error))
 
 
+def _exact_run(case: _Case, faults: bool, sim=None) -> Dict[str, Any]:
+    """The ndp arm's execution, reduced to what the exact-equivalence arms
+    compare and report."""
+    system, ndp_engine, _injector, host, ndp = _ndp_run(case, faults, sim=sim)
+    return {
+        "host_rows": host[0], "ndp_rows": ndp[0],
+        "host_error": _error_key(host[1]), "ndp_error": _error_key(ndp[1]),
+        "now": system.sim.now,
+        "events": system.sim.events_processed,
+        "fused_pages": sum(channel.fastpath.fused_pages
+                           for channel in system.device.nand.channels),
+        "offloaded": ndp_engine.ndp_scans > 0,
+    }
+
+
+def _judge_exact(seed: int, faults: bool, arm: str, names: str,
+                 runs: List[Dict[str, Any]],
+                 counters: Dict[str, int]) -> CaseResult:
+    """Two runs of one case must agree exactly: rows (order-sensitive),
+    typed errors and the final ``sim.now``; ``names`` labels the pair in
+    a mismatch's detail."""
+    first, second = runs
+    line = strategies.repro_line(seed, faults, arm)
+    blank = CaseResult(seed, faults, "match", "", line,
+                       first["offloaded"] and second["offloaded"], counters)
+    for name in ("host_rows", "ndp_rows", "host_error", "ndp_error", "now"):
+        if first[name] != second[name]:
+            return replace(blank, outcome="mismatch", detail=(
+                "%s arms disagree on %s: %r vs %r | %s"
+                % (names, name, first[name], second[name], line)))
+    return blank
+
+
 def _fastpath_arm(seed: int, faults: bool) -> CaseResult:
     """The ndp arm's execution run twice — fused fast path on, then off —
     judged for exact equivalence: identical rows (order-sensitive),
@@ -355,29 +391,27 @@ def _fastpath_arm(seed: int, faults: bool) -> CaseResult:
     for fast in (True, False):
         case = _draw_case(seed)
         case.ssd_config.sim_fast_path = fast
-        system, ndp_engine, _injector, host, ndp = _ndp_run(case, faults)
-        runs.append({
-            "host_rows": host[0], "ndp_rows": ndp[0],
-            "host_error": _error_key(host[1]), "ndp_error": _error_key(ndp[1]),
-            "now": system.sim.now,
-            "events": system.sim.events_processed,
-            "fused_pages": sum(channel.fastpath.fused_pages
-                               for channel in system.device.nand.channels),
-            "offloaded": ndp_engine.ndp_scans > 0,
-        })
+        runs.append(_exact_run(case, faults))
     fast_run, slow_run = runs
-    line = strategies.repro_line(seed, faults, "fastpath")
-    blank = CaseResult(
-        seed, faults, "match", "", line,
-        fast_run["offloaded"] and slow_run["offloaded"],
-        {"fast_events": fast_run["events"], "slow_events": slow_run["events"],
-         "fused_pages": fast_run["fused_pages"]})
-    for name in ("host_rows", "ndp_rows", "host_error", "ndp_error", "now"):
-        if fast_run[name] != slow_run[name]:
-            return replace(blank, outcome="mismatch", detail=(
-                "fast/slow arms disagree on %s: %r vs %r | %s"
-                % (name, fast_run[name], slow_run[name], line)))
-    return blank
+    return _judge_exact(seed, faults, "fastpath", "fast/slow", runs, {
+        "fast_events": fast_run["events"], "slow_events": slow_run["events"],
+        "fused_pages": fast_run["fused_pages"]})
+
+
+def _inline_arm(seed: int, faults: bool) -> CaseResult:
+    """The ndp arm's execution on the default drain, where holds continue
+    in line (``Resource.take`` / ``Simulator.advance``), and on the race
+    monitor's drain, which never skips a heap entry — judged for exact
+    equivalence like ``fastpath``.  ``fault_counters`` reports both runs'
+    processed event counts, so sweeps can assert that the default drain
+    really skipped entries.
+    """
+    runs = [_exact_run(_draw_case(seed), faults,
+                       sim=Simulator(race_check=monitored))
+            for monitored in (False, True)]
+    return _judge_exact(seed, faults, "inline", "inline/monitored", runs, {
+        "inline_events": runs[0]["events"],
+        "monitored_events": runs[1]["events"]})
 
 
 def _perturbed_arm(seed: int, faults: bool) -> CaseResult:
@@ -562,6 +596,7 @@ ARMS: Dict[str, Callable[[int, bool], CaseResult]] = {
     "ndp": _ndp_arm,
     "interleaved": partial(_ndp_arm, interleaved=True),
     "fastpath": _fastpath_arm,
+    "inline": _inline_arm,
     "perturbed": _perturbed_arm,
     "resilient": _resilient_arm,
     "sharded": _sharded_arm,

@@ -215,14 +215,14 @@ def test_get_opt_and_drain():
 
 # Table II, decomposed: one put + get over every connection that can exist
 # (kind x producer side x consumer side), with the real host and device
-# sides of an Application.  (elapsed ns, simulator events) as the four port
-# classes this replaced measured them.
+# sides of an Application.  Elapsed ns as the four port classes this replaced
+# measured them; simulator events with every hold continuing in line.
 ROUND_TRIPS = [
     ("inter-ssdlet", PortKind.INTER_SSDLET, False, False, 31_000, 5),
     ("inter-application", PortKind.INTER_APP, False, False, 10_700, 3),
-    ("d2h", PortKind.HOST_DEVICE, False, True, 130_102, 10),
-    ("h2d", PortKind.HOST_DEVICE, True, False, 301_602, 10),
-    ("host-local", PortKind.HOST_LOCAL, True, True, 2_500, 5),
+    ("d2h", PortKind.HOST_DEVICE, False, True, 130_102, 6),
+    ("h2d", PortKind.HOST_DEVICE, True, False, 301_602, 6),
+    ("host-local", PortKind.HOST_LOCAL, True, True, 2_500, 3),
 ]
 
 

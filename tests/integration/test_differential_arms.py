@@ -13,6 +13,9 @@ Every window is held to the same checks.
   final ``sim.now`` exactly equal, faults or not (fault streams are
   pre-drawn per channel command, so even error cases fail on the same page
   at the same instant).
+* ``inline`` — the ``ndp`` run on the default drain (holds continue in
+  line) vs the race monitor's drain (every heap entry dispatched): rows,
+  typed errors and the final ``sim.now`` exactly equal.
 * ``resilient`` — a replicated scan through the resilient driver under a
   fault storm: with a clean replica and a finite storm, recovery must
   converge, so the answer equals the fault-free reference.
@@ -49,6 +52,16 @@ def _fastpath_engaged(results):
     assert any(r.fault_counters["fast_events"] < r.fault_counters["slow_events"]
                for r in results)
     # Query work offloaded in the bulk of the cases in both runs.
+    assert summarize(results)["offloaded"] >= len(results) / 2
+
+
+def _inline_engaged(results):
+    assert all(set(r.fault_counters) == {"inline_events", "monitored_events"}
+               for r in results)
+    # Continuing in line must really skip heap entries...
+    assert (sum(r.fault_counters["inline_events"] for r in results)
+            < sum(r.fault_counters["monitored_events"] for r in results))
+    # ...on cases that offloaded, in the bulk.
     assert summarize(results)["offloaded"] >= len(results) / 2
 
 
@@ -90,6 +103,9 @@ ROWS = {
     "fastpath": ([(range(40), True), (range(40, 60), False)],
                  [(range(2000, 2150), True), (range(2150, 2200), False)],
                  set(), _fastpath_engaged),
+    "inline": ([(range(20), True)],
+               [(range(3000, 3100), True), (range(3100, 3150), False)],
+               set(), _inline_engaged),
     "resilient": ([(range(80), True)], [(range(1000, 1200), True)],
                   set(), _resilient_engaged),
     "sharded": ([(range(64), True)], [(range(2000, 2200), True)],

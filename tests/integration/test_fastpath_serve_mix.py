@@ -45,8 +45,8 @@ def finding4():
 
 def test_finding4_both_paths_are_pinned(finding4):
     (fast_ns, fast_events, _), (slow_ns, slow_events, _) = finding4
-    assert (fast_ns, fast_events) == (1_503_839_047, 182_842)
-    assert (slow_ns, slow_events) == (1_503_828_282, 212_852)
+    assert (fast_ns, fast_events) == (1_503_839_047, 130_768)
+    assert (slow_ns, slow_events) == (1_503_828_282, 138_905)
 
 
 def test_finding4_job_outcomes_agree(finding4):

@@ -5,10 +5,16 @@ one); ``step()`` is the reference.  Seeded random fiber programs — zero and
 positive timeouts, shared multi-unit ``Resource`` s, ``Store`` /
 ``BoundedQueue`` hand-offs, interrupts (of queued waiters, and of waiters
 granted in the very timestep they are interrupted in), failing events,
-``all_of`` / ``any_of`` — must produce the same log, event count, final
-clock and busy integrals however the loop is driven, and an exception
-raised mid-timestamp must leave the heap exactly as repeated ``step()``
-leaves it.
+``all_of`` / ``any_of`` — must produce the same log, final clock and busy
+integrals however the loop is driven, and an exception raised
+mid-timestamp must leave the heap as repeated ``step()`` leaves it.
+
+The programs also hold resources in line (``Resource.take`` and
+``Simulator.advance``, falling back to the yields).  ``step()`` and the
+monitored drain never continue in line, so they agree on every event and
+sequence number; ``run()`` skips the entries it continues past, so it may
+process fewer events and draw fewer sequence numbers, but the entries left
+queued after a crash keep their times and their order.
 """
 
 import random
@@ -50,11 +56,11 @@ class World:
                        for name, ops in programs.items()}
 
     def _draw_op(self, rng, names):
-        kind = rng.choice(("sleep", "sleep", "hold", "hold", "hold", "kick",
-                           "put", "get", "qput", "qget", "fail", "child",
-                           "all", "any"))
+        kind = rng.choice(("sleep", "sleep", "hold", "hold", "hold", "inline",
+                           "inline", "kick", "put", "get", "qput", "qget",
+                           "fail", "child", "all", "any"))
         delay = rng.choice(DELAYS)
-        if kind == "hold":
+        if kind in ("hold", "inline"):
             resource = rng.choice(self.resources)
             return kind, resource, rng.randint(1, resource.capacity), delay
         if kind == "kick":
@@ -99,6 +105,21 @@ class World:
                         raise
                     try:
                         yield sim.timeout(delay)
+                    finally:
+                        resource.release(units)
+                    value = resource.in_use
+                elif kind == "inline":
+                    _, resource, units, delay = op
+                    if not resource.take(units):
+                        grant = resource.request(units)
+                        try:
+                            yield grant
+                        except Interrupt:
+                            self.reclaimed += grant.triggered
+                            raise
+                    try:
+                        if not sim.advance(delay):
+                            yield sim.timeout(delay)
                     finally:
                         resource.release(units)
                     value = resource.in_use
@@ -203,6 +224,19 @@ DRIVERS = {
 }
 
 
+def _without_counts(outcome, crashes):
+    """What ``run()`` must keep while continuing in line: everything but
+    the event counts and, of the heap left by each crash, the sequence
+    numbers themselves (their order is kept, as ranks)."""
+    log, _events, end_ns, areas, in_use = outcome
+    heaps = []
+    for message, (crash_ns, _count, entries) in crashes:
+        rank = {seq: i for i, seq in enumerate(sorted(s for _t, s in entries))}
+        heaps.append((message, crash_ns,
+                      [(when, rank[seq]) for when, seq in entries]))
+    return (log, end_ns, areas, in_use), heaps
+
+
 def _simulate(seed, driver, monitored, bombs, end_ns=None):
     sim = Simulator(race_check=monitored)
     assert (sim.race is not None) == monitored
@@ -214,7 +248,7 @@ def _simulate(seed, driver, monitored, bombs, end_ns=None):
 
 @pytest.mark.parametrize("bombs", [0, 3], ids=["clean", "bombs"])
 def test_every_drain_is_repeated_step(bombs):
-    reclaimed = interrupted = 0
+    reclaimed = interrupted = skipped = 0
     for seed in range(40):
         expected, crashes, grabbed = _simulate(seed, _drive_steps, False, bombs)
         assert len(crashes) == bombs
@@ -225,8 +259,19 @@ def test_every_drain_is_repeated_step(bombs):
         assert in_use == [0, 0, 0], "seed %d leaked units" % seed
         for name, (driver, monitored) in DRIVERS.items():
             got = _simulate(seed, driver, monitored, bombs, end_ns)
-            assert got == (expected, crashes, grabbed), \
+            if monitored:
+                assert got == (expected, crashes, grabbed), \
+                    "seed %d diverges under %s" % (seed, name)
+                continue
+            outcome, got_crashes, got_grabbed = got
+            assert (_without_counts(outcome, got_crashes), got_grabbed) == (
+                _without_counts(expected, crashes), grabbed), \
                 "seed %d diverges under %s" % (seed, name)
+            assert outcome[1] <= expected[1]
+            assert all(mine[1][1] <= theirs[1][1]
+                       for mine, theirs in zip(got_crashes, crashes))
+            skipped += expected[1] - outcome[1]
     # The sweep must really reach the shapes it claims to cover.
     assert interrupted > 40
     assert reclaimed > 5
+    assert skipped > 40  # in-line continuation really engaged

@@ -5,9 +5,11 @@ entered or generator resumed; counted by the code object's file, the numbers
 repeat exactly, so a re-grown hot path fails CI without reading a clock.
 The ceilings sit a few calls above today's counts (DESIGN.md "Event
 engine"): bare loop 3.50 calls in ``repro/sim/`` per event; a QD-1 one-page
-host read 106 calls under ``repro/`` (58 in ``repro/sim/``) for 13 events;
-an internal one 52 for 6 events; a one-page overwrite of a 64-extent file
-37.7 calls for 3.69 events internally, 95.9 for 10.7 through the host.
+host read 58.8 calls under ``repro/`` (34.8 in ``repro/sim/``) for 2 events
+(every hold continues in line; the two are the fused plan's timer and
+completion); an internal one 37.8 for 2 events; a one-page overwrite of a
+64-extent file 24.8 calls internally, 45.0 through the host, 290 events
+for the 400 writes either way.
 """
 
 import os
@@ -116,36 +118,40 @@ def test_request_timeout_release_costs_at_most_four_sim_calls_per_event():
 
 def test_one_page_host_read_call_budget():
     events, calls, sim_calls = _one_page_reads("host", True)
-    assert events == 13
-    assert calls <= 109
-    assert sim_calls <= 70
+    assert events == 2
+    assert calls <= 62
+    assert sim_calls <= 38
 
 
 def test_one_page_internal_read_call_budget():
     events, calls, _sim_calls = _one_page_reads("internal", True)
-    assert events == 6
-    assert calls <= 55
+    assert events == 2
+    assert calls <= 41
 
 
 def test_one_page_internal_overwrite_call_budget():
     # Page lookup is one bisect, not a walk of the file's extents, and the
     # FTL places each page without a generator frame of its own.
     events, calls = _one_page_overwrites("internal")
-    assert events == 1474
-    assert calls <= 41
+    assert events == 290
+    assert calls <= 28
 
 
 def test_one_page_host_overwrite_call_budget():
     # The driver, NVMe slot, PCIe and controller layers each hold their
     # resource in their own frame; none only forwards to the next.
     events, calls = _one_page_overwrites("host")
-    assert events == 4274
-    assert calls <= 99
+    assert events == 290
+    assert calls <= 48
 
 
-def test_fast_path_makes_fewer_calls_than_per_event_for_one_page():
+def test_per_event_path_is_cheaper_than_the_fused_plan_for_one_page():
+    # With every hold in line, a QD-1 one-page read on the per-event path
+    # takes no heap event at all, while the fused plan still takes its timer
+    # and its completion: for one page the plan is pure cost (ROADMAP item
+    # 4(b) starts from this).
     for kind in ("host", "internal"):
         fast_events, fast_calls, _ = _one_page_reads(kind, True)
         slow_events, slow_calls, _ = _one_page_reads(kind, False)
-        assert fast_events < slow_events
-        assert fast_calls < slow_calls, kind
+        assert (fast_events, slow_events) == (2, 0), kind
+        assert slow_calls < fast_calls, kind
