@@ -9,7 +9,10 @@ function of the channel's queue state.  The fast path computes that schedule
 analytically (:class:`FusedTimingCalculator`), keeps the pending plans per
 channel (:class:`ChannelFastPath`), and retires an entire batch through a
 single timer event — bit-identical completion times, a fraction of the heap
-traffic.
+traffic.  When that timer would be the very next heap entry and no other
+plan is in flight, the batch settles in line instead (the in-line rule of
+:meth:`Simulator.advance`) and :meth:`ChannelFastPath.try_fuse` returns
+:data:`SETTLED`: no timer, no completion event.
 
 Determinism and equivalence rest on three invariants:
 
@@ -45,16 +48,34 @@ lag by at most one in-flight plan window).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.engine import Event, Simulator, all_of
 from repro.sim.resources import Resource
 from repro.sim.units import transfer_ns
 
-__all__ = ["ChannelFastPath", "FusedTimingCalculator", "FusedOp"]
+__all__ = ["ChannelFastPath", "FusedTimingCalculator", "FusedOp", "FusedPlan",
+           "SETTLED"]
 
 #: Relative per-op schedule: (sense_start, sense_end, bus_start, completion).
 _RelTimes = Tuple[Tuple[int, int, int, int], ...]
+
+
+class _Settled:
+    """Type of :data:`SETTLED`."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "SETTLED"
+
+
+#: What :meth:`ChannelFastPath.try_fuse` returns for a plan that completed
+#: in line: the clock already stands at its end and nothing is left to await.
+SETTLED = _Settled()
+
+#: A fused batch: the event its dispatcher awaits, or :data:`SETTLED`.
+FusedPlan = Union[Event, _Settled]
 
 
 class FusedOp:
@@ -195,12 +216,14 @@ class ChannelFastPath:
 
     # ------------------------------------------------------------------ fuse
     def try_fuse(self, sizes: Tuple[int, ...], sense_ns: int,
-                 rate: float) -> Optional[Event]:
+                 rate: float) -> Optional[FusedPlan]:
         """Schedule a batch of reads analytically; None when the channel
         must stay per-event (real traffic holds or awaits a die/bus unit).
 
         The caller guarantees no fault was drawn for any op and tracing is
-        off.  Returns the event that triggers when the whole batch is done.
+        off.  Returns the event that triggers when the whole batch is done,
+        or :data:`SETTLED` when the batch already is: the idiom is ``if
+        fused is not SETTLED: yield fused``.
         """
         sim = self.sim
         now = sim.now
@@ -216,11 +239,19 @@ class ChannelFastPath:
         rel_times, self._bus_free, dies_area, bus_area = (
             self.calculator.schedule(now, self._die_free, self._bus_free,
                                      sense_ns, rate, sizes))
+        self.fused_batches += 1
+        self.fused_pages += len(sizes)
+        if not self._batches and sim.advance(rel_times[-1][3]):
+            # The timer's entry would be the very next one popped, and
+            # _finalize's completion entry the one after it, resuming only
+            # the caller: settle at once, exactly as _finalize would.
+            self.dies.backfill_busy(dies_area)
+            self.bus.backfill_busy(bus_area)
+            self._on_complete(sum(sizes), len(sizes))
+            return SETTLED
         batch = _FusedBatch(now, sizes, sense_ns, rel_times, dies_area,
                             bus_area, Event(sim))
         self._batches.append(batch)
-        self.fused_batches += 1
-        self.fused_pages += len(sizes)
         # Completions are bus-serialized, so the batch is done at its last
         # op's completion: one timer retires the whole plan.
         timer = sim.timeout(rel_times[-1][3])

@@ -30,6 +30,7 @@ from typing import Any, Generator, List, NamedTuple, Optional, Sequence, Tuple
 from repro.core.errors import EccError, UncorrectableReadError
 from repro.instrument.metrics import Counters, MetricsRegistry
 from repro.sim.engine import Event, Simulator, all_of, backoff
+from repro.sim.fastpath import SETTLED
 from repro.sim.resources import Resource
 from repro.sim.units import us_to_ns
 from repro.ssd.cache import DeviceReadCache
@@ -352,7 +353,8 @@ class Controller:
                         cache.note_bypass()
                     self.stats.fused_commands += 1
                     self.stats.fused_stripes += 1
-                    yield fused
+                    if fused is not SETTLED:
+                        yield fused
                     return
             else:
                 # Multi-stripe commands commit their die requests at the op
@@ -406,7 +408,8 @@ class Controller:
                     cache.note_bypass()
             self.stats.fused_commands += 1
             self.stats.fused_stripes += len(batch)
-            yield fused
+            if fused is not SETTLED:
+                yield fused
             return
         if channel.fastpath.active:
             channel.fastpath.materialize()

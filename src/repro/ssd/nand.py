@@ -13,7 +13,7 @@ from typing import Any, Generator, Optional, Tuple
 
 from repro.core.errors import DeviceCrashedError, EccError, UncorrectableReadError
 from repro.sim.engine import Event, Simulator
-from repro.sim.fastpath import ChannelFastPath
+from repro.sim.fastpath import ChannelFastPath, FusedPlan
 from repro.sim.resources import Resource
 from repro.sim.units import transfer_ns, us_to_ns
 from repro.ssd.config import SSDConfig
@@ -60,12 +60,13 @@ class Channel:
         self.bytes_read += nbytes
         self.reads += reads
 
-    def try_fuse_reads(self, sizes: Tuple[int, ...]) -> Optional[Event]:
+    def try_fuse_reads(self, sizes: Tuple[int, ...]) -> Optional[FusedPlan]:
         """Try to run a batch of page reads analytically (one completion
-        event instead of ~6 per op); None when the channel must stay
-        per-event.  ``sizes`` are the per-page transfer bytes in arrival
-        order.  The caller guarantees no fault is pending for any of these
-        reads and that tracing is off (traced runs need every event).
+        event instead of ~6 per op, or none: ``fastpath.SETTLED``); None
+        when the channel must stay per-event.  ``sizes`` are the per-page
+        transfer bytes in arrival order.  The caller guarantees no fault
+        is pending for any of these reads and that tracing is off (traced
+        runs need every event).
         """
         if self.sim.trace is not None:
             return None

@@ -401,8 +401,8 @@ def test_stream_consumer_that_raises_leaves_no_unhandled_failure(system):
 # loops and the three Searcher launches used to be, taken before they were
 # folded into ``stream`` / ``launch_searchers``: the same fibers must issue
 # the same requests in the same order, so neither number may move (the
-# counts were re-taken once, when holds began to continue in line; every
-# end time stayed).
+# counts were re-taken twice, when holds began to continue in line and when
+# a fused plan began to settle in line; every end time stayed).
 def _scaleup(run):
     system = System(num_ssds=2, fabric_bytes_per_sec=3.2e9)
     sharded_search.install_sharded_weblog(system, 32 << 20, "KEY")
@@ -450,12 +450,12 @@ def _serve_job():
                  id="scaleout-node-compute"),
     pytest.param(lambda: _scaleout("in-ssd-ndp"), 10011088, 25577,
                  id="scaleout-in-ssd-ndp"),
-    pytest.param(lambda: _tpch_q14(ExecutionMode.CONV), 133455934, 2951,
+    pytest.param(lambda: _tpch_q14(ExecutionMode.CONV), 133455934, 17,
                  id="tpch-q14-conv"),
-    pytest.param(lambda: _tpch_q14(ExecutionMode.BISCUIT), 8912981, 1056,
+    pytest.param(lambda: _tpch_q14(ExecutionMode.BISCUIT), 8912981, 1048,
                  id="tpch-q14-biscuit"),
     pytest.param(lambda: _exact_log(string_search.run_conv_search),
-                 2185362, 140, id="exact-log-conv"),
+                 2185362, 138, id="exact-log-conv"),
     pytest.param(lambda: _exact_log(string_search.run_biscuit_search),
                  7025932, 541, id="exact-log-biscuit"),
     pytest.param(_serve_job, 4484438, 173, id="serve-string-search"),

@@ -5,7 +5,7 @@ runs the serving layer both ways.  This pins ``benchmarks/e2e`` finding 4:
 at ``LoadGenerator(seed=106, horizon_s=1.5)`` the fused path and the
 per-event path end at *different* simulated times — the fused path's
 "bit-identical timing" contract fails for that arrival schedule (ROADMAP
-item 3(a) owns the fix).  Both end times and both event counts are asserted
+item 1 owns the fix).  Both end times and both event counts are asserted
 exactly, so neither path can drift unseen while the disagreement stands;
 the seeds where the two agree today must keep agreeing.
 """
@@ -45,7 +45,7 @@ def finding4():
 
 def test_finding4_both_paths_are_pinned(finding4):
     (fast_ns, fast_events, _), (slow_ns, slow_events, _) = finding4
-    assert (fast_ns, fast_events) == (1_503_839_047, 130_768)
+    assert (fast_ns, fast_events) == (1_503_839_047, 130_138)
     assert (slow_ns, slow_events) == (1_503_828_282, 138_905)
 
 
@@ -57,7 +57,7 @@ def test_finding4_job_outcomes_agree(finding4):
 
 @pytest.mark.xfail(strict=True, reason="benchmarks/e2e finding 4: the fused "
                    "path's schedule differs at this arrival pattern; ROADMAP "
-                   "item 3(a) finds the missed de-fusion case")
+                   "item 1 finds the missed de-fusion case")
 def test_finding4_end_times_agree(finding4):
     (fast_ns, _, _), (slow_ns, _, _) = finding4
     assert fast_ns == slow_ns

@@ -10,7 +10,7 @@ from collections import deque
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.fastpath import FusedTimingCalculator
+from repro.sim.fastpath import SETTLED, FusedTimingCalculator
 from repro.sim.units import transfer_ns, us_to_ns
 from repro.ssd.config import SSDConfig
 from repro.ssd.nand import Channel
@@ -47,63 +47,88 @@ def _slow_run(config, arrivals):
     return completions, sim, channel
 
 
+class _RecordingCalculator(FusedTimingCalculator):
+    """Keeps every plan's (base ns, relative schedule), settled or not."""
+
+    def __init__(self):
+        super().__init__()
+        self.plans = []
+
+    def schedule(self, now, *args):
+        out = super().schedule(now, *args)
+        self.plans.append((now, out[0]))
+        return out
+
+
 def _fast_run(config, arrivals):
-    """Fused arm for the same stimulus; completions read off the plans."""
-    sim = Simulator()
+    """Fused arm for the same stimulus: one dispatcher fiber per arrival
+    fuses its batch and awaits the plan, unless it came back ``SETTLED``.
+    Per-op completions are read off the recorded schedules; ``settled``
+    maps each arrival to whether its plan settled in line."""
+    sim = Simulator(race_check=False)
     channel = Channel(sim, config, 0)
-    completions = {}
+    calculator = channel.fastpath.calculator = _RecordingCalculator()
+    settled = {}
 
-    def feeder():
-        clock = 0
-        for at_ns, sizes in arrivals:
-            if at_ns > clock:
-                yield sim.timeout(at_ns - clock)
-                clock = at_ns
-            fused = channel.try_fuse_reads(tuple(sizes))
-            assert fused is not None
-            batch = channel.fastpath._batches[-1]
-            for i, times in enumerate(batch.rel_times):
-                completions[(at_ns, i)] = batch.base_ns + times[3]
+    def dispatcher(at_ns, sizes):
+        yield sim.timeout(at_ns)
+        fused = channel.try_fuse_reads(tuple(sizes))
+        assert fused is not None
+        base, rel_times = calculator.plans[-1]
+        settled[at_ns] = fused is SETTLED
+        if fused is not SETTLED:
+            yield fused
+        # Either way the dispatcher resumes at the plan's last completion.
+        assert sim.now == base + rel_times[-1][3]
 
-    sim.process(feeder(), name="feeder")
+    for at_ns, sizes in arrivals:
+        sim.process(dispatcher(at_ns, sizes), name="dispatcher")
     sim.run()
-    return completions, sim, channel
+    completions = {(base, i): base + times[3]
+                   for base, rel_times in calculator.plans
+                   for i, times in enumerate(rel_times)}
+    return completions, sim, channel, settled
 
 
 def test_fused_schedule_matches_per_event_protocol():
     config = _config()
     arrivals = [(0, list(SIZES))]
     slow_done, slow_sim, slow_ch = _slow_run(config, arrivals)
-    fast_done, fast_sim, fast_ch = _fast_run(config, arrivals)
+    fast_done, fast_sim, fast_ch, settled = _fast_run(config, arrivals)
     assert fast_done == slow_done  # every op, bit-identical completion
     assert fast_sim.now == slow_sim.now
     assert fast_ch.bytes_read == slow_ch.bytes_read == sum(SIZES)
     assert fast_ch.reads == slow_ch.reads == len(SIZES)
-    # The point of fusing: the whole batch retires in a handful of events.
+    # The point of fusing: the whole batch retires in a handful of events
+    # (here none: nothing else is due, so the plan settles in line).
+    assert settled == {0: True}
     assert fast_sim.events_processed < slow_sim.events_processed / 4
 
 
 def test_chained_batches_match_staggered_arrivals():
     """A batch arriving while fused plans are in flight chains onto the
-    analytic queue state — exactly the per-event FIFO it stands in for."""
+    analytic queue state — exactly the per-event FIFO it stands in for.
+    Neither plan settles in line: the first has the second's arrival due
+    inside its window, the second has the first still in flight."""
     config = _config()
     first = [16384] * 6
     second = [16384, 8192, 16384]
     mid_ns = us_to_ns(config.nand_read_us) + 5_000  # inside the first plan
     arrivals = [(0, first), (mid_ns, second)]
     slow_done, slow_sim, slow_ch = _slow_run(config, arrivals)
-    fast_done, fast_sim, fast_ch = _fast_run(config, arrivals)
+    fast_done, fast_sim, fast_ch, settled = _fast_run(config, arrivals)
     assert fast_done == slow_done
     assert fast_sim.now == slow_sim.now
     assert fast_ch.bytes_read == slow_ch.bytes_read
     assert fast_ch.fastpath.fused_batches == 2
+    assert settled == {0: False, mid_ns: False}
 
 
 def test_utilization_identical_after_settle():
     config = _config()
     arrivals = [(0, list(SIZES))]
     _done, slow_sim, slow_ch = _slow_run(config, arrivals)
-    _done, fast_sim, fast_ch = _fast_run(config, arrivals)
+    _done, fast_sim, fast_ch, _settled = _fast_run(config, arrivals)
     assert fast_sim.now == slow_sim.now
     assert fast_ch.dies.busy_area() == slow_ch.dies.busy_area()
     assert fast_ch.bus.busy_area() == slow_ch.bus.busy_area()
@@ -165,7 +190,7 @@ def test_no_fusion_under_tracing():
 
 def test_counters_shape():
     config = _config()
-    _done, _sim, channel = _fast_run(config, [(0, [16384, 16384])])
+    _done, _sim, channel, _settled = _fast_run(config, [(0, [16384, 16384])])
     counters = channel.fastpath.counters()
     assert counters["fused_batches"] == 1
     assert counters["fused_pages"] == 2
@@ -181,3 +206,93 @@ def test_transfer_size_still_validated():
         channel.try_fuse_reads((config.physical_page_bytes + 1,))
     with pytest.raises(ValueError):
         channel.try_fuse_reads((0,))
+
+
+# ---------------------------------------------------------- in-line settle
+# A plan whose timer would be the very next heap entry settles inside
+# try_fuse (Simulator.advance's rule): no timer, no completion event, the
+# same end time and accounting.  Everywhere else it keeps its timer (a plan
+# chained onto one in flight: test_chained_batches_match_staggered_arrivals).
+def _settle_probe(before_fuse=lambda sim: None,
+                  drain=lambda sim, _gate: sim.run()):
+    """One dispatcher fuses SIZES on an idle channel at t=1, after
+    ``before_fuse(sim)``, under ``drain(sim, gate)``; returns (record, sim,
+    channel)."""
+    sim = Simulator(race_check=False)
+    channel = Channel(sim, _config(), 0)
+    record = {}
+    gate = sim.timeout(1)
+
+    def dispatcher():
+        yield gate  # resumed by a plain entry's last (only) callback
+        before_fuse(sim)
+        fused = channel.try_fuse_reads(SIZES)
+        record["settled"] = fused is SETTLED
+        if fused is not SETTLED:
+            yield fused
+        record["done_ns"] = sim.now
+
+    sim.process(dispatcher(), name="dispatcher")
+    drain(sim, gate)
+    return record, sim, channel
+
+
+def _stepped(sim, _gate):
+    while sim.peek() is not None:
+        sim.step()
+
+
+def _accounting(channel):
+    return (channel.dies.busy_area(), channel.bus.busy_area(),
+            channel.bytes_read, channel.reads, channel.fastpath.counters())
+
+
+def test_idle_channel_settles_with_no_event_like_a_stepped_twin():
+    inline, inline_sim, inline_ch = _settle_probe()
+    stepped, stepped_sim, stepped_ch = _settle_probe(drain=_stepped)
+    assert (inline["settled"], stepped["settled"]) == (True, False)
+    assert inline["done_ns"] == stepped["done_ns"]
+    assert inline_sim.now == stepped_sim.now == inline["done_ns"]
+    assert _accounting(inline_ch) == _accounting(stepped_ch)
+    assert inline_ch.fastpath.fused_batches == 1
+    assert not inline_ch.fastpath.active
+    # The stepped twin pays the timer and the completion entry.
+    assert stepped_sim.events_processed - inline_sim.events_processed == 2
+
+
+@pytest.mark.parametrize("due", ["before", "tie"])
+def test_settle_refuses_an_entry_due_before_or_at_the_plan_end(due):
+    reference, _sim, reference_ch = _settle_probe()
+    end_ns = reference["done_ns"]
+    offset = 1 if due == "before" else 0
+    # Scheduled from t=1, so it is due at end_ns - offset.
+    record, _sim, channel = _settle_probe(
+        before_fuse=lambda sim: sim.timeout(end_ns - 1 - offset))
+    assert not record["settled"]
+    assert record["done_ns"] == end_ns
+    assert _accounting(channel) == _accounting(reference_ch)
+
+
+def test_settle_refuses_past_the_run_deadline():
+    reference, _sim, reference_ch = _settle_probe()
+    end_ns = reference["done_ns"]
+
+    def until_just_before(sim, _gate):
+        sim.run(until=end_ns - 1)
+        assert sim.now == end_ns - 1
+        sim.run()
+
+    record, _sim, channel = _settle_probe(drain=until_just_before)
+    assert not record["settled"]
+    assert record["done_ns"] == end_ns
+    assert _accounting(channel) == _accounting(reference_ch)
+
+
+def test_settle_refuses_on_the_sentinel_callback():
+    def to_the_gate_then_on(sim, gate):
+        sim.run(gate)  # the gate's only callback resumes the dispatcher
+        sim.run()
+
+    record, _sim, _channel = _settle_probe(drain=to_the_gate_then_on)
+    assert not record["settled"]
+    assert record["done_ns"] == _settle_probe()[0]["done_ns"]

@@ -11,7 +11,9 @@ drift.
 
 import pytest
 
+from repro.bench.experiments import _bandwidth
 from repro.core.errors import DeviceCrashedError, EccError, UncorrectableReadError
+from repro.host.platform import System
 from repro.sim.engine import Interrupt, Simulator, all_of
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSDDevice
@@ -213,3 +215,34 @@ def test_fusion_engages_on_clean_controller_reads():
     sim.run()
     assert device.controller.stats.fused_commands > 0
     assert device.controller.stats.fused_stripes > 0
+
+
+# ------------------------------------------- finding 4, minimal instance
+# benchmarks/e2e finding 4 at its smallest known size: 33 internal 4 KiB
+# reads at QD 12 through Fig. 7's bandwidth loop.  The two paths end
+# 405 ns apart (ROADMAP item 1 owns the fix).  Both runs are pinned
+# exactly so neither path can drift unseen while the disagreement stands.
+def _finding4_min(fast_path):
+    system = System(ssd_config=SSDConfig(sim_fast_path=fast_path))
+    system.fs.install_synthetic("/bw.dat", 512 << 20)
+    _bandwidth(system, "/bw.dat", 4096, 33 * 4096, 12, "biscuit")
+    return system.sim.now, system.sim.events_processed
+
+
+@pytest.fixture(scope="module")
+def finding4_min():
+    return _finding4_min(True), _finding4_min(False)
+
+
+def test_finding4_minimal_both_paths_are_pinned(finding4_min):
+    fast, slow = finding4_min
+    assert fast == (314_275, 199)
+    assert slow == (313_870, 263)
+
+
+@pytest.mark.xfail(strict=True, reason="benchmarks/e2e finding 4: the fused "
+                   "path ends later than the per-event path on this schedule; "
+                   "ROADMAP item 1 finds the missed de-fusion case")
+def test_finding4_minimal_end_times_agree(finding4_min):
+    (fast_ns, _), (slow_ns, _) = finding4_min
+    assert fast_ns == slow_ns
