@@ -21,7 +21,7 @@ runtime (or never):
 * **Interleaving sanitizer** (:mod:`repro.analysis.races`) — two-sided.
   Static rules RPR301-RPR304 (run by the same lint CLI) flag yield-point
   races in fiber code: stale read-modify-write across a yield, mutation
-  after a port/Store handoff, acquires without exception-safe release, and
+  after a port ``put`` handoff, acquires without exception-safe release, and
   ``if``-guarded condition waits.  The runtime :class:`RaceMonitor`
   (``REPRO_RACE_CHECK=1`` / ``Simulator(race_check=True)``) footprints tied
   same-timestamp events in the engine's dispatch batches, reports
@@ -36,7 +36,6 @@ from repro.analysis.findings import (
     LINT_RULES,
     RULES,
     Rule,
-    describe_rule,
     rule_ids,
 )
 from repro.analysis.graph import GraphVerificationError, verify_graph, verify_links
@@ -72,7 +71,6 @@ __all__ = [
     "LINT_RULES",
     "GRAPH_RULES",
     "rule_ids",
-    "describe_rule",
     "GraphVerificationError",
     "verify_graph",
     "verify_links",

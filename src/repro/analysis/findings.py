@@ -17,7 +17,7 @@ Numbering:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple
 
 __all__ = [
     "Finding",
@@ -28,7 +28,6 @@ __all__ = [
     "SSDLET_LINT_RULES",
     "RACE_LINT_RULES",
     "rule_ids",
-    "describe_rule",
 ]
 
 
@@ -197,7 +196,7 @@ RACE_LINT_RULES: List[Rule] = [
     ),
     Rule(
         "RPR302",
-        "no mutation after port/Store handoff",
+        "no mutation after port handoff",
         "put(obj) transfers the object by reference; the consumer fiber "
         "aliases it. Mutating it after the handoff means the consumer sees "
         "the edit — or not — depending on schedule order. Copy before "
@@ -206,10 +205,10 @@ RACE_LINT_RULES: List[Rule] = [
     Rule(
         "RPR303",
         "acquire must release on exception paths",
-        "Between a Resource/Store acquire and its release, any yield is a "
+        "Between a Resource acquire and its release, any yield is a "
         "wait point where an Interrupt (hedged-read cancellation, tenant "
         "eviction) or event failure can arrive; without try/finally the "
-        "units leak and the channel/queue wedges for the rest of the run.",
+        "unit leaks and the channel/queue wedges for the rest of the run.",
     ),
     Rule(
         "RPR304",
@@ -224,12 +223,6 @@ RACE_LINT_RULES: List[Rule] = [
 RULES: List[Rule] = (LINT_RULES + GRAPH_RULES + SSDLET_LINT_RULES
                      + RACE_LINT_RULES)
 
-_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in RULES}
-
 
 def rule_ids() -> List[str]:
     return [rule.id for rule in RULES]
-
-
-def describe_rule(rule_id: str) -> Optional[Rule]:
-    return _BY_ID.get(rule_id)

@@ -18,7 +18,7 @@ both sides of that boundary:
 * RPR302 — an object handed to another fiber via ``.put(obj)`` and mutated
   afterwards (aliased-packet mutation: the consumer sees the edit, or not,
   depending on schedule).
-* RPR303 — a ``Resource``/``Store`` acquire whose release can be skipped by
+* RPR303 — a ``Resource`` acquire whose release can be skipped by
   an exception (``Interrupt``) delivered at an intervening wait point; the
   release must sit in a ``finally``.
 * RPR304 — an ``if`` (rather than ``while``) on shared state guarding a
@@ -29,10 +29,10 @@ both sides of that boundary:
 dispatches same-timestamp heap entries as explicit batches; the monitor
 records a per-entry access footprint over the kernel's shared structures
 (event state/callback lists via succeed/fail/interrupt/dispatch,
-Resource/Store FIFO traffic, plus anything fibers declare through
+Resource FIFO traffic, plus anything fibers declare through
 :func:`note_read`/:func:`note_write`) and reports conflicting footprints
 between tied entries — write/write or read/write on the same object field —
-as ordering hazards.  FIFO-mediated accesses (grant queues, store items)
+as ordering hazards.  FIFO-mediated accesses (grant queues)
 are *ordered*, not hazardous: their tie order is pinned by the engine's
 sequence numbers by design, so they pin the batch instead of flagging it.
 

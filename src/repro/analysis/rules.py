@@ -74,7 +74,7 @@ _UNIT_TOKENS = frozenset({"ns", "us", "ms", "s", "sec", "secs", "seconds"})
 #: Unit conversion helpers (repro.sim.units): call result carries this unit.
 _CONVERSION_RESULT_UNIT = {
     "us_to_ns": "ns", "ms_to_ns": "ns", "s_to_ns": "ns", "transfer_ns": "ns",
-    "ns_to_us": "us", "ns_to_ms": "ms", "ns_to_s": "s",
+    "ns_to_us": "us", "ns_to_s": "s",
 }
 
 _NORMALIZED_UNIT = {"sec": "s", "secs": "s", "seconds": "s"}

@@ -13,7 +13,7 @@ import os
 import sys
 from typing import NamedTuple, Optional
 
-__all__ = ["SourceSite", "caller_site", "class_site"]
+__all__ = ["SourceSite", "caller_site"]
 
 _INTERNAL_DIRS = (
     os.path.join("repro", "core"),
@@ -45,19 +45,3 @@ def caller_site(skip: int = 1) -> Optional[SourceSite]:
             return SourceSite(filename, frame.f_lineno)
         frame = frame.f_back
     return None
-
-
-def class_site(cls: type) -> Optional[SourceSite]:
-    """Where a class was defined, as (path, line), if discoverable."""
-    module = sys.modules.get(cls.__module__)
-    filename = getattr(module, "__file__", None)
-    if filename is None:
-        return None
-    line = 0
-    try:
-        import inspect
-
-        _, line = inspect.getsourcelines(cls)
-    except (OSError, TypeError):
-        pass
-    return SourceSite(filename, line)

@@ -331,8 +331,3 @@ class BiscuitRuntime:
             yield self.sim.timeout(us_to_ns(duration_us))
         finally:
             lock.release()
-
-    # ------------------------------------------------------------- statistics
-    def core_utilization(self) -> float:
-        locks = self.core_locks
-        return sum(lock.utilization() for lock in locks) / len(locks)

@@ -7,9 +7,9 @@ index-nested-loop joins probe.
 
 from __future__ import annotations
 
-from repro.db.catalog import Catalog, Column, TableSchema
+from repro.db.catalog import Column, TableSchema
 
-__all__ = ["TPCH_SCHEMAS", "tpch_catalog"]
+__all__ = ["TPCH_SCHEMAS"]
 
 
 def _cols(*pairs):
@@ -106,10 +106,3 @@ TPCH_SCHEMAS = {
     schema.name: schema
     for schema in (REGION, NATION, SUPPLIER, CUSTOMER, PART, PARTSUPP, ORDERS, LINEITEM)
 }
-
-
-def tpch_catalog() -> Catalog:
-    catalog = Catalog()
-    for schema in TPCH_SCHEMAS.values():
-        catalog.add(schema)
-    return catalog

@@ -20,7 +20,7 @@ from repro.sim.engine import (
     backoff,
 )
 from repro.sim.queues import BoundedQueue, QueueClosed
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.units import GIB, KIB, MIB, ms_to_ns, ns_to_s, ns_to_us, s_to_ns, us_to_ns
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "BoundedQueue",
     "QueueClosed",
     "Resource",
-    "Store",
     "KIB",
     "MIB",
     "GIB",

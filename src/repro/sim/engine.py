@@ -72,7 +72,7 @@ class Event:
         self._scheduled = False
         self.defused = False
         # Set when the sole waiter was interrupted away from this event;
-        # grant queues (Resource, Store) drop abandoned requests instead of
+        # a Resource's grant queue drops abandoned requests instead of
         # granting to a fiber that is no longer listening.
         self.abandoned = False
 
@@ -253,12 +253,12 @@ class Process(Event):
             # _resume delivers the interrupt.
             self.sim._inline = False
             return
-        # Request events (Resource/Store) are single-waiter: flag the
+        # Resource request events are single-waiter: flag the
         # abandonment so pending grants are not burned on this fiber.  The
         # flag is set even when the target already *triggered* but has not
         # processed yet — a grant made in this very timestep would otherwise
-        # be handed to a fiber that is no longer listening (the units would
-        # leak); Resource/Store reclaim such grants at processing time.
+        # be handed to a fiber that is no longer listening (the unit would
+        # leak); Resource reclaims such grants at processing time.
         if self.sim.race is not None:
             # The PR 5 lost-interrupt bug lived exactly here: mutating a
             # target that already triggered in this same timestep races with

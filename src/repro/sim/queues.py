@@ -10,19 +10,15 @@ queue operation can never be preempted mid-flight.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Tuple
+from typing import Any, Deque, Tuple
 
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["BoundedQueue", "QueueClosed", "QueueFull"]
+__all__ = ["BoundedQueue", "QueueClosed"]
 
 
 class QueueClosed(Exception):
     """Raised by ``get`` when the queue is closed and drained, or ``put`` on a closed queue."""
-
-
-class QueueFull(Exception):
-    """Raised by ``try_put`` when the queue has no free slot."""
 
 
 class BoundedQueue:
@@ -82,27 +78,6 @@ class BoundedQueue:
         self._getters.append(event)
         self._service()
         return event
-
-    def try_put(self, item: Any) -> None:
-        """Non-blocking put; raises :class:`QueueFull` / :class:`QueueClosed`."""
-        if self._closed:
-            raise QueueClosed("put on closed queue %s" % self.name)
-        if self.full:
-            # _service keeps the "items and getters never coexist" invariant,
-            # so a full buffer implies no waiting getter: the put cannot land.
-            raise QueueFull(self.name)
-        self._items.append(item)
-        self.total_put += 1
-        self._service()
-
-    def try_get(self) -> Any:
-        """Non-blocking get; raises ``IndexError`` when empty."""
-        if not self._items:
-            raise IndexError("queue %s is empty" % self.name)
-        item = self._items.popleft()
-        self.total_got += 1
-        self._service()
-        return item
 
     def close(self) -> None:
         """Close the queue; drained getters fail with :class:`QueueClosed`."""

@@ -1,27 +1,25 @@
-"""Counting resources and stores for the simulation kernel.
+"""Counting resources for the simulation kernel.
 
 :class:`Resource` models anything with finite concurrent capacity: a flash
-channel, a DMA engine, an NVMe submission queue slot.  :class:`Store` is an
-unbounded produce/consume buffer used where backpressure is not modeled.
+channel, a DMA engine, an NVMe submission queue slot.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Deque, Generator, Tuple
+from typing import Deque
 
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
     """A counting resource with FIFO grant order.
 
-    ``request(n)`` returns an event that triggers once ``n`` units are held;
-    ``release(n)`` returns them.  Use :meth:`acquire` inside a fiber for the
-    common request/hold pattern.
+    ``request()`` returns an event that triggers once one unit is held;
+    ``release()`` returns it.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
@@ -31,12 +29,13 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        #: Queued requests: (event, units, reclaim callback).
-        self._waiters: Deque[Tuple[Event, int, Any]] = deque()
+        #: Queued request events, granted head-first.  A unit is free only
+        #: while none is queued: a release hands it straight to the head.
+        self._waiters: Deque[Event] = deque()
         # Utilization accounting: busy integral in unit·ns.
         self._busy_area = 0
         self._last_change = sim.now
-        # The reclaim callback of every 1-unit grant, bound once.
+        # The reclaim callback of every grant, bound once.
         self._reclaim_unit = self._reclaim
 
     @property
@@ -47,11 +46,7 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self._in_use
 
-    def request(self, units: int = 1) -> Event:
-        if units < 1 or units > self.capacity:
-            raise ValueError(
-                "cannot request %d units of %d-capacity resource" % (units, self.capacity)
-            )
+    def request(self) -> Event:
         sim = self.sim
         race = sim.race
         if race is not None:
@@ -60,25 +55,22 @@ class Resource:
             # hazard, but it pins the batch against perturbation.
             race.on_ordered(self, "queue")
         event = Event(sim)
-        # The waiter can still be interrupted between the grant and the
-        # event processing (same timestep); the reclaim callback checks the
-        # abandoned flag at processing time and returns the units — without
-        # it an interrupted hedged/coalesced read would hold the grant
-        # forever (a doubly-granted leak).
-        reclaim = (self._reclaim_unit if units == 1
-                   else lambda ev, n=units: self._reclaim(ev, n))
         in_use = self._in_use
-        if self._waiters or in_use + units > self.capacity:
-            self._waiters.append((event, units, reclaim))
-            self._grant()
+        if in_use == self.capacity:
+            self._waiters.append(event)
             return event
-        # Uncontended (nine requests in ten): grant in line — _grant's
+        # Uncontended (nine requests in ten): grant in line — the busy
         # accounting, add_callback and Event.succeed, same heap entry.
         now = sim._now
         self._busy_area += in_use * (now - self._last_change)
         self._last_change = now
-        self._in_use = in_use + units
-        event._callbacks.append(reclaim)
+        self._in_use = in_use + 1
+        # The waiter can still be interrupted between the grant and the
+        # event processing (same timestep); the reclaim callback checks the
+        # abandoned flag at processing time and returns the unit — without
+        # it an interrupted hedged/coalesced read would hold the grant
+        # forever (a doubly-granted leak).
+        event._callbacks.append(self._reclaim_unit)
         event._scheduled = True
         if race is not None:
             race.on_ordered(event, "callbacks")
@@ -88,9 +80,9 @@ class Resource:
         heappush(sim._heap, (now, sequence, event))
         return event
 
-    def take(self, units: int = 1) -> bool:
-        """Hold ``units`` at once, when that is exactly what ``yield
-        request(units)`` would do; else return False.
+    def take(self) -> bool:
+        """Hold one unit at once, when that is exactly what ``yield
+        request()`` would do; else return False.
 
         The idiom is ``if not res.take(): yield res.request()``.  It grants
         only when :meth:`request` would grant uncontended, no queued entry
@@ -99,15 +91,11 @@ class Resource:
         next one popped and would resume only the running fiber.  The busy
         accounting is :meth:`request`'s.
         """
-        if units < 1 or units > self.capacity:
-            raise ValueError(
-                "cannot take %d units of %d-capacity resource" % (units, self.capacity)
-            )
         sim = self.sim
         if not sim._inline:
             return False
         in_use = self._in_use
-        if self._waiters or in_use + units > self.capacity:
+        if in_use == self.capacity:
             return False
         heap = sim._heap
         now = sim._now
@@ -115,51 +103,38 @@ class Resource:
             return False
         self._busy_area += in_use * (now - self._last_change)
         self._last_change = now
-        self._in_use = in_use + units
+        self._in_use = in_use + 1
         return True
 
-    def release(self, units: int = 1) -> None:
+    def release(self) -> None:
         in_use = self._in_use
-        if units < 1 or units > in_use:
-            raise ValueError("release of %d units but only %d in use" % (units, in_use))
+        if not in_use:
+            raise ValueError("release with no unit in use")
         sim = self.sim
         if sim.race is not None:
             sim.race.on_ordered(self, "queue")
         now = sim._now
         self._busy_area += in_use * (now - self._last_change)
         self._last_change = now
-        self._in_use = in_use - units
-        if self._waiters:
-            self._grant()
-
-    def acquire(self, units: int = 1) -> Generator:
-        """Fiber helper: ``yield from resource.acquire()`` blocks until held."""
-        yield self.request(units)
+        waiters = self._waiters
+        while waiters:
+            # The unit passes straight to the first requester still
+            # listening (one interrupted while queued is dropped).
+            event = waiters.popleft()
+            if not event.abandoned:
+                event.add_callback(self._reclaim_unit)
+                event.succeed()
+                return
+        self._in_use = in_use - 1
 
     def _account(self) -> None:
         now = self.sim.now
         self._busy_area += self._in_use * (now - self._last_change)
         self._last_change = now
 
-    def _grant(self) -> None:
-        """Serve the queue head-first: what a release (or a request that
-        found waiters) does; an uncontended request never gets here."""
-        while self._waiters:
-            event, units, reclaim = self._waiters[0]
-            if event.abandoned:  # requester was interrupted while queued
-                self._waiters.popleft()
-                continue
-            if self._in_use + units > self.capacity:
-                break
-            self._waiters.popleft()
-            self._account()
-            self._in_use += units
-            event.add_callback(reclaim)
-            event.succeed()
-
-    def _reclaim(self, event: Event, units: int = 1) -> None:
+    def _reclaim(self, event: Event) -> None:
         if event.abandoned:
-            self.release(units)
+            self.release()
 
     def utilization(self) -> float:
         """Mean fraction of capacity held since t=0."""
@@ -183,45 +158,3 @@ class Resource:
         :meth:`utilization` identical to the per-event path at settle points.
         """
         self._busy_area += area
-
-
-class Store:
-    """Unbounded FIFO buffer: immediate puts, event-returning gets."""
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self.sim.race is not None:
-            # FIFO hand-off: ordered by design (see Resource.request).
-            self.sim.race.on_ordered(self, "items")
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.abandoned:  # skip getters interrupted while queued
-                # As with Resource grants, the getter may be interrupted
-                # after this hand-off but before the event processes; the
-                # item is then re-put instead of vanishing with the fiber.
-                getter.add_callback(self._reclaim)
-                getter.succeed(item)
-                return
-        self._items.append(item)
-
-    def _reclaim(self, event: Event) -> None:
-        if event.abandoned:
-            self.put(event._value)
-
-    def get(self) -> Event:
-        if self.sim.race is not None:
-            self.sim.race.on_ordered(self, "items")
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

@@ -29,11 +29,6 @@ def ns_to_us(ns: int) -> float:
     return ns / NS_PER_US
 
 
-def ns_to_ms(ns: int) -> float:
-    """Convert nanoseconds to milliseconds."""
-    return ns / NS_PER_MS
-
-
 def ns_to_s(ns: int) -> float:
     """Convert nanoseconds to seconds."""
     return ns / NS_PER_S

@@ -8,13 +8,9 @@ which is what makes index probes and pointer chasing (Table IV) cheap the
 second time around.
 
 Cache lines are one *physical* page (the NAND read unit — caching smaller
-units would not save the sense).  Two replacement policies:
-
-* ``lru`` — one LRU list over all lines.
-* ``2q``  — a segmented variant: new lines enter a probationary FIFO and are
-  promoted to a protected LRU "hot" list only on a second touch, so a single
-  sequential sweep cannot evict the hot working set (cf. *Don't Thrash: How
-  to Cache Your Hash on Flash*).
+units would not save the sense), replaced from one LRU list.  NDP table
+scans set the cache bypass and stream past it, so a sweep does not evict
+the probe working set.
 
 Correctness contract: a remapped LPN must never be served from a stale line.
 The FTL drives invalidation on three edges — LPN remap (host write and GC
@@ -81,20 +77,9 @@ class DeviceReadCache:
         self.trace_track = "ssd/cache"
         self.line_bytes = config.physical_page_bytes
         self.capacity_lines = config.read_cache_bytes // self.line_bytes
-        self.policy = config.read_cache_policy
         self.stats = CacheStats(registry=registry, prefix=prefix)
-        # LRU: all lines live in _hot.  2Q: first touch lands in _probation
-        # (FIFO); a second touch promotes into _hot (LRU).
-        self._hot: "OrderedDict[LineKey, Set[int]]" = OrderedDict()
-        self._probation: "OrderedDict[LineKey, Set[int]]" = OrderedDict()
-        if self.policy == "2q":
-            self._hot_capacity = max(1, int(self.capacity_lines
-                                            * config.read_cache_hot_fraction))
-            self._probation_capacity = max(
-                1, self.capacity_lines - self._hot_capacity)
-        else:
-            self._hot_capacity = self.capacity_lines
-            self._probation_capacity = 0
+        # Resident lines, least recently used first.
+        self._lines: "OrderedDict[LineKey, Set[int]]" = OrderedDict()
         # Reverse index for O(1) LPN-level invalidation.
         self._by_lpn: Dict[int, LineKey] = {}
 
@@ -108,40 +93,27 @@ class DeviceReadCache:
         return self.capacity_lines > 0
 
     def __len__(self) -> int:
-        return len(self._hot) + len(self._probation)
+        return len(self._lines)
 
     def __contains__(self, key: LineKey) -> bool:
-        return key in self._hot or key in self._probation
+        return key in self._lines
 
     def resident_lpns(self, key: LineKey) -> Set[int]:
-        line = self._hot.get(key)
-        if line is None:
-            line = self._probation.get(key, set())
-        return set(line)
+        return set(self._lines.get(key, ()))
 
     # ------------------------------------------------------------------ lookup
     def lookup(self, channel: int, physical: int) -> bool:
-        """Probe for a line; True on hit.  Updates recency / promotion."""
+        """Probe for a line; True on hit.  Updates recency."""
         if not self.enabled:
             return False
         key = (channel, physical)
         trace = self._trace()
-        if key in self._hot:
-            self._hot.move_to_end(key)
+        if key in self._lines:
+            self._lines.move_to_end(key)
             self.stats.hits += 1
             if trace is not None:
                 trace.instant("cache", "hit", self.trace_track,
                               channel=channel, physical=physical)
-            return True
-        if key in self._probation:
-            # Second touch: the line has proven reuse — promote it.
-            line = self._probation.pop(key)
-            self._hot[key] = line
-            self._evict_overflow(self._hot, self._hot_capacity)
-            self.stats.hits += 1
-            if trace is not None:
-                trace.instant("cache", "hit", self.trace_track,
-                              channel=channel, physical=physical, promoted=True)
             return True
         self.stats.misses += 1
         if trace is not None:
@@ -150,22 +122,21 @@ class DeviceReadCache:
         return False
 
     def insert(self, channel: int, physical: int, lpns: Iterable[int]) -> None:
-        """Fill a line after a NAND read (no-op if already resident)."""
+        """Fill a line after a NAND read (a resident line gains the LPNs)."""
         if not self.enabled:
             return
         key = (channel, physical)
-        if key in self._hot or key in self._probation:
-            self._merge_lpns(key, lpns)
+        line = self._lines.get(key)
+        if line is not None:
+            for lpn in lpns:
+                line.add(lpn)
+                self._by_lpn[lpn] = key
             return
         line = set(lpns)
         for lpn in line:
             self._by_lpn[lpn] = key
-        if self.policy == "2q":
-            self._probation[key] = line
-            self._evict_overflow(self._probation, self._probation_capacity)
-        else:
-            self._hot[key] = line
-            self._evict_overflow(self._hot, self._hot_capacity)
+        self._lines[key] = line
+        self._evict_overflow()
         self.stats.insertions += 1
         trace = self._trace()
         if trace is not None:
@@ -191,11 +162,7 @@ class DeviceReadCache:
         key = self._by_lpn.pop(lpn, None)
         if key is None:
             return
-        line = self._hot.get(key)
-        store = self._hot
-        if line is None:
-            line = self._probation.get(key)
-            store = self._probation
+        line = self._lines.get(key)
         if line is None:
             return
         line.discard(lpn)
@@ -205,14 +172,12 @@ class DeviceReadCache:
             trace.instant("cache", "invalidate", self.trace_track,
                           reason="lpn", lpn=lpn)
         if not line:
-            del store[key]
+            del self._lines[key]
 
     def invalidate_physical(self, channel: int, physical: int) -> None:
         """A physical page was (re)programmed: its cached image is dead."""
         key = (channel, physical)
-        line = self._hot.pop(key, None)
-        if line is None:
-            line = self._probation.pop(key, None)
+        line = self._lines.pop(key, None)
         if line is None:
             return
         for lpn in line:
@@ -231,26 +196,15 @@ class DeviceReadCache:
             self.invalidate_physical(channel, physical)
 
     def clear(self) -> None:
-        self._hot.clear()
-        self._probation.clear()
+        self._lines.clear()
         self._by_lpn.clear()
 
     # ----------------------------------------------------------- internals
-    def _merge_lpns(self, key: LineKey, lpns: Iterable[int]) -> None:
-        line = self._hot.get(key)
-        if line is None:
-            line = self._probation.get(key)
-        if line is None:
-            return
-        for lpn in lpns:
-            line.add(lpn)
-            self._by_lpn[lpn] = key
-
-    def _evict_overflow(self, store: "OrderedDict[LineKey, Set[int]]",
-                        capacity: int) -> None:
+    def _evict_overflow(self) -> None:
+        lines = self._lines
         trace = self._trace()
-        while len(store) > capacity:
-            key, line = store.popitem(last=False)
+        while len(lines) > self.capacity_lines:
+            key, line = lines.popitem(last=False)
             for lpn in line:
                 if self._by_lpn.get(lpn) == key:
                     del self._by_lpn[lpn]

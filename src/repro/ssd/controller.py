@@ -119,6 +119,7 @@ class Controller:
         # Firmware costs that depend only on the config, in ns.
         self._read_overhead_ns = us_to_ns(config.firmware_read_overhead_us)
         self._dispatch_ns = us_to_ns(self.STRIPE_DISPATCH_US)
+        self._cache_hit_ns = us_to_ns(config.read_cache_hit_us)
         self.stats = ReadStats(config.logical_page_bytes, registry=registry,
                                prefix=prefix + ".io")
         # Read/write commands currently in flight (issued, not yet completed
@@ -432,9 +433,8 @@ class Controller:
                 cache.note_bypass()
             elif cache.lookup(stripe.channel, stripe.physical):
                 # Served from controller DRAM: no sense, no channel bus.
-                hit_ns = us_to_ns(self.config.read_cache_hit_us)
-                if hit_ns > 0:
-                    yield self.sim.timeout(hit_ns)
+                if self._cache_hit_ns > 0:
+                    yield self.sim.timeout(self._cache_hit_ns)
                 return
         transfer = len(stripe.lpns) * self.config.logical_page_bytes
         attempt = 0
@@ -529,12 +529,3 @@ class Controller:
     def device_compute(self, duration_us: float) -> Generator:
         """Public fiber for SSDlet / firmware compute on a device core."""
         yield from self._occupy_core(duration_us, label="compute")
-
-    def software_scan(self, num_bytes: int) -> Generator:
-        """Fiber: scan ``num_bytes`` in software on one device core.
-
-        This is the path the paper says cannot keep up with internal
-        bandwidth (Section VI) — used by the ablation benches.
-        """
-        rate = self.config.device_scan_bytes_per_sec_per_core
-        yield from self._occupy_core(num_bytes / rate * 1e6, label="scan")

@@ -107,7 +107,3 @@ class SSDDevice:
     def matcher_for_lpn(self, lpn: int) -> PatternMatcher:
         channel, _physical = self.controller.placement(lpn)
         return self.matchers[channel]
-
-    # ------------------------------------------------------------------ stats
-    def core_utilization(self) -> float:
-        return self.cores.utilization()

@@ -43,6 +43,8 @@ class Channel:
         self.bus = Resource(sim, capacity=1, name="ch%d.bus" % index)
         self.injector = None
         self._sense_ns = us_to_ns(config.nand_read_us)  # tR
+        self._program_ns = us_to_ns(config.nand_program_us)  # tPROG
+        self._erase_ns = us_to_ns(config.nand_erase_us)  # tBERS
         # Analytic event-fusion state (repro.sim.fastpath).  Engaged by the
         # controller via try_fuse_reads when SSDConfig.sim_fast_path is on;
         # any per-event traffic arriving below de-fuses it first.
@@ -195,7 +197,7 @@ class Channel:
                     yield sim.timeout(hold_ns)
             finally:
                 self.bus.release()
-            program_ns = us_to_ns(config.nand_program_us)
+            program_ns = self._program_ns
             if not sim.advance(program_ns):
                 yield sim.timeout(program_ns)
         finally:
@@ -216,7 +218,7 @@ class Channel:
         if not self.dies.take():
             yield self.dies.request()
         try:
-            erase_ns = us_to_ns(self.config.nand_erase_us)
+            erase_ns = self._erase_ns
             if not sim.advance(erase_ns):
                 yield sim.timeout(erase_ns)
         finally:

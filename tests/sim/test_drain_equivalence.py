@@ -2,7 +2,7 @@
 
 ``Simulator.run`` has one dispatch loop (plus the race monitor's batched
 one); ``step()`` is the reference.  Seeded random fiber programs — zero and
-positive timeouts, shared multi-unit ``Resource`` s, ``Store`` /
+positive timeouts, shared ``Resource`` s of one to three units,
 ``BoundedQueue`` hand-offs, interrupts (of queued waiters, and of waiters
 granted in the very timestep they are interrupted in), failing events,
 ``all_of`` / ``any_of`` — must produce the same log, final clock and busy
@@ -25,7 +25,7 @@ from repro.sim.engine import (
     Interrupt, SimulationError, Simulator, all_of, any_of,
 )
 from repro.sim.queues import BoundedQueue
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 DELAYS = (0, 0, 0, 1, 1, 2, 3, 5)
 SLICE_NS = 4
@@ -41,7 +41,6 @@ class World:
         self.reclaimed = 0  # waiters interrupted after their grant was made
         self.resources = [Resource(sim, capacity=rng.randint(1, 3))
                           for _ in range(3)]
-        self.store = Store(sim)
         self.queue = BoundedQueue(sim, capacity=rng.randint(1, 2))
         names = ["f%d" % i for i in range(rng.randint(4, 9))]
         programs = {name: [self._draw_op(rng, names) for _ in range(12)]
@@ -57,12 +56,11 @@ class World:
 
     def _draw_op(self, rng, names):
         kind = rng.choice(("sleep", "sleep", "hold", "hold", "hold", "inline",
-                           "inline", "kick", "put", "get", "qput", "qget",
+                           "inline", "kick", "qput", "qget",
                            "fail", "child", "all", "any"))
         delay = rng.choice(DELAYS)
         if kind in ("hold", "inline"):
-            resource = rng.choice(self.resources)
-            return kind, resource, rng.randint(1, resource.capacity), delay
+            return kind, rng.choice(self.resources), delay
         if kind == "kick":
             return kind, rng.choice(names)
         if kind in ("all", "any"):
@@ -96,8 +94,8 @@ class World:
                 if kind == "sleep":
                     value = yield sim.timeout(op[1], value=op[1] * 10)
                 elif kind == "hold":
-                    _, resource, units, delay = op
-                    grant = resource.request(units)
+                    _, resource, delay = op
+                    grant = resource.request()
                     try:
                         yield grant
                     except Interrupt:
@@ -106,12 +104,12 @@ class World:
                     try:
                         yield sim.timeout(delay)
                     finally:
-                        resource.release(units)
+                        resource.release()
                     value = resource.in_use
                 elif kind == "inline":
-                    _, resource, units, delay = op
-                    if not resource.take(units):
-                        grant = resource.request(units)
+                    _, resource, delay = op
+                    if not resource.take():
+                        grant = resource.request()
                         try:
                             yield grant
                         except Interrupt:
@@ -121,18 +119,13 @@ class World:
                         if not sim.advance(delay):
                             yield sim.timeout(delay)
                     finally:
-                        resource.release(units)
+                        resource.release()
                     value = resource.in_use
                 elif kind == "kick":
                     victim = self.fibers[op[1]]
                     if victim.is_alive and op[1] != name:
                         victim.interrupt(name)
                         value = op[1]
-                elif kind == "put":
-                    self.store.put((name, op[1]))
-                elif kind == "get":
-                    value = yield any_of(sim, [self.store.get(),
-                                               sim.timeout(op[1] + 1)])
                 elif kind == "qput":
                     value = yield any_of(sim, [self.queue.put((name, op[1])),
                                                sim.timeout(op[1] + 2, "full")])

@@ -57,14 +57,12 @@ def test_take_refuses_without_capacity_or_behind_waiters():
     resource = Resource(sim, capacity=2)
 
     def probe():
-        full = resource.take(2), resource.take()
-        resource.release()
-        resource.request(2)  # queued: one unit is still held
-        return full, resource.take()
+        full = resource.take(), resource.take(), resource.take()
+        waiter = resource.request()  # queued: both units are held
+        resource.release()  # hands the unit to the waiter
+        return full, resource.take(), waiter.triggered
 
-    assert _inside(sim, probe) == ((True, False), False)
-    with pytest.raises(ValueError):
-        resource.take(0)
+    assert _inside(sim, probe) == ((True, True, False), False, True)
 
 
 def test_take_refuses_with_an_entry_queued_for_now():

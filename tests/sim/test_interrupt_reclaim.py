@@ -1,17 +1,17 @@
 """Interrupting a fiber with an in-flight grant must not leak the grant.
 
 Hedged/coalesced reads cancel their losing leg with ``Process.interrupt``
-at arbitrary points — including the window *between* a Resource/Store grant
-being made (units moved, succeed scheduled) and the grant event being
+at arbitrary points — including the window *between* a Resource grant
+being made (the unit moved, succeed scheduled) and the grant event being
 processed.  Before the reclaim fix, a leg interrupted inside that window
-kept the units forever (a doubly-granted leak); and a wait target that
+kept the unit forever (a doubly-granted leak); and a wait target that
 later *failed* with nobody listening crashed the whole simulation.
 """
 
 import pytest
 
 from repro.sim.engine import Event, Interrupt, SimulationError, Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 # ------------------------------------------------------- resource grant leak
@@ -75,36 +75,6 @@ def test_reclaimed_units_flow_to_the_next_waiter():
     sim.run()
     assert grants == [10]
     assert resource.in_use == 0
-
-
-def test_store_item_handed_to_interrupted_getter_is_reput():
-    sim = Simulator()
-    store = Store(sim)
-    box = {}
-    taken = []
-
-    def producer():
-        yield sim.timeout(5)
-        store.put("item")  # hands to the parked getter, resume pending
-        box["victim"].interrupt()
-
-    def victim():
-        try:
-            yield store.get()
-        except Interrupt:
-            pass
-
-    def heir():
-        yield sim.timeout(1)
-        value = yield store.get()
-        taken.append((sim.now, value))
-
-    sim.process(producer())
-    box["victim"] = sim.process(victim())
-    sim.process(heir())
-    sim.run()
-    assert taken == [(5, "item")]
-    assert len(store) == 0
 
 
 # ------------------------------------------------- abandoned-target failures

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.queues import BoundedQueue, QueueClosed, QueueFull
+from repro.sim.queues import BoundedQueue, QueueClosed
 
 
 def test_capacity_must_be_positive():
@@ -45,7 +45,7 @@ def test_put_blocks_when_full():
     def consumer():
         yield sim.timeout(1000)
         while len(queue):
-            queue.try_get()
+            yield queue.get()
             yield sim.timeout(1000)
 
     sim.process(producer())
@@ -135,31 +135,11 @@ def test_close_idempotent():
     assert queue.closed
 
 
-def test_try_put_and_try_get():
-    sim = Simulator()
-    queue = BoundedQueue(sim, capacity=2)
-    queue.try_put("a")
-    queue.try_put("b")
-    with pytest.raises(QueueFull):
-        queue.try_put("c")
-    assert queue.try_get() == "a"
-    assert queue.try_get() == "b"
-    with pytest.raises(IndexError):
-        queue.try_get()
-
-
-def test_try_put_on_closed_queue():
-    queue = BoundedQueue(Simulator())
-    queue.close()
-    with pytest.raises(QueueClosed):
-        queue.try_put(1)
-
-
 def test_len_full_empty():
     queue = BoundedQueue(Simulator(), capacity=2)
     assert queue.empty and not queue.full and len(queue) == 0
-    queue.try_put(1)
-    queue.try_put(2)
+    queue.put(1)  # a free slot admits the item at once
+    queue.put(2)
     assert queue.full and not queue.empty and len(queue) == 2
 
 

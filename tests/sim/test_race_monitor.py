@@ -19,7 +19,7 @@ from repro.analysis.races import (
     note_write,
 )
 from repro.sim.engine import Interrupt, Simulator, race_check_from_env
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 # ------------------------------------------------------------ planted races
@@ -117,28 +117,6 @@ def test_fifo_contention_is_ordered_not_hazardous():
     sim.process(user("b"))
     sim.run()
     assert order == ["a", "b"]
-    assert sim.race.hazards == []
-
-
-def test_store_handoff_is_ordered_not_hazardous():
-    sim = Simulator(race_check=True)
-    store = Store(sim)
-    taken = []
-
-    def producer(tag):
-        yield sim.timeout(10)
-        store.put(tag)
-
-    def consumer():
-        value = yield store.get()
-        taken.append(value)
-
-    sim.process(producer("x"))
-    sim.process(producer("y"))
-    sim.process(consumer())
-    sim.process(consumer())
-    sim.run()
-    assert sorted(taken) == ["x", "y"]
     assert sim.race.hazards == []
 
 

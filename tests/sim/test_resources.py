@@ -1,9 +1,9 @@
-"""Counting resources and stores."""
+"""Counting resources."""
 
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 
 
 def test_capacity_validation():
@@ -71,18 +71,20 @@ def test_fifo_grant_order():
     assert order == ["first", "second", "third"]
 
 
-def test_oversized_request_rejected():
-    sim = Simulator()
-    resource = Resource(sim, capacity=2)
-    with pytest.raises(ValueError):
-        resource.request(3)
-
-
 def test_release_more_than_held_rejected():
     sim = Simulator()
     resource = Resource(sim, capacity=2)
     with pytest.raises(ValueError):
+        resource.release()  # nothing held yet
+
+    def hold_once():
+        yield resource.request()
         resource.release()
+
+    sim.run(sim.process(hold_once()))
+    with pytest.raises(ValueError):
+        resource.release()  # the one unit held is already back
+    assert resource.in_use == 0
 
 
 def test_utilization_accounting():
@@ -99,57 +101,3 @@ def test_utilization_accounting():
     # 1 of 2 units held for half the elapsed time: utilization 0.25.
     assert abs(resource.utilization() - 0.25) < 1e-9
     assert resource.busy_area() == 100
-
-
-def test_multi_unit_request():
-    sim = Simulator()
-    resource = Resource(sim, capacity=4)
-    log = []
-
-    def big():
-        yield resource.request(3)
-        log.append(("big", sim.now))
-        yield sim.timeout(50)
-        resource.release(3)
-
-    def small():
-        yield sim.timeout(1)
-        yield resource.request(2)
-        log.append(("small", sim.now))
-        resource.release(2)
-
-    sim.process(big())
-    sim.process(small())
-    sim.run()
-    assert log == [("big", 0), ("small", 50)]
-
-
-def test_store_put_then_get():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    assert len(store) == 1
-
-    def consumer():
-        return (yield store.get())
-
-    assert sim.run(sim.process(consumer())) == "x"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    result = {}
-
-    def consumer():
-        result["value"] = yield store.get()
-        result["time"] = sim.now
-
-    def producer():
-        yield sim.timeout(42)
-        store.put("late")
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert result == {"value": "late", "time": 42}

@@ -134,14 +134,7 @@ def test_discard_removes_content_and_mapping():
     assert not device.ftl.is_mapped(3)
 
 
-# --------------------------------------------------------------- software
-def test_software_scan_rate():
-    sim, device = make_device()
-    elapsed_us = run(sim, device.controller.software_scan(12 * MIB))
-    expected_us = 12 * MIB / device.config.device_scan_bytes_per_sec_per_core * 1e6
-    assert abs(elapsed_us - expected_us) < 1.0
-
-
+# ---------------------------------------------------------------- compute
 def test_device_compute_occupies_core():
     sim, device = make_device()
     elapsed = run(sim, device.controller.device_compute(50.0))

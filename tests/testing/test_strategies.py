@@ -24,6 +24,19 @@ def test_gen_ssd_config_is_valid_and_deterministic():
     config_a.validate()
 
 
+def test_gen_ssd_config_leaves_the_stream_where_it_was():
+    """The draw after a config is pinned per seed: the config still draws
+    the retired read-cache policy and discards it, so every case drawn
+    after the config keeps its value."""
+    following = {}
+    for seed in (0, 1, 7, 42, 2016):
+        rng = random.Random(seed)
+        gen_ssd_config(rng)
+        following[seed] = rng.getrandbits(32)
+    assert following == {0: 2167613558, 1: 3836767462, 7: 369140570,
+                         42: 127978094, 2016: 665698978}
+
+
 def test_gen_ssd_config_draws_serve_budgets():
     slots = set()
     budgets = set()
