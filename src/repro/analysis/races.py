@@ -26,7 +26,8 @@ both sides of that boundary:
 
 **Runtime side — :class:`RaceMonitor`**, an opt-in engine sanitizer
 (``REPRO_RACE_CHECK=1`` or ``Simulator(race_check=True)``).  The event loop
-dispatches same-timestamp heap entries as explicit batches; the monitor
+dispatches same-timestamp entries (the ready queue, or the heap's earliest
+instant) as explicit batches; the monitor
 records a per-entry access footprint over the kernel's shared structures
 (event state/callback lists via succeed/fail/interrupt/dispatch,
 Resource FIFO traffic, plus anything fibers declare through
@@ -34,7 +35,7 @@ Resource FIFO traffic, plus anything fibers declare through
 between tied entries — write/write or read/write on the same object field —
 as ordering hazards.  FIFO-mediated accesses (grant queues)
 are *ordered*, not hazardous: their tie order is pinned by the engine's
-sequence numbers by design, so they pin the batch instead of flagging it.
+schedule order by design, so they pin the batch instead of flagging it.
 
 **Perturbation** turns the engine's "ties run in schedule order" comment
 into a checked invariant: :func:`check_workload` runs a workload twice —

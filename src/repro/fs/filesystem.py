@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ssd.device import SSDDevice
 
@@ -74,8 +74,13 @@ class Inode:
         start, count = self.extents[index]
         return start + file_page - (ends[index] - count)
 
-    def lpns(self, offset: int, length: int) -> List[int]:
-        """Logical pages covering the byte range [offset, offset+length)."""
+    def lpns(self, offset: int, length: int) -> Sequence[int]:
+        """Logical pages covering the byte range [offset, offset+length).
+
+        A span inside one extent is a ``range`` — the shape the controller
+        stripes arithmetically, with no per-page list — and one that
+        crosses extents is a list.
+        """
         if offset < 0 or length < 0:
             raise FsError("negative offset/length")
         if length == 0:
@@ -90,6 +95,11 @@ class Inode:
         ends = self._ends
         extents = self.extents
         index = bisect_right(ends, page)
+        end = ends[index]
+        if stop <= end:
+            start, count = extents[index]
+            base = start - (end - count)
+            return range(base + page, base + stop)
         out: List[int] = []
         while page < stop:
             start, count = extents[index]

@@ -67,7 +67,7 @@ class HostIO:
                 trace.instant("nvme", "execute", self.trace_track, cmd=cmd_id)
             num_bytes = len(lpns) * self.device.config.logical_page_bytes
             if name == "read":
-                yield from self.device.controller.read_pages(list(lpns))
+                yield from self.device.controller.read_pages(lpns)
                 yield from interface.transfer_to_host(num_bytes)
             else:
                 yield from interface.transfer_to_device(num_bytes)

@@ -1,6 +1,7 @@
 """Event loop, events and fiber processes.
 
-The kernel keeps a binary heap of ``(time, sequence, event)`` entries.  An
+The kernel keeps a FIFO of the events due now in front of a binary heap of
+``(time, sequence, event)`` entries for the future.  An
 :class:`Event` triggers at most once, either successfully (carrying a value)
 or with failure (carrying an exception).  A :class:`Process` wraps a Python
 generator: each ``yield`` hands the kernel an event to wait for, and the
@@ -16,11 +17,12 @@ locks.
 from __future__ import annotations
 
 import os
+from collections import deque
 from contextlib import nullcontext
 from functools import partial
 from heapq import heappop, heappush
 from typing import (
-    Any, Callable, ContextManager, Generator, Iterable, List, Optional,
+    Any, Callable, ContextManager, Deque, Generator, Iterable, List, Optional,
 )
 
 __all__ = [
@@ -113,8 +115,7 @@ class Event:
         if sim.race is not None:
             sim.race.on_write(self, "state")
             sim.race.on_schedule(sim._now)
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (sim._now, sequence, self))
+        sim._ready.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -129,8 +130,7 @@ class Event:
         if sim.race is not None:
             sim.race.on_write(self, "state")
             sim.race.on_schedule(sim._now)
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (sim._now, sequence, self))
+        sim._ready.append(self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -166,6 +166,11 @@ class Event:
         return "<%s %s at t=%d>" % (type(self).__name__, state, self.sim.now)
 
 
+#: ``Event`` without ``__init__``, for the trigger sites that write the
+#: slots themselves.
+_new_event = object.__new__
+
+
 class Timeout(Event):
     """An event that triggers automatically ``delay`` ns after creation."""
 
@@ -174,8 +179,8 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay_ns: int, value: Any = None):
         if delay_ns < 0:
             raise ValueError("negative timeout delay: %r" % (delay_ns,))
-        # Born triggered: the slots are written and the heap entry pushed
-        # here, flat — a timeout is every other event the loop processes.
+        # Born triggered: the slots are written and the entry queued here,
+        # flat — a timeout is every other event the loop processes.
         self.sim = sim
         self._callbacks = []
         self._value = value
@@ -186,8 +191,11 @@ class Timeout(Event):
         when = sim._now + delay_ns
         if sim.race is not None:
             sim.race.on_schedule(when)
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (when, sequence, self))
+        if delay_ns:
+            sim._sequence = sequence = sim._sequence + 1
+            heappush(sim._heap, (when, sequence, self))
+        else:
+            sim._ready.append(self)
 
 
 class Process(Event):
@@ -203,7 +211,15 @@ class Process(Event):
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError("Process requires a generator, got %r" % (generator,))
-        super().__init__(sim)
+        # Event.__init__ and the bootstrap event's, written flat: a fiber
+        # is spawned per channel command of every striped read.
+        self.sim = sim
+        self._callbacks = []
+        self._value = None
+        self._exception = None
+        self._scheduled = False
+        self.defused = False
+        self.abandoned = False
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         self._pending_interrupt: Optional[Interrupt] = None
@@ -216,16 +232,19 @@ class Process(Event):
         # dropped when the fiber finishes (it is a cycle through ``self``).
         self._wake = wake = self._resume
         # Kick off at the current time.
-        bootstrap = Event(sim)
-        bootstrap.defused = True
+        bootstrap = _new_event(Event)
+        bootstrap.sim = sim
+        bootstrap._callbacks = [wake]
+        bootstrap._value = None
+        bootstrap._exception = None
         bootstrap._scheduled = True
-        bootstrap._callbacks.append(wake)
+        bootstrap.defused = True
+        bootstrap.abandoned = False
         if sim.race is not None:
             sim.race.on_ordered(bootstrap, "callbacks")
             sim.race.on_write(bootstrap, "state")
             sim.race.on_schedule(sim._now)
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (sim._now, sequence, bootstrap))
+        sim._ready.append(bootstrap)
 
     @property
     def is_alive(self) -> bool:
@@ -249,7 +268,7 @@ class Process(Event):
             self._pending_interrupt = Interrupt(cause)
             # The running fiber interrupted itself (one not yet started has
             # its bootstrap queued, which refuses in-line continuation
-            # anyway): its next wait must go through the heap, where
+            # anyway): its next wait must go through the queue, where
             # _resume delivers the interrupt.
             self.sim._inline = False
             return
@@ -289,8 +308,7 @@ class Process(Event):
         interrupt_event._callbacks = [self._wake]
         if sim.race is not None:
             sim.race.on_schedule(sim._now)
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (sim._now, sequence, interrupt_event))
+        sim._ready.append(interrupt_event)
 
     def _resume(self, event: Event) -> None:
         if self._scheduled:
@@ -343,8 +361,7 @@ class Process(Event):
         if sim.race is not None:
             sim.race.on_write(self, "state")
             sim.race.on_schedule(sim._now)
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (sim._now, sequence, self))
+        sim._ready.append(self)
 
 
 class AllOf(Event):
@@ -375,9 +392,14 @@ class AllOf(Event):
         # a child that *fails* once nobody is listening (the composite already
         # failed fast, or the waiter moved on) must be absorbed by
         # _child_done, not crash the run as an unhandled failure.
+        child_done = self._child_done
+        race = sim.race
         for event in self._events:
-            if event._callbacks is not None:
-                event.add_callback(self._child_done)
+            callbacks = event._callbacks
+            if callbacks is not None:  # Event.add_callback, inlined
+                if race is not None:
+                    race.on_ordered(event, "callbacks")
+                callbacks.append(child_done)
 
     def _child_done(self, event: Event) -> None:
         if self._scheduled:
@@ -478,26 +500,38 @@ def race_check_from_env() -> Optional[str]:
 
 
 class Simulator:
-    """The event loop: an integer-nanosecond clock over a binary heap."""
+    """The event loop: an integer-nanosecond clock over a ready queue and a
+    binary heap."""
 
     def __init__(self, race_check: Any = None):
         self._now = 0
-        # ``(time, sequence, event)`` entries.  Tie-breaking is the monotonic
-        # sequence number: events scheduled for the same instant run in
-        # schedule order, never in heap/hash order — this is what makes the
-        # event trace bit-reproducible.  Every trigger site (succeed/fail,
+        # Two queues, one order.  ``_ready`` holds the events due at ``now``
+        # in trigger order; ``_heap`` holds ``(time, sequence, event)``
+        # entries, and every one of them is due strictly after ``now``.
+        # Every trigger site at the current instant (succeed/fail, a 0 ns
         # Timeout, Process start/finish/interrupt, Resource.request's in-line
-        # grant) bumps ``_sequence`` and pushes its own entry.  The race
-        # monitor's perturbation mode (repro.analysis.races) checks the
-        # claim: it reverses pop order inside provably order-free batches
-        # and requires a bit-identical trace.
+        # grant) appends to ``_ready``; only a future Timeout bumps
+        # ``_sequence`` and pushes.  When ``_ready`` runs dry the drain pops
+        # the heap's earliest instant, in sequence order, into it.  Entries
+        # for that instant were pushed before the clock reached it, so they
+        # precede everything triggered at it: dispatch order is exactly
+        # "time, then schedule order", never heap/hash order — this is what
+        # makes the event trace bit-reproducible.  The race monitor's
+        # perturbation mode (repro.analysis.races) checks the claim: it
+        # reverses dispatch order inside provably order-free batches and
+        # requires a bit-identical trace.
+        self._ready: Deque[Event] = deque()
         self._heap: List[Any] = []
         self._sequence = 0
         #: ``timeout(delay_ns, value=None)``: event that triggers ``delay_ns``
         #: nanoseconds from now.  Bound here, not a method, so that the most
         #: frequent call in the tree is one Python frame (Timeout.__init__).
         self.timeout: Callable[..., Timeout] = partial(Timeout, self)
-        # Heap entries processed since construction.  Deterministic for a
+        #: ``process(generator, name="")``: start a fiber running
+        #: ``generator``; returns its completion event.  Bound like
+        #: ``timeout``: a striped read spawns one per channel command.
+        self.process: Callable[..., Process] = partial(Process, self)
+        # Events dispatched since construction.  Deterministic for a
         # given workload (it counts scheduled events, not wall time), so the
         # throughput bench and the fast-path tests can assert on it.
         self.events_processed = 0
@@ -557,19 +591,28 @@ class Simulator:
         """Create a pending event to be succeeded/failed manually."""
         return Event(self)
 
-    def process(self, generator: Generator, name: str = "") -> Process:
-        """Start a fiber running ``generator``; returns its completion event."""
-        return Process(self, generator, name=name)
-
     def step(self) -> None:
         """Process the single next event."""
-        when, __, event = heappop(self._heap)
-        self._now = when
+        ready = self._ready
+        event = ready.popleft() if ready else self._pop_instant()
         self.events_processed += 1
         event._run_callbacks()
 
+    def _pop_instant(self) -> Event:
+        """With ``_ready`` empty: pop the heap's earliest entry, move the
+        clock to it and queue the rest of its instant on ``_ready``, in
+        sequence order.  Returns the popped entry's event."""
+        heap = self._heap
+        when, __, event = heappop(heap)
+        self._now = when
+        while heap and heap[0][0] == when:
+            self._ready.append(heappop(heap)[2])
+        return event
+
     def peek(self) -> Optional[int]:
-        """Time of the next scheduled event, or None if the heap is empty."""
+        """Time of the next scheduled event, or None if nothing is queued."""
+        if self._ready:
+            return self._now
         return self._heap[0][0] if self._heap else None
 
     def advance(self, delay_ns: int) -> bool:
@@ -579,17 +622,17 @@ class Simulator:
         The idiom is ``if not sim.advance(ns): yield sim.timeout(ns)``.  It
         advances only while :meth:`run` dispatches the last callback of an
         entry that is not its sentinel (never under :meth:`step` or the
-        race monitor's drain), no queued entry is due at or before
-        ``now + delay_ns`` and that time is within ``run(until=ns)``'s
-        deadline.  The timeout's entry would then be the very next one
-        popped, resuming only the running fiber, so skipping it moves no
-        timestamp and no tie: it draws no sequence number, and every later
-        number shifts down alike.  ``Resource.take`` is the same rule for
-        a grant.
+        race monitor's drain), nothing is ready now, no heap entry is due
+        at or before ``now + delay_ns`` and that time is within
+        ``run(until=ns)``'s deadline.  The timeout's entry would then be
+        the very next one dispatched, resuming only the running fiber, so
+        skipping it moves no timestamp and no tie: it draws no sequence
+        number, and every later number shifts down alike.
+        ``Resource.take`` is the same rule for a grant.
         """
         if delay_ns < 0:
             raise ValueError("negative advance: %r" % (delay_ns,))
-        if not self._inline:
+        if not self._inline or self._ready:
             return False
         when = self._now + delay_ns
         heap = self._heap
@@ -601,33 +644,37 @@ class Simulator:
         self._now = when
         return True
 
-    def _run_monitored(self, heap: List[Any], sentinel: Optional[Event],
+    def _run_monitored(self, sentinel: Optional[Event],
                        deadline: Optional[int]) -> None:
         """The drain of :meth:`run` with explicit race-monitor batch boundaries.
 
-        Pops all entries of a timestamp together (events scheduled *during*
-        the batch carry larger sequence numbers than everything popped, so
-        running the popped entries in pop order is exactly one-at-a-time
-        :meth:`step`), tells the monitor where each batch starts and which
-        entry is dispatching, and — in perturbation mode — reverses the pop
-        order of batches the monitor's recorded plan marked as provably
-        order-free.  A batch the sentinel truncates is pinned: its
-        dispatched set depends on pop order, so reversing it could change
-        *which* events ran, not just their order.  An exception (or a
-        truncation) pushes the unprocessed remainder back, leaving the heap
-        as repeated ``step()`` calls would.
+        A batch is everything on ``_ready``, or else the heap's earliest
+        instant (events triggered *during* a batch queue behind it, so
+        running each batch in order is exactly one-at-a-time :meth:`step`).
+        The drain tells the monitor where each batch starts and which entry
+        is dispatching, and — in perturbation mode — reverses the order of
+        batches the monitor's recorded plan marked as provably order-free.
+        A batch the sentinel truncates is pinned: its dispatched set depends
+        on dispatch order, so reversing it could change *which* events ran,
+        not just their order.  An exception (or a truncation) puts the
+        undispatched remainder back at the front of ``_ready`` in its
+        original order, leaving the queues as repeated ``step()`` calls
+        would.
         """
         race = self.race
-        while heap:
+        heap = self._heap
+        ready = self._ready
+        while True:
             if sentinel is not None and sentinel._callbacks is None:
                 return
-            when = heap[0][0]
-            if deadline is not None and when > deadline:
-                return
-            self._now = when
-            batch: List[Any] = []
-            while heap and heap[0][0] == when:
-                batch.append(heappop(heap))
+            if not ready:
+                if not heap or (deadline is not None
+                                and heap[0][0] > deadline):
+                    return
+                ready.appendleft(self._pop_instant())
+            when = self._now
+            batch = list(ready)
+            ready.clear()
             reverse = len(batch) > 1 and race.should_reverse()
             if reverse:
                 batch.reverse()
@@ -639,24 +686,29 @@ class Simulator:
                     if sentinel is not None and sentinel._callbacks is None:
                         truncated = True
                         break
-                    event = batch[index][2]
+                    event = batch[index]
                     index += 1
                     self.events_processed += 1
                     race.begin_entry(event)
                     event._run_callbacks()
             except BaseException:
-                for entry in batch[index:]:
-                    heappush(heap, entry)
+                self._requeue(batch[index:], reverse)
                 # No end_batch: the partial batch's analysis would be
                 # misleading, and a strict-mode raise would mask the error.
                 raise
             fired = sentinel is not None and sentinel._callbacks is None
             race.end_batch(pinned=fired)
             if truncated:
-                for entry in batch[index:]:
-                    heappush(heap, entry)
+                self._requeue(batch[index:], reverse)
             if fired:
                 return
+
+    def _requeue(self, rest: List[Event], reversed_order: bool) -> None:
+        """Put a batch's undispatched ``rest`` back at the front of
+        ``_ready``, in trigger order."""
+        if not reversed_order:
+            rest.reverse()
+        self._ready.extendleft(rest)
 
     def run(self, until: Any = None) -> Any:
         """Run the event loop.
@@ -675,27 +727,39 @@ class Simulator:
             deadline = int(until)
             if deadline < self._now:
                 raise ValueError("cannot run until the past")
-        heap = self._heap
         if self.race is not None:
-            self._run_monitored(heap, sentinel, deadline)
+            self._run_monitored(sentinel, deadline)
         else:
             # The drain: one entry at a time, exactly repeated step() with
-            # Event._run_callbacks inlined — an exception mid-timestamp
-            # leaves the rest of the timestamp on the heap.  An entry's last
-            # callback runs with ``_inline`` set (unless the entry is the
-            # sentinel, after which the loop stops): nothing else runs
-            # before the next pop, so the fiber it resumes may continue in
-            # line (advance, Resource.take) while nothing else is due.
+            # _pop_instant and Event._run_callbacks inlined — an exception
+            # mid-instant leaves the rest of the instant at the front of
+            # ``_ready``.  An entry's last callback runs with ``_inline`` set
+            # (unless the entry is the sentinel, after which the loop stops):
+            # nothing else runs before the next dispatch, so the fiber it
+            # resumes may continue in line (advance, Resource.take) while
+            # nothing else is due.
             self._deadline = deadline
+            heap = self._heap
+            ready = self._ready
+            popleft = ready.popleft
+            queue = ready.append
             pop = heappop
             try:
-                while heap:
+                while True:
                     if sentinel is not None and sentinel._callbacks is None:
                         break
-                    if deadline is not None and heap[0][0] > deadline:
+                    if ready:
+                        event = popleft()
+                    elif heap:
+                        when = heap[0][0]
+                        if deadline is not None and when > deadline:
+                            break
+                        event = pop(heap)[2]
+                        self._now = when
+                        while heap and heap[0][0] == when:
+                            queue(pop(heap)[2])
+                    else:
                         break
-                    when, __, event = pop(heap)
-                    self._now = when
                     self.events_processed += 1
                     callbacks, event._callbacks = event._callbacks, None
                     if callbacks:

@@ -7,7 +7,6 @@ channel, a DMA engine, an NVMe submission queue slot.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Deque
 
 from repro.sim.engine import Event, Simulator
@@ -51,7 +50,7 @@ class Resource:
         race = sim.race
         if race is not None:
             # FIFO traffic: grant order among tied requesters is pinned by
-            # the engine's sequence numbers by design — ordered, not a
+            # the engine's schedule order by design — ordered, not a
             # hazard, but it pins the batch against perturbation.
             race.on_ordered(self, "queue")
         event = Event(sim)
@@ -60,7 +59,7 @@ class Resource:
             self._waiters.append(event)
             return event
         # Uncontended (nine requests in ten): grant in line — the busy
-        # accounting, add_callback and Event.succeed, same heap entry.
+        # accounting, add_callback and Event.succeed, same ready entry.
         now = sim._now
         self._busy_area += in_use * (now - self._last_change)
         self._last_change = now
@@ -76,8 +75,7 @@ class Resource:
             race.on_ordered(event, "callbacks")
             race.on_write(event, "state")
             race.on_schedule(now)
-        sim._sequence = sequence = sim._sequence + 1
-        heappush(sim._heap, (now, sequence, event))
+        sim._ready.append(event)
         return event
 
     def take(self) -> bool:
@@ -85,22 +83,19 @@ class Resource:
         request()`` would do; else return False.
 
         The idiom is ``if not res.take(): yield res.request()``.  It grants
-        only when :meth:`request` would grant uncontended, no queued entry
-        is due now, and the simulator allows in-line continuation (see
-        :meth:`Simulator.advance`): the grant's entry would be the very
-        next one popped and would resume only the running fiber.  The busy
-        accounting is :meth:`request`'s.
+        only when :meth:`request` would grant uncontended, nothing is ready
+        now (every heap entry is due later), and the simulator allows
+        in-line continuation (see :meth:`Simulator.advance`): the grant's
+        entry would be the very next one dispatched and would resume only
+        the running fiber.  The busy accounting is :meth:`request`'s.
         """
         sim = self.sim
-        if not sim._inline:
+        if not sim._inline or sim._ready:
             return False
         in_use = self._in_use
         if in_use == self.capacity:
             return False
-        heap = sim._heap
         now = sim._now
-        if heap and heap[0][0] <= now:
-            return False
         self._busy_area += in_use * (now - self._last_change)
         self._last_change = now
         self._in_use = in_use + 1
@@ -119,11 +114,18 @@ class Resource:
         waiters = self._waiters
         while waiters:
             # The unit passes straight to the first requester still
-            # listening (one interrupted while queued is dropped).
+            # listening (one interrupted while queued is dropped):
+            # add_callback and Event.succeed, inlined.
             event = waiters.popleft()
             if not event.abandoned:
-                event.add_callback(self._reclaim_unit)
-                event.succeed()
+                event._callbacks.append(self._reclaim_unit)
+                event._scheduled = True
+                race = sim.race
+                if race is not None:
+                    race.on_ordered(event, "callbacks")
+                    race.on_write(event, "state")
+                    race.on_schedule(now)
+                sim._ready.append(event)
                 return
         self._in_use = in_use - 1
 

@@ -47,9 +47,15 @@ class Stripe(NamedTuple):
     channel: int
     physical: int
     # Distinct logical pages resident in this stripe.  A tuple in general;
-    # the contiguous-request fast path in _group_stripes uses a ``range``
-    # (consumers only take len() and iterate).
+    # the arithmetic path in _group_stripes (a contiguous span) and a
+    # one-page span keep a ``range`` (consumers only take len() and
+    # iterate).
     lpns: Sequence[int]
+
+
+#: ``Stripe(channel, physical, lpns)`` without the generated Python-level
+#: ``__new__``: the arithmetic stripe path builds one per physical page.
+_new_stripe = tuple.__new__
 
 
 class ReadStats(Counters):
@@ -166,22 +172,25 @@ class Controller:
         groups: dict = {}
         if self.ftl.mapped_pages == 0:
             # Nothing written through the FTL: placement is pure round-robin
-            # arithmetic.  A contiguous ascending request (the streaming
-            # shape of every scan and bench) yields its stripes directly,
-            # with no per-LPN dict traffic — this path is hot enough that
-            # the simulator fast path would otherwise be bounded by it.
+            # arithmetic.  A contiguous ascending span yields its stripes
+            # directly, with no per-LPN dict or set: the same stripes, in
+            # the same order, as the loop below.  File reads reach it
+            # whenever the span lies in one extent (Inode.lpns returns a
+            # range and neither HostIO nor SSDDevice copies it), so every
+            # scan of a synthetic or single-extent file does, and
+            # sim_throughput's direct controller calls do.
             channels = self.config.channels
-            if isinstance(lpns, range) and lpns.step == 1 and len(lpns):
+            if isinstance(lpns, range) and lpns.step == 1:
                 start, stop = lpns.start, lpns.stop
                 first, last = start // slots, (stop - 1) // slots
-                stripes = []
-                for physical in range(first, last + 1):
-                    base = physical * slots
-                    lo = start if physical == first else base
-                    hi = stop if physical == last else base + slots
-                    stripes.append(
-                        Stripe(physical % channels, physical, range(lo, hi)))
-                return stripes
+                # Stripe edges: the span's ends and every physical page
+                # boundary between them.
+                edges = [start, *range((first + 1) * slots, last * slots + 1,
+                                       slots), stop]
+                return [_new_stripe(Stripe, (physical % channels, physical,
+                                             range(lo, hi)))
+                        for physical, lo, hi in zip(range(first, last + 1),
+                                                    edges, edges[1:])]
             for lpn in lpns:
                 physical = lpn // slots
                 groups.setdefault((physical % channels, physical),
@@ -208,21 +217,25 @@ class Controller:
         limit = 1 if use_matcher else self.config.read_coalesce_limit
         if limit <= 1 or len(stripes) <= 1:
             return [[stripe] for stripe in stripes]
-        per_channel: dict = {}
-        for stripe in stripes:
-            per_channel.setdefault(stripe.channel, []).append(stripe)
         batches: List[List[Stripe]] = []
         if type(stripes[0].lpns) is range:
-            # Contiguous-request stripes (the arithmetic path in
-            # _group_stripes, the only producer of range lpns): per channel
-            # they arrive sorted with a physical stride of exactly the
-            # channel count, so every consecutive pair is adjacent and the
-            # runs are plain fixed-size chunks.
-            for channel in sorted(per_channel):
-                run = per_channel[channel]
+            # Contiguous-span stripes (the arithmetic path in
+            # _group_stripes, the only producer of several range stripes)
+            # are consecutive physical pages, so a channel's stripes are
+            # every ``channels``-th one, sorted with a physical stride of
+            # exactly the channel count: every consecutive pair is adjacent
+            # and the runs are plain fixed-size chunks — the runs the loop
+            # below would build.
+            channels = self.config.channels
+            for run in sorted((stripes[i::channels]
+                               for i in range(min(channels, len(stripes)))),
+                              key=lambda run: run[0].channel):
                 batches.extend(run[i:i + limit]
                                for i in range(0, len(run), limit))
             return batches
+        per_channel: dict = {}
+        for stripe in stripes:
+            per_channel.setdefault(stripe.channel, []).append(stripe)
         for channel in sorted(per_channel):
             run: List[Stripe] = []
             for stripe in sorted(per_channel[channel],

@@ -1,6 +1,7 @@
 """Filesystem: namespace, extents, synthetic files, content assembly."""
 
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,7 @@ def test_extent_index_matches_the_linear_walk(seed):
     assert ref.files and fs.listdir() == sorted(ref.files)
     page = fs.page_size
     fragmented = 0
+    spans = {False: 0, True: 0}
     for path, extents in sorted(ref.files.items()):
         inode = fs.lookup(path)
         # Never coalesced: the extents are exactly what the allocator handed out.
@@ -256,8 +258,17 @@ def test_extent_index_matches_the_linear_walk(seed):
                     length = min(length, inode.size - offset)
                     if length <= 0:
                         continue
-                    expected = [
-                        _walk_lpn(extents, p) for p in range(
-                            offset // page, (offset + length - 1) // page + 1)]
-                    assert inode.lpns(offset, length) == expected
+                    first_page = offset // page
+                    last_page = (offset + length - 1) // page
+                    expected = [_walk_lpn(extents, p)
+                                for p in range(first_page, last_page + 1)]
+                    span = inode.lpns(offset, length)
+                    assert list(span) == expected
+                    # One extent: the span is a range (what the controller
+                    # stripes arithmetically); across extents, a list.
+                    one_extent = (bisect_right(ends, first_page)
+                                  == bisect_right(ends, last_page))
+                    assert isinstance(span, range) == one_extent
+                    spans[one_extent] += 1
     assert fragmented, "layout never reused a freed extent"
+    assert all(spans.values()), spans

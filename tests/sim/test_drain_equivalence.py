@@ -7,7 +7,8 @@ positive timeouts, shared ``Resource`` s of one to three units,
 granted in the very timestep they are interrupted in), failing events,
 ``all_of`` / ``any_of`` — must produce the same log, final clock and busy
 integrals however the loop is driven, and an exception raised
-mid-timestamp must leave the heap as repeated ``step()`` leaves it.
+mid-timestamp must leave the heap, and the rest of the instant on the
+ready queue, as repeated ``step()`` leaves them.
 
 The programs also hold resources in line (``Resource.take`` and
 ``Simulator.advance``, falling back to the yields).  ``step()`` and the
@@ -71,10 +72,18 @@ class World:
         yield self.sim.timeout(delay)
         if in_callback:  # a callback that raises, then one that never runs
             fuse = self.sim.timeout(0)
+            fuse.add_callback(self._spark)
             fuse.add_callback(self._explode)
             fuse.add_callback(lambda event: self.log.append("unreachable"))
         else:  # an unhandled failure: the loop itself raises
             self.sim.event().fail(RuntimeError("bomb"))
+
+    def _spark(self, event):
+        # Triggered before the raise: the rest of the crashed instant must
+        # stay queued ahead of it.
+        spark = self.sim.timeout(0)
+        spark.add_callback(lambda _e: self.log.append(
+            (self.sim.now, "bomb", "spark", None)))
 
     def _explode(self, event):
         raise RuntimeError("bomb in a callback")
@@ -164,9 +173,28 @@ class World:
 
 
 # ------------------------------------------------------------------ drivers
+def _callback(callback):
+    owner = getattr(callback, "__self__", None)
+    if owner is None:
+        return callback.__qualname__
+    return "%s.%s" % (getattr(owner, "name", "") or type(owner).__name__,
+                      callback.__name__)
+
+
+def _ready_entry(event):
+    """A ready event as any simulator running the same program has it
+    (the events themselves are per-simulator objects)."""
+    return (type(event).__name__, getattr(event, "name", None), event._value,
+            type(event._exception).__name__,
+            [_callback(callback) for callback in event._callbacks or ()])
+
+
 def _heap_state(sim):
+    """The clock, the count, the heap's entries and — in order — the rest of
+    the instant an exception left on ``_ready``."""
     return (sim.now, sim.events_processed,
-            sorted(entry[:2] for entry in sim._heap))
+            sorted(entry[:2] for entry in sim._heap),
+            [_ready_entry(event) for event in sim._ready])
 
 
 def _surviving(sim, crashes, drain, *args):
@@ -223,10 +251,10 @@ def _without_counts(outcome, crashes):
     numbers themselves (their order is kept, as ranks)."""
     log, _events, end_ns, areas, in_use = outcome
     heaps = []
-    for message, (crash_ns, _count, entries) in crashes:
+    for message, (crash_ns, _count, entries, ready) in crashes:
         rank = {seq: i for i, seq in enumerate(sorted(s for _t, s in entries))}
         heaps.append((message, crash_ns,
-                      [(when, rank[seq]) for when, seq in entries]))
+                      [(when, rank[seq]) for when, seq in entries], ready))
     return (log, end_ns, areas, in_use), heaps
 
 
@@ -241,10 +269,11 @@ def _simulate(seed, driver, monitored, bombs, end_ns=None):
 
 @pytest.mark.parametrize("bombs", [0, 3], ids=["clean", "bombs"])
 def test_every_drain_is_repeated_step(bombs):
-    reclaimed = interrupted = skipped = 0
+    reclaimed = interrupted = skipped = left_ready = 0
     for seed in range(40):
         expected, crashes, grabbed = _simulate(seed, _drive_steps, False, bombs)
         assert len(crashes) == bombs
+        left_ready += sum(1 for _message, state in crashes if state[3])
         log, _events, end_ns, _areas, in_use = expected
         assert "unreachable" not in log
         reclaimed += grabbed
@@ -268,3 +297,4 @@ def test_every_drain_is_repeated_step(bombs):
     assert interrupted > 40
     assert reclaimed > 5
     assert skipped > 40  # in-line continuation really engaged
+    assert left_ready == 40 * bombs  # every crash left an instant half-run

@@ -5,10 +5,10 @@ entered or generator resumed; counted by the code object's file, the numbers
 repeat exactly, so a re-grown hot path fails CI without reading a clock.
 The ceilings sit a few calls above today's counts (DESIGN.md "Event
 engine"): bare loop 3.50 calls in ``repro/sim/`` per event; a QD-1 one-page
-host read 48.8 calls under ``repro/`` (27.8 in ``repro/sim/``) for 0 events
+host read 47.8 calls under ``repro/`` (27.8 in ``repro/sim/``) for 0 events
 (every hold continues in line, and the fused plan settles in line); an
-internal one 28.8 for 0 events; a one-page overwrite of a 64-extent file
-24.8 calls internally, 45.0 through the host, 290 events for the 400 writes
+internal one 27.8 for 0 events; a one-page overwrite of a 64-extent file
+23.6 calls internally, 43.8 through the host, 290 events for the 400 writes
 either way.
 """
 

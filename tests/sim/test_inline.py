@@ -1,7 +1,7 @@
 """In-line continuation: ``Resource.take`` and ``Simulator.advance``.
 
-Each grants (or moves the clock) at once only when the heap entry it stands
-in for would be the very next one popped and would resume only the running
+Each grants (or moves the clock) at once only when the entry it stands in
+for would be the very next one dispatched and would resume only the running
 fiber.  In every other case it refuses, and the caller yields as before.
 """
 
