@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.cluster import ReplicaMap
 
@@ -63,6 +63,13 @@ class PartitionSpec:
     holds the ``num_shards - 1`` sorted split points; shard ``i`` owns
     ``bounds[i-1] <= value < bounds[i]``, so both equality and range
     predicates prune).
+
+    ``key_type`` is the type the key column stores its values as
+    (:data:`repro.db.storage.KEY_TYPES`).  A hash spec coerces every value
+    through it before hashing — the row's key and a predicate's literal
+    alike — because the hash reads ``repr``: ``5`` and ``5.0`` (or ``-0.0``
+    and ``0.0``) are one value to the column and to ``==``, but two reprs.
+    ``None`` hashes values as given (the KV store's bytes keys).
     """
 
     table: str
@@ -70,6 +77,7 @@ class PartitionSpec:
     kind: str = "hash"
     num_shards: int = 4
     bounds: Tuple[Any, ...] = ()
+    key_type: Optional[Callable[[Any], Any]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("hash", "range"):
@@ -91,6 +99,11 @@ class PartitionSpec:
     def shard_of(self, value: Any) -> int:
         """The shard owning one partition-key value."""
         if self.kind == "hash":
+            key_type = self.key_type
+            if key_type is float:
+                value = float(value) + 0.0  # -0.0 + 0.0 is 0.0
+            elif key_type is not None:
+                value = key_type(value)
             return stable_shard_hash(value) % self.num_shards
         return bisect.bisect_right(self.bounds, value)
 
@@ -109,7 +122,13 @@ class PartitionSpec:
             return everything
         tag, detail = constraint
         if tag == "eq":
-            return sorted({self.shard_of(value) for value in detail})
+            try:
+                return sorted({self.shard_of(value) for value in detail})
+            except (TypeError, ValueError, OverflowError):
+                # A literal the key column cannot store ('x' or inf against
+                # an int key) equals no stored value, so any shard set
+                # answers it; every shard needs no special case.
+                return everything
         if tag == "range" and self.kind == "range":
             low, high, _low_inc, _high_inc = detail
             first = 0 if low is None else self.shard_of(low)
@@ -122,8 +141,9 @@ class PartitionSpec:
     ) -> List[List[Sequence[Any]]]:
         """Split rows into per-shard lists, preserving input order."""
         parts: List[List[Sequence[Any]]] = [[] for _ in range(self.num_shards)]
+        shard_of = self.shard_of
         for row in rows:
-            parts[self.shard_of(row[key_position])].append(row)
+            parts[shard_of(row[key_position])].append(row)
         return parts
 
 

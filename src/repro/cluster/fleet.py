@@ -31,7 +31,7 @@ from repro.core.errors import DeviceCrashedError
 from repro.db.catalog import TableSchema
 from repro.db.executor import Engine, EngineConfig, ExecutionMode
 from repro.db.planner import create_engine
-from repro.db.storage import Database, pack_table
+from repro.db.storage import KEY_TYPES, Database, pack_table
 from repro.net.cluster import ReplicaMap, ScaleOutCluster, StorageNode
 from repro.ssd.config import SSDConfig
 from repro.testing.faults import CrashWindow, FaultStorm, StormInjector
@@ -137,10 +137,11 @@ class ShardedFleet:
         logical name is aliased on every node so SQL compiles anywhere,
         though only shard copies are ever scanned.
         """
+        key = key or schema.columns[0].name
+        key_position = schema.position(key)
         spec = self.catalog.register(PartitionSpec(
-            schema.name, key or schema.columns[0].name, kind,
-            self.replica_map.num_shards, tuple(bounds)))
-        key_position = schema.position(spec.key)
+            schema.name, key, kind, self.replica_map.num_shards, tuple(bounds),
+            KEY_TYPES[schema.columns[key_position].ctype]))
         parts = spec.partition_rows(rows, key_position)
         page_size = self.databases[0].fs.page_size
         for shard, shard_rows in enumerate(parts):

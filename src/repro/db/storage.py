@@ -32,12 +32,12 @@ from repro.db.catalog import Catalog, TableSchema
 from repro.fs.filesystem import FileSystem, Inode
 
 __all__ = ["encode_row", "decode_rows", "pack_pages", "pack_table",
-           "PackedTable", "TableStorage", "Database"]
+           "KEY_TYPES", "PackedTable", "TableStorage", "Database"]
 
 _PAGE_HEADER = struct.Struct("<H")
 #: What the row codec turns a column's value into, by column type: an index
 #: keyed on these is keyed exactly as one rebuilt from decoded pages.
-_KEY_TYPES = {"int": int, "date": int, "float": float, "str": str}
+KEY_TYPES = {"int": int, "date": int, "float": float, "str": str}
 
 
 def _segments(schema: TableSchema) -> List[Tuple[List[int], Optional[int], struct.Struct]]:
@@ -73,7 +73,7 @@ def _encoder(schema: TableSchema) -> Callable[[Sequence[Any]], bytes]:
     parts = []
     for number, (run, text, layout) in enumerate(_segments(schema)):
         env["p%d" % number] = layout.pack
-        args = ["%s(row[%d])" % (_KEY_TYPES[schema.columns[i].ctype].__name__, i)
+        args = ["%s(row[%d])" % (KEY_TYPES[schema.columns[i].ctype].__name__, i)
                 for i in run]
         if text is not None:
             lines += [
@@ -177,7 +177,7 @@ def _index_rows(schema: TableSchema, rows: Iterable[Sequence[Any]],
                 counts: Sequence[int], column: str) -> Dict[Any, List[int]]:
     """``column``'s index from the rows and :func:`pack_pages`' rows per page."""
     position = schema.position(column)
-    as_stored = _KEY_TYPES[schema.columns[position].ctype]
+    as_stored = KEY_TYPES[schema.columns[position].ctype]
     index: Dict[Any, List[int]] = {}
     remaining = iter(rows)
     for page_no, count in enumerate(counts):

@@ -11,7 +11,7 @@ factor exactly as in dbgen (lineitem ≈ 6 M × SF).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.db.catalog import date_to_int
 from repro.db.storage import Database
@@ -67,16 +67,32 @@ END_ORDER_DATE = date_to_int("1998-08-02")
 CURRENT_DATE = date_to_int("1995-06-17")
 
 
-def _comment(rng: random.Random, min_words: int = 3, max_words: int = 8) -> str:
-    n = rng.randint(min_words, max_words)
-    return " ".join(rng.choice(COMMENT_WORDS) for _ in range(n))
+_WORDS = len(COMMENT_WORDS)
+_WORD_BITS = _WORDS.bit_length()
 
 
-def _phone(rng: random.Random, nation_key: int) -> str:
-    return "%02d-%03d-%03d-%04d" % (
-        10 + nation_key, rng.randint(100, 999), rng.randint(100, 999),
-        rng.randint(1000, 9999),
-    )
+# Every draw below is the stdlib's own arithmetic written out in line: an
+# integer in [0, n) is ``Random._randbelow_with_getrandbits`` -- draw
+# ``getrandbits(n.bit_length())`` until it falls below n -- and
+# ``uniform(a, b)`` is ``a + (b - a) * random()``.  The generator therefore
+# makes the same C-level calls, in the same order and with the same widths,
+# as ``randint``/``randrange``/``choice``/``uniform`` would, without their
+# four Python frames per draw; the tables are a function of that call
+# sequence (tests/db/test_tpch_datagen.py pins them by digest).
+
+def _comment(bits: Callable[[int], int], min_words: int = 3, max_words: int = 8) -> str:
+    span = max_words - min_words + 1
+    k = span.bit_length()
+    n = bits(k)
+    while n >= span:
+        n = bits(k)
+    words = []
+    for _ in range(min_words + n):
+        r = bits(_WORD_BITS)
+        while r >= _WORDS:
+            r = bits(_WORD_BITS)
+        words.append(COMMENT_WORDS[r])
+    return " ".join(words)
 
 
 def generate_tables(scale_factor: float, seed: int = 20160618) -> Dict[str, List[Tuple[Any, ...]]]:
@@ -84,7 +100,21 @@ def generate_tables(scale_factor: float, seed: int = 20160618) -> Dict[str, List
     if scale_factor <= 0:
         raise ValueError("scale factor must be positive")
     rng = random.Random(seed)
+    bits = rng.getrandbits
+    rand = rng.random
     sf = scale_factor
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    def phone(nation_key: int) -> str:
+        return "%02d-%03d-%03d-%04d" % (
+            10 + nation_key, 100 + below(900), 100 + below(900), 1000 + below(9000),
+        )
 
     num_supplier = max(10, round(10_000 * sf))
     num_customer = max(30, round(150_000 * sf))
@@ -92,49 +122,53 @@ def generate_tables(scale_factor: float, seed: int = 20160618) -> Dict[str, List
     num_orders = max(50, round(1_500_000 * sf))
 
     region = [
-        (key, name, _comment(rng)) for key, name in enumerate(REGIONS)
+        (key, name, _comment(bits)) for key, name in enumerate(REGIONS)
     ]
     nation = [
-        (key, name, region_key, _comment(rng))
+        (key, name, region_key, _comment(bits))
         for key, (name, region_key) in enumerate(TPCH_NATIONS)
     ]
 
+    acctbal_span = 9999.99 - -999.99
     supplier = []
     for key in range(1, num_supplier + 1):
-        nation_key = rng.randrange(25)
-        comment = _comment(rng)
+        nation_key = below(25)
+        comment = _comment(bits)
         # dbgen plants "Customer...Complaints" in ~0.05% of supplier comments
         # (Q16 excludes those suppliers).
-        if rng.random() < 0.0005:
+        if rand() < 0.0005:
             comment = "Customer " + comment + " Complaints"
         supplier.append((
-            key, "Supplier#%09d" % key, _comment(rng, 2, 4), nation_key,
-            _phone(rng, nation_key), round(rng.uniform(-999.99, 9999.99), 2),
+            key, "Supplier#%09d" % key, _comment(bits, 2, 4), nation_key,
+            phone(nation_key), round(-999.99 + acctbal_span * rand(), 2),
             comment,
         ))
 
     customer = []
     for key in range(1, num_customer + 1):
-        nation_key = rng.randrange(25)
+        nation_key = below(25)
         customer.append((
-            key, "Customer#%09d" % key, _comment(rng, 2, 4), nation_key,
-            _phone(rng, nation_key), round(rng.uniform(-999.99, 9999.99), 2),
-            rng.choice(SEGMENTS), _comment(rng),
+            key, "Customer#%09d" % key, _comment(bits, 2, 4), nation_key,
+            phone(nation_key), round(-999.99 + acctbal_span * rand(), 2),
+            SEGMENTS[below(len(SEGMENTS))], _comment(bits),
         ))
 
     part = []
     for key in range(1, num_part + 1):
         name = " ".join(rng.sample(COLORS, 5))
-        mfgr_id = rng.randint(1, 5)
-        brand = "Brand#%d%d" % (mfgr_id, rng.randint(1, 5))
+        mfgr_id = 1 + below(5)
+        brand = "Brand#%d%d" % (mfgr_id, 1 + below(5))
         ptype = "%s %s %s" % (
-            rng.choice(TYPE_SYLL_1), rng.choice(TYPE_SYLL_2), rng.choice(TYPE_SYLL_3)
+            TYPE_SYLL_1[below(len(TYPE_SYLL_1))],
+            TYPE_SYLL_2[below(len(TYPE_SYLL_2))],
+            TYPE_SYLL_3[below(len(TYPE_SYLL_3))],
         )
-        container = "%s %s" % (rng.choice(CONTAINER_1), rng.choice(CONTAINER_2))
+        container = "%s %s" % (CONTAINER_1[below(len(CONTAINER_1))],
+                               CONTAINER_2[below(len(CONTAINER_2))])
         retail = round(90000 + (key % 200001) / 10 + 100 * (key % 1000), 2) / 100
         part.append((
             key, name, "Manufacturer#%d" % mfgr_id, brand, ptype,
-            rng.randint(1, 50), container, retail, _comment(rng),
+            1 + below(50), container, retail, _comment(bits),
         ))
 
     partsupp = []
@@ -142,15 +176,16 @@ def generate_tables(scale_factor: float, seed: int = 20160618) -> Dict[str, List
         for i in range(4):
             s_key = ((p_key + i * (num_supplier // 4 + 1)) % num_supplier) + 1
             partsupp.append((
-                p_key, s_key, rng.randint(1, 9999),
-                round(rng.uniform(1.0, 1000.0), 2), _comment(rng),
+                p_key, s_key, 1 + below(9999),
+                round(1.0 + (1000.0 - 1.0) * rand(), 2), _comment(bits),
             ))
 
     orders = []
     lineitem = []
     date_span = END_ORDER_DATE - START_DATE
+    num_clerks = max(1, round(1000 * sf))
     for o_key in range(1, num_orders + 1):
-        cust = rng.randint(1, num_customer)
+        cust = 1 + below(num_customer)
         # dbgen skips a third of customers (Q13's zero-order customers).
         if cust % 3 == 0:
             cust = max(1, cust - 1)
@@ -159,28 +194,28 @@ def generate_tables(scale_factor: float, seed: int = 20160618) -> Dict[str, List
         # This gives date predicates the low *page*-fraction selectivity the
         # paper's planner heuristic measures (see DESIGN.md / EXPERIMENTS.md).
         base_date = START_DATE + (o_key - 1) * date_span // max(1, num_orders - 1)
-        order_date = min(END_ORDER_DATE, max(START_DATE, base_date + rng.randint(-15, 15)))
-        priority = rng.choice(PRIORITIES)
-        comment = _comment(rng)
-        if rng.random() < 0.01:
-            comment = comment + " special requests " + _comment(rng, 1, 2)
-        num_lines = rng.randint(1, 7)
+        order_date = min(END_ORDER_DATE, max(START_DATE, base_date - 15 + below(31)))
+        priority = PRIORITIES[below(len(PRIORITIES))]
+        comment = _comment(bits)
+        if rand() < 0.01:
+            comment = comment + " special requests " + _comment(bits, 1, 2)
+        num_lines = 1 + below(7)
         total = 0.0
         all_f = True
         any_f = False
         for line_no in range(1, num_lines + 1):
-            p_key = rng.randint(1, num_part)
-            s_key = ((p_key + rng.randrange(4) * (num_supplier // 4 + 1)) % num_supplier) + 1
-            quantity = float(rng.randint(1, 50))
+            p_key = 1 + below(num_part)
+            s_key = ((p_key + below(4) * (num_supplier // 4 + 1)) % num_supplier) + 1
+            quantity = float(1 + below(50))
             retail = part[p_key - 1][7]
             extended = round(quantity * retail, 2)
-            discount = rng.randint(0, 10) / 100.0
-            tax = rng.randint(0, 8) / 100.0
-            ship_date = order_date + rng.randint(1, 121)
-            commit_date = order_date + rng.randint(30, 90)
-            receipt_date = ship_date + rng.randint(1, 30)
+            discount = below(11) / 100.0
+            tax = below(9) / 100.0
+            ship_date = order_date + 1 + below(121)
+            commit_date = order_date + 30 + below(61)
+            receipt_date = ship_date + 1 + below(30)
             if receipt_date <= CURRENT_DATE:
-                return_flag = rng.choice(("R", "A"))
+                return_flag = "RA"[below(2)]
             else:
                 return_flag = "N"
             line_status = "F" if ship_date <= CURRENT_DATE else "O"
@@ -190,12 +225,13 @@ def generate_tables(scale_factor: float, seed: int = 20160618) -> Dict[str, List
             lineitem.append((
                 o_key, p_key, s_key, line_no, quantity, extended, discount, tax,
                 return_flag, line_status, ship_date, commit_date, receipt_date,
-                rng.choice(SHIP_INSTRUCT), rng.choice(SHIP_MODES), _comment(rng),
+                SHIP_INSTRUCT[below(len(SHIP_INSTRUCT))],
+                SHIP_MODES[below(len(SHIP_MODES))], _comment(bits),
             ))
         status = "F" if all_f else ("P" if any_f else "O")
         orders.append((
             o_key, cust, status, round(total, 2), order_date, priority,
-            "Clerk#%09d" % rng.randint(1, max(1, round(1000 * sf))),
+            "Clerk#%09d" % (1 + below(num_clerks)),
             0, comment,
         ))
 

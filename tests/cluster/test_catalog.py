@@ -67,6 +67,23 @@ def test_target_shards_range_prunes_only_under_range_kind():
     assert ranged.target_shards(None) == [0, 1, 2, 3]
 
 
+def test_hash_coerces_through_the_key_type():
+    floats = PartitionSpec("t", "k", "hash", 8, key_type=float)
+    assert floats.shard_of(5) == floats.shard_of(5.0) \
+        == stable_shard_hash(5.0) % 8
+    assert floats.shard_of(-0.0) == floats.shard_of(0) \
+        == floats.shard_of(0.0)
+    ints = PartitionSpec("t", "k", "hash", 8, key_type=int)
+    assert ints.shard_of(17.0) == ints.shard_of(17) \
+        == stable_shard_hash(17) % 8
+    # A literal the column cannot store matches no row: scan everything.
+    assert ints.target_shards(("eq", ["x"])) == list(range(8))
+    assert ints.target_shards(("eq", [float("inf")])) == list(range(8))
+    # No key type (the KV store's bytes keys): hashed as given.
+    assert PartitionSpec("kv", "key", "hash", 8).shard_of(b"k") \
+        == stable_shard_hash(b"k") % 8
+
+
 def test_partition_rows_covers_every_row_exactly_once():
     spec = PartitionSpec("t", "k", "hash", 4)
     rows = [(i, i * 2) for i in range(100)]

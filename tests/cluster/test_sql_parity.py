@@ -160,3 +160,50 @@ def test_fleet_turns_a_two_table_statement_away(sites):
         executor.run_sql(statement)
     assert str(error.value) == (
         "cluster scatter-gather is single-table; got 2 tables")
+
+
+# A float key holding -0.0 beside 0.0: the column and ``==`` see one value.
+P = TableSchema("p", [Column("pid", "int"), Column("price", "float")])
+P_ROWS = [(i, -0.0 if i % 26 == 13 else (i % 13) * 0.25) for i in range(3000)]
+
+
+@pytest.fixture(scope="module")
+def keyed():
+    """The unsharded engine and a 4-shard fleet hash-partitioned on an int
+    key (``t.id``) and on a float key (``p.price``)."""
+    system = System()
+    db = Database(system.fs)
+    db.load_table(T, T_ROWS)
+    db.load_table(P, P_ROWS)
+    config = force_offload_config()
+    engine = create_engine(system, db, ExecutionMode.CONV, config)
+    fleet = ShardedFleet(num_nodes=2, num_shards=4, replication=2,
+                         engine_config=config)
+    fleet.load_sharded(T, T_ROWS, key="id", kind="hash")
+    fleet.load_sharded(P, P_ROWS, key="price", kind="hash")
+    return engine, ClusterExecutor(fleet)
+
+
+@pytest.mark.parametrize("table, where, values", [
+    ("t", "id = 17", 1),
+    ("t", "id = 17.0", 1),
+    ("t", "id IN (17, 4000)", 2),
+    ("t", "id IN (17.0, 4000.0)", 2),
+    ("p", "price = 1", 1),
+    ("p", "price = 1.0", 1),
+    ("p", "price = 0", 1),
+    ("p", "price = 0.0", 1),
+    ("p", "price IN (0, 2)", 2),
+    ("p", "price IN (0.5, 2.75)", 2),
+])
+def test_hash_pruning_hashes_the_stored_key(keyed, table, where, values):
+    """Pruning hashes a literal as the key column stores it: ``5`` against a
+    float key is ``5.0``, ``17.0`` against an int key is ``17``, and the
+    rows stored as ``-0.0`` live where ``0`` hashes."""
+    engine, executor = keyed
+    statement = "SELECT count(*) AS n FROM %s WHERE %s" % (table, where)
+    want, _ = run_sql(engine, statement)
+    before = executor.shard_rpcs
+    got, _ = executor.run_sql(statement)
+    assert got.rows == want.rows and want.rows[0][0] > 0
+    assert executor.shard_rpcs - before <= values  # really pruned
