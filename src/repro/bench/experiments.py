@@ -396,9 +396,10 @@ def exp_fig8_db_filter_queries(scale_factor: float = 0.05) -> ExperimentResult:
 
 
 # ------------------------------------------------- Fig. 9 / Table VI (power)
-def _query1_power_run(mode: ExecutionMode, scale_factor: float):
+def _query1_power_run(mode: ExecutionMode, scale_factor: float,
+                      ssd_config=None):
     """Run Fig. 8 Query 1 with a power meter; returns (exec_s, meter, sys)."""
-    system = System()
+    system = System(ssd_config=ssd_config)
     db = load_tpch(system.fs, scale_factor)
     engine = create_engine(system, db, mode)
     meter = PowerMeter(system, interval_s=0.002)
@@ -428,12 +429,17 @@ def _query1_power_run(mode: ExecutionMode, scale_factor: float):
     return exec_s, sync_s, meter, system
 
 
-def exp_fig9_power(scale_factor: float = 0.05) -> ExperimentResult:
-    """System power during Query 1 (paper Fig. 9) + energy (Table VI)."""
+def exp_fig9_power(scale_factor: float = 0.05,
+                   ssd_config=None) -> ExperimentResult:
+    """System power during Query 1 (paper Fig. 9) + energy (Table VI).
+
+    ``ssd_config`` lets a test run the same measurement with the fast path
+    disabled.
+    """
     conv_exec, conv_sync, conv_meter, _ = _query1_power_run(
-        ExecutionMode.CONV, scale_factor)
+        ExecutionMode.CONV, scale_factor, ssd_config)
     bisc_exec, bisc_sync, bisc_meter, _ = _query1_power_run(
-        ExecutionMode.BISCUIT, scale_factor)
+        ExecutionMode.BISCUIT, scale_factor, ssd_config)
     conv_avg = conv_meter.average_w(0.0, conv_exec)
     bisc_avg = bisc_meter.average_w(0.0, bisc_exec)
     conv_kj = conv_meter.energy_kj()

@@ -3,8 +3,9 @@
 Three workload shapes drive ``Controller.read_pages`` with the fused NAND
 fast path (:mod:`repro.sim.fastpath`) enabled and disabled:
 
-* **point** — a stream of single-page reads (index-probe shape; fusion of
-  one-op batches, dispatch-bound),
+* **point** — a stream of single-page reads (index-probe shape,
+  dispatch-bound; one-page commands never fuse, so both arms step the same
+  events),
 * **striped** — mid-size commands striped across every channel,
 * **saturation** — parallel workers issuing large contiguous scans with a
   deep coalesce limit, the shape that saturates every channel bus (the

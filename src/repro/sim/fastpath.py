@@ -9,8 +9,10 @@ function of the channel's queue state.  The fast path computes that schedule
 analytically (:class:`FusedTimingCalculator`), keeps the pending plans per
 channel (:class:`ChannelFastPath`), and retires an entire batch through a
 single timer event — bit-identical completion times, a fraction of the heap
-traffic.  When that timer would be the very next heap entry and no other
-plan is in flight, the batch settles in line instead (the in-line rule of
+traffic.  Only multi-stripe channel commands fuse: a one-page read is one
+die hold and one bus hold, cheaper per-event than as a plan.  When that
+timer would be the very next heap entry and no other plan is in flight,
+the batch settles in line instead (the in-line rule of
 :meth:`Simulator.advance`) and :meth:`ChannelFastPath.try_fuse` returns
 :data:`SETTLED`: no timer, no completion event.
 
@@ -38,11 +40,12 @@ Determinism and equivalence rest on three invariants:
 Schedules are memoized in arrival-relative coordinates keyed on the
 channel's queue shape and the batch's transfer sizes; under saturation
 every batch meets the channel in the same relative state, so the steady
-state costs one dict lookup per batch — no per-op work at all (each cache
+state costs one dict lookup per batch — no per-op work at all.  Each cache
 entry carries the batch's precomputed die/bus busy integrals, deposited via
-``Resource.backfill_busy`` when the plan settles, which keeps end-of-run
-``utilization()`` identical to the per-event path; mid-plan sampling can
-lag by at most one in-flight plan window).
+``Resource.backfill_busy`` when the plan settles; until then the die pool's
+and bus's ``pending_area`` report the share accrued so far, read off the
+plan's schedule, so ``busy_area()`` sampled mid-plan (the power meter, the
+utilization monitor) equals the per-event path's at every instant.
 """
 
 from __future__ import annotations
@@ -196,6 +199,8 @@ class ChannelFastPath:
         self._die_free: Deque[int] = deque()
         self._bus_free = 0
         self._batches: List[_FusedBatch] = []
+        dies.pending_area = self._dies_in_flight
+        bus.pending_area = self._bus_in_flight
         self.fused_batches = 0
         self.fused_pages = 0
         self.materializations = 0
@@ -213,6 +218,29 @@ class ChannelFastPath:
             "timing_cache_hits": self.calculator.cache_hits,
             "timing_cache_misses": self.calculator.cache_misses,
         }
+
+    def _dies_in_flight(self) -> int:
+        # An op holds a die from its sense start to its completion.
+        return self._in_flight_area(0)
+
+    def _bus_in_flight(self) -> int:
+        # ... and the bus from its transfer start to its completion.
+        return self._in_flight_area(2)
+
+    def _in_flight_area(self, start: int) -> int:
+        """Unit·ns the in-flight plans' ops have held up to now, from
+        schedule column ``start`` to their completion; settling deposits
+        the whole area, so this reads and never books."""
+        now = self.sim.now
+        area = 0
+        for batch in self._batches:
+            elapsed = now - batch.base_ns
+            for times in batch.rel_times:
+                begin = times[start]
+                if elapsed > begin:
+                    end = times[3]
+                    area += (end if end < elapsed else elapsed) - begin
+        return area
 
     # ------------------------------------------------------------------ fuse
     def try_fuse(self, sizes: Tuple[int, ...], sense_ns: int,

@@ -7,7 +7,7 @@ channel, a DMA engine, an NVMe submission queue slot.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from typing import Callable, Deque, Optional
 
 from repro.sim.engine import Event, Simulator
 
@@ -36,6 +36,9 @@ class Resource:
         self._last_change = sim.now
         # The reclaim callback of every grant, bound once.
         self._reclaim_unit = self._reclaim
+        #: Unit·ns accrued up to now by work held off the books — a fused
+        #: NAND plan in flight (:mod:`repro.sim.fastpath`) — or None.
+        self.pending_area: Optional[Callable[[], int]] = None
 
     @property
     def in_use(self) -> int:
@@ -140,23 +143,27 @@ class Resource:
 
     def utilization(self) -> float:
         """Mean fraction of capacity held since t=0."""
-        self._account()
         elapsed = self.sim.now
         if elapsed == 0:
             return 0.0
-        return self._busy_area / (self.capacity * elapsed)
+        return self.busy_area() / (self.capacity * elapsed)
 
     def busy_area(self) -> int:
-        """Cumulative unit·ns of held capacity (for windowed accounting)."""
+        """Cumulative unit·ns of held capacity up to now (for windowed
+        accounting), in-flight fused work included."""
         self._account()
-        return self._busy_area
+        pending = self.pending_area
+        if pending is None:
+            return self._busy_area
+        return self._busy_area + pending()
 
     def backfill_busy(self, area: int) -> None:
         """Credit ``area`` unit·ns of held capacity retroactively.
 
         The fused NAND fast path (:mod:`repro.sim.fastpath`) holds no real
-        units while a plan is in flight; when the plan settles it deposits
-        the exact busy integral its ops would have accrued, keeping
-        :meth:`utilization` identical to the per-event path at settle points.
+        units while a plan is in flight; :attr:`pending_area` reports the
+        share its ops have accrued so far, and when the plan settles it
+        deposits the whole integral, keeping :meth:`busy_area` identical to
+        the per-event path at every instant.
         """
         self._busy_area += area

@@ -71,13 +71,14 @@ class SSDConfig:
     # still pipeline across dies).  1 disables coalescing.  Matcher-engaged
     # reads never coalesce: the IP is reconfigured per stripe.
     read_coalesce_limit: int = 8
-    # Fused NAND fast path (repro.sim.fastpath): clean page reads on a
-    # channel free of per-event traffic are scheduled in closed form and
-    # retired through one event instead of ~6 per page.  False restores
-    # event-per-op stepping.  The fastpath differential arm's windows and
-    # the sim_throughput shapes time identically either way, but not every
-    # arrival schedule does: benchmarks/e2e/README.md finding 4, pinned by
-    # two strict xfails and open as ROADMAP item 1.
+    # Fused NAND fast path (repro.sim.fastpath): clean multi-stripe channel
+    # commands on a channel free of per-event traffic are scheduled in
+    # closed form and retired through one event instead of ~6 per page;
+    # one-page reads always step per-event.  False restores event-per-op
+    # stepping.  Simulated times and sampled busy time are the same either
+    # way (the fastpath and fastshape differential arms, and Fig. 9 run
+    # both ways in tests/power); ROADMAP item 1(e) is the one known
+    # same-instant tie a de-fused plan can swap.
     sim_fast_path: bool = True
     device_cores: int = 2  # ARM Cortex R7 cores available to Biscuit (Table I)
     # Effective software data-processing rate of the device cores.  Two

@@ -353,35 +353,22 @@ class Controller:
         if channel.injector is not None and not caching:
             faults = [channel.injector.draw_read(channel.index, s.physical)
                       for s in batch]
-        if (self.config.sim_fast_path and not caching
+        if (len(batch) > 1 and self.config.sim_fast_path and not caching
                 and (faults is None
                      or all(fault is None for fault in faults))):
-            if len(batch) == 1:
-                # Single stripes run inline below, committing their die
-                # request at this very event — so deciding fusion here is
-                # position-exact.
-                fused = channel.try_fuse_reads(
-                    (len(batch[0].lpns) * self.config.logical_page_bytes,))
-                if fused is not None:
-                    if cache is not None:
-                        cache.note_bypass()
-                    self.stats.fused_commands += 1
-                    self.stats.fused_stripes += 1
-                    if fused is not SETTLED:
-                        yield fused
-                    return
-            else:
-                # Multi-stripe commands commit their die requests at the op
-                # fibers' bootstrap events, one event after this dispatch
-                # fiber — a same-timestep interferer scheduled in between is
-                # served first on the per-event path.  Decide fusion from a
-                # single spawned fiber at exactly that position so the FIFO
-                # order (and hence every timestamp) matches bit-for-bit.
-                proc = self.sim.process(
-                    self._fuse_or_fan(channel, batch, cache_bypass),
-                    name="fuse ch%d" % batch[0].channel)
-                yield proc
-                return
+            # Only multi-stripe commands fuse: a one-page read is one die
+            # hold and one bus hold, cheaper per-event than as a plan.
+            # Multi-stripe commands commit their die requests at the op
+            # fibers' bootstrap events, one event after this dispatch
+            # fiber — a same-timestep interferer scheduled in between is
+            # served first on the per-event path.  Decide fusion from a
+            # single spawned fiber at exactly that position so the FIFO
+            # order (and hence every timestamp) matches bit-for-bit.
+            proc = self.sim.process(
+                self._fuse_or_fan(channel, batch, cache_bypass),
+                name="fuse ch%d" % batch[0].channel)
+            yield proc
+            return
         if len(batch) == 1:
             yield from self._read_stripe(
                 batch[0], cache_bypass,

@@ -14,7 +14,8 @@ The ``ndp`` arm runs the case through three executions:
 
 The other rows of :data:`ARMS` run the same case another way
 (``interleaved``, ``fastpath``, ``inline``, ``perturbed``, ``resilient``,
-``sharded``);
+``sharded``), and ``fastshape`` runs a drawn serve mix or Fig. 7 shape
+with the fused fast path on and off;
 :func:`run_case`, :func:`run_sweep` and :func:`replay` take the arm by name.
 
 Outcomes: ``match`` (all executions agree), ``mismatch`` (a correctness
@@ -51,7 +52,10 @@ from repro.host.platform import System
 from repro.resilience import (
     HedgePolicy, RecoveryTracker, ResilientScanDriver, RetryPolicy, ScanSpec,
 )
+from repro.serve import MIXES, JobManager, LoadGenerator, install_serve_datasets
 from repro.sim.engine import Simulator, all_of
+from repro.sim.units import MIB
+from repro.ssd.config import SSDConfig
 from repro.testing import strategies
 from repro.testing.faults import FaultInjector, StormInjector
 
@@ -588,10 +592,134 @@ def _sharded_arm(seed: int, faults: bool) -> CaseResult:
                   ("sharded",) + sharded, ("ndp",) + ndp, match_detail=detail)
 
 
+class _RecordingManager(JobManager):
+    """A JobManager that keeps every job it is offered, rejected or not."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.offered: List[Any] = []
+
+    def submit(self, spec):
+        decision, job = super().submit(spec)
+        self.offered.append(job)
+        return decision, job
+
+
+_SERVE_OUTCOMES = ("submitted", "completed", "rejected", "timeouts",
+                   "failed", "shed")
+
+
+def _fastshape_run(workload: Dict[str, Any], fast: bool) -> Dict[str, Any]:
+    """One :func:`~repro.testing.strategies.gen_fastpath_workload` draw on
+    the paper's device: end time, each job's (or request's) completion ns,
+    outcome counters, events processed, fused pages, and the multi-stripe
+    channel commands issued."""
+    config = SSDConfig(sim_fast_path=fast)
+    if workload["kind"] == "serve":
+        num_ssds, _horizon_s, profiles = MIXES[workload["mix"]]()
+        system = System(num_ssds=num_ssds, ssd_config=config)
+        install_serve_datasets(system)
+        manager = _RecordingManager(system, [p.tenant() for p in profiles])
+        loadgen = LoadGenerator(manager, profiles, seed=workload["seed"],
+                                horizon_s=workload["horizon_s"])
+        system.run_fiber(loadgen.run(), name="loadgen")
+        # Job ids count process-wide; submission order names a job here.
+        completions = [(job.spec.tenant, job.state, job.submit_ns,
+                        job.finish_ns) for job in manager.offered]
+        outcomes = {
+            "%s.%s" % (p.name, name): system.metrics.counter(
+                "serve.tenant.%s.%s" % (p.name, name)).value
+            for p in profiles for name in _SERVE_OUTCOMES}
+        outcomes["offered"] = loadgen.jobs_offered
+    else:
+        # Fig. 7's bandwidth loop (bench.experiments._bandwidth), keeping
+        # each request's completion time.  A workload may add QD-1 one-page
+        # readers beside it; no draw does, because de-fusion can swap
+        # their same-instant ties (tests/sim/test_fastpath_edges.py pins
+        # one such schedule).
+        system = System(ssd_config=config)
+        system.fs.install_synthetic("/bw.dat", 512 * MIB)
+        mode = workload["mode"]
+        handle = (system.open_host("/bw.dat") if mode == "conv"
+                  else system.open_internal("/bw.dat",
+                                            use_matcher=(mode == "matcher")))
+        points = system.open_internal("/bw.dat")
+        size, depth = workload["request_bytes"], workload["queue_depth"]
+        requests = max(depth, workload["requests"])
+        readers = workload.get("point_readers", 0)
+        done = [0] * (requests + readers * requests)
+
+        def worker(first: int):
+            for request in range(first, requests, depth):
+                offset = (request * size) % (handle.size - size)
+                yield from handle.read_timing_only(offset, size)
+                done[request] = system.sim.now
+
+        def point_reader(reader: int):
+            for index in range(requests):
+                page = (reader * 104_729 + index * 7_919) % 131_072
+                yield from points.read_timing_only(page * 4096, 4096)
+                done[requests * (1 + reader) + index] = system.sim.now
+
+        def program():
+            fibers = [system.sim.process(worker(i), name="bw%d" % i)
+                      for i in range(depth)]
+            fibers += [system.sim.process(point_reader(i), name="pt%d" % i)
+                       for i in range(readers)]
+            yield all_of(system.sim, fibers)
+
+        system.run_fiber(program())
+        completions = done
+        outcomes = {"nand_bytes_read": sum(
+            device.nand.bytes_read for device in system.devices)}
+    channels = [channel for device in system.devices
+                for channel in device.nand.channels]
+    return {
+        "now": system.sim.now, "completions": completions,
+        "outcomes": outcomes, "events": system.sim.events_processed,
+        "fused_pages": sum(c.fastpath.fused_pages for c in channels),
+        "materializations": sum(c.fastpath.materializations
+                                for c in channels),
+        "multi_stripe": sum(device.controller.stats.coalesced_commands
+                            for device in system.devices),
+    }
+
+
+def _fastshape_arm(seed: int, faults: bool) -> CaseResult:
+    """A serve mix or a Fig. 7 shape (drawn after the common prefix by
+    :func:`~repro.testing.strategies.gen_fastpath_workload`) run with the
+    fused fast path on, then off, on the paper's device — judged for exact
+    equivalence: the same end time, every job's (or request's) completion
+    ns, and the same outcome counters.  Nothing is injected and no query
+    runs, so ``faults`` is ignored and the result reports neither faults
+    nor an offload.  ``fault_counters`` reports
+    both runs' events, the fast run's fused pages and the multi-stripe
+    commands issued, so sweeps can assert that fusion engaged wherever a
+    multi-stripe command ran.
+    """
+    workload = strategies.gen_fastpath_workload(_draw_case(seed).rng)
+    fast_run, slow_run = (_fastshape_run(workload, fast)
+                          for fast in (True, False))
+    line = strategies.repro_line(seed, False, "fastshape")
+    result = CaseResult(
+        seed, False, "match", "", line, False, {
+            "fast_events": fast_run["events"],
+            "slow_events": slow_run["events"],
+            "fused_pages": fast_run["fused_pages"],
+            "multi_stripe": slow_run["multi_stripe"]})
+    for name in ("now", "completions", "outcomes"):
+        if fast_run[name] != slow_run[name]:
+            return replace(result, outcome="mismatch", detail=(
+                "fast/slow runs of %r disagree on %s: %r vs %r | %s"
+                % (workload, name, fast_run[name], slow_run[name], line)))
+    return result
+
+
 #: The differential arms by name: each draws the seed's case (one common
 #: prefix, so every arm queries the same geometry/table/query) and runs and
 #: judges it its own way.  ``faults`` turns the case's fault plan on;
-#: ``resilient`` and ``sharded`` bring their own fault model instead.
+#: ``resilient`` and ``sharded`` bring their own fault model instead, and
+#: ``fastshape`` injects none.
 ARMS: Dict[str, Callable[[int, bool], CaseResult]] = {
     "ndp": _ndp_arm,
     "interleaved": partial(_ndp_arm, interleaved=True),
@@ -600,6 +728,7 @@ ARMS: Dict[str, Callable[[int, bool], CaseResult]] = {
     "perturbed": _perturbed_arm,
     "resilient": _resilient_arm,
     "sharded": _sharded_arm,
+    "fastshape": _fastshape_arm,
 }
 
 

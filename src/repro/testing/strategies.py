@@ -26,6 +26,7 @@ from repro.db.expr import (
     mul,
     and_,
 )
+from repro.serve.mixes import mix_names
 from repro.sim.units import KIB, MIB
 from repro.ssd.config import SSDConfig
 from repro.testing.faults import CrashWindow, FaultPlan, FaultStorm, StormPhase
@@ -40,6 +41,7 @@ __all__ = [
     "gen_replica_layout",
     "gen_cluster_layout",
     "gen_schedule",
+    "gen_fastpath_workload",
     "repro_line",
     "parse_repro",
 ]
@@ -361,6 +363,32 @@ def gen_schedule(rng: random.Random) -> Dict[str, Any]:
         schedule["walks"] = rng.choice([2, 4])
         schedule["hops"] = rng.randint(4, 12)
     return schedule
+
+
+# ------------------------------------------------- fast path on/off workloads
+#: Fig. 7's request sizes: one page to 4 MiB (16 pages on each channel).
+FIG7_REQUEST_BYTES = (4 * KIB, 16 * KIB, 64 * KIB, 256 * KIB, 1 * MIB, 4 * MIB)
+
+
+def gen_fastpath_workload(rng: random.Random) -> Dict[str, Any]:
+    """A workload the ``fastshape`` arm runs with the fused fast path on
+    and off, on the paper's device.
+
+    About a third of the draws are a serve mix under a drawn load-generator
+    seed and horizon: every job kind, one-page reads and scans interleaved
+    across tenants.  The rest are Fig. 7's bandwidth loop at a drawn request
+    size, queue depth and path (host, internal, internal with the matcher);
+    without the matcher, a request of 1 MiB or more reaches each channel as
+    the multi-stripe commands the fast path fuses.
+    """
+    if rng.random() < 0.3:
+        return {"kind": "serve", "mix": rng.choice(mix_names()),
+                "horizon_s": rng.choice([0.02, 0.05, 0.1]),
+                "seed": rng.randrange(1 << 30)}
+    return {"kind": "fig7", "request_bytes": rng.choice(FIG7_REQUEST_BYTES),
+            "queue_depth": rng.choice([1, 4, 12, 32]),
+            "mode": rng.choice(["conv", "biscuit", "biscuit", "matcher"]),
+            "requests": rng.choice([8, 16, 33, 48])}
 
 
 # -------------------------------------------------------------- REPRO format

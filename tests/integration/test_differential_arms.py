@@ -22,6 +22,9 @@ Every window is held to the same checks.
 * ``sharded`` — scatter-gather over a sharded fleet vs the single-device
   NDP run, a shard primary crashed in about a third of the cases: with
   replication 2, failover must be answer-invisible.
+* ``fastshape`` — a drawn serve mix or Fig. 7 shape with the fused fast
+  path on vs off: end time, every job's or request's completion ns, and
+  outcome counters exactly equal.
 
 A failure's ``REPRO:`` line replays it on its arm
 (:func:`repro.testing.differential.replay`).
@@ -94,6 +97,21 @@ def _sharded_engaged(results):
     assert fan_outs[0] == 1 and fan_outs[-1] >= 4
 
 
+def _fastshape_engaged(results):
+    multi = [r for r in results if r.fault_counters["multi_stripe"]]
+    # Multi-stripe commands ran in a good share of the draws...
+    assert len(multi) >= max(10, len(results) / 10)
+    # ...fusion engaged on every one of them and shrank its event stream...
+    for r in multi:
+        counters = r.fault_counters
+        assert counters["fused_pages"] > 0, r.repro
+        assert counters["fast_events"] < counters["slow_events"], r.repro
+    # ...and one-page reads never fused anywhere else.
+    for r in results:
+        if not r.fault_counters["multi_stripe"]:
+            assert r.fault_counters["fused_pages"] == 0, r.repro
+
+
 #: arm -> (sweep windows, soak windows, outcomes tolerated on faulted
 #: cases besides "match", engagement check); a window is (seeds, faults).
 ROWS = {
@@ -110,6 +128,8 @@ ROWS = {
                   set(), _resilient_engaged),
     "sharded": ([(range(64), True)], [(range(2000, 2200), True)],
                 set(), _sharded_engaged),
+    "fastshape": ([(range(100), False)], [(range(4000, 4200), False)],
+                  set(), _fastshape_engaged),
 }
 
 

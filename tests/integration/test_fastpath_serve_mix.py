@@ -1,13 +1,12 @@
 """Fast path on vs off under a concurrent multi-tenant arrival schedule.
 
-The differential ``fastpath`` arm sweeps one query at a time; nothing else
-runs the serving layer both ways.  This pins ``benchmarks/e2e`` finding 4:
-at ``LoadGenerator(seed=106, horizon_s=1.5)`` the fused path and the
-per-event path end at *different* simulated times — the fused path's
-"bit-identical timing" contract fails for that arrival schedule (ROADMAP
-item 1 owns the fix).  Both end times and both event counts are asserted
-exactly, so neither path can drift unseen while the disagreement stands;
-the seeds where the two agree today must keep agreeing.
+The differential ``fastpath`` arm sweeps one query at a time, and the
+``fastshape`` arm runs serve mixes to short horizons.  This runs the
+smoke mix for 1.5 simulated seconds both ways at ``LoadGenerator(seed=106)``
+— the schedule on which the fused path once ended 10 765 ns late, while it
+still fused one-page reads.  A serve mix issues only one-page channel
+commands, so nothing fuses and both paths step the same events to the
+per-event end time.
 """
 
 import pytest
@@ -39,35 +38,17 @@ def _serve(fast_path, seed, horizon_s):
 
 
 @pytest.fixture(scope="module")
-def finding4():
+def seed_106_mix():
     return _serve(True, 106, 1.5), _serve(False, 106, 1.5)
 
 
-def test_finding4_both_paths_are_pinned(finding4):
-    (fast_ns, fast_events, _), (slow_ns, slow_events, _) = finding4
-    assert (fast_ns, fast_events) == (1_503_839_047, 130_138)
-    assert (slow_ns, slow_events) == (1_503_828_282, 138_905)
+def test_seed_106_mix_ends_at_the_per_event_time_on_both_paths(seed_106_mix):
+    (fast_ns, fast_events, _), (slow_ns, slow_events, _) = seed_106_mix
+    assert fast_ns == slow_ns == 1_503_828_282
+    assert fast_events == slow_events == 138_905
 
 
-def test_finding4_job_outcomes_agree(finding4):
-    (_, _, fast_outcomes), (_, _, slow_outcomes) = finding4
+def test_seed_106_mix_outcomes_agree(seed_106_mix):
+    (_, _, fast_outcomes), (_, _, slow_outcomes) = seed_106_mix
     assert fast_outcomes == slow_outcomes
     assert fast_outcomes["offered"] == 791
-
-
-@pytest.mark.xfail(strict=True, reason="benchmarks/e2e finding 4: the fused "
-                   "path's schedule differs at this arrival pattern; ROADMAP "
-                   "item 1 finds the missed de-fusion case")
-def test_finding4_end_times_agree(finding4):
-    (fast_ns, _, _), (slow_ns, _, _) = finding4
-    assert fast_ns == slow_ns
-
-
-@pytest.mark.parametrize("seed, end_ns", [(2016, 205_015_438),
-                                          (7, 202_180_416)])
-def test_paths_agree_at_a_short_horizon(seed, end_ns):
-    fast_ns, fast_events, fast_outcomes = _serve(True, seed, 0.2)
-    slow_ns, slow_events, slow_outcomes = _serve(False, seed, 0.2)
-    assert fast_ns == slow_ns == end_ns
-    assert fast_outcomes == slow_outcomes
-    assert fast_events < slow_events  # and fusion really engaged

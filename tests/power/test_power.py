@@ -1,7 +1,9 @@
 """Power meter: sampling, utilization windows, energy integration."""
 
+from repro.bench.experiments import exp_fig9_power
 from repro.power.model import PowerMeter, PowerParams
 from repro.sim.units import MIB, s_to_ns
+from repro.ssd.config import SSDConfig
 
 
 def test_idle_system_draws_idle_power(system):
@@ -78,3 +80,13 @@ def test_custom_params(system):
     system.sim.run(until=s_to_ns(0.05))
     meter.stop()
     assert abs(meter.average_w() - 50.0) < 0.01
+
+
+def test_fig9_series_are_the_same_with_the_fast_path_on_and_off():
+    # A fused plan books its die and bus time when it settles, but the
+    # meter samples mid-plan: busy_area() must read the plan's share so far
+    # off its schedule, or the 2 ms windows around it shift.
+    fast = exp_fig9_power(0.01, SSDConfig(sim_fast_path=True))
+    slow = exp_fig9_power(0.01, SSDConfig(sim_fast_path=False))
+    assert fast.power_series == slow.power_series
+    assert fast.metrics == slow.metrics

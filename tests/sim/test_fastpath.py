@@ -9,7 +9,7 @@ from collections import deque
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, all_of
 from repro.sim.fastpath import SETTLED, FusedTimingCalculator
 from repro.sim.units import transfer_ns, us_to_ns
 from repro.ssd.config import SSDConfig
@@ -133,6 +133,47 @@ def test_utilization_identical_after_settle():
     assert fast_ch.dies.busy_area() == slow_ch.dies.busy_area()
     assert fast_ch.bus.busy_area() == slow_ch.bus.busy_area()
     assert fast_ch.dies.utilization() == slow_ch.dies.utilization()
+
+
+def test_busy_area_mid_plan_matches_per_event_protocol():
+    """A plan in flight books its die and bus time only when it settles,
+    yet busy_area() read at any instant inside it (as the power meter and
+    the utilization monitor do) equals the per-event path's."""
+    config = _config()
+    sense = us_to_ns(config.nand_read_us)
+    probes = [1, sense - 1, sense, sense + 7_000, 2 * sense + 12_345,
+              3 * sense, 10 * sense]
+
+    def run(fast):
+        sim = Simulator(race_check=False)
+        channel = Channel(sim, config, 0)
+        samples = []
+
+        def sampler():
+            clock = 0
+            for at_ns in probes:
+                yield sim.timeout(at_ns - clock)
+                clock = at_ns
+                samples.append((channel.dies.busy_area(),
+                                channel.bus.busy_area()))
+
+        def reader():
+            if fast:
+                fused = channel.try_fuse_reads(SIZES)
+                assert fused is not None and fused is not SETTLED
+                yield fused
+            else:
+                yield all_of(sim, [sim.process(channel.read(size))
+                                   for size in SIZES])
+
+        sim.process(sampler(), name="sampler")
+        sim.process(reader(), name="reader")
+        sim.run()
+        return samples
+
+    fast, slow = run(True), run(False)
+    assert fast == slow
+    assert 0 < fast[1][0] < fast[-1][0]  # sampled mid-plan, not only after
 
 
 def test_calculator_cache_is_offset_invariant():

@@ -18,6 +18,7 @@ from repro.sim.engine import Interrupt, Simulator, all_of
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSDDevice
 from repro.ssd.nand import Channel
+from repro.testing.differential import _fastshape_run
 from repro.testing.faults import Fault
 
 BATCH = (16384,) * 6
@@ -217,32 +218,65 @@ def test_fusion_engages_on_clean_controller_reads():
     assert device.controller.stats.fused_stripes > 0
 
 
-# ------------------------------------------- finding 4, minimal instance
-# benchmarks/e2e finding 4 at its smallest known size: 33 internal 4 KiB
-# reads at QD 12 through Fig. 7's bandwidth loop.  The two paths end
-# 405 ns apart (ROADMAP item 1 owns the fix).  Both runs are pinned
-# exactly so neither path can drift unseen while the disagreement stands.
-def _finding4_min(fast_path):
+# --------------------------------------------- Fig. 7 shapes, both paths
+# 33 internal 4 KiB reads at QD 12 through Fig. 7's bandwidth loop: the
+# smallest schedule on which the fused path once ended 405 ns late, while
+# it still fused one-page reads.  They run per-event on both paths now.
+def _fig7(fast_path, request_bytes, total_bytes, queue_depth, mode):
     system = System(ssd_config=SSDConfig(sim_fast_path=fast_path))
     system.fs.install_synthetic("/bw.dat", 512 << 20)
-    _bandwidth(system, "/bw.dat", 4096, 33 * 4096, 12, "biscuit")
+    _bandwidth(system, "/bw.dat", request_bytes, total_bytes, queue_depth,
+               mode)
     return system.sim.now, system.sim.events_processed
 
 
+def test_qd12_one_page_reads_end_at_the_per_event_time():
+    args = (4096, 33 * 4096, 12, "biscuit")
+    assert _fig7(True, *args) == _fig7(False, *args) == (313_870, 263)
+
+
+@pytest.mark.parametrize("request_bytes, total_bytes, queue_depth, mode, end_ns", [
+    (1 << 20, 8 << 20, 4, "biscuit", 1_978_896),
+    (4 << 20, 32 << 20, 32, "biscuit", 30_690_936),
+    (1 << 20, 8 << 20, 12, "conv", 4_287_272),
+])
+def test_paths_agree_on_multi_stripe_fig7_shapes(
+        request_bytes, total_bytes, queue_depth, mode, end_ns):
+    args = (request_bytes, total_bytes, queue_depth, mode)
+    fast_ns, fast_events = _fig7(True, *args)
+    slow_ns, slow_events = _fig7(False, *args)
+    assert fast_ns == slow_ns == end_ns
+    assert fast_events < slow_events  # and fusion really engaged
+
+
+# ----------------------------------------- de-fusion and same-instant ties
+# A one-page read that lands on a channel with a fused plan in flight
+# de-fuses it: the remnant fibers' events are scheduled then, not where the
+# per-event path scheduled the ops' own, so an instant shared with another
+# channel's events can dispatch the two channels in the other order.  When
+# two reads on two de-fused channels finish at such an instant, they reach
+# the controller's cores in swapped order.  Here four QD-1 one-page readers
+# run beside 1 MiB host reads at QD 2: two of their reads complete 500 ns
+# apart, in swapped order on the two paths (the end time agrees).  ROADMAP
+# item 1 owns the fix; both paths are pinned exactly so neither can drift
+# unseen while the disagreement stands.
+DEFUSED_TIE = {"kind": "fig7", "request_bytes": 1 << 20, "queue_depth": 2,
+               "mode": "conv", "requests": 24, "point_readers": 4}
+
+
 @pytest.fixture(scope="module")
-def finding4_min():
-    return _finding4_min(True), _finding4_min(False)
+def defused_tie():
+    return (_fastshape_run(DEFUSED_TIE, True),
+            _fastshape_run(DEFUSED_TIE, False))
 
 
-def test_finding4_minimal_both_paths_are_pinned(finding4_min):
-    fast, slow = finding4_min
-    assert fast == (314_275, 199)
-    assert slow == (313_870, 263)
-
-
-@pytest.mark.xfail(strict=True, reason="benchmarks/e2e finding 4: the fused "
-                   "path ends later than the per-event path on this schedule; "
-                   "ROADMAP item 1 finds the missed de-fusion case")
-def test_finding4_minimal_end_times_agree(finding4_min):
-    (fast_ns, _), (slow_ns, _) = finding4_min
-    assert fast_ns == slow_ns
+def test_defused_tie_both_paths_are_pinned(defused_tie):
+    fast, slow = defused_tie
+    assert (fast["now"], fast["events"]) == (8_219_024, 5_798)
+    assert (slow["now"], slow["events"]) == (8_219_024, 11_948)
+    assert fast["materializations"] > 0
+    swapped = [index for index, (a, b) in enumerate(
+        zip(fast["completions"], slow["completions"])) if a != b]
+    assert swapped == [42, 115]
+    assert [fast["completions"][i] for i in swapped] == [3_381_138, 3_381_638]
+    assert [slow["completions"][i] for i in swapped] == [3_381_638, 3_381_138]
