@@ -35,8 +35,10 @@ def main():
         rel_c, conv_s = run_query(conv, number)
         rel_b, biscuit_s = run_query(biscuit, number)
         assert rows_match(rel_c.rows, rel_b.rows), "Q%d results differ!" % number
-        decision = "offloaded x%d" % biscuit.ndp_scans if biscuit.ndp_scans else \
-            (biscuit.ndp_rejections[0] if biscuit.ndp_rejections else "no NDP candidate")
+        decision = "offloaded x%d" % biscuit.ndp_scans if biscuit.ndp_scans else next(
+            ("%s: %s" % (step.ref.name, step.decision.reason)
+             for step in biscuit.plan if step.decision),
+            "no NDP candidate")
         print("Q%-3d  %-32s %10.3f %10.3f %8.1fx  %s" %
               (number, title, conv_s, biscuit_s, conv_s / biscuit_s, decision))
     print("\nOK — every query returned identical rows under both engines.")

@@ -251,14 +251,13 @@ KV_MODULE.register("idLookup", Lookup)
 
 
 def build_store(system: System, num_items: int, buckets: int,
-                path: str = "/kv/store.log", value_bytes: int = 64,
-                seed: int = 3) -> KVStore:
-    """Convenience: a store with deterministic keys key-%08d."""
+                path: str = "/kv/store.log", seed: int = 3) -> KVStore:
+    """Convenience: a store with deterministic keys key-%08d and random
+    64-byte values."""
     import random
     rng = random.Random(seed)
     items = [
-        (b"key-%08d" % index,
-         bytes(rng.getrandbits(8) for _ in range(value_bytes)))
+        (b"key-%08d" % index, bytes(rng.getrandbits(8) for _ in range(64)))
         for index in range(num_items)
     ]
     return KVStore.build(system, path, items, buckets=buckets)

@@ -53,11 +53,12 @@ Partial = Dict[str, Tuple[int, int]]  # client -> (hits, bytes)
 
 
 def install_access_log(
-    system: System, path: str, num_lines: int, num_clients: int = 200,
-    seed: int = 5,
+    system: System, path: str, num_lines: int, seed: int = 5,
 ) -> Tuple[int, Dict[str, Tuple[int, int]]]:
-    """Write a real access log; returns (line count, true per-client stats)."""
+    """Write a real access log from 200 clients; returns (line count, true
+    per-client stats)."""
     rng = random.Random(seed)
+    num_clients = 200
     # Zipf-ish popularity: a few clients dominate, as in real logs.
     weights = [1.0 / (rank + 1) for rank in range(num_clients)]
     total = sum(weights)

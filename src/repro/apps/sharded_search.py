@@ -191,19 +191,16 @@ def _client_scan(cluster: ScaleOutCluster, slots: Resource,
         slots.release()
 
 
-def search_node_compute(
-    cluster: ScaleOutCluster, keyword: str, scan_workers: int = 6
-) -> Generator:
-    """Fiber: each node scans its own shards on its server CPUs."""
+def search_node_compute(cluster: ScaleOutCluster, keyword: str) -> Generator:
+    """Fiber: each node scans its own shards on six of its server CPUs."""
     return _sum_over_nodes(cluster, lambda node: conv_sharded_search(
-        node.system, keyword, scan_workers))
+        node.system, keyword, scan_workers=6))
 
 
-def search_ndp(cluster: ScaleOutCluster, keyword: str,
-               searchers_per_ssd: int = 4) -> Generator:
+def search_ndp(cluster: ScaleOutCluster, keyword: str) -> Generator:
     """Fiber: Biscuit Searcher SSDlets inside every node's SSDs."""
     return _sum_over_nodes(cluster, lambda node: biscuit_sharded_search(
-        node.system, keyword, searchers_per_ssd))
+        node.system, keyword))
 
 
 STRATEGIES = {

@@ -46,6 +46,7 @@ BENCH_JSON = "BENCH_cluster.json"
 NUM_NODES = 4
 NUM_SHARDS = 8
 REPLICATION = 2
+JOBS_PER_WAVE = 16  # crash-storm jobs submitted per wave
 
 
 #: The healthy phase's statements.  Each is its own reference: SQLite
@@ -61,8 +62,7 @@ STORM_QUERY = ("SELECT l_returnflag, count(*) AS n FROM lineitem "
                "GROUP BY l_returnflag")
 
 
-def run_cluster_bench(seed: int = 2016, sf: float = 0.002,
-                      jobs_per_wave: int = 16) -> Dict[str, Any]:
+def run_cluster_bench(seed: int = 2016, sf: float = 0.002) -> Dict[str, Any]:
     """One seeded fleet run; returns the flat, JSON-ready report dict."""
     rng = random.Random(seed)
     rows = generate_tables(sf, seed=20160618)["lineitem"]
@@ -129,10 +129,10 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002,
     storm_latencies_us: List[float] = []
 
     def submit_wave(wave: int) -> None:
-        for i in range(jobs_per_wave):
+        for i in range(JOBS_PER_WAVE):
             tenant = tenants[i % len(tenants)].name
             kind = ("db_scan", "string_search", "pointer_chase")[i % 3]
-            shard = (wave * jobs_per_wave + i) % NUM_SHARDS
+            shard = (wave * JOBS_PER_WAVE + i) % NUM_SHARDS
             driver.submit(JobSpec(tenant=tenant, kind=kind), shard=shard)
 
     def storm() -> Any:

@@ -68,6 +68,9 @@ PAPER = {
     "geomean_8": 6.1, "top5_mean": 15.4, "suite_speedup": 3.6,
 }
 
+#: StreamBench background threads, the rows of Tables IV and V.
+BACKGROUND_LOADS = (0, 6, 12, 18, 24)
+
 
 # ------------------------------------------------------------------ Table II
 def exp_table2_port_latency(samples: int = 24) -> ExperimentResult:
@@ -261,11 +264,7 @@ def exp_fig7_read_bandwidth(
 
 
 # ----------------------------------------------------------------- Table IV
-def exp_table4_pointer_chasing(
-    loads: Tuple[int, ...] = (0, 6, 12, 18, 24),
-    walks: int = 4,
-    hops_per_walk: int = 1500,
-) -> ExperimentResult:
+def exp_table4_pointer_chasing() -> ExperimentResult:
     """Pointer-chasing execution time vs background load (paper Table IV).
 
     Paper scale: 100 walks over a 42 M-node graph, ~1.475 M dependent reads
@@ -275,8 +274,9 @@ def exp_table4_pointer_chasing(
     """
     rows = []
     metrics: Dict[str, float] = {}
+    walks, hops_per_walk = 4, 1500
     simulated_hops = walks * hops_per_walk
-    for index, load in enumerate(loads):
+    for index, load in enumerate(BACKGROUND_LOADS):
         system = System(background_threads=load)
         graph = build_analytic_graph(system, "/bench/graph.bin", 42_000_000)
         _, conv_s = chase_conv(system, graph, walks, hops_per_walk)
@@ -305,21 +305,19 @@ def exp_table4_pointer_chasing(
 
 
 # ------------------------------------------------------------------ Table V
-def exp_table5_string_search(
-    loads: Tuple[int, ...] = (0, 6, 12, 18, 24),
-    simulated_bytes: int = 512 * MIB,
-) -> ExperimentResult:
+def exp_table5_string_search() -> ExperimentResult:
     """String search vs background load (paper Table V).
 
     Simulates a 512 MiB slice of the 7.8 GiB web log (scan time is linear in
     size) and reports paper-scale seconds.
     """
+    simulated_bytes = 512 * MIB
     scale = PAPER_LOG_BYTES / simulated_bytes
     system = System()
     install_weblog_analytic(system, "/bench/web.log", simulated_bytes, "ERRORKEY", 0.02)
     rows = []
     metrics: Dict[str, float] = {}
-    for index, load in enumerate(loads):
+    for index, load in enumerate(BACKGROUND_LOADS):
         system.set_background_load(load)
         _, conv_s = run_conv_search(system, "/bench/web.log", "ERRORKEY")
         _, biscuit_s = run_biscuit_search(system, "/bench/web.log", "ERRORKEY")
@@ -537,10 +535,7 @@ def exp_fig10_tpch(scale_factor: float = 0.01) -> ExperimentResult:
 
 
 # ----------------------------------------------------- serving saturation
-def exp_serve_saturation(
-    policies: Tuple[str, ...] = ("fifo", "wfq"),
-    load_scales: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0),
-) -> ExperimentResult:
+def exp_serve_saturation() -> ExperimentResult:
     """Serving-layer saturation sweep: offered load vs latency and loss.
 
     Sweeps the open-loop ``saturation`` mix through the latency knee for
@@ -553,8 +548,9 @@ def exp_serve_saturation(
 
     rows = []
     metrics: Dict[str, float] = {}
+    policies = ("fifo", "wfq")
     for policy in policies:
-        for load_scale in load_scales:
+        for load_scale in (0.5, 1.0, 2.0, 4.0, 8.0):
             result = run_mix("saturation", policy=policy,
                              load_scale=load_scale)
             registry = result.system.metrics

@@ -108,7 +108,6 @@ class ClusterExecutor(RelOps):
         self.retries = 0
         self.failovers = 0
         self.merged_rows = 0
-        self.result_bytes = 0
         self.point_lookups = 0
         #: Duration of every completed shard RPC (request to gathered
         #: response) — the single-shard latency distribution the tail-
@@ -301,9 +300,7 @@ class ClusterExecutor(RelOps):
         index = self.fleet.node_index(node)
         self.fleet.ensure_alive(index)
         result = yield from work(shard, index)
-        payload = size(result)
-        self.result_bytes += payload
-        yield from node.link.send(payload)
+        yield from node.link.send(size(result))
         return result
 
     # ------------------------------------------------------- fan-out + RPC

@@ -54,7 +54,6 @@ class ShardedFleet:
         ssds_per_node: int = 1,
         ssd_config: Optional[SSDConfig] = None,
         node_cores: int = 8,
-        client_cores: int = 24,
         link_bytes_per_sec: float = 1.25e9,
         link_latency_us: float = 50.0,
         mode: ExecutionMode = ExecutionMode.BISCUIT,
@@ -66,7 +65,6 @@ class ShardedFleet:
             ssds_per_node=ssds_per_node,
             link_bytes_per_sec=link_bytes_per_sec,
             link_latency_us=link_latency_us,
-            client_cores=client_cores,
             node_cores=node_cores,
             ssd_config=ssd_config,
             sim=sim,

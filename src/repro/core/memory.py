@@ -41,7 +41,6 @@ class Arena:
         # Live allocations: offset -> (length, owner)
         self._live: Dict[int, Tuple[int, str]] = {}
         self.peak_used = 0
-        self.total_allocs = 0
         self.failed_allocs = 0
 
     # ------------------------------------------------------------- accounting
@@ -77,7 +76,6 @@ class Arena:
                 else:
                     self._free[index] = (offset + need, length - need)
                 self._live[offset] = (need, owner)
-                self.total_allocs += 1
                 self.peak_used = max(self.peak_used, self.used)
                 return offset
         self.failed_allocs += 1

@@ -109,7 +109,6 @@ class Connection:
         self.consumers = 0
         self._open_producers = 0
         self.items_transferred = 0
-        self.bytes_transferred = 0
 
     # ---------------------------------------------------------------- wiring
     def attach_producer(self) -> None:
@@ -141,9 +140,7 @@ class Connection:
         check_value(value, self.dtype)
         if not self.packet_transport:
             return value
-        packet = serialize(value, self.dtype)
-        self.bytes_transferred += len(packet)
-        return packet
+        return serialize(value, self.dtype)
 
     def decode(self, item: Any) -> Any:
         if not self.packet_transport:

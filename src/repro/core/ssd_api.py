@@ -50,11 +50,10 @@ class SSD:
     manager, like opening ``/dev/nvme1n1``, ``/dev/nvme2n1``, ...
     """
 
-    def __init__(self, system: System, dev_path: str = "",
-                 device_index: int = 0):
+    def __init__(self, system: System, device_index: int = 0):
         self.system = system
         self.device_index = device_index
-        self.dev_path = dev_path or "/dev/nvme%dn1" % device_index
+        self.dev_path = "/dev/nvme%dn1" % device_index
         device = system.devices[device_index]
         fs = system.filesystems[device_index]
         self.runtime = BiscuitRuntime(system, device=device, fs=fs)

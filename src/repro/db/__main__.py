@@ -4,7 +4,7 @@ Examples::
 
     python -m repro.db "SELECT COUNT(*) AS n FROM orders" --sf 0.01
     python -m repro.db "SELECT ... " --mode both --explain
-    python -m repro.db --tpch 14 --mode both
+    python -m repro.db --tpch 14 --mode both --explain
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 
 from repro.db.executor import ExecutionMode
 from repro.db.planner import create_engine
-from repro.db.sql import run_explain, run_sql
+from repro.db.sql import compile_sql, render_plan, run_sql
 from repro.db.tpch.datagen import load_tpch
 from repro.db.tpch.queries import ALL_QUERIES, run_query
 from repro.host.platform import System
@@ -51,7 +51,9 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=("conv", "biscuit", "both"),
                         default="both")
     parser.add_argument("--explain", action="store_true",
-                        help="show the plan instead of rows")
+                        help="show the plan each engine ran (access paths, "
+                             "offload decisions, join methods, kernels) "
+                             "instead of rows")
     parser.add_argument("--max-rows", type=int, default=20)
     args = parser.parse_args(argv)
 
@@ -79,12 +81,14 @@ def main(argv=None) -> int:
         if args.tpch is not None:
             rel, elapsed = run_query(engine, args.tpch)
             print("TPC-H Q%d: %s" % (args.tpch, ALL_QUERIES[args.tpch].title))
-        elif args.explain:
-            print(run_explain(engine, args.sql))
-            continue
+            compiled, title = None, "TPC-H Q%d" % args.tpch
         else:
             rel, elapsed = run_sql(engine, args.sql)
-        _print_rel(rel, args.max_rows)
+            compiled, title = compile_sql(engine, args.sql), "SELECT"
+        if args.explain:
+            print(render_plan(engine, compiled, title))
+        else:
+            _print_rel(rel, args.max_rows)
         extra = ""
         if mode is ExecutionMode.BISCUIT and engine.ndp_scans:
             extra = "  [%d NDP scan(s)]" % engine.ndp_scans

@@ -33,8 +33,8 @@ from repro.db.storage import Database, TableStorage, decode_rows
 from repro.host.platform import System
 from repro.sim.engine import all_of
 
-__all__ = ["AggPlan", "Engine", "EngineConfig", "ExecutionMode", "Rel",
-           "TableRef", "sort_rows"]
+__all__ = ["AggPlan", "Engine", "EngineConfig", "ExecutionMode", "PlanStep",
+           "Rel", "TableRef", "sort_rows"]
 
 
 class ExecutionMode(enum.Enum):
@@ -200,6 +200,24 @@ class TableRef:
     cols: Optional[List[str]] = None
 
 
+@dataclass
+class PlanStep:
+    """One base-table access of the running query, recorded as it runs
+    (:attr:`Engine.plan`, which EXPLAIN renders).
+
+    ``access`` is the method as EXPLAIN prints it — ``SeqScan``,
+    ``NDPScan``, ``IndexProbe(<key>)``, the scan suffixed ``+HashJoin`` or
+    ``+CrossJoin`` when it was joined in afterwards; ``decision`` is the
+    planner's when it was asked; ``kernels`` are the generated kernels the
+    access ran, keyed by label (a ``fold`` is the grouped aggregate's).
+    """
+
+    ref: TableRef
+    access: str
+    decision: Any = None
+    kernels: Dict[str, Any] = field(default_factory=dict)
+
+
 class _BufferPool:
     """LRU page cache of decoded rows, keyed by (table, page_no)."""
 
@@ -299,7 +317,8 @@ class Engine(RelOps):
         self.host_pages_read = 0
         self.ndp_result_bytes = 0
         self.ndp_scans = 0
-        self.ndp_rejections: List[str] = []
+        #: The running query's table accesses, in the order they started.
+        self.plan: List[PlanStep] = []
         # Lazily-initialized NDP machinery (set by repro.db.ndp on first use).
         self.ndp_context = None
         self.planner = None  # set by repro.db.planner.attach_planner
@@ -311,7 +330,7 @@ class Engine(RelOps):
         self.host_pages_read = 0
         self.ndp_result_bytes = 0
         self.ndp_scans = 0
-        self.ndp_rejections = []
+        self.plan = []
         if self.planner is not None:
             self.planner.reset()
         if cold:
@@ -351,14 +370,27 @@ class Engine(RelOps):
         """Fiber: materialize a reference (scan, offloading when eligible)."""
         if isinstance(ref, Rel):
             return ref
+        rel, _step = yield from self._scan(ref)
+        return rel
+
+    def _scan(self, ref: TableRef) -> Generator:
+        """Fiber: scan a base table, offloading when the planner says so;
+        returns the relation and the :class:`PlanStep` it recorded."""
         decision = None
         if self.mode is ExecutionMode.BISCUIT and ref.pred is not None:
             decision = yield from self.planner.peek(ref)
         if decision is not None and decision.offload:
-            rel = yield from self.ndp_context.ndp_scan(self, ref, decision)
-            return rel
-        rel = yield from self._host_scan(ref)
-        return rel
+            step = self._record(ref, "NDPScan", decision)
+            rel = yield from self.ndp_context.ndp_scan(self, step)
+        else:
+            step = self._record(ref, "SeqScan", decision)
+            rel = yield from self._host_scan(step)
+        return rel, step
+
+    def _record(self, ref: TableRef, access: str, decision=None) -> PlanStep:
+        step = PlanStep(ref, access, decision)
+        self.plan.append(step)
+        return step
 
     #: Statement-executor contract: a site whose access path can return rows
     #: already ordered (top-k) binds that path here.  One device scans in
@@ -374,14 +406,18 @@ class Engine(RelOps):
         same kernel, so the caller (and the fleet's coordinator) cannot
         tell where a partial was reduced.
         """
-        decision = yield from self.aggregate_offload(ref, plan)
-        if decision is not None:
-            states = yield from self.ndp_context.ndp_aggregate(
-                self, ref, decision, plan)
+        decision = None
+        if (ref.pred is not None and self.ndp_context is not None
+                and self.config.ndp_pushdown_aggregate and plan.device_ok):
+            decision = yield from self.planner.peek(ref)
+        if decision is not None and decision.offload:
+            step = self._record(ref, "NDPScan", decision)
+            states = yield from self.ndp_context.ndp_aggregate(self, step, plan)
             return states
-        rel = yield from self.fetch(ref)
+        rel, step = yield from self._scan(ref)
+        fold = step.kernels["fold"] = plan.fold(rel.positions)
         yield from self._charge(len(rel) * self.config.host_agg_row_us)
-        return plan.fold(rel.positions)({}, rel.rows)
+        return fold({}, rel.rows)
 
     def scan_aggregate(
         self,
@@ -394,16 +430,6 @@ class Engine(RelOps):
         states = yield from self.scan_states(ref, plan)
         return plan.finalize(states)
 
-    def aggregate_offload(self, ref: TableRef, plan: AggPlan) -> Generator:
-        """Fiber: the planner's decision when :meth:`scan_states` pushes
-        this aggregate down to the device, None when it folds on the host."""
-        if (ref.pred is not None and self.ndp_context is not None
-                and self.config.ndp_pushdown_aggregate and plan.device_ok):
-            decision = yield from self.planner.peek(ref)
-            if decision.offload:
-                return decision
-        return None
-
     def scan_kernel(self, ref: TableRef):
         """``(output columns, kernel)``: ``ref``'s filter and projection
         fused into one pass over a page of the table's stored rows."""
@@ -413,10 +439,12 @@ class Engine(RelOps):
         return out_cols, kernels.select(
             positions, ref.pred, [Col(c) for c in out_cols])
 
-    def _host_scan(self, ref: TableRef) -> Generator:
+    def _host_scan(self, step: PlanStep) -> Generator:
         """Fiber: full host-side scan with readahead, filter, project."""
+        ref = step.ref
         storage = self.db.table(ref.name)
         out_cols, scan = self.scan_kernel(ref)
+        step.kernels["select"] = scan
         page_size = storage.page_size
         rows_out: List[tuple] = []
 
@@ -491,7 +519,8 @@ class Engine(RelOps):
                     driving, inner_ref, driving_key, inner_key, cols
                 )
                 return rel
-        inner_rel = yield from self.fetch(inner_ref)
+        inner_rel, step = yield from self._scan(inner_ref)
+        step.access += "+HashJoin"
         rel = yield from self._hash_join(driving, inner_rel, driving_key, inner_key, cols)
         return rel
 
@@ -509,6 +538,7 @@ class Engine(RelOps):
         probe = kernels.probe(inner.schema.position(inner_key))
         driving_key_pos = driving.position(driving_key)
         inner_cols, scan = self.scan_kernel(inner_ref)
+        self._record(inner_ref, "IndexProbe(%s)" % inner_key).kernels["select"] = scan
         out_columns, merge = kernels.merge(driving.columns, inner_cols, cols)
         handle = self.system.open_host(inner.path)
         page_size = inner.page_size
@@ -615,7 +645,10 @@ class Engine(RelOps):
                 # No connecting condition yet: cartesian with the smallest
                 # remaining relation (TPC-H never needs this, but stay total).
                 candidate = remaining[0]
-                fetched = yield from self.fetch(candidate)
+                fetched = candidate
+                if isinstance(candidate, TableRef):
+                    fetched, step = yield from self._scan(candidate)
+                    step.access += "+CrossJoin"
                 current = yield from self._cartesian(current, fetched)
                 remaining.remove(candidate)
             else:
@@ -698,9 +731,9 @@ class Engine(RelOps):
         """Relabel columns (free): used for self-joins (n1/n2 in Q7)."""
         return Rel([mapping.get(c, c) for c in rel.columns], rel.rows)
 
-    def charge_rows(self, count: int, per_row_us: Optional[float] = None) -> Generator:
+    def charge_rows(self, count: int) -> Generator:
         """Fiber: charge host CPU for query-program-side row processing."""
-        yield from self._charge(count * (per_row_us or self.config.host_row_us))
+        yield from self._charge(count * self.config.host_row_us)
 
     def semi_join(self, rel: Rel, key: str, keys_rel: Rel, keys_col: str,
                   anti: bool = False) -> Generator:

@@ -25,7 +25,7 @@ from repro.core import (
     write_module_image,
 )
 from repro.db import kernels
-from repro.db.executor import AggPlan, Engine, Rel, TableRef
+from repro.db.executor import AggPlan, Engine, PlanStep, Rel, TableRef
 from repro.db.expr import Col
 
 __all__ = ["NDP_MODULE", "ScanFilter", "ScanAggregate", "NDPContext",
@@ -296,16 +296,23 @@ class NDPContext:
             self._mid = yield from self.ssd.loadModule(MODULE_IMAGE_PATH)
         return self._mid
 
-    def _scan(self, engine: Engine, ref: TableRef, decision, app_name: str,
+    def _scan(self, engine: Engine, step: PlanStep, app_name: str,
               positions, on_payload, out_cols=(), fold=None) -> Generator:
-        """Fiber: one offloaded pass over ``ref``'s table on this device."""
+        """Fiber: one offloaded pass over ``step``'s table on this device;
+        the kernels it runs go into ``step``."""
         mid = yield from self._ensure_module()
+        ref = step.ref
         storage = engine.db.table(ref.name)
         config = engine.config
+        row_kernels = scan_kernels(positions, ref, step.decision.mfilter, out_cols)
+        step.kernels.update(row_kernels)
+        if fold is not None:
+            del step.kernels["project"]  # survivors fold on the device instead
+            step.kernels["fold"] = fold
         spec = ScanSpec(
             path=storage.path,
             page_rows=lambda page_no: engine.table_page_rows(ref.name, page_no),
-            **scan_kernels(positions, ref, decision.mfilter, out_cols),
+            **row_kernels,
             page_size=storage.page_size,
             num_pages=storage.num_pages,
             batch_rows=config.ndp_batch_rows,
@@ -323,23 +330,25 @@ class NDPContext:
             page_ranges(spec.num_pages, spec.workers), counted)
         engine.ndp_scans += 1
 
-    def ndp_scan(self, engine: Engine, ref: TableRef, decision) -> Generator:
-        """Fiber: run the offloaded scan; returns the filtered relation."""
+    def ndp_scan(self, engine: Engine, step: PlanStep) -> Generator:
+        """Fiber: run the offloaded scan ``step`` records; returns the
+        filtered relation."""
+        ref = step.ref
         positions = _positions(engine, ref)
         out_cols = ref.cols or list(positions)
         rows: List[tuple] = []
-        yield from self._scan(engine, ref, decision, "ndp-%s" % ref.name,
+        yield from self._scan(engine, step, "ndp-%s" % ref.name,
                               positions, rows.extend, out_cols=out_cols)
         return Rel(out_cols, rows)
 
-    def ndp_aggregate(self, engine: Engine, ref: TableRef, decision,
+    def ndp_aggregate(self, engine: Engine, step: PlanStep,
                       plan: AggPlan) -> Generator:
-        """Fiber: run the offloaded scan+aggregate; returns ``plan``'s
-        states, the per-SSDlet partials merged."""
-        positions = _positions(engine, ref)
+        """Fiber: run the offloaded scan+aggregate ``step`` records;
+        returns ``plan``'s states, the per-SSDlet partials merged."""
+        positions = _positions(engine, step.ref)
         totals: dict = {}
         yield from self._scan(
-            engine, ref, decision, "ndp-agg-%s" % ref.name, positions,
+            engine, step, "ndp-agg-%s" % step.ref.name, positions,
             lambda states: plan.merge(totals, states),
             fold=plan.fold(positions))
         return totals

@@ -146,9 +146,6 @@ class NDPPlanner:
             return ScanDecision(False, "target table too small", 1.0, candidates[0])
         selectivity, mfilter = yield from self._sample_selectivity(ref, candidates)
         if selectivity > config.ndp_selectivity_threshold:
-            engine.ndp_rejections.append(
-                "%s: sampled selectivity %.2f above threshold" % (ref.name, selectivity)
-            )
             return ScanDecision(
                 False, "sampled selectivity %.2f too low to pay off" % selectivity,
                 selectivity, mfilter,

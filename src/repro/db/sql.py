@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.db.catalog import date_to_int
-from repro.db.executor import AggPlan, Engine, Rel, TableRef
+from repro.db.executor import Engine, Rel, TableRef
 from repro.db.expr import (
     Arith,
     Between,
@@ -49,7 +49,7 @@ from repro.db.expr import (
 )
 
 __all__ = ["SqlError", "parse", "compile_sql", "CompiledQuery",
-           "execute_statement", "run_sql", "sql_query", "explain_sql",
+           "execute_statement", "run_sql", "sql_query", "render_plan",
            "run_explain", "to_sql"]
 
 _DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
@@ -602,78 +602,47 @@ def run_sql(engine: Engine, text: str, cold: bool = True):
 
 
 # ------------------------------------------------------------------ explain
-def explain_sql(engine: Engine, text: str) -> Generator:
-    """Fiber: render the plan for a statement (runs the planner, not the
-    query).
+def render_plan(engine: Engine, compiled: Optional[CompiledQuery] = None,
+                title: str = "SELECT") -> str:
+    """EXPLAIN: the plan ``engine``'s last query ran, as it ran.
 
-    Shows the access path per table (including the Biscuit planner's offload
-    decision with its sampled selectivity and reason) with the generated
-    kernels that scan would run, the join order the engine would use, and
-    the post-join steps.
+    The table lines come from :attr:`Engine.plan`, the record the engine
+    writes while it executes: each access path (with the Biscuit planner's
+    offload decision and reason), how the table joined the running
+    relation, and the generated kernels it ran.  Nothing here re-plans:
+    whether an indexed inner table is probed or hash-joined depends on the
+    driving relation's real cardinality, which only running the query
+    knows.  ``compiled`` adds the statement's post-join steps.
     """
-    from repro.db.executor import ExecutionMode
-    from repro.db.ndp import scan_kernels
-
-    compiled = compile_sql(engine, text)
-    query = compiled.query
-    grouped = bool(query.group_by) or any(item.agg for item in query.items)
-    scan_folds = grouped and len(compiled.refs) == 1 and not compiled.leftovers
-    pushdown = None  # the decision, when the aggregate folds on the device
-    if scan_folds:
-        plan = AggPlan(query.group_by, _aggregate_plan(query))
-        pushdown = yield from engine.aggregate_offload(compiled.refs[0], plan)
-    lines: List[str] = ["%s plan (%s engine)" % (
-        "SELECT", engine.mode.value,
-    )]
-    order = yield from engine._join_order(compiled.refs)
-    for position, ref in enumerate(order):
-        access = "SeqScan"
+    lines: List[str] = ["%s plan (%s engine)" % (title, engine.mode.value)]
+    for step in engine.plan:
+        ref = step.ref
         detail = ""
         if ref.pred is not None:
-            detail = " [pushed filter]"
-            if engine.mode is ExecutionMode.BISCUIT:
-                decision = yield from engine.planner.peek(ref)
-                if decision.offload:
-                    access = "NDPScan"
-                    detail = " [%s]" % decision.reason
-                else:
-                    detail = " [pushed filter; no offload: %s]" % decision.reason
-        storage = engine.db.table(ref.name)
-        if access == "NDPScan":
-            columns = storage.schema.column_names()
-            shown = scan_kernels({name: i for i, name in enumerate(columns)},
-                                 ref, decision.mfilter, ref.cols or columns)
-            if pushdown:
-                del shown["project"]  # survivors fold on the device instead
-        else:
-            shown = {"select": engine.scan_kernel(ref)[1]}
-        role = "drive" if position == 0 and len(order) > 1 else "join"
-        if position > 0:
-            key = engine._find_key(
-                Rel(_columns_up_to(engine, order, position), []),
-                ref, list(compiled.join_conditions),
-            )
-            if key is not None and storage.has_index(key[1]):
-                access = "IndexProbe(%s)" % key[1]
-            elif position > 0 and access == "SeqScan":
-                access = "SeqScan+HashJoin"
-        lines.append("  %-5s %-22s %s%s" % (role, ref.name, access, detail))
-        lines.extend(_kernel_lines(shown))
+            decision = step.decision
+            if decision is None:
+                detail = " [pushed filter]"
+            elif decision.offload:
+                detail = " [%s]" % decision.reason
+            else:
+                detail = " [pushed filter; no offload: %s]" % decision.reason
+        role = "drive" if step.access in ("SeqScan", "NDPScan") else "join"
+        lines.append("  %-5s %-22s %s%s" % (role, ref.name, step.access, detail))
+        lines.extend(_kernel_lines({label: kernel for label, kernel
+                                    in step.kernels.items() if label != "fold"}))
+    if compiled is None:
+        return "\n".join(lines)
+    query = compiled.query
     for conjunct in compiled.leftovers:
         lines.append("  filter (post-join) %s" % to_sql(conjunct))
-    if grouped:
+    if query.group_by or any(item.agg for item in query.items):
         aggregates = ", ".join(
             "%s(%s)" % (item.agg, item.name) for item in query.items if item.agg
         )
         lines.append("  aggregate by [%s]: %s" % (", ".join(query.group_by), aggregates))
-        if scan_folds:
-            # The device folds stored rows, the host the projected ones.
-            ref = compiled.refs[0]
-            columns = engine.db.table(ref.name).schema.column_names()
-            if not pushdown and ref.cols:
-                columns = ref.cols
-            lines.extend(_kernel_lines({"fold": plan.fold(
-                {name: i for i, name in enumerate(columns)})}))
+        # The fold the pushdown gate ran, on the device or on the host.
+        lines.extend(_kernel_lines({"fold": step.kernels["fold"]
+                                    for step in engine.plan if "fold" in step.kernels}))
     if compiled.having is not None:
         lines.append("  having %s" % to_sql(compiled.having))
     if query.order_by:
@@ -694,19 +663,10 @@ def _kernel_lines(shown: Dict[str, Any]) -> List[str]:
             for number, line in enumerate(kernel.source.splitlines())]
 
 
-def _columns_up_to(engine: Engine, order, position: int) -> List[str]:
-    columns: List[str] = []
-    for ref in order[:position]:
-        columns.extend(
-            ref.cols or engine.db.table(ref.name).schema.column_names()
-        )
-    return columns
-
-
 def run_explain(engine: Engine, text: str) -> str:
-    """Render a statement's plan (synchronous wrapper around explain_sql)."""
-    engine.begin_query()
-    return engine.system.run_fiber(explain_sql(engine, text), name="explain")
+    """Run a statement to completion, then render the plan it ran."""
+    run_sql(engine, text)
+    return render_plan(engine, compile_sql(engine, text))
 
 
 # ------------------------------------------------------------- SQL printing

@@ -21,27 +21,21 @@ from repro.sim.units import us_to_ns
 
 __all__ = ["HostCPU"]
 
+#: The Table V fit of factor(n) above.
+CONTENTION_A = 1.82
+CONTENTION_B = 45.2
+#: Boyer-Moore-class single-thread scan rate, unloaded (Table V: 7.8 GiB /
+#: 12.2 s ≈ 680 MB/s).
+SCAN_BYTES_PER_SEC = 680e6
+
 
 class HostCPU:
     """Host cores plus a saturating memory-contention curve."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cores: int = 24,
-        contention_a: float = 1.82,
-        contention_b: float = 45.2,
-        scan_bytes_per_sec: float = 680e6,
-    ):
+    def __init__(self, sim: Simulator, cores: int = 24):
         self.sim = sim
         self.cores = Resource(sim, capacity=cores, name="host-cores")
-        self.contention_a = contention_a
-        self.contention_b = contention_b
-        # Boyer-Moore-class single-thread scan rate, unloaded (Table V: 7.8
-        # GiB / 12.2 s ≈ 680 MB/s).
-        self.scan_bytes_per_sec = scan_bytes_per_sec
         self.background_threads = 0
-        self.busy_us = 0.0  # total host-CPU busy time, for power accounting
 
     def set_background_load(self, threads: int) -> None:
         """Set the number of StreamBench-style background threads."""
@@ -52,7 +46,7 @@ class HostCPU:
     def contention_factor(self) -> float:
         """Slowdown of memory-bound host work under the current load."""
         n = self.background_threads
-        return 1.0 + self.contention_a * n / (n + self.contention_b)
+        return 1.0 + CONTENTION_A * n / (n + CONTENTION_B)
 
     # ------------------------------------------------------------------ fibers
     def occupy(self, duration_us: float, memory_bound: bool = True) -> Generator:
@@ -73,11 +67,10 @@ class HostCPU:
                 yield self.sim.timeout(hold_ns)
         finally:
             self.cores.release()
-        self.busy_us += duration_us
 
     def scan(self, num_bytes: int) -> Generator:
         """Fiber: scan ``num_bytes`` of data on one core (memory bound)."""
-        yield from self.occupy(num_bytes / self.scan_bytes_per_sec * 1e6)
+        yield from self.occupy(num_bytes / SCAN_BYTES_PER_SEC * 1e6)
 
     def utilization(self) -> float:
         return self.cores.utilization()

@@ -29,8 +29,6 @@ class HostIO:
         self.trace_track = "host/io"
         self.reads = 0
         self.writes = 0
-        self.pages_read = 0
-        self.pages_written = 0
         self._submit_us = device.config.nvme_command_overhead_us / 2
         self._complete_us = device.config.nvme_command_overhead_us - self._submit_us
 
@@ -78,10 +76,8 @@ class HostIO:
         yield from self.cpu.occupy(self._complete_us)
         if name == "read":
             self.reads += 1
-            self.pages_read += len(lpns)
         else:
             self.writes += 1
-            self.pages_written += len(lpns)
         if trace is not None:
             trace.complete("driver", "complete", self.trace_track, complete_ns)
             trace.instant("nvme", "complete", self.trace_track, cmd=cmd_id)

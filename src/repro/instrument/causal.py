@@ -407,14 +407,12 @@ class AttributionReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def attribute(events: Sequence[TraceEvent],
-              quantiles: Sequence[float] = (0.50, 0.95, 0.99)) -> AttributionReport:
+def attribute(events: Sequence[TraceEvent]) -> AttributionReport:
     """Decompose every tagged query in ``events``; see module docstring."""
-    return attribute_traces(group_queries(events), quantiles)
+    return attribute_traces(group_queries(events))
 
 
-def attribute_traces(traces: Sequence[QueryTrace],
-                     quantiles: Sequence[float] = (0.50, 0.95, 0.99)) -> AttributionReport:
+def attribute_traces(traces: Sequence[QueryTrace]) -> AttributionReport:
     """:func:`attribute` for a stream :func:`group_queries` already split."""
     queries: List[Dict[str, Any]] = []
     for trace in traces:
@@ -439,7 +437,7 @@ def attribute_traces(traces: Sequence[QueryTrace],
     percentiles: Dict[str, Dict[str, int]] = {}
     if queries:
         ordered = sorted(queries, key=lambda row: (row["end_to_end"], row["qid"]))
-        for quantile in quantiles:
+        for quantile in (0.50, 0.95, 0.99):
             row = order_statistic(ordered, quantile)
             label = ("p%g" % (quantile * 100)).replace(".", "_")
             percentiles[label] = {name: row[name]

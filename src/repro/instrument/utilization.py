@@ -118,11 +118,8 @@ class UtilizationMonitor:
             return
 
     # ----------------------------------------------------------------- query
-    def mean(self, name: str, t0_s: float = 0.0, t1_s: Optional[float] = None) -> float:
-        points = [
-            value for when, value in self.series[name]
-            if when >= t0_s and (t1_s is None or when <= t1_s)
-        ]
+    def mean(self, name: str) -> float:
+        points = [value for _, value in self.series[name]]
         return sum(points) / len(points) if points else 0.0
 
     def peak(self, name: str) -> float:

@@ -160,7 +160,6 @@ class NetworkLink:
         self.name = name
         self.port = Resource(sim, capacity=1, name=name)
         self.bytes_moved = 0
-        self.messages = 0
 
     def send(self, num_bytes: int) -> Generator:
         """Fiber: move one message across the link.
@@ -175,7 +174,6 @@ class NetworkLink:
             self.port.release()
         yield self.sim.timeout(us_to_ns(self.latency_us))
         self.bytes_moved += num_bytes
-        self.messages += 1
 
     def utilization(self) -> float:
         return self.port.utilization()
@@ -264,12 +262,12 @@ class ScaleOutCluster:
     def run_fiber(self, generator, name: str = "") -> Any:
         return self.sim.run(self.sim.process(generator, name=name))
 
-    def fan_out(self, make_work: Callable[[StorageNode], Generator],
-                request_bytes: int = 256, response_bytes: int = 256) -> Generator:
-        """Fiber: RPC every node concurrently; returns the list of values."""
+    def fan_out(self, make_work: Callable[[StorageNode], Generator]) -> Generator:
+        """Fiber: RPC every node concurrently (256-byte request and
+        response); returns the list of values."""
         fibers = [
             self.sim.process(
-                node.serve(make_work(node), request_bytes, response_bytes),
+                node.serve(make_work(node), 256, 256),
                 name="rpc-%s" % node.name,
             )
             for node in self.nodes

@@ -120,16 +120,11 @@ class PowerMeter:
             return self.params.idle_w
         return sum(w for _, w in points) / len(points)
 
-    def energy_kj(self, t0_s: float = 0.0, t1_s: Optional[float] = None) -> float:
-        """Energy in kJ over [t0, t1]: Σ watts × interval."""
+    def energy_kj(self) -> float:
+        """Energy in kJ over the whole series: Σ watts × interval."""
         total = 0.0
-        prev_t = t0_s
+        prev_t = 0.0
         for t, w in self.series:
-            if t < t0_s:
-                prev_t = t
-                continue
-            if t1_s is not None and t > t1_s:
-                break
             total += w * (t - prev_t)
             prev_t = t
         return total / 1e3

@@ -52,7 +52,6 @@ class SSDDevice:
         # Scope every component's trace track under one per-device process
         # name ("ssd0/ch3", "ssd0/fw", ...) so multi-SSD traces stay legible.
         scope = sim.trace.register_device() if sim.trace is not None else "ssd"
-        self.trace_scope = scope
         for channel in self.nand.channels:
             channel.trace_track = "%s/ch%d" % (scope, channel.index)
         self.cache.trace_track = "%s/cache" % scope
