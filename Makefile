@@ -10,7 +10,7 @@ STRICT_TYPED = \
 	src/repro/core/types.py \
 	src/repro/resilience/hedge.py
 
-.PHONY: test test-fast test-faults bench serve lint typecheck trace attribute resilience sim-throughput cluster race e2e-smoke results-check
+.PHONY: test test-fast test-faults bench serve lint typecheck trace attribute race e2e-smoke results-check
 
 # The full tier-1 suite (what CI runs on every push).
 test:
@@ -26,27 +26,9 @@ test-faults:
 	$(PYTEST) -q -m faults
 
 # Every table, figure, extension and ablation (python -m repro.bench --list):
-# the one writer of benchmarks/results/ and the three BENCH_*.json.
+# the one writer of benchmarks/results/<name>.{txt,csv,metrics.json}.
 bench:
 	PYTHONPATH=src $(PYTHON) -m repro.bench
-
-# The standing recovery benchmark: SQL goodput under a seeded fault storm.
-# Emits BENCH_resilience.json (byte-deterministic across hash seeds; CI
-# `cmp`s a fresh run against the committed copy).
-resilience:
-	PYTHONPATH=src $(PYTHON) -m repro.bench resilience
-
-# Simulator event counts: fused fast path on vs off across three workload
-# shapes.  Emits BENCH_sim_throughput.json (every number simulated; CI
-# `cmp`s a fresh run against the committed copy).
-sim-throughput:
-	PYTHONPATH=src $(PYTHON) -m repro.bench sim_throughput
-
-# Sharded-fleet benchmark: scatter-gather SQL across a 4-node fleet plus a
-# crash storm.  Emits BENCH_cluster.json (byte-deterministic across hash
-# seeds); CI `cmp`s a fresh run against the committed copy.
-cluster:
-	PYTHONPATH=src $(PYTHON) -m repro.bench cluster
 
 # End-to-end benchmark (BENCHMARK.json) at smoke size: all seven workloads
 # once with every output checked, then the benchmark's own tests.  Both
@@ -57,15 +39,16 @@ e2e-smoke:
 	$(PYTHON) -m pytest -q benchmarks/e2e
 
 # The paper-facing result files are compared, not just written: re-run all
-# 23 experiments (~100 s), which rewrite benchmarks/results/ and the three
-# BENCH_*.json, check the paper's claims against the fresh metrics, then fail
-# if a tracked file moved or a new one appeared there.  Every number in them
-# is simulated, so any diff is a change to a Table/Figure and must be a
-# deliberate, committed refresh.
+# 23 experiments (~100 s), which rewrite benchmarks/results/, check the
+# paper's claims and the reproduction's floors against the fresh metrics
+# (benchmarks/results/<name>.metrics.json), then fail if a tracked file moved
+# or a new one appeared there.  Every number in them is simulated, so any
+# diff is a change to a Table/Figure and must be a deliberate, committed
+# refresh.
 results-check:
 	PYTHONPATH=src $(PYTHON) -m repro.bench
 	$(PYTEST) -q -p no:benchmark tests/bench/test_paper_claims.py
-	git diff --exit-code benchmarks/results BENCH_*.json
+	git diff --exit-code benchmarks/results
 	@untracked=$$(git ls-files --others --exclude-standard benchmarks/results); \
 	if [ -n "$$untracked" ]; then \
 		echo "untracked files under benchmarks/results:"; echo "$$untracked"; exit 1; \

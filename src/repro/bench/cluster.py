@@ -16,8 +16,9 @@ two phases:
 Reported: per-shard skew, scatter fan-out, tail amplification (cluster
 query p99 over single-shard RPC p99), network bytes moved vs NAND bytes
 scanned, and job goodput under the storm.  The run is seeded and
-simulated-time only, so the emitted ``BENCH_cluster.json`` is
-byte-identical across hosts and ``PYTHONHASHSEED`` values.
+simulated-time only, so every number in
+``benchmarks/results/cluster.metrics.json`` is byte-identical across hosts
+and ``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List
 
-from repro.bench.harness import ExperimentResult, write_bench_json
+from repro.bench.harness import ExperimentResult
 from repro.bench.resilience import _quantile_us
 from repro.cluster import ClusterExecutor, ShardedFleet, ShardedKVStore
 from repro.cluster.serve import ClusterServeDriver
@@ -39,8 +40,6 @@ from repro.serve.manager import Tenant
 from repro.testing.differential import rows_match
 
 __all__ = ["exp_cluster", "run_cluster_bench"]
-
-BENCH_JSON = "BENCH_cluster.json"
 
 #: Fleet shape (the acceptance floor is a >=4-node fleet).
 NUM_NODES = 4
@@ -209,7 +208,6 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002) -> Dict[str, Any]:
 def exp_cluster(sf: float = None) -> ExperimentResult:
     """The ``python -m repro.bench cluster`` entry point."""
     report = run_cluster_bench(sf=sf if sf is not None else 0.002)
-    path = write_bench_json(report, BENCH_JSON)
     shown = [
         "num_nodes", "num_shards", "lineitem_rows",
         "shard_skew", "mean_fan_out", "max_fan_out",
@@ -227,7 +225,6 @@ def exp_cluster(sf: float = None) -> ExperimentResult:
         "tail_amplification = cluster query p99 / single-shard RPC p99",
         "storm_goodput counts jobs finished despite two mid-run node "
         "crashes (in-flight work on the victims dies, routing fails over)",
-        "full report: %s" % path,
     ]
     if report["wrong_results"]:
         notes.insert(0, "CLUSTER FAILURE: %d wrong results"

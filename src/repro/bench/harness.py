@@ -7,8 +7,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
-__all__ = ["ExperimentResult", "format_table", "results_dir", "save_result",
-           "write_bench_json"]
+__all__ = ["ExperimentResult", "format_table", "results_dir", "save_result"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -90,13 +89,4 @@ def save_result(result: ExperimentResult, name: str) -> str:
             handle.write("time_s,watts\n")
             for when, watts in series:
                 handle.write("%.6f,%.2f\n" % (when, watts))
-    return path
-
-
-def write_bench_json(report: Dict[str, Any], path: str) -> str:
-    """Byte-deterministic drop of a ``BENCH_*.json`` report: sorted keys,
-    fixed float rounding, no timestamps or environment detail.  Returns
-    ``path`` as given, so a report that cites it is checkout-independent."""
-    with open(path, "w") as handle:
-        handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return path

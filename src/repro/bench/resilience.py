@@ -10,8 +10,9 @@ benchmark *fails* if recovery ever returns a wrong answer.
 Reported: goodput (correct queries per simulated second), p50/p99 query
 latency, the faulted-request fraction, and the full recovery scoreboard
 (retries, resumes, failovers, hedges fired/won, crashes seen).  The run is
-seeded and simulated-time only, so the emitted ``BENCH_resilience.json``
-is byte-identical across hosts and ``PYTHONHASHSEED`` values.
+seeded and simulated-time only, so every number in
+``benchmarks/results/resilience.metrics.json`` is byte-identical across
+hosts and ``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List
 
-from repro.bench.harness import ExperimentResult, write_bench_json
+from repro.bench.harness import ExperimentResult
 from repro.db.catalog import Column, TableSchema
 from repro.db.storage import Database
 from repro.host.platform import System
@@ -41,8 +42,6 @@ from repro.testing.faults import (
 )
 
 __all__ = ["exp_resilience", "run_resilience_bench"]
-
-BENCH_JSON = "BENCH_resilience.json"
 
 _SCHEMA = TableSchema(
     "stormy",
@@ -210,7 +209,6 @@ def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
 def exp_resilience() -> ExperimentResult:
     """The ``python -m repro.bench resilience`` entry point."""
     report = run_resilience_bench(trace=True)
-    path = write_bench_json(report, BENCH_JSON)
     headers = ["metric", "value"]
     shown = [
         "queries", "faulted_queries", "faulted_fraction", "wrong_results",
@@ -230,7 +228,6 @@ def exp_resilience() -> ExperimentResult:
         "reference; wrong_results must be 0",
         "faulted_fraction counts queries whose run overlapped at least one "
         "injected fault",
-        "full report: %s" % path,
     ]
     if report["wrong_results"]:
         notes.insert(0, "RESILIENCE FAILURE: %d wrong results"

@@ -13,26 +13,25 @@ fast path (:mod:`repro.sim.fastpath`) enabled and disabled:
 
 For every shape the two arms must land on the *same* final simulated time
 and byte counts — the run aborts otherwise — so the benchmark doubles as a
-determinism check.  Everything in the emitted ``BENCH_sim_throughput.json``
-(event counts, fusion counters, simulated time) is simulated, hence
-byte-identical across hosts and ``PYTHONHASHSEED`` values; CI ``cmp``s a
-fresh run against the committed file.  What the fused path buys in host
-wall-clock time is measured by ``benchmarks/e2e`` (``dev_scan`` and
-``dev_point`` run these shapes against a yardstick), not here.
+determinism check.  Every number in
+``benchmarks/results/sim_throughput.metrics.json`` (event counts, fusion
+counters, simulated time; one ``<shape>_<field>`` key each) is simulated,
+hence byte-identical across hosts and ``PYTHONHASHSEED`` values.  What the
+fused path buys in host wall-clock time is measured by ``benchmarks/e2e``
+(``dev_scan`` and ``dev_point`` run these shapes against a yardstick), not
+here.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, NamedTuple
 
-from repro.bench.harness import ExperimentResult, write_bench_json
+from repro.bench.harness import ExperimentResult
 from repro.sim.engine import Simulator
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSDDevice
 
 __all__ = ["exp_sim_throughput", "run_throughput_bench"]
-
-BENCH_JSON = "BENCH_sim_throughput.json"
 
 
 class Shape(NamedTuple):
@@ -92,7 +91,7 @@ def _run_arm(shape: Shape, fast: bool) -> Dict[str, Any]:
 
 def run_throughput_bench(
         shapes: Dict[str, Shape] = SHAPES) -> Dict[str, Any]:
-    """Run every shape fast-on and fast-off; return the JSON-ready report.
+    """Run every shape fast-on and fast-off; return the report.
 
     Raises ``AssertionError`` if any shape's arms diverge in simulated time
     or bytes — the fast path's contract is bit-identical timing, and an
@@ -115,7 +114,6 @@ def run_throughput_bench(
             "coalesce_limit": shape.coalesce_limit,
             "sim_now_ns": fast["sim_now_ns"],
             "bytes_read": fast["bytes_read"],
-            "timing_identical": True,
             "events_fast": fast["events"],
             "events_slow": slow["events"],
             "event_reduction": round(slow["events"] / fast["events"], 2),
@@ -131,7 +129,6 @@ def run_throughput_bench(
 def exp_sim_throughput() -> ExperimentResult:
     """The ``python -m repro.bench sim_throughput`` entry point."""
     report = run_throughput_bench()
-    path = write_bench_json(report, BENCH_JSON)
     headers = ["shape", "events off", "events on", "reduction", "fused pages"]
     rows = []
     for name in sorted(report["shapes"]):
@@ -141,13 +138,13 @@ def exp_sim_throughput() -> ExperimentResult:
             "%.1fx" % shape["event_reduction"], shape["fused_pages"],
         ])
     reduction = report["shapes"]["saturation"]["event_reduction"]
-    metrics = {"saturation_event_reduction": reduction}
+    metrics = {"%s_%s" % (name, key): float(value)
+               for name, shape in report["shapes"].items()
+               for key, value in shape.items()}
     notes = [
         "both arms of every shape verified bit-identical (same final "
         "sim.now, same bytes) before the counts were reported",
-        "full report: %s (every number simulated, byte-deterministic); "
-        "wall-clock cost per event is benchmarks/e2e's dev_scan/dev_point"
-        % path,
+        "wall-clock cost per event is benchmarks/e2e's dev_scan/dev_point",
     ]
     if reduction < 10.0:
         notes.insert(0, "BELOW TARGET: saturation event reduction %.1fx < 10x"

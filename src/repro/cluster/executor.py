@@ -40,8 +40,8 @@ from repro.cluster.catalog import shard_table_name
 from repro.cluster.fleet import ShardedFleet, ShardedKVStore
 from repro.core.errors import DeviceCrashedError, DeviceError
 from repro.db.executor import (
+    HOST_AGG_ROW_US,
     AggPlan,
-    EngineConfig,
     Rel,
     RelOps,
     TableRef,
@@ -94,12 +94,10 @@ class ClusterExecutor(RelOps):
         fleet: ShardedFleet,
         hedge: Optional[HedgePolicy] = None,
         retry: Optional[RetryPolicy] = None,
-        config: Optional[EngineConfig] = None,
     ):
         self.fleet = fleet
         self.hedge = hedge
         self.retry = retry or RetryPolicy(retry_limit=1, backoff_us=300.0)
-        self.config = config or fleet.engine_config or EngineConfig()
         self.query_seq = 0
         self.scatter_calls = 0
         self.shard_rpcs = 0
@@ -228,7 +226,7 @@ class ClusterExecutor(RelOps):
         self.merged_rows += merged
         yield from self._charge(
             len(partials) * self.GATHER_RPC_US
-            + merged * self.config.host_agg_row_us)
+            + merged * HOST_AGG_ROW_US)
         return plan.finalize(totals)
 
     # The statement executor's names for the fleet's access paths; shards

@@ -42,23 +42,25 @@ class ExecutionMode(enum.Enum):
     BISCUIT = "biscuit"
 
 
+#: Host cost model (see the module docstring for calibration).
+HOST_ROW_US = 0.8  # filter/project one row on the host
+HOST_JOIN_ROW_US = 0.35  # hash-probe / build one row
+HOST_AGG_ROW_US = 0.3  # aggregate one row
+PROBE_OVERHEAD_US = 2.0  # index lookup bookkeeping per probe
+BUFFER_POOL_FRACTION = 0.02  # of total DB pages
+MIN_POOL_PAGES = 64
+SCAN_CHUNK_PAGES = 256  # readahead unit for host scans
+
+
 @dataclass
 class EngineConfig:
-    """Engine tunables (see module docstring for calibration)."""
+    """Engine tunables: the planner's offload heuristic and the ablations."""
 
-    host_row_us: float = 0.8  # filter/project one row on the host
-    host_join_row_us: float = 0.35  # hash-probe / build one row
-    host_agg_row_us: float = 0.3  # aggregate one row
-    probe_overhead_us: float = 2.0  # index lookup bookkeeping per probe
-    buffer_pool_fraction: float = 0.02  # of total DB pages
-    min_pool_pages: int = 64
-    scan_chunk_pages: int = 256  # readahead unit for host scans
     # NDP offload heuristic (planner):
     ndp_selectivity_threshold: float = 0.25  # max page-fraction to offload
     ndp_min_table_pages: int = 64  # absolute "table too small" cutoff
     ndp_min_table_fraction: float = 0.05  # of total DB pages (small-table cutoff)
     ndp_sample_pages: int = 48  # pages sampled for the selectivity estimate
-    ndp_batch_rows: int = 512  # rows per D2H result packet
     ndp_parallel_ssdlets: int = 4
     # INL-vs-scan switch: the optimizer keeps index nested loops until the
     # estimated probe-page count exceeds this multiple of a full table scan.
@@ -251,10 +253,8 @@ class RelOps:
 
     The bodies exist once; a *site* (:class:`Engine`, the fleet's
     ``ClusterExecutor``) mixes them in and says which CPU pays by defining
-    ``_charge`` and which per-row costs apply through ``config``.
+    ``_charge``.
     """
-
-    config: EngineConfig
 
     def _charge(self, duration_us: float) -> Generator:
         """Fiber: occupy the CPU this site's post-processing runs on."""
@@ -263,13 +263,13 @@ class RelOps:
     def filter(self, rel: Rel, pred: Expr) -> Generator:
         """Fiber: filter a materialized relation."""
         keep = kernels.select(rel.positions, pred)
-        yield from self._charge(len(rel) * self.config.host_row_us)
+        yield from self._charge(len(rel) * HOST_ROW_US)
         return Rel(rel.columns, keep(rel.rows))
 
     def project(self, rel: Rel, exprs: List[Tuple[str, Expr]]) -> Generator:
         """Fiber: compute named expressions per row."""
         compute = kernels.select(rel.positions, None, [expr for _, expr in exprs])
-        yield from self._charge(len(rel) * self.config.host_row_us)
+        yield from self._charge(len(rel) * HOST_ROW_US)
         return Rel([name for name, _ in exprs], compute(rel.rows))
 
     def aggregate(
@@ -279,12 +279,12 @@ class RelOps:
         aggs: List[Tuple[str, str, Optional[Expr]]],
     ) -> Generator:
         """Fiber: grouped aggregation (``aggs`` as for :class:`AggPlan`)."""
-        yield from self._charge(len(rel) * self.config.host_agg_row_us)
+        yield from self._charge(len(rel) * HOST_AGG_ROW_US)
         return AggPlan(group_by, aggs).run(rel)
 
     def sort(self, rel: Rel, keys: List[Tuple[str, bool]], limit: Optional[int] = None) -> Generator:
         """Fiber: order by (column, descending?) pairs, optional limit."""
-        yield from self._charge(len(rel) * self.config.host_agg_row_us)
+        yield from self._charge(len(rel) * HOST_AGG_ROW_US)
         return Rel(rel.columns, sort_rows(
             rel.rows, [(rel.position(c), d) for c, d in keys], limit))
 
@@ -305,9 +305,7 @@ class Engine(RelOps):
         self.config = config or EngineConfig()
         total_pages = sum(t.num_pages for t in db.tables.values())
         self.pool = _BufferPool(
-            max(self.config.min_pool_pages,
-                int(total_pages * self.config.buffer_pool_fraction))
-        )
+            max(MIN_POOL_PAGES, int(total_pages * BUFFER_POOL_FRACTION)))
         # Whole-table decoded-page cache: value-level only (saves wall-clock
         # re-decoding; simulated timing is charged regardless).
         self._decoded: Dict[str, List[List[tuple]]] = {}
@@ -416,7 +414,7 @@ class Engine(RelOps):
             return states
         rel, step = yield from self._scan(ref)
         fold = step.kernels["fold"] = plan.fold(rel.positions)
-        yield from self._charge(len(rel) * self.config.host_agg_row_us)
+        yield from self._charge(len(rel) * HOST_AGG_ROW_US)
         return fold({}, rel.rows)
 
     def scan_aggregate(
@@ -457,10 +455,10 @@ class Engine(RelOps):
                 page_rows = self.table_page_rows(ref.name, page_no)
                 chunk_rows += len(page_rows)
                 rows_out.extend(scan(page_rows))
-            yield from self._charge(chunk_rows * self.config.host_row_us)
+            yield from self._charge(chunk_rows * HOST_ROW_US)
 
         yield from self.system.open_host(storage.path).stream(
-            0, storage.inode.size, self.config.scan_chunk_pages * page_size,
+            0, storage.inode.size, SCAN_CHUNK_PAGES * page_size,
             decode)
         return Rel(out_cols, rows_out)
 
@@ -566,13 +564,13 @@ class Engine(RelOps):
                 out_rows += merge((row,), scan(matched))
             if probes % 1024 == 0:
                 yield from self._charge(
-                    1024 * self.config.probe_overhead_us
-                    + probed_cpu_rows * self.config.host_join_row_us
+                    1024 * PROBE_OVERHEAD_US
+                    + probed_cpu_rows * HOST_JOIN_ROW_US
                 )
                 probed_cpu_rows = 0
         yield from self._charge(
-            (probes % 1024) * self.config.probe_overhead_us
-            + probed_cpu_rows * self.config.host_join_row_us
+            (probes % 1024) * PROBE_OVERHEAD_US
+            + probed_cpu_rows * HOST_JOIN_ROW_US
         )
         return Rel(out_columns, out_rows)
 
@@ -604,7 +602,7 @@ class Engine(RelOps):
             out_rows = merge(table, right.rows)
         yield from self._charge(
             (len(build) + len(probe) + len(out_rows))
-            * self.config.host_join_row_us
+            * HOST_JOIN_ROW_US
         )
         return Rel(out_columns, out_rows)
 
@@ -710,7 +708,7 @@ class Engine(RelOps):
         for a, b in pending:
             if a in current.positions and b in current.positions:
                 pa, pb = current.position(a), current.position(b)
-                yield from self._charge(len(current) * self.config.host_row_us * 0.25)
+                yield from self._charge(len(current) * HOST_ROW_US * 0.25)
                 current = Rel(
                     current.columns,
                     [row for row in current.rows if row[pa] == row[pb]],
@@ -722,7 +720,7 @@ class Engine(RelOps):
     def _cartesian(self, left: Rel, right: Rel) -> Generator:
         out_columns, merge = kernels.merge(left.columns, right.columns)
         yield from self._charge(
-            len(left) * len(right) * self.config.host_join_row_us
+            len(left) * len(right) * HOST_JOIN_ROW_US
         )
         return Rel(out_columns, merge(left.rows, right.rows))
 
@@ -733,7 +731,7 @@ class Engine(RelOps):
 
     def charge_rows(self, count: int) -> Generator:
         """Fiber: charge host CPU for query-program-side row processing."""
-        yield from self._charge(count * self.config.host_row_us)
+        yield from self._charge(count * HOST_ROW_US)
 
     def semi_join(self, rel: Rel, key: str, keys_rel: Rel, keys_col: str,
                   anti: bool = False) -> Generator:
@@ -742,7 +740,7 @@ class Engine(RelOps):
         key_set = {row[keys_position] for row in keys_rel.rows}
         position = rel.position(key)
         yield from self._charge(
-            (len(rel) + len(keys_rel)) * self.config.host_join_row_us
+            (len(rel) + len(keys_rel)) * HOST_JOIN_ROW_US
         )
         if anti:
             rows = [row for row in rel.rows if row[position] not in key_set]
@@ -752,7 +750,7 @@ class Engine(RelOps):
 
     def distinct(self, rel: Rel, cols: Optional[List[str]] = None) -> Generator:
         """Fiber: distinct rows (optionally on a column subset)."""
-        yield from self._charge(len(rel) * self.config.host_agg_row_us)
+        yield from self._charge(len(rel) * HOST_AGG_ROW_US)
         if cols is None:
             columns, rows = rel.columns, rel.rows
         else:

@@ -315,7 +315,6 @@ class NDPContext:
             **row_kernels,
             page_size=storage.page_size,
             num_pages=storage.num_pages,
-            batch_rows=config.ndp_batch_rows,
             workers=config.ndp_parallel_ssdlets,
             use_matcher=config.ndp_use_matcher,
             fold=fold,

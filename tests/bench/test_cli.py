@@ -61,9 +61,14 @@ def test_run_single_experiment(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "table2_port_latency.csv").exists()
 
 
-def test_no_save_flag(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "name", ["table2", "sim_throughput", "resilience", "cluster"])
+def test_no_save_flag(name, capsys, tmp_path, monkeypatch):
+    # --no-save writes nothing anywhere: not under the results directory,
+    # not in the working directory.
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    assert main(["table2", "--no-save"]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main([name, "--no-save"]) == 0
     assert "saved:" not in capsys.readouterr().out
     assert not list(tmp_path.iterdir())
 
