@@ -39,7 +39,7 @@ e2e-smoke:
 	$(PYTHON) -m pytest -q benchmarks/e2e
 
 # The paper-facing result files are compared, not just written: re-run all
-# 23 experiments (~100 s), which rewrite benchmarks/results/, check the
+# 22 experiments (~100 s), which rewrite benchmarks/results/, check the
 # paper's claims and the reproduction's floors against the fresh metrics
 # (benchmarks/results/<name>.metrics.json), then fail if a tracked file moved
 # or a new one appeared there.  Every number in them is simulated, so any

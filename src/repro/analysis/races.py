@@ -719,8 +719,7 @@ class PerturbationReport:
         return "\n".join(lines)
 
 
-def check_workload(workload, require_reversals: bool = False
-                   ) -> PerturbationReport:
+def check_workload(workload) -> PerturbationReport:
     """Run ``workload()`` twice under the sanitizer: once recording, once
     with reversed tie-breaking inside every provably order-free batch.
 
@@ -753,10 +752,6 @@ def check_workload(workload, require_reversals: bool = False
         report.detail = ("workload built %d simulators on record but %d on "
                          "replay; it must be deterministic"
                          % (len(recording), len(replay)))
-    if require_reversals and report.reversed_batches == 0:
-        report.results_match = report.results_match and True
-        report.detail = (report.detail + " " if report.detail else "") + \
-            "no batch qualified for reversal (perturbation had no bite)"
     return report
 
 

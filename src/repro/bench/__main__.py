@@ -30,8 +30,7 @@ EXPERIMENTS = {
     "table4": ("Table IV — pointer chasing", experiments.exp_table4_pointer_chasing, False),
     "table5": ("Table V — string search", experiments.exp_table5_string_search, False),
     "fig8": ("Fig. 8 — DB filter queries", experiments.exp_fig8_db_filter_queries, True),
-    "fig9": ("Fig. 9 — power", experiments.exp_fig9_power, True),
-    "table6": ("Table VI — energy", experiments.exp_table6_energy, True),
+    "fig9": ("Fig. 9 / Table VI — power and energy", experiments.exp_fig9_power, True),
     "fig10": ("Fig. 10 — full TPC-H", experiments.exp_fig10_tpch, True),
     "serve": ("Serving — saturation sweep + fairness", experiments.exp_serve_saturation, False),
     "kvstore": ("Extension — KV-store metadata traversal (§VI)", ablations.exp_kvstore_metadata, False),

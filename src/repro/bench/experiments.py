@@ -10,7 +10,6 @@ workload is documented to scale linearly (noted per experiment).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.apps.pointer_chase import (
@@ -35,7 +34,7 @@ from repro.db.planner import create_engine
 from repro.db.tpch.datagen import load_tpch
 from repro.db.tpch.queries import ALL_QUERIES, run_query
 from repro.host.platform import System
-from repro.power.model import PowerMeter, PowerParams
+from repro.power.model import IDLE_W, PowerMeter
 from repro.sim.engine import all_of
 from repro.sim.units import GIB, KIB, MIB
 from repro.ssd.config import SSDConfig
@@ -48,7 +47,6 @@ __all__ = [
     "exp_table5_string_search",
     "exp_fig8_db_filter_queries",
     "exp_fig9_power",
-    "exp_table6_energy",
     "exp_fig10_tpch",
     "exp_serve_saturation",
 ]
@@ -444,7 +442,7 @@ def exp_fig9_power(scale_factor: float = 0.05,
     bisc_kj = bisc_meter.energy_kj()
     scale = 100.0 / scale_factor  # paper ran SF 100; energy scales with time
     rows = [
-        ["idle", PAPER["idle_w"], PowerParams().idle_w],
+        ["idle", PAPER["idle_w"], IDLE_W],
         ["Conv avg during query", PAPER["conv_w"], round(conv_avg, 1)],
         ["Biscuit avg during query", PAPER["biscuit_w"], round(bisc_avg, 1)],
     ]
@@ -468,14 +466,6 @@ def exp_fig9_power(scale_factor: float = 0.05,
         ],
         power_series={"conv": conv_meter.series, "biscuit": bisc_meter.series},
     )
-
-
-def exp_table6_energy(scale_factor: float = 0.05) -> ExperimentResult:
-    """Table VI is the energy integral of the Fig. 9 runs (the curves are
-    Fig. 9's to save)."""
-    return replace(exp_fig9_power(scale_factor), experiment="Table VI",
-                   title="Overall energy consumption for Query 1",
-                   power_series={})
 
 
 # ------------------------------------------------------------------ Fig. 10

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.db.kernels import compile_expr
+from repro.ssd.config import SSDConfig
 
 __all__ = [
     "Expr", "Col", "Const", "Cmp", "Logic", "Not", "Between", "InList",
@@ -27,8 +28,7 @@ __all__ = [
     "col", "lit", "eq", "ne", "lt", "le", "gt", "ge", "and_", "or_", "not_",
     "between", "in_", "like", "not_like", "add", "sub", "mul", "div", "case",
     "year_of", "substring",
-    "compile_expr", "columns_of", "MatcherFilter", "matcher_filter",
-    "matcher_candidates",
+    "compile_expr", "columns_of", "MatcherFilter", "matcher_candidates",
 ]
 
 class Expr:
@@ -263,7 +263,7 @@ class MatcherFilter:
     """The conjunct the pattern-matcher IP prefilters pages with."""
 
     conjunct: Expr
-    key_count: int  # HW key slots consumed (≤ matcher_max_keys)
+    key_count: int  # HW key slots consumed (≤ SSDConfig.matcher_max_keys)
     description: str
 
 
@@ -276,15 +276,15 @@ def _conjuncts(expr: Expr) -> List[Expr]:
 def _usable(conjunct: Expr) -> Optional[Tuple[int, int, str]]:
     """(priority, key_count, description) if HW-usable, else None.
 
-    Lower priority = preferred (more selective key shapes first).
+    Lower priority = preferred (more selective key shapes first).  The key
+    count is not checked against the IP's slots here: that is
+    :func:`matcher_candidates`'s one test against ``matcher_max_keys``.
     """
     if isinstance(conjunct, Cmp) and conjunct.op == "==":
         if isinstance(conjunct.left, Col) and isinstance(conjunct.right, Const):
             return (0, 1, "eq(%s)" % conjunct.left.name)
     if isinstance(conjunct, InList) and isinstance(conjunct.column, Col):
-        if len(conjunct.values) <= 3:
-            return (1, len(conjunct.values), "in(%s)" % conjunct.column.name)
-        return None  # more literals than HW key slots
+        return (1, len(conjunct.values), "in(%s)" % conjunct.column.name)
     if isinstance(conjunct, Logic) and conjunct.op == "or":
         # OR of equalities on one column == an IN list.
         columns = set()
@@ -298,7 +298,7 @@ def _usable(conjunct: Expr) -> Optional[Tuple[int, int, str]]:
                 count += 1
             else:
                 return None
-        if len(columns) == 1 and count <= 3:
+        if len(columns) == 1:
             return (1, count, "or-eq(%s)" % columns.pop())
         return None
     if isinstance(conjunct, Like) and isinstance(conjunct.column, Col):
@@ -320,11 +320,15 @@ def _usable(conjunct: Expr) -> Optional[Tuple[int, int, str]]:
     return None
 
 
-def matcher_candidates(predicate: Optional[Expr], max_keys: int = 3) -> List[MatcherFilter]:
+def matcher_candidates(predicate: Optional[Expr]) -> List[MatcherFilter]:
     """All HW-usable conjuncts, best-priority first.
 
-    The planner samples each candidate's page selectivity and configures the
-    IP with the most selective one.
+    A conjunct needing more keys than the IP has slots
+    (``SSDConfig.matcher_max_keys``) is dropped.  The planner samples each
+    candidate's page selectivity and configures the IP with the most
+    selective one; an empty list (no literal key, NOT LIKE, too many IN
+    values...) is exactly the queries Fig. 10 leaves at 1.0x because "the
+    query planner gives up NDP".
     """
     if predicate is None:
         return []
@@ -335,7 +339,7 @@ def matcher_candidates(predicate: Optional[Expr], max_keys: int = 3) -> List[Mat
         if usable is None:
             continue
         priority, keys, description = usable
-        if keys > max_keys:
+        if keys > SSDConfig.matcher_max_keys:
             continue
         out.append((priority, MatcherFilter(conjunct, keys, description)))
     # Pairs of half-ranges on one column (how SQL BETWEEN arrives) form a
@@ -358,27 +362,3 @@ def matcher_candidates(predicate: Optional[Expr], max_keys: int = 3) -> List[Mat
         out.append((3, MatcherFilter(synthetic, 1, "range(%s)" % column)))
     out.sort(key=lambda pair: pair[0])
     return [mf for _, mf in out]
-
-
-def matcher_filter(predicate: Optional[Expr], max_keys: int = 3) -> Optional[MatcherFilter]:
-    """Pick the conjunct the matcher IP will prefilter pages with.
-
-    Returns None when no conjunct fits the hardware (no literal key, NOT
-    LIKE, too many IN values...) — exactly the queries Fig. 10 leaves at
-    1.0× because "the query planner gives up NDP".
-    """
-    if predicate is None:
-        return None
-    best: Optional[Tuple[int, int, str, Expr]] = None
-    for conjunct in _conjuncts(predicate):
-        usable = _usable(conjunct)
-        if usable is None:
-            continue
-        priority, keys, description = usable
-        if keys > max_keys:
-            continue
-        if best is None or priority < best[0]:
-            best = (priority, keys, description, conjunct)
-    if best is None:
-        return None
-    return MatcherFilter(conjunct=best[3], key_count=best[1], description=best[2])

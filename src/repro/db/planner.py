@@ -133,9 +133,7 @@ class NDPPlanner:
         storage = engine.db.table(ref.name)
         if ref.pred is None:
             return ScanDecision(False, "no filter predicate", 1.0, None)
-        candidates = matcher_candidates(
-            ref.pred, max_keys=engine.system.config.matcher_max_keys
-        )
+        candidates = matcher_candidates(ref.pred)
         if not candidates:
             return ScanDecision(
                 False, "predicate not matcher-amenable (HW limitation)", 1.0, None

@@ -1,5 +1,5 @@
 """System power and energy accounting (Fig. 9, Table VI)."""
 
-from repro.power.model import PowerMeter, PowerParams
+from repro.power.model import PowerMeter
 
-__all__ = ["PowerMeter", "PowerParams"]
+__all__ = ["PowerMeter"]

@@ -13,38 +13,27 @@ series is exact for the model (no sampling noise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
 from repro.host.platform import System
 from repro.sim.engine import Interrupt, Process
 from repro.sim.units import s_to_ns
 
-__all__ = ["PowerParams", "PowerMeter"]
+__all__ = ["PowerMeter"]
 
-
-@dataclass
-class PowerParams:
-    """Calibrated to Fig. 9 (idle 103 W; Conv 122 W; Biscuit 136 W)."""
-
-    idle_w: float = 103.0
-    host_core_w: float = 17.0  # per busy host core
-    ssd_nand_w: float = 42.0  # all channels streaming
-    device_core_w: float = 6.0  # per busy device core
-    pcie_w: float = 3.0  # link at full utilization
+# Calibrated to Fig. 9 (idle 103 W; Conv 122 W; Biscuit 136 W).
+IDLE_W = 103.0
+HOST_CORE_W = 17.0  # per busy host core
+SSD_NAND_W = 42.0  # all channels streaming
+DEVICE_CORE_W = 6.0  # per busy device core
+PCIE_W = 3.0  # link at full utilization
 
 
 class PowerMeter:
     """Samples system power on a fixed simulated-time grid."""
 
-    def __init__(
-        self,
-        system: System,
-        params: Optional[PowerParams] = None,
-        interval_s: float = 0.25,
-    ):
+    def __init__(self, system: System, interval_s: float = 0.25):
         self.system = system
-        self.params = params or PowerParams()
         self.interval_ns = s_to_ns(interval_s)
         self.series: List[Tuple[float, float]] = []  # (time_s, watts)
         self._fiber: Optional[Process] = None
@@ -96,14 +85,13 @@ class PowerMeter:
         host_d, nand_d, core_d, pcie_d = (
             current[i] - self._last[i] for i in range(4)
         )
-        params = self.params
         device = self.system.device
         watts = (
-            params.idle_w
-            + params.host_core_w * (host_d / dt)
-            + params.ssd_nand_w * (nand_d / (dt * len(device.nand.channels)))
-            + params.device_core_w * (core_d / dt)
-            + params.pcie_w * (pcie_d / dt)
+            IDLE_W
+            + HOST_CORE_W * (host_d / dt)
+            + SSD_NAND_W * (nand_d / (dt * len(device.nand.channels)))
+            + DEVICE_CORE_W * (core_d / dt)
+            + PCIE_W * (pcie_d / dt)
         )
         self.series.append((now / 1e9, watts))
         self._last = current
@@ -117,7 +105,7 @@ class PowerMeter:
             if t >= t0_s and (t1_s is None or t <= t1_s)
         ]
         if not points:
-            return self.params.idle_w
+            return IDLE_W
         return sum(w for _, w in points) / len(points)
 
     def energy_kj(self) -> float:

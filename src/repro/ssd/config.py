@@ -10,6 +10,7 @@ rather than from per-experiment tuning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.sim.units import KIB, MIB
 
@@ -21,14 +22,21 @@ class SSDConfig:
     """Geometry and timing of the simulated SSD.
 
     Table I's device: 1 TB NVMe, two ARM Cortex-R7 cores at 750 MHz for
-    Biscuit, 1 GiB DRAM, 2 MiB SRAM.  Only what the model computes with is
-    a field (capacity follows from the geometry).
+    Biscuit, 1 GiB DRAM, 2 MiB SRAM.  A field is what some caller sets:
+    the geometry, the read-retry, read-cache and coalescing policy, the
+    fast-path switch and the serving budgets.  The paper's calibration
+    (NAND and firmware timing, host interface, matcher IP, runtime and
+    port costs, memory and module loading) is a property of the device,
+    not a setting, so it is ``ClassVar`` constants, read the same way
+    (``config.nand_read_us``) but not accepted by the constructor.
+    Capacity follows from the geometry.
 
     Calibration (paper Table II/III, Fig. 7):
 
     * internal 4 KiB read = ``firmware_read_overhead_us`` (7.9) +
-      ``nand_read_us`` (53.1) + 4 KiB / ``channel_bytes_per_sec`` (≈14.9 µs)
-      ≈ 75.9 µs (Table III, Biscuit).
+      ``nand_read_us`` (52.6) + the controller's stripe dispatch (0.5) +
+      4 KiB / ``channel_bytes_per_sec`` (≈14.9 µs) ≈ 75.9 µs (Table III,
+      Biscuit).
     * host 4 KiB read adds ``nvme_command_overhead_us`` (12.8) + 4 KiB /
       ``pcie_bytes_per_sec`` (≈1.2 µs) ≈ 90.0 µs (Table III, Conv).
     * internal sustained bandwidth = ``channels`` × ``channel_bytes_per_sec``
@@ -46,14 +54,14 @@ class SSDConfig:
     overprovision_ratio: float = 0.125
 
     # -------------------------------------------------------------- NAND timing
-    nand_read_us: float = 52.6  # tR: media sense for one physical page
-    nand_program_us: float = 660.0  # tPROG
-    nand_erase_us: float = 3500.0  # tBERS
-    channel_bytes_per_sec: float = 275e6  # channel bus sustained transfer rate
+    nand_read_us: ClassVar[float] = 52.6  # tR: media sense for one physical page
+    nand_program_us: ClassVar[float] = 660.0  # tPROG
+    nand_erase_us: ClassVar[float] = 3500.0  # tBERS
+    channel_bytes_per_sec: ClassVar[float] = 275e6  # channel bus sustained transfer rate
 
     # --------------------------------------------------- controller / firmware
-    firmware_read_overhead_us: float = 7.9  # per-command FTL/dispatch cost
-    firmware_write_overhead_us: float = 9.5
+    firmware_read_overhead_us: ClassVar[float] = 7.9  # per-command FTL/dispatch cost
+    firmware_write_overhead_us: ClassVar[float] = 9.5
     # Read-retry policy: an ECC-failed sense is retried up to this many extra
     # times, waiting attempt * read_retry_backoff_us before each retry
     # (modeling read-retry voltage shifts on real NAND).
@@ -65,7 +73,7 @@ class SSDConfig:
     read_cache_bytes: int = 0  # 0 disables; line size = physical_page_bytes
     # DRAM access + DMA setup for one cached stripe, replacing tR plus the
     # channel-bus transfer on a hit.
-    read_cache_hit_us: float = 2.0
+    read_cache_hit_us: ClassVar[float] = 2.0
     # Adjacent same-channel stripes of one read command are coalesced into a
     # multi-page channel command paying one STRIPE_DISPATCH_US (the NAND ops
     # still pipeline across dies).  1 disables coalescing.  Matcher-engaged
@@ -80,51 +88,51 @@ class SSDConfig:
     # both ways in tests/power); ROADMAP item 1(e) is the one known
     # same-instant tie a de-fused plan can swap.
     sim_fast_path: bool = True
-    device_cores: int = 2  # ARM Cortex R7 cores available to Biscuit (Table I)
+    device_cores: ClassVar[int] = 2  # ARM Cortex R7 cores available to Biscuit (Table I)
     # Effective software data-processing rate of the device cores.  Two
     # Cortex-R7 @750 MHz scanning bytes in software: ~120 MB/s per core
     # (Section VI: software-only in-SSD scan cannot keep up, the HW IP can).
-    device_scan_bytes_per_sec_per_core: float = 120e6
+    device_scan_bytes_per_sec_per_core: ClassVar[float] = 120e6
 
     # ------------------------------------------------------------ host interface
-    pcie_bytes_per_sec: float = 3.2e9  # PCIe Gen.3 x4 payload cap (Table I)
-    nvme_command_overhead_us: float = 12.8  # driver + protocol, per command
-    nvme_queue_depth: int = 256
+    pcie_bytes_per_sec: ClassVar[float] = 3.2e9  # PCIe Gen.3 x4 payload cap (Table I)
+    nvme_command_overhead_us: ClassVar[float] = 12.8  # driver + protocol, per command
+    nvme_queue_depth: ClassVar[int] = 256
 
     # -------------------------------------------------------- pattern matcher IP
-    matcher_max_keys: int = 3  # hardware limit (Section V-A)
-    matcher_max_key_bytes: int = 16
+    matcher_max_keys: ClassVar[int] = 3  # hardware limit (Section V-A)
+    matcher_max_key_bytes: ClassVar[int] = 16
     # The IP scans at channel wire speed (Section IV-A) but driving it costs
     # device-CPU time per striped command, which lowers the *effective* rate
     # to ~3.9 GB/s aggregate (Fig. 7, "matcher enabled" series).
-    matcher_control_us_per_stripe: float = 7.9
+    matcher_control_us_per_stripe: ClassVar[float] = 7.9
 
     # ------------------------------------------------------------ Biscuit runtime
     # Fiber scheduling latency: visible alone in the inter-application port
     # round trip (Table II: 10.7 us).
-    fiber_schedule_us: float = 10.7
+    fiber_schedule_us: ClassVar[float] = 10.7
     # Type abstraction/de-abstraction of inter-SSDlet ports (Table II:
     # 31.0 - 10.7 = 20.3 us).
-    port_type_abstraction_us: float = 20.3
+    port_type_abstraction_us: ClassVar[float] = 20.3
     # Host-to-device channel-manager costs (Table II: H2D 301.6, D2H 130.1).
     # The receiver side does ~2x the sender's work and the device CPU is far
     # slower than the host CPU, hence the asymmetry.
-    h2d_host_sender_us: float = 25.0
-    h2d_interface_us: float = 45.0
-    h2d_device_receiver_us: float = 220.9
-    d2h_device_sender_us: float = 55.0
-    d2h_interface_us: float = 45.0
-    d2h_host_receiver_us: float = 19.4
-    channel_pool_size: int = 16
+    h2d_host_sender_us: ClassVar[float] = 25.0
+    h2d_interface_us: ClassVar[float] = 45.0
+    h2d_device_receiver_us: ClassVar[float] = 220.9
+    d2h_device_sender_us: ClassVar[float] = 55.0
+    d2h_interface_us: ClassVar[float] = 45.0
+    d2h_host_receiver_us: ClassVar[float] = 19.4
+    channel_pool_size: ClassVar[int] = 16
 
     # ----------------------------------------------------------------- memory
-    dram_bytes: int = 1024 * MIB
-    system_heap_bytes: int = 64 * MIB  # Biscuit system allocator arena
-    user_heap_bytes: int = 256 * MIB  # user allocator arena (SSDlet-visible)
+    dram_bytes: ClassVar[int] = 1024 * MIB
+    system_heap_bytes: ClassVar[int] = 64 * MIB  # Biscuit system allocator arena
+    user_heap_bytes: ClassVar[int] = 256 * MIB  # user allocator arena (SSDlet-visible)
 
     # ------------------------------------------------------- module management
-    module_load_us_per_kib: float = 18.0  # symbol relocation + copy-in
-    module_fixed_load_us: float = 350.0
+    module_load_us_per_kib: ClassVar[float] = 18.0  # symbol relocation + copy-in
+    module_fixed_load_us: ClassVar[float] = 350.0
 
     # ------------------------------------------------------------------ serving
     # Admission-control budgets for the multi-tenant serving layer
@@ -169,8 +177,6 @@ class SSDConfig:
             raise ValueError("need at least one channel and one die")
         if not 0.0 <= self.overprovision_ratio < 0.5:
             raise ValueError("overprovision_ratio out of range")
-        if self.matcher_max_keys < 1:
-            raise ValueError("pattern matcher needs at least one key slot")
         if self.read_retry_limit < 0:
             raise ValueError("read_retry_limit cannot be negative")
         if self.read_retry_backoff_us < 0:
@@ -179,8 +185,6 @@ class SSDConfig:
             raise ValueError("read_cache_bytes cannot be negative")
         if self.read_cache_bytes > self.dram_bytes:
             raise ValueError("read cache cannot exceed controller DRAM")
-        if self.read_cache_hit_us < 0:
-            raise ValueError("read_cache_hit_us cannot be negative")
         if self.read_coalesce_limit < 1:
             raise ValueError("read_coalesce_limit must be at least 1")
         if self.serve_app_slots < 1:

@@ -285,16 +285,15 @@ class Controller:
                               cmd=cmd_id, stripes=len(stripes))
         try:
             # Per-command firmware cost on a device core.
-            if self.config.firmware_read_overhead_us > 0:  # else no hold at all
-                if not self.cores.take():
-                    yield self.cores.request()
-                try:
-                    if not self.sim.advance(self._read_overhead_ns):
-                        yield self.sim.timeout(self._read_overhead_ns)
-                finally:
-                    self.cores.release()
-                if trace is not None:
-                    trace.complete("fw", "read-overhead", self.trace_fw_track, cmd_start_ns)
+            if not self.cores.take():
+                yield self.cores.request()
+            try:
+                if not self.sim.advance(self._read_overhead_ns):
+                    yield self.sim.timeout(self._read_overhead_ns)
+            finally:
+                self.cores.release()
+            if trace is not None:
+                trace.complete("fw", "read-overhead", self.trace_fw_track, cmd_start_ns)
             batches = self._coalesce(stripes, use_matcher)
             for batch in batches:
                 if len(batch) > 1:

@@ -17,7 +17,7 @@ INSTRUMENT_FILES = {"attribution_read_latency.json",
 
 def test_list(capsys):
     # Every table, figure, extension and ablation, then the e2e runner.
-    assert len(EXPERIMENTS) == 23
+    assert len(EXPERIMENTS) == 22
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
     assert [line.split()[0] for line in out.splitlines()] == list(EXPERIMENTS) + ["e2e"]

@@ -1,7 +1,7 @@
 """Power meter: sampling, utilization windows, energy integration."""
 
 from repro.bench.experiments import exp_fig9_power
-from repro.power.model import PowerMeter, PowerParams
+from repro.power.model import HOST_CORE_W, IDLE_W, PowerMeter
 from repro.sim.units import MIB, s_to_ns
 from repro.ssd.config import SSDConfig
 
@@ -13,7 +13,7 @@ def test_idle_system_draws_idle_power(system):
     meter.stop()
     assert meter.series
     for _, watts in meter.series:
-        assert abs(watts - meter.params.idle_w) < 0.01
+        assert abs(watts - IDLE_W) < 0.01
 
 
 def test_host_work_raises_power(system):
@@ -27,7 +27,7 @@ def test_host_work_raises_power(system):
     system.run_fiber(burn())
     meter.stop()
     peak = max(watts for _, watts in meter.series)
-    assert abs(peak - (meter.params.idle_w + meter.params.host_core_w)) < 1.0
+    assert abs(peak - (IDLE_W + HOST_CORE_W)) < 1.0
 
 
 def test_ssd_activity_raises_power(system):
@@ -43,7 +43,7 @@ def test_ssd_activity_raises_power(system):
     system.run_fiber(stream())
     meter.stop()
     peak = max(watts for _, watts in meter.series)
-    assert peak > meter.params.idle_w + 10
+    assert peak > IDLE_W + 10
 
 
 def test_average_window(system):
@@ -51,8 +51,8 @@ def test_average_window(system):
     meter.start()
     system.sim.run(until=s_to_ns(0.05))
     meter.stop()
-    assert abs(meter.average_w() - meter.params.idle_w) < 0.01
-    assert meter.average_w(10.0, 20.0) == meter.params.idle_w  # empty window
+    assert abs(meter.average_w() - IDLE_W) < 0.01
+    assert meter.average_w(10.0, 20.0) == IDLE_W  # empty window
 
 
 def test_energy_integrates_power(system):
@@ -71,15 +71,6 @@ def test_meter_restart_is_safe(system):
     system.sim.run(until=s_to_ns(0.5))
     meter.stop()
     meter.stop()
-
-
-def test_custom_params(system):
-    params = PowerParams(idle_w=50.0)
-    meter = PowerMeter(system, params=params, interval_s=0.01)
-    meter.start()
-    system.sim.run(until=s_to_ns(0.05))
-    meter.stop()
-    assert abs(meter.average_w() - 50.0) < 0.01
 
 
 def test_fig9_series_are_the_same_with_the_fast_path_on_and_off():

@@ -1,5 +1,7 @@
 """SSDConfig validation and derived quantities."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim.units import KIB
@@ -42,9 +44,18 @@ def test_overprovision_bounds():
         SSDConfig(overprovision_ratio=0.9).validate()
 
 
-def test_matcher_key_slots_required():
-    with pytest.raises(ValueError):
-        SSDConfig(matcher_max_keys=0).validate()
+def test_a_field_is_what_a_caller_sets():
+    # The paper's calibration (Tables I-III, the matcher IP) is class
+    # constants, readable through an instance but not settable per device.
+    assert {field.name for field in dataclasses.fields(SSDConfig)} == {
+        "channels", "dies_per_channel", "logical_page_bytes",
+        "physical_page_bytes", "pages_per_block", "blocks_per_die",
+        "overprovision_ratio", "read_retry_limit", "read_retry_backoff_us",
+        "read_cache_bytes", "read_coalesce_limit", "sim_fast_path",
+        "serve_app_slots", "serve_dram_budget_bytes",
+    }
+    with pytest.raises(TypeError):
+        SSDConfig(nand_read_us=1.0)
 
 
 def test_total_logical_pages_positive_and_overprovisioned():

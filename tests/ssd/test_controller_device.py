@@ -74,16 +74,6 @@ def test_large_read_bandwidth_beats_host_interface():
     assert bandwidth > 1.3 * device.config.pcie_bytes_per_sec / 1e9
 
 
-def test_zero_read_overhead_takes_no_core_hold():
-    # Skipped, not held for 0 ns: the device cores are busy for the
-    # channel dispatch only (holds continue in line, so the event count
-    # cannot tell a 0 ns hold from none; the busy integral can).
-    sim, device = make_device(firmware_read_overhead_us=0.0)
-    before = device.cores.busy_area()
-    run(sim, device.internal_read([0]))
-    assert device.cores.busy_area() - before == device.controller._dispatch_ns
-
-
 def test_empty_read_is_free():
     sim, device = make_device()
     assert run(sim, device.internal_read([])) == 0.0

@@ -45,7 +45,8 @@ def test_direction_accounting():
 
 
 def test_queue_depth_limits_outstanding_commands():
-    sim, interface = make_interface(nvme_queue_depth=2)
+    sim, interface = make_interface()
+    depth = SSDConfig.nvme_queue_depth
     held = []
 
     def holder():
@@ -54,10 +55,10 @@ def test_queue_depth_limits_outstanding_commands():
         yield sim.timeout(100)
         interface.release_slot()
 
-    fibers = [sim.process(holder()) for _ in range(4)]
+    fibers = [sim.process(holder()) for _ in range(depth + 2)]
     sim.run(all_of(sim, fibers))
-    # Third and fourth waited a full slot-hold each.
-    assert held == [0, 0, 100, 100]
+    # The two past the queue depth waited a full slot-hold each.
+    assert held == [0] * depth + [100, 100]
 
 
 def test_utilization_reported():
