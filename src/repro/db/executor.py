@@ -221,15 +221,19 @@ class PlanStep:
 
 
 class _BufferPool:
-    """LRU page cache of decoded rows, keyed by (table, page_no)."""
+    """Buffer-pool residency: which (table, page_no) pages host reads have
+    brought in and not yet evicted, in LRU order.  It models hits, misses
+    and eviction only; the decoded rows live in :attr:`Engine._decoded`."""
 
     def __init__(self, capacity_pages: int):
         self.capacity = max(1, capacity_pages)
-        self._entries: "OrderedDict[Tuple[str, int], List[tuple]]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Tuple[str, int]) -> Optional[List[tuple]]:
+    def get(self, key: Tuple[str, int]) -> Any:
+        """What :meth:`put` stored for a resident ``key`` (now the most
+        recently used), or None on a miss."""
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
@@ -238,8 +242,10 @@ class _BufferPool:
             self.misses += 1
         return entry
 
-    def put(self, key: Tuple[str, int], rows: List[tuple]) -> None:
-        self._entries[key] = rows
+    def put(self, key: Tuple[str, int], entry: Any = True) -> None:
+        """Make ``key`` resident (most recently used), evicting the least
+        recently used beyond capacity."""
+        self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -531,37 +537,52 @@ class Engine(RelOps):
         cols: Optional[List[str]],
     ) -> Generator:
         """Fiber: index-nested-loop join; inner data pages fetched per key
-        through the buffer pool (host preads on miss)."""
-        inner = self.db.table(inner_ref.name)
-        probe = kernels.probe(inner.schema.position(inner_key))
+        through the buffer pool (host preads on miss).
+
+        Time and values are separate jobs.  The values are one hash join:
+        the rows of the pages the probes touch, grouped by key in table
+        order, against the driving rows — the index lists a key's pages in
+        ascending order, so this is the nested loop's output order.  The
+        time is the nested loop's walk of (driving row, index page) through
+        the pool, without scanning any page.
+        """
+        name = inner_ref.name
+        inner = self.db.table(name)
         driving_key_pos = driving.position(driving_key)
+        inner_key_pos = inner.schema.position(inner_key)
         inner_cols, scan = self.scan_kernel(inner_ref)
         self._record(inner_ref, "IndexProbe(%s)" % inner_key).kernels["select"] = scan
-        out_columns, merge = kernels.merge(driving.columns, inner_cols, cols)
+        pages_of = dict.fromkeys(map(itemgetter(driving_key_pos), driving.rows))
+        for key in pages_of:
+            pages_of[key] = inner.index_pages(inner_key, key)
+        groups: Dict[Any, List[tuple]] = {key: [] for key in pages_of}
+        touched = sorted({page_no for pages in pages_of.values() for page_no in pages})
+        for row in [row for page_no in touched
+                    for row in self.table_page_rows(name, page_no)
+                    if row[inner_key_pos] in groups]:
+            groups[row[inner_key_pos]].append(row)
+        out_columns, merge = kernels.merge(
+            driving.columns, inner_cols, cols, probing=("l", driving_key_pos))
+        out_rows = merge(driving.rows, {key: scan(rows) for key, rows in groups.items()})
+
         handle = self.system.open_host(inner.path)
         page_size = inner.page_size
-        out_rows: List[tuple] = []
         probes = 0
         probed_cpu_rows = 0
         for row in driving.rows:
             key = row[driving_key_pos]
-            pages = inner.index_pages(inner_key, key)
-            probes += 1
-            for page_no in pages:
-                pool_key = (inner_ref.name, page_no)
-                cached = self.pool.get(pool_key)
-                if cached is None:
+            for page_no in pages_of[key]:
+                pool_key = (name, page_no)
+                if self.pool.get(pool_key) is None:
                     # Buffer-pool miss: a real random read.  Probes hitting
                     # evicted pages pay again — the I/O amplification that
                     # early filtering (NDP-first join order) avoids.
                     length = min(page_size, inner.inode.size - page_no * page_size)
                     yield from handle.read_timing_only(page_no * page_size, length)
                     self.host_pages_read += 1
-                    cached = self.table_page_rows(inner_ref.name, page_no)
-                    self.pool.put(pool_key, cached)
-                matched = probe(cached, key)
-                probed_cpu_rows += len(matched)
-                out_rows += merge((row,), scan(matched))
+                    self.pool.put(pool_key)
+            probes += 1
+            probed_cpu_rows += len(groups[key])
             if probes % 1024 == 0:
                 yield from self._charge(
                     1024 * PROBE_OVERHEAD_US

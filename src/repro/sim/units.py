@@ -41,3 +41,24 @@ def transfer_ns(num_bytes: int, bytes_per_sec: float) -> int:
     if bytes_per_sec <= 0:
         raise ValueError("bytes_per_sec must be positive")
     return max(1, round(num_bytes / bytes_per_sec * NS_PER_S))
+
+
+class TransferTimes(dict):
+    """:func:`transfer_ns` at one rate, by byte count: ``times[num_bytes]``.
+
+    A link moves a handful of distinct sizes (pages, stripes), so each is
+    computed once and looked up after that.  At most ``MAX_SIZES`` are
+    kept; a size beyond them is computed on every lookup.
+    """
+
+    MAX_SIZES = 1024
+
+    def __init__(self, bytes_per_sec: float):
+        super().__init__()
+        self.bytes_per_sec = bytes_per_sec
+
+    def __missing__(self, num_bytes: int) -> int:
+        hold_ns = transfer_ns(num_bytes, self.bytes_per_sec)
+        if len(self) < self.MAX_SIZES:
+            self[num_bytes] = hold_ns
+        return hold_ns

@@ -126,6 +126,7 @@ class Controller:
         self._read_overhead_ns = us_to_ns(config.firmware_read_overhead_us)
         self._dispatch_ns = us_to_ns(self.STRIPE_DISPATCH_US)
         self._cache_hit_ns = us_to_ns(config.read_cache_hit_us)
+        self._slots = config.logical_pages_per_physical
         self.stats = ReadStats(config.logical_page_bytes, registry=registry,
                                prefix=prefix + ".io")
         # Read/write commands currently in flight (issued, not yet completed
@@ -151,7 +152,7 @@ class Controller:
                 + addr.page
             )
             return addr.channel, physical_id
-        slots = self.config.logical_pages_per_physical
+        slots = self._slots
         physical_index = lpn // slots
         return physical_index % self.config.channels, physical_index
 
@@ -168,7 +169,7 @@ class Controller:
             channel, physical = self.placement(lpns[0])
             return [Stripe(channel, physical,
                            lpns if isinstance(lpns, range) else tuple(lpns))]
-        slots = self.config.logical_pages_per_physical
+        slots = self._slots
         groups: dict = {}
         if self.ftl.mapped_pages == 0:
             # Nothing written through the FTL: placement is pure round-robin
@@ -339,7 +340,7 @@ class Controller:
             self.cores.release()
         if trace is not None:
             trace.complete("fw", "dispatch", self.trace_fw_track, start_ns)
-        channel = self.nand[batch[0].channel]
+        channel = self.nand.channels[batch[0].channel]
         cache = self.cache
         caching = cache is not None and not cache_bypass
         # Fault outcomes for the whole channel command are drawn here, at
@@ -439,7 +440,7 @@ class Controller:
         attempt = 0
         while True:
             try:
-                yield from self.nand[stripe.channel].read(
+                yield from self.nand.channels[stripe.channel].read(
                     transfer, physical_page=stripe.physical, fault=fault,
                     die_request=die_request)
             except EccError as exc:

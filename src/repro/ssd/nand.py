@@ -15,7 +15,7 @@ from repro.core.errors import DeviceCrashedError, EccError, UncorrectableReadErr
 from repro.sim.engine import Event, Simulator
 from repro.sim.fastpath import ChannelFastPath, FusedPlan
 from repro.sim.resources import Resource
-from repro.sim.units import transfer_ns, us_to_ns
+from repro.sim.units import TransferTimes, us_to_ns
 from repro.ssd.config import SSDConfig
 
 __all__ = ["Channel", "NandArray", "FAULT_NOT_DRAWN"]
@@ -45,6 +45,7 @@ class Channel:
         self._sense_ns = us_to_ns(config.nand_read_us)  # tR
         self._program_ns = us_to_ns(config.nand_program_us)  # tPROG
         self._erase_ns = us_to_ns(config.nand_erase_us)  # tBERS
+        self._bus_ns = TransferTimes(config.channel_bytes_per_sec)
         # Analytic event-fusion state (repro.sim.fastpath).  Engaged by the
         # controller via try_fuse_reads when SSDConfig.sim_fast_path is on;
         # any per-event traffic arriving below de-fuses it first.
@@ -162,7 +163,7 @@ class Channel:
                     # The channel wedges with the bus held: every other die's
                     # transfer on this channel waits it out too.
                     yield sim.timeout(fault.extra_ns)
-                hold_ns = transfer_ns(transfer_bytes, config.channel_bytes_per_sec)
+                hold_ns = self._bus_ns[transfer_bytes]
                 if not sim.advance(hold_ns):
                     yield sim.timeout(hold_ns)
             finally:
@@ -192,7 +193,7 @@ class Channel:
             if not self.bus.take():
                 yield self.bus.request()
             try:
-                hold_ns = transfer_ns(transfer_bytes, config.channel_bytes_per_sec)
+                hold_ns = self._bus_ns[transfer_bytes]
                 if not sim.advance(hold_ns):
                     yield sim.timeout(hold_ns)
             finally:

@@ -12,7 +12,7 @@ from typing import Generator
 
 from repro.sim.engine import Event, Simulator, all_of
 from repro.sim.resources import Resource
-from repro.sim.units import transfer_ns
+from repro.sim.units import TransferTimes, transfer_ns
 from repro.ssd.config import SSDConfig
 
 __all__ = ["HostInterface", "Fabric"]
@@ -65,6 +65,7 @@ class HostInterface:
         self.fabric = fabric
         self.link = Resource(sim, capacity=1, name="pcie")
         self.queue_slots = Resource(sim, capacity=config.nvme_queue_depth, name="nvme-qd")
+        self._link_ns = TransferTimes(config.pcie_bytes_per_sec)
         # Trace track for xfer events; SSDDevice rescopes it ("ssd0/pcie").
         self.trace_track = "ssd/pcie"
         self.bytes_to_host = 0
@@ -96,7 +97,7 @@ class HostInterface:
             if not self.link.take():
                 yield self.link.request()
             try:
-                hold_ns = transfer_ns(num_bytes, self.config.pcie_bytes_per_sec)
+                hold_ns = self._link_ns[num_bytes]
                 if not self.sim.advance(hold_ns):
                     yield self.sim.timeout(hold_ns)
             finally:
@@ -123,7 +124,7 @@ class HostInterface:
     def _link_hop(self, num_bytes: int) -> Generator:
         yield self.link.request()
         try:
-            yield self.sim.timeout(transfer_ns(num_bytes, self.config.pcie_bytes_per_sec))
+            yield self.sim.timeout(self._link_ns[num_bytes])
         finally:
             self.link.release()
 

@@ -103,6 +103,25 @@ def test_constants_are_bound_by_name_never_spliced_into_source():
     assert kernel([(1, values[1], needle, 0)]) == []  # frozenset([1]) is not 1
 
 
+def test_a_source_compiles_once_and_each_build_binds_its_own_constants(monkeypatch):
+    calls = []
+
+    def counting_compile(*args):
+        calls.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(kernels, "compile", counting_compile, raising=False)
+    # A source no other test builds, so the process-wide cache is cold.
+    source = "def kernel(rows): return [r for r in rows if r[0] == k0 + 0]"
+    equals_two = kernels.build(source, {"k0": 2})
+    equals_five = kernels.build(source, {"k0": 5})
+    assert calls == [source]
+    assert equals_two.source == equals_five.source == source
+    rows = [(2,), (5,), (2,)]
+    assert equals_two(rows) == [(2,), (2,)]
+    assert equals_five(rows) == [(5,)]
+
+
 # ---------------------------------------------------------- one aggregate
 def test_aggplan_contract():
     rows = [("a", 1), ("a", 2), ("b", 5)]
@@ -231,8 +250,6 @@ def test_generated_kernels_agree_with_the_independent_interpreter(seed):
     assert kernels.select(_POSITIONS, None, exprs)(rows) == values
     assert kernels.select(_POSITIONS, pred, exprs)(rows) == [
         value for value, keep in zip(values, truth) if keep]
-    key = rng.choice(rows)[3]
-    assert kernels.probe(3)(rows, key) == [row for row in rows if row[3] == key]
     # The fold against a per-row fold over the interpreter's values.
     sums: dict = {}
     for row, value in zip(rows, want[1]):

@@ -5,10 +5,10 @@ entered or generator resumed; counted by the code object's file, the numbers
 repeat exactly, so a re-grown hot path fails CI without reading a clock.
 The ceilings sit a few calls above today's counts (DESIGN.md "Event
 engine"): bare loop 3.50 calls in ``repro/sim/`` per event; a QD-1 one-page
-host read 49.1 calls under ``repro/`` (28.1 in ``repro/sim/``) for 0 events
+host read 44.5 calls under ``repro/`` (26.5 in ``repro/sim/``) for 0 events
 (every hold continues in line; one-page reads never fuse); an internal one
-29.1 for 0 events; a one-page overwrite of a 64-extent file
-23.6 calls internally, 43.8 through the host, 290 events for the 400 writes
+25.5 for 0 events; a one-page overwrite of a 64-extent file
+23.3 calls internally, 42.6 through the host, 290 events for the 400 writes
 either way.
 """
 

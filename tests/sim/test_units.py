@@ -6,6 +6,7 @@ from repro.sim.units import (
     GIB,
     KIB,
     MIB,
+    TransferTimes,
     ms_to_ns,
     ns_to_s,
     ns_to_us,
@@ -38,3 +39,13 @@ def test_transfer_time():
 def test_transfer_requires_positive_rate():
     with pytest.raises(ValueError):
         transfer_ns(100, 0)
+
+
+def test_transfer_times_equal_transfer_ns_and_keep_a_bounded_table():
+    times = TransferTimes(275e6)
+    sizes = range(1, TransferTimes.MAX_SIZES + 11)
+    assert [times[size] for size in sizes] == [transfer_ns(size, 275e6) for size in sizes]
+    assert times[4096] == transfer_ns(4096, 275e6)
+    assert len(times) == TransferTimes.MAX_SIZES
+    with pytest.raises(ValueError):
+        TransferTimes(0)[100]
