@@ -29,7 +29,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 from repro.db import kernels
 from repro.db.catalog import TableSchema
 from repro.db.expr import Col, Expr
-from repro.db.storage import Database, TableStorage, decode_rows
+from repro.db.storage import Database, TableStorage
 from repro.host.platform import System
 from repro.sim.engine import all_of
 
@@ -227,28 +227,24 @@ class _BufferPool:
 
     def __init__(self, capacity_pages: int):
         self.capacity = max(1, capacity_pages)
-        self._entries: "OrderedDict[Tuple[str, int], Any]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, int], None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: Tuple[str, int]) -> Any:
-        """What :meth:`put` stored for a resident ``key`` (now the most
-        recently used), or None on a miss."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-        else:
-            self.misses += 1
-        return entry
-
-    def put(self, key: Tuple[str, int], entry: Any = True) -> None:
-        """Make ``key`` resident (most recently used), evicting the least
+    def touch(self, key: Tuple[str, int]) -> bool:
+        """Count a visit to ``key`` and make it the most recently used:
+        True on a hit; on a miss it becomes resident, evicting the least
         recently used beyond capacity."""
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            self.hits += 1
+            return True
+        self.misses += 1
+        entries[key] = None
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
+        return False
 
     def clear(self) -> None:
         self._entries.clear()
@@ -572,15 +568,13 @@ class Engine(RelOps):
         for row in driving.rows:
             key = row[driving_key_pos]
             for page_no in pages_of[key]:
-                pool_key = (name, page_no)
-                if self.pool.get(pool_key) is None:
+                if not self.pool.touch((name, page_no)):
                     # Buffer-pool miss: a real random read.  Probes hitting
                     # evicted pages pay again — the I/O amplification that
                     # early filtering (NDP-first join order) avoids.
                     length = min(page_size, inner.inode.size - page_no * page_size)
                     yield from handle.read_timing_only(page_no * page_size, length)
                     self.host_pages_read += 1
-                    self.pool.put(pool_key)
             probes += 1
             probed_cpu_rows += len(groups[key])
             if probes % 1024 == 0:

@@ -1,12 +1,9 @@
-"""Per-query causal tracing: DAG assembly, critical paths, tail attribution.
+"""Per-query causal tracing: critical paths and tail attribution.
 
 The EventBus tags every emission with the active :class:`TraceContext`
 (``q=<qid>``, ``tn=<tenant>``), so a single event stream already contains
-request identity — this module *reassembles* it.  Three consumers:
+request identity — this module *reassembles* it.  Two consumers:
 
-* :func:`assemble_dag` — the per-query causal DAG: one node per tagged span,
-  with containment edges (a ``fw`` span inside the ``ctrl/read`` envelope)
-  and spawn edges (a ``+hedge0`` child scope hangs off its parent scope).
 * :func:`critical_path` — the backward last-finisher walk: from the query's
   end, repeatedly step to the span that finished latest and jump to its
   start; the returned chain is the sequence of work (and waits) that the
@@ -44,9 +41,7 @@ from repro.instrument.metrics import order_statistic
 __all__ = [
     "COMPONENTS",
     "QueryTrace",
-    "SpanNode",
     "group_queries",
-    "assemble_dag",
     "critical_path",
     "component_of",
     "attribute_query",
@@ -96,8 +91,8 @@ _SPAN_COMPONENT: Dict[Tuple[str, str], str] = {
 }
 
 #: Envelope spans: containers whose duration is the *sum* of finer-grained
-#: work inside them.  They are DAG nodes but never attribution sources and
-#: never critical-path steps (their children are).
+#: work inside them.  They are never attribution sources and never
+#: critical-path steps (their children are).
 _ENVELOPE_SPANS = frozenset([
     ("nvme", "read"), ("nvme", "write"),
     ("ctrl", "read"), ("ctrl", "write"),
@@ -193,70 +188,6 @@ def group_queries(events: Sequence[TraceEvent]) -> List[QueryTrace]:
         if end > record[4]:
             record[4] = end
     return [QueryTrace(*record) for record in by_root.values()]
-
-
-# ------------------------------------------------------------------ DAG
-class SpanNode(NamedTuple):
-    """One node of a query's causal DAG."""
-
-    index: int                    #: emission index within the query trace
-    event: TraceEvent
-    parent: Optional[int]         #: index of the enclosing/spawning node
-    kind: str                     #: "contain" | "spawn" | "root"
-
-
-def assemble_dag(trace: QueryTrace) -> List[SpanNode]:
-    """The query's causal DAG as a parent-linked forest.
-
-    Two edge kinds: **containment** (the latest-emitted *earlier* span on
-    the same track whose interval covers this event's) and **spawn** (a
-    child scope's span hangs off the last span emitted so far under its
-    parent scope — a ``+hedge0`` leg off the hedged scan).  Events with
-    neither are roots.  Instant events attach the same way.
-
-    The bus emits a span when it *ends*, so a container is emitted after
-    the spans inside it and is therefore never their "earlier" coverer: on
-    a real trace containment links only spans that end at the same instant
-    (ROADMAP item 5 has the counts; ``tests/instrument/test_dag_finding.py``
-    pins them).
-
-    Per track, the spans seen so far sit in emission order beside the
-    running maximum of their ends; the backward search for the coverer
-    stops as soon as that maximum falls below the event's end, because
-    nothing earlier can reach it.
-    """
-    nodes: List[SpanNode] = []
-    # Last span seen per exact qid path, for spawn edges.
-    last_for_qid: Dict[str, int] = {}
-    # track -> ([(ts, end, index) of each span seen], [max end so far]).
-    tracks: Dict[str, Tuple[List[Tuple[int, int, int]], List[int]]] = {}
-    for i, event in enumerate(trace.events):
-        ts, dur, _cat, _name, track, args = event
-        end = ts + dur if dur else ts
-        qid = (args or {}).get("q", trace.qid)
-        parent: Optional[int] = None
-        kind = "root"
-        seen = tracks.get(track)
-        if seen is None:
-            seen = tracks[track] = ([], [])
-        spans, reach = seen
-        k = len(spans) - 1
-        while k >= 0 and reach[k] >= end:
-            other_ts, other_end, j = spans[k]
-            if other_ts <= ts and end <= other_end:
-                parent, kind = j, "contain"
-                break
-            k -= 1
-        if parent is None and "+" in qid:
-            parent = last_for_qid.get(qid.rsplit("+", 1)[0])
-            if parent is not None:
-                kind = "spawn"
-        nodes.append(SpanNode(i, event, parent, kind))
-        if dur is not None:
-            last_for_qid[qid] = i
-            spans.append((ts, end, i))
-            reach.append(end if not reach or end > reach[-1] else reach[-1])
-    return nodes
 
 
 # -------------------------------------------------------------- critical path

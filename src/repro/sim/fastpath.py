@@ -10,11 +10,9 @@ analytically (:class:`FusedTimingCalculator`), keeps the pending plans per
 channel (:class:`ChannelFastPath`), and retires an entire batch through a
 single timer event — bit-identical completion times, a fraction of the heap
 traffic.  Only multi-stripe channel commands fuse: a one-page read is one
-die hold and one bus hold, cheaper per-event than as a plan.  When that
-timer would be the very next heap entry and no other plan is in flight,
-the batch settles in line instead (the in-line rule of
-:meth:`Simulator.advance`) and :meth:`ChannelFastPath.try_fuse` returns
-:data:`SETTLED`: no timer, no completion event.
+die hold and one bus hold, cheaper per-event than as a plan.  The
+calculator takes its channel's tR and bus transfer table at construction,
+so a plan's transfer times come from the same table as a per-event read's.
 
 Determinism and equivalence rest on three invariants:
 
@@ -51,47 +49,27 @@ utilization monitor) equals the per-event path's at every instant.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Event, Simulator, all_of
 from repro.sim.resources import Resource
-from repro.sim.units import transfer_ns
+from repro.sim.units import TransferTimes
 
-__all__ = ["ChannelFastPath", "FusedTimingCalculator", "FusedOp", "FusedPlan",
-           "SETTLED"]
+__all__ = ["ChannelFastPath", "FusedTimingCalculator", "FusedOp"]
 
 #: Relative per-op schedule: (sense_start, sense_end, bus_start, completion).
 _RelTimes = Tuple[Tuple[int, int, int, int], ...]
 
 
-class _Settled:
-    """Type of :data:`SETTLED`."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "SETTLED"
-
-
-#: What :meth:`ChannelFastPath.try_fuse` returns for a plan that completed
-#: in line: the clock already stands at its end and nothing is left to await.
-SETTLED = _Settled()
-
-#: A fused batch: the event its dispatcher awaits, or :data:`SETTLED`.
-FusedPlan = Union[Event, _Settled]
-
-
 class FusedOp:
     """One in-flight page read, reconstructed at materialization time."""
 
-    __slots__ = ("transfer_bytes", "sense_ns", "transfer_time_ns",
-                 "sense_start", "sense_end", "bus_start", "completion")
+    __slots__ = ("transfer_bytes", "transfer_time_ns", "sense_start",
+                 "sense_end", "bus_start", "completion")
 
-    def __init__(self, transfer_bytes: int, sense_ns: int,
-                 sense_start: int, sense_end: int, bus_start: int,
-                 completion: int):
+    def __init__(self, transfer_bytes: int, sense_start: int, sense_end: int,
+                 bus_start: int, completion: int):
         self.transfer_bytes = transfer_bytes
-        self.sense_ns = sense_ns
         self.transfer_time_ns = completion - bus_start
         self.sense_start = sense_start
         self.sense_end = sense_end
@@ -100,20 +78,22 @@ class FusedOp:
 
 
 class FusedTimingCalculator:
-    """Closed-form, memoized schedule for a run of page reads."""
+    """Closed-form, memoized schedule for a run of page reads on one
+    channel: ``sense_ns`` is its tR, ``bus_ns`` its bus transfer table."""
 
     #: Memoized relative schedules; cleared wholesale when full so memory
     #: stays bounded without recency bookkeeping (which would make cache
     #: state depend on workload order).
     CACHE_LIMIT = 4096
 
-    def __init__(self) -> None:
+    def __init__(self, sense_ns: int, bus_ns: TransferTimes) -> None:
+        self.sense_ns = sense_ns
+        self.bus_ns = bus_ns
         self._cache: Dict[tuple, tuple] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
     def schedule(self, now: int, die_free: Deque[int], bus_free: int,
-                 sense_ns: int, rate: float,
                  sizes: Tuple[int, ...]) -> Tuple[_RelTimes, int, int, int]:
         """Schedule ``sizes`` (transfer bytes, arrival order) at ``now``.
 
@@ -130,10 +110,11 @@ class FusedTimingCalculator:
         else:
             rel_die = tuple(t - now if t > now else 0 for t in die_free)
         rel_bus = bus_free - now if bus_free > now else 0
-        key = (rel_die, rel_bus, sense_ns, rate, sizes)
+        key = (rel_die, rel_bus, sizes)
         entry = self._cache.get(key)
         if entry is None:
             self.cache_misses += 1
+            sense_ns, bus_ns = self.sense_ns, self.bus_ns
             work = deque(rel_die)
             bus = rel_bus
             rel_times: List[Tuple[int, int, int, int]] = []
@@ -142,7 +123,7 @@ class FusedTimingCalculator:
                 start = work.popleft()
                 sense_end = start + sense_ns
                 bus_start = sense_end if sense_end > bus else bus
-                completion = bus_start + transfer_ns(size, rate)
+                completion = bus_start + bus_ns[size]
                 bus = completion
                 work.append(completion)
                 rel_times.append((start, sense_end, bus_start, completion))
@@ -165,15 +146,14 @@ class FusedTimingCalculator:
 class _FusedBatch:
     """One fused channel command and the event its dispatcher awaits."""
 
-    __slots__ = ("base_ns", "sizes", "sense_ns", "rel_times", "dies_area",
-                 "bus_area", "total_bytes", "completion", "done")
+    __slots__ = ("base_ns", "sizes", "rel_times", "dies_area", "bus_area",
+                 "total_bytes", "completion", "done")
 
-    def __init__(self, base_ns: int, sizes: Tuple[int, ...], sense_ns: int,
+    def __init__(self, base_ns: int, sizes: Tuple[int, ...],
                  rel_times: _RelTimes, dies_area: int, bus_area: int,
                  completion: Event):
         self.base_ns = base_ns
         self.sizes = sizes
-        self.sense_ns = sense_ns
         self.rel_times = rel_times
         self.dies_area = dies_area
         self.bus_area = bus_area
@@ -185,17 +165,18 @@ class _FusedBatch:
 class ChannelFastPath:
     """Analytic stand-in for one channel's die pool and bus.
 
-    Owned by :class:`repro.ssd.nand.Channel`; ``on_complete(bytes, reads)``
-    charges the channel's byte/read counters for settled work.
+    Owned by :class:`repro.ssd.nand.Channel`, which passes its tR and bus
+    transfer table once; ``on_complete(bytes, reads)`` charges the
+    channel's byte/read counters for settled work.
     """
 
     def __init__(self, sim: Simulator, dies: Resource, bus: Resource,
-                 on_complete) -> None:
+                 sense_ns: int, bus_ns: TransferTimes, on_complete) -> None:
         self.sim = sim
         self.dies = dies
         self.bus = bus
         self._on_complete = on_complete
-        self.calculator = FusedTimingCalculator()
+        self.calculator = FusedTimingCalculator(sense_ns, bus_ns)
         self._die_free: Deque[int] = deque()
         self._bus_free = 0
         self._batches: List[_FusedBatch] = []
@@ -243,15 +224,12 @@ class ChannelFastPath:
         return area
 
     # ------------------------------------------------------------------ fuse
-    def try_fuse(self, sizes: Tuple[int, ...], sense_ns: int,
-                 rate: float) -> Optional[FusedPlan]:
+    def try_fuse(self, sizes: Tuple[int, ...]) -> Optional[Event]:
         """Schedule a batch of reads analytically; None when the channel
         must stay per-event (real traffic holds or awaits a die/bus unit).
 
         The caller guarantees no fault was drawn for any op and tracing is
-        off.  Returns the event that triggers when the whole batch is done,
-        or :data:`SETTLED` when the batch already is: the idiom is ``if
-        fused is not SETTLED: yield fused``.
+        off.  Returns the event that triggers when the whole batch is done.
         """
         sim = self.sim
         now = sim.now
@@ -266,19 +244,11 @@ class ChannelFastPath:
             self._bus_free = now
         rel_times, self._bus_free, dies_area, bus_area = (
             self.calculator.schedule(now, self._die_free, self._bus_free,
-                                     sense_ns, rate, sizes))
+                                     sizes))
         self.fused_batches += 1
         self.fused_pages += len(sizes)
-        if not self._batches and sim.advance(rel_times[-1][3]):
-            # The timer's entry would be the very next one popped, and
-            # _finalize's completion entry the one after it, resuming only
-            # the caller: settle at once, exactly as _finalize would.
-            self.dies.backfill_busy(dies_area)
-            self.bus.backfill_busy(bus_area)
-            self._on_complete(sum(sizes), len(sizes))
-            return SETTLED
-        batch = _FusedBatch(now, sizes, sense_ns, rel_times, dies_area,
-                            bus_area, Event(sim))
+        batch = _FusedBatch(now, sizes, rel_times, dies_area, bus_area,
+                            Event(sim))
         self._batches.append(batch)
         # Completions are bus-serialized, so the batch is done at its last
         # op's completion: one timer retires the whole plan.
@@ -330,8 +300,8 @@ class ChannelFastPath:
                     bus_area += completion - bus_start
                     self._on_complete(size, 1)
                     continue
-                op = FusedOp(size, batch.sense_ns, sense_start,
-                             base + times[1], bus_start, completion)
+                op = FusedOp(size, sense_start, base + times[1], bus_start,
+                             completion)
                 # Ops come in sense_start order, so every op recreating a
                 # die hold is handled before any op that must queue for one
                 # — the queued requests below therefore see the true in_use.
@@ -380,7 +350,7 @@ class ChannelFastPath:
         sim = self.sim
         if die_request is not None:
             yield die_request
-            yield sim.timeout(op.sense_ns)
+            yield sim.timeout(self.calculator.sense_ns)
         elif op.sense_end > start_ns:
             yield sim.timeout(op.sense_end - start_ns)
         if bus_held:

@@ -85,7 +85,7 @@ class SSDConfig:
     # one-page reads always step per-event.  False restores event-per-op
     # stepping.  Simulated times and sampled busy time are the same either
     # way (the fastpath and fastshape differential arms, and Fig. 9 run
-    # both ways in tests/power); ROADMAP item 1(e) is the one known
+    # both ways in tests/power); ROADMAP item 12(d) is the one known
     # same-instant tie a de-fused plan can swap.
     sim_fast_path: bool = True
     device_cores: ClassVar[int] = 2  # ARM Cortex R7 cores available to Biscuit (Table I)

@@ -30,7 +30,6 @@ from typing import Any, Generator, List, NamedTuple, Optional, Sequence, Tuple
 from repro.core.errors import EccError, UncorrectableReadError
 from repro.instrument.metrics import Counters, MetricsRegistry
 from repro.sim.engine import Event, Simulator, all_of, backoff
-from repro.sim.fastpath import SETTLED
 from repro.sim.resources import Resource
 from repro.sim.units import us_to_ns
 from repro.ssd.cache import DeviceReadCache
@@ -409,8 +408,7 @@ class Controller:
                     cache.note_bypass()
             self.stats.fused_commands += 1
             self.stats.fused_stripes += len(batch)
-            if fused is not SETTLED:
-                yield fused
+            yield fused
             return
         if channel.fastpath.active:
             channel.fastpath.materialize()

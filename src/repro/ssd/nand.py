@@ -13,7 +13,7 @@ from typing import Any, Generator, Optional, Tuple
 
 from repro.core.errors import DeviceCrashedError, EccError, UncorrectableReadError
 from repro.sim.engine import Event, Simulator
-from repro.sim.fastpath import ChannelFastPath, FusedPlan
+from repro.sim.fastpath import ChannelFastPath
 from repro.sim.resources import Resource
 from repro.sim.units import TransferTimes, us_to_ns
 from repro.ssd.config import SSDConfig
@@ -50,6 +50,7 @@ class Channel:
         # controller via try_fuse_reads when SSDConfig.sim_fast_path is on;
         # any per-event traffic arriving below de-fuses it first.
         self.fastpath = ChannelFastPath(sim, self.dies, self.bus,
+                                        self._sense_ns, self._bus_ns,
                                         self._fused_done)
         # Trace track for nand.* events; SSDDevice rescopes it ("ssd0/ch3").
         self.trace_track = "ssd/ch%d" % index
@@ -63,13 +64,13 @@ class Channel:
         self.bytes_read += nbytes
         self.reads += reads
 
-    def try_fuse_reads(self, sizes: Tuple[int, ...]) -> Optional[FusedPlan]:
-        """Try to run a batch of page reads analytically (one completion
-        event instead of ~6 per op, or none: ``fastpath.SETTLED``); None
-        when the channel must stay per-event.  ``sizes`` are the per-page
-        transfer bytes in arrival order.  The caller guarantees no fault
-        is pending for any of these reads and that tracing is off (traced
-        runs need every event).
+    def try_fuse_reads(self, sizes: Tuple[int, ...]) -> Optional[Event]:
+        """Try to run a batch of page reads analytically: the returned
+        event triggers when the whole batch is done, one event instead of
+        ~6 per op.  None when the channel must stay per-event.  ``sizes``
+        are the per-page transfer bytes in arrival order.  The caller
+        guarantees no fault is pending for any of these reads and that
+        tracing is off (traced runs need every event).
         """
         if self.sim.trace is not None:
             return None
@@ -79,14 +80,12 @@ class Channel:
             # cannot see into.  Sanitized runs therefore step per-event,
             # like traced runs.
             return None
-        config = self.config
-        page_bytes = config.physical_page_bytes
+        page_bytes = self.config.physical_page_bytes
         for transfer_bytes in sizes:
             if not 0 < transfer_bytes <= page_bytes:
                 raise ValueError("transfer of %d bytes from a %d-byte page"
                                  % (transfer_bytes, page_bytes))
-        return self.fastpath.try_fuse(sizes, self._sense_ns,
-                                      config.channel_bytes_per_sec)
+        return self.fastpath.try_fuse(sizes)
 
     def read(self, transfer_bytes: int,
              physical_page: Optional[int] = None,

@@ -272,6 +272,6 @@ def test_buffer_pool_caches_probe_pages(engine):
 
 
 def test_begin_query_cold_clears_pool(engine):
-    engine.pool.put(("users", 0), [])
+    engine.pool.touch(("users", 0))
     engine.begin_query(cold=True)
-    assert engine.pool.get(("users", 0)) is None
+    assert not engine.pool.touch(("users", 0))

@@ -43,14 +43,11 @@ def nested_loop_join(engine, driving, inner_ref, driving_key, inner_key, cols):
         pages = inner.index_pages(inner_key, key)
         probes += 1
         for page_no in pages:
-            pool_key = (inner_ref.name, page_no)
-            cached = engine.pool.get(pool_key)
-            if cached is None:
+            if not engine.pool.touch((inner_ref.name, page_no)):
                 length = min(page_size, inner.inode.size - page_no * page_size)
                 yield from handle.read_timing_only(page_no * page_size, length)
                 engine.host_pages_read += 1
-                cached = engine.table_page_rows(inner_ref.name, page_no)
-                engine.pool.put(pool_key, cached)
+            cached = engine.table_page_rows(inner_ref.name, page_no)
             matched = [r for r in cached if r[inner_key_pos] == key]
             probed_cpu_rows += len(matched)
             out_rows += merge((row,), scan(matched))

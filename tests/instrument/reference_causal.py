@@ -11,7 +11,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.instrument.causal import (
     COMPONENTS,
     QueryTrace,
-    SpanNode,
     component_of,
 )
 from repro.instrument.events import TraceEvent
@@ -53,48 +52,6 @@ def group_queries(events: Sequence[TraceEvent]) -> List[QueryTrace]:
             max(event.end_ns for event in bucket),
         ))
     return traces
-
-
-def assemble_dag(trace: QueryTrace) -> List[SpanNode]:
-    """The query's causal DAG as a parent-linked forest.
-
-    Two edge kinds: **containment** (smallest enclosing span on the same
-    track — a ``nand/die-wait`` inside its channel's ``nand/read``) and
-    **spawn** (a child scope's first span hangs off the last span of its
-    parent scope that started at or before it — a ``+hedge0`` leg off the
-    hedged scan).  Spans with neither are roots.  Instant events attach by
-    containment only.
-    """
-    spans = [(i, e) for i, e in enumerate(trace.events) if e.dur_ns is not None]
-    nodes: List[SpanNode] = []
-    # Last span seen per exact qid path, for spawn edges.
-    last_for_qid: Dict[str, int] = {}
-    # Open spans per track for containment: (end_ns, index) stacks.
-    for i, event in enumerate(trace.events):
-        qid = (event.args or {}).get("q", trace.qid)
-        parent: Optional[int] = None
-        kind = "root"
-        # Containment: latest-emitted span on the same track that strictly
-        # covers this event's interval.
-        best: Optional[int] = None
-        for j, other in spans:
-            if j >= i:
-                break
-            if other.track != event.track:
-                continue
-            if other.ts_ns <= event.ts_ns and event.end_ns <= other.end_ns:
-                best = j
-        if best is not None:
-            parent, kind = best, "contain"
-        elif "+" in qid:
-            parent_qid = qid.rsplit("+", 1)[0]
-            spawn = last_for_qid.get(parent_qid)
-            if spawn is not None:
-                parent, kind = spawn, "spawn"
-        nodes.append(SpanNode(i, event, parent, kind if parent is not None else "root"))
-        if event.dur_ns is not None:
-            last_for_qid[qid] = i
-    return nodes
 
 
 def critical_path(trace: QueryTrace) -> List[TraceEvent]:

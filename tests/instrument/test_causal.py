@@ -1,12 +1,11 @@
-"""Causal tracing: context propagation, DAG assembly, critical paths, and
-the exact (ns-integer) tail-latency attribution."""
+"""Causal tracing: context propagation, critical paths, and the exact
+(ns-integer) tail-latency attribution."""
 
 import pytest
 
 from repro.host.platform import System
 from repro.instrument.causal import (
     COMPONENTS,
-    assemble_dag,
     attribute,
     attribute_query,
     critical_path,
@@ -237,34 +236,6 @@ class TestCriticalPath:
         ]
         path = critical_path(group_queries(events)[0])
         assert [(e.cat, e.name) for e in path] == [("nand", "read")]
-
-
-# ------------------------------------------------------------------ DAG
-class TestAssembleDag:
-    def test_containment_spawn_and_root(self):
-        events = [
-            span(0, 100, "ctrl", "read", track="ssd0/ctrl"),
-            span(10, 20, "fw", "dispatch", track="ssd0/ctrl"),
-            span(40, 10, "resil", "hedge-wait", track="host/resil",
-                 q="q1+hedge0"),
-            span(50, 10, "driver", "submit", track="host/io"),
-        ]
-        nodes = assemble_dag(group_queries(events)[0])
-        assert nodes[0].kind == "root" and nodes[0].parent is None
-        assert nodes[1].kind == "contain" and nodes[1].parent == 0
-        # The child scope's first span spawns off the last parent-scope span.
-        assert nodes[2].kind == "spawn" and nodes[2].parent == 1
-        # Same scope, different track, no cover: a root.
-        assert nodes[3].kind == "root"
-
-    def test_innermost_cover_wins(self):
-        events = [
-            span(0, 100, "ctrl", "read", track="ssd0/ctrl"),
-            span(10, 80, "fw", "scan", track="ssd0/ctrl"),
-            span(20, 10, "fw", "dispatch", track="ssd0/ctrl"),
-        ]
-        nodes = assemble_dag(group_queries(events)[0])
-        assert nodes[2].parent == 1
 
 
 # ------------------------------------------------------------- whole systems

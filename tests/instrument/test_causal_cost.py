@@ -2,13 +2,13 @@
 
 ``sys.settrace`` reports a ``line`` event for every source line executed;
 counted inside ``instrument/causal.py`` only, the numbers repeat exactly
-(the ``tests/sim/test_engine_cost.py`` idiom).  Each of the four passes is
+(the ``tests/sim/test_engine_cost.py`` idiom).  Each of the three passes is
 one sort plus one sweep, so a query of twice the spans costs twice the
-lines: 25 / 11 / 19 / 13 per span today for attribute / critical path / DAG
-/ group on the synthetic query below, where the quadratic passes they
-replaced (``reference_causal.py``) execute 9,762 / 3,865 / 7,216 lines per
-span at 4,000 spans and half that at 2,000 (DESIGN.md "Causal tracing &
-attribution", *Cost*).
+lines: 25 / 11 / 13 per span today for attribute / critical path / group
+on the synthetic query below, where the quadratic passes they replaced
+(``reference_causal.py``) execute 9,762 / 3,865 lines per span at 4,000
+spans and half that at 2,000 (DESIGN.md "Causal tracing & attribution",
+*Cost*).
 """
 
 import sys
@@ -30,8 +30,7 @@ DOUBLING_RATIO_CEILING = 2.2
 def synthetic_events(count):
     """One query of ``count`` overlapping spans over five tracks, with child
     scopes, in bus (end-time) order; every tenth event is an instant at the
-    end of the span before it, on its track — the one containment a bus-
-    ordered stream has (a container is emitted *after* what it contains)."""
+    end of the span before it, on its track."""
     events = []
     for index in range(count):
         cat, name = KINDS[index % len(KINDS)]
@@ -75,7 +74,6 @@ PASSES = {
     "group_queries": lambda events, trace: (causal.group_queries, events),
     "attribute_query": lambda events, trace: (causal.attribute_query, trace),
     "critical_path": lambda events, trace: (causal.critical_path, trace),
-    "assemble_dag": lambda events, trace: (causal.assemble_dag, trace),
 }
 
 
@@ -95,13 +93,11 @@ def test_lines_per_span_are_bounded_and_linear(name):
 
 def test_the_synthetic_query_exercises_every_pass():
     """The counts above mean something only if the input is not degenerate:
-    overlaps to sweep, a long path to walk, containment to search for."""
+    overlaps to sweep and a long path to walk."""
     (trace,) = causal.group_queries(synthetic_events(2000))
     totals = causal.attribute_query(trace)
     assert sum(1 for name in causal.COMPONENTS if totals[name]) >= 6
     assert len(causal.critical_path(trace)) > 500
-    kinds = {node.kind for node in causal.assemble_dag(trace)}
-    assert kinds == {"root", "contain", "spawn"}
 
 
 def test_a_traced_fig10_query_is_attributable():
@@ -138,7 +134,3 @@ def test_a_traced_fig10_query_is_attributable():
         assert step.end_ns <= following.end_ns
         gaps += max(0, following.ts_ns - step.end_ns)
     assert gaps == totals["other"]
-
-    nodes = causal.assemble_dag(trace)
-    assert [node.index for node in nodes] == list(range(len(trace.events)))
-    assert all(node.event is event for node, event in zip(nodes, trace.events))

@@ -10,8 +10,8 @@ from collections import deque
 import pytest
 
 from repro.sim.engine import Simulator, all_of
-from repro.sim.fastpath import SETTLED, FusedTimingCalculator
-from repro.sim.units import transfer_ns, us_to_ns
+from repro.sim.fastpath import FusedTimingCalculator
+from repro.sim.units import TransferTimes, transfer_ns, us_to_ns
 from repro.ssd.config import SSDConfig
 from repro.ssd.nand import Channel
 
@@ -48,10 +48,10 @@ def _slow_run(config, arrivals):
 
 
 class _RecordingCalculator(FusedTimingCalculator):
-    """Keeps every plan's (base ns, relative schedule), settled or not."""
+    """Keeps every plan's (base ns, relative schedule)."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, channel):
+        super().__init__(channel._sense_ns, channel._bus_ns)
         self.plans = []
 
     def schedule(self, now, *args):
@@ -62,23 +62,19 @@ class _RecordingCalculator(FusedTimingCalculator):
 
 def _fast_run(config, arrivals):
     """Fused arm for the same stimulus: one dispatcher fiber per arrival
-    fuses its batch and awaits the plan, unless it came back ``SETTLED``.
-    Per-op completions are read off the recorded schedules; ``settled``
-    maps each arrival to whether its plan settled in line."""
+    fuses its batch and awaits the plan.  Per-op completions are read off
+    the recorded schedules."""
     sim = Simulator(race_check=False)
     channel = Channel(sim, config, 0)
-    calculator = channel.fastpath.calculator = _RecordingCalculator()
-    settled = {}
+    calculator = channel.fastpath.calculator = _RecordingCalculator(channel)
 
     def dispatcher(at_ns, sizes):
         yield sim.timeout(at_ns)
         fused = channel.try_fuse_reads(tuple(sizes))
         assert fused is not None
         base, rel_times = calculator.plans[-1]
-        settled[at_ns] = fused is SETTLED
-        if fused is not SETTLED:
-            yield fused
-        # Either way the dispatcher resumes at the plan's last completion.
+        yield fused
+        # The dispatcher resumes at the plan's last completion.
         assert sim.now == base + rel_times[-1][3]
 
     for at_ns, sizes in arrivals:
@@ -87,48 +83,43 @@ def _fast_run(config, arrivals):
     completions = {(base, i): base + times[3]
                    for base, rel_times in calculator.plans
                    for i, times in enumerate(rel_times)}
-    return completions, sim, channel, settled
+    return completions, sim, channel
 
 
 def test_fused_schedule_matches_per_event_protocol():
     config = _config()
     arrivals = [(0, list(SIZES))]
     slow_done, slow_sim, slow_ch = _slow_run(config, arrivals)
-    fast_done, fast_sim, fast_ch, settled = _fast_run(config, arrivals)
+    fast_done, fast_sim, fast_ch = _fast_run(config, arrivals)
     assert fast_done == slow_done  # every op, bit-identical completion
     assert fast_sim.now == slow_sim.now
     assert fast_ch.bytes_read == slow_ch.bytes_read == sum(SIZES)
     assert fast_ch.reads == slow_ch.reads == len(SIZES)
-    # The point of fusing: the whole batch retires in a handful of events
-    # (here none: nothing else is due, so the plan settles in line).
-    assert settled == {0: True}
+    # The point of fusing: the whole batch retires in a handful of events.
     assert fast_sim.events_processed < slow_sim.events_processed / 4
 
 
 def test_chained_batches_match_staggered_arrivals():
     """A batch arriving while fused plans are in flight chains onto the
-    analytic queue state — exactly the per-event FIFO it stands in for.
-    Neither plan settles in line: the first has the second's arrival due
-    inside its window, the second has the first still in flight."""
+    analytic queue state — exactly the per-event FIFO it stands in for."""
     config = _config()
     first = [16384] * 6
     second = [16384, 8192, 16384]
     mid_ns = us_to_ns(config.nand_read_us) + 5_000  # inside the first plan
     arrivals = [(0, first), (mid_ns, second)]
     slow_done, slow_sim, slow_ch = _slow_run(config, arrivals)
-    fast_done, fast_sim, fast_ch, settled = _fast_run(config, arrivals)
+    fast_done, fast_sim, fast_ch = _fast_run(config, arrivals)
     assert fast_done == slow_done
     assert fast_sim.now == slow_sim.now
     assert fast_ch.bytes_read == slow_ch.bytes_read
     assert fast_ch.fastpath.fused_batches == 2
-    assert settled == {0: False, mid_ns: False}
 
 
 def test_utilization_identical_after_settle():
     config = _config()
     arrivals = [(0, list(SIZES))]
     _done, slow_sim, slow_ch = _slow_run(config, arrivals)
-    _done, fast_sim, fast_ch, _settled = _fast_run(config, arrivals)
+    _done, fast_sim, fast_ch = _fast_run(config, arrivals)
     assert fast_sim.now == slow_sim.now
     assert fast_ch.dies.busy_area() == slow_ch.dies.busy_area()
     assert fast_ch.bus.busy_area() == slow_ch.bus.busy_area()
@@ -160,7 +151,7 @@ def test_busy_area_mid_plan_matches_per_event_protocol():
         def reader():
             if fast:
                 fused = channel.try_fuse_reads(SIZES)
-                assert fused is not None and fused is not SETTLED
+                assert fused is not None
                 yield fused
             else:
                 yield all_of(sim, [sim.process(channel.read(size))
@@ -179,14 +170,14 @@ def test_busy_area_mid_plan_matches_per_event_protocol():
 def test_calculator_cache_is_offset_invariant():
     """Same relative queue state at a different absolute time is a cache
     hit and yields the same relative schedule."""
-    calc = FusedTimingCalculator()
+    calc = FusedTimingCalculator(52_600, TransferTimes(275e6))
     sizes = (16384, 8192, 16384)
     die_a = deque([0, 0])
     rel_a, bus_a, dies_area_a, bus_area_a = calc.schedule(
-        0, die_a, 0, 52_600, 275e6, sizes)
+        0, die_a, 0, sizes)
     die_b = deque([7_000, 7_000])
     rel_b, bus_b, dies_area_b, bus_area_b = calc.schedule(
-        7_000, die_b, 7_000, 52_600, 275e6, sizes)
+        7_000, die_b, 7_000, sizes)
     assert calc.cache_misses == 1
     assert calc.cache_hits == 1
     assert rel_a == rel_b
@@ -231,7 +222,7 @@ def test_no_fusion_under_tracing():
 
 def test_counters_shape():
     config = _config()
-    _done, _sim, channel, _settled = _fast_run(config, [(0, [16384, 16384])])
+    _done, _sim, channel = _fast_run(config, [(0, [16384, 16384])])
     counters = channel.fastpath.counters()
     assert counters["fused_batches"] == 1
     assert counters["fused_pages"] == 2
@@ -249,36 +240,30 @@ def test_transfer_size_still_validated():
         channel.try_fuse_reads((0,))
 
 
-# ---------------------------------------------------------- in-line settle
-# A plan whose timer would be the very next heap entry settles inside
-# try_fuse (Simulator.advance's rule): no timer, no completion event, the
-# same end time and accounting.  Everywhere else it keeps its timer (a plan
-# chained onto one in flight: test_chained_batches_match_staggered_arrivals).
-def _settle_probe(before_fuse=lambda sim: None,
-                  drain=lambda sim, _gate: sim.run()):
-    """One dispatcher fuses SIZES on an idle channel at t=1, after
-    ``before_fuse(sim)``, under ``drain(sim, gate)``; returns (record, sim,
-    channel)."""
+# ------------------------------------------------------------ run vs step
+# Simulator.run continues fibers in line (Simulator.advance, Resource.take)
+# and Simulator.step never does; a fused plan on an idle channel keeps its
+# timer under both, so the two drains dispatch the same entries.
+def _idle_probe(drain):
+    """One dispatcher fuses SIZES on an idle channel at t=1 under
+    ``drain(sim)``; returns (done_ns, sim, channel)."""
     sim = Simulator(race_check=False)
     channel = Channel(sim, _config(), 0)
     record = {}
-    gate = sim.timeout(1)
 
     def dispatcher():
-        yield gate  # resumed by a plain entry's last (only) callback
-        before_fuse(sim)
+        yield sim.timeout(1)
         fused = channel.try_fuse_reads(SIZES)
-        record["settled"] = fused is SETTLED
-        if fused is not SETTLED:
-            yield fused
+        assert fused is not None
+        yield fused
         record["done_ns"] = sim.now
 
     sim.process(dispatcher(), name="dispatcher")
-    drain(sim, gate)
-    return record, sim, channel
+    drain(sim)
+    return record["done_ns"], sim, channel
 
 
-def _stepped(sim, _gate):
+def _stepped(sim):
     while sim.peek() is not None:
         sim.step()
 
@@ -288,52 +273,11 @@ def _accounting(channel):
             channel.bytes_read, channel.reads, channel.fastpath.counters())
 
 
-def test_idle_channel_settles_with_no_event_like_a_stepped_twin():
-    inline, inline_sim, inline_ch = _settle_probe()
-    stepped, stepped_sim, stepped_ch = _settle_probe(drain=_stepped)
-    assert (inline["settled"], stepped["settled"]) == (True, False)
-    assert inline["done_ns"] == stepped["done_ns"]
-    assert inline_sim.now == stepped_sim.now == inline["done_ns"]
-    assert _accounting(inline_ch) == _accounting(stepped_ch)
-    assert inline_ch.fastpath.fused_batches == 1
-    assert not inline_ch.fastpath.active
-    # The stepped twin pays the timer and the completion entry.
-    assert stepped_sim.events_processed - inline_sim.events_processed == 2
-
-
-@pytest.mark.parametrize("due", ["before", "tie"])
-def test_settle_refuses_an_entry_due_before_or_at_the_plan_end(due):
-    reference, _sim, reference_ch = _settle_probe()
-    end_ns = reference["done_ns"]
-    offset = 1 if due == "before" else 0
-    # Scheduled from t=1, so it is due at end_ns - offset.
-    record, _sim, channel = _settle_probe(
-        before_fuse=lambda sim: sim.timeout(end_ns - 1 - offset))
-    assert not record["settled"]
-    assert record["done_ns"] == end_ns
-    assert _accounting(channel) == _accounting(reference_ch)
-
-
-def test_settle_refuses_past_the_run_deadline():
-    reference, _sim, reference_ch = _settle_probe()
-    end_ns = reference["done_ns"]
-
-    def until_just_before(sim, _gate):
-        sim.run(until=end_ns - 1)
-        assert sim.now == end_ns - 1
-        sim.run()
-
-    record, _sim, channel = _settle_probe(drain=until_just_before)
-    assert not record["settled"]
-    assert record["done_ns"] == end_ns
-    assert _accounting(channel) == _accounting(reference_ch)
-
-
-def test_settle_refuses_on_the_sentinel_callback():
-    def to_the_gate_then_on(sim, gate):
-        sim.run(gate)  # the gate's only callback resumes the dispatcher
-        sim.run()
-
-    record, _sim, _channel = _settle_probe(drain=to_the_gate_then_on)
-    assert not record["settled"]
-    assert record["done_ns"] == _settle_probe()[0]["done_ns"]
+def test_idle_channel_plan_runs_like_a_stepped_twin():
+    run_ns, run_sim, run_ch = _idle_probe(lambda sim: sim.run())
+    step_ns, step_sim, step_ch = _idle_probe(_stepped)
+    assert run_ns == step_ns == run_sim.now == step_sim.now
+    assert _accounting(run_ch) == _accounting(step_ch)
+    assert run_ch.fastpath.fused_batches == 1
+    assert not run_ch.fastpath.active
+    assert run_sim.events_processed == step_sim.events_processed
