@@ -15,8 +15,7 @@ every submitted job at admission time:
   already running there fail through the node manager's normal device-error
   accounting — that is the goodput cost the crash-storm benchmark measures.
 
-An optional ``device_hint`` on the spec pins the job to one device *within*
-the routed node (:class:`repro.serve.jobs.JobSpec.device_hint`).
+Within the routed node, the node's own manager places the job on a device.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.catalog import ShardUnavailableError
 from repro.cluster.fleet import ShardedFleet
-from repro.serve.admission import AdmissionDecision, ResilienceConfig
+from repro.serve.admission import AdmissionDecision
 from repro.serve.jobs import Job, JobSpec, JobState, install_serve_datasets
 from repro.serve.manager import JobManager, Tenant
 
@@ -41,7 +40,6 @@ class ClusterServeDriver:
         tenants: Sequence[Tenant],
         scheduler: str = "fifo",
         placement: str = "least_loaded",
-        resilience: Optional[ResilienceConfig] = None,
     ):
         self.fleet = fleet
         self.managers: List[JobManager] = []
@@ -49,7 +47,7 @@ class ClusterServeDriver:
             install_serve_datasets(node.system)
             self.managers.append(JobManager(
                 node.system, list(tenants), scheduler=scheduler,
-                placement=placement, resilience=resilience))
+                placement=placement))
         self.jobs: List[Tuple[int, Job]] = []  # (node index, job)
         self.routed_per_node = [0] * fleet.num_nodes
         self.rejected_unroutable = 0

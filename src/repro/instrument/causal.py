@@ -55,7 +55,7 @@ __all__ = [
 #: active span there; ``other`` is the residual and must stay last.
 COMPONENTS: Tuple[str, ...] = (
     "ecc_retry",        # nand/read-failed, ctrl/retry-backoff
-    "fault_recovery",   # resil/backoff, serve/retry-backoff, resil failover legs
+    "fault_recovery",   # resil/backoff, resil failover legs
     "admission_wait",   # serve/admit-wait (job queued behind the scheduler)
     "channel_queue",    # nand/die-wait, nand/bus-wait (op queued inside the SSD)
     "nand_busy",        # nand/read, nand/program, nand/erase
@@ -77,7 +77,6 @@ _SPAN_COMPONENT: Dict[Tuple[str, str], str] = {
     ("nand", "read-failed"): "ecc_retry",
     ("ctrl", "retry-backoff"): "ecc_retry",
     ("resil", "backoff"): "fault_recovery",
-    ("serve", "retry-backoff"): "fault_recovery",
     ("serve", "admit-wait"): "admission_wait",
     ("nand", "die-wait"): "channel_queue",
     ("nand", "bus-wait"): "channel_queue",

@@ -46,8 +46,9 @@ T = TypeVar("T")
 def order_statistic(ordered: Sequence[T], quantile: float) -> T:
     """The exact order statistic of a sorted, non-empty sequence: its
     smallest element with rank >= quantile * n.  No interpolation, so a
-    reported p99 is a sample that occurred — the one rank rule of the hedge
-    deadline, the attribution percentiles and the bench latencies."""
+    reported p99 is a sample that occurred — the rank rule of the hedge
+    deadline, the attribution percentiles and the resilience bench's
+    latencies.  :meth:`Histogram.quantile` interpolates instead."""
     rank = max(0, min(len(ordered) - 1,
                       int(quantile * len(ordered) + 0.999999) - 1))
     return ordered[rank]

@@ -7,7 +7,7 @@ The machinery that lets an in-flight NDP SQL query survive device faults:
 * :mod:`repro.resilience.hedge` — p99-derived hedge deadlines and the
   win/loss bookkeeping for hedged request legs.
 * :mod:`repro.resilience.recovery` — per-device recovery windows consulted
-  by the serving layer's load shedding.
+  when the scan driver picks a retry device.
 * :mod:`repro.resilience.executor` — the resilient scan driver: retry with
   backoff, resume from checkpoints, hedge against a replica, fail over on
   whole-device crashes.

@@ -4,14 +4,13 @@ A device that just threw a media error or crashed is usually mid-recovery
 (read retries, remap, reboot); re-saturating it immediately both slows its
 recovery and queues new requests behind the backlog.  The tracker records
 the last fault time per device; a device is *recovering* for
-``window_us`` after its last fault.  The serving layer consults this to
-steer placement away from — and shed SLO-bound load during — recovery
-windows.
+``window_us`` after its last fault.  The resilient scan driver consults
+this to pick a retry device that is not itself recovering.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.sim.units import us_to_ns
 
@@ -42,11 +41,6 @@ class RecoveryTracker:
         if last is None:
             return False
         return self.sim.now - last < self.window_ns
-
-    def recovering_devices(self) -> List[int]:
-        """Sorted indexes of devices currently inside their window."""
-        return sorted(index for index in self._last_fault_ns
-                      if self.in_recovery(index))
 
     def counters(self) -> dict:
         return {"faults_noted": self.faults_noted}

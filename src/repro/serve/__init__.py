@@ -24,7 +24,6 @@ from repro.serve.manager import DeviceServer, JobManager, Tenant
 from repro.serve.mixes import MIXES, MixResult, mix_names, run_mix
 from repro.serve.scheduler import (
     FIFOScheduler,
-    PriorityScheduler,
     SCHEDULER_POLICIES,
     WFQScheduler,
     make_scheduler,
@@ -43,7 +42,6 @@ __all__ = [
     "LoadGenerator",
     "MIXES",
     "MixResult",
-    "PriorityScheduler",
     "SCHEDULER_POLICIES",
     "SLOTracker",
     "SlotTable",

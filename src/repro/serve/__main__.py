@@ -15,7 +15,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.net.cluster import make_placement  # noqa: F401  (validates names)
 from repro.serve.mixes import mix_names, run_mix
 from repro.serve.scheduler import SCHEDULER_POLICIES
 

@@ -12,47 +12,10 @@ sees backpressure — once either budget is exhausted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.serve.jobs import Job, JobSpec
+from repro.serve.jobs import Job
 from repro.ssd.config import SSDConfig
 
-__all__ = ["AdmissionDecision", "ResilienceConfig", "SlotTable"]
-
-
-@dataclass
-class ResilienceConfig:
-    """Opt-in serving-layer recovery behavior (off when ``None``).
-
-    ``max_attempts`` bounds the per-job run count: a job that dies with a
-    device error is retried — failing over to another device with free
-    capacity when one exists — until the budget runs out.  Devices that
-    faulted within ``recovery_window_us`` are deprioritized for placement,
-    and once the recovering fraction reaches ``shed_threshold``, *best
-    effort* submissions (no SLO) are shed at the door with reason
-    ``shed_recovery`` so the remaining capacity serves SLO-bound work.
-    """
-
-    max_attempts: int = 2
-    recovery_window_us: float = 5000.0
-    retry_backoff_us: float = 300.0  # first retry; doubles per attempt
-    shed_best_effort: bool = True
-    shed_threshold: float = 1.0  # recovering device fraction that trips it
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if not 0.0 < self.shed_threshold <= 1.0:
-            raise ValueError("shed_threshold must be in (0, 1]")
-
-    def should_shed(self, spec: JobSpec, recovering_devices: int,
-                    num_devices: int) -> bool:
-        """Shed this submission during the current recovery state?"""
-        if not self.shed_best_effort or recovering_devices == 0:
-            return False
-        if spec.slo_us is not None:
-            return False  # SLO-bound work keeps its place
-        return recovering_devices >= self.shed_threshold * num_devices
+__all__ = ["AdmissionDecision", "SlotTable"]
 
 
 class AdmissionDecision:

@@ -101,12 +101,7 @@ class JobSpec:
     timeout_us: Optional[float] = None
     #: Latency objective; completions slower than this count as SLO misses.
     slo_us: Optional[float] = None
-    priority: int = 0
     dram_bytes: int = DEFAULT_JOB_DRAM_BYTES
-    #: Pin dispatch to one device index (shard-placement-aware admission:
-    #: the cluster router sets this when a job's data lives on a specific
-    #: device).  None = any device; an out-of-range hint is ignored.
-    device_hint: Optional[int] = None
 
 
 class Job:

@@ -37,7 +37,6 @@ class TenantProfile:
     mode: str = "open"  # "open" | "closed"
     # Contract (feeds JobManager/Tenant).
     weight: float = 1.0
-    priority: int = 0
     queue_limit: int = 16
     # Traffic shape.
     rate_jobs_per_s: float = 100.0  # open loop
@@ -50,7 +49,7 @@ class TenantProfile:
     slo_us: Optional[float] = None
 
     def tenant(self) -> Tenant:
-        return Tenant(self.name, weight=self.weight, priority=self.priority,
+        return Tenant(self.name, weight=self.weight,
                       queue_limit=self.queue_limit)
 
 
@@ -103,7 +102,7 @@ class LoadGenerator:
         return JobSpec(
             tenant=profile.name, kind=profile.kind, params=params,
             cost=profile.cost, timeout_us=profile.timeout_us,
-            slo_us=profile.slo_us, priority=profile.priority,
+            slo_us=profile.slo_us,
         )
 
     def _open_loop(self, profile: TenantProfile,

@@ -22,37 +22,31 @@ never occupying a device slot.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.core.errors import DeviceError
 from repro.core.module import write_module_image
 from repro.core.ssd_api import SSD
 from repro.net.cluster import make_placement
-from repro.resilience.executor import RetryPolicy
-from repro.resilience.recovery import RecoveryTracker
-from repro.serve.admission import AdmissionDecision, ResilienceConfig, SlotTable
+from repro.serve.admission import AdmissionDecision, SlotTable
 from repro.serve.jobs import JOB_KINDS, Job, JobSpec, JobState
 from repro.serve.scheduler import make_scheduler
 from repro.serve.slo import SLOTracker
-from repro.sim.engine import Event, backoff
+from repro.sim.engine import Event
 from repro.sim.units import us_to_ns
 
 __all__ = ["DeviceServer", "JobManager", "Tenant"]
 
 
 class Tenant:
-    """Per-tenant serving contract (weights, limits, priority)."""
+    """Per-tenant serving contract (fair-share weight, queue limit)."""
 
-    def __init__(self, name: str, weight: float = 1.0, priority: int = 0,
-                 queue_limit: int = 16):
+    def __init__(self, name: str, weight: float = 1.0, queue_limit: int = 16):
         if weight <= 0:
             raise ValueError("tenant weight must be positive")
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
         self.name = name
         self.weight = weight
-        self.priority = priority
         self.queue_limit = queue_limit
 
 
@@ -133,18 +127,9 @@ class JobManager:
     """Accepts typed NDP jobs from many tenants and serves them."""
 
     def __init__(self, system, tenants: List[Tenant],
-                 scheduler: str = "fifo", placement: str = "round_robin",
-                 resilience: Optional[ResilienceConfig] = None):
+                 scheduler: str = "fifo", placement: str = "round_robin"):
         self.system = system
         self.sim = system.sim
-        self.resilience = resilience
-        self.recovery = (RecoveryTracker(self.sim, resilience.recovery_window_us)
-                         if resilience is not None else None)
-        self.retry = (RetryPolicy(backoff_us=resilience.retry_backoff_us)
-                      if resilience is not None else None)
-        if self.recovery is not None:
-            system.metrics.attach("resilience.recovery", self.recovery,
-                                  self.recovery.FIELDS)
         self.tenants: Dict[str, Tenant] = {}
         for tenant in tenants:
             if tenant.name in self.tenants:
@@ -188,13 +173,6 @@ class JobManager:
                 return self._reject(job, "unknown_kind"), job
             if self._queued_per_tenant[spec.tenant] >= tenant.queue_limit:
                 return self._reject(job, "queue_full"), job
-            if self.resilience is not None and self.resilience.should_shed(
-                    spec, len(self.recovery.recovering_devices()),
-                    len(self.servers)):
-                self.tracker.shed(job)
-                return self._reject(job, "shed_recovery"), job
-            if spec.priority == 0:
-                spec.priority = tenant.priority
             self.tracker.submitted(job)
             self._queued_per_tenant[spec.tenant] += 1
             self.scheduler.push(job)
@@ -217,26 +195,8 @@ class JobManager:
 
     # -------------------------------------------------------------- dispatch
     def _eligible_servers(self, job: Job) -> List[Tuple[int, Tuple[int, int]]]:
-        hint = job.spec.device_hint
-        if hint is not None and 0 <= hint < len(self.servers):
-            # Data-placement pin: only the hinted device may run this job.
-            # An un-admittable hint returns no candidates, so the job waits
-            # for a slot there (or is retired as unsatisfiable when nothing
-            # is running that could ever free one).
-            server = self.servers[hint]
-            if server.slots.can_admit(job):
-                return [(server.index, server.load)]
-            return []
-        candidates = [(server.index, server.load) for server in self.servers
-                      if server.slots.can_admit(job)]
-        if self.recovery is not None and candidates:
-            # Steer placement away from devices inside a recovery window —
-            # unless they are the only capacity left.
-            recovering = set(self.recovery.recovering_devices())
-            healthy = [c for c in candidates if c[0] not in recovering]
-            if healthy:
-                return healthy
-        return candidates
+        return [(server.index, server.load) for server in self.servers
+                if server.slots.can_admit(job)]
 
     def _try_dispatch(self) -> None:
         # submit/finish edges can re-enter while we are already draining the
@@ -246,11 +206,11 @@ class JobManager:
         self._dispatch_depth = 1
         try:
             while True:
-                head = self.scheduler.peek(self.sim.now)
+                head = self.scheduler.peek()
                 if head is None:
                     break
                 if self._queue_expired(head):
-                    self.scheduler.pop(self.sim.now)
+                    self.scheduler.pop()
                     self._retire_queued(head, JobState.TIMED_OUT)
                     continue
                 candidates = self._eligible_servers(head)
@@ -259,11 +219,11 @@ class JobManager:
                         # Nothing running will ever free a slot: this job
                         # can never be admitted (e.g. DRAM ask exceeds the
                         # device budget).  Reject instead of deadlocking.
-                        self.scheduler.pop(self.sim.now)
+                        self.scheduler.pop()
                         self._retire_queued(head, JobState.REJECTED,
                                             reason="unsatisfiable")
                     break
-                job = self.scheduler.pop(self.sim.now)
+                job = self.scheduler.pop()
                 index = self.placement.pick(candidates)
                 self._queued_per_tenant[job.spec.tenant] -= 1
                 server = self.servers[index]
@@ -305,66 +265,20 @@ class JobManager:
                 self.tracker.rejected(job, reason or "")
         job.done.succeed(job)
 
-    def _failover_target(self, job: Job, failed: DeviceServer) -> DeviceServer:
-        """The best other server that can take the retried job right now.
-
-        Prefers servers outside a recovery window, then the least loaded;
-        falls back to the failed server itself when nothing else has
-        capacity (its slot is already ours).
-        """
-        recovering = set(self.recovery.recovering_devices())
-        best = None
-        best_key = None
-        for server in self.servers:
-            if server is failed or not server.slots.can_admit(job):
-                continue
-            key = (server.index in recovering, server.load, server.index)
-            if best_key is None or key < best_key:
-                best, best_key = server, key
-        return best if best is not None else failed
-
     def _run_job(self, job: Job, server: DeviceServer) -> Generator:
-        attempts = 0
         try:
-            while True:
-                attempts += 1
-                try:
-                    mid = yield from server.acquire_module(job.spec.kind)
-                    try:
-                        kind = JOB_KINDS[job.spec.kind]
-                        job.result = yield from kind.run(server, mid, job)
-                        job.state = JobState.DONE
-                    finally:
-                        yield from server.release_module(job.spec.kind)
-                    break
-                except Exception as exc:
-                    # Typed device errors (ECC exhaustion, safety
-                    # violations...) fail the one job, never the serving
-                    # loop — and, with resilience on, device errors get the
-                    # configured retry/failover budget first.
-                    retryable = (
-                        self.resilience is not None
-                        and isinstance(exc, DeviceError)
-                        and attempts < self.resilience.max_attempts
-                    )
-                    if not retryable:
-                        job.state = JobState.FAILED
-                        job.error = exc
-                        break
-                    self.recovery.note_fault(server.index)
-                    self.tracker.device_fault(server.index)
-                    self.tracker.retried(job)
-                    target = self._failover_target(job, server)
-                    if target is not server:
-                        server.slots.release(job)
-                        target.slots.admit(job)
-                        server = target
-                        job.device_index = target.index
-                        self.tracker.failover(job, target.index)
-                    yield from backoff(
-                        self.sim, self.retry.backoff_ns(attempts), "serve",
-                        "retry-backoff", "serve/%s" % job.spec.tenant,
-                        job=job.job_id, attempt=attempts)
+            mid = yield from server.acquire_module(job.spec.kind)
+            try:
+                kind = JOB_KINDS[job.spec.kind]
+                job.result = yield from kind.run(server, mid, job)
+                job.state = JobState.DONE
+            finally:
+                yield from server.release_module(job.spec.kind)
+        except Exception as exc:
+            # Typed device errors (ECC exhaustion, safety violations...)
+            # fail the one job, never the serving loop.
+            job.state = JobState.FAILED
+            job.error = exc
         finally:
             job.finish_ns = self.sim.now
             self.tracker.finished(job)

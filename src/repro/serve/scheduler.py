@@ -1,9 +1,8 @@
 """Pluggable request schedulers for the serving layer.
 
-All three policies expose the same tiny interface — ``push(job)``,
-``peek(now_ns)``, ``pop(now_ns)``, ``len()`` — and are strictly
-deterministic: every tie breaks on the global submission sequence number,
-never on hash order or object identity.
+Both policies expose the same tiny interface — ``push(job)``,
+``peek()``, ``pop()``, ``len()`` — and are strictly deterministic: every
+tie breaks on submission order, never on hash order or object identity.
 
 * :class:`FIFOScheduler` — global arrival order.
 * :class:`WFQScheduler` — weighted fair queueing across tenants
@@ -12,10 +11,6 @@ never on hash order or object identity.
   finish tag runs next.  A light tenant's occasional jobs carry small tags
   and overtake a heavy tenant's backlog, which is what bounds the light
   tenant's latency under saturation.
-* :class:`PriorityScheduler` — highest static priority first, with an aging
-  starvation guard: a job's effective priority grows by one band per
-  ``aging_us`` spent queued, so a starved low-priority job eventually
-  outranks fresh high-priority arrivals.
 """
 
 from __future__ import annotations
@@ -25,11 +20,9 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.serve.jobs import Job
-from repro.sim.units import ns_to_us
 
 __all__ = [
     "FIFOScheduler",
-    "PriorityScheduler",
     "SCHEDULER_POLICIES",
     "Scheduler",
     "WFQScheduler",
@@ -42,17 +35,14 @@ class Scheduler:
 
     name = "base"
 
-    def __init__(self) -> None:
-        self._seq = itertools.count(1)
-
     def push(self, job: Job) -> None:
         raise NotImplementedError
 
-    def peek(self, now_ns: int) -> Optional[Job]:
+    def peek(self) -> Optional[Job]:
         """The job ``pop`` would return, without removing it."""
         raise NotImplementedError
 
-    def pop(self, now_ns: int) -> Optional[Job]:
+    def pop(self) -> Optional[Job]:
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -63,16 +53,15 @@ class FIFOScheduler(Scheduler):
     name = "fifo"
 
     def __init__(self) -> None:
-        super().__init__()
         self._queue: List[Job] = []
 
     def push(self, job: Job) -> None:
         self._queue.append(job)
 
-    def peek(self, now_ns: int) -> Optional[Job]:
+    def peek(self) -> Optional[Job]:
         return self._queue[0] if self._queue else None
 
-    def pop(self, now_ns: int) -> Optional[Job]:
+    def pop(self) -> Optional[Job]:
         return self._queue.pop(0) if self._queue else None
 
     def __len__(self) -> int:
@@ -85,7 +74,7 @@ class WFQScheduler(Scheduler):
     name = "wfq"
 
     def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
-        super().__init__()
+        self._seq = itertools.count(1)
         self._weights = dict(weights or {})
         self._heap: List[Tuple[float, int, Job]] = []
         self._last_finish: Dict[str, float] = {}
@@ -101,10 +90,10 @@ class WFQScheduler(Scheduler):
         self._last_finish[tenant] = finish
         heapq.heappush(self._heap, (finish, next(self._seq), job))
 
-    def peek(self, now_ns: int) -> Optional[Job]:
+    def peek(self) -> Optional[Job]:
         return self._heap[0][2] if self._heap else None
 
-    def pop(self, now_ns: int) -> Optional[Job]:
+    def pop(self) -> Optional[Job]:
         if not self._heap:
             return None
         finish, _seq, job = heapq.heappop(self._heap)
@@ -116,51 +105,7 @@ class WFQScheduler(Scheduler):
         return len(self._heap)
 
 
-class PriorityScheduler(Scheduler):
-    """Static priorities + aging so low-priority jobs cannot starve."""
-
-    name = "priority"
-
-    #: Queue time that buys one priority band (the starvation guard).
-    DEFAULT_AGING_US = 20_000.0
-
-    def __init__(self, aging_us: float = DEFAULT_AGING_US) -> None:
-        super().__init__()
-        if aging_us <= 0:
-            raise ValueError("aging_us must be positive")
-        self.aging_us = aging_us
-        self._queue: List[Tuple[int, Job]] = []  # (submit seq, job)
-
-    def push(self, job: Job) -> None:
-        self._queue.append((next(self._seq), job))
-
-    def _select(self, now_ns: int) -> int:
-        best = 0
-        best_key: Optional[Tuple[float, int]] = None
-        for index, (seq, job) in enumerate(self._queue):
-            waited_us = ns_to_us(now_ns - job.submit_ns)
-            effective = job.spec.priority + int(waited_us // self.aging_us)
-            key = (-float(effective), seq)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = index
-        return best
-
-    def peek(self, now_ns: int) -> Optional[Job]:
-        if not self._queue:
-            return None
-        return self._queue[self._select(now_ns)][1]
-
-    def pop(self, now_ns: int) -> Optional[Job]:
-        if not self._queue:
-            return None
-        return self._queue.pop(self._select(now_ns))[1]
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-
-SCHEDULER_POLICIES = ("fifo", "wfq", "priority")
+SCHEDULER_POLICIES = ("fifo", "wfq")
 
 
 def make_scheduler(policy: str,
@@ -170,8 +115,6 @@ def make_scheduler(policy: str,
         return FIFOScheduler()
     if policy == "wfq":
         return WFQScheduler(weights)
-    if policy == "priority":
-        return PriorityScheduler()
     raise ValueError(
         "unknown scheduler policy %r (one of %s)"
         % (policy, ", ".join(SCHEDULER_POLICIES)))

@@ -43,15 +43,12 @@ class SLOTracker:
             for hist in ("queue_us", "service_us", "total_us"):
                 registry.histogram("%s.%s" % (prefix, hist))
             for counter in ("submitted", "completed", "rejected", "timeouts",
-                            "failed", "slo_miss", "retries", "failovers",
-                            "shed"):
+                            "failed", "slo_miss"):
                 registry.counter("%s.%s" % (prefix, counter))
             registry.gauge("%s.goodput_jps" % prefix)
         for index in range(num_devices):
             prefix = "serve.device%d" % index
             registry.counter("%s.dispatched" % prefix)
-            registry.counter("%s.faults" % prefix)
-            registry.counter("%s.failover_in" % prefix)
             registry.gauge("%s.peak_slots" % prefix)
             registry.gauge("%s.peak_dram_bytes" % prefix)
 
@@ -80,26 +77,6 @@ class SLOTracker:
         self.registry.histogram(
             "serve.tenant.%s.queue_us" % job.spec.tenant).observe(waited_us)
         self._trace("timeout", job)
-
-    def shed(self, job: Job) -> None:
-        """Best-effort work turned away during a recovery window."""
-        self._tenant(job, "shed").inc()
-        self._trace("shed", job)
-
-    def retried(self, job: Job) -> None:
-        """A running job hit a device error and is getting another attempt."""
-        self._tenant(job, "retries").inc()
-        self._trace("retry", job, device=job.device_index)
-
-    def failover(self, job: Job, to_device: int) -> None:
-        """A retried job moved to another device."""
-        self._tenant(job, "failovers").inc()
-        self.registry.counter("serve.device%d.failover_in" % to_device).inc()
-        self._trace("failover", job, device=to_device)
-
-    def device_fault(self, index: int) -> None:
-        """A device error surfaced from a served job on this device."""
-        self.registry.counter("serve.device%d.faults" % index).inc()
 
     def dispatched(self, job: Job) -> None:
         queue_us = ns_to_us(job.start_ns - job.submit_ns)

@@ -606,7 +606,7 @@ class _RecordingManager(JobManager):
 
 
 _SERVE_OUTCOMES = ("submitted", "completed", "rejected", "timeouts",
-                   "failed", "shed")
+                   "failed")
 
 
 def _fastshape_run(workload: Dict[str, Any], fast: bool) -> Dict[str, Any]:

@@ -16,7 +16,7 @@ from repro.serve import MIXES, JobManager, LoadGenerator
 from repro.serve.jobs import install_serve_datasets
 from repro.ssd.config import SSDConfig
 
-OUTCOMES = ("submitted", "completed", "rejected", "timeouts", "failed", "shed")
+OUTCOMES = ("submitted", "completed", "rejected", "timeouts", "failed")
 
 
 def _serve(fast_path, seed, horizon_s):

@@ -57,7 +57,7 @@ def test_different_seed_different_arrivals():
 
 
 def test_policies_all_complete_smoke():
-    for policy in ("fifo", "wfq", "priority"):
+    for policy in ("fifo", "wfq"):
         result = run_mix("smoke", policy=policy)
         assert result.manager.idle
         assert result.manager.jobs_submitted > 0

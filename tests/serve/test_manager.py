@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.errors import DeviceError
 from repro.host.platform import System
 from repro.serve.admission import SlotTable
 from repro.serve.jobs import (
@@ -12,6 +13,7 @@ from repro.serve.jobs import (
 )
 from repro.serve.manager import JobManager, Tenant
 from repro.ssd.config import SSDConfig
+from repro.testing.faults import Fault, ScriptedInjector
 
 
 def make_manager(num_ssds=1, tenants=None, config=None, **kwargs):
@@ -171,6 +173,42 @@ def test_failed_job_does_not_kill_serving(monkeypatch):
     server = manager.servers[0]
     assert server.slots.slots_in_use == 0
     assert server.ssd.runtime.loaded_modules == ()
+
+
+def test_device_errors_fail_the_job_fast():
+    system, manager = make_manager()
+    script = {ordinal: Fault("uncorrectable") for ordinal in range(400)}
+    system.devices[0].attach_fault_injector(ScriptedInjector(script))
+    job = manager.submit(spec())[1]
+    run_to_drain(system, manager)
+    assert job.state == JobState.FAILED
+
+
+def test_failed_db_scan_gives_its_data_channel_back():
+    # The db_scan kind runs on repro.db.ndp.run_offloaded_scan; a device
+    # error under it must not strand the scan's data channel (same probe as
+    # test_hedged_kv_batches_give_their_data_channels_back).
+    system, manager = make_manager()
+
+    def run_one():
+        job = manager.submit(spec(kind="db_scan"))[1]
+        run_to_drain(system, manager)
+        return job
+
+    probe = ScriptedInjector({})
+    system.devices[0].attach_fault_injector(probe)
+    assert run_one().state == JobState.DONE
+    # Every read from the middle of the next job on is uncorrectable.
+    middle = probe.reads_seen // 2
+    dying = ScriptedInjector({ordinal: Fault("uncorrectable")
+                              for ordinal in range(middle, middle + 4000)})
+    system.devices[0].attach_fault_injector(dying)
+    failed = run_one()
+    assert failed.state == JobState.FAILED
+    assert isinstance(failed.error, DeviceError) and dying.faults_injected
+    assert manager.servers[0].ssd.channels.data_channels._in_use == 0
+    system.devices[0].attach_fault_injector(None)
+    assert run_one().state == JobState.DONE
 
 
 # -------------------------------------------------------------------- timeout

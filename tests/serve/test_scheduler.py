@@ -1,28 +1,25 @@
-"""Scheduler policies: ordering, fairness, aging, determinism."""
+"""Scheduler policies: ordering, fairness, determinism."""
 
 import pytest
 
 from repro.serve.jobs import Job, JobSpec
 from repro.serve.scheduler import (
     FIFOScheduler,
-    PriorityScheduler,
     WFQScheduler,
     make_scheduler,
 )
 from repro.sim.engine import Simulator
-from repro.sim.units import us_to_ns
 
 
-def make_job(sim, tenant="t", cost=1.0, priority=0, submit_ns=0):
-    spec = JobSpec(tenant=tenant, kind="string_search", cost=cost,
-                   priority=priority)
-    return Job(spec, sim, submit_ns=submit_ns)
+def make_job(sim, tenant="t", cost=1.0):
+    spec = JobSpec(tenant=tenant, kind="string_search", cost=cost)
+    return Job(spec, sim, submit_ns=0)
 
 
-def drain(sched, now_ns=0):
+def drain(sched):
     order = []
     while len(sched):
-        order.append(sched.pop(now_ns))
+        order.append(sched.pop())
     return order
 
 
@@ -33,7 +30,7 @@ def test_fifo_preserves_arrival_order():
     jobs = [make_job(sim, tenant="t%d" % i) for i in range(5)]
     for job in jobs:
         sched.push(job)
-    assert sched.peek(0) is jobs[0]
+    assert sched.peek() is jobs[0]
     assert drain(sched) == jobs
 
 
@@ -75,7 +72,7 @@ def test_wfq_weight_ratio_controls_share():
         sched.push(make_job(sim, tenant="big"))
         sched.push(make_job(sim, tenant="small"))
     first16 = [job.spec.tenant for job in
-               [sched.pop(0) for _ in range(16)]]
+               [sched.pop() for _ in range(16)]]
     assert first16.count("big") == 12
     assert first16.count("small") == 4
 
@@ -86,51 +83,20 @@ def test_wfq_peek_matches_pop():
     for tenant in ("b", "a", "b"):
         sched.push(make_job(sim, tenant=tenant))
     while len(sched):
-        assert sched.peek(0) is sched.pop(0)
-
-
-# ------------------------------------------------------------------- priority
-def test_priority_orders_high_first_then_fifo():
-    sim = Simulator()
-    sched = PriorityScheduler()
-    low1 = make_job(sim, priority=0)
-    high = make_job(sim, priority=5)
-    low2 = make_job(sim, priority=0)
-    for job in (low1, high, low2):
-        sched.push(job)
-    assert drain(sched) == [high, low1, low2]
-
-
-def test_priority_aging_prevents_starvation():
-    sim = Simulator()
-    sched = PriorityScheduler(aging_us=1000.0)
-    old_low = make_job(sim, priority=0, submit_ns=0)
-    fresh_high = make_job(sim, priority=2, submit_ns=us_to_ns(3000))
-    sched.push(old_low)
-    sched.push(fresh_high)
-    now = us_to_ns(3000)
-    # At t=3ms the low job aged 3 bands (3 > 2): it outranks the fresh one.
-    assert sched.pop(now) is old_low
-    assert sched.pop(now) is fresh_high
-
-
-def test_priority_rejects_bad_aging():
-    with pytest.raises(ValueError):
-        PriorityScheduler(aging_us=0)
+        assert sched.peek() is sched.pop()
 
 
 # -------------------------------------------------------------------- factory
 def test_make_scheduler_names():
     assert make_scheduler("fifo").name == "fifo"
     assert make_scheduler("wfq", {"a": 2.0}).name == "wfq"
-    assert make_scheduler("priority").name == "priority"
     with pytest.raises(ValueError):
         make_scheduler("lifo")
 
 
 def test_empty_schedulers_return_none():
-    for policy in ("fifo", "wfq", "priority"):
+    for policy in ("fifo", "wfq"):
         sched = make_scheduler(policy)
-        assert sched.peek(0) is None
-        assert sched.pop(0) is None
+        assert sched.peek() is None
+        assert sched.pop() is None
         assert len(sched) == 0
