@@ -27,13 +27,13 @@ import random
 from typing import Any, Dict, List
 
 from repro.bench.harness import ExperimentResult
-from repro.bench.resilience import _quantile_us
 from repro.cluster import ClusterExecutor, ShardedFleet, ShardedKVStore
 from repro.cluster.serve import ClusterServeDriver
 from repro.db.executor import EngineConfig
 from repro.db.reference import query
 from repro.db.tpch.datagen import generate_tables
 from repro.db.tpch.schema import TPCH_SCHEMAS
+from repro.instrument.metrics import order_statistic
 from repro.resilience import HedgePolicy
 from repro.serve.jobs import JobSpec
 from repro.serve.manager import Tenant
@@ -98,7 +98,7 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002) -> Dict[str, Any]:
     # Snapshot the per-shard RPC latencies of exactly this query stream, so
     # the tail-amplification ratio compares like with like (point lookups,
     # KV batches and storm legs are excluded from both sides).
-    leg_us = [ns / 1000.0 for ns in executor.leg_latencies_ns]
+    leg_us = sorted(ns / 1000.0 for ns in executor.leg_latencies_ns)
     # Point lookups prune to one shard; first alive copy answers.
     order_keys = sorted({r[0] for r in rows})
     for value in order_keys[:6]:
@@ -113,8 +113,9 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002) -> Dict[str, Any]:
     if any(got[key] != kv_expected.get(key) for key in probe):
         wrong_results += 1
 
-    healthy_p99_us = _quantile_us(latencies_us, 0.99)
-    single_shard_p99_us = _quantile_us(leg_us, 0.99)
+    latencies_us.sort()
+    healthy_p99_us = order_statistic(latencies_us, 0.99)
+    single_shard_p99_us = order_statistic(leg_us, 0.99)
     tail_amplification = (healthy_p99_us / single_shard_p99_us
                           if single_shard_p99_us else 0.0)
     network_bytes = fleet.network_bytes()
@@ -178,7 +179,7 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002) -> Dict[str, Any]:
         "retries": executor.retries,
         "failovers": executor.failovers,
         "merged_rows": executor.merged_rows,
-        "cluster_p50_us": round(_quantile_us(latencies_us, 0.50), 1),
+        "cluster_p50_us": round(order_statistic(latencies_us, 0.50), 1),
         "cluster_p99_us": round(healthy_p99_us, 1),
         "single_shard_p99_us": round(single_shard_p99_us, 1),
         "tail_amplification": round(tail_amplification, 4),
@@ -187,7 +188,7 @@ def run_cluster_bench(seed: int = 2016, sf: float = 0.002) -> Dict[str, Any]:
         "network_to_nand_ratio": round(
             network_bytes / nand_bytes, 4) if nand_bytes else 0.0,
         "storm_query_p99_us": round(
-            _quantile_us(storm_latencies_us, 0.99), 1),
+            order_statistic(sorted(storm_latencies_us), 0.99), 1),
         "storm_jobs_submitted": len(driver.jobs),
         "storm_jobs_done": outcome_counts.get("done", 0),
         "storm_goodput": round(driver.goodput(), 4),

@@ -158,31 +158,33 @@ def exp_table2_port_latency(samples: int = 24) -> ExperimentResult:
 
 
 # ----------------------------------------------------------------- Table III
-def exp_table3_read_latency(samples: int = 32, sim=None,
-                            ssd_config=None) -> ExperimentResult:
+def exp_table3_read_latency(samples: int = 32,
+                            system: Optional[System] = None) -> ExperimentResult:
     """4 KiB read latency, Conv (pread) vs Biscuit (internal read).
 
-    ``sim``/``ssd_config`` let the trace-determinism matrix run the same
-    experiment with an event bus attached and/or the fast path disabled.
+    Every read is its own query scope ("table3/conv-q0" ...), so with an
+    event bus attached (``system``) the attribution report decomposes each
+    one exactly; untraced, the scope is a shared no-op.
     """
-    system = System(ssd_config=ssd_config, sim=sim)
+    system = system or System()
     system.fs.install_synthetic("/bench/latency.dat", 64 * MIB)
     conv_handle = system.open_host("/bench/latency.dat")
     internal_handle = system.open_internal("/bench/latency.dat")
 
-    def measure(handle) -> float:
+    def measure(handle, side: str) -> float:
         def program() -> Generator:
             times = []
             for index in range(samples):
                 start = system.sim.now
-                yield from handle.read_timing_only(index * 4096, 4096)
+                with system.sim.scope("table3/%s-q%d" % (side, index)):
+                    yield from handle.read_timing_only(index * 4096, 4096)
                 times.append((system.sim.now - start) / 1e3)
             return sum(times) / len(times)
 
         return system.run_fiber(program())
 
-    conv = measure(conv_handle)
-    biscuit = measure(internal_handle)
+    conv = measure(conv_handle, "conv")
+    biscuit = measure(internal_handle, "int")
     return ExperimentResult(
         "Table III", "Measured data read latency (4 KiB, us)",
         ["config", "paper", "measured"],
@@ -222,15 +224,15 @@ def _bandwidth(system: System, path: str, request_bytes: int, total_bytes: int,
 
 def exp_fig7_read_bandwidth(
     sizes: Optional[List[int]] = None, sweep_bytes: int = 256 * MIB,
-    sim=None, ssd_config=None,
+    system: Optional[System] = None,
 ) -> ExperimentResult:
     """Sync and async read bandwidth vs request size (paper Fig. 7).
 
-    ``sim``/``ssd_config`` let the trace-determinism matrix run the same
-    sweep with an event bus attached and/or the fast path disabled.
+    ``system`` lets the trace-determinism matrix run the same sweep with an
+    event bus attached and/or the fast path disabled.
     """
     sizes = sizes or [4 * KIB, 16 * KIB, 64 * KIB, 256 * KIB, 1 * MIB, 4 * MIB]
-    system = System(ssd_config=ssd_config, sim=sim)
+    system = system or System()
     system.fs.install_synthetic("/bench/bw.dat", 512 * MIB)
     rows = []
     metrics: Dict[str, float] = {}
@@ -549,8 +551,8 @@ def exp_serve_saturation() -> ExperimentResult:
             lost = (registry.counter("serve.tenant.ana.rejected").value
                     + registry.counter("serve.tenant.ana.timeouts").value)
             goodput = registry.gauge("serve.tenant.ana.goodput_jps").value
-            p50_us = total.quantile(0.50) if total.count else 0.0
-            p99_us = total.quantile(0.99) if total.count else 0.0
+            p50_us = total.quantile(0.50)
+            p99_us = total.quantile(0.99)
             rows.append([
                 policy, load_scale, result.loadgen.jobs_offered, completed,
                 lost, round(p50_us, 1), round(p99_us, 1),

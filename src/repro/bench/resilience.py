@@ -85,13 +85,6 @@ def _replica_storm(seed: int) -> FaultStorm:
     return FaultStorm(phases=phases)
 
 
-def _quantile_us(latencies_us: List[float], quantile: float) -> float:
-    """Exact order statistic of unsorted latencies; 0.0 when there are none."""
-    if not latencies_us:
-        return 0.0
-    return order_statistic(sorted(latencies_us), quantile)
-
-
 def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
                          seed: int = 2016,
                          trace: bool = False) -> Dict[str, Any]:
@@ -177,6 +170,7 @@ def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
     system.run_fiber(workload(), name="resilience-bench")
 
     elapsed_s = system.sim.now / 1e9
+    ordered_us = sorted(latencies_us)
     report: Dict[str, Any] = {
         "seed": seed,
         "num_rows": num_rows,
@@ -185,8 +179,8 @@ def run_resilience_bench(num_queries: int = 24, num_rows: int = 12_000,
         "faulted_fraction": round(faulted_queries / num_queries, 4),
         "wrong_results": wrong_results,
         "goodput_qps": round((num_queries - wrong_results) / elapsed_s, 3),
-        "p50_us": round(_quantile_us(latencies_us, 0.50), 1),
-        "p99_us": round(_quantile_us(latencies_us, 0.99), 1),
+        "p50_us": round(order_statistic(ordered_us, 0.50), 1),
+        "p99_us": round(order_statistic(ordered_us, 0.99), 1),
         "elapsed_sim_s": round(elapsed_s, 6),
     }
     for key, value in sorted(driver.counters().items()):

@@ -9,8 +9,7 @@ every submitted job at admission time:
   holders — placement-aware admission, not just placement-aware dispatch;
 * among eligible nodes the router picks the least loaded (queued + running
   jobs, then busy device slots), breaking ties toward the lowest node index
-  — the same deterministic total order as
-  :class:`repro.net.cluster.LeastLoadedPlacement`;
+  — :meth:`repro.net.cluster.LeastLoadedPlacement.pick` over the nodes;
 * a crashed node is routed around immediately (catalog liveness), and jobs
   already running there fail through the node manager's normal device-error
   accounting — that is the goodput cost the crash-storm benchmark measures.
@@ -24,11 +23,15 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.catalog import ShardUnavailableError
 from repro.cluster.fleet import ShardedFleet
+from repro.net.cluster import LeastLoadedPlacement
 from repro.serve.admission import AdmissionDecision
 from repro.serve.jobs import Job, JobSpec, JobState, install_serve_datasets
 from repro.serve.manager import JobManager, Tenant
 
 __all__ = ["ClusterServeDriver"]
+
+#: Stateless, so one instance serves every driver.
+_LEAST_LOADED = LeastLoadedPlacement()
 
 
 class ClusterServeDriver:
@@ -83,8 +86,8 @@ class ClusterServeDriver:
         nodes = self.eligible_nodes(shard=shard, table=table, key=key)
         if not nodes:
             raise ShardUnavailableError("no alive node can run this job")
-        _, best = min((self.node_load(index), index) for index in nodes)
-        return best
+        return _LEAST_LOADED.pick(
+            [(index, self.node_load(index)) for index in nodes])
 
     # ------------------------------------------------------------ submission
     def submit(self, spec: JobSpec, shard: Optional[int] = None,

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Generator, Tuple
+from typing import Callable, Dict, Tuple
 
+from repro.bench.experiments import exp_table3_read_latency
 from repro.host.platform import System
 from repro.instrument.breakdown import read_latency_breakdown
 from repro.instrument.events import traced_simulator
@@ -45,31 +46,6 @@ def _run_string_search(system: System) -> Dict[str, float]:
     with system.sim.scope("search/biscuit"):
         _biscuit_count, biscuit_s = run_biscuit_search(system, path, keyword)
     return {"conv_s": conv_s, "biscuit_s": biscuit_s}
-
-
-def _run_read_latency(system: System, samples: int = 32) -> Dict[str, float]:
-    """Table III shape: serial 4 KiB reads, Conv (pread) vs internal.
-
-    With tracing on, every read is its own query scope ("table3/conv-q0"
-    ...), so the attribution report can decompose each one exactly.
-    """
-    system.fs.install_synthetic("/bench/latency.dat", 64 * MIB)
-
-    def measure(handle, side: str) -> float:
-        def program() -> Generator:
-            total_ns = 0
-            for index in range(samples):
-                start_ns = system.sim.now
-                with system.sim.scope("table3/%s-q%d" % (side, index)):
-                    yield from handle.read_timing_only(index * 4096, 4096)
-                total_ns += system.sim.now - start_ns
-            return total_ns / samples / 1e3
-
-        return system.run_fiber(program())
-
-    conv_read_us = measure(system.open_host("/bench/latency.dat"), "conv")
-    biscuit_read_us = measure(system.open_internal("/bench/latency.dat"), "int")
-    return {"conv_read_us": conv_read_us, "biscuit_read_us": biscuit_read_us}
 
 
 def _run_pointer_chase(system: System) -> Dict[str, float]:
@@ -109,7 +85,8 @@ def _run_tpch(system: System) -> Dict[str, float]:
 WORKLOADS: Dict[str, Tuple[Callable[[System], Dict[str, float]], str]] = {
     "string_search": (_run_string_search,
                       "web-log keyword search, Conv grep vs matcher SSDlets"),
-    "read_latency": (_run_read_latency,
+    "read_latency": (lambda system: exp_table3_read_latency(
+                         system=system).metrics,
                      "serial 4 KiB reads, host vs device-internal (Table III)"),
     "pointer_chase": (_run_pointer_chase,
                       "graph random walks, host vs Chaser SSDlet (Table IV)"),

@@ -19,8 +19,9 @@ Metric kinds:
 * :class:`Counter` — monotonically increasing int: its own ``inc()`` calls
   plus every attribute attached under its name, read when asked.
 * :class:`Gauge` — last-write-wins scalar.
-* :class:`Histogram` — raw samples with exact quantiles (simulation-scale
-  sample counts are small; exactness beats bucketing for calibration work).
+* :class:`Histogram` — raw samples; a quantile is the order statistic, a
+  sample that occurred (simulation-scale sample counts are small; exactness
+  beats bucketing for calibration work).
 * :class:`Series` — (simulated-seconds, value) points; snapshots summarize
   (count/mean/peak/last) so sidecar files stay small.
 
@@ -46,9 +47,9 @@ T = TypeVar("T")
 def order_statistic(ordered: Sequence[T], quantile: float) -> T:
     """The exact order statistic of a sorted, non-empty sequence: its
     smallest element with rank >= quantile * n.  No interpolation, so a
-    reported p99 is a sample that occurred — the rank rule of the hedge
-    deadline, the attribution percentiles and the resilience bench's
-    latencies.  :meth:`Histogram.quantile` interpolates instead."""
+    reported p99 is a sample that occurred.  This is the repository's one
+    rank rule: the hedge deadline, the attribution percentiles, the bench
+    latencies and every :meth:`Histogram.quantile` use it."""
     rank = max(0, min(len(ordered) - 1,
                       int(quantile * len(ordered) + 0.999999) - 1))
     return ordered[rank]
@@ -107,7 +108,7 @@ class Gauge:
 
 
 class Histogram:
-    """Raw-sample histogram with exact quantiles."""
+    """Raw-sample histogram whose quantiles are order statistics."""
 
     __slots__ = ("name", "samples")
 
@@ -131,17 +132,12 @@ class Histogram:
         return self.total / len(self.samples) if self.samples else 0.0
 
     def quantile(self, q: float) -> float:
-        """Exact quantile by linear interpolation over the sorted samples."""
+        """``order_statistic`` over the sorted samples; 0.0 when empty."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile %r outside [0, 1]" % (q,))
         if not self.samples:
             return 0.0
-        ordered = sorted(self.samples)
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1 - fraction) + ordered[high] * fraction
+        return order_statistic(sorted(self.samples), q)
 
     def snapshot(self) -> Dict[str, Any]:
         if not self.samples:

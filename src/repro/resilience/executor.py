@@ -52,8 +52,8 @@ MAX_BACKOFF_US = 25000.0  # cap on any one retry delay
 @dataclass
 class RetryPolicy:
     """How hard to fight for an operation before giving up — and the one
-    place ``base * growth^(n-1)`` is computed (the scan driver, the
-    cluster's shard RPC and the serving layer's job retry ask it)."""
+    place ``base * growth^(n-1)`` is computed (the scan driver and the
+    cluster's shard RPC ask it)."""
 
     retry_limit: int = 8  # failed attempts before the error propagates
     backoff_us: float = 500.0  # first retry delay

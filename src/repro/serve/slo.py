@@ -6,7 +6,7 @@ dotted names, so one ``registry.to_json()`` snapshot — the bench sidecar
 format — carries the full per-tenant latency/goodput picture:
 
 * ``serve.tenant.<name>.queue_us`` / ``.service_us`` / ``.total_us`` —
-  latency histograms (exact quantiles: p50/p95/p99 in the snapshot).
+  latency histograms (order-statistic p50/p90/p95/p99 in the snapshot).
 * ``serve.tenant.<name>.submitted|completed|rejected|timeouts|failed|slo_miss``
   — outcome counters.
 * ``serve.tenant.<name>.goodput_jps`` — completed-within-SLO jobs per

@@ -247,9 +247,9 @@ def _traced_system(**kwargs):
 
 class TestEndToEnd:
     def test_table3_conservation_is_exact(self):
-        from repro.instrument.__main__ import _run_read_latency
+        from repro.bench.experiments import exp_table3_read_latency
         system, bus = _traced_system()
-        _run_read_latency(system, samples=4)
+        exp_table3_read_latency(samples=4, system=system)
         report = attribute(bus.events)
         assert len(report.queries) == 8  # 4 conv + 4 internal
         for row in report.queries:
@@ -264,9 +264,9 @@ class TestEndToEnd:
         assert all(r["driver"] == 0 for r in internal)
 
     def test_table3_critical_path_is_contiguous(self):
-        from repro.instrument.__main__ import _run_read_latency
+        from repro.bench.experiments import exp_table3_read_latency
         system, bus = _traced_system()
-        _run_read_latency(system, samples=2)
+        exp_table3_read_latency(samples=2, system=system)
         trace = group_queries(bus.events)[0]
         path = critical_path(trace)
         assert path, "empty critical path"
@@ -288,20 +288,20 @@ class TestEndToEnd:
         assert all(tenants), "serve queries must carry tenant identity"
 
     def test_attribution_deterministic_across_runs(self):
-        from repro.instrument.__main__ import _run_read_latency
+        from repro.bench.experiments import exp_table3_read_latency
 
         def one_run():
             system, bus = _traced_system()
-            _run_read_latency(system, samples=4)
+            exp_table3_read_latency(samples=4, system=system)
             return attribute(bus.events).to_json()
 
         assert one_run() == one_run()
 
     def test_tracing_never_changes_timing(self):
-        from repro.instrument.__main__ import _run_read_latency
+        from repro.bench.experiments import exp_table3_read_latency
         traced_system, _bus = _traced_system()
-        traced = _run_read_latency(traced_system, samples=4)
-        untraced = _run_read_latency(System(), samples=4)
+        traced = exp_table3_read_latency(samples=4, system=traced_system)
+        untraced = exp_table3_read_latency(samples=4, system=System())
         assert traced == untraced
 
 

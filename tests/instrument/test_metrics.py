@@ -57,7 +57,7 @@ def test_histogram_exact_quantiles():
         hist.observe(value)
     assert hist.quantile(0.0) == 10.0
     assert hist.quantile(1.0) == 40.0
-    assert hist.quantile(0.5) == 25.0  # linear interpolation between 20, 30
+    assert hist.quantile(0.5) == 20.0  # an order statistic: a sample
     snap = hist.snapshot()
     assert snap["count"] == 4 and snap["mean"] == 25.0
 
@@ -77,9 +77,29 @@ def test_order_statistic_is_a_sample_never_an_interpolation():
     assert order_statistic(ordered, 0.50) == 50
     assert order_statistic(ordered, 0.99) == 99
     assert order_statistic(ordered, 1.0) == 100
-    assert order_statistic([1, 2, 3, 4], 0.5) == 2  # Histogram says 2.5
+    assert order_statistic([1, 2, 3, 4], 0.5) == 2  # not 2.5
     assert order_statistic([7], 0.99) == 7
     assert order_statistic([1, 2, 3], 0.0) == 1  # rank clamped into range
+
+
+def test_histogram_quantile_is_the_order_statistic():
+    from repro.instrument.metrics import order_statistic
+
+    sample_sets = [
+        [5.0],
+        [3.0, 1.0],
+        [10.0, 20.0, 30.0, 40.0],
+        [9.5, 0.25, 7.0, 7.0, 3.125, 88.0, 1.5],
+        [float((i * 37) % 101) for i in range(1, 100)],
+    ]
+    for samples in sample_sets:
+        hist = Histogram("lat")
+        for value in samples:
+            hist.observe(value)
+        for q in (0.0, 0.5, 0.9, 0.95, 0.99, 1.0):
+            got = hist.quantile(q)
+            assert got in samples
+            assert got == order_statistic(sorted(samples), q)
 
 
 # ----------------------------------------------------- attached stats owners

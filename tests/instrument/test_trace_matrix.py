@@ -13,6 +13,7 @@ from repro.bench.experiments import (
     exp_fig7_read_bandwidth,
     exp_table3_read_latency,
 )
+from repro.host.platform import System
 from repro.instrument.events import EventBus
 from repro.instrument.perfetto import render_chrome_trace
 from repro.sim.engine import Simulator
@@ -23,24 +24,24 @@ MATRIX = [(fast, traced)
           for fast in (True, False) for traced in (True, False)]
 
 
-def _table3(sim, ssd_config):
-    return exp_table3_read_latency(samples=8, sim=sim, ssd_config=ssd_config)
+def _table3(system):
+    return exp_table3_read_latency(samples=8, system=system)
 
 
-def _fig7(sim, ssd_config):
+def _fig7(system):
     return exp_fig7_read_bandwidth(sizes=[64 * KIB], sweep_bytes=32 * MIB,
-                                   sim=sim, ssd_config=ssd_config)
+                                   system=system)
 
 
 def _run_arm(experiment, fast_path, traced):
     config = SSDConfig(sim_fast_path=fast_path)
     if not traced:
-        return experiment(sim=None, ssd_config=config), None
+        return experiment(System(ssd_config=config)), None
     # The bus must attach before the System wires its devices so every
     # layer registers its trace scope.
     sim = Simulator()
     bus = EventBus(sim)
-    result = experiment(sim=sim, ssd_config=config)
+    result = experiment(System(sim=sim, ssd_config=config))
     return result, render_chrome_trace(bus.events)
 
 
