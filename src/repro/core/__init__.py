@@ -45,8 +45,6 @@ __all__ = [
     "SSDLet",
     "HostTask",
     "HostTaskProxy",
-    "UserSession",
-    "SessionFile",
     "SSDletModule",
     "register_ssdlet",
     "write_module_image",
@@ -80,8 +78,6 @@ _LAZY = {
     "write_module_image": "repro.core.module",
     "PortKind": "repro.core.ports",
     "BiscuitRuntime": "repro.core.runtime",
-    "SessionFile": "repro.core.session",
-    "UserSession": "repro.core.session",
     "SSD": "repro.core.ssd_api",
     "DeviceFile": "repro.core.ssd_api",
     "SSDLet": "repro.core.ssdlet",

@@ -64,7 +64,6 @@ class DeviceApplication:
         self.instances: List[SSDLet] = []
         self.fibers: List[Process] = []
         self.started = False
-        self.session: Optional[str] = None  # owning user session, if any
 
 
 class BiscuitRuntime:
@@ -89,7 +88,6 @@ class BiscuitRuntime:
         self._modules: Dict[int, LoadedModule] = {}
         self._next_mid = itertools.count(1)
         self._granted_files: set = set()
-        self._sessions: Dict[str, Any] = {}  # user -> UserSession
         self._instance_ids = itertools.count(1)
         self.applications: List[DeviceApplication] = []
         # Every link declared by a live Application on this runtime (``Link``
@@ -168,9 +166,6 @@ class BiscuitRuntime:
         # Per-instance address space: symbol relocation + a user-arena region.
         yield from self.device.controller.device_compute(INSTANCE_RELOC_US)
         instance_id = "%s/%s#%d" % (app.name, class_id, next(self._instance_ids))
-        session = self._session_of(app)
-        if session is not None:
-            session.charge(INSTANCE_BASE_BYTES)
         self.allocators.user_alloc(INSTANCE_BASE_BYTES, owner=instance_id)
         instance = cls()
         instance._runtime = self
@@ -208,11 +203,6 @@ class BiscuitRuntime:
         finally:
             instance.close_outputs()
             instance._loaded_module.live_instances -= 1
-            session = self._session_of(instance._app)
-            if session is not None:
-                session.refund(
-                    self.allocators.user.owner_usage(instance._instance_id)
-                )
             self.allocators.release_owner(instance._instance_id)
             if trace is not None:
                 # The fiber's whole life as one span on its own track
@@ -249,39 +239,6 @@ class BiscuitRuntime:
         except ValueError:
             pass
 
-    # --------------------------------------------------------------- sessions
-    def register_session(self, session) -> None:
-        if session.user in self._sessions:
-            raise ModuleError("session %r already exists" % session.user)
-        self._sessions[session.user] = session
-
-    def _session_of(self, app: DeviceApplication):
-        if app is None or app.session is None:
-            return None
-        return self._sessions[app.session]
-
-    def user_alloc(self, app: DeviceApplication, size: int, owner: str) -> int:
-        """SSDlet-visible allocation, charged to the app's session quota."""
-        session = self._session_of(app)
-        if session is not None:
-            session.charge(size)
-        try:
-            return self.allocators.user_alloc(size, owner=owner)
-        except Exception:
-            if session is not None:
-                session.refund(size)
-            raise
-
-    def user_free(self, app: DeviceApplication, address: int, owner: str) -> None:
-        session = self._session_of(app)
-        if session is not None:
-            # Refund what the arena actually held at this address.
-            before = self.allocators.user.owner_usage(owner)
-            self.allocators.user_free(address, owner=owner)
-            session.refund(before - self.allocators.user.owner_usage(owner))
-        else:
-            self.allocators.user_free(address, owner=owner)
-
     # ------------------------------------------------------------------ files
     def grant_file(self, path: str) -> None:
         """Host-side grant: SSDlets may open this path (permission inherit)."""
@@ -291,27 +248,11 @@ class BiscuitRuntime:
         self._granted_files.discard(path)
 
     def open_file(self, app: DeviceApplication, device_file) -> Generator:
-        """Fiber: open a granted file for internal I/O; small firmware cost.
-
-        Session-scoped tokens are only honored inside their own session;
-        global (SSD-level) grants are honored everywhere.
-        """
+        """Fiber: open a granted file for internal I/O; small firmware cost."""
         path = getattr(device_file, "path", device_file)
-        token_session = getattr(device_file, "session", None)
-        allowed = False
-        if token_session is not None:
-            session = self._sessions.get(token_session)
-            allowed = (
-                session is not None
-                and app.session == token_session
-                and path in session.grants
-            )
-        else:
-            allowed = path in self._granted_files
-        if not allowed:
+        if path not in self._granted_files:
             raise SafetyViolation(
-                "%s: file %r was not granted to this program/session"
-                % (app.name, path)
+                "%s: file %r was not granted to this program" % (app.name, path)
             )
         yield from self.device.controller.device_compute(5.0)
         inode = self.fs.lookup(path)

@@ -70,17 +70,3 @@ class SSD:
     def unloadModule(self, mid: int) -> Generator:
         """Fiber: unload a module (all of its instances must have finished)."""
         yield from self.channels.control_call(self.runtime.unload_module(mid))
-
-    # ------------------------------------------------------------------ files
-    def file(self, path: str, use_matcher: bool = False,
-             cache_bypass: bool = False) -> DeviceFile:
-        """Create a file token, granting SSDlet access (paper: File(ssd, p))."""
-        return DeviceFile(self, path, use_matcher=use_matcher,
-                          cache_bypass=cache_bypass)
-
-    # --------------------------------------------------------------- sessions
-    def create_session(self, user: str, memory_quota: int = 64 * 1024 * 1024):
-        """Open an isolated user session (Section VIII's ongoing extension)."""
-        from repro.core.session import UserSession
-
-        return UserSession(self, user, memory_quota=memory_quota)

@@ -85,18 +85,14 @@ class SSDLet(TaskBase):
         return handle
 
     def malloc(self, size: int) -> int:
-        """Allocate from the *user* allocator; returns an address token.
-
-        Charged against the owning session's quota when the application
-        runs inside a :class:`~repro.core.session.UserSession`.
-        """
-        return self._require_runtime().user_alloc(
-            self._require_app(), size, owner=self._instance_id
+        """Allocate from the *user* allocator; returns an address token."""
+        return self._require_runtime().allocators.user_alloc(
+            size, owner=self._instance_id
         )
 
     def mfree(self, address: int) -> None:
-        self._require_runtime().user_free(
-            self._require_app(), address, owner=self._instance_id
+        self._require_runtime().allocators.user_free(
+            address, owner=self._instance_id
         )
 
     def system_memory_access(self, address: int) -> None:

@@ -71,6 +71,3 @@ class HostCPU:
     def scan(self, num_bytes: int) -> Generator:
         """Fiber: scan ``num_bytes`` of data on one core (memory bound)."""
         yield from self.occupy(num_bytes / SCAN_BYTES_PER_SEC * 1e6)
-
-    def utilization(self) -> float:
-        return self.cores.utilization()

@@ -175,9 +175,6 @@ class NetworkLink:
         yield self.sim.timeout(us_to_ns(self.latency_us))
         self.bytes_moved += num_bytes
 
-    def utilization(self) -> float:
-        return self.port.utilization()
-
 
 class StorageNode:
     """One storage server: CPUs + SSDs + a link back to the client host."""

@@ -188,11 +188,6 @@ class JobManager:
         job.done.succeed(job)
         return AdmissionDecision(False, reason)
 
-    def tenant_pressure(self, tenant: str) -> float:
-        """Queued fraction of the tenant's depth limit (1.0 = saturated)."""
-        limit = self.tenants[tenant].queue_limit
-        return self._queued_per_tenant[tenant] / limit
-
     # -------------------------------------------------------------- dispatch
     def _eligible_servers(self, job: Job) -> List[Tuple[int, Tuple[int, int]]]:
         return [(server.index, server.load) for server in self.servers

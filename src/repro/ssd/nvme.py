@@ -52,9 +52,6 @@ class Fabric:
             trace.complete("xfer", "fabric", self.trace_track, start_ns,
                            bytes=num_bytes)
 
-    def utilization(self) -> float:
-        return self.link.utilization()
-
 
 class HostInterface:
     """PCIe Gen.3 ×4 link plus NVMe queue-depth limit."""
@@ -127,6 +124,3 @@ class HostInterface:
             yield self.sim.timeout(self._link_ns[num_bytes])
         finally:
             self.link.release()
-
-    def utilization(self) -> float:
-        return self.link.utilization()

@@ -89,6 +89,24 @@ class Allocator(SSDLet):
         yield self._runtime.sim.timeout(100_000_000)  # stay alive for 100 ms
 
 
+class Freer(SSDLet):
+    """Mallocs and mfrees one block, then mfrees the address in arg(0),
+    which another owner holds.  Records user-arena usage around its own
+    block in self.before / self.during / self.after."""
+
+    ARG_TYPES = (int,)
+
+    def run(self):
+        arena = self._runtime.allocators.user
+        self.before = arena.used
+        address = self.malloc(4096)
+        self.during = arena.used
+        self.mfree(address)
+        self.after = arena.used
+        yield self._runtime.sim.timeout(0)
+        self.mfree(self.arg(0))
+
+
 class Crasher(SSDLet):
     """Raises mid-run after producing one value."""
 
@@ -103,7 +121,7 @@ for class_id, cls in [
     ("idProducer", Producer), ("idConsumer", Consumer), ("idDoubler", Doubler),
     ("idStrSource", StrSource), ("idPacketEcho", PacketEcho),
     ("idFileReader", FileReader), ("idAllocator", Allocator),
-    ("idCrasher", Crasher),
+    ("idFreer", Freer), ("idCrasher", Crasher),
 ]:
     TEST_MODULE.register(class_id, cls)
 

@@ -106,6 +106,27 @@ def test_instance_gets_user_memory_and_releases_on_exit(system, ssd):
     assert runtime.allocators.user.used == base
 
 
+def test_mfree_returns_block_and_rejects_foreign_address(system, ssd):
+    mid = load(system, ssd)
+    runtime = ssd.runtime
+    foreign = runtime.allocators.user_alloc(64, owner="other/task#1")
+
+    def program():
+        app = Application(ssd)
+        freer = SSDLetProxy(app, mid, "idFreer", (foreign,))
+        yield from app.start()
+        try:
+            yield from app.wait()
+        except SafetyViolation:
+            return freer.instance
+
+    instance = system.run_fiber(program())
+    assert instance.during == instance.before + 4096
+    assert instance.after == instance.before
+    # The rejected mfree left the other owner's block allocated.
+    assert runtime.allocators.user.owner_of(foreign) == "other/task#1"
+
+
 def test_unknown_class_id(system, ssd):
     mid = load(system, ssd)
 

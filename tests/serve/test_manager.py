@@ -254,15 +254,3 @@ def test_drain_on_idle_manager_returns_immediately():
     system, manager = make_manager()
     run_to_drain(system, manager)
     assert manager.idle
-
-
-def test_tenant_pressure_signal():
-    config = SSDConfig(serve_app_slots=1)
-    system, manager = make_manager(
-        config=config, tenants=[Tenant("a", queue_limit=4)])
-    assert manager.tenant_pressure("a") == 0.0
-    for _ in range(5):
-        manager.submit(spec())
-    assert manager.tenant_pressure("a") == 1.0
-    run_to_drain(system, manager)
-    assert manager.tenant_pressure("a") == 0.0

@@ -69,7 +69,7 @@ def test_utilization_reported():
         yield sim.timeout(sim.now)  # equal idle period
 
     sim.run(sim.process(idle()))
-    assert 0.4 < interface.utilization() < 0.6
+    assert 0.4 < interface.link.utilization() < 0.6
 
 
 # --------------------------------------------------------------- fabric hops

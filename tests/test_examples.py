@@ -20,7 +20,6 @@ QUICK_EXAMPLES = [
     "quickstart.py",
     "wordcount_demo.py",
     "pointer_chase_demo.py",
-    "multi_tenant.py",
     "log_analytics_demo.py",
 ]
 
