@@ -16,9 +16,7 @@ from repro.core import (
     SSDLet,
     SSDLetProxy,
     SSDletModule,
-    write_module_image,
 )
-from repro.core.errors import PortClosed
 from repro.host.platform import System
 
 # 1. Define a device-side task (an SSDlet) and register it in a module.
@@ -53,34 +51,29 @@ def main():
     system = System()
     ssd = SSD(system)
 
-    # 3. Put some data and the compiled module image on the device.
+    # 3. Put some data on the device.
     text = "\n".join(
         "record %04d status=%s" % (i, "ERROR" if i % 37 == 0 else "ok")
         for i in range(2000)
     )
     system.fs.install("/data/records.txt", text.encode())
-    write_module_image(system.fs, "/var/isc/slets/quickstart.slet", QUICKSTART_MODULE)
 
-    # 4. The host program: load the module, create the SSDlet, wire ports,
-    #    start, and collect results.  Host programs are fibers — simulated
-    #    time advances while they run.
+    # 4. The host program: load the module (ssd.load writes its image to
+    #    the device first), create the SSDlet, wire ports, then run the
+    #    application while collecting results.  Host programs are fibers —
+    #    simulated time advances while they run.
     def host_program():
-        mid = yield from ssd.loadModule("/var/isc/slets/quickstart.slet")
+        mid = yield from ssd.load(QUICKSTART_MODULE)
         app = Application(ssd, "quickstart")
         token = DeviceFile(ssd, "/data/records.txt")
         ssdlet = SSDLetProxy(app, mid, "idLineFilter", (token, "ERROR"))
         port = app.connectTo(ssdlet.out(0), str)
-        # start() statically verifies the wiring first (type-matched ports,
-        # nothing dangling) and warns — or refuses, with verify="strict" —
-        # before any device state is committed.  See README "Static analysis".
-        yield from app.start()
-        matches = []
-        while True:
-            try:
-                matches.append((yield from port.get()))
-            except PortClosed:
-                break
-        yield from app.wait()
+        # run() starts the application — statically verifying the wiring
+        # first (type-matched ports, nothing dangling), warning or, with
+        # verify="strict", refusing before any device state is committed;
+        # see README "Static analysis" — then drains the port, waits for
+        # the SSDlet to finish, and stops the application on every path out.
+        matches = yield from app.run(port.drain())
         yield from ssd.unloadModule(mid)
         return matches
 

@@ -32,7 +32,6 @@ from repro.core import (
     SSDLet,
     SSDLetProxy,
     SSDletModule,
-    write_module_image,
 )
 from repro.core.errors import PortClosed
 from repro.host.platform import System
@@ -43,7 +42,6 @@ _HEADER = struct.Struct("<HHQ")
 _READ_SPAN = 4096  # a record fetch reads the enclosing 4 KiB page(s)
 
 KV_MODULE = SSDletModule("kvstore")
-MODULE_IMAGE_PATH = "/var/isc/slets/kvstore.slet"
 
 #: Device CPU cost to parse one record and compare keys.
 DEVICE_HOP_US = 3.0
@@ -69,7 +67,6 @@ class KVStore:
         # bucket -> offset of chain head; 2^64-1 marks an empty bucket.
         self.directory: List[int] = [0xFFFFFFFFFFFFFFFF] * buckets
         self.record_count = 0
-        self._ssd: Optional[SSD] = None
         self._mid: Optional[int] = None
 
     # ------------------------------------------------------------- building
@@ -122,17 +119,18 @@ class KVStore:
 
     def get_biscuit(self, keys: Sequence[bytes], batch: int = 64) -> Generator:
         """Fiber: ship key batches to a Lookup SSDlet; returns {key: value}."""
-        ssd = self._ensure_runtime()
-        mid = yield from self._ensure_module()
+        ssd = SSD(self.system)
+        if self._mid is None:
+            self._mid = yield from ssd.load(KV_MODULE)
         app = Application(ssd, "kv-lookup")
         token = DeviceFile(ssd, self.path)
-        lookup = SSDLetProxy(app, mid, "idLookup",
+        lookup = SSDLetProxy(app, self._mid, "idLookup",
                              (token, list(self.directory), self.buckets))
         request = app.connectFrom(Packet, lookup.in_(0))
         response = app.connectTo(lookup.out(0), Packet)
-        results: Dict[bytes, Optional[bytes]] = {}
-        try:
-            yield from app.start()
+
+        def collect() -> Generator:
+            results: Dict[bytes, Optional[bytes]] = {}
             for start in range(0, len(keys), batch):
                 chunk = list(keys[start:start + batch])
                 yield from request.put(Packet(_pack_keys(chunk)))
@@ -140,25 +138,12 @@ class KVStore:
                 for key, value in zip(chunk, _unpack_values(reply.payload)):
                     results[key] = value
             request.close()
-            yield from app.wait()
-        finally:
-            # Also on Interrupt: a cancelled hedge leg gives its channels back.
-            app.stop()
+            return results
+
+        # run() stops the application also on Interrupt: a cancelled hedge
+        # leg gives its channels back.
+        results = yield from app.run(collect())
         return results
-
-    # ------------------------------------------------------------- plumbing
-    def _ensure_runtime(self) -> SSD:
-        if self._ssd is None:
-            self._ssd = SSD(self.system)
-            if not self.system.fs.exists(MODULE_IMAGE_PATH):
-                write_module_image(self.system.fs, MODULE_IMAGE_PATH, KV_MODULE)
-        return self._ssd
-
-    def _ensure_module(self) -> Generator:
-        ssd = self._ensure_runtime()
-        if self._mid is None:
-            self._mid = yield from ssd.loadModule(MODULE_IMAGE_PATH)
-        return self._mid
 
 
 def _pack_keys(keys: List[bytes]) -> bytes:

@@ -28,7 +28,6 @@ from repro.core import (
     SSDLet,
     SSDLetProxy,
     SSDletModule,
-    write_module_image,
 )
 from repro.core.errors import PortClosed
 from repro.core.types import deserialize, serialize
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 LOG_ANALYTICS_MODULE = SSDletModule("log-analytics")
-MODULE_IMAGE_PATH = "/var/isc/slets/log_analytics.slet"
 
 PARSE_US_PER_LINE_DEVICE = 2.2  # tokenize + hash on a Cortex-R7
 PARSE_US_PER_LINE_HOST = 0.7  # the same work on a Xeon core
@@ -211,9 +209,7 @@ def biscuit_top_clients(
 ) -> Generator:
     """Fiber: device-side parse/pre-aggregate, host-side merge (one app)."""
     ssd = SSD(system)
-    if not system.fs.exists(MODULE_IMAGE_PATH):
-        write_module_image(system.fs, MODULE_IMAGE_PATH, LOG_ANALYTICS_MODULE)
-    mid = yield from ssd.loadModule(MODULE_IMAGE_PATH)
+    mid = yield from ssd.load(LOG_ANALYTICS_MODULE)
     app = Application(ssd, "log-analytics")
     token = DeviceFile(ssd, path, use_matcher=bool(needle))
     size = system.fs.lookup(path).size
@@ -228,11 +224,7 @@ def biscuit_top_clients(
         )
         parsers.append(parser)
         app.connect(parser.out(0), merger.in_(index))
-    try:
-        yield from app.start()
-        yield from app.wait()
-    finally:
-        app.stop()  # a failed run must not strand the device- and host-side fibers
+    yield from app.run()
     yield from ssd.unloadModule(mid)
     return merger.instance.result
 

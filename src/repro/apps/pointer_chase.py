@@ -29,7 +29,7 @@ import random
 import struct
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.core import SSD, Application, DeviceFile, SSDLet, SSDLetProxy, SSDletModule, write_module_image
+from repro.core import SSD, Application, DeviceFile, SSDLet, SSDLetProxy, SSDletModule
 from repro.host.platform import System
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "build_exact_graph",
     "build_analytic_graph",
     "conv_pointer_chase",
+    "launch_chaser",
     "biscuit_pointer_chase",
     "run_conv",
     "run_biscuit",
@@ -54,7 +55,6 @@ DEVICE_HOP_US = 8.4  # same work on the slower device core
 PAPER_TOTAL_HOPS = 1_475_000
 
 POINTER_CHASE_MODULE = SSDletModule("pointer-chase")
-MODULE_IMAGE_PATH = "/var/isc/slets/pointer_chase.slet"
 
 
 class GraphFile:
@@ -83,6 +83,20 @@ class GraphFile:
 
     def analytic_successor(self, node: int, hop: int) -> int:
         return self._hash_successor(node, hop)
+
+    def step(self, handle, node: int, hop: int) -> Generator:
+        """Fiber: one walk step — read ``node``'s page through ``handle``
+        (real bytes in exact mode, timing only in analytic mode); returns
+        the successor.  The caller charges its own per-hop CPU."""
+        page = self.page_of(node)
+        take = min(4096, handle.size - page * 4096)
+        if self.exact:
+            data = yield from handle.read(page * 4096, take)
+            record_start = self.record_offset(node) - page * 4096
+            record = data[record_start:record_start + NODE_RECORD_BYTES]
+            return self.successor_from_record(record, node, hop)
+        yield from handle.read_timing_only(page * 4096, take)
+        return self.analytic_successor(node, hop)
 
     def _hash_successor(self, node: int, hop: int) -> int:
         return self._hash(node, hop) % self.num_nodes
@@ -144,18 +158,8 @@ def conv_pointer_chase(
     for start in _start_nodes(graph, num_walks):
         node = start
         for hop in range(hops_per_walk):
-            page = graph.page_of(node)
-            take = min(4096, handle.size - page * 4096)
-            if graph.exact:
-                data = yield from handle.read(page * 4096, take)
-                record_start = graph.record_offset(node) - page * 4096
-                record = data[record_start:record_start + NODE_RECORD_BYTES]
-                nxt = graph.successor_from_record(record, node, hop)
-            else:
-                yield from handle.read_timing_only(page * 4096, take)
-                nxt = graph.analytic_successor(node, hop)
+            node = yield from graph.step(handle, node, hop)
             yield from system.cpu.occupy(HOST_HOP_US)
-            node = nxt
         finals.append(node)
     return finals
 
@@ -177,22 +181,36 @@ class Chaser(SSDLet):
         for start in starts:
             node = start
             for hop in range(hops):
-                page = graph.page_of(node)
-                take = min(4096, handle.size - page * 4096)
-                if graph.exact:
-                    data = yield from handle.read(page * 4096, take)
-                    record_start = graph.record_offset(node) - page * 4096
-                    record = data[record_start:record_start + NODE_RECORD_BYTES]
-                    nxt = graph.successor_from_record(record, node, hop)
-                else:
-                    yield from handle.read_timing_only(page * 4096, take)
-                    nxt = graph.analytic_successor(node, hop)
+                node = yield from graph.step(handle, node, hop)
                 yield from self.compute(DEVICE_HOP_US)
-                node = nxt
             yield from self.out(0).put(node)
 
 
 POINTER_CHASE_MODULE.register("idChaser", Chaser)
+
+
+def launch_chaser(
+    ssd: SSD, mid: int, app_name: str, graph: GraphFile,
+    starts: Sequence[int], hops_per_walk: int,
+) -> Generator:
+    """Fiber: one Chaser SSDlet walks from each of ``starts``; returns the
+    final node of every walk."""
+    app = Application(ssd, app_name)
+    token = DeviceFile(ssd, graph.path)
+    chaser = SSDLetProxy(app, mid, "idChaser", (token, graph, starts, hops_per_walk))
+    port = app.connectTo(chaser.out(0), int)
+
+    def collect() -> Generator:
+        finals: List[int] = []
+        for _ in starts:
+            value = yield from port.get_opt()
+            if value is None:
+                break  # the walk failed; wait() raises why
+            finals.append(value)
+        return finals
+
+    finals = yield from app.run(collect())
+    return finals
 
 
 def biscuit_pointer_chase(
@@ -200,25 +218,10 @@ def biscuit_pointer_chase(
 ) -> Generator:
     """Fiber: the host program that offloads the walks to the SSD."""
     ssd = SSD(system)
-    if not system.fs.exists(MODULE_IMAGE_PATH):
-        write_module_image(system.fs, MODULE_IMAGE_PATH, POINTER_CHASE_MODULE)
-    mid = yield from ssd.loadModule(MODULE_IMAGE_PATH)
-    app = Application(ssd, "pointer-chase")
-    token = DeviceFile(ssd, graph.path)
-    starts = _start_nodes(graph, num_walks)
-    chaser = SSDLetProxy(app, mid, "idChaser", (token, graph, starts, hops_per_walk))
-    port = app.connectTo(chaser.out(0), int)
-    finals: List[int] = []
-    try:
-        yield from app.start()
-        while True:
-            value = yield from port.get_opt()
-            if value is None:
-                break
-            finals.append(value)
-        yield from app.wait()
-    finally:
-        app.stop()  # a failed walk must not strand the device-side fibers
+    mid = yield from ssd.load(POINTER_CHASE_MODULE)
+    finals = yield from launch_chaser(
+        ssd, mid, "pointer-chase", graph, _start_nodes(graph, num_walks),
+        hops_per_walk)
     yield from ssd.unloadModule(mid)
     return finals
 

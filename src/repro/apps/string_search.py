@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Generator, List, Optional, Sequence, Tuple
 
-from repro.core import SSD, Application, DeviceFile, SSDLet, SSDLetProxy, SSDletModule, write_module_image
+from repro.core import SSD, Application, DeviceFile, SSDLet, SSDLetProxy, SSDletModule
 from repro.fs.filesystem import Inode
 from repro.host.platform import System
 from repro.sim.units import MIB
@@ -44,7 +44,6 @@ PAPER_LOG_BYTES = int(7.8 * 1024 ** 3)
 READ_UNIT = 1 * MIB
 
 STRING_SEARCH_MODULE = SSDletModule("string-search")
-MODULE_IMAGE_PATH = "/var/isc/slets/string_search.slet"
 
 _METHODS = ("GET", "POST", "PUT", "HEAD")
 _PATHS = ("/index.html", "/api/v1/items", "/static/app.js", "/login", "/search")
@@ -208,10 +207,7 @@ def searcher_shares(size: int, page: int, num_searchers: int) -> List[Tuple[int,
 def load_searcher(system: System, device_index: int = 0) -> Generator:
     """Fiber: load the search module on one SSD; returns ``(ssd, module id)``."""
     ssd = SSD(system, device_index=device_index)
-    fs = system.filesystems[device_index]
-    if not fs.exists(MODULE_IMAGE_PATH):
-        write_module_image(fs, MODULE_IMAGE_PATH, STRING_SEARCH_MODULE)
-    mid = yield from ssd.loadModule(MODULE_IMAGE_PATH)
+    mid = yield from ssd.load(STRING_SEARCH_MODULE)
     return ssd, mid
 
 
@@ -220,25 +216,24 @@ def launch_searchers(
     ranges: Sequence[Tuple[int, int]],
 ) -> Generator:
     """Fiber: one Searcher SSDlet per ``(offset, length)`` range of ``path``;
-    returns the total match count.  The application is stopped on every
-    path out, so a failed search strands no data channel."""
+    returns the total match count."""
     app = Application(ssd, app_name)
-    try:
-        token = DeviceFile(ssd, path, use_matcher=True)
-        ports = [
-            app.connectTo(SSDLetProxy(
-                app, mid, "idSearcher", (token, keyword, begin, length)).out(0), int)
-            for begin, length in ranges
-        ]
-        yield from app.start()
+    token = DeviceFile(ssd, path, use_matcher=True)
+    ports = [
+        app.connectTo(SSDLetProxy(
+            app, mid, "idSearcher", (token, keyword, begin, length)).out(0), int)
+        for begin, length in ranges
+    ]
+
+    def collect() -> Generator:
         total = 0
         for port in ports:
             count = yield from port.get_opt()
             if count is not None:
                 total += count
-        yield from app.wait()
-    finally:
-        app.stop()
+        return total
+
+    total = yield from app.run(collect())
     return total
 
 

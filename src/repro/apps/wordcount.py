@@ -18,7 +18,6 @@ from repro.core import (
     SSDLetProxy,
     SSDletModule,
     register_ssdlet,
-    write_module_image,
 )
 from repro.core.errors import PortClosed
 from repro.host.platform import System
@@ -28,12 +27,9 @@ __all__ = [
     "Mapper",
     "Shuffler",
     "Reducer",
-    "deploy_wordcount_module",
     "wordcount_host_program",
     "run_wordcount",
 ]
-
-MODULE_IMAGE_PATH = "/var/isc/slets/wordcount.slet"
 
 WORDCOUNT_MODULE = SSDletModule("wordcount")
 
@@ -182,12 +178,6 @@ class Reducer(SSDLet):
             yield from self.out(0).put((word, counts[word]))
 
 
-def deploy_wordcount_module(system: System) -> None:
-    """Write the wordcount module image onto the SSD filesystem."""
-    if not system.fs.exists(MODULE_IMAGE_PATH):
-        write_module_image(system.fs, MODULE_IMAGE_PATH, WORDCOUNT_MODULE)
-
-
 def wordcount_host_program(
     system: System,
     input_path: str,
@@ -195,8 +185,7 @@ def wordcount_host_program(
 ) -> Generator:
     """Fiber: the host-side program of Code 3; returns {word: count}."""
     ssd = SSD(system)
-    deploy_wordcount_module(system)
-    mid = yield from ssd.loadModule(MODULE_IMAGE_PATH)
+    mid = yield from ssd.load(WORDCOUNT_MODULE)
 
     app = Application(ssd, "wordcount")
     input_file = DeviceFile(ssd, input_path)
@@ -218,18 +207,14 @@ def wordcount_host_program(
         app.connect(shuffler.out(lane), reducer.in_(0))
     ports = [app.connectTo(reducer.out(0), WordCount) for reducer in reducers]
 
-    counts: Dict[str, int] = {}
-    try:
-        yield from app.start()
+    def collect() -> Generator:
+        counts: Dict[str, int] = {}
         for port in ports:
-            while True:
-                pair = yield from port.get_opt()
-                if pair is None:
-                    break
-                counts[pair[0]] = counts.get(pair[0], 0) + pair[1]
-        yield from app.wait()
-    finally:
-        app.stop()  # a failed run must not strand the device-side fibers
+            for word, count in (yield from port.drain()):
+                counts[word] = counts.get(word, 0) + count
+        return counts
+
+    counts = yield from app.run(collect())
     yield from ssd.unloadModule(mid)
     return counts
 

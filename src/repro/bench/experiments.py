@@ -25,8 +25,8 @@ from repro.apps.string_search import (
     run_conv_search,
 )
 from repro.bench.harness import ExperimentResult
-from repro.bench.probes import PROBE_IMAGE_PATH, PROBE_MODULE
-from repro.core import SSD, Application, Packet, SSDLetProxy, write_module_image
+from repro.bench.probes import PROBE_MODULE
+from repro.core import SSD, Application, Packet, SSDLetProxy
 from repro.db.executor import ExecutionMode
 from repro.db.expr import and_, col, eq, or_
 from repro.db.catalog import d
@@ -75,11 +75,10 @@ def exp_table2_port_latency(samples: int = 24) -> ExperimentResult:
     """One-way Packet latency for each port type (paper Table II)."""
     system = System()
     ssd = SSD(system)
-    write_module_image(system.fs, PROBE_IMAGE_PATH, PROBE_MODULE)
 
     def pair_latency(same_app: bool) -> float:
         def program() -> Generator:
-            mid = yield from ssd.loadModule(PROBE_IMAGE_PATH)
+            mid = yield from ssd.load(PROBE_MODULE)
             app1 = Application(ssd)
             source = SSDLetProxy(app1, mid, "idSource", (samples, 8))
             app2 = app1 if same_app else Application(ssd)
@@ -101,7 +100,7 @@ def exp_table2_port_latency(samples: int = 24) -> ExperimentResult:
 
     def d2h_latency() -> float:
         def program() -> Generator:
-            mid = yield from ssd.loadModule(PROBE_IMAGE_PATH)
+            mid = yield from ssd.load(PROBE_MODULE)
             app = Application(ssd)
             source = SSDLetProxy(app, mid, "idSource", (samples, 8))
             port = app.connectTo(source.out(0), Packet)
@@ -120,7 +119,7 @@ def exp_table2_port_latency(samples: int = 24) -> ExperimentResult:
 
     def h2d_latency() -> float:
         def program() -> Generator:
-            mid = yield from ssd.loadModule(PROBE_IMAGE_PATH)
+            mid = yield from ssd.load(PROBE_MODULE)
             app = Application(ssd)
             sink = SSDLetProxy(app, mid, "idSink")
             port = app.connectFrom(Packet, sink.in_(0))

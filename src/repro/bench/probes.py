@@ -7,10 +7,9 @@ from typing import Generator, List
 from repro.core import Packet, SSDLet, SSDletModule
 from repro.core.errors import PortClosed
 
-__all__ = ["PROBE_MODULE", "Source", "Sink", "PROBE_IMAGE_PATH"]
+__all__ = ["PROBE_MODULE", "Source", "Sink"]
 
 PROBE_MODULE = SSDletModule("latency-probe")
-PROBE_IMAGE_PATH = "/var/isc/slets/latency_probe.slet"
 
 
 class Source(SSDLet):

@@ -6,7 +6,9 @@ A host program builds an :class:`Application`, declares proxy
 :meth:`Application.start` — which performs the control-channel round trips
 that create device instances, establish every connection, and launch the
 fibers, "so that all SSDlets begin execution after their communication
-channels are completely set up" (Section III-E).
+channels are completely set up" (Section III-E).  :meth:`Application.run`
+is the whole life-cycle in one call: start, the host program's port
+traffic, wait, and stop on every path out.
 """
 
 from __future__ import annotations
@@ -290,6 +292,22 @@ class Application:
             2.0 * max(1, wired))
 
     # ------------------------------------------------------------- lifecycle
+    def run(self, collect: Optional[Generator] = None) -> Generator:
+        """Fiber: the one life-cycle of a host program's application —
+        ``start``, then the ``collect`` fiber (the host program's side of
+        its ports), then ``wait`` — with ``stop`` on every path out, so a
+        failed run strands no fiber and no data channel.  Returns what
+        ``collect`` returns."""
+        try:
+            yield from self.start()
+            value = None
+            if collect is not None:
+                value = yield from collect
+            yield from self.wait()
+        finally:
+            self.stop()
+        return value
+
     def wait(self) -> Generator:
         """Fiber: block until every task of this application finished."""
         if not self.started:

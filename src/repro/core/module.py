@@ -56,6 +56,11 @@ class SSDletModule:
             return self._explicit_size
         return self.BASE_BINARY_BYTES + self.PER_CLASS_BYTES * len(self.classes)
 
+    @property
+    def image_path(self) -> str:
+        """Where the module's image lives on the SSD filesystem."""
+        return "/var/isc/slets/%s.slet" % self.name
+
     def register(self, class_id: str, cls: Type) -> Type:
         """Register an SSDlet class under ``class_id`` (RegisterSSDLet).
 

@@ -12,8 +12,9 @@ Responsibilities, mirroring the paper:
   binary size) and registered; unload requires no live instances.
 * **Dynamic memory allocation** — system and user allocators; each instance
   is an isolation owner in the user arena and is swept on teardown.
-* **File permission inheritance** — SSDlets may only open files the host
-  program granted (Section III-D).
+* **File permission inheritance** — SSDlets may only open files through a
+  :class:`~repro.core.ssd_api.DeviceFile` token a host program made on this
+  device; the token is the grant (Section III-D).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class DeviceApplication:
 
 
 class BiscuitRuntime:
-    """One runtime per SSD."""
+    """One runtime per SSD (kept with the device; see ``repro.core.SSD``)."""
 
     def __init__(self, system, device: Optional[SSDDevice] = None,
                  fs: Optional[FileSystem] = None):
@@ -87,7 +88,6 @@ class BiscuitRuntime:
         self._next_core = 0
         self._modules: Dict[int, LoadedModule] = {}
         self._next_mid = itertools.count(1)
-        self._granted_files: set = set()
         self._instance_ids = itertools.count(1)
         self.applications: List[DeviceApplication] = []
         # Every link declared by a live Application on this runtime (``Link``
@@ -240,26 +240,21 @@ class BiscuitRuntime:
             pass
 
     # ------------------------------------------------------------------ files
-    def grant_file(self, path: str) -> None:
-        """Host-side grant: SSDlets may open this path (permission inherit)."""
-        self._granted_files.add(path)
+    def open_file(self, app: DeviceApplication, device_file: Any) -> Generator:
+        """Fiber: open a host program's file token for internal I/O; small
+        firmware cost.  Anything but a DeviceFile made on this device is
+        refused."""
+        from repro.core.ssd_api import DeviceFile
 
-    def revoke_file(self, path: str) -> None:
-        self._granted_files.discard(path)
-
-    def open_file(self, app: DeviceApplication, device_file) -> Generator:
-        """Fiber: open a granted file for internal I/O; small firmware cost."""
-        path = getattr(device_file, "path", device_file)
-        if path not in self._granted_files:
+        if not isinstance(device_file, DeviceFile) or device_file.runtime is not self:
             raise SafetyViolation(
-                "%s: file %r was not granted to this program" % (app.name, path)
+                "%s: %r is not a file token of this device" % (app.name, device_file)
             )
         yield from self.device.controller.device_compute(5.0)
-        inode = self.fs.lookup(path)
-        use_matcher = bool(getattr(device_file, "use_matcher", False))
-        cache_bypass = bool(getattr(device_file, "cache_bypass", False))
-        return FileHandle(self.fs, inode, internal=True, use_matcher=use_matcher,
-                          cache_bypass=cache_bypass)
+        inode = self.fs.lookup(device_file.path)
+        return FileHandle(self.fs, inode, internal=True,
+                          use_matcher=device_file.use_matcher,
+                          cache_bypass=device_file.cache_bypass)
 
     # ------------------------------------------------------------------ hooks
     def compute(self, app: DeviceApplication, duration_us: float) -> Generator:

@@ -1,17 +1,18 @@
 """The host-side SSD facade and File tokens (libsisc's SSD / File classes).
 
-``SSD(system)`` is the paper's ``SSD ssd("/dev/nvme0n1")``: it owns the
-device's Biscuit runtime and the channel manager, and provides module
-load/unload plus :class:`DeviceFile` tokens.  Creating a DeviceFile *grants*
-the SSDlets of that host program access to the path — the permission
-inheritance of Section III-D.
+``SSD(system)`` is the paper's ``SSD ssd("/dev/nvme0n1")``: a handle on the
+device's one Biscuit runtime and channel manager, providing module
+load/unload plus :class:`DeviceFile` tokens.  A DeviceFile *is* the grant:
+the runtime opens a file for an SSDlet only through a token the host
+program made on that device — the permission inheritance of Section III-D.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Union
+from typing import Generator
 
 from repro.core.channels import ChannelManager
+from repro.core.module import SSDletModule, write_module_image
 from repro.core.runtime import BiscuitRuntime
 from repro.host.platform import System
 
@@ -30,10 +31,10 @@ class DeviceFile:
 
     def __init__(self, ssd: "SSD", path: str, use_matcher: bool = False,
                  cache_bypass: bool = False):
+        self.runtime = ssd.runtime  # the one runtime that will open it
         self.path = path
         self.use_matcher = use_matcher
         self.cache_bypass = cache_bypass
-        ssd.runtime.grant_file(path)
 
     def __repr__(self) -> str:
         flags = "".join(
@@ -45,9 +46,11 @@ class DeviceFile:
 class SSD:
     """Host handle to one Biscuit-enabled SSD.
 
-    In a Scale-up system (multiple SSDs), create one facade per device:
-    ``SSD(system, device_index=i)`` — each gets its own runtime and channel
-    manager, like opening ``/dev/nvme1n1``, ``/dev/nvme2n1``, ...
+    In a Scale-up system (multiple SSDs), open one handle per device:
+    ``SSD(system, device_index=i)``, like opening ``/dev/nvme1n1``,
+    ``/dev/nvme2n1``, ...  The first handle on a device builds its runtime
+    and channel manager and keeps them with the device; every later handle
+    on that device shares them.
     """
 
     def __init__(self, system: System, device_index: int = 0):
@@ -55,14 +58,25 @@ class SSD:
         self.device_index = device_index
         self.dev_path = "/dev/nvme%dn1" % device_index
         device = system.devices[device_index]
-        fs = system.filesystems[device_index]
-        self.runtime = BiscuitRuntime(system, device=device, fs=fs)
-        self.channels = ChannelManager(system.sim, system.cpu, device)
+        if device.biscuit is None:
+            fs = system.filesystems[device_index]
+            device.biscuit = (BiscuitRuntime(system, device=device, fs=fs),
+                              ChannelManager(system.sim, system.cpu, device))
+        self.runtime, self.channels = device.biscuit
 
     # ---------------------------------------------------------------- modules
-    def loadModule(self, path_or_file: Union[str, DeviceFile]) -> Generator:
-        """Fiber: load an SSDlet module image; returns the module id."""
-        path = getattr(path_or_file, "path", path_or_file)
+    def load(self, module: SSDletModule) -> Generator:
+        """Fiber: deploy ``module``'s image if the device has none, then load
+        it; returns the module id."""
+        fs = self.runtime.fs
+        if not fs.exists(module.image_path):
+            write_module_image(fs, module.image_path, module)
+        mid = yield from self.loadModule(module.image_path)
+        return mid
+
+    def loadModule(self, path: str) -> Generator:
+        """Fiber: load the SSDlet module image at ``path``; returns the
+        module id."""
         inode = self.runtime.fs.lookup(path)
         mid = yield from self.channels.control_call(self.runtime.load_module(inode))
         return mid

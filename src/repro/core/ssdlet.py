@@ -73,11 +73,11 @@ class SSDLet(TaskBase):
         yield self._require_runtime().sim.timeout(0)
 
     def open(self, device_file: Any) -> Generator[Any, Any, "FileHandle"]:
-        """Fiber: open a host-granted file for internal I/O.
+        """Fiber: open a host program's file token for internal I/O.
 
         Permission is inherited from the host program (Section III-D): the
-        runtime refuses paths the host never granted, raising
-        :class:`SafetyViolation`.
+        runtime opens only a :class:`~repro.core.ssd_api.DeviceFile` made on
+        this device and raises :class:`SafetyViolation` for anything else.
         """
         handle: "FileHandle" = yield from self._require_runtime().open_file(
             self._require_app(), device_file

@@ -22,7 +22,6 @@ from repro.core import (
     SSDLet,
     SSDLetProxy,
     SSDletModule,
-    write_module_image,
 )
 from repro.db import kernels
 from repro.db.executor import AggPlan, Engine, PlanStep, Rel, TableRef
@@ -32,7 +31,6 @@ __all__ = ["NDP_MODULE", "ScanFilter", "ScanAggregate", "NDPContext",
            "ScanSpec", "page_ranges", "run_offloaded_scan", "scan_kernels"]
 
 NDP_MODULE = SSDletModule("minidb-ndp")
-MODULE_IMAGE_PATH = "/var/isc/slets/minidb_ndp.slet"
 
 #: Pages streamed per matcher command (one IP configuration amortizes over
 #: a large chunk; Section V-A notes the IP scans "a configurable amount of
@@ -252,19 +250,19 @@ def run_offloaded_scan(
     """
     class_id = "idScanFilter" if spec.fold is None else "idScanAggregate"
     app = Application(ssd, app_name)
-    try:
-        # A full-table scan is the canonical streaming read: it must not
-        # evict the device cache's hot working set (index pages, chased
-        # pointers, another tenant's data), so the token streams past the
-        # cache even when the matcher is off (software scan).
-        token = DeviceFile(ssd, spec.path, use_matcher=spec.use_matcher,
-                           cache_bypass=True)
-        ports = []
-        for first_page, num_pages in ranges:
-            proxy = SSDLetProxy(app, mid, class_id, (
-                token, spec, first_page, num_pages, checkpoint_pages))
-            ports.append(app.connectTo(proxy.out(0), Packet))
-        yield from app.start()
+    # A full-table scan is the canonical streaming read: it must not evict
+    # the device cache's hot working set (index pages, chased pointers,
+    # another tenant's data), so the token streams past the cache even when
+    # the matcher is off (software scan).
+    token = DeviceFile(ssd, spec.path, use_matcher=spec.use_matcher,
+                       cache_bypass=True)
+    ports = []
+    for first_page, num_pages in ranges:
+        proxy = SSDLetProxy(app, mid, class_id, (
+            token, spec, first_page, num_pages, checkpoint_pages))
+        ports.append(app.connectTo(proxy.out(0), Packet))
+
+    def collect() -> Generator:
         for index, port in enumerate(ports):
             while True:
                 packet = yield from port.get_opt()
@@ -273,27 +271,23 @@ def run_offloaded_scan(
                 on_payload(index, pickle.loads(packet.payload), len(packet))
                 if spec.fold is not None:
                     break
-        yield from app.wait()
-    finally:
-        app.stop()
+
+    yield from app.run(collect())
 
 
 class NDPContext:
-    """Host-side NDP machinery for one device (module image installed at
-    construction, loaded once on first use)."""
+    """Host-side NDP machinery for one device (module loaded once, on first
+    use)."""
 
     def __init__(self, system, device: int = 0):
         self.system = system
         self.ssd = SSD(system, device_index=device)
         self._mid: Optional[int] = None
-        fs = system.filesystems[device]
-        if not fs.exists(MODULE_IMAGE_PATH):
-            write_module_image(fs, MODULE_IMAGE_PATH, NDP_MODULE)
 
     def _ensure_module(self) -> Generator:
         """Fiber: the NDP module's id on this device (one timed load)."""
         if self._mid is None:
-            self._mid = yield from self.ssd.loadModule(MODULE_IMAGE_PATH)
+            self._mid = yield from self.ssd.load(NDP_MODULE)
         return self._mid
 
     def _scan(self, engine: Engine, step: PlanStep, app_name: str,

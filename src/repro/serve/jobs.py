@@ -26,23 +26,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, Optional
 
 from repro.apps.pointer_chase import (
-    MODULE_IMAGE_PATH as CHASE_IMAGE_PATH,
     NODE_RECORD_BYTES,
     POINTER_CHASE_MODULE,
     GraphFile,
+    launch_chaser,
 )
-from repro.apps.string_search import (
-    MODULE_IMAGE_PATH as SEARCH_IMAGE_PATH,
-    STRING_SEARCH_MODULE,
-    launch_searchers,
-)
-from repro.core import Application, DeviceFile, SSDLetProxy
-from repro.db.ndp import (
-    MODULE_IMAGE_PATH as NDP_IMAGE_PATH,
-    NDP_MODULE,
-    ScanSpec,
-    run_offloaded_scan,
-)
+from repro.apps.string_search import STRING_SEARCH_MODULE, launch_searchers
+from repro.core.module import write_module_image
+from repro.db.ndp import NDP_MODULE, ScanSpec, run_offloaded_scan
 from repro.sim.engine import Event
 from repro.sim.units import KIB, MIB
 
@@ -136,7 +127,6 @@ class JobKindBase:
 
     name = "base"
     module = None
-    image_path = ""
 
     def install(self, fs) -> None:
         """Install this kind's per-device dataset (idempotent)."""
@@ -164,7 +154,6 @@ class JobKindBase:
 class StringSearchKind(JobKindBase):
     name = "string_search"
     module = STRING_SEARCH_MODULE
-    image_path = SEARCH_IMAGE_PATH
 
     def install(self, fs) -> None:
         if not fs.exists(WEBLOG_PATH):
@@ -197,7 +186,6 @@ class StringSearchKind(JobKindBase):
 class PointerChaseKind(JobKindBase):
     name = "pointer_chase"
     module = POINTER_CHASE_MODULE
-    image_path = CHASE_IMAGE_PATH
 
     def install(self, fs) -> None:
         if not fs.exists(GRAPH_PATH):
@@ -215,20 +203,9 @@ class PointerChaseKind(JobKindBase):
     def run(self, server, mid: int, job: Job) -> Generator:
         params = self.params_of(job)
         graph = GraphFile(GRAPH_PATH, GRAPH_NODES, GRAPH_SEED, exact=False)
-        app = Application(server.ssd, "serve-chase-%d" % job.job_id)
-        try:
-            token = DeviceFile(server.ssd, GRAPH_PATH)
-            proxy = SSDLetProxy(
-                app, mid, "idChaser",
-                (token, graph, [params["start"]], params["hops"]),
-            )
-            port = app.connectTo(proxy.out(0), int)
-            yield from app.start()
-            final = yield from port.get_opt()
-            yield from app.wait()
-        except BaseException:
-            app.stop()
-            raise
+        (final,) = yield from launch_chaser(
+            server.ssd, mid, "serve-chase-%d" % job.job_id, graph,
+            [params["start"]], params["hops"])
         return final
 
 
@@ -259,7 +236,6 @@ TABLE_SCAN = ScanSpec(
 class DbScanKind(JobKindBase):
     name = "db_scan"
     module = NDP_MODULE
-    image_path = NDP_IMAGE_PATH
 
     def install(self, fs) -> None:
         if not fs.exists(TABLE_PATH):
@@ -300,11 +276,9 @@ def job_kind_names():
 
 def install_serve_datasets(system) -> None:
     """Install every kind's dataset + module image on every device."""
-    from repro.core.module import write_module_image
-
     for fs in system.filesystems:
         for name in job_kind_names():
             kind = JOB_KINDS[name]
             kind.install(fs)
-            if not fs.exists(kind.image_path):
-                write_module_image(fs, kind.image_path, kind.module)
+            if not fs.exists(kind.module.image_path):
+                write_module_image(fs, kind.module.image_path, kind.module)

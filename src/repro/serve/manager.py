@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.core.module import write_module_image
 from repro.core.ssd_api import SSD
 from repro.net.cluster import make_placement
 from repro.serve.admission import AdmissionDecision, SlotTable
@@ -51,12 +50,11 @@ class Tenant:
 
 
 class DeviceServer:
-    """One device's serving state: SSD facade + slots + resident modules.
+    """One device's serving state: SSD handle + slots + resident modules.
 
-    The facade (and with it the Biscuit runtime and channel manager) is
-    created once and reused for every job on this device — module
-    residency, slot occupancy and the data-channel pool are only meaningful
-    against a long-lived runtime.
+    Every job on this device runs through the handle's runtime and channel
+    manager, which are the device's own (one per SSD), so module residency,
+    slot occupancy and the data-channel pool are those of the device.
     """
 
     def __init__(self, system, index: int):
@@ -83,11 +81,8 @@ class DeviceServer:
             entry = {"mid": None, "refs": 1,
                      "loading": Event(self.system.sim)}
             self._modules[kind_name] = entry
-            fs = self.system.filesystems[self.index]
-            if not fs.exists(kind.image_path):
-                write_module_image(fs, kind.image_path, kind.module)
             try:
-                mid = yield from self.ssd.loadModule(kind.image_path)
+                mid = yield from self.ssd.load(kind.module)
             except BaseException as exc:
                 # The load itself reads the device, so it can die under
                 # fault injection.  Drop the entry (a later arrival reloads

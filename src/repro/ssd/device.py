@@ -61,6 +61,9 @@ class SSDDevice:
         self.interface.trace_track = "%s/pcie" % scope
         # Logical page content (what a block device would return).
         self._store: Dict[int, bytes] = {}
+        # The device's one Biscuit runtime and channel manager, built by
+        # the first host handle opened on it (``repro.core.SSD``).
+        self.biscuit = None
 
     # ------------------------------------------------------------ content I/O
     def store_page(self, lpn: int, data: bytes) -> None:

@@ -1,32 +1,20 @@
 """A host program whose application fails mid-run stops it on the way out.
 
-Every app in ``repro.apps`` that starts an Application reaches
-``app.stop()`` on its failure paths too: no data channel stays held, no
-DeviceApplication stays registered, and no stranded fiber fails later.
+Every app in ``repro.apps``, the serving layer's chase job and the
+offloaded scan run their Application through ``Application.run``, which
+reaches ``app.stop()`` on failure paths too: no data channel stays held,
+no DeviceApplication stays registered, and no stranded fiber fails later.
 """
 
-import pytest
-
 from repro.apps import log_analytics, pointer_chase, string_search, wordcount
-from repro.core import Application
+from repro.core import SSD, Application
 from repro.core.errors import UncorrectableReadError
+from repro.db.ndp import NDP_MODULE, page_ranges, run_offloaded_scan
 from repro.host.platform import System
+from repro.serve.jobs import JOB_KINDS, TABLE_SCAN, Job, JobSpec, install_serve_datasets
+from repro.serve.manager import DeviceServer
 from repro.sim.units import MIB
 from repro.testing.faults import Fault, FaultInjector, FaultPlan, ScriptedInjector
-
-
-@pytest.fixture
-def facades(monkeypatch):
-    """Every SSD facade the apps open (they create their own), in order."""
-    opened = []
-    for module in (log_analytics, pointer_chase, string_search, wordcount):
-        class RecordingSSD(module.SSD):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                opened.append(self)
-
-        monkeypatch.setattr(module, "SSD", RecordingSSD)
-    return opened
 
 
 def _attempt(system, program):
@@ -40,14 +28,15 @@ def _attempt(system, program):
     return system.run_fiber(guarded())
 
 
-def _assert_torn_down(system, ssd):
+def _assert_torn_down(system):
+    ssd = SSD(system)  # the handles the program opened share its runtime
     assert ssd.channels.data_channels._in_use == 0
     assert ssd.runtime.applications == []
     system.sim.run()  # interrupted fibers finish; nothing fails unhandled
 
 
 def test_search_that_fails_after_start_releases_its_channels(
-        facades, monkeypatch):
+        monkeypatch):
     """20 % uncorrectable reads on a 1 MiB log: most calls die loading the
     module, but one gets past ``app.start()`` with four data channels held
     (before the launch stopped its application, that call kept them and
@@ -68,7 +57,7 @@ def test_search_that_fails_after_start_releases_its_channels(
         outcome = _attempt(system, string_search.biscuit_string_search(
             system, "/log", "NEEDLE"))
         assert isinstance(outcome, UncorrectableReadError)
-        _assert_torn_down(system, facades[-1])
+        _assert_torn_down(system)
     assert started == ["string-search"]  # the failure that used to leak
 
 
@@ -86,30 +75,58 @@ def _fail_first_read_after_start(monkeypatch, system):
 
 
 def test_pointer_chase_stops_its_application_on_a_mid_run_fault(
-        facades, monkeypatch, system):
+        monkeypatch, system):
     graph = pointer_chase.build_analytic_graph(system, "/g.bin", 100_000)
     _fail_first_read_after_start(monkeypatch, system)
     outcome = _attempt(system, pointer_chase.biscuit_pointer_chase(
         system, graph, 2, 40))
     assert isinstance(outcome, UncorrectableReadError)
-    _assert_torn_down(system, facades[-1])
+    _assert_torn_down(system)
 
 
 def test_wordcount_stops_its_application_on_a_mid_run_fault(
-        facades, monkeypatch, system):
+        monkeypatch, system):
     system.fs.install("/in.txt", b"alpha beta gamma delta " * 10_000)
     _fail_first_read_after_start(monkeypatch, system)
     outcome = _attempt(system, wordcount.wordcount_host_program(
         system, "/in.txt"))
     assert isinstance(outcome, UncorrectableReadError)
-    _assert_torn_down(system, facades[-1])
+    _assert_torn_down(system)
 
 
 def test_log_analytics_stops_its_application_on_a_mid_run_fault(
-        facades, monkeypatch, system):
+        monkeypatch, system):
     log_analytics.install_access_log(system, "/logs/a.log", 8000)
     _fail_first_read_after_start(monkeypatch, system)
     outcome = _attempt(system, log_analytics.biscuit_top_clients(
         system, "/logs/a.log"))
     assert isinstance(outcome, UncorrectableReadError)
-    _assert_torn_down(system, facades[-1])
+    _assert_torn_down(system)
+
+
+def test_serve_chase_job_stops_its_application_on_a_mid_run_fault(
+        monkeypatch, system):
+    install_serve_datasets(system)
+    server = DeviceServer(system, 0)
+    kind = JOB_KINDS["pointer_chase"]
+    mid = system.run_fiber(server.acquire_module(kind.name))
+    job = Job(JobSpec("tenant", kind.name), system.sim, system.sim.now)
+    _fail_first_read_after_start(monkeypatch, system)
+    outcome = _attempt(system, kind.run(server, mid, job))
+    assert isinstance(outcome, UncorrectableReadError)
+    _assert_torn_down(system)
+
+
+def test_offloaded_scan_stops_its_application_on_a_mid_run_fault(
+        monkeypatch, system):
+    install_serve_datasets(system)
+    ssd = SSD(system)
+    mid = system.run_fiber(ssd.load(NDP_MODULE))
+    _fail_first_read_after_start(monkeypatch, system)
+    # 8-page chunks: each SSDlet's first read is in flight by the end of
+    # start(), so the fault lands on a later chunk, mid-run.
+    outcome = _attempt(system, run_offloaded_scan(
+        ssd, mid, "scan", TABLE_SCAN, page_ranges(64, 2),
+        lambda _index, _payload, _nbytes: None, checkpoint_pages=8))
+    assert isinstance(outcome, UncorrectableReadError)
+    _assert_torn_down(system)

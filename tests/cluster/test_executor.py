@@ -7,6 +7,7 @@ from repro.cluster import (
     ShardedFleet,
     ShardUnavailableError,
 )
+from repro.core import SSD
 from repro.db.catalog import Column, TableSchema
 from repro.db.executor import TableRef
 from repro.sim.engine import all_of
@@ -119,7 +120,7 @@ def test_hedged_kv_batches_give_their_data_channels_back():
         found = fleet.run_fiber(executor.kv_lookup(kv, keys), name="kv")
         assert found == {key: b"v" * 64 for key in keys}
         losers += hedge.hedges_fired
-        in_use = [store._ssd.channels.data_channels._in_use
-                  for store in kv.stores.values() if store._ssd]
+        in_use = [SSD(store.system).channels.data_channels._in_use
+                  for store in kv.stores.values() if store._mid is not None]
         assert in_use and not any(in_use)
     assert losers  # legs really were interrupted mid-application

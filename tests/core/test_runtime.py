@@ -5,6 +5,7 @@ import pytest
 from repro.core import SSD, Application, DeviceFile, SSDLetProxy
 from repro.core.errors import ModuleError, SafetyViolation, TypeMismatchError
 from repro.core.runtime import INSTANCE_BASE_BYTES
+from repro.host.platform import System
 
 from tests.core.helpers import IMAGE_PATH, TEST_MODULE, deploy
 
@@ -17,6 +18,29 @@ def ssd(system):
 
 def load(system, ssd):
     return system.run_fiber(ssd.loadModule(IMAGE_PATH))
+
+
+# ------------------------------------------------------------------ handles
+def test_handles_on_one_device_share_its_runtime(system, ssd):
+    """Like opening /dev/nvme0n1 twice: two handles, one firmware runtime
+    and one channel manager; another System's device has its own."""
+    again = SSD(system)
+    assert again is not ssd
+    assert again.runtime is ssd.runtime
+    assert again.channels is ssd.channels
+    elsewhere = SSD(System())
+    assert elsewhere.runtime is not ssd.runtime
+    assert elsewhere.channels is not ssd.channels
+
+
+def test_load_deploys_the_image_once(system, ssd):
+    assert not system.fs.exists(TEST_MODULE.image_path)
+    first = system.run_fiber(ssd.load(TEST_MODULE))
+    inode = system.fs.lookup(TEST_MODULE.image_path)
+    second = system.run_fiber(SSD(system).load(TEST_MODULE))
+    assert system.fs.lookup(TEST_MODULE.image_path) is inode
+    assert first != second
+    assert {first, second} <= set(ssd.runtime.loaded_modules)
 
 
 # ------------------------------------------------------------------- modules
@@ -192,15 +216,44 @@ def test_ungranted_file_rejected(system, ssd):
     assert system.run_fiber(program()) == "blocked"
 
 
-def test_revoked_file_rejected(system, ssd):
+def test_forged_token_cannot_borrow_another_programs_file(system, ssd):
+    """The token is the grant: program A's DeviceFile for a path does not
+    let program B's SSDlets open that path through an object that merely
+    carries the same ``.path``."""
     mid = load(system, ssd)
-    system.fs.install("/data/gone.bin", b"x")
+    system.fs.install("/data/a.bin", b"program A's data")
+
+    class Forged:
+        path = "/data/a.bin"
+        use_matcher = False
+        cache_bypass = False
+
+    def program():
+        app_a = Application(ssd, "a")
+        reader_a = SSDLetProxy(app_a, mid, "idFileReader",
+                               (DeviceFile(ssd, "/data/a.bin"),))
+        app_b = Application(ssd, "b")
+        SSDLetProxy(app_b, mid, "idFileReader", (Forged(),))
+        yield from app_a.start()
+        yield from app_b.start()
+        yield from app_a.wait()
+        try:
+            yield from app_b.wait()
+        except SafetyViolation:
+            return reader_a.instance.data, "blocked"
+
+    assert system.run_fiber(program()) == (b"program A's data", "blocked")
+
+
+def test_token_of_another_device_rejected(system, ssd):
+    mid = load(system, ssd)
+    system.fs.install("/data/ok.bin", b"payload!")
+    other = SSD(System())
 
     def program():
         app = Application(ssd)
-        token = DeviceFile(ssd, "/data/gone.bin")
-        SSDLetProxy(app, mid, "idFileReader", (token,))
-        ssd.runtime.revoke_file("/data/gone.bin")
+        SSDLetProxy(app, mid, "idFileReader",
+                    (DeviceFile(other, "/data/ok.bin"),))
         yield from app.start()
         try:
             yield from app.wait()
