@@ -170,13 +170,13 @@ class Searcher(SSDLet):
             first_page = pos // page
             n_pages = (pos + take - 1) // page - first_page + 1
             matched_pages = []
-            for index in range(first_page, first_page + n_pages):
-                if inode.analytic_profile:
-                    result = matcher.match_page_analytic(
-                        index, [needle], inode.analytic_profile, seed=1
-                    )
-                    total_hits += result.total_hits
-                else:
+            if inode.analytic_profile:
+                _matched, hits = matcher.match_pages_analytic(
+                    first_page, n_pages, [needle], inode.analytic_profile,
+                    seed=1)
+                total_hits += hits
+            else:
+                for index in range(first_page, first_page + n_pages):
                     data = fs.page_content(inode, index)
                     result = matcher.match_bytes(index, data, [needle])
                     if result.matched:

@@ -26,7 +26,6 @@ __all__ = [
     "register_serializer",
     "is_serializable",
     "check_value",
-    "specs_match",
     "spec_name",
 ]
 
@@ -138,11 +137,6 @@ def spec_name(spec: Any) -> str:
     return str(spec)
 
 
-def specs_match(a: Any, b: Any) -> bool:
-    """Strict equality of type specs — the paper allows no implicit conversion."""
-    return a == b
-
-
 def check_value(value: Any, spec: Any) -> None:
     """Runtime type check of a value against a port/argument type spec.
 
@@ -198,10 +192,3 @@ def check_value(value: Any, spec: Any) -> None:
         raise TypeMismatchError(
             "expected %s, got %s" % (spec_name(spec), type(value).__name__)
         )
-
-
-def packet_size_of(value: Any, spec: Any) -> int:
-    """Wire size of a value if it crossed a Packet port (for cost models)."""
-    if isinstance(value, Packet):
-        return len(value)
-    return len(serialize(value, spec))

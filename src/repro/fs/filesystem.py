@@ -167,7 +167,9 @@ class FileSystem:
 
         This is the dataset-bootstrap path (like preparing a testbed before
         the measured run).  Timed writes go through
-        :meth:`repro.fs.file.FileHandle.write`.
+        :meth:`repro.fs.file.FileHandle.write`.  The file's pages reference
+        ``data`` itself when it is a ``bytes`` (no per-page copy), so a blob
+        installed on several devices is held once.
         """
         if path in self._files:
             raise FsError("file exists: %s" % path)
@@ -175,10 +177,7 @@ class FileSystem:
         inode.size = len(data)
         pages = inode.num_pages
         inode.add_extents(self._allocate(pages))
-        lpns = inode.all_lpns()
-        for i, lpn in enumerate(lpns):
-            chunk = data[i * self.page_size:(i + 1) * self.page_size]
-            self.device.store_page(lpn, chunk)
+        self.device.store_pages(inode.all_lpns(), data)
         self._files[path] = inode
         return inode
 

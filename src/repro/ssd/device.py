@@ -5,6 +5,13 @@ all talk to.  It also owns the logical-page *content store*: page payloads
 are kept logically (keyed by LPN) so that data correctness is independent of
 physical placement, exactly as on a real device where the FTL is invisible
 above the block interface.
+
+The store holds each written byte once.  A page is a reference
+``(buffer, page index)`` into the buffer it was written from: a caller's
+``bytes`` is referenced as it is, and any other buffer (``bytearray``,
+``memoryview``, a ``bytes`` subclass) is copied once, whole, first.  A
+buffer lives as long as any of its pages is still stored; a page that is
+overwritten or trimmed no longer pins it.
 """
 
 from __future__ import annotations
@@ -59,26 +66,56 @@ class SSDDevice:
         self.controller.trace_io_track = "%s/io" % scope
         self.controller.trace_fw_track = "%s/fw" % scope
         self.interface.trace_track = "%s/pcie" % scope
-        # Logical page content (what a block device would return).
-        self._store: Dict[int, bytes] = {}
+        # Logical page content (what a block device would return), as two
+        # maps kept in step: LPN -> its buffer, and LPN -> the page's index
+        # in that buffer.  Their keys and values are ints and bytes, so
+        # neither map is GC-tracked and a page adds no tracked object (an
+        # index below 257 is a shared small int).  One zero page answers
+        # every LPN without content.
+        self._buffers: Dict[int, bytes] = {}
+        self._indexes: Dict[int, int] = {}
+        self._zero_page = bytes(self.config.logical_page_bytes)
         # The device's one Biscuit runtime and channel manager, built by
         # the first host handle opened on it (``repro.core.SSD``).
         self.biscuit = None
 
     # ------------------------------------------------------------ content I/O
-    def store_page(self, lpn: int, data: bytes) -> None:
-        """Stage page content (no timing; pair with controller.write_pages)."""
-        if len(data) > self.config.logical_page_bytes:
-            raise ValueError("page payload exceeds logical page size")
-        self._store[lpn] = bytes(data)
+    def store_pages(self, lpns: Sequence[int], data: bytes) -> None:
+        """Stage ``data`` as the content of ``lpns``, one page each, in order
+        (no timing; pair with controller.write_pages).
+
+        Page ``i`` is ``data[i * page:(i + 1) * page]``, so the last one may
+        be short.  Nothing is sliced here: each page references ``data``
+        (see the module docstring for the one copy a non-``bytes`` takes).
+        """
+        page = self.config.logical_page_bytes
+        if len(data) > len(lpns) * page:
+            raise ValueError("payload exceeds the pages it is staged to")
+        if type(data) is not bytes:
+            data = bytes(data)
+        buffers, indexes = self._buffers, self._indexes
+        for index, lpn in enumerate(lpns):
+            buffers[lpn] = data
+            indexes[lpn] = index
 
     def load_page(self, lpn: int) -> bytes:
-        """Fetch page content (no timing; pair with controller.read_pages)."""
-        return self._store.get(lpn, b"\x00" * self.config.logical_page_bytes)
+        """Fetch page content (no timing; pair with controller.read_pages).
+
+        A page that is its whole buffer comes back as that buffer itself
+        (slicing an exact ``bytes`` end to end returns it), any other page
+        as a slice, and an LPN without content as the device's zero page.
+        """
+        data = self._buffers.get(lpn)
+        if data is None:
+            return self._zero_page
+        page = self.config.logical_page_bytes
+        start = self._indexes[lpn] * page
+        return data[start:start + page]
 
     def discard_pages(self, lpns: Sequence[int]) -> None:
         for lpn in lpns:
-            self._store.pop(lpn, None)
+            self._buffers.pop(lpn, None)
+            self._indexes.pop(lpn, None)
         self.ftl.trim(list(lpns))
 
     # -------------------------------------------------------------- timed I/O

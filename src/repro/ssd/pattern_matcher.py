@@ -11,8 +11,8 @@ Two evaluation modes:
 
 * **exact** — :meth:`match_bytes` scans real page bytes (used by tests,
   examples and small-scale runs; semantics are real).
-* **analytic** — :meth:`match_page_analytic` decides matches from a
-  deterministic hash of (seed, page index, key) against a caller-supplied
+* **analytic** — :meth:`match_pages_analytic` decides a run of pages from
+  a deterministic hash of (seed, page index, key) against a caller-supplied
   per-key match probability.  Used to run paper-scale (GiB) workloads
   without materializing the bytes.  Timing is identical in both modes.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.ssd.config import SSDConfig
 
@@ -94,31 +94,36 @@ class PatternMatcher:
         return MatchResult(page_index=page_index, matched=matched, hits=hits)
 
     # ---------------------------------------------------------- analytic mode
-    def match_page_analytic(
+    def match_pages_analytic(
         self,
-        page_index: int,
+        first_page: int,
+        count: int,
         keys: Sequence[bytes],
         key_probabilities: Dict[bytes, float],
         seed: int = 0,
-    ) -> MatchResult:
-        """Decide a match from a deterministic hash, honoring per-key probability.
+    ) -> Tuple[List[int], int]:
+        """Decide pages ``first_page .. first_page + count - 1`` from a
+        deterministic hash, honoring per-key probability.
 
-        The same (seed, page, key) always yields the same verdict, so analytic
-        runs are reproducible and monotone in probability.
+        Returns the matched page indexes and the total key hits (one per
+        key that matched a page).  The same (seed, page, key) always yields
+        the same verdict, so analytic runs are reproducible and monotone in
+        probability.
         """
-        keys = self.validate_keys(keys)
-        hits: Dict[bytes, int] = {}
-        for key in keys:
-            probability = key_probabilities.get(bytes(key), 0.0)
+        pages = range(first_page, first_page + count)
+        uniform = self._uniform
+        hits: Dict[int, int] = {}  # page index -> keys matched there
+        for key in self.validate_keys(keys):
+            probability = key_probabilities.get(key, 0.0)
             if probability <= 0.0:
                 continue
-            if probability >= 1.0 or self._uniform(seed, page_index, key) < probability:
-                hits[key] = 1
-        self.pages_scanned += 1
-        matched = bool(hits)
-        if matched:
-            self.pages_matched += 1
-        return MatchResult(page_index=page_index, matched=matched, hits=hits)
+            for index in pages:
+                if probability >= 1.0 or uniform(seed, index, key) < probability:
+                    hits[index] = hits.get(index, 0) + 1
+        matched = sorted(hits)
+        self.pages_scanned += count
+        self.pages_matched += len(matched)
+        return matched, sum(hits.values())
 
     @staticmethod
     def _uniform(seed: int, page_index: int, key: bytes) -> float:

@@ -150,19 +150,47 @@ def rows_match(a: List[tuple], b: List[tuple]) -> bool:
 
     NDP workers merge partial aggregates in a different order than the host
     path, so float sums may differ in the last bits; everything else must be
-    exactly equal.
+    exactly equal.  Both sides are sorted with numbers by value, so a sum
+    that lands either side of a power of ten (``10.0`` against
+    ``9.999999999999998``) pairs with its twin; rows that near-tied floats
+    still misalign are matched greedily among themselves.
     """
     if len(a) != len(b):
         return False
-    for row_a, row_b in zip(sorted(a, key=repr), sorted(b, key=repr)):
-        if len(row_a) != len(row_b):
+    left: List[tuple] = []
+    right: List[tuple] = []
+    for row_a, row_b in zip(sorted(a, key=_row_key), sorted(b, key=_row_key)):
+        if not _rows_close(row_a, row_b):
+            left.append(row_a)
+            right.append(row_b)
+    for row_a in left:
+        for index, row_b in enumerate(right):
+            if _rows_close(row_a, row_b):
+                del right[index]
+                break
+        else:
             return False
-        for value_a, value_b in zip(row_a, row_b):
-            if isinstance(value_a, float) or isinstance(value_b, float):
-                if not math.isclose(value_a, value_b, rel_tol=1e-9, abs_tol=1e-6):
-                    return False
-            elif value_a != value_b:
+    return True
+
+
+def _row_key(row: tuple) -> tuple:
+    """Numbers sort by value (``3`` ties ``3.0``), anything else by type and
+    ``repr`` after every number."""
+    return tuple(
+        (0, value) if isinstance(value, (int, float))
+        else (1, type(value).__name__, repr(value))
+        for value in row)
+
+
+def _rows_close(row_a: tuple, row_b: tuple) -> bool:
+    if len(row_a) != len(row_b):
+        return False
+    for value_a, value_b in zip(row_a, row_b):
+        if isinstance(value_a, float) or isinstance(value_b, float):
+            if not math.isclose(value_a, value_b, rel_tol=1e-9, abs_tol=1e-6):
                 return False
+        elif value_a != value_b:
+            return False
     return True
 
 

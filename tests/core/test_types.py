@@ -12,10 +12,8 @@ from repro.core.types import (
     check_value,
     deserialize,
     is_serializable,
-    packet_size_of,
     register_serializer,
     serialize,
-    specs_match,
 )
 
 
@@ -77,11 +75,6 @@ def test_register_custom_serializer():
     assert deserialize(serialize(Point(3, 4), Point), Point) == Point(3, 4)
 
 
-def test_packet_size_of():
-    assert packet_size_of(Packet(b"12345"), Packet) == 5
-    assert packet_size_of("x", str) > 0
-
-
 # ------------------------------------------------------------- type checking
 def test_exact_type_required():
     check_value(5, int)
@@ -113,12 +106,6 @@ def test_list_and_dict_specs():
     check_value({}, Dict[str, int])
     with pytest.raises(TypeMismatchError):
         check_value("not a list", List[int])
-
-
-def test_specs_match_is_strict_equality():
-    assert specs_match(Tuple[str, int], Tuple[str, int])
-    assert not specs_match(Tuple[str, int], Tuple[int, str])
-    assert not specs_match(int, float)
 
 
 @settings(max_examples=50, deadline=None)

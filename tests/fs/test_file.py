@@ -1,5 +1,7 @@
 """File handles: timed reads/writes, async I/O, flush, RMW edges."""
 
+import tracemalloc
+
 import pytest
 
 from repro.apps import sharded_search, string_search
@@ -15,6 +17,8 @@ from repro.net.cluster import ScaleOutCluster
 from repro.serve.jobs import JobSpec, install_serve_datasets
 from repro.serve.manager import JobManager, Tenant
 from repro.sim.engine import all_of
+from repro.sim.units import MIB
+from repro.ssd.config import SSDConfig
 from repro.testing.faults import Fault, FaultInjector, FaultPlan, ScriptedInjector
 
 
@@ -196,15 +200,55 @@ def test_write_stages_the_same_pages_as_read_modify_write(shape):
     inode = expected_system.fs.lookup("/w")
     staged = _rmw_reference(expected_system.fs, inode, offset, data)
     for lpn, content in staged.items():
-        expected_system.device.store_page(lpn, content)
+        expected_system.device.store_pages([lpn], content)
 
     handle = system.open_internal("/w")
     system.run_fiber(handle.write(offset, data))
-    assert system.device._store == expected_system.device._store
+    staged_lpns = set(expected_system.device._buffers)
+    assert set(system.device._buffers) == staged_lpns
+    for lpn in staged_lpns:
+        assert system.device.load_page(lpn) == \
+            expected_system.device.load_page(lpn), lpn
     assert handle.size == inode.size
     assert handle.inode.extents == inode.extents
     assert system.run_fiber(handle.read(0, handle.size)) == \
         expected_system.fs.read_range(inode, 0, inode.size)
+
+
+def test_repeated_writes_of_one_chunk_hold_its_bytes_once():
+    """64 writes of one 256 KiB ``bytes`` fill 16 MiB of pages without a
+    per-page copy: the store references the chunk.  (The small geometry
+    keeps the FTL's per-block slot tables out of the measurement.)"""
+    system = System(ssd_config=SSDConfig(
+        channels=4, dies_per_channel=2, blocks_per_die=16, pages_per_block=64))
+    page = system.fs.page_size
+    chunk = bytes(64 * page)
+    system.fs.create_empty("/fill")
+    handle = system.open_internal("/fill")
+
+    def fill():
+        for index in range(64):
+            yield from handle.write(index * len(chunk), chunk)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        system.run_fiber(fill())
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert handle.size == 64 * len(chunk)
+    assert grown < 2 * MIB, grown
+
+
+def test_a_write_from_a_bytearray_keeps_what_was_written(system):
+    page = system.fs.page_size
+    system.fs.create_empty("/ba")
+    handle = system.open_internal("/ba")
+    buf = bytearray(b"q" * (2 * page))
+    system.run_fiber(handle.write(0, buf))
+    buf[:] = b"r" * len(buf)
+    assert system.run_fiber(handle.read(0, 2 * page)) == b"q" * (2 * page)
 
 
 def test_page_aligned_write_does_not_reread_the_range(system, monkeypatch):

@@ -19,6 +19,14 @@ def test_install_and_lookup(system):
     assert inode.num_pages == 1
 
 
+def test_an_installed_short_last_page_reads_back_short(system):
+    data = bytes(range(251)) * 20  # 5020 bytes: one page and 924 bytes
+    inode = system.fs.install("/short", data)
+    assert system.fs.page_content(inode, 0) == data[:4096]
+    assert system.fs.page_content(inode, 1) == data[4096:]
+    assert system.fs.read_range(inode, 0, inode.size) == data
+
+
 def test_lookup_missing_raises(system):
     with pytest.raises(FsError):
         system.fs.lookup("/missing")

@@ -1,5 +1,8 @@
 """Controller + device: latency calibration, striping, matcher costs, content."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.sim.engine import Simulator, all_of
@@ -99,7 +102,7 @@ def test_written_pages_read_back_from_mapped_location():
 # ------------------------------------------------------------------ content
 def test_store_and_load_page_content():
     sim, device = make_device()
-    device.store_page(9, b"hello")
+    device.store_pages([9], b"hello")
     assert device.load_page(9).startswith(b"hello")
 
 
@@ -112,12 +115,59 @@ def test_unwritten_page_reads_zeroes():
 def test_oversized_page_rejected():
     sim, device = make_device()
     with pytest.raises(ValueError):
-        device.store_page(0, b"x" * (device.config.logical_page_bytes + 1))
+        device.store_pages([0], b"x" * (device.config.logical_page_bytes + 1))
+
+
+def test_a_whole_page_bytes_is_stored_and_loaded_without_a_copy():
+    sim, device = make_device()
+    page = device.config.logical_page_bytes
+    payload = bytes([7]) * page
+    device.store_pages([5], payload)
+    assert device.load_page(5) is payload
+    # Every LPN without content answers with the device's one zero page.
+    assert device.load_page(6) is device.load_page(7)
+
+
+def test_stored_pages_add_no_gc_tracked_object():
+    sim, device = make_device()
+    page = device.config.logical_page_bytes
+    device.store_pages(range(300), bytes(300 * page))
+    device.store_pages([7], bytearray(page))
+    assert not gc.is_tracked(device._buffers)
+    assert not gc.is_tracked(device._indexes)
+
+
+def test_a_mutable_buffer_is_copied_once_at_store_time():
+    sim, device = make_device()
+    page = device.config.logical_page_bytes
+    buf = bytearray(b"a" * page + b"b" * page)
+    device.store_pages([0, 1], buf)
+    buf[:] = b"z" * len(buf)
+    assert device.load_page(0) == b"a" * page
+    assert device.load_page(1) == b"b" * page
+
+
+def test_trimmed_and_overwritten_pages_release_their_buffer():
+    """A buffer lives as long as any of its pages is stored."""
+    sim, device = make_device()
+    page = device.config.logical_page_bytes
+    buf = bytes(range(256)) * (3 * page // 256)
+    unpinned = sys.getrefcount(buf)
+    device.store_pages([10, 11, 12], buf)
+    device.discard_pages([11])
+    assert device.load_page(11) == b"\x00" * page
+    assert device.load_page(10) == buf[:page]
+    assert device.load_page(12) == buf[2 * page:]
+    assert sys.getrefcount(buf) > unpinned
+    device.discard_pages([10])
+    device.store_pages([12], b"new")
+    assert device.load_page(12) == b"new"
+    assert sys.getrefcount(buf) == unpinned
 
 
 def test_discard_removes_content_and_mapping():
     sim, device = make_device()
-    device.store_page(3, b"abc")
+    device.store_pages([3], b"abc")
     run(sim, device.internal_write([3]))
     device.discard_pages([3])
     assert device.load_page(3) == b"\x00" * device.config.logical_page_bytes

@@ -76,33 +76,67 @@ def test_scan_statistics():
 
 
 # ------------------------------------------------------------- analytic mode
+def analytic(m, first, count, probabilities, seed=0, keys=(b"k",)):
+    """The matched page indexes of one chunk."""
+    return m.match_pages_analytic(first, count, list(keys), probabilities,
+                                  seed=seed)[0]
+
+
 def test_analytic_deterministic():
     m1, m2 = matcher(), matcher()
-    results_1 = [m1.match_page_analytic(i, [b"k"], {b"k": 0.3}, seed=9).matched
-                 for i in range(200)]
-    results_2 = [m2.match_page_analytic(i, [b"k"], {b"k": 0.3}, seed=9).matched
-                 for i in range(200)]
-    assert results_1 == results_2
+    assert analytic(m1, 0, 200, {b"k": 0.3}, seed=9) == \
+        analytic(m2, 0, 200, {b"k": 0.3}, seed=9)
 
 
 def test_analytic_rate_tracks_probability():
     m = matcher()
-    hits = sum(
-        m.match_page_analytic(i, [b"k"], {b"k": 0.25}, seed=1).matched
-        for i in range(2000)
-    )
+    hits = len(analytic(m, 0, 2000, {b"k": 0.25}, seed=1))
     assert 0.20 < hits / 2000 < 0.30
+    assert m.pages_scanned == 2000
+    assert m.pages_matched == hits
 
 
 def test_analytic_zero_and_one():
     m = matcher()
-    assert not m.match_page_analytic(0, [b"k"], {b"k": 0.0}).matched
-    assert m.match_page_analytic(0, [b"k"], {b"k": 1.0}).matched
+    assert analytic(m, 0, 4, {b"k": 0.0}) == []
+    assert analytic(m, 0, 4, {b"k": 1.0}) == [0, 1, 2, 3]
 
 
 def test_analytic_unknown_key_never_matches():
     m = matcher()
-    assert not m.match_page_analytic(0, [b"k"], {}).matched
+    assert analytic(m, 0, 4, {}) == []
+
+
+def test_analytic_chunk_decides_each_page_as_alone():
+    """A page's verdict is a function of (seed, page, key), not of the chunk
+    it is decided in: the pages one chunk matches are the pages matched when
+    every page is decided by itself."""
+    whole, single = matcher(), matcher()
+    chunk = analytic(whole, 100, 300, {b"k": 0.2}, seed=3)
+    alone = [index for index in range(100, 400)
+             if analytic(single, index, 1, {b"k": 0.2}, seed=3)]
+    assert chunk == alone
+    assert whole.pages_scanned == single.pages_scanned == 300
+    assert whole.pages_matched == single.pages_matched == len(chunk)
+
+
+def test_analytic_verdicts_are_pinned():
+    """Table V's rate on one 64 MiB log's pages: the blake2b verdicts that
+    the per-page decision gave before chunks were decided in one call."""
+    matched = analytic(matcher(), 0, 16384, {b"needle": 0.022}, seed=1,
+                       keys=(b"needle",))
+    assert len(matched) == 339
+    assert matched[:6] == [98, 102, 197, 233, 334, 340]
+
+
+def test_analytic_hits_count_each_matching_key():
+    m = matcher()
+    matched, hits = m.match_pages_analytic(
+        0, 10, [b"a", b"b", b"c"], {b"a": 1.0, b"b": 1.0}, seed=0)
+    assert matched == list(range(10))
+    assert hits == 20
+    with pytest.raises(KeyError16):
+        m.match_pages_analytic(0, 10, [], {b"a": 1.0})
 
 
 @settings(max_examples=30, deadline=None)
@@ -115,7 +149,7 @@ def test_property_analytic_monotone_in_probability(page, low, delta):
     """If a page matches at probability p, it matches at any p' >= p."""
     m = matcher()
     high = min(1.0, low + delta)
-    at_low = m.match_page_analytic(page, [b"k"], {b"k": low}, seed=4).matched
-    at_high = m.match_page_analytic(page, [b"k"], {b"k": high}, seed=4).matched
+    at_low = analytic(m, page, 1, {b"k": low}, seed=4)
+    at_high = analytic(m, page, 1, {b"k": high}, seed=4)
     if at_low:
         assert at_high

@@ -210,7 +210,7 @@ def test_gc_heavy_content_survives_with_cache():
     sim, device = make_device(**small_geometry())
     lpns = list(range(24))
     for lpn in lpns:
-        device.store_page(lpn, b"v%d" % lpn)
+        device.store_pages([lpn], b"v%d" % lpn)
 
     def churn():
         for round_no in range(8):
@@ -235,7 +235,7 @@ def test_cached_and_uncached_reads_agree_under_faults():
         sim, device = make_device(read_retry_limit=4,
                                   read_cache_bytes=cache_bytes)
         for lpn in pages:
-            device.store_page(lpn, b"p%d" % lpn)
+            device.store_pages([lpn], b"p%d" % lpn)
         device.attach_fault_injector(FaultInjector(plan))
 
         def workload():

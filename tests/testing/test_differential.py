@@ -4,9 +4,12 @@ device-side matcher bug.
 """
 
 import itertools
+import math
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.db.ndp
 from repro.testing.differential import (
@@ -33,6 +36,47 @@ def test_rows_match_float_tolerance():
 def test_rows_match_detects_differences():
     assert not rows_match([(1,)], [(1,), (2,)])
     assert not rows_match([(1, "a")], [(1, "b")])
+
+
+def test_rows_match_pairs_sums_either_side_of_a_power_of_ten():
+    assert rows_match([(10.0,), (5.0,)], [(9.999999999999998,), (5.0,)])
+    assert rows_match([("x", 100.0), ("y", 7)],
+                      [("y", 7), ("x", 99.99999999999999)])
+    assert not rows_match([(10.0,), (5.0,)], [(9.99,), (5.0,)])
+
+
+def _ulps(value, steps):
+    """``value`` moved ``steps`` representable floats up (or down)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.inf if steps > 0 else 0.0)
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rows_match_generated_float_sums(data):
+    """A float sum taken in another order lands a few ulps away, often on
+    the other side of a power of ten (``10.0`` against
+    ``9.999999999999998``); the two row sets still match, and a sum or a key
+    that really differs does not."""
+    groups = data.draw(st.integers(2, 6))
+    left, right = [], []
+    for group in range(groups):
+        power = 10.0 ** data.draw(st.integers(-2, 6))
+        weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=2,
+                                     max_size=8))
+        total = power if data.draw(st.booleans()) else \
+            sum(power * 9 * w / sum(weights) for w in weights)
+        steps = data.draw(st.integers(-3, 3))
+        left.append((total, "g%d" % group))
+        right.append((_ulps(total, steps), "g%d" % group))
+    right = data.draw(st.permutations(right))
+    assert rows_match(left, right)
+    victim = data.draw(st.integers(0, groups - 1))
+    total, name = left[victim]
+    for changed in ((total * (1 + 1e-6) + 1e-5, name), (total, name + "'")):
+        assert not rows_match(
+            left[:victim] + [changed] + left[victim + 1:], right)
 
 
 # ----------------------------------------------------------------- agreement

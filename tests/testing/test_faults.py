@@ -167,7 +167,7 @@ def test_channel_stall_slows_reads():
 def test_faults_never_corrupt_read_content():
     # Timing faults delay reads but the logical content store is untouched.
     sim, device = make_device()
-    device.store_page(3, b"payload")
+    device.store_pages([3], b"payload")
     device.attach_fault_injector(FaultInjector(FaultPlan(
         seed=2, ecc_rate=0.2, spike_rate=0.3, stall_rate=0.3)))
     read(sim, device, range(32))
