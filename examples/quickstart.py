@@ -58,12 +58,12 @@ def main():
     )
     system.fs.install("/data/records.txt", text.encode())
 
-    # 4. The host program: load the module (ssd.load writes its image to
-    #    the device first), create the SSDlet, wire ports, then run the
-    #    application while collecting results.  Host programs are fibers —
-    #    simulated time advances while they run.
-    def host_program():
-        mid = yield from ssd.load(QUICKSTART_MODULE)
+    # 4. The host program: create the SSDlet, wire ports, then run the
+    #    application while collecting results.  ssd.holding loads the
+    #    module for it (writing its image to the device first) and unloads
+    #    it on every path out.  Host programs are fibers — simulated time
+    #    advances while they run.
+    def host_program(mid):
         app = Application(ssd, "quickstart")
         token = DeviceFile(ssd, "/data/records.txt")
         ssdlet = SSDLetProxy(app, mid, "idLineFilter", (token, "ERROR"))
@@ -74,10 +74,9 @@ def main():
         # see README "Static analysis" — then drains the port, waits for
         # the SSDlet to finish, and stops the application on every path out.
         matches = yield from app.run(port.drain())
-        yield from ssd.unloadModule(mid)
         return matches
 
-    matches = system.run_fiber(host_program())
+    matches = system.run_fiber(ssd.holding(QUICKSTART_MODULE, host_program))
 
     print("found %d matching lines in %.3f simulated ms:" %
           (len(matches), system.sim.now_us / 1000))

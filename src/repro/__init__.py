@@ -12,7 +12,7 @@ The package is organized bottom-up:
 * :mod:`repro.db` — MiniDB, a relational engine with an NDP-offloading
   planner, plus TPC-H schema/data/queries.
 * :mod:`repro.apps` — the paper's applications: wordcount, pointer chasing,
-  string search, StreamBench background load.
+  string search (Section V-C's StreamBench load is ``System(background_threads=)``).
 * :mod:`repro.power` — power/energy accounting.
 * :mod:`repro.bench` — experiment harness reproducing every paper table and
   figure.

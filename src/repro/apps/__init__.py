@@ -6,8 +6,6 @@
   (Table IV).
 * :mod:`repro.apps.string_search` — grep vs the hardware pattern matcher
   (Table V).
-* :mod:`repro.apps.streambench` — the background memory-load generator used
-  to stress the host in Tables IV and V.
 * :mod:`repro.apps.sharded_search` — the same search fanned out over
   shards: across multiple SSDs (Scale-up, Fig. 1(b)) and across a networked
   cluster at three near-data tiers (Scale-out, Fig. 1(c)/(d)).

@@ -209,24 +209,25 @@ def biscuit_top_clients(
 ) -> Generator:
     """Fiber: device-side parse/pre-aggregate, host-side merge (one app)."""
     ssd = SSD(system)
-    mid = yield from ssd.load(LOG_ANALYTICS_MODULE)
-    app = Application(ssd, "log-analytics")
-    token = DeviceFile(ssd, path, use_matcher=bool(needle))
-    size = system.fs.lookup(path).size
-    share = (size + num_parsers - 1) // num_parsers
-    merger = HostTaskProxy(app, make_merger(num_parsers), (k,))
-    parsers = []
-    for index in range(num_parsers):
-        begin = index * share
-        parser = SSDLetProxy(
-            app, mid, "idLogParser",
-            (token, begin, min(share, size - begin), needle),
-        )
-        parsers.append(parser)
-        app.connect(parser.out(0), merger.in_(index))
-    yield from app.run()
-    yield from ssd.unloadModule(mid)
-    return merger.instance.result
+
+    def program(mid: int) -> Generator:
+        app = Application(ssd, "log-analytics")
+        token = DeviceFile(ssd, path, use_matcher=bool(needle))
+        size = system.fs.lookup(path).size
+        share = (size + num_parsers - 1) // num_parsers
+        merger = HostTaskProxy(app, make_merger(num_parsers), (k,))
+        for index in range(num_parsers):
+            begin = index * share
+            parser = SSDLetProxy(
+                app, mid, "idLogParser",
+                (token, begin, min(share, size - begin), needle),
+            )
+            app.connect(parser.out(0), merger.in_(index))
+        yield from app.run()
+        return merger.instance.result
+
+    top = yield from ssd.holding(LOG_ANALYTICS_MODULE, program)
+    return top
 
 
 def run_conv(system: System, path: str, k: int = 10, needle: str = ""):

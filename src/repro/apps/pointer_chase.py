@@ -218,11 +218,9 @@ def biscuit_pointer_chase(
 ) -> Generator:
     """Fiber: the host program that offloads the walks to the SSD."""
     ssd = SSD(system)
-    mid = yield from ssd.load(POINTER_CHASE_MODULE)
-    finals = yield from launch_chaser(
+    finals = yield from ssd.holding(POINTER_CHASE_MODULE, lambda mid: launch_chaser(
         ssd, mid, "pointer-chase", graph, _start_nodes(graph, num_walks),
-        hops_per_walk)
-    yield from ssd.unloadModule(mid)
+        hops_per_walk))
     return finals
 
 

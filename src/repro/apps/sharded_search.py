@@ -29,11 +29,12 @@ from typing import Generator, List, Tuple
 
 from repro.apps.string_search import (
     READ_UNIT,
+    STRING_SEARCH_MODULE,
     conv_string_search,
     launch_searchers,
-    load_searcher,
     searcher_shares,
 )
+from repro.core import SSD
 from repro.host.platform import System
 from repro.net.cluster import ScaleOutCluster, StorageNode
 from repro.sim.engine import all_of
@@ -117,7 +118,8 @@ def conv_sharded_search(system: System, keyword: str,
 
 def _biscuit_one_shard(system: System, index: int, keyword: str,
                        searchers: int) -> Generator:
-    ssd, mid = yield from load_searcher(system, index)
+    ssd = SSD(system, device_index=index)
+    mid = yield from ssd.load(STRING_SEARCH_MODULE)  # held for the System's life
     fs = system.filesystems[index]
     total = yield from launch_searchers(
         ssd, mid, "search-ssd%d" % index, SHARD_PATH, keyword,

@@ -29,7 +29,6 @@ __all__ = [
     "boyer_moore_count",
     "conv_string_search",
     "searcher_shares",
-    "load_searcher",
     "launch_searchers",
     "biscuit_string_search",
     "run_conv_search",
@@ -204,13 +203,6 @@ def searcher_shares(size: int, page: int, num_searchers: int) -> List[Tuple[int,
             for index in range(num_searchers) if index * share < size]
 
 
-def load_searcher(system: System, device_index: int = 0) -> Generator:
-    """Fiber: load the search module on one SSD; returns ``(ssd, module id)``."""
-    ssd = SSD(system, device_index=device_index)
-    mid = yield from ssd.load(STRING_SEARCH_MODULE)
-    return ssd, mid
-
-
 def launch_searchers(
     ssd: SSD, mid: int, app_name: str, path: str, keyword: str,
     ranges: Sequence[Tuple[int, int]],
@@ -245,12 +237,11 @@ def biscuit_string_search(
     Several Searcher SSDlets share the file so matcher commands overlap and
     the internal bandwidth is saturated.
     """
-    ssd, mid = yield from load_searcher(system)
-    total = yield from launch_searchers(
+    ssd = SSD(system)
+    total = yield from ssd.holding(STRING_SEARCH_MODULE, lambda mid: launch_searchers(
         ssd, mid, "string-search", path, keyword,
         searcher_shares(system.fs.lookup(path).size, system.fs.page_size,
-                        num_searchers))
-    yield from ssd.unloadModule(mid)
+                        num_searchers)))
     return total
 
 

@@ -185,8 +185,14 @@ def wordcount_host_program(
 ) -> Generator:
     """Fiber: the host-side program of Code 3; returns {word: count}."""
     ssd = SSD(system)
-    mid = yield from ssd.load(WORDCOUNT_MODULE)
+    counts = yield from ssd.holding(
+        WORDCOUNT_MODULE, lambda mid: _wordcount(ssd, mid, input_path, num_mappers))
+    return counts
 
+
+def _wordcount(ssd: SSD, mid: int, input_path: str, num_mappers: int) -> Generator:
+    """Fiber: Code 3's application, on the held module ``mid``."""
+    system = ssd.system
     app = Application(ssd, "wordcount")
     input_file = DeviceFile(ssd, input_path)
     size = system.fs.lookup(input_path).size
@@ -215,7 +221,6 @@ def wordcount_host_program(
         return counts
 
     counts = yield from app.run(collect())
-    yield from ssd.unloadModule(mid)
     return counts
 
 

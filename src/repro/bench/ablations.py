@@ -21,7 +21,9 @@ from repro.apps.sharded_search import (
 )
 from repro.bench.experiments import FIG8_QUERY1_PRED, _bandwidth, _run_fig8_query
 from repro.bench.harness import ExperimentResult
+from repro.core import SSD
 from repro.db.executor import ExecutionMode
+from repro.db.ndp import NDP_MODULE
 from repro.db.planner import create_engine
 from repro.db.sql import run_sql
 from repro.db.tpch.datagen import load_tpch
@@ -106,6 +108,7 @@ def exp_ablation_selectivity_threshold() -> ExperimentResult:
         _, conv_times[number] = run_query(conv, number)
     rows = []
     metrics = {}
+    system.run_fiber(SSD(system).load(NDP_MODULE))  # no row pays the load
     for threshold in (0.02, 0.25, 0.60):
         engine = create_engine(system, db, ExecutionMode.BISCUIT)
         engine.config.ndp_selectivity_threshold = threshold
@@ -167,13 +170,12 @@ def exp_ablation_matcher_vs_software() -> ExperimentResult:
     conv = create_engine(system, db, ExecutionMode.CONV)
     _, conv_s = _run_fig8_query(conv, FIG8_QUERY1_PRED)
 
+    system.run_fiber(SSD(system).load(NDP_MODULE))  # at DB-server startup
     hw = create_engine(system, db, ExecutionMode.BISCUIT)
-    system.run_fiber(hw.ndp_context._ensure_module())
     _, hw_s = _run_fig8_query(hw, FIG8_QUERY1_PRED)
 
     sw = create_engine(system, db, ExecutionMode.BISCUIT)
     sw.config.ndp_use_matcher = False
-    system.run_fiber(sw.ndp_context._ensure_module())
     _, sw_s = _run_fig8_query(sw, FIG8_QUERY1_PRED)
 
     return ExperimentResult(
@@ -252,6 +254,7 @@ def exp_ablation_aggregate_pushdown() -> ExperimentResult:
                  conv.host_pages_read * db.fs.page_size])
     metrics["conv_s"] = conv_s
 
+    system.run_fiber(SSD(system).load(NDP_MODULE))  # no plan pays the load
     row_ship = create_engine(system, db, ExecutionMode.BISCUIT)
     row_ship.config.ndp_pushdown_aggregate = False
     ship_rel, ship_s = run_sql(row_ship, PUSHDOWN_STATEMENT)

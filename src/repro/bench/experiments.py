@@ -29,6 +29,7 @@ from repro.bench.probes import PROBE_MODULE
 from repro.core import SSD, Application, Packet, SSDLetProxy
 from repro.db.executor import ExecutionMode
 from repro.db.expr import and_, col, eq, or_
+from repro.db.ndp import NDP_MODULE
 from repro.db.catalog import d
 from repro.db.planner import create_engine
 from repro.db.tpch.datagen import load_tpch
@@ -75,10 +76,10 @@ def exp_table2_port_latency(samples: int = 24) -> ExperimentResult:
     """One-way Packet latency for each port type (paper Table II)."""
     system = System()
     ssd = SSD(system)
+    mid = system.run_fiber(ssd.load(PROBE_MODULE))
 
     def pair_latency(same_app: bool) -> float:
         def program() -> Generator:
-            mid = yield from ssd.load(PROBE_MODULE)
             app1 = Application(ssd)
             source = SSDLetProxy(app1, mid, "idSource", (samples, 8))
             app2 = app1 if same_app else Application(ssd)
@@ -100,7 +101,6 @@ def exp_table2_port_latency(samples: int = 24) -> ExperimentResult:
 
     def d2h_latency() -> float:
         def program() -> Generator:
-            mid = yield from ssd.load(PROBE_MODULE)
             app = Application(ssd)
             source = SSDLetProxy(app, mid, "idSource", (samples, 8))
             port = app.connectTo(source.out(0), Packet)
@@ -119,7 +119,6 @@ def exp_table2_port_latency(samples: int = 24) -> ExperimentResult:
 
     def h2d_latency() -> float:
         def program() -> Generator:
-            mid = yield from ssd.load(PROBE_MODULE)
             app = Application(ssd)
             sink = SSDLetProxy(app, mid, "idSink")
             port = app.connectFrom(Packet, sink.in_(0))
@@ -368,7 +367,7 @@ def exp_fig8_db_filter_queries(scale_factor: float = 0.05) -> ExperimentResult:
     conv = create_engine(system, db, ExecutionMode.CONV)
     biscuit = create_engine(system, db, ExecutionMode.BISCUIT)
     # The NDP module is deployed/loaded at DB-server startup, not per query.
-    system.run_fiber(biscuit.ndp_context._ensure_module())
+    system.run_fiber(SSD(system).load(NDP_MODULE))
     rows = []
     metrics: Dict[str, float] = {}
     for name, pred, paper_speedup in (

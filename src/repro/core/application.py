@@ -78,7 +78,7 @@ class Application:
     def __init__(self, ssd, name: str = "", verify: Optional[str] = None):
         self.ssd = ssd
         self.name = name or "app%d" % next(Application._names)
-        self.device_app = ssd.runtime.register_application(self.name)
+        self.device_app = ssd.runtime.new_application(self.name)
         self._proxies: List[SSDLetProxy] = []
         self._host_tasks: List[TaskProxy] = []
         self._host_fibers: List[Any] = []
@@ -208,6 +208,7 @@ class Application:
         self._run_verifier()
         runtime = self.ssd.runtime
         manager = self.ssd.channels
+        runtime.applications.append(self.device_app)  # stop()/wait() retire it
         # 1. Create device instances (one control round trip each) and host
         #    task instances (local work, no control traffic).
         for proxy in self._proxies:

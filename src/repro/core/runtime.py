@@ -9,7 +9,8 @@ Responsibilities, mirroring the paper:
   makes shared inter-SSDlet queues safe without locks.
 * **Dynamic module loading** — module images are read from the device
   filesystem (timed), parsed, relocated (device-CPU time proportional to
-  binary size) and registered; unload requires no live instances.
+  binary size) and registered; unload requires no live instances.  Each
+  module's one shared copy is kept by name in ``residency`` (``SSD.load``).
 * **Dynamic memory allocation** — system and user allocators; each instance
   is an isolation owner in the user arena and is swept on teardown.
 * **File permission inheritance** — SSDlets may only open files through a
@@ -29,7 +30,7 @@ from repro.core.ports import Side
 from repro.core.ssdlet import SSDLet
 from repro.fs.file import FileHandle
 from repro.fs.filesystem import FileSystem, Inode
-from repro.sim.engine import Process, Simulator, all_of
+from repro.sim.engine import Event, Process, Simulator, all_of
 from repro.sim.resources import Resource
 from repro.sim.units import KIB, us_to_ns
 from repro.ssd.device import SSDDevice
@@ -37,7 +38,7 @@ from repro.ssd.device import SSDDevice
 if TYPE_CHECKING:
     from repro.core.links import Link
 
-__all__ = ["BiscuitRuntime", "DeviceApplication", "LoadedModule"]
+__all__ = ["BiscuitRuntime", "DeviceApplication", "LoadedModule", "Residency"]
 
 INSTANCE_BASE_BYTES = 64 * KIB  # per-instance address-space floor
 INSTANCE_RELOC_US = 150.0  # per-instance symbol relocation cost
@@ -51,6 +52,18 @@ class LoadedModule:
         self.module = module
         self.memory_offset = memory_offset
         self.live_instances = 0
+
+
+class Residency:
+    """One module's shared copy on a device (``SSD.load``): its id, None
+    while the load is in flight, and the event a later holder waits on."""
+
+    __slots__ = ("mid", "holders", "loaded")
+
+    def __init__(self):
+        self.mid: Optional[int] = None
+        self.holders = 1
+        self.loaded: Optional[Event] = None
 
 
 class DeviceApplication:
@@ -87,6 +100,7 @@ class BiscuitRuntime:
         ]
         self._next_core = 0
         self._modules: Dict[int, LoadedModule] = {}
+        self.residency: Dict[str, Residency] = {}  # by module name
         self._next_mid = itertools.count(1)
         self._instance_ids = itertools.count(1)
         self.applications: List[DeviceApplication] = []
@@ -140,10 +154,11 @@ class BiscuitRuntime:
         return tuple(self._modules)
 
     # ----------------------------------------------------------- applications
-    def register_application(self, name: str = "") -> DeviceApplication:
+    def new_application(self, name: str = "") -> DeviceApplication:
+        """A device application on the next core (``Application.start``
+        registers it, so a build that fails first registers nothing)."""
         app = DeviceApplication(name, core=self._next_core)
         self._next_core = (self._next_core + 1) % len(self.core_locks)
-        self.applications.append(app)
         return app
 
     def instantiate(

@@ -5,16 +5,20 @@ device's one Biscuit runtime and channel manager, providing module
 load/unload plus :class:`DeviceFile` tokens.  A DeviceFile *is* the grant:
 the runtime opens a file for an SSDlet only through a token the host
 program made on that device — the permission inheritance of Section III-D.
+
+``SSD.load`` holds the device's one copy of a module ("Module residency"
+in DESIGN.md); ``SSD.holding`` holds it for exactly one host program.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Callable, Generator
 
 from repro.core.channels import ChannelManager
 from repro.core.module import SSDletModule, write_module_image
-from repro.core.runtime import BiscuitRuntime
+from repro.core.runtime import BiscuitRuntime, Residency
 from repro.host.platform import System
+from repro.sim.engine import Event, Interrupt
 
 __all__ = ["SSD", "DeviceFile"]
 
@@ -66,21 +70,74 @@ class SSD:
 
     # ---------------------------------------------------------------- modules
     def load(self, module: SSDletModule) -> Generator:
-        """Fiber: deploy ``module``'s image if the device has none, then load
-        it; returns the module id."""
-        fs = self.runtime.fs
-        if not fs.exists(module.image_path):
-            write_module_image(fs, module.image_path, module)
-        mid = yield from self.loadModule(module.image_path)
-        return mid
+        """Fiber: hold ``module``; returns the id of the device's one copy.
+
+        The first holder deploys the image if missing and pays the timed
+        load.  A later holder shares the copy or waits for the load in
+        flight: it loads again if that load was interrupted (a hedge loser)
+        and fails with it if the device failed it.
+        """
+        residency = self.runtime.residency
+        held = residency.get(module.name)
+        if held is not None:
+            held.holders += 1
+            if held.mid is not None:
+                return held.mid
+            if held.loaded is None:  # an uncontended load makes no event
+                held.loaded = Event(self.system.sim)
+            try:
+                mid = yield held.loaded
+            except BaseException:
+                if residency.get(module.name) is held:
+                    held.holders -= 1
+                raise
+            if mid is None:
+                mid = yield from self.load(module)
+            return mid
+        held = residency[module.name] = Residency()
+        try:
+            if not self.runtime.fs.exists(module.image_path):
+                write_module_image(self.runtime.fs, module.image_path, module)
+            held.mid = yield from self.loadModule(module.image_path)
+        except BaseException as exc:
+            del residency[module.name]
+            if held.loaded is not None:
+                if isinstance(exc, Interrupt):
+                    held.loaded.succeed(None)
+                else:
+                    held.loaded.fail(exc)
+            raise
+        if held.loaded is not None:
+            held.loaded.succeed(held.mid)
+        return held.mid
+
+    def holding(self, module: SSDletModule,
+                program: Callable[[int], Generator]) -> Generator:
+        """Fiber: ``load`` the module, run ``program(mid)`` and drop the hold
+        on every path out; returns what the program returns."""
+        mid = yield from self.load(module)
+        try:
+            value = yield from program(mid)
+        finally:
+            yield from self.unloadModule(mid)
+        return value
 
     def loadModule(self, path: str) -> Generator:
-        """Fiber: load the SSDlet module image at ``path``; returns the
-        module id."""
+        """Fiber: load a private copy of the SSDlet module image at
+        ``path``; returns the module id."""
         inode = self.runtime.fs.lookup(path)
         mid = yield from self.channels.control_call(self.runtime.load_module(inode))
         return mid
 
     def unloadModule(self, mid: int) -> Generator:
-        """Fiber: unload a module (all of its instances must have finished)."""
-        yield from self.channels.control_call(self.runtime.unload_module(mid))
+        """Fiber: drop one hold on a module; the last holder's timed unload
+        frees it (all of its instances must have finished)."""
+        runtime = self.runtime
+        name = runtime._get_module(mid).module.name
+        held = runtime.residency.get(name)
+        if held is not None and held.mid == mid:
+            held.holders -= 1
+            if held.holders:
+                return
+            del runtime.residency[name]  # a load from here on makes a new copy
+        yield from self.channels.control_call(runtime.unload_module(mid))

@@ -276,16 +276,17 @@ def run_offloaded_scan(
 
 
 class NDPContext:
-    """Host-side NDP machinery for one device (module loaded once, on first
-    use)."""
+    """Host-side NDP machinery for one device: holds the device's NDP
+    module from first use for the context's life."""
 
     def __init__(self, system, device: int = 0):
         self.system = system
         self.ssd = SSD(system, device_index=device)
         self._mid: Optional[int] = None
 
-    def _ensure_module(self) -> Generator:
-        """Fiber: the NDP module's id on this device (one timed load)."""
+    def hold(self) -> Generator:
+        """Fiber: the NDP module's id on this device, held from the first
+        call on (``SSD.load``: the device's first holder pays the load)."""
         if self._mid is None:
             self._mid = yield from self.ssd.load(NDP_MODULE)
         return self._mid
@@ -294,7 +295,7 @@ class NDPContext:
               positions, on_payload, out_cols=(), fold=None) -> Generator:
         """Fiber: one offloaded pass over ``step``'s table on this device;
         the kernels it runs go into ``step``."""
-        mid = yield from self._ensure_module()
+        mid = yield from self.hold()
         ref = step.ref
         storage = engine.db.table(ref.name)
         config = engine.config

@@ -161,7 +161,7 @@ class ResilientScanDriver:
                for i in pending):
             self.stats.resumes += 1
         context = self._context(device)
-        mid = yield from context._ensure_module()
+        mid = yield from context.hold()
 
         def stage(slot: int, payload, _nbytes: int) -> None:
             tag, batch, end_page = payload

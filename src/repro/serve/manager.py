@@ -10,10 +10,11 @@ each job round-robin or least-loaded across devices
 dispatch, so the pipeline is driven entirely by submit/finish edges: no
 polling, fully deterministic.
 
-Module lifecycle follows the paper: a job kind's SSDlet module is loaded on
-first use, shared (refcounted) by concurrent jobs of that kind, and
-unloaded when the last one drains — the dynamic load/unload path of
-Section IV-B exercised continuously rather than once per program.
+Module lifecycle follows the paper: each job holds its kind's SSDlet
+module through ``SSD.holding``, so the first job of a kind on a device
+loads it, concurrent jobs share it, and the last one to drain unloads it —
+the dynamic load/unload path of Section IV-B exercised continuously rather
+than once per program.
 
 Queue timeouts are enforced lazily: a job whose ``timeout_us`` elapsed
 while queued is retired (counted, ``done`` triggered) at its dispatch turn,
@@ -50,7 +51,7 @@ class Tenant:
 
 
 class DeviceServer:
-    """One device's serving state: SSD handle + slots + resident modules.
+    """One device's serving state: SSD handle + slots.
 
     Every job on this device runs through the handle's runtime and channel
     manager, which are the device's own (one per SSD), so module residency,
@@ -63,59 +64,12 @@ class DeviceServer:
         self.ssd = SSD(system, device_index=index)
         self.config = system.devices[index].config
         self.slots = SlotTable(self.config)
-        # kind name -> {"mid": Optional[int], "refs": int, "loading": Event}
-        self._modules: Dict[str, dict] = {}
 
     @property
     def load(self) -> Tuple[int, int]:
         """Orderable pressure key: (busy slots, in-flight I/O commands)."""
         controller = self.system.devices[self.index].controller
         return (self.slots.slots_in_use, controller.inflight_commands)
-
-    # ------------------------------------------------------ module residency
-    def acquire_module(self, kind_name: str) -> Generator:
-        """Fiber: load the kind's module on first use; returns the mid."""
-        kind = JOB_KINDS[kind_name]
-        entry = self._modules.get(kind_name)
-        if entry is None:
-            entry = {"mid": None, "refs": 1,
-                     "loading": Event(self.system.sim)}
-            self._modules[kind_name] = entry
-            try:
-                mid = yield from self.ssd.load(kind.module)
-            except BaseException as exc:
-                # The load itself reads the device, so it can die under
-                # fault injection.  Drop the entry (a later arrival reloads
-                # cleanly) and propagate the failure to every sharer parked
-                # on the loading event — otherwise they wait forever.
-                if self._modules.get(kind_name) is entry:
-                    del self._modules[kind_name]
-                entry["loading"].defused = True  # sharers may be absent
-                entry["loading"].fail(exc)
-                raise
-            entry["mid"] = mid
-            entry["loading"].succeed(mid)
-            return mid
-        entry["refs"] += 1
-        if entry["mid"] is None:
-            # A concurrent job of the same kind is mid-load; share its copy.
-            mid = yield entry["loading"]
-            return mid
-        return entry["mid"]
-
-    def release_module(self, kind_name: str) -> Generator:
-        """Fiber: drop one reference; unload when the last job drains."""
-        entry = self._modules[kind_name]
-        entry["refs"] -= 1
-        if entry["refs"] == 0:
-            # Remove the entry first so a new arrival reloads cleanly even
-            # while this unload's control call is in flight.
-            del self._modules[kind_name]
-            yield from self.ssd.unloadModule(entry["mid"])
-
-    @property
-    def resident_modules(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._modules))
 
 
 class JobManager:
@@ -256,14 +210,11 @@ class JobManager:
         job.done.succeed(job)
 
     def _run_job(self, job: Job, server: DeviceServer) -> Generator:
+        kind = JOB_KINDS[job.spec.kind]
         try:
-            mid = yield from server.acquire_module(job.spec.kind)
-            try:
-                kind = JOB_KINDS[job.spec.kind]
-                job.result = yield from kind.run(server, mid, job)
-                job.state = JobState.DONE
-            finally:
-                yield from server.release_module(job.spec.kind)
+            job.result = yield from server.ssd.holding(
+                kind.module, lambda mid: kind.run(server, mid, job))
+            job.state = JobState.DONE
         except Exception as exc:
             # Typed device errors (ECC exhaustion, safety violations...)
             # fail the one job, never the serving loop.

@@ -7,7 +7,8 @@ differential harness asserting that the NDP pushdown path, the host-only
 path and a SQLite reference always agree, with and without faults, on
 each arm of :data:`repro.testing.differential.ARMS` (``ndp``,
 ``interleaved``, ``fastpath``, ``inline``, ``perturbed``, ``resilient``,
-``sharded``).
+``sharded``).  :func:`~.differential.device_residue` lists what a device
+still holds once a host program has returned.
 
 Every harness failure prints a one-line ``REPRO: seed=... config=...:arm=...``
 that replays the exact case on its arm (see :func:`~.differential.replay`).
@@ -26,6 +27,7 @@ from repro.testing.strategies import (
 from repro.testing.differential import (
     ARMS,
     CaseResult,
+    device_residue,
     replay,
     run_case,
     run_sweep,
@@ -33,6 +35,7 @@ from repro.testing.differential import (
 )
 
 __all__ = [
+    "device_residue",
     "Fault",
     "FaultInjector",
     "FaultPlan",

@@ -28,6 +28,7 @@ the suite).
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import re
@@ -38,6 +39,7 @@ from typing import Any, Callable, Dict, List
 from repro.apps.pointer_chase import biscuit_pointer_chase, build_exact_graph
 from repro.apps.string_search import biscuit_string_search, install_weblog
 from repro.core.errors import DeviceError
+from repro.core.ssd_api import SSD
 from repro.db import kernels
 from repro.db.catalog import TableSchema
 from repro.db.executor import EngineConfig, ExecutionMode, TableRef
@@ -53,7 +55,7 @@ from repro.resilience import (
     HedgePolicy, RecoveryTracker, ResilientScanDriver, RetryPolicy, ScanSpec,
 )
 from repro.serve import MIXES, JobManager, LoadGenerator, install_serve_datasets
-from repro.sim.engine import Simulator, all_of
+from repro.sim.engine import Process, Simulator, all_of
 from repro.sim.units import MIB
 from repro.ssd.config import SSDConfig
 from repro.testing import strategies
@@ -62,6 +64,7 @@ from repro.testing.faults import FaultInjector, StormInjector
 __all__ = [
     "ARMS", "CaseResult", "run_case", "run_sweep", "replay",
     "summarize", "rows_match", "eval_expr", "force_offload_config",
+    "device_residue",
 ]
 
 
@@ -792,3 +795,30 @@ def summarize(results: List[CaseResult]) -> Dict[str, Any]:
             value for r in results for key, value in r.fault_counters.items()
             if key.endswith("_injected")),
     }
+
+
+# ------------------------------------------------------------ device at rest
+#: Fibers that run until their owner stops them (power, utilization).
+DAEMON_FIBERS = ("power-meter", "util-monitor")
+
+
+def device_residue(system, device_index: int = 0) -> List[str]:
+    """What a device holds once a host program has returned: registered
+    applications, data channels in use, user-arena bytes, modules no
+    ``SSD.load`` holder holds, live non-daemon fibers.  Empty at rest;
+    drain the simulator first (an interrupted fiber unwinds at its next
+    resume)."""
+    ssd = SSD(system, device_index)
+    runtime = ssd.runtime
+    residue = ["application %s" % app.name for app in runtime.applications]
+    if ssd.channels.data_channels.in_use:
+        residue.append("%d data channels" % ssd.channels.data_channels.in_use)
+    if runtime.allocators.user.used:
+        residue.append("%d user-arena bytes" % runtime.allocators.user.used)
+    held = {entry.mid for entry in runtime.residency.values() if entry.holders}
+    residue += ["module %d with no holder" % mid
+                for mid in runtime.loaded_modules if mid not in held]
+    residue += ["fiber %s" % fiber.name for fiber in gc.get_objects()
+                if isinstance(fiber, Process) and fiber.sim is system.sim
+                and fiber.is_alive and fiber.name not in DAEMON_FIBERS]
+    return residue

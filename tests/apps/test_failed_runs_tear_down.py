@@ -2,8 +2,10 @@
 
 Every app in ``repro.apps``, the serving layer's chase job and the
 offloaded scan run their Application through ``Application.run``, which
-reaches ``app.stop()`` on failure paths too: no data channel stays held,
-no DeviceApplication stays registered, and no stranded fiber fails later.
+reaches ``app.stop()`` on failure paths too, and hold their module through
+``SSD.holding``, which drops the hold on every path: the device is left at
+rest (``device_residue``) — no data channel held, no DeviceApplication
+registered, no module without a holder, and no stranded fiber.
 """
 
 from repro.apps import log_analytics, pointer_chase, string_search, wordcount
@@ -14,6 +16,7 @@ from repro.host.platform import System
 from repro.serve.jobs import JOB_KINDS, TABLE_SCAN, Job, JobSpec, install_serve_datasets
 from repro.serve.manager import DeviceServer
 from repro.sim.units import MIB
+from repro.testing import device_residue
 from repro.testing.faults import Fault, FaultInjector, FaultPlan, ScriptedInjector
 
 
@@ -29,10 +32,8 @@ def _attempt(system, program):
 
 
 def _assert_torn_down(system):
-    ssd = SSD(system)  # the handles the program opened share its runtime
-    assert ssd.channels.data_channels._in_use == 0
-    assert ssd.runtime.applications == []
     system.sim.run()  # interrupted fibers finish; nothing fails unhandled
+    assert device_residue(system) == []
 
 
 def test_search_that_fails_after_start_releases_its_channels(
@@ -109,7 +110,7 @@ def test_serve_chase_job_stops_its_application_on_a_mid_run_fault(
     install_serve_datasets(system)
     server = DeviceServer(system, 0)
     kind = JOB_KINDS["pointer_chase"]
-    mid = system.run_fiber(server.acquire_module(kind.name))
+    mid = system.run_fiber(server.ssd.load(kind.module))
     job = Job(JobSpec("tenant", kind.name), system.sim, system.sim.now)
     _fail_first_read_after_start(monkeypatch, system)
     outcome = _attempt(system, kind.run(server, mid, job))

@@ -6,6 +6,7 @@ from repro.core import SSD, Application, DeviceFile, SSDLetProxy
 from repro.core.errors import ModuleError, SafetyViolation, TypeMismatchError
 from repro.core.runtime import INSTANCE_BASE_BYTES
 from repro.host.platform import System
+from repro.sim.engine import all_of
 
 from tests.core.helpers import IMAGE_PATH, TEST_MODULE, deploy
 
@@ -34,13 +35,17 @@ def test_handles_on_one_device_share_its_runtime(system, ssd):
 
 
 def test_load_deploys_the_image_once(system, ssd):
+    """The second holder shares the first one's copy: one image, one id,
+    one timed load."""
     assert not system.fs.exists(TEST_MODULE.image_path)
     first = system.run_fiber(ssd.load(TEST_MODULE))
     inode = system.fs.lookup(TEST_MODULE.image_path)
+    loaded_at = system.sim.now
     second = system.run_fiber(SSD(system).load(TEST_MODULE))
     assert system.fs.lookup(TEST_MODULE.image_path) is inode
-    assert first != second
-    assert {first, second} <= set(ssd.runtime.loaded_modules)
+    assert first == second
+    assert system.sim.now == loaded_at
+    assert ssd.runtime.loaded_modules == (first,)
 
 
 # ------------------------------------------------------------------- modules
@@ -86,6 +91,67 @@ def test_module_loads_are_independent(system, ssd):
     first = load(system, ssd)
     second = load(system, ssd)
     assert first != second
+
+
+def _load_time_ns():
+    system = System()
+    start = system.sim.now
+    system.run_fiber(SSD(system).load(TEST_MODULE))
+    return system.sim.now - start
+
+
+def test_concurrent_holders_share_one_timed_load(system, ssd):
+    """The second holder arrives while the first one's load is in flight:
+    it waits for that load and shares its copy."""
+    calls = ssd.channels.control_calls
+    loads = [system.sim.process(ssd.load(TEST_MODULE)) for _ in range(2)]
+    system.sim.run(all_of(system.sim, loads))
+    assert loads[0].value == loads[1].value
+    assert ssd.channels.control_calls == calls + 1
+    assert ssd.runtime.loaded_modules == (loads[0].value,)
+    assert ssd.runtime.residency[TEST_MODULE.name].holders == 2
+
+
+def test_interrupted_loader_leaves_its_sharer_the_module(system, ssd):
+    """The first holder's load is cancelled mid-flight (a hedge loser):
+    the holder waiting on it loads again instead of failing with the
+    interrupt, and ends up the copy's one holder."""
+    loader = system.sim.process(ssd.load(TEST_MODULE))
+    loader.defused = True
+    sharer = system.sim.process(ssd.load(TEST_MODULE))
+    system.sim.run(until=system.sim.now + 10_000)
+    cancelled_at = system.sim.now
+    loader.interrupt("hedge loser")
+    mid = system.sim.run(sharer)
+    assert system.sim.now >= cancelled_at + _load_time_ns()
+    assert ssd.runtime.loaded_modules == (mid,)
+    assert ssd.runtime.residency[TEST_MODULE.name].holders == 1
+    system.run_fiber(ssd.unloadModule(mid))
+    assert ssd.runtime.loaded_modules == ()
+
+
+def test_last_holder_pays_the_unload(system, ssd):
+    mid = system.run_fiber(ssd.load(TEST_MODULE))
+    assert system.run_fiber(ssd.load(TEST_MODULE)) == mid
+    dropped_at = system.sim.now
+    system.run_fiber(ssd.unloadModule(mid))
+    assert system.sim.now == dropped_at  # another holder remains
+    assert ssd.runtime.loaded_modules == (mid,)
+    system.run_fiber(ssd.unloadModule(mid))
+    assert system.sim.now > dropped_at
+    assert ssd.runtime.loaded_modules == ()
+    assert ssd.runtime.residency == {}
+
+
+def test_failed_builds_register_no_application(system, ssd):
+    """An Application registers with the runtime at start(): builds that
+    fail before run() leave nothing registered."""
+    mid = load(system, ssd)
+    for _ in range(3):
+        app = Application(ssd)
+        with pytest.raises(ModuleError):
+            SSDLetProxy(app, mid, "idNoSuchClass")
+    assert ssd.runtime.applications == []
 
 
 def test_unload_busy_module_rejected(system, ssd):
@@ -283,7 +349,7 @@ def test_system_memory_access_is_violation(system, ssd):
 def test_compute_serializes_within_application(system, ssd):
     """All fibers of one application share one core (no compute overlap)."""
     runtime = ssd.runtime
-    app = runtime.register_application("affinity")
+    app = runtime.new_application("affinity")
 
     def worker():
         yield from runtime.compute(app, 100.0)
@@ -297,8 +363,8 @@ def test_compute_serializes_within_application(system, ssd):
 
 def test_compute_parallel_across_applications(system, ssd):
     runtime = ssd.runtime
-    app_a = runtime.register_application("a")
-    app_b = runtime.register_application("b")
+    app_a = runtime.new_application("a")
+    app_b = runtime.new_application("b")
     assert app_a.core != app_b.core
 
     def worker(app):

@@ -503,7 +503,7 @@ def _serve_job():
                  2185362, 138, id="exact-log-conv"),
     pytest.param(lambda: _exact_log(string_search.run_biscuit_search),
                  7025932, 618, id="exact-log-biscuit"),
-    pytest.param(_serve_job, 4484438, 196, id="serve-string-search"),
+    pytest.param(_serve_job, 4484438, 194, id="serve-string-search"),
 ])
 def test_former_loop_and_launch_sites_keep_end_time_and_event_count(
         case, end_ns, events):

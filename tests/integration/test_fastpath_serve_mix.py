@@ -45,7 +45,7 @@ def seed_106_mix():
 def test_seed_106_mix_ends_at_the_per_event_time_on_both_paths(seed_106_mix):
     (fast_ns, fast_events, _), (slow_ns, slow_events, _) = seed_106_mix
     assert fast_ns == slow_ns == 1_503_828_282
-    assert fast_events == slow_events == 138_905
+    assert fast_events == slow_events == 138_585
 
 
 def test_seed_106_mix_outcomes_agree(seed_106_mix):

@@ -5,15 +5,17 @@ long-lived runtime, so any per-application residue — channel grants, user
 arena allocations, fiber lists, link registrations, the runtime's
 application roster — compounds into an eventual hang or OOM.  These are the
 regression tests for :meth:`Application._teardown` and
-:meth:`BiscuitRuntime.retire_application`.
+:meth:`BiscuitRuntime.retire_application`, and each ends with the device at
+rest (:func:`repro.testing.device_residue`).
 """
 
 from repro.core import SSD, Application, SSDLetProxy
 from repro.host.platform import System
 from repro.serve.jobs import JobSpec, install_serve_datasets
 from repro.serve.manager import JobManager, Tenant
+from repro.testing import device_residue
 
-from tests.core.helpers import IMAGE_PATH, deploy
+from tests.core.helpers import TEST_MODULE
 
 CYCLES = 100
 
@@ -31,9 +33,8 @@ def resource_counts(ssd):
 
 def test_hundred_lifecycles_hold_steady_state():
     system = System()
-    deploy(system)
     ssd = SSD(system)
-    mid = system.run_fiber(ssd.loadModule(IMAGE_PATH))
+    mid = system.run_fiber(ssd.load(TEST_MODULE))
     baseline = resource_counts(ssd)
 
     def one_cycle(index):
@@ -49,13 +50,13 @@ def test_hundred_lifecycles_hold_steady_state():
         assert system.run_fiber(one_cycle(index)) == [0, 1, 2]
         assert resource_counts(ssd) == baseline, (
             "resource leak after %d lifecycles" % (index + 1))
+    assert device_residue(system) == []
 
 
 def test_stop_releases_resources_like_wait():
     system = System()
-    deploy(system)
     ssd = SSD(system)
-    mid = system.run_fiber(ssd.loadModule(IMAGE_PATH))
+    mid = system.run_fiber(ssd.load(TEST_MODULE))
     baseline = resource_counts(ssd)
 
     def one_cycle(index):
@@ -77,6 +78,7 @@ def test_stop_releases_resources_like_wait():
         assert counts == baseline, (
             "leak after stop() cycle %d: %r vs %r"
             % (index + 1, counts, baseline))
+    assert device_residue(system) == []
 
 
 def test_serving_churn_leaves_runtime_clean():
@@ -102,3 +104,4 @@ def test_serving_churn_leaves_runtime_clean():
     assert server.slots.dram_reserved_bytes == 0
     assert server.ssd.channels.data_channels.available == \
         server.config.channel_pool_size
+    assert device_residue(system) == []

@@ -136,7 +136,7 @@ def test_modules_shared_then_unloaded():
     run_to_drain(system, manager)
     server = manager.servers[0]
     # Everything drained: no module stays resident, none leaks in the runtime.
-    assert server.resident_modules == ()
+    assert server.ssd.runtime.residency == {}
     assert server.ssd.runtime.loaded_modules == ()
 
 
